@@ -23,10 +23,19 @@ from .tra import OdeParams
 DEFAULT_TRUNCATION = int(os.environ.get("TRA_DEFAULT_TRUNCATION", "60"))
 
 
-def _fmt(x) -> str:
+def _cell(x):
+    """A table cell as a JSON value: strings pass through, integers stay
+    integers, everything else is a float."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+        return int(x)
+    return float(x)
+
+
+def _fmt(x) -> str:
+    v = _cell(x)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _emit(config: dict, header, rows, diagnostics: dict, fmt: str, out_path):
@@ -38,12 +47,10 @@ def _emit(config: dict, header, rows, diagnostics: dict, fmt: str, out_path):
     else:
         payload = {
             "config": config,
-            "rows": [dict(zip(header, [(int(v) if isinstance(v, (int, np.integer))
-                                        else float(v)) for v in row]))
-                     for row in rows],
+            "rows": [dict(zip(header, map(_cell, row))) for row in rows],
             "diagnostics": diagnostics,
         }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
@@ -70,15 +77,14 @@ def _build_case(ns) -> object:
     raise ValueError(f"unknown case {kind!r}")
 
 
+# A run's configuration is every parser dest that holds a value, except the
+# output path; ``func`` is the command hook build_parser sets as a default.
+_NOT_CONFIG = ("out", "func")
+
+
 def _case_config(ns) -> dict:
-    keys = ["command", "case", "Z", "ell", "omega", "V1", "V2", "A", "B", "L",
-            "lam", "nu", "mu", "m_max", "E", "E_min", "E_max", "n_E",
-            "r_min", "r_max", "n_r", "m", "truncation", "tol", "format",
-            "family", "tau", "theta", "N", "sigma", "z", "n_max", "suite",
-            "a", "b", "A_plus", "A_minus", "A_zero", "A_one", "equation",
-            "scenario", "free_value", "nu_sign", "mu_sign"]
-    return {k: getattr(ns, k) for k in keys
-            if hasattr(ns, k) and getattr(ns, k) is not None}
+    return {k: v for k, v in vars(ns).items()
+            if k not in _NOT_CONFIG and v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +164,8 @@ def cmd_verify(ns) -> int:
     rows = [(c.name, c.value, c.tolerance, "pass" if c.passed else "fail")
             for c in checks]
     ok = all(c.passed for c in checks)
-    if ns.format == "csv":
-        lines = ["property,value,tolerance,status"]
-        for name, val, tol, status in rows:
-            lines.append(f"{name},{_fmt(val)},{_fmt(tol)},{status}")
-        text = "\n".join(lines) + "\n"
-        if ns.out:
-            with open(ns.out, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        payload = {"config": _case_config(ns),
-                   "rows": [{"property": n, "value": v, "tolerance": t,
-                             "status": s} for n, v, t, s in rows],
-                   "diagnostics": {"all_passed": ok}}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if ns.out:
-            with open(ns.out, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    _emit(_case_config(ns), ["property", "value", "tolerance", "status"], rows,
+          {"all_passed": ok}, ns.format, ns.out)
     return 0 if ok else 2
 
 
@@ -192,32 +179,25 @@ def cmd_match(ns) -> int:
     assignments = {}
     for key, val in vars(f).items():
         assignments[key] = (repr(val) if isinstance(val, complex) else val)
-    payload = {
-        "config": _case_config(ns),
-        "rows": [],
-        "diagnostics": {
-            "family": fam_kind,
-            "spectrum_kind": result.spectrum_kind,
-            "n_finite": result.n_finite,
-            "assignments": assignments,
-            "spectral_map": {
-                "combination": result.spectral_map.combination,
-                "raw_value": result.spectral_map.raw_value,
-                "scale": result.spectral_map.scale,
-                "offset": result.spectral_map.offset,
-                "family_value": result.spectral_map.family_value,
-            },
-            "basis": {"alpha": result.spec.alpha, "beta": result.spec.beta,
-                      "nu": result.spec.nu, "mu": result.spec.mu,
-                      "scenario": result.spec.scenario},
+    diagnostics = {
+        "family": fam_kind,
+        "spectrum_kind": result.spectrum_kind,
+        "n_finite": result.n_finite,
+        "assignments": assignments,
+        "spectral_map": {
+            "combination": result.spectral_map.combination,
+            "raw_value": result.spectral_map.raw_value,
+            "scale": result.spectral_map.scale,
+            "offset": result.spectral_map.offset,
+            "family_value": result.spectral_map.family_value,
         },
+        "basis": {"alpha": result.spec.alpha, "beta": result.spec.beta,
+                  "nu": result.spec.nu, "mu": result.spec.mu,
+                  "scenario": result.spec.scenario},
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    if ns.out:
-        with open(ns.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # a match has no table, only diagnostics, so it is written as JSON
+    # whatever --format says
+    _emit(_case_config(ns), [], [], diagnostics, "json", ns.out)
     return 0
 
 

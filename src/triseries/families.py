@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidFamilyParams, NoClosedForm
 from .gammafn import (abs_gamma_sq, binomial, gamma_fn, log_gamma,
                       log_gamma_real, pochhammer, pochhammer_real,
                       real_part_checked)
 from .recurrence import RecursionCoeffs, run_recursion
-from . import eigensolve
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +594,15 @@ _MEIXNER_TAIL = 1e-12
 
 def masses_from_recursion(coeffs: RecursionCoeffs):
     """Mass points and masses of a finite orthonormal family from its
-    truncated Jacobi matrix: points are the eigenvalues, and the mass at a
-    point x equals 1/sum_n P_n(x)^2 (dual orthogonality)."""
+    truncated Jacobi matrix (Golub-Welsch): points are the eigenvalues, and
+    the mass at a point is the squared first component of its unit
+    eigenvector.  Bisection plus inverse iteration (LAPACK dstebz/dstein)
+    keeps the tiny masses to ~1e-13 relative; the default divide-and-conquer
+    driver gets only their absolute size right."""
     n = len(coeffs)
-    points = eigensolve.all_eigenvalues(coeffs.s, coeffs.t[:n - 1])
-    masses = np.empty(n)
-    for i, x in enumerate(points):
-        vals = run_recursion(coeffs, float(x), n - 1).values
-        masses[i] = 1.0 / float(np.sum(vals * vals))
-    return points, masses
+    points, vecs = eigh_tridiagonal(coeffs.s, coeffs.t[:n - 1],
+                                    lapack_driver="stebz")
+    return points, vecs[0] ** 2
 
 
 def isolated_mass_from_recursion(coeffs: RecursionCoeffs, w: float,
@@ -655,6 +655,21 @@ def wilson_discrete_mass(sigma: float, gamma: float, q: float, k: int) -> float:
     return lead * body
 
 
+def _gamma_ratio_density(params, norm: float):
+    """z -> prod_p |Gamma(p + iz)|^2 / |Gamma(2iz)|^2 / (2 pi norm), the shape
+    of the continuous-dual-Hahn and Wilson densities.  The gammas are summed
+    as logarithms and exponentiated once, so large z neither underflows the
+    factors to 0 nor overflows them."""
+    params = tuple(complex(p) for p in params)
+    scale = 2.0 * math.pi * norm
+
+    def density(z):
+        log_ratio = sum(log_gamma(p + 1j * z) for p in params) - log_gamma(2j * z)
+        return math.exp(2.0 * log_ratio.real) / scale
+
+    return density
+
+
 def weight(family) -> WeightFunction:
     """The normalized orthogonality weight of a family."""
     family.validate()
@@ -702,12 +717,7 @@ def weight(family) -> WeightFunction:
             norm = (gamma_fn(tau + a) * gamma_fn(tau + b)).real * math.exp(
                 log_gamma_real(a + b))
 
-        def density(z, _t=tau, _a=a, _b=b, _n=norm):
-            num = abs(gamma_fn(complex(_t, z)) * gamma_fn(complex(_a, z))
-                      * gamma_fn(complex(_b, z))) ** 2
-            den = abs(gamma_fn(complex(0.0, 2.0 * z))) ** 2
-            return num / den / (2.0 * math.pi * _n)
-
+        density = _gamma_ratio_density((tau, a, b), norm)
         if not family.mixed:
             return WeightFunction("continuous", density=density, support=(0.0, math.inf))
         if a != b:
@@ -731,14 +741,9 @@ def weight(family) -> WeightFunction:
                   + log_gamma(b + c) + log_gamma(b + d) + log_gamma(c + d)
                   - log_gamma(s))
         h0 = real_part_checked(cmath.exp(log_h0), context="Wilson weight norm")
-
-        def density(z, _p=(a, b, c, d), _h=h0):
-            num = abs(gamma_fn(_p[0] + 1j * z) * gamma_fn(_p[1] + 1j * z)
-                      * gamma_fn(_p[2] + 1j * z) * gamma_fn(_p[3] + 1j * z)) ** 2
-            den = abs(gamma_fn(2j * z)) ** 2
-            return num / den / (2.0 * math.pi * _h)
-
-        return WeightFunction("continuous", density=density, support=(0.0, math.inf))
+        return WeightFunction("continuous",
+                              density=_gamma_ratio_density((a, b, c, d), h0),
+                              support=(0.0, math.inf))
     if isinstance(family, Racah):
         # The spectral points ((N-2k)/2)^2 collide pairwise (k <-> N-k), so a
         # positive dual orthogonality cannot exist for this specialization;
@@ -767,14 +772,8 @@ def mixed_wilson_weight(sigma: float, gamma: float, q: float) -> WeightFunction:
               + log_gamma(b + c) + log_gamma(b + d) + log_gamma(c + d)
               - log_gamma(s))
     h0 = cmath.exp(log_h0).real
-
-    def density(z, _p=(a, b, c, d), _h=h0):
-        num = abs(gamma_fn(complex(_p[0], z)) * gamma_fn(complex(_p[1], z))
-                  * gamma_fn(complex(_p[2], z)) * gamma_fn(complex(_p[3], z))) ** 2
-        den = abs(gamma_fn(complex(0.0, 2.0 * z))) ** 2
-        return num / den / (2.0 * math.pi * _h)
-
-    return WeightFunction("mixed", density=density, support=(0.0, math.inf),
+    return WeightFunction("mixed", density=_gamma_ratio_density((a, b, c, d), h0),
+                          support=(0.0, math.inf),
                           masses=ms, mass_points=pts, mass_indices=np.arange(nd))
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import NumericalOverflow
 
 # Lanczos approximation, g = 7, 9 coefficients.
@@ -41,16 +39,28 @@ def log_gamma(z: complex) -> complex:
     z = complex(z)
     if z.real < 0.5:
         # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise ZeroDivisionError(f"log_gamma pole at z = {z}")
-        return cmath.log(cmath.pi) - cmath.log(s) - log_gamma(1.0 - z)
+        return cmath.log(cmath.pi) - _log_sin_pi(z) - log_gamma(1.0 - z)
     z -= 1.0
     x = _LANCZOS_COEFFS[0]
     for k in range(1, len(_LANCZOS_COEFFS)):
         x += _LANCZOS_COEFFS[k] / (z + k)
     t = z + _LANCZOS_G + 0.5
     return _LOG_SQRT_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """log sin(pi z).  Past |Im pi z| = 700, where sin itself overflows, it
+    uses sin w = (i/2) e^{-iw} (1 - e^{2iw}) for Im w > 0 (the conjugate
+    below); e^{2iw} is then below 1e-600 and drops out."""
+    w = cmath.pi * z
+    if abs(w.imag) <= 700.0:
+        s = cmath.sin(w)
+        if s == 0:
+            raise ZeroDivisionError(f"log_gamma pole at z = {z}")
+        return cmath.log(s)
+    if w.imag > 0:
+        return -1j * w + cmath.log(0.5j)
+    return 1j * w + cmath.log(-0.5j)
 
 
 def log_gamma_real(x: float) -> float:
@@ -162,9 +172,3 @@ def binomial(n: int, k: int) -> float:
         log_gamma_real(n + 1.0) - log_gamma_real(k + 1.0) - log_gamma_real(n - k + 1.0)
     )
 
-
-def as_float_array(values) -> np.ndarray:
-    out = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite values in array")
-    return out

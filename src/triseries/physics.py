@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from . import eigensolve
 from . import solve as solvemod
 from .errors import (BelowThreshold, MeshTooCoarse, NoBoundStates, NoContinuum,
                      InvalidFamilyParams)
@@ -391,27 +391,34 @@ class SpectrumResult:
         return np.array([e for _, e in self.levels])
 
 
+def _levels_below(edge: float) -> int:
+    """Number of integers m >= 0 with m < edge: the levels strictly below the
+    continuum threshold, when level m reaches it at m = edge."""
+    return max(int(math.ceil(edge)), 0)
+
+
 def spectrum_size(case) -> float:
-    """Size of the discrete spectrum by the closed-form counting rules."""
+    """Size of the discrete spectrum by the closed-form counting rules.
+
+    A level exactly at the continuum threshold is not bound and is not
+    counted."""
     if isinstance(case, (CoulombCase, OscillatorCase, ScarfCase)):
         if isinstance(case, CoulombCase) and case.Z <= 0:
             return 0
         return math.inf
     if isinstance(case, MorseCase):
         tau = 0.5 - 2.0 * case.V1 / case.lam ** 2
-        return int(math.floor(-tau)) + 1 if tau < 0 else 0
+        return _levels_below(-tau)
     if isinstance(case, PoschlTellerCase):
         if case.B >= case.lam / 4.0:
             return 0
         root = math.sqrt(0.25 - case.B / case.lam)
-        n = math.floor(0.5 * root - 0.5 * (case.nu + 1.0))
-        return int(n) + 1 if n >= 0 else 0
+        return _levels_below(0.5 * root - 0.5 * (case.nu + 1.0))
     if isinstance(case, EckartCase):
         if case.B >= 0:
             return 0
         sigma = 0.5 * (case.nu + 1.0)
-        n = math.floor(math.sqrt(-case.B / case.lam) - sigma)
-        return int(n) + 1 if n >= 0 else 0
+        return _levels_below(math.sqrt(-case.B / case.lam) - sigma)
     raise TypeError(f"unknown case {case!r}")
 
 
@@ -459,7 +466,7 @@ def bound_spectrum(case, m_max: int = None) -> SpectrumResult:
     levels = tuple((m, bound_energy(case, m)) for m in range(top + 1))
     thr = case.threshold
     for m, e in levels:
-        if math.isfinite(thr) and e >= thr + 1e-12:
+        if math.isfinite(thr) and e >= thr:
             raise NoBoundStates(
                 f"{case.name}: level m={m} at E={e} is not below the  "
                 f"continuum threshold {thr}; spectrum-size rule inconsistent")
@@ -579,12 +586,16 @@ def _fd_eigenvalues(case, mesh: RadialMesh, k: int) -> np.ndarray:
     inv_h2 = 1.0 / (mesh.h * mesh.h)
     diag = inv_h2 + v
     off = np.full(r.size - 1, -0.5 * inv_h2)
-    hi = case.threshold if math.isfinite(case.threshold) else None
-    upper = min(hi, 0.0) if hi is not None else None
-    if upper is not None:
+    # LAPACK dstebz: Sturm-count bisection for the k lowest eigenvalues
+    evals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                             select_range=(0, k - 1), lapack_driver="stebz")
+    if math.isfinite(case.threshold):
         # bound levels sit strictly below the continuum threshold
-        return eigensolve.lowest_eigenvalues(diag, off, k, hi=upper + 1e-9)
-    return eigensolve.lowest_eigenvalues(diag, off, k)
+        hi = min(case.threshold, 0.0) + 1e-9
+        n_below = int(np.count_nonzero(evals < hi))
+        if n_below < k:
+            raise ValueError(f"only {n_below} eigenvalues below hi={hi}")
+    return evals
 
 
 def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,

@@ -91,9 +91,6 @@ class SpectralMap:
     def family_value(self) -> float:
         return (self.raw_value - self.offset) / self.scale
 
-    def to_family(self, raw: float) -> float:
-        return (raw - self.offset) / self.scale
-
     def to_raw(self, fam: float) -> float:
         return fam * self.scale + self.offset
 

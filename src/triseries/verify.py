@@ -31,10 +31,6 @@ class Check:
         return self.value <= self.tolerance
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
 # ---------------------------------------------------------------------------
 # family draws
 # ---------------------------------------------------------------------------

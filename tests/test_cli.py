@@ -123,3 +123,29 @@ def test_wavefunction_rows(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "r,psi"
     assert len(lines) == 6
+
+
+def test_spectrum_level_at_threshold_exits_0(capsys):
+    # Poschl-Teller lam=1, A=2, B=-20: level m=1 sits at E = 0, the
+    # threshold, so only m=0 is bound
+    code, out, err = run_cli(capsys, "spectrum", "--case", "poschl_teller",
+                             "--lambda", "1", "--A", "2", "--B", "-20")
+    assert code == 0, err
+    lines = out.strip().split("\n")
+    assert len(lines) == 2
+    assert lines[1].startswith("0,-1,")
+
+
+def test_polytable_config_replay_keeps_every_flag(tmp_path, capsys):
+    args = ("polytable", "--family", "wilson", "--a", "0.5", "--b", "0.6",
+            "--c", "0.7", "--d", "0.9", "--z", "2", "--n-max", "3",
+            "--format", "json")
+    code, out1, _ = run_cli(capsys, *args)
+    assert code == 0
+    config = json.loads(out1)["config"]
+    assert (config["c"], config["d"], config["gamma"]) == (0.7, 0.9, 0.5)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(out1)
+    code, out2, _ = run_cli(capsys, "--config", str(cfg))
+    assert code == 0
+    assert out1 == out2

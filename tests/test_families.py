@@ -173,3 +173,49 @@ def test_high_precision_reference_self_consistency():
     for n in range(6):
         assert fam.closed_form(f, n, 1.7) == pytest.approx(
             closed_form_hp(f, n, 1.7), rel=1e-11, abs=1e-11)
+
+
+def test_dual_hahn_golub_welsch_masses_n40():
+    # masses from the eigenvectors of the Jacobi matrix, checked against the
+    # mpmath closed form: sum_k m_k P_i(x_k) P_j(x_k) = delta_ij.  The masses
+    # span 22 decades here, so each must be right to its own relative size.
+    f = fam.DualHahn(40, 0.4, 1.2)
+    w = fam.weight(f)
+    n = f.N + 1
+    assert np.allclose(w.mass_points, [f.spectral_point(k) for k in range(n)],
+                       rtol=1e-12)
+    p = np.array([[closed_form_hp(f, i, k) for i in range(n)]
+                  for k in w.mass_indices])
+    gram = p.T @ (w.masses[:, None] * p)
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-10
+    assert abs(float(np.sum(w.masses)) - 1.0) < 1e-14
+
+
+def _mp_gamma_ratio_density(params, z):
+    """prod |Gamma(p + iz)|^2 / |Gamma(2iz)|^2 / (2 pi h0) in mpmath, with
+    h0 = prod_{i<j} Gamma(p_i + p_j), divided by Gamma(sum p) for four p."""
+    import mpmath as mp
+    with mp.workdps(40):
+        ps = [mp.mpc(complex(p)) for p in params]
+        z = mp.mpf(z)
+        num = mp.fprod(abs(mp.gamma(p + 1j * z)) ** 2 for p in ps)
+        h0 = mp.fprod(mp.gamma(ps[i] + ps[j]) for i in range(len(ps))
+                      for j in range(i + 1, len(ps)))
+        if len(ps) == 4:
+            h0 /= mp.gamma(sum(ps))
+        return float(num / abs(mp.gamma(2j * z)) ** 2 / (2 * mp.pi * mp.re(h0)))
+
+
+@pytest.mark.parametrize("w, params", [
+    (fam.weight(fam.ContinuousDualHahn(0.8, 0.7, 0.7)), (0.8, 0.7, 0.7)),
+    (fam.weight(fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2)),
+     (complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2)),
+    (fam.mixed_wilson_weight(1.0, 0.8, 2.3), (1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8)),
+], ids=["continuous_dual_hahn", "wilson", "mixed_wilson"])
+def test_weight_density_large_argument(w, params):
+    d = w.density(100.0)
+    assert d > 0.0
+    assert d == pytest.approx(_mp_gamma_ratio_density(params, 100.0), rel=1e-10)
+    assert w.density(1.3) == pytest.approx(
+        _mp_gamma_ratio_density(params, 1.3), rel=1e-10)
+    assert w.density(200.0) >= 0.0

@@ -30,6 +30,16 @@ def test_log_gamma_complex_matches_scipy():
         assert cmath.exp(ours) == pytest.approx(cmath.exp(ref), rel=1e-10)
 
 
+def test_log_gamma_far_from_real_axis_reflected():
+    # sin(pi z) overflows once |Im pi z| passes ~710; log_gamma must not
+    for z in (complex(0.0, 300.0), complex(0.3, -400.0), complex(-2.7, 1000.0),
+              complex(0.45, 230.0)):
+        ours = gf.log_gamma(z)
+        ref = complex(loggamma(z))
+        assert ours.real == pytest.approx(ref.real, rel=1e-12)
+        assert gf.wrap_angle(ours.imag - ref.imag) == pytest.approx(0.0, abs=1e-8)
+
+
 def test_log_gamma_pole_raises():
     with pytest.raises(ZeroDivisionError):
         gf.log_gamma_real(-3.0)

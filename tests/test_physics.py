@@ -190,3 +190,30 @@ def test_scarf_accepts_box_size_or_scale():
 def test_coulomb_discrete_below_threshold():
     spec = bound_spectrum(CoulombCase(Z=1.0, ell=1), m_max=2)
     assert np.all(spec.energies < spec.threshold)
+
+
+# Inputs whose level m=1 sits exactly at the continuum threshold: E = -0.0,
+# -0.0 and -4.5 = lam B / 2 respectively.
+THRESHOLD_EDGE_CASES = [PoschlTellerCase(lam=1.0, A=2.0, B=-20.0),
+                        MorseCase(lam=1.0, V1=0.75),
+                        EckartCase(lam=1.0, A=2.0, B=-9.0)]
+
+
+@pytest.mark.parametrize("case", THRESHOLD_EDGE_CASES,
+                         ids=lambda c: c.name)
+def test_level_at_threshold_is_not_counted(case):
+    assert bound_energy(case, 1) == case.threshold
+    assert spectrum_size(case) == 1
+    spec = bound_spectrum(case)
+    assert [m for m, _ in spec.levels] == [0]
+    assert np.all(spec.energies < spec.threshold)
+
+
+@pytest.mark.parametrize("case", THRESHOLD_EDGE_CASES,
+                         ids=lambda c: c.name)
+def test_bound_spectrum_rejects_level_at_threshold(case, monkeypatch):
+    # the guard behind the counting rule: a level exactly at the threshold
+    # is refused even if the count admits it
+    monkeypatch.setattr("triseries.physics.spectrum_size", lambda c: 2)
+    with pytest.raises(NoBoundStates):
+        bound_spectrum(case)
