@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidFamilyParams, NoClosedForm
-from .gammafn import (abs_gamma_sq, binomial, gamma_fn, log_gamma,
+from .gammafn import (binomial, gamma_fn, log_gamma,
                       log_gamma_real, pochhammer, pochhammer_real,
                       real_part_checked)
 from .recurrence import RecursionCoeffs, run_recursion
@@ -144,9 +144,34 @@ class Wilson:
 
     @property
     def mixed(self) -> bool:
-        # conjugate-pair (sigma + i tau) with tau^2 < 0 shows up as real a, b
-        # straddling: handled by the solver; a plain record stays continuous.
         return False
+
+
+@dataclass(frozen=True)
+class MixedWilson(Wilson):
+    """Wilson continued to a real pair (a, b) = (sigma - q, sigma + q) with
+    c = d: the conjugate pair sigma +- i tau with tau^2 < 0.  For a < 0 the
+    weight gains a finite discrete part at w_k = -(k+a)^2."""
+
+    def validate(self):
+        if any(complex(p).imag for p in (self.a, self.b, self.c, self.d)):
+            raise InvalidFamilyParams("mixed Wilson needs real parameters")
+        if self.c != self.d:
+            raise InvalidFamilyParams("mixed Wilson needs c == d")
+
+    @property
+    def mixed(self) -> bool:
+        return self.a < 0.0
+
+    def n_discrete(self) -> int:
+        """Number of mass points: k = 0..floor(-a)."""
+        if not self.mixed:
+            return 0
+        return int(math.floor(-self.a)) + 1
+
+    def discrete_point(self, k: int) -> float:
+        """Polynomial argument of the k-th mass point, w_k = -(k+a)^2."""
+        return -((k + self.a) ** 2)
 
 
 @dataclass(frozen=True)
@@ -220,6 +245,7 @@ FAMILY_KINDS = {
     ContinuousDualHahn: "continuous_dual_hahn",
     DualHahn: "dual_hahn",
     Wilson: "wilson",
+    MixedWilson: "wilson",
     Racah: "racah",
     ExtendedJacobiContinuous: "extended_jacobi_continuous",
     ExtendedJacobiDiscrete: "extended_jacobi_discrete",
@@ -316,7 +342,26 @@ def family_coeffs(family, n_terms: int) -> RecursionCoeffs:
         t = -np.sqrt(np.abs(inner))
         return RecursionCoeffs(s, t, t_squared=inner)
     if isinstance(family, Wilson):
-        return _wilson_coeffs_unchecked(family, n_terms)
+        # the off-diagonal sign tracks sign((n+a+c)(n+b+c)), so the streams of
+        # a mixed Wilson record continue those of the admissible region, where
+        # that factor is positive and t_n = -sqrt(A_n C_{n+1})
+        s = np.empty(n_terms)
+        t = np.empty(n_terms)
+        t2 = np.empty(n_terms)
+        a, b, c = complex(family.a), complex(family.b), complex(family.c)
+        aa = a * a
+        for i in range(n_terms):
+            n = float(i)
+            s[i] = real_part_checked(
+                _wilson_an(family, n) + _wilson_cn(family, n) - aa,
+                context=f"Wilson s_{i}")
+            prod = _wilson_an(family, n) * _wilson_cn(family, n + 1.0)
+            t2[i] = real_part_checked(prod, context=f"Wilson t_{i}^2")
+            branch = real_part_checked((n + a + c) * (n + b + c),
+                                       context=f"Wilson branch_{i}")
+            t[i] = -math.copysign(math.sqrt(abs(t2[i])),
+                                  branch if branch != 0 else 1.0)
+        return RecursionCoeffs(s, t, t_squared=t2)
     if isinstance(family, Racah):
         N = family.N
         if n_terms > N + 1:
@@ -378,29 +423,13 @@ def spectral_point(family, arg) -> float:
 _CLOSED_FORM_N_CAP = 30
 
 
-def _paired_pfq(extra_num, den, w: complex, pair_base: complex, n: int,
-                lead: complex = None) -> complex:
-    """Terminating sum with a conjugate numerator pair (p+iz)_j (p-iz)_j.
-
-    term_{j+1}/term_j = (-n+j) * prod(extra_num+j) * ((pair_base+j)^2 + w)
-                        / (prod(den+j) * (j+1)),
-    with ``lead`` an optional extra numerator stream (used by Wilson).
-    """
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+def _terminating_sum(n: int, step, term=1.0):
+    """t_0 + ... + t_n with t_0 = ``term`` and t_{j+1} = step(t_j, j): a
+    terminating hypergeometric series given by its term ratio.  A
+    denominator parameter that reaches zero raises ZeroDivisionError."""
+    total = term
     for j in range(n):
-        term *= (-n + j)
-        if lead is not None:
-            term *= lead + j
-        for p in extra_num:
-            term *= p + j
-        term *= (pair_base + j) ** 2 + w
-        for q in den:
-            dq = q + j
-            if dq == 0:
-                raise ZeroDivisionError("denominator parameter hits zero")
-            term /= dq
-        term /= (j + 1)
+        term = step(term, j)
         total += term
     return total
 
@@ -426,16 +455,19 @@ def closed_form(family, n: int, arg) -> float:
         z = float(arg)
         pref = math.sqrt(pochhammer_real(2.0 * mu, n) / math.factorial(n))
         phase = cmath.exp(1j * n * th)
-        series = _terminating_2f1(-n, complex(mu, z), 2.0 * mu,
-                                  1.0 - cmath.exp(-2j * th), n)
+        p2, x = complex(mu, z), 1.0 - cmath.exp(-2j * th)
+        series = _terminating_sum(n, lambda t, j: t * (
+            (-n + j) * (p2 + j) / ((2.0 * mu + j) * (j + 1.0)) * x), 1.0 + 0.0j)
         return real_part_checked(pref * phase * series, rel_tol=1e-8,
                                  context="Meixner-Pollaczek")
     if isinstance(family, Meixner):
         mu, tau = family.mu, family.tau
         k = int(arg)
         pref = math.sqrt(pochhammer_real(2.0 * mu, n) / math.factorial(n)) * tau ** (n / 2.0)
-        series = _terminating_2f1(-n, -k, 2.0 * mu, 1.0 - 1.0 / tau, n)
-        return pref * series.real
+        x = 1.0 - 1.0 / tau
+        series = _terminating_sum(n, lambda t, j: t * (
+            (-n + j) * (-k + j) / ((2.0 * mu + j) * (j + 1.0)) * x))
+        return pref * series
     if isinstance(family, Krawtchouk):
         N, tau = family.N, family.tau
         k = int(arg)
@@ -444,8 +476,10 @@ def closed_form(family, n: int, arg) -> float:
         if n > N:
             raise InvalidFamilyParams(f"Krawtchouk degree capped at N = {N}")
         pref = math.sqrt(binomial(N, n)) * (tau / (1.0 - tau)) ** (n / 2.0)
-        series = _terminating_2f1(-n, -k, -float(N), 1.0 / tau, n)
-        return pref * series.real
+        x = 1.0 / tau
+        series = _terminating_sum(n, lambda t, j: t * (
+            (-n + j) * (-k + j) / ((-N + j) * (j + 1.0)) * x))
+        return pref * series
     if isinstance(family, ContinuousDualHahn):
         tau, a, b = family.tau, family.a, family.b
         w = float(arg)
@@ -459,8 +493,10 @@ def closed_form(family, n: int, arg) -> float:
                 raise InvalidFamilyParams(
                     "closed form undefined: (tau+a)_n (tau+b)_n < 0")
             pref = math.sqrt(prod / (math.factorial(n) * pochhammer_real(a + b, n)))
-        series = _paired_pfq((), (tau + a, tau + b), w, tau, n)
-        return pref * series.real
+        series = _terminating_sum(n, lambda t, j: (
+            t * (-n + j) * ((tau + j) ** 2 + w)
+            / (tau + a + j) / (tau + b + j) / (j + 1)))
+        return pref * series
     if isinstance(family, DualHahn):
         N, tau, sg = family.N, family.tau, family.sigma
         k = int(arg)
@@ -472,13 +508,9 @@ def closed_form(family, n: int, arg) -> float:
                          * pochhammer_real(N - n + 1.0, n)
                          / (math.factorial(n)
                             * pochhammer_real(N + sg - n + 1.0, n)))
-        total = 1.0
-        term = 1.0
-        for j in range(n):
-            term *= (-n + j) * (-k + j) * (k + tau + sg + 1.0 + j)
-            term /= (tau + 1.0 + j) * (-N + j) * (j + 1.0)
-            total += term
-        return pref * total
+        return pref * _terminating_sum(n, lambda t, j: (
+            t * ((-n + j) * (-k + j) * (k + tau + sg + 1.0 + j))
+            / ((tau + 1.0 + j) * (-N + j) * (j + 1.0))))
     if isinstance(family, Wilson):
         a, b, c, d = (complex(family.a), complex(family.b),
                       complex(family.c), complex(family.d))
@@ -487,7 +519,10 @@ def closed_form(family, n: int, arg) -> float:
         # split: complex front (a+b)_n(a+c)_n(a+d)_n 4F3 is real for conjugate
         # pairs, and the remaining norm factor is real positive outright.
         front = (pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
-                 * _paired_pfq((), (a + b, a + c, a + d), w, a, n, lead=n + s - 1.0))
+                 * _terminating_sum(n, lambda t, j: (
+                     t * (-n + j) * (n + s - 1.0 + j) * ((a + j) ** 2 + w)
+                     / (a + b + j) / (a + c + j) / (a + d + j) / (j + 1)),
+                     1.0 + 0.0j))
         norm_sq = ((2 * n + s - 1.0) / (n + s - 1.0) * pochhammer(s, n)
                    / (pochhammer(a + b, n) * pochhammer(a + c, n)
                       * pochhammer(a + d, n) * pochhammer(b + c, n)
@@ -514,13 +549,9 @@ def closed_form(family, n: int, arg) -> float:
                          * (math.factorial(N) / math.factorial(N - n))
                          * pochhammer_real(gs + 2.0, n)
                          / (pochhammer_real(gs + N + 2.0, n) * math.factorial(n)))
-        total = 1.0
-        term = 1.0
-        for j in range(n):
-            term *= (-n + j) * (-k + j) * (n + gs + 1.0 + j) * (k - N + j)
-            term /= (g + 1.0 + j) * (sg + 1.0 + j) * (-N + j) * (j + 1.0)
-            total += term
-        return pref * total
+        return pref * _terminating_sum(n, lambda t, j: (
+            t * ((-n + j) * (-k + j) * (n + gs + 1.0 + j) * (k - N + j))
+            / ((g + 1.0 + j) * (sg + 1.0 + j) * (-N + j) * (j + 1.0))))
     raise TypeError(f"unknown family {family!r}")
 
 
@@ -528,7 +559,7 @@ def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
     """P_0..P_{n_max} at a family's natural argument, by recursion.
 
     Uses the symmetric engine wherever the family has a genuine real
-    symmetric form; the twisted finite家 families (Racah here) run the honest
+    symmetric form; the twisted finite families (Racah here) run the honest
     asymmetric real recursion their values satisfy.
     """
     if isinstance(family, Racah):
@@ -547,18 +578,6 @@ def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
     coeffs = family_coeffs(family, max(n_max, 1))
     z = spectral_point(family, arg)
     return run_recursion(coeffs, z, n_max).values
-
-
-def _terminating_2f1(p1, p2, q1, z, n) -> complex:
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(n):
-        dq = q1 + j
-        if dq == 0:
-            raise ZeroDivisionError("2F1 denominator parameter hits zero")
-        term *= (p1 + j) * (p2 + j) / (dq * (j + 1.0)) * z
-        total += term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -636,23 +655,61 @@ def cdh_discrete_mass(tau: float, a: float, k: int) -> float:
     return lead * body
 
 
-def wilson_discrete_mass(sigma: float, gamma: float, q: float, k: int) -> float:
-    """Mass at the k-th isolated point of the mixed Wilson family with
-    parameter pair (sigma - q, sigma + q, gamma, gamma), q > sigma."""
-    it = -q   # the pair parameter i*tau continued to the real value -q
-    lead = (-2.0 * gamma_fn(2.0 * sigma + 2.0 * gamma).real
-            * gamma_fn(-2.0 * it).real
-            * gamma_fn(gamma - sigma - it).real ** 2
-            / (gamma_fn(-2.0 * it - 2.0 * sigma + 1.0).real
-               * gamma_fn(2.0 * gamma).real
-               * gamma_fn(gamma + sigma - it).real ** 2))
-    body = ((k + sigma + it) * pochhammer_real(2.0 * sigma + 2.0 * it, k)
-            * pochhammer_real(2.0 * sigma, k)
-            * pochhammer_real(sigma + it + gamma, k) ** 2
-            / (pochhammer_real(2.0 * it + 1.0, k)
-               * pochhammer_real(sigma + it - gamma + 1.0, k) ** 2
-               * math.factorial(k)))
+def _wilson_discrete_mass(f: MixedWilson, k: int) -> float:
+    """Mass at the k-th isolated point of a mixed Wilson record (a, b, c, c)
+    with a < 0."""
+    a, b, c = f.a, f.b, f.c
+    lead = (-2.0 * gamma_fn(a + b + 2.0 * c).real * gamma_fn(b - a).real
+            * gamma_fn(c - a).real ** 2
+            / (gamma_fn(1.0 - 2.0 * a).real * gamma_fn(2.0 * c).real
+               * gamma_fn(b + c).real ** 2))
+    body = ((k + a) * pochhammer_real(2.0 * a, k) * pochhammer_real(a + b, k)
+            * pochhammer_real(a + c, k) ** 2
+            / (pochhammer_real(1.0 + a - b, k)
+               * pochhammer_real(a - c + 1.0, k) ** 2 * math.factorial(k)))
     return lead * body
+
+
+def mass_point(family, k: int) -> float:
+    """Recursion variable (the ``run_recursion`` argument) of the k-th mass
+    point of a family's discrete part."""
+    if isinstance(family, (Meixner, Krawtchouk)):
+        return spectral_point(family, k)
+    if isinstance(family, (ContinuousDualHahn, MixedWilson)):
+        return family.discrete_point(k)
+    raise NoClosedForm(f"no mass-point formula for {type(family).__name__}")
+
+
+def discrete_mass(family, k: int) -> float:
+    """Orthonormality mass at the k-th mass point of a family's discrete
+    part, so that sum_k m_k P_n(x_k) P_l(x_k) (plus the continuous part of a
+    mixed weight) is delta_nl."""
+    if isinstance(family, Meixner):
+        mu, tau = family.mu, family.tau
+        lead = (1.0 - tau) ** (2.0 * mu)
+        return lead * pochhammer_real(2.0 * mu, k) * tau ** k / math.factorial(k)
+    if isinstance(family, Krawtchouk):
+        N, tau = family.N, family.tau
+        return binomial(N, k) * tau ** k * (1.0 - tau) ** (N - k)
+    if isinstance(family, ContinuousDualHahn):
+        if family.a != family.b:
+            raise InvalidFamilyParams("mixed extension implemented for a == b")
+        return cdh_discrete_mass(family.tau, family.a, k)
+    if isinstance(family, MixedWilson):
+        if not family.mixed:
+            raise InvalidFamilyParams("discrete part exists only for a < 0")
+        return _wilson_discrete_mass(family, k)
+    raise NoClosedForm(f"no per-point mass formula for {type(family).__name__}")
+
+
+def _mass_arrays(family, n: int, masses=None) -> dict:
+    """The masses / mass_points / mass_indices of WeightFunction for the mass
+    points k = 0..n-1."""
+    if masses is None:
+        masses = [discrete_mass(family, k) for k in range(n)]
+    return {"masses": masses,
+            "mass_points": [mass_point(family, k) for k in range(n)],
+            "mass_indices": np.arange(n)}
 
 
 def _gamma_ratio_density(params, norm: float):
@@ -670,6 +727,15 @@ def _gamma_ratio_density(params, norm: float):
     return density
 
 
+def _quadratic_weight(family, density) -> WeightFunction:
+    """Weight of a family in w = z^2: the density on z > 0, plus the masses
+    of the discrete part when the family is mixed."""
+    if not family.mixed:
+        return WeightFunction("continuous", density=density, support=(0.0, math.inf))
+    return WeightFunction("mixed", density=density, support=(0.0, math.inf),
+                          **_mass_arrays(family, family.n_discrete()))
+
+
 def weight(family) -> WeightFunction:
     """The normalized orthogonality weight of a family."""
     family.validate()
@@ -677,35 +743,27 @@ def weight(family) -> WeightFunction:
         raise NoClosedForm("weight of the extended Jacobi families is unknown")
     if isinstance(family, MeixnerPollaczek):
         mu, th = family.mu, family.theta
-        lead = ((2.0 * math.sin(th)) ** (2.0 * mu)
-                / (2.0 * math.pi * math.exp(log_gamma_real(2.0 * mu))))
+        log_lead = (2.0 * mu * math.log(2.0 * math.sin(th))
+                    - math.log(2.0 * math.pi) - log_gamma_real(2.0 * mu))
 
-        def density(z, _lead=lead, _mu=mu, _th=th):
-            return _lead * math.exp((2.0 * _th - math.pi) * z) * abs_gamma_sq(_mu, z)
+        def density(z):
+            # one exp of the summed logarithms: the factors e^{(2 theta - pi) z}
+            # and |Gamma(mu + iz)|^2 over- and underflow on their own
+            return math.exp(log_lead + (2.0 * th - math.pi) * z
+                            + 2.0 * log_gamma(complex(mu, z)).real)
 
         return WeightFunction("continuous", density=density,
                               support=(-math.inf, math.inf))
     if isinstance(family, Meixner):
-        mu, tau = family.mu, family.tau
-        lead = (1.0 - tau) ** (2.0 * mu)
-        ks, ms, cum = [], [], 0.0
-        k = 0
+        ms, cum = [], 0.0
         while cum < 1.0 - _MEIXNER_TAIL:
-            m = lead * pochhammer_real(2.0 * mu, k) * tau ** k / math.factorial(k)
-            ks.append(k)
-            ms.append(m)
-            cum += m
-            k += 1
-            if k > 100000:
+            if len(ms) > 100000:
                 raise InvalidFamilyParams("Meixner mass tail does not close")
-        return WeightFunction("discrete", masses=ms, mass_points=[
-            (tau - 1.0) * kk for kk in ks], mass_indices=ks)
+            ms.append(discrete_mass(family, len(ms)))
+            cum += ms[-1]
+        return WeightFunction("discrete", **_mass_arrays(family, len(ms), ms))
     if isinstance(family, Krawtchouk):
-        N, tau = family.N, family.tau
-        ks = np.arange(N + 1)
-        ms = np.array([binomial(N, k) * tau ** k * (1.0 - tau) ** (N - k) for k in ks])
-        pts = ks / math.sqrt(tau * (1.0 - tau))
-        return WeightFunction("discrete", masses=ms, mass_points=pts, mass_indices=ks)
+        return WeightFunction("discrete", **_mass_arrays(family, family.N + 1))
     if isinstance(family, ContinuousDualHahn):
         tau, a, b = family.tau, family.a, family.b
         norm = math.exp(log_gamma_real(tau + a) + log_gamma_real(tau + b)
@@ -716,23 +774,15 @@ def weight(family) -> WeightFunction:
             # non-integer tau+a).
             norm = (gamma_fn(tau + a) * gamma_fn(tau + b)).real * math.exp(
                 log_gamma_real(a + b))
-
-        density = _gamma_ratio_density((tau, a, b), norm)
-        if not family.mixed:
-            return WeightFunction("continuous", density=density, support=(0.0, math.inf))
-        if a != b:
-            raise InvalidFamilyParams("mixed extension implemented for a == b")
-        nd = family.n_discrete()
-        pts = np.array([family.discrete_point(k) for k in range(nd)])
-        ms = np.array([cdh_discrete_mass(tau, a, k) for k in range(nd)])
-        return WeightFunction("mixed", density=density, support=(0.0, math.inf),
-                              masses=ms, mass_points=pts,
-                              mass_indices=np.arange(nd))
+        return _quadratic_weight(family, _gamma_ratio_density((tau, a, b), norm))
     if isinstance(family, DualHahn):
-        coeffs = family_coeffs(family, family.N + 1)
-        pts, ms = masses_from_recursion(coeffs)
+        pts, ms = masses_from_recursion(family_coeffs(family, family.N + 1))
+        # the eigenvalues ascend, and so do the points (k + (tau+sigma+1)/2)^2
+        # when tau, sigma > -1; when tau, sigma < -N they fall as k grows
+        ks = np.argsort([family.spectral_point(k) for k in range(family.N + 1)],
+                        kind="stable")
         return WeightFunction("discrete", masses=ms, mass_points=pts,
-                              mass_indices=np.arange(family.N + 1))
+                              mass_indices=ks)
     if isinstance(family, Wilson):
         a, b, c, d = (complex(family.a), complex(family.b),
                       complex(family.c), complex(family.d))
@@ -741,9 +791,7 @@ def weight(family) -> WeightFunction:
                   + log_gamma(b + c) + log_gamma(b + d) + log_gamma(c + d)
                   - log_gamma(s))
         h0 = real_part_checked(cmath.exp(log_h0), context="Wilson weight norm")
-        return WeightFunction("continuous",
-                              density=_gamma_ratio_density((a, b, c, d), h0),
-                              support=(0.0, math.inf))
+        return _quadratic_weight(family, _gamma_ratio_density((a, b, c, d), h0))
     if isinstance(family, Racah):
         # The spectral points ((N-2k)/2)^2 collide pairwise (k <-> N-k), so a
         # positive dual orthogonality cannot exist for this specialization;
@@ -752,52 +800,3 @@ def weight(family) -> WeightFunction:
             "this Racah specialization has no positive discrete weight: "
             "its spectral points coincide pairwise")
     raise TypeError(f"unknown family {family!r}")
-
-
-def mixed_wilson_weight(sigma: float, gamma: float, q: float) -> WeightFunction:
-    """Weight of the Wilson family continued to the mixed regime.
-
-    The continued parameter pair is (sigma - q, sigma + q) with q > sigma;
-    mass points sit at w_k = -(k + sigma - q)^2 for k = 0..floor(q - sigma).
-    """
-    if q <= sigma:
-        raise InvalidFamilyParams("mixed Wilson regime needs q > sigma")
-    nd = int(math.floor(q - sigma)) + 1
-    pts = np.array([-((k + sigma - q) ** 2) for k in range(nd)])
-    ms = np.array([wilson_discrete_mass(sigma, gamma, q, k) for k in range(nd)])
-
-    a, b, c, d = sigma - q, sigma + q, gamma, gamma
-    s = a + b + c + d
-    log_h0 = (log_gamma(a + b) + log_gamma(a + c) + log_gamma(a + d)
-              + log_gamma(b + c) + log_gamma(b + d) + log_gamma(c + d)
-              - log_gamma(s))
-    h0 = cmath.exp(log_h0).real
-    return WeightFunction("mixed", density=_gamma_ratio_density((a, b, c, d), h0),
-                          support=(0.0, math.inf),
-                          masses=ms, mass_points=pts, mass_indices=np.arange(nd))
-
-
-def _wilson_coeffs_unchecked(family: Wilson, n_terms: int) -> RecursionCoeffs:
-    """Wilson streams, valid also in the analytically continued regime where
-    a pair of parameters straddles zero (the mixed-spectrum case).
-
-    The off-diagonal sign tracks sign((n+a+c)(n+b+c)) so the stream remains
-    the analytic continuation of the admissible-region one; in that region
-    the factor is positive and t_n = -sqrt(A_n C_{n+1}) as usual.
-    """
-    s = np.empty(n_terms)
-    t = np.empty(n_terms)
-    t2 = np.empty(n_terms)
-    a, b, c = complex(family.a), complex(family.b), complex(family.c)
-    aa = a * a
-    for i in range(n_terms):
-        n = float(i)
-        s[i] = real_part_checked(
-            _wilson_an(family, n) + _wilson_cn(family, n) - aa,
-            context=f"Wilson s_{i}")
-        prod = _wilson_an(family, n) * _wilson_cn(family, n + 1.0)
-        t2[i] = real_part_checked(prod, context=f"Wilson t_{i}^2")
-        branch = real_part_checked((n + a + c) * (n + b + c),
-                                   context=f"Wilson branch_{i}")
-        t[i] = -math.copysign(math.sqrt(abs(t2[i])), branch if branch != 0 else 1.0)
-    return RecursionCoeffs(s, t, t_squared=t2)

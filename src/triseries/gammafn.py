@@ -1,4 +1,4 @@
-"""Log-gamma, Pochhammer symbols and terminating hypergeometric sums.
+"""Log-gamma, Pochhammer symbols and binomial coefficients.
 
 Everything downstream (weights, normalization prefactors, phase shifts) is
 built on a Lanczos log-gamma that accepts real or complex argument, so the
@@ -119,31 +119,6 @@ def pochhammer_real(a: float, n: int) -> float:
     """Rising factorial for real a, returned as float."""
     v = pochhammer(a, n)
     return v.real if isinstance(v, complex) else v
-
-
-def terminating_pfq(num: tuple, den: tuple, z: complex, n_terms: int) -> complex:
-    """Sum_{j=0}^{n_terms} (num)_j / (den)_j * z^j / j! by term recurrence.
-
-    Evaluates a terminating hypergeometric pFq whose first numerator
-    parameter is -n (the caller includes it in `num`); `n_terms` is that n.
-    Denominator parameters that hit a non-positive integer before the series
-    terminates raise ZeroDivisionError.
-    """
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(n_terms):
-        for p in num:
-            term *= p + j
-        for q in den:
-            dq = q + j
-            if dq == 0:
-                raise ZeroDivisionError(
-                    f"terminating_pfq denominator parameter {q} hits zero at j={j}"
-                )
-            term /= dq
-        term *= z / (j + 1)
-        total += term
-    return total
 
 
 def real_part_checked(value: complex, rel_tol: float = 1e-10, context: str = "") -> float:

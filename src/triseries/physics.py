@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from . import families as fam
 from . import solve as solvemod
 from .errors import (BelowThreshold, MeshTooCoarse, NoBoundStates, NoContinuum,
                      InvalidFamilyParams)
@@ -626,19 +627,22 @@ def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,
 # series solutions for the physics cases
 # ---------------------------------------------------------------------------
 
+def _bound_scenario(case):
+    """(scenario, free basis index) of a case's bound-state family match."""
+    if isinstance(case, (CoulombCase, OscillatorCase)):
+        return "LA", None
+    if isinstance(case, MorseCase):
+        return "LB", case.nu
+    if isinstance(case, (PoschlTellerCase, ScarfCase, EckartCase)):
+        return "JC", case.mu
+    raise TypeError(f"unknown case {case!r}")
+
+
 def bound_match(case, m: int):
     """Family match for the m-th bound state of a case."""
-    e = bound_energy(case, m)
-    params = bound_ode_params(case, e)
-    if isinstance(case, CoulombCase):
-        return params, solvemod.match_family(params, "LA")
-    if isinstance(case, OscillatorCase):
-        return params, solvemod.match_family(params, "LA")
-    if isinstance(case, MorseCase):
-        return params, solvemod.match_family(params, "LB", free_value=case.nu)
-    if isinstance(case, (PoschlTellerCase, ScarfCase, EckartCase)):
-        return params, solvemod.match_family(params, "JC", free_value=case.mu)
-    raise TypeError(f"unknown case {case!r}")
+    params = bound_ode_params(case, bound_energy(case, m))
+    scenario, free_value = _bound_scenario(case)
+    return params, solvemod.match_family(params, scenario, free_value=free_value)
 
 
 def bound_series(case, m: int, truncation: int = None):
@@ -682,37 +686,22 @@ def wavefunction(case, sol: solvemod.SeriesSolution, r):
 def tra_bound_energy(case, m: int, tol: float = 1e-12) -> float:
     """Bound energy from the matching condition itself (root finding).
 
-    Locates E where the discrete-family index equals m, using the spectral
-    map; used to confirm the closed formulas and their independence of the
-    basis scale.
+    Locates E where the spectral map sends the ODE parameters to the m-th
+    mass point of the matched family; used to confirm the closed formulas
+    and their independence of the basis scale.
     """
     from scipy.optimize import brentq
 
+    scenario, free_value = _bound_scenario(case)
+
     def index_mismatch(e):
-        params = bound_ode_params(case, e)
         try:
-            match = solvemod.match_family(
-                params, "LA" if isinstance(case, (CoulombCase, OscillatorCase))
-                else ("LB" if isinstance(case, MorseCase) else "JC"),
-                free_value=(case.nu if isinstance(case, MorseCase) else
-                            getattr(case, "mu", None)))
+            match = solvemod.match_family(bound_ode_params(case, e), scenario,
+                                          free_value=free_value)
+            return (match.spectral_map.family_value
+                    - fam.mass_point(match.family, m))
         except Exception:
             return math.nan
-        f = match.family
-        zf = match.spectral_map.family_value
-        import triseries.families as F
-        if isinstance(f, F.Meixner):
-            return zf / (f.tau - 1.0) - m
-        if isinstance(f, F.ContinuousDualHahn):
-            # discrete point w = -(m+tau)^2
-            return zf + (m + f.tau) ** 2
-        if isinstance(f, F.Wilson):
-            q = match.notes.get("mixed_q")
-            sg = match.notes.get("mixed_sigma")
-            if q is None:
-                return math.nan
-            return zf + (m + sg - q) ** 2
-        return math.nan
 
     e_star = bound_energy(case, m)
     span = max(abs(e_star) * 0.2, 1e-3)

@@ -208,12 +208,13 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             return MatchResult(family, use_spec, m, CONTINUOUS,
                                notes={"params": use, "swapped": swapped})
         q = 0.5 * math.sqrt(-chi)
-        family = fam.Wilson(sg - q, sg + q, gm, gm)
-        n_fin = int(math.floor(q - sg)) if q > sg else None
-        kind = MIXED if n_fin is not None and n_fin >= 0 else CONTINUOUS
-        return MatchResult(family, use_spec, m, kind, n_finite=n_fin,
-                           notes={"params": use, "swapped": swapped,
-                                  "mixed_q": q, "mixed_sigma": sg})
+        family = fam.MixedWilson(sg - q, sg + q, gm, gm)
+        if not family.mixed:
+            return MatchResult(family, use_spec, m, CONTINUOUS,
+                               notes={"params": use, "swapped": swapped})
+        return MatchResult(family, use_spec, m, MIXED,
+                           n_finite=family.n_discrete() - 1,
+                           notes={"params": use, "swapped": swapped})
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -248,45 +249,6 @@ def finite_expansion_streams(params: OdeParams, spec, n_terms: int):
             - 0.25 * (nu * nu - 1.0) + 0.25 * (a - 1.0) ** 2)
     return (diag, -(ns + omega - 0.5) * sub_root,
             -(ns + omega + 0.5) * sup_root, params.A_minus)
-
-
-def _discrete_argument(match: MatchResult, k: int) -> float:
-    f = match.family
-    if isinstance(f, fam.ContinuousDualHahn):
-        return f.discrete_point(k)
-    if isinstance(f, fam.Wilson):
-        q = match.notes["mixed_q"]
-        sg = match.notes["mixed_sigma"]
-        return -((k + sg - q) ** 2)
-    if isinstance(f, (fam.Krawtchouk, fam.DualHahn, fam.Racah, fam.Meixner)):
-        return float(k)
-    raise IndexOutOfSpectrum(f"family {type(f).__name__} has no discrete part")
-
-
-def _mass_at(match: MatchResult, k: int, n_sum: int = 400) -> float:
-    f = match.family
-    if isinstance(f, fam.Meixner):
-        lead = (1.0 - f.tau) ** (2.0 * f.mu)
-        from .gammafn import pochhammer_real
-        return lead * pochhammer_real(2.0 * f.mu, k) * f.tau ** k / math.factorial(k)
-    if isinstance(f, fam.Krawtchouk):
-        from .gammafn import binomial
-        return binomial(f.N, k) * f.tau ** k * (1.0 - f.tau) ** (f.N - k)
-    if isinstance(f, fam.DualHahn):
-        coeffs = fam.family_coeffs(f, f.N + 1)
-        if coeffs.is_twisted:
-            return 1.0  # formal regime: no positive masses
-        w = f.spectral_point(k)
-        vals = run_recursion(coeffs, w, f.N).values
-        return 1.0 / float(np.sum(vals ** 2))
-    if isinstance(f, fam.ContinuousDualHahn):
-        return fam.cdh_discrete_mass(f.tau, f.a, k)
-    if isinstance(f, fam.Wilson):
-        q = match.notes["mixed_q"]
-        sg = match.notes["mixed_sigma"]
-        gm = complex(f.c).real
-        return fam.wilson_discrete_mass(sg, gm, q, k)
-    return 1.0
 
 
 def _values_with_decoupling(coeffs, z: float, n_max: int) -> np.ndarray:
@@ -359,7 +321,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         if not 0 <= k <= n_top:
             raise IndexOutOfSpectrum(f"index {k} outside 0..{n_top}")
         vals = fam.values_by_recursion(f, k, n_top)
-        p = 1.0 if unnorm else math.sqrt(_mass_at(match, k))
+        p = 1.0 if unnorm else math.sqrt(fam.discrete_mass(f, k))
         coeff = p * np.asarray(vals)
         return SeriesSolution(coeff, match.spec, n_top + 1, p, float(k), f, unnorm)
     if kind == DISCRETE_INFINITE or (kind == MIXED and is_index) \
@@ -373,15 +335,10 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         k = int(spectral)
         if kind == MIXED and not 0 <= k <= match.n_finite:
             raise IndexOutOfSpectrum(f"index {k} outside 0..{match.n_finite}")
-        w = _discrete_argument(match, k)
-        if isinstance(f, fam.Wilson):
-            coeffs = fam._wilson_coeffs_unchecked(f, truncation + 1)
-        else:
-            coeffs = fam.family_coeffs(f, truncation + 1)
-            if isinstance(f, fam.Meixner):
-                w = fam.spectral_point(f, k)
-        vals = _clip_roundoff_tail(_values_with_decoupling(coeffs, w, truncation))
-        p = 1.0 if unnorm else math.sqrt(_mass_at(match, k))
+        coeffs = fam.family_coeffs(f, truncation + 1)
+        vals = _clip_roundoff_tail(_values_with_decoupling(
+            coeffs, fam.mass_point(f, k), truncation))
+        p = 1.0 if unnorm else math.sqrt(fam.discrete_mass(f, k))
         return SeriesSolution(p * np.asarray(vals), match.spec, truncation + 1,
                               p, float(k), f, unnorm)
     # continuous component

@@ -197,12 +197,11 @@ def oracle_equivalence_suite(n_draws: int = 100, n_max: int = 10,
 # weights and orthogonality
 # ---------------------------------------------------------------------------
 
-def _discrete_gram(f, n_top: int, k_top: int, mass_fn, point_fn):
+def _discrete_gram(f, n_top: int, points, masses):
     co = fam.family_coeffs(f, n_top + 2)
     g = np.zeros((n_top + 1, n_top + 1))
-    for k in range(k_top + 1):
-        m = mass_fn(k)
-        vals = run_recursion(co, point_fn(k), n_top).values
+    for pt, m in zip(points, masses):
+        vals = run_recursion(co, float(pt), n_top).values
         g += m * np.outer(vals, vals)
     return g
 
@@ -214,33 +213,23 @@ def weight_suite(seed: int = 20240818):
     f = fam.Meixner(0.5, 0.25)
     w = fam.weight(f)
     out.append(Check("meixner_mass_sum", abs(float(np.sum(w.masses)) - 1.0), 1e-8))
-    from .gammafn import pochhammer_real
-    lead = (1.0 - f.tau) ** (2.0 * f.mu)
-
-    def meixner_mass(k):
-        return lead * pochhammer_real(2.0 * f.mu, k) * f.tau ** k / math.factorial(k)
-
-    g = _discrete_gram(f, 6, 160, meixner_mass,
-                       lambda k: (f.tau - 1.0) * k)
+    ks = range(161)
+    g = _discrete_gram(f, 6, [fam.mass_point(f, k) for k in ks],
+                       [fam.discrete_mass(f, k) for k in ks])
     out.append(Check("meixner_orthonormality", float(np.max(np.abs(g - np.eye(7)))),
                      1e-10))
     # Krawtchouk: binomial masses, exact finite sums
     f = fam.Krawtchouk(9, 0.35)
     w = fam.weight(f)
     out.append(Check("krawtchouk_mass_sum", abs(float(np.sum(w.masses)) - 1.0), 1e-10))
-    g = _discrete_gram(f, 6, f.N, lambda k: w.masses[k],
-                       lambda k: fam.spectral_point(f, k))
+    g = _discrete_gram(f, 6, w.mass_points, w.masses)
     out.append(Check("krawtchouk_orthonormality",
                      float(np.max(np.abs(g - np.eye(7)))), 1e-10))
     # dual Hahn: masses from the dual orthogonality of the recursion
     f = fam.DualHahn(9, 0.4, 1.2)
     w = fam.weight(f)
     out.append(Check("dual_hahn_mass_sum", abs(float(np.sum(w.masses)) - 1.0), 1e-10))
-    g = np.zeros((7, 7))
-    co = fam.family_coeffs(f, 10)
-    for pt, m in zip(w.mass_points, w.masses):
-        vals = run_recursion(co, float(pt), 6).values
-        g += m * np.outer(vals, vals)
+    g = _discrete_gram(f, 6, w.mass_points, w.masses)
     out.append(Check("dual_hahn_orthonormality",
                      float(np.max(np.abs(g - np.eye(7)))), 1e-10))
     # continuous families by adaptive quadrature
@@ -271,15 +260,15 @@ def weight_suite(seed: int = 20240818):
     cont = quad(w.density, 0.0, 40.0, epsabs=1e-10, limit=300)[0]
     out.append(Check("cdh_mixed_completeness",
                      abs(cont + float(np.sum(w.masses)) - 1.0), 1e-7))
-    w = fam.mixed_wilson_weight(1.0, 0.8, 2.3)
+    w = fam.weight(fam.MixedWilson(1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8))
     cont = quad(w.density, 0.0, 60.0, epsabs=1e-10, limit=400)[0]
     out.append(Check("wilson_mixed_completeness",
                      abs(cont + float(np.sum(w.masses)) - 1.0), 1e-6))
     # printed masses vs the dual-orthogonality oracle
     co = fam.family_coeffs(f, 8001)
-    oracle = fam.isolated_mass_from_recursion(co, f.discrete_point(0), 8000)
+    oracle = fam.isolated_mass_from_recursion(co, fam.mass_point(f, 0), 8000)
     out.append(Check("cdh_mass_vs_dual_orthogonality",
-                     abs(oracle - fam.cdh_discrete_mass(f.tau, f.a, 0)), 1e-8))
+                     abs(oracle - fam.discrete_mass(f, 0)), 1e-8))
     return out
 
 

@@ -123,6 +123,38 @@ def test_racah_weight_is_degenerate():
         fam.weight(fam.Racah(5, 0.4, 0.9))
 
 
+def test_dual_hahn_mass_labels_on_negative_branch():
+    # tau, sigma < -N: the points (k + (tau+sigma+1)/2)^2 fall as k grows,
+    # so each label must name the index whose point carries that mass
+    f = fam.DualHahn(5, -7.0, -8.0)
+    w = fam.weight(f)
+    for pt, k, m in zip(w.mass_points, w.mass_indices, w.masses):
+        assert pt == pytest.approx(f.spectral_point(int(k)), rel=1e-12)
+        vals = fam.values_by_recursion(f, int(k), f.N)
+        assert m == pytest.approx(1.0 / float(np.sum(vals ** 2)), rel=1e-10)
+
+
+@pytest.mark.parametrize("theta, z", [(3.0, 300.0), (0.5, -300.0)])
+def test_meixner_pollaczek_density_far_tails(theta, z):
+    # (2 sin theta)^{2 mu} e^{(2 theta - pi) z} |Gamma(mu + iz)|^2
+    # / (2 pi Gamma(2 mu)): the exponential and the gamma factor alone
+    # over- and underflow here
+    import mpmath as mp
+    mu = 0.75
+    with mp.workdps(40):
+        ref = ((2 * mp.sin(theta)) ** (2 * mu) * mp.exp((2 * theta - mp.pi) * z)
+               * abs(mp.gamma(mu + 1j * z)) ** 2 / (2 * mp.pi * mp.gamma(2 * mu)))
+    d = fam.weight(fam.MeixnerPollaczek(mu, theta)).density(z)
+    assert d > 0.0
+    assert d == pytest.approx(float(ref), rel=1e-10)
+
+
+def test_closed_form_denominator_zero_raises():
+    # (tau + a + j) reaches 0 at j = 1 inside the terminating sum
+    with pytest.raises(ZeroDivisionError):
+        fam.closed_form(fam.ContinuousDualHahn(-1.5, 0.5, 0.5), 3, 1.0)
+
+
 def test_wilson_reality_with_conjugate_pair():
     f = fam.Wilson(complex(0.7, 0.9), complex(0.7, -0.9), 1.1, 1.1)
     co = fam.family_coeffs(f, 11)
@@ -144,9 +176,9 @@ def test_cdh_mixed_discrete_masses_match_dual_orthogonality():
 
 def test_wilson_mixed_masses_match_dual_orthogonality():
     sg, gm, q = 1.0, 0.8, 2.3
-    w = fam.mixed_wilson_weight(sg, gm, q)
-    f = fam.Wilson(sg - q, sg + q, gm, gm)
-    co = fam._wilson_coeffs_unchecked(f, 6001)
+    f = fam.MixedWilson(sg - q, sg + q, gm, gm)
+    w = fam.weight(f)
+    co = fam.family_coeffs(f, 6001)
     for k, pt in enumerate(w.mass_points):
         oracle = fam.isolated_mass_from_recursion(co, float(pt), 6000)
         assert w.masses[k] == pytest.approx(oracle, rel=2e-4)
@@ -210,7 +242,8 @@ def _mp_gamma_ratio_density(params, z):
     (fam.weight(fam.ContinuousDualHahn(0.8, 0.7, 0.7)), (0.8, 0.7, 0.7)),
     (fam.weight(fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2)),
      (complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2)),
-    (fam.mixed_wilson_weight(1.0, 0.8, 2.3), (1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8)),
+    (fam.weight(fam.MixedWilson(1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8)),
+     (1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8)),
 ], ids=["continuous_dual_hahn", "wilson", "mixed_wilson"])
 def test_weight_density_large_argument(w, params):
     d = w.density(100.0)

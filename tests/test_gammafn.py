@@ -74,12 +74,6 @@ def test_pochhammer_long_products_switch_to_loggamma():
     assert gf.pochhammer_real(a, 120) == pytest.approx(exact, rel=1e-10)
 
 
-def test_terminating_pfq_simple():
-    # 2F1(-1, -1; -2; 2) = 1 + (-1)(-1)/(-2) * 2 = 0
-    val = gf.terminating_pfq((-1.0, -1.0), (-2.0,), 2.0, 1)
-    assert val == pytest.approx(0.0, abs=1e-14)
-
-
 def test_wrap_angle():
     assert gf.wrap_angle(3.5 * math.pi) == pytest.approx(-0.5 * math.pi)
     assert gf.wrap_angle(math.pi) == pytest.approx(math.pi)

@@ -174,6 +174,14 @@ def test_tra_route_matches_formula_and_scale_free():
     assert tra_bound_energy(mc, 0) == pytest.approx(bound_energy(mc, 0), abs=1e-10)
     pt = PoschlTellerCase(lam=1.0, A=1.0, B=-36.0)
     assert tra_bound_energy(pt, 0) == pytest.approx(bound_energy(pt, 0), abs=1e-10)
+    # excited states: the m-th mass point of Meixner (oscillator), of the
+    # mixed continuous dual Hahn (Morse) and of the mixed Wilson (Jacobi cases)
+    for case in (pt, EckartCase(lam=1.0, A=2.0, B=-20.0),
+                 ScarfCase(A=2.0, B=0.5, lam=1.0), ScarfCase(A=0.5, B=2.0, lam=1.0),
+                 OscillatorCase(omega=1.0, lam=0.4)):
+        for m in (1, 2):
+            assert tra_bound_energy(case, m) == pytest.approx(
+                bound_energy(case, m), abs=1e-10), (case, m)
 
 
 def test_scarf_accepts_box_size_or_scale():
