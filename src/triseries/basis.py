@@ -1,4 +1,5 @@
-"""Classical Laguerre / Jacobi polynomials and the weighted basis elements.
+"""Weighted Laguerre / Jacobi bases: norms, the series evaluator and the
+orthonormal Jacobi streams.
 
 The expansion bases are
     Laguerre:  phi_n(x) = c_n x^alpha e^{-beta x} L_n^nu(x),
@@ -34,44 +35,6 @@ def _check_negative_index(param: float, n: int, label: str) -> None:
             raise IndexOutOfValidity(
                 f"{label} = {param} only valid for degrees n <= {n_cap}, got {n}"
             )
-
-
-def laguerre(n: int, nu: float, x: float) -> float:
-    """Classical (unnormalized) Laguerre polynomial L_n^nu(x) by recursion."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    _check_negative_index(nu, n, "Laguerre index nu")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = nu + 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + nu + 1.0 - x) * cur - (k + nu) * prev) / (k + 1.0)
-    return cur
-
-
-def jacobi(n: int, mu: float, nu: float, x: float) -> float:
-    """Classical (unnormalized) Jacobi polynomial P_n^{(mu,nu)}(x) by recursion."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    _check_negative_index(mu, n, "Jacobi index mu")
-    _check_negative_index(nu, n, "Jacobi index nu")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 0.5 * (mu + nu + 2.0) * x + 0.5 * (mu - nu)
-    for k in range(1, n):
-        c = 2 * k + mu + nu
-        a1 = 2.0 * (k + 1.0) * (k + mu + nu + 1.0) * c
-        a2 = (c + 1.0) * (mu * mu - nu * nu)
-        a3 = (c + 1.0) * c * (c + 2.0)
-        a4 = 2.0 * (k + mu) * (k + nu) * (c + 2.0)
-        if a1 == 0.0:
-            raise IndexOutOfValidity(
-                f"Jacobi recursion degenerate at degree {k + 1} for mu={mu}, nu={nu}"
-            )
-        prev, cur = cur, ((a2 + a3 * x) * cur - a4 * prev) / a1
-    return cur
 
 
 def jacobi_orthonormal_coeffs(mu: float, nu: float, n_terms: int):
@@ -158,25 +121,77 @@ class BasisKind:
     JACOBI = "jacobi"
 
 
-def basis_element(spec, n: int, x: float) -> float:
-    """Evaluate the normalized basis element phi_n(x) for a BasisSpec.
+def _recursion_step(spec, k: int):
+    """(a, b, c, d) of P_{k+1}(x) = ((a + b x) P_k(x) - c P_{k-1}(x)) / d,
+    the classical three-term recursion of the spec's polynomials."""
+    nu = spec.nu
+    if spec.equation == BasisKind.LAGUERRE:
+        return 2 * k + nu + 1.0, -1.0, k + nu, k + 1.0
+    mu = spec.mu
+    if k == 0:
+        return 0.5 * (mu - nu), 0.5 * (mu + nu + 2.0), 0.0, 1.0
+    c = 2 * k + mu + nu
+    a1 = 2.0 * (k + 1.0) * (k + mu + nu + 1.0) * c
+    if a1 == 0.0:
+        raise IndexOutOfValidity(
+            f"Jacobi recursion degenerate at degree {k + 1} for mu={mu}, nu={nu}")
+    return ((c + 1.0) * (mu * mu - nu * nu), (c + 1.0) * c * (c + 2.0),
+            2.0 * (k + mu) * (k + nu) * (c + 2.0), a1)
+
+
+def evaluate_series(spec, f, x):
+    """(y, y', y'') of the series y(x) = sum_n f_n phi_n(x) on an array x.
 
     ``spec`` needs attributes equation ("laguerre"|"jacobi"), alpha, beta,
-    nu (and mu for Jacobi).
+    nu (and mu for Jacobi).  One pass over n carries (P_n, P_n', P_n'')
+    through the classical recursion differentiated term by term, and the
+    product rule on the weight x^alpha e^{-beta x} or (1-x)^alpha (1+x)^beta
+    supplies the weight's share of the derivatives.  Trailing zero
+    coefficients are dropped, so a negative-integer index only limits the
+    degrees that carry a term.  y' and y'' are nan at an endpoint of the
+    domain (x = 0, x = +-1), where the weight need not be differentiable.
     """
+    x = np.asarray(x, dtype=float)
+    f = np.trim_zeros(np.asarray(f, dtype=float), "b")
     if spec.equation == BasisKind.LAGUERRE:
-        if x < 0:
-            raise DomainError(f"Laguerre basis needs x >= 0, got {x}")
-        cn = laguerre_norm(n, spec.nu)
-        power = x ** spec.alpha if x > 0 else (1.0 if spec.alpha == 0 else 0.0)
-        return cn * power * math.exp(-spec.beta * x) * laguerre(n, spec.nu, x)
-    if spec.equation == BasisKind.JACOBI:
-        if not -1.0 <= x <= 1.0:
-            raise DomainError(f"Jacobi basis needs -1 <= x <= 1, got {x}")
-        cn = jacobi_norm(n, spec.mu, spec.nu)
-        om = 1.0 - x
-        op = 1.0 + x
-        pow_m = om ** spec.alpha if om > 0 else (1.0 if spec.alpha == 0 else 0.0)
-        pow_p = op ** spec.beta if op > 0 else (1.0 if spec.beta == 0 else 0.0)
-        return cn * pow_m * pow_p * jacobi(n, spec.mu, spec.nu, x)
-    raise ValueError(f"unknown basis equation {spec.equation!r}")
+        outside = x < 0
+        if np.any(outside):
+            raise DomainError(f"Laguerre basis needs x >= 0, got {x[outside][0]}")
+        fc = [fn * laguerre_norm(n, spec.nu) if fn else 0.0 for n, fn in enumerate(f)]
+        inside = x > 0
+        t = np.where(inside, x, 1.0)
+        weight = x ** spec.alpha * np.exp(-spec.beta * x)
+        g = spec.alpha / t - spec.beta                      # w'/w
+        dg = -spec.alpha / (t * t)
+    elif spec.equation == BasisKind.JACOBI:
+        outside = ~((x >= -1.0) & (x <= 1.0))
+        if np.any(outside):
+            raise DomainError(f"Jacobi basis needs -1 <= x <= 1, got {x[outside][0]}")
+        fc = [fn * jacobi_norm(n, spec.mu, spec.nu) if fn else 0.0
+              for n, fn in enumerate(f)]
+        inside = np.abs(x) < 1.0
+        om = np.where(inside, 1.0 - x, 1.0)
+        op = np.where(inside, 1.0 + x, 1.0)
+        weight = (1.0 - x) ** spec.alpha * (1.0 + x) ** spec.beta
+        g = spec.beta / op - spec.alpha / om                # w'/w
+        dg = -spec.alpha / (om * om) - spec.beta / (op * op)
+    else:
+        raise ValueError(f"unknown basis equation {spec.equation!r}")
+    zero = np.zeros_like(x)
+    prev = (zero, zero, zero)
+    cur = (np.ones_like(x), zero, zero)
+    s0, s1, s2 = zero, zero, zero
+    for n, fcn in enumerate(fc):
+        if n > 0:
+            a, b, c, d = _recursion_step(spec, n - 1)
+            lin = a + b * x
+            prev, cur = cur, ((lin * cur[0] - c * prev[0]) / d,
+                              (lin * cur[1] + b * cur[0] - c * prev[1]) / d,
+                              (lin * cur[2] + 2.0 * b * cur[1] - c * prev[2]) / d)
+        s0 = s0 + fcn * cur[0]
+        s1 = s1 + fcn * cur[1]
+        s2 = s2 + fcn * cur[2]
+    y = weight * s0
+    dy = weight * (s1 + g * s0)
+    d2y = weight * (s2 + 2.0 * g * s1 + (g * g + dg) * s0)
+    return y, np.where(inside, dy, np.nan), np.where(inside, d2y, np.nan)

@@ -128,7 +128,7 @@ def cmd_wavefunction(ns) -> int:
     _, sol = physics.bound_series(case, ns.m, truncation=ns.truncation)
     rs = np.linspace(ns.r_min, ns.r_max, ns.n_r)
     psi = physics.wavefunction(case, sol, rs)
-    rows = [(float(r), float(np.real(p))) for r, p in zip(rs, psi)]
+    rows = [(float(r), float(p)) for r, p in zip(rs, psi)]
     _emit(_case_config(ns), ["r", "psi"], rows,
           {"truncation": sol.truncation,
            "unnormalized": bool(sol.unnormalized)}, ns.format, ns.out)

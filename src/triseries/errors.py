@@ -65,6 +65,10 @@ class SingularPointTooClose(TriseriesError):
     """Residual evaluation point violates the singular-point margin."""
 
 
+class ZeroSolution(TriseriesError):
+    """A series solution whose coefficients are all zero: nothing to check."""
+
+
 class NoBoundStates(TriseriesError):
     """The potential has no discrete spectrum for these parameters."""
 

@@ -673,14 +673,7 @@ def bound_series(case, m: int, truncation: int = None):
 
 def wavefunction(case, sol: solvemod.SeriesSolution, r):
     """psi(r) = y(x(r)) for an assembled series solution."""
-    out = []
-    for ri in np.atleast_1d(np.asarray(r, dtype=float)):
-        out.append(sol(float(case.x_of_r(ri))))
-    arr = np.asarray(out)
-    if np.all(np.abs(arr.imag) < 1e-12 * np.maximum(1.0, np.abs(arr.real))) \
-            if np.iscomplexobj(arr) else True:
-        return arr.real if np.iscomplexobj(arr) else arr
-    return arr
+    return sol(case.x_of_r(np.atleast_1d(np.asarray(r, dtype=float))))
 
 
 def tra_bound_energy(case, m: int, tol: float = 1e-12) -> float:

@@ -10,9 +10,10 @@ from typing import Optional
 import numpy as np
 
 from . import families as fam
-from .basis import basis_element
+from .basis import evaluate_series
 from .errors import (AmbiguousRegion, IndexOutOfSpectrum, NoFamilyApplies,
-                     SingularPointTooClose, TruncationTooSmall, ZeroOffDiagonal)
+                     SingularPointTooClose, TruncationTooSmall, ZeroOffDiagonal,
+                     ZeroSolution)
 from .recurrence import run_recursion
 from .tra import (BasisSpec, OdeParams, SpectralMap, jacobi_st2r2,
                   laguerre_st2r2, resolve_basis)
@@ -57,15 +58,9 @@ class SeriesSolution:
         sl = self.f if upto is None else self.f[:upto + 1]
         return float(np.sum(np.abs(sl) ** 2))
 
-    def __call__(self, x: float) -> complex:
-        total = 0.0 + 0.0j
-        for n, fn in enumerate(self.f):
-            if fn == 0.0:
-                continue
-            total += fn * basis_element(self.spec, n, x)
-        if abs(total.imag) < 1e-14 * max(1.0, abs(total.real)):
-            return total.real
-        return total
+    def __call__(self, x):
+        """y(x) on an array (or scalar) x."""
+        return evaluate_series(self.spec, self.f, x)[0]
 
 
 def _near_nonneg_integer(x: float):
@@ -376,57 +371,30 @@ def assemble_mixed(match: MatchResult, z: float, k: int,
 # residual
 # ---------------------------------------------------------------------------
 
-def _solution_value(sol: SeriesSolution, x: float) -> complex:
-    total = 0.0 + 0.0j
-    for n in range(len(sol.f)):
-        fn = sol.f[n]
-        if fn == 0.0:
-            continue
-        total += fn * basis_element(sol.spec, n, x)
-    return total
-
-
-def _derivatives(sol: SeriesSolution, x: float, h: float):
-    """(y, y', y'') with step-halving extrapolated central differences."""
-    def d1(step):
-        return (_solution_value(sol, x + step) - _solution_value(sol, x - step)) \
-            / (2.0 * step)
-
-    def d2(step):
-        return (_solution_value(sol, x + step) - 2.0 * _solution_value(sol, x)
-                + _solution_value(sol, x - step)) / (step * step)
-
-    y = _solution_value(sol, x)
-    yp = (4.0 * d1(h / 2.0) - d1(h)) / 3.0
-    ypp = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
-    return y, yp, ypp
-
-
-def ode_residual(params: OdeParams, solution: SeriesSolution, x_points,
-                 base_step: float = 1e-4) -> float:
-    """max over x of |L y - A_zero y| / max(1, |y|) on interior points."""
-    worst = 0.0
-    any_nonzero = bool(np.any(np.asarray(solution.f) != 0.0))
-    for x in np.atleast_1d(np.asarray(x_points, dtype=float)):
-        if params.equation == "laguerre":
-            if x < LAGUERRE_MARGIN:
-                raise SingularPointTooClose(f"x = {x} too close to 0")
-        else:
-            if abs(x) > JACOBI_MARGIN:
-                raise SingularPointTooClose(f"|x| = {abs(x)} too close to 1")
-        if not any_nonzero:
-            continue  # zero solution: residual defined as 0
-        h = base_step * max(1.0, abs(x))
-        y, yp, ypp = _derivatives(solution, float(x), h)
-        if params.equation == "laguerre":
-            lhs = (x * ypp + (params.a + params.b * x) * yp
-                   + params.A_plus * x * y + params.A_minus / x * y)
-        else:
-            lhs = ((1.0 - x * x) * ypp
-                   - (params.a - params.b + x * (params.a + params.b)) * yp
-                   + params.A_plus / (1.0 + x) * y
-                   + params.A_minus / (1.0 - x) * y
-                   + params.A_one * x * y)
-        res = abs(lhs - params.A_zero * y) / max(1.0, abs(y))
-        worst = max(worst, res)
-    return worst
+def ode_residual(params: OdeParams, solution: SeriesSolution, x_points) -> float:
+    """max over x of |L y - A_zero y| / max(1, |y|) on interior points, with
+    y' and y'' taken exactly from the series."""
+    x = np.atleast_1d(np.asarray(x_points, dtype=float))
+    if params.equation == "laguerre":
+        near = x < LAGUERRE_MARGIN
+        if np.any(near):
+            raise SingularPointTooClose(f"x = {x[near][0]} too close to 0")
+    else:
+        near = np.abs(x) > JACOBI_MARGIN
+        if np.any(near):
+            raise SingularPointTooClose(f"|x| = {abs(x[near][0])} too close to 1")
+    if not np.any(np.asarray(solution.f) != 0.0):
+        raise ZeroSolution("all coefficients are zero: the zero function "
+                           "satisfies the equation trivially")
+    y, yp, ypp = evaluate_series(solution.spec, solution.f, x)
+    if params.equation == "laguerre":
+        lhs = (x * ypp + (params.a + params.b * x) * yp
+               + params.A_plus * x * y + params.A_minus / x * y)
+    else:
+        lhs = ((1.0 - x * x) * ypp
+               - (params.a - params.b + x * (params.a + params.b)) * yp
+               + params.A_plus / (1.0 + x) * y
+               + params.A_minus / (1.0 - x) * y
+               + params.A_one * x * y)
+    res = np.abs(lhs - params.A_zero * y) / np.maximum(1.0, np.abs(y))
+    return float(np.max(res, initial=0.0))

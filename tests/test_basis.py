@@ -1,16 +1,37 @@
-"""Classical polynomials and the weighted basis elements."""
+"""Classical polynomials, the weighted basis elements and the series
+evaluator that computes both."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, eval_jacobi
 
-from triseries.basis import (basis_element, jacobi, jacobi_orthonormal_coeffs,
-                             laguerre, laguerre_norm)
+from triseries.basis import (evaluate_series, jacobi_norm,
+                             jacobi_orthonormal_coeffs, laguerre_norm)
 from triseries.errors import DomainError, IndexOutOfValidity
 from triseries.tra import BasisSpec
+
+
+def basis_element(spec, n, x):
+    """phi_n(x): the series with a single unit coefficient at degree n."""
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    return float(evaluate_series(spec, f, x)[0])
+
+
+def laguerre(n, nu, x):
+    """L_n^nu(x): phi_n with weight 1, its norm divided out."""
+    spec = BasisSpec("laguerre", alpha=0.0, beta=0.0, nu=nu, scenario="LA")
+    return basis_element(spec, n, x) / laguerre_norm(n, nu)
+
+
+def jacobi(n, mu, nu, x):
+    """P_n^{(mu,nu)}(x): phi_n with weight 1, its norm divided out."""
+    spec = BasisSpec("jacobi", alpha=0.0, beta=0.0, nu=nu, mu=mu, scenario="JC")
+    return basis_element(spec, n, x) / jacobi_norm(n, mu, nu)
 
 
 def test_degree_zero():
@@ -120,3 +141,49 @@ def test_negative_index_norm_finite():
     # the n-independent singular factor is dropped; ratios stay finite
     vals = [laguerre_norm(n, -4.0) for n in range(4)]
     assert all(math.isfinite(v) and v > 0 for v in vals)
+
+
+def _mp_norm(spec, n):
+    """c_n from mpmath Gamma functions (Pochhammer ratios for a negative
+    integer index, whose n-independent singular factor is dropped)."""
+    if spec.equation == "laguerre":
+        if spec.nu < 0 and spec.nu == int(spec.nu):
+            return mp.sqrt(mp.factorial(n) / abs(mp.rf(spec.nu + 1, n)))
+        return mp.sqrt(mp.gamma(n + 1) / mp.gamma(n + spec.nu + 1))
+    mu, nu = spec.mu, spec.nu
+    return mp.sqrt((2 * n + mu + nu + 1) / mp.mpf(2) ** (mu + nu + 1)
+                   * mp.gamma(n + 1) * mp.gamma(n + mu + nu + 1)
+                   / (mp.gamma(n + mu + 1) * mp.gamma(n + nu + 1)))
+
+
+def _mp_series(spec, f):
+    """The truncated series y(x) = sum_n f_n phi_n(x) in mpmath."""
+    def y(x):
+        if spec.equation == "laguerre":
+            w = x ** spec.alpha * mp.exp(-spec.beta * x)
+            polys = [mp.laguerre(n, spec.nu, x) for n in range(len(f))]
+        else:
+            w = (1 - x) ** spec.alpha * (1 + x) ** spec.beta
+            polys = [mp.jacobi(n, spec.mu, spec.nu, x) for n in range(len(f))]
+        return w * mp.fsum(fn * _mp_norm(spec, n) * p
+                           for n, (fn, p) in enumerate(zip(f, polys)))
+    return y
+
+
+@pytest.mark.parametrize("spec, n_terms, xs", [
+    (BasisSpec("laguerre", alpha=1.3, beta=0.6, nu=0.7, scenario="LA"), 9,
+     (0.3, 1.1, 2.9, 6.5)),
+    (BasisSpec("jacobi", alpha=0.8, beta=0.6, nu=0.7, mu=1.1, scenario="JC"), 9,
+     (-0.85, -0.3, 0.2, 0.9)),
+    # nu = -5 admits degrees 0..4 only
+    (BasisSpec("laguerre", alpha=0.5, beta=0.5, nu=-5.0, scenario="LA"), 5,
+     (0.4, 1.2, 3.0, 7.0)),
+])
+def test_series_derivatives_against_mpmath(spec, n_terms, xs):
+    f = np.random.default_rng(11).uniform(0.5, 1.5, n_terms)
+    y, yp, ypp = evaluate_series(spec, f, np.array(xs))
+    ref = _mp_series(spec, [mp.mpf(float(v)) for v in f])
+    with mp.workdps(40):
+        for i, x in enumerate(xs):
+            want = [float(mp.diff(ref, mp.mpf(x), k)) for k in range(3)]
+            assert [y[i], yp[i], ypp[i]] == pytest.approx(want, rel=1e-10)

@@ -6,8 +6,9 @@ import pytest
 from triseries import families as fam
 from triseries.errors import (AmbiguousRegion, IndexOutOfSpectrum,
                               NoFamilyApplies, SingularPointTooClose,
-                              TruncationTooSmall)
-from triseries.physics import (CoulombCase, MorseCase, OscillatorCase,
+                              TruncationTooSmall, ZeroSolution)
+from triseries.physics import (CoulombCase, EckartCase, MorseCase,
+                               OscillatorCase, PoschlTellerCase, ScarfCase,
                                bound_energy, bound_ode_params, bound_series,
                                to_ode_params)
 from triseries.solve import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE,
@@ -146,12 +147,28 @@ def test_residual_trend_bound_series():
     assert all(res[i + 1] < res[i] for i in range(len(res) - 1))
 
 
-def test_zero_solution_residual_defined_as_zero():
+@pytest.mark.parametrize("case, ms, xs", [
+    (MorseCase(lam=1.0, V1=1.0), (0, 1), np.linspace(0.3, 6.0, 10)),
+    (PoschlTellerCase(lam=1.0, A=1.0, B=-36.0), (0, 1, 2), np.linspace(-0.9, 0.9, 10)),
+    (ScarfCase(A=2.0, B=0.5, lam=1.0), (0, 1, 2), np.linspace(-0.9, 0.9, 10)),
+    (ScarfCase(A=0.5, B=2.0, lam=1.0), (0, 1, 2), np.linspace(-0.9, 0.9, 10)),
+    (EckartCase(lam=1.0, A=2.0, B=-20.0), (0,), np.linspace(-0.9, 0.9, 10)),
+])
+def test_terminating_states_solve_the_ode_to_roundoff(case, ms, xs):
+    # these coefficient chains terminate, so the series is an exact solution
+    # and its residual is round-off, not truncation
+    for m in ms:
+        params, sol = bound_series(case, m)
+        assert ode_residual(params, sol, xs) <= 1e-12
+
+
+def test_zero_solution_residual_raises():
     p = OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0)
     from triseries.tra import resolve_basis
     spec = resolve_basis(p, "LA")
     sol = SeriesSolution(np.zeros(5), spec, 5, 1.0, 0.0)
-    assert ode_residual(p, sol, [0.5, 1.0]) == 0.0
+    with pytest.raises(ZeroSolution):
+        ode_residual(p, sol, [0.5, 1.0])
 
 
 def test_singular_margins_enforced():
