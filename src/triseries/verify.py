@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import families as fam
+from .errors import InvalidFamilyParams
 from .recurrence import run_recursion
 from .tra import (OdeParams, SpectralMap, jacobi_st2r2, laguerre_st2r2,
                   resolve_basis, wilson_match_identity_residual,
@@ -79,87 +80,124 @@ CLOSED_FORM_KINDS = ("meixner_pollaczek", "meixner", "krawtchouk",
                      "continuous_dual_hahn", "dual_hahn", "wilson", "racah")
 
 
-def closed_form_hp(f, n: int, arg, dps: int = 40) -> float:
-    """High-precision evaluation of the terminating-hypergeometric forms.
+def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
+    """P_0..P_{n_max} at one argument from the terminating-hypergeometric
+    forms, in ``dps``-digit mpmath arithmetic.
 
     The double-precision ``closed_form`` loses digits through cancellation in
     the unit-argument sums; this mirror in mpmath arithmetic serves as the
-    reference the recursion values are compared against.
+    reference the recursion values are compared against.  It is written
+    apart from both: the Pochhammer prefactors are running products in n,
+    and each degree sums its own terminating series, whose term ratio is
+    (-n + j) [(n + shift + j)] c_j with the n-independent c_j formed once.
     """
     import mpmath as mp
-    if n == 0:
-        return 1.0
+    f.validate()
+    if n_max < 0:
+        raise ValueError("degree must be >= 0")
+    if hasattr(f, "N") and n_max > f.N:
+        raise InvalidFamilyParams(f"{type(f).__name__} degrees end at N = {f.N}")
     with mp.workdps(dps):
+        def products(x, step=1):
+            """prod_{i<n} (x + step i) for n = 0..n_max: rising factorials
+            for step 1, falling for -1, powers for 0."""
+            out = [mp.mpf(1)]
+            for i in range(n_max):
+                out.append(out[-1] * (x + step * i))
+            return out
+
+        def sums(c, shift=None):
+            """sum_j prod_{i<j} (-n + i) [(n + shift + i)] c_i, n = 0..n_max."""
+            out = []
+            for n in range(n_max + 1):
+                tot = term = mp.mpf(1)
+                for j in range(n):
+                    ratio = (j - n) * c[j]
+                    if shift is not None:
+                        ratio *= n + shift + j
+                    term *= ratio
+                    tot += term
+                out.append(tot)
+            return out
+
+        js = range(n_max)
+        fact = products(1)
         if isinstance(f, fam.MeixnerPollaczek):
             mu, th, z = mp.mpf(f.mu), mp.mpf(f.theta), mp.mpf(float(arg))
-            pref = mp.sqrt(mp.rf(2 * mu, n) / mp.factorial(n))
-            val = pref * mp.exp(1j * n * th) * mp.hyp2f1(
-                -n, mu + 1j * z, 2 * mu, 1 - mp.exp(-2j * th))
-            return float(val.real)
-        if isinstance(f, fam.Meixner):
+            x = 1 - mp.exp(-2j * th)
+            cj = [(mu + 1j * z + j) * x / ((2 * mu + j) * (j + 1)) for j in js]
+            r2mu, phase, tot = products(2 * mu), products(mp.exp(1j * th), 0), sums(cj)
+            vals = [(mp.sqrt(r2mu[n] / fact[n]) * phase[n] * tot[n]).real
+                    for n in range(1, n_max + 1)]
+        elif isinstance(f, fam.Meixner):
             mu, tau, k = mp.mpf(f.mu), mp.mpf(f.tau), int(arg)
-            pref = mp.sqrt(mp.rf(2 * mu, n) / mp.factorial(n)) * tau ** (mp.mpf(n) / 2)
-            return float(pref * mp.hyp2f1(-n, -k, 2 * mu, 1 - 1 / tau))
-        if isinstance(f, fam.Krawtchouk):
-            tau, k = mp.mpf(f.tau), int(arg)
-            pref = mp.sqrt(mp.binomial(f.N, n)) * (tau / (1 - tau)) ** (mp.mpf(n) / 2)
-            return float(pref * mp.hyp2f1(-n, -k, -f.N, 1 / tau))
-        if isinstance(f, fam.ContinuousDualHahn):
+            x = 1 - 1 / tau
+            cj = [(-k + j) * x / ((2 * mu + j) * (j + 1)) for j in js]
+            r2mu, power, tot = products(2 * mu), products(mp.sqrt(tau), 0), sums(cj)
+            vals = [mp.sqrt(r2mu[n] / fact[n]) * power[n] * tot[n]
+                    for n in range(1, n_max + 1)]
+        elif isinstance(f, fam.Krawtchouk):
+            tau, k, N = mp.mpf(f.tau), int(arg), f.N
+            cj = [mp.mpf(-k + j) / ((-N + j) * (j + 1)) / tau for j in js]
+            fall, power = products(mp.mpf(N), -1), products(mp.sqrt(tau / (1 - tau)), 0)
+            tot = sums(cj)
+            vals = [mp.sqrt(fall[n] / fact[n]) * power[n] * tot[n]
+                    for n in range(1, n_max + 1)]
+        elif isinstance(f, fam.ContinuousDualHahn):
             tau, a, b = mp.mpf(f.tau), mp.mpf(f.a), mp.mpf(f.b)
             w = mp.mpf(float(arg))
-            tot, term = mp.mpf(1), mp.mpf(1)
-            for j in range(n):
-                term *= (-n + j) * ((tau + j) ** 2 + w)
-                term /= (tau + a + j) * (tau + b + j) * (j + 1)
-                tot += term
-            if f.a == f.b:
-                pref = mp.rf(tau + a, n) / mp.sqrt(mp.factorial(n) * mp.rf(a + b, n))
-            else:
-                pref = mp.sqrt(mp.rf(tau + a, n) * mp.rf(tau + b, n)
-                               / (mp.factorial(n) * mp.rf(a + b, n)))
-            return float(pref * tot)
-        if isinstance(f, fam.DualHahn):
-            tau, sg, k = mp.mpf(f.tau), mp.mpf(f.sigma), int(arg)
-            N = f.N
-            pref = mp.sqrt(mp.rf(tau + 1, n) * mp.rf(mp.mpf(N - n + 1), n)
-                           / (mp.factorial(n) * mp.rf(N + sg - n + 1, n)))
-            tot, term = mp.mpf(1), mp.mpf(1)
-            for j in range(n):
-                term *= (-n + j) * (-k + j) * (k + tau + sg + 1 + j)
-                term /= (tau + 1 + j) * (-N + j) * (j + 1)
-                tot += term
-            return float(pref * tot)
-        if isinstance(f, fam.Wilson):
+            cj = [((tau + j) ** 2 + w) / ((tau + a + j) * (tau + b + j) * (j + 1))
+                  for j in js]
+            ra, rb, rab = products(tau + a), products(tau + b), products(a + b)
+            tot = sums(cj)
+            vals = []
+            for n in range(1, n_max + 1):
+                if f.a == f.b:   # analytic branch, signed
+                    pref = ra[n] / mp.sqrt(fact[n] * rab[n])
+                elif ra[n] * rb[n] < 0:
+                    raise InvalidFamilyParams(
+                        "closed form undefined: (tau+a)_n (tau+b)_n < 0")
+                else:
+                    pref = mp.sqrt(ra[n] * rb[n] / (fact[n] * rab[n]))
+                vals.append(pref * tot[n])
+        elif isinstance(f, fam.DualHahn):
+            tau, sg, k, N = mp.mpf(f.tau), mp.mpf(f.sigma), int(arg), f.N
+            cj = [(-k + j) * (k + tau + sg + 1 + j)
+                  / ((tau + 1 + j) * (-N + j) * (j + 1)) for j in js]
+            rt, fall = products(tau + 1), products(mp.mpf(N), -1)
+            fall_s, tot = products(N + sg, -1), sums(cj)
+            vals = [mp.sqrt(rt[n] * fall[n] / (fact[n] * fall_s[n])) * tot[n]
+                    for n in range(1, n_max + 1)]
+        elif isinstance(f, fam.Wilson):
             a, b, c, d = (mp.mpc(complex(f.a)), mp.mpc(complex(f.b)),
                           mp.mpc(complex(f.c)), mp.mpc(complex(f.d)))
             w = mp.mpf(float(arg))
             s = a + b + c + d
-            tot, term = mp.mpc(1), mp.mpc(1)
-            for j in range(n):
-                term *= (-n + j) * (n + s - 1 + j) * ((a + j) ** 2 + w)
-                term /= (a + b + j) * (a + c + j) * (a + d + j) * (j + 1)
-                tot += term
-            front = mp.rf(a + b, n) * mp.rf(a + c, n) * mp.rf(a + d, n) * tot
-            norm = ((2 * n + s - 1) / (n + s - 1) * mp.rf(s, n)
-                    / (mp.rf(a + b, n) * mp.rf(a + c, n) * mp.rf(a + d, n)
-                       * mp.rf(b + c, n) * mp.rf(b + d, n) * mp.rf(c + d, n)
-                       * mp.factorial(n)))
-            return float((front * mp.sqrt(norm)).real)
-        if isinstance(f, fam.Racah):
-            g, sg, k = mp.mpf(f.gamma), mp.mpf(f.sigma), int(arg)
-            N = f.N
+            cj = [((a + j) ** 2 + w)
+                  / ((a + b + j) * (a + c + j) * (a + d + j) * (j + 1)) for j in js]
+            rab, rac, rad = products(a + b), products(a + c), products(a + d)
+            rbc, rbd, rcd = products(b + c), products(b + d), products(c + d)
+            rs, tot = products(s), sums(cj, shift=s - 1)
+            vals = []
+            for n in range(1, n_max + 1):
+                front = rab[n] * rac[n] * rad[n] * tot[n]
+                norm = ((2 * n + s - 1) / (n + s - 1) * rs[n]
+                        / (rab[n] * rac[n] * rad[n] * rbc[n] * rbd[n] * rcd[n]
+                           * fact[n]))
+                vals.append((front * mp.sqrt(norm)).real)
+        elif isinstance(f, fam.Racah):
+            g, sg, k, N = mp.mpf(f.gamma), mp.mpf(f.sigma), int(arg), f.N
             gs = g + sg
-            pref = mp.sqrt((2 * n + gs + 1) / (n + gs + 1)
-                           * (mp.factorial(N) / mp.factorial(N - n))
-                           * mp.rf(gs + 2, n)
-                           / (mp.rf(gs + N + 2, n) * mp.factorial(n)))
-            tot, term = mp.mpf(1), mp.mpf(1)
-            for j in range(n):
-                term *= (-n + j) * (-k + j) * (n + gs + 1 + j) * (k - N + j)
-                term /= (g + 1 + j) * (sg + 1 + j) * (-N + j) * (j + 1)
-                tot += term
-            return float(pref * tot)
-    raise TypeError(f"no high-precision form for {f!r}")
+            cj = [(-k + j) * (k - N + j)
+                  / ((g + 1 + j) * (sg + 1 + j) * (-N + j) * (j + 1)) for j in js]
+            fall, rg = products(mp.mpf(N), -1), products(gs + 2)
+            rgn, tot = products(gs + N + 2), sums(cj, shift=gs + 1)
+            vals = [mp.sqrt((2 * n + gs + 1) / (n + gs + 1) * fall[n] * rg[n]
+                            / (rgn[n] * fact[n])) * tot[n]
+                    for n in range(1, n_max + 1)]
+        else:
+            raise TypeError(f"no high-precision form for {f!r}")
+        return np.array([1.0] + [float(v) for v in vals])
 
 
 def oracle_equivalence_suite(n_draws: int = 100, n_max: int = 10,
@@ -182,8 +220,8 @@ def oracle_equivalence_suite(n_draws: int = 100, n_max: int = 10,
                 top = min(n_max, f.N)
             for arg in args:
                 vals = fam.values_by_recursion(f, arg, top)
-                for n in range(top + 1):
-                    ref = closed_form_hp(f, n, arg)
+                refs = closed_form_hp(f, arg, top)
+                for n, ref in enumerate(refs):
                     scale = max(1.0, abs(ref))
                     worst = max(worst, abs(ref - vals[n]) / scale)
                     cf = fam.closed_form(f, n, arg)

@@ -9,8 +9,9 @@ from scipy.integrate import quad
 from triseries import families as fam
 from triseries.errors import InvalidFamilyParams, NoClosedForm
 from triseries.recurrence import run_recursion
-from triseries.verify import (closed_form_hp, degeneration_suite,
-                              oracle_equivalence_suite, weight_suite)
+from triseries.verify import (CLOSED_FORM_KINDS, closed_form_hp,
+                              degeneration_suite, oracle_equivalence_suite,
+                              random_family, weight_suite)
 
 
 def test_meixner_pollaczek_first_coefficients():
@@ -202,9 +203,10 @@ def test_degeneration_suite_passes():
 def test_high_precision_reference_self_consistency():
     # the reference and the double evaluation agree on a benign draw
     f = fam.Wilson(0.5, 0.8, 1.1, 0.9)
+    ref = closed_form_hp(f, 1.7, 5)
     for n in range(6):
         assert fam.closed_form(f, n, 1.7) == pytest.approx(
-            closed_form_hp(f, n, 1.7), rel=1e-11, abs=1e-11)
+            ref[n], rel=1e-11, abs=1e-11)
 
 
 def test_dual_hahn_golub_welsch_masses_n40():
@@ -216,11 +218,90 @@ def test_dual_hahn_golub_welsch_masses_n40():
     n = f.N + 1
     assert np.allclose(w.mass_points, [f.spectral_point(k) for k in range(n)],
                        rtol=1e-12)
-    p = np.array([[closed_form_hp(f, i, k) for i in range(n)]
-                  for k in w.mass_indices])
+    p = np.array([closed_form_hp(f, k, f.N) for k in w.mass_indices])
     gram = p.T @ (w.masses[:, None] * p)
     assert np.max(np.abs(gram - np.eye(n))) < 1e-10
     assert abs(float(np.sum(w.masses)) - 1.0) < 1e-14
+
+
+def _mp_hyper_reference(f, n, arg):
+    """P_n from the textbook hypergeometric form: mpmath's own ``hyper`` and
+    ``rf`` at 60 digits, with no term-ratio tables."""
+    import mpmath as mp
+    with mp.workdps(60):
+        fact = mp.factorial(n)
+        if isinstance(f, fam.MeixnerPollaczek):
+            mu, th, z = mp.mpf(f.mu), mp.mpf(f.theta), mp.mpf(float(arg))
+            val = (mp.sqrt(mp.rf(2 * mu, n) / fact) * mp.exp(1j * n * th)
+                   * mp.hyper([-n, mu + 1j * z], [2 * mu], 1 - mp.exp(-2j * th)))
+        elif isinstance(f, fam.Meixner):
+            mu, tau, k = mp.mpf(f.mu), mp.mpf(f.tau), int(arg)
+            val = (mp.sqrt(mp.rf(2 * mu, n) / fact) * tau ** (mp.mpf(n) / 2)
+                   * mp.hyper([-n, -k], [2 * mu], 1 - 1 / tau))
+        elif isinstance(f, fam.Krawtchouk):
+            tau, k, N = mp.mpf(f.tau), int(arg), f.N
+            val = (mp.sqrt(mp.binomial(N, n)) * (tau / (1 - tau)) ** (mp.mpf(n) / 2)
+                   * mp.hyper([-n, -k], [-N], 1 / tau))
+        elif isinstance(f, fam.ContinuousDualHahn):
+            tau, a, b = mp.mpf(f.tau), mp.mpf(f.a), mp.mpf(f.b)
+            iz = mp.sqrt(-mp.mpf(float(arg)))
+            val = (mp.sqrt(mp.rf(tau + a, n) * mp.rf(tau + b, n)
+                           / (fact * mp.rf(a + b, n)))
+                   * mp.hyper([-n, tau + iz, tau - iz], [tau + a, tau + b], 1))
+        elif isinstance(f, fam.DualHahn):
+            tau, sg, k, N = mp.mpf(f.tau), mp.mpf(f.sigma), int(arg), f.N
+            val = (mp.sqrt(mp.rf(tau + 1, n) * mp.rf(N - n + 1, n)
+                           / (fact * mp.rf(N + sg - n + 1, n)))
+                   * mp.hyper([-n, -k, k + tau + sg + 1], [tau + 1, -N], 1))
+        elif isinstance(f, fam.Wilson):
+            a, b, c, d = (mp.mpc(complex(p)) for p in (f.a, f.b, f.c, f.d))
+            iz = mp.sqrt(-mp.mpf(float(arg)))
+            s = a + b + c + d
+            lead = mp.rf(a + b, n) * mp.rf(a + c, n) * mp.rf(a + d, n)
+            norm = ((2 * n + s - 1) / (n + s - 1) * mp.rf(s, n)
+                    / (lead * mp.rf(b + c, n) * mp.rf(b + d, n) * mp.rf(c + d, n)
+                       * fact))
+            val = (lead * mp.sqrt(norm)
+                   * mp.hyper([-n, n + s - 1, a + iz, a - iz],
+                              [a + b, a + c, a + d], 1))
+        else:
+            g, sg, k, N = mp.mpf(f.gamma), mp.mpf(f.sigma), int(arg), f.N
+            gs = g + sg
+            val = (mp.sqrt((2 * n + gs + 1) / (n + gs + 1) * mp.rf(N - n + 1, n)
+                           * mp.rf(gs + 2, n) / (mp.rf(gs + N + 2, n) * fact))
+                   * mp.hyper([-n, n + gs + 1, -k, k - N], [g + 1, sg + 1, -N], 1))
+        return float(mp.re(val))
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_high_precision_reference_matches_mpmath_hyper(kind):
+    # one draw per family: every degree <= 10 of the all-degree reference
+    # against mpmath's generic hypergeometric summation at 60 digits, and a
+    # shorter call is a prefix of a longer one
+    f, args = random_family(kind, np.random.default_rng(20240820))
+    top = min(10, getattr(f, "N", 10))
+    for arg in args:
+        ref = closed_form_hp(f, arg, top)
+        assert ref.shape == (top + 1,)
+        for n in range(top + 1):
+            assert ref[n] == pytest.approx(_mp_hyper_reference(f, n, arg),
+                                           rel=1e-13, abs=1e-13)
+        short = min(6, top)
+        assert np.array_equal(closed_form_hp(f, arg, short), ref[:short + 1])
+
+
+@pytest.mark.parametrize("f, arg, n_max", [
+    (fam.ContinuousDualHahn(-1.0, 0.5, 1.5), 1.0, 3),   # (tau+a)_n (tau+b)_n < 0
+    (fam.Krawtchouk(3, 0.4), 2, 4),                      # degree past N
+    (fam.Krawtchouk(3, 0.4), 2, 5),
+    (fam.DualHahn(3, 0.4, 0.2), 1, 4),
+    (fam.Meixner(0.5, 1.5), 2, 3),                       # tau outside (0, 1)
+])
+def test_high_precision_reference_rejects_like_closed_form(f, arg, n_max):
+    with pytest.raises(InvalidFamilyParams):
+        fam.closed_form(f, n_max, arg)
+    with pytest.raises(InvalidFamilyParams):
+        closed_form_hp(f, arg, n_max)
 
 
 def _mp_gamma_ratio_density(params, z):
