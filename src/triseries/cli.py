@@ -9,8 +9,8 @@ Output is CSV (numeric payload, 17 significant digits, LF endings) or JSON
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,8 +19,6 @@ from . import families as fam
 from . import physics, solve, verify
 from .errors import TriseriesError
 from .tra import OdeParams
-
-DEFAULT_TRUNCATION = int(os.environ.get("TRA_DEFAULT_TRUNCATION", "60"))
 
 
 def _cell(x):
@@ -59,22 +57,11 @@ def _emit(config: dict, header, rows, diagnostics: dict, fmt: str, out_path):
 
 
 def _build_case(ns) -> object:
-    kind = ns.case
-    if kind == "coulomb":
-        return physics.CoulombCase(Z=ns.Z, ell=ns.ell, lam=ns.lam)
-    if kind == "oscillator":
-        return physics.OscillatorCase(omega=ns.omega, ell=ns.ell, lam=ns.lam)
-    if kind == "morse":
-        return physics.MorseCase(lam=ns.lam, V1=ns.V1, V2=ns.V2, nu=ns.nu)
-    if kind == "poschl_teller":
-        return physics.PoschlTellerCase(lam=ns.lam, A=ns.A, B=ns.B, mu=ns.mu)
-    if kind == "scarf":
-        if ns.L is not None:
-            return physics.ScarfCase(A=ns.A, B=ns.B, L=ns.L, mu=ns.mu)
-        return physics.ScarfCase(A=ns.A, B=ns.B, lam=ns.lam, mu=ns.mu)
-    if kind == "eckart":
-        return physics.EckartCase(lam=ns.lam, A=ns.A, B=ns.B, mu=ns.mu)
-    raise ValueError(f"unknown case {kind!r}")
+    cls = physics.CASE_TYPES[ns.case]
+    kwargs = {f.name: getattr(ns, f.name) for f in dataclasses.fields(cls)}
+    if kwargs.get("L") is not None:
+        kwargs["lam"] = None   # Scarf: a box size replaces the default scale
+    return cls(**kwargs)
 
 
 # A run's configuration is every parser dest that holds a value, except the
@@ -175,12 +162,10 @@ def cmd_match(ns) -> int:
     result = solve.match_family(params, ns.scenario, nu_sign=ns.nu_sign,
                                 mu_sign=ns.mu_sign, free_value=ns.free_value)
     f = result.family
-    fam_kind = fam.FAMILY_KINDS[type(f)]
-    assignments = {}
-    for key, val in vars(f).items():
-        assignments[key] = (repr(val) if isinstance(val, complex) else val)
+    assignments = {key: repr(val) if isinstance(val, complex) else val
+                   for key, val in vars(f).items()}
     diagnostics = {
-        "family": fam_kind,
+        "family": f.kind,
         "spectrum_kind": result.spectrum_kind,
         "n_finite": result.n_finite,
         "assignments": assignments,
@@ -253,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wavefunction", help="bound-state wavefunction samples")
     _add_case_flags(p)
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    p.add_argument("--truncation", type=int, default=solve.DEFAULT_TRUNCATION)
     p.add_argument("--r-min", dest="r_min", type=float, default=0.1)
     p.add_argument("--r-max", dest="r_max", type=float, default=10.0)
     p.add_argument("--n-r", dest="n_r", type=int, default=50)

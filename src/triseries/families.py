@@ -7,6 +7,9 @@ closed form and the weight itself.  Two of the families (the extended
 Jacobi-recursion families with continuous and discrete argument) are
 recursion-only objects: no closed form or weight is known for them.
 
+Each family record carries its formulas as methods (``Family``); the module
+functions hold the checks every family shares.
+
 Sign conventions are fixed so that ``run_recursion`` on ``family_coeffs``
 reproduces ``closed_form`` exactly; the test-suite enforces this for every
 family over random admissible parameter draws.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -25,402 +29,32 @@ from .errors import InvalidFamilyParams, NoClosedForm
 from .gammafn import (binomial, gamma_fn, log_gamma,
                       log_gamma_real, pochhammer, pochhammer_real,
                       real_part_checked)
-from .recurrence import RecursionCoeffs, run_recursion
+from .recurrence import RecursionCoeffs, run_recursion, run_recursion_general
 
 
-# ---------------------------------------------------------------------------
-# family records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MeixnerPollaczek:
-    """Two-parameter continuous family; argument z real."""
-    mu: float
-    theta: float
-
-    def validate(self):
-        if not self.mu > 0:
-            raise InvalidFamilyParams(f"Meixner-Pollaczek needs mu > 0, got {self.mu}")
-        if not 0.0 < self.theta < math.pi:
-            raise InvalidFamilyParams(f"needs 0 < theta < pi, got {self.theta}")
-
-
-@dataclass(frozen=True)
-class Meixner:
-    """Discrete family on k = 0, 1, 2, ...; tau in (0, 1)."""
-    mu: float
-    tau: float
-
-    def validate(self):
-        if not self.mu > 0:
-            raise InvalidFamilyParams(f"Meixner needs mu > 0, got {self.mu}")
-        if not 0.0 < self.tau < 1.0:
-            raise InvalidFamilyParams(f"Meixner needs 0 < tau < 1, got {self.tau}")
+class Family(Protocol):
+    """The formulas every family record carries (documentation only).  A
+    finite family has a field ``N``; a formula a family lacks raises
+    ``NoClosedForm``.  Families with a continuous part also have
+    ``density_at(arg)``, the weight density at a natural argument."""
+    kind: str   # the CLI family name
+    def validate(self) -> None: ...
+    def streams(self, n_terms: int) -> RecursionCoeffs: ...   # unvalidated
+    def spectral_point(self, arg) -> float: ...   # recursion variable of arg
+    def closed_form(self, n: int, arg) -> float: ...   # P_n(arg), n >= 1
+    def weight(self) -> "WeightFunction": ...
+    # the recursion variable of the k-th mass point, and the mass there
+    def mass_point(self, k: int) -> float: ...
+    def discrete_mass(self, k: int) -> float: ...
 
 
-@dataclass(frozen=True)
-class Krawtchouk:
-    """Finite discrete family on k = 0..N; tau in (0, 1).
-
-    Streams are for the real (untwisted) normalized polynomials divided by
-    sqrt(tau(1-tau)), i.e. spectral variable z = k/sqrt(tau(1-tau)).
-    """
-    N: int
-    tau: float
-
-    def validate(self):
-        if self.N < 0 or self.N != int(self.N):
-            raise InvalidFamilyParams(f"Krawtchouk needs integer N >= 0, got {self.N}")
-        if not 0.0 < self.tau < 1.0:
-            raise InvalidFamilyParams(f"Krawtchouk needs 0 < tau < 1, got {self.tau}")
+def _no_mass_formula(self, k: int):
+    raise NoClosedForm(f"no mass formula for {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class ContinuousDualHahn:
-    """Three-parameter family in w = z^2; tau < 0 adds a finite discrete part."""
-    tau: float
-    a: float
-    b: float
-
-    def validate(self):
-        if not (self.a > 0 and self.b > 0):
-            raise InvalidFamilyParams("continuous dual Hahn needs a, b > 0")
-        if self.tau == 0.0:
-            raise InvalidFamilyParams("tau = 0 is degenerate")
-
-    @property
-    def mixed(self) -> bool:
-        return self.tau < 0.0
-
-    def n_discrete(self) -> int:
-        """Size-1 count of the discrete part: largest integer <= -tau."""
-        if not self.mixed:
-            return 0
-        return int(math.floor(-self.tau)) + 1
-
-    def discrete_point(self, k: int) -> float:
-        """Polynomial argument of the k-th mass point, w_k = -(k+tau)^2."""
-        return -((k + self.tau) ** 2)
-
-
-@dataclass(frozen=True)
-class DualHahn:
-    """Finite discrete family on k = 0..N with parameters (tau, sigma)."""
-    N: int
-    tau: float
-    sigma: float
-
-    def validate(self):
-        if self.N < 0 or self.N != int(self.N):
-            raise InvalidFamilyParams(f"dual Hahn needs integer N >= 0, got {self.N}")
-        ok = (self.tau > -1 and self.sigma > -1) or (self.tau < -self.N and
-                                                     self.sigma < -self.N)
-        if not ok:
-            raise InvalidFamilyParams(
-                "dual Hahn needs tau, sigma > -1 or tau, sigma < -N")
-
-    def spectral_point(self, k: int) -> float:
-        return (k + 0.5 * (self.tau + self.sigma + 1.0)) ** 2
-
-
-@dataclass(frozen=True)
-class Wilson:
-    """Four-parameter family in w = z^2; complex-conjugate pairs allowed."""
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def validate(self):
-        params = (self.a, self.b, self.c, self.d)
-        for p in params:
-            if complex(p).real <= 0:
-                raise InvalidFamilyParams(
-                    "Wilson needs Re(a,b,c,d) > 0 with conjugate pairs")
-        for p in params:
-            if abs(complex(p).imag) > 0 and not any(
-                    abs(complex(q) - complex(p).conjugate()) < 1e-12 for q in params):
-                raise InvalidFamilyParams("non-real Wilson parameters must pair up")
-
-    @property
-    def mixed(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class MixedWilson(Wilson):
-    """Wilson continued to a real pair (a, b) = (sigma - q, sigma + q) with
-    c = d: the conjugate pair sigma +- i tau with tau^2 < 0.  For a < 0 the
-    weight gains a finite discrete part at w_k = -(k+a)^2."""
-
-    def validate(self):
-        if any(complex(p).imag for p in (self.a, self.b, self.c, self.d)):
-            raise InvalidFamilyParams("mixed Wilson needs real parameters")
-        if self.c != self.d:
-            raise InvalidFamilyParams("mixed Wilson needs c == d")
-
-    @property
-    def mixed(self) -> bool:
-        return self.a < 0.0
-
-    def n_discrete(self) -> int:
-        """Number of mass points: k = 0..floor(-a)."""
-        if not self.mixed:
-            return 0
-        return int(math.floor(-self.a)) + 1
-
-    def discrete_point(self, k: int) -> float:
-        """Polynomial argument of the k-th mass point, w_k = -(k+a)^2."""
-        return -((k + self.a) ** 2)
-
-
-@dataclass(frozen=True)
-class Racah:
-    """Finite discrete family on k = 0..N, parameters (gamma, sigma).
-
-    This two-parameter specialization is intrinsically "twisted": the signed
-    squares of its symmetrized off-diagonals are negative for every n < N, so
-    no real symmetric three-term form exists.  ``family_coeffs`` reports the
-    formal streams (|t_n| with negative t_squared) and the honest real values
-    are produced by ``values_by_recursion``, which runs the asymmetric real
-    recursion the closed form actually satisfies.
-    """
-    N: int
-    gamma: float
-    sigma: float
-
-    def validate(self):
-        if self.N < 0 or self.N != int(self.N):
-            raise InvalidFamilyParams(f"Racah needs integer N >= 0, got {self.N}")
-        if self.gamma <= -1 or self.sigma <= -1:
-            raise InvalidFamilyParams("Racah needs gamma, sigma > -1")
-
-    def spectral_point(self, k: int) -> float:
-        return 0.25 * (self.N - 2.0 * k) ** 2
-
-
-@dataclass(frozen=True)
-class ExtendedJacobiContinuous:
-    """Recursion-only family extending the Jacobi recursion (continuous kind).
-
-    Polynomial of degree n in 1/z; taking z -> infinity recovers the
-    orthonormal Jacobi recursion in the variable cos(theta).  sigma shifts
-    the quadratic-in-n diagonal term.  No closed form or weight is known.
-    """
-    mu: float
-    nu: float
-    theta: float
-    sigma: float = 0.0
-    z: float = math.inf
-
-    def validate(self):
-        if not 0.0 < self.theta < math.pi:
-            raise InvalidFamilyParams(f"needs 0 < theta < pi, got {self.theta}")
-        if self.z == 0.0:
-            raise InvalidFamilyParams("argument z must be nonzero")
-
-
-@dataclass(frozen=True)
-class ExtendedJacobiDiscrete:
-    """Discrete counterpart of the extended Jacobi family; spectrum points
-    z_k are not derivable from known theory and must be supplied."""
-    mu: float
-    nu: float
-    tau: float
-    sigma: float = 0.0
-    z_k: float = math.inf
-
-    def validate(self):
-        if not 0.0 < self.tau < 1.0:
-            raise InvalidFamilyParams(f"needs 0 < tau < 1, got {self.tau}")
-        if self.z_k == 0.0:
-            raise InvalidFamilyParams("spectrum point z_k must be nonzero")
-
-
-# retained aliases used by the solver's family tables
-FAMILY_KINDS = {
-    MeixnerPollaczek: "meixner_pollaczek",
-    Meixner: "meixner",
-    Krawtchouk: "krawtchouk",
-    ContinuousDualHahn: "continuous_dual_hahn",
-    DualHahn: "dual_hahn",
-    Wilson: "wilson",
-    MixedWilson: "wilson",
-    Racah: "racah",
-    ExtendedJacobiContinuous: "extended_jacobi_continuous",
-    ExtendedJacobiDiscrete: "extended_jacobi_discrete",
-}
-
-
-# ---------------------------------------------------------------------------
-# recursion coefficients
-# ---------------------------------------------------------------------------
-
-def _wilson_an(f: Wilson, n: float) -> complex:
-    a, b, c, d = (complex(f.a), complex(f.b), complex(f.c), complex(f.d))
-    s = a + b + c + d
-    return ((n + a + b) * (n + a + c) * (n + a + d) * (n + s - 1.0)
-            / ((2 * n + s) * (2 * n + s - 1.0)))
-
-
-def _wilson_cn(f: Wilson, n: float) -> complex:
-    a, b, c, d = (complex(f.a), complex(f.b), complex(f.c), complex(f.d))
-    s = a + b + c + d
-    return (n * (n + b + c - 1.0) * (n + b + d - 1.0) * (n + c + d - 1.0)
-            / ((2 * n + s - 1.0) * (2 * n + s - 2.0)))
-
-
-def _racah_a(f: Racah, n: int) -> float:
-    """(n-N)(n+g+1)(n+s+1)(n+g+s+1)/((2n+g+s+1)(2n+g+s+2)); <= 0 for n <= N."""
-    g, s, N = f.gamma, f.sigma, f.N
-    if n == 0:
-        # cancel the (g+s+1) pair so g+s -> -1 stays finite
-        return -N * (g + 1.0) * (s + 1.0) / (g + s + 2.0)
-    return ((n - N) * (n + g + 1.0) * (n + s + 1.0) * (n + g + s + 1.0)
-            / ((2 * n + g + s + 1.0) * (2 * n + g + s + 2.0)))
-
-
-def _racah_c(f: Racah, n: int) -> float:
-    """n(n+g)(n+s)(n+g+s+N+1)/((2n+g+s)(2n+g+s+1)); >= 0."""
-    g, s, N = f.gamma, f.sigma, f.N
-    if n == 0:
-        return 0.0
-    return (n * (n + g) * (n + s) * (n + g + s + N + 1.0)
-            / ((2 * n + g + s) * (2 * n + g + s + 1.0)))
-
-
-def _racah_tmag(f: Racah, n: int) -> float:
-    """|t_n| = sqrt(|A_n C_{n+1}|) of the formal symmetrized recursion."""
-    return math.sqrt(abs(_racah_a(f, n) * _racah_c(f, n + 1)))
-
-
-def family_coeffs(family, n_terms: int) -> RecursionCoeffs:
-    """Recursion streams (s_n, t_n), n = 0..n_terms-1, of a family."""
-    family.validate()
-    ns = np.arange(n_terms, dtype=float)
-    if isinstance(family, MeixnerPollaczek):
-        mu, th = family.mu, family.theta
-        s = -(ns + mu) * math.cos(th) / math.sin(th)
-        t = np.sqrt((ns + 1.0) * (ns + 2.0 * mu)) / (2.0 * math.sin(th))
-        return RecursionCoeffs(s, t)
-    if isinstance(family, Meixner):
-        mu, tau = family.mu, family.tau
-        s = -(ns * (1.0 + tau) + 2.0 * mu * tau)
-        t = np.sqrt((ns + 1.0) * (ns + 2.0 * mu) * tau)
-        return RecursionCoeffs(s, t)
-    if isinstance(family, Krawtchouk):
-        N, tau = family.N, family.tau
-        if n_terms > N + 1:
-            raise InvalidFamilyParams(f"Krawtchouk streams end at n = N = {N}")
-        root = math.sqrt(tau * (1.0 - tau))
-        s = (N * tau + ns * (1.0 - 2.0 * tau)) / root
-        inner = (ns + 1.0) * (N - ns)
-        t = -np.sqrt(np.abs(inner))
-        return RecursionCoeffs(s, t, t_squared=inner)
-    if isinstance(family, ContinuousDualHahn):
-        tau, a, b = family.tau, family.a, family.b
-        s = (ns + tau + a) * (ns + tau + b) + ns * (ns + a + b - 1.0) - tau * tau
-        if a == b:
-            t = -(ns + tau + a) * np.sqrt((ns + 1.0) * (ns + 2.0 * a))
-            return RecursionCoeffs(s, t)
-        prod = ((ns + tau + a) * (ns + tau + b)
-                * (ns + 1.0) * (ns + a + b))
-        if np.any(prod < 0):
-            raise InvalidFamilyParams(
-                "continuous dual Hahn off-diagonal squared negative; "
-                "use a == b for the mixed extension")
-        t = -np.sqrt(prod)
-        return RecursionCoeffs(s, t)
-    if isinstance(family, DualHahn):
-        N, tau, sg = family.N, family.tau, family.sigma
-        if n_terms > N + 1:
-            raise InvalidFamilyParams(f"dual Hahn streams end at n = N = {N}")
-        s = ((ns + tau + 1.0) * (N - ns) + ns * (N + sg + 1.0 - ns)
-             + 0.25 * (tau + sg + 1.0) ** 2)
-        inner = (ns + 1.0) * (ns + tau + 1.0) * (N - ns) * (N - ns + sg)
-        # sign fixed so run_recursion reproduces the 3F2 closed form
-        t = -np.sqrt(np.abs(inner))
-        return RecursionCoeffs(s, t, t_squared=inner)
-    if isinstance(family, Wilson):
-        # the off-diagonal sign tracks sign((n+a+c)(n+b+c)), so the streams of
-        # a mixed Wilson record continue those of the admissible region, where
-        # that factor is positive and t_n = -sqrt(A_n C_{n+1})
-        s = np.empty(n_terms)
-        t = np.empty(n_terms)
-        t2 = np.empty(n_terms)
-        a, b, c = complex(family.a), complex(family.b), complex(family.c)
-        aa = a * a
-        for i in range(n_terms):
-            n = float(i)
-            s[i] = real_part_checked(
-                _wilson_an(family, n) + _wilson_cn(family, n) - aa,
-                context=f"Wilson s_{i}")
-            prod = _wilson_an(family, n) * _wilson_cn(family, n + 1.0)
-            t2[i] = real_part_checked(prod, context=f"Wilson t_{i}^2")
-            branch = real_part_checked((n + a + c) * (n + b + c),
-                                       context=f"Wilson branch_{i}")
-            t[i] = -math.copysign(math.sqrt(abs(t2[i])),
-                                  branch if branch != 0 else 1.0)
-        return RecursionCoeffs(s, t, t_squared=t2)
-    if isinstance(family, Racah):
-        N = family.N
-        if n_terms > N + 1:
-            raise InvalidFamilyParams(f"Racah streams end at n = N = {N}")
-        s = np.array([0.25 * N * N - _racah_a(family, i) - _racah_c(family, i)
-                      for i in range(n_terms)])
-        t = np.array([_racah_tmag(family, i) for i in range(n_terms)])
-        t2 = np.array([_racah_a(family, i) * _racah_c(family, i + 1)
-                       for i in range(n_terms)])
-        return RecursionCoeffs(s, t, t_squared=t2)
-    if isinstance(family, ExtendedJacobiContinuous):
-        from .basis import jacobi_c, jacobi_d  # local import avoids a cycle
-        mu, nu, sg = family.mu, family.nu, family.sigma
-        shift = (math.sin(family.theta) / family.z) if math.isfinite(family.z) else 0.0
-        s = np.array([jacobi_c(i, mu, nu)
-                      + shift * (sg + (i + 0.5 * (mu + nu + 1.0)) ** 2)
-                      for i in range(n_terms)])
-        t = np.array([jacobi_d(i, mu, nu) for i in range(n_terms)])
-        return RecursionCoeffs(s, t)
-    if isinstance(family, ExtendedJacobiDiscrete):
-        from .basis import jacobi_c, jacobi_d
-        mu, nu, sg, tau = family.mu, family.nu, family.sigma, family.tau
-        shift = ((1.0 - tau) / (2.0 * math.sqrt(tau) * family.z_k)
-                 if math.isfinite(family.z_k) else 0.0)
-        s = np.array([jacobi_c(i, mu, nu)
-                      + shift * (sg + (i + 0.5 * (mu + nu + 1.0)) ** 2)
-                      for i in range(n_terms)])
-        t = np.array([jacobi_d(i, mu, nu) for i in range(n_terms)])
-        return RecursionCoeffs(s, t)
-    raise TypeError(f"unknown family {family!r}")
-
-
-def spectral_point(family, arg) -> float:
-    """Map a family's natural argument (z, w, or index k) to the recursion
-    variable fed to ``run_recursion``."""
-    if isinstance(family, MeixnerPollaczek):
-        return float(arg)
-    if isinstance(family, Meixner):
-        return (family.tau - 1.0) * float(arg)
-    if isinstance(family, Krawtchouk):
-        return float(arg) / math.sqrt(family.tau * (1.0 - family.tau))
-    if isinstance(family, (ContinuousDualHahn, Wilson)):
-        return float(arg)  # already the squared variable w = z^2
-    if isinstance(family, DualHahn):
-        return family.spectral_point(int(arg))
-    if isinstance(family, Racah):
-        return family.spectral_point(int(arg))
-    if isinstance(family, ExtendedJacobiContinuous):
-        return math.cos(family.theta)
-    if isinstance(family, ExtendedJacobiDiscrete):
-        return (1.0 + family.tau) / (2.0 * math.sqrt(family.tau))
-    raise TypeError(f"unknown family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-# ---------------------------------------------------------------------------
-
-_CLOSED_FORM_N_CAP = 30
+def _recursion_only(self, *args):
+    raise NoClosedForm(f"{type(self).__name__} is recursion-only: "
+                       "no closed form or weight is known")
 
 
 def _terminating_sum(n: int, step, term=1.0):
@@ -433,156 +67,6 @@ def _terminating_sum(n: int, step, term=1.0):
         total += term
     return total
 
-
-def closed_form(family, n: int, arg) -> float:
-    """Normalized polynomial value from the terminating hypergeometric form.
-
-    Argument conventions: Meixner-Pollaczek takes z; the discrete families
-    take the integer index k; the quadratic-variable families take w = z^2
-    (any real sign, covering mass points of mixed spectra).
-    """
-    family.validate()
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if n > _CLOSED_FORM_N_CAP:
-        raise ValueError(f"closed forms capped at n = {_CLOSED_FORM_N_CAP}")
-    if isinstance(family, (ExtendedJacobiContinuous, ExtendedJacobiDiscrete)):
-        raise NoClosedForm("extended Jacobi families are recursion-only")
-    if n == 0:
-        return 1.0
-    if isinstance(family, MeixnerPollaczek):
-        mu, th = family.mu, float(family.theta)
-        z = float(arg)
-        pref = math.sqrt(pochhammer_real(2.0 * mu, n) / math.factorial(n))
-        phase = cmath.exp(1j * n * th)
-        p2, x = complex(mu, z), 1.0 - cmath.exp(-2j * th)
-        series = _terminating_sum(n, lambda t, j: t * (
-            (-n + j) * (p2 + j) / ((2.0 * mu + j) * (j + 1.0)) * x), 1.0 + 0.0j)
-        return real_part_checked(pref * phase * series, rel_tol=1e-8,
-                                 context="Meixner-Pollaczek")
-    if isinstance(family, Meixner):
-        mu, tau = family.mu, family.tau
-        k = int(arg)
-        pref = math.sqrt(pochhammer_real(2.0 * mu, n) / math.factorial(n)) * tau ** (n / 2.0)
-        x = 1.0 - 1.0 / tau
-        series = _terminating_sum(n, lambda t, j: t * (
-            (-n + j) * (-k + j) / ((2.0 * mu + j) * (j + 1.0)) * x))
-        return pref * series
-    if isinstance(family, Krawtchouk):
-        N, tau = family.N, family.tau
-        k = int(arg)
-        if not 0 <= k <= N:
-            raise InvalidFamilyParams(f"Krawtchouk index k must be 0..{N}")
-        if n > N:
-            raise InvalidFamilyParams(f"Krawtchouk degree capped at N = {N}")
-        pref = math.sqrt(binomial(N, n)) * (tau / (1.0 - tau)) ** (n / 2.0)
-        x = 1.0 / tau
-        series = _terminating_sum(n, lambda t, j: t * (
-            (-n + j) * (-k + j) / ((-N + j) * (j + 1.0)) * x))
-        return pref * series
-    if isinstance(family, ContinuousDualHahn):
-        tau, a, b = family.tau, family.a, family.b
-        w = float(arg)
-        if a == b:
-            pref_sq_signed = pochhammer_real(tau + a, n)  # analytic branch, signed
-            pref = pref_sq_signed / math.sqrt(
-                math.factorial(n) * pochhammer_real(a + b, n))
-        else:
-            prod = pochhammer_real(tau + a, n) * pochhammer_real(tau + b, n)
-            if prod < 0:
-                raise InvalidFamilyParams(
-                    "closed form undefined: (tau+a)_n (tau+b)_n < 0")
-            pref = math.sqrt(prod / (math.factorial(n) * pochhammer_real(a + b, n)))
-        series = _terminating_sum(n, lambda t, j: (
-            t * (-n + j) * ((tau + j) ** 2 + w)
-            / (tau + a + j) / (tau + b + j) / (j + 1)))
-        return pref * series
-    if isinstance(family, DualHahn):
-        N, tau, sg = family.N, family.tau, family.sigma
-        k = int(arg)
-        if not 0 <= k <= N:
-            raise InvalidFamilyParams(f"dual Hahn index k must be 0..{N}")
-        if n > N:
-            raise InvalidFamilyParams(f"dual Hahn degree capped at N = {N}")
-        pref = math.sqrt(pochhammer_real(tau + 1.0, n)
-                         * pochhammer_real(N - n + 1.0, n)
-                         / (math.factorial(n)
-                            * pochhammer_real(N + sg - n + 1.0, n)))
-        return pref * _terminating_sum(n, lambda t, j: (
-            t * ((-n + j) * (-k + j) * (k + tau + sg + 1.0 + j))
-            / ((tau + 1.0 + j) * (-N + j) * (j + 1.0))))
-    if isinstance(family, Wilson):
-        a, b, c, d = (complex(family.a), complex(family.b),
-                      complex(family.c), complex(family.d))
-        w = float(arg)
-        s = a + b + c + d
-        # split: complex front (a+b)_n(a+c)_n(a+d)_n 4F3 is real for conjugate
-        # pairs, and the remaining norm factor is real positive outright.
-        front = (pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
-                 * _terminating_sum(n, lambda t, j: (
-                     t * (-n + j) * (n + s - 1.0 + j) * ((a + j) ** 2 + w)
-                     / (a + b + j) / (a + c + j) / (a + d + j) / (j + 1)),
-                     1.0 + 0.0j))
-        norm_sq = ((2 * n + s - 1.0) / (n + s - 1.0) * pochhammer(s, n)
-                   / (pochhammer(a + b, n) * pochhammer(a + c, n)
-                      * pochhammer(a + d, n) * pochhammer(b + c, n)
-                      * pochhammer(b + d, n) * pochhammer(c + d, n)
-                      * math.factorial(n)))
-        norm_sq = real_part_checked(norm_sq, rel_tol=1e-8, context="Wilson norm")
-        if norm_sq < 0:
-            raise InvalidFamilyParams("Wilson normalization undefined here")
-        # the sum cancels heavily near polynomial zeros: the imaginary residue
-        # is a loose guard there, absolute accuracy is what the oracle tests
-        return real_part_checked(front, rel_tol=1e-5,
-                                 context="Wilson") * math.sqrt(norm_sq)
-    if isinstance(family, Racah):
-        N, g, sg = family.N, family.gamma, family.sigma
-        k = int(arg)
-        if not 0 <= k <= N:
-            raise InvalidFamilyParams(f"Racah index k must be 0..{N}")
-        if n > N:
-            raise InvalidFamilyParams(f"Racah degree capped at N = {N}")
-        gs = g + sg
-        # normalization |..| of the usual bracket: the (-N)_n sign lives in
-        # the twist absorbed by the asymmetric real recursion
-        pref = math.sqrt((2 * n + gs + 1.0) / (n + gs + 1.0)
-                         * (math.factorial(N) / math.factorial(N - n))
-                         * pochhammer_real(gs + 2.0, n)
-                         / (pochhammer_real(gs + N + 2.0, n) * math.factorial(n)))
-        return pref * _terminating_sum(n, lambda t, j: (
-            t * ((-n + j) * (-k + j) * (n + gs + 1.0 + j) * (k - N + j))
-            / ((g + 1.0 + j) * (sg + 1.0 + j) * (-N + j) * (j + 1.0))))
-    raise TypeError(f"unknown family {family!r}")
-
-
-def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
-    """P_0..P_{n_max} at a family's natural argument, by recursion.
-
-    Uses the symmetric engine wherever the family has a genuine real
-    symmetric form; the twisted finite families (Racah here) run the honest
-    asymmetric real recursion their values satisfy.
-    """
-    if isinstance(family, Racah):
-        N = family.N
-        if n_max > N:
-            raise InvalidFamilyParams(f"Racah degrees end at N = {N}")
-        k = int(arg)
-        w = family.spectral_point(k)
-        diag = np.array([0.25 * N * N - _racah_a(family, i) - _racah_c(family, i)
-                         for i in range(n_max + 1)])
-        sub = np.array([_racah_tmag(family, i - 1) if i > 0 else 0.0
-                        for i in range(n_max + 1)])
-        sup = np.array([-_racah_tmag(family, i) for i in range(n_max + 1)])
-        from .recurrence import run_recursion_general
-        return run_recursion_general(diag, sub, sup, w, n_max)
-    coeffs = family_coeffs(family, max(n_max, 1))
-    z = spectral_point(family, arg)
-    return run_recursion(coeffs, z, n_max).values
-
-
-# ---------------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -608,107 +92,13 @@ class WeightFunction:
                            None if mass_indices is None else np.asarray(mass_indices))
 
 
-_MEIXNER_TAIL = 1e-12
-
-
-def masses_from_recursion(coeffs: RecursionCoeffs):
-    """Mass points and masses of a finite orthonormal family from its
-    truncated Jacobi matrix (Golub-Welsch): points are the eigenvalues, and
-    the mass at a point is the squared first component of its unit
-    eigenvector.  Bisection plus inverse iteration (LAPACK dstebz/dstein)
-    keeps the tiny masses to ~1e-13 relative; the default divide-and-conquer
-    driver gets only their absolute size right."""
-    n = len(coeffs)
-    points, vecs = eigh_tridiagonal(coeffs.s, coeffs.t[:n - 1],
-                                    lapack_driver="stebz")
-    return points, vecs[0] ** 2
-
-
-def isolated_mass_from_recursion(coeffs: RecursionCoeffs, w: float,
-                                 n_sum: int = 400) -> float:
-    """Mass of an isolated spectral point of an infinite family:
-    1/sum_{n>=0} P_n(w)^2.  A vanishing t_n decouples the chain exactly and
-    the sum terminates there."""
-    n_top = min(n_sum, len(coeffs) - 1)
-    zeros = np.nonzero(coeffs.t[:n_top] == 0.0)[0]
-    if zeros.size:
-        n_top = int(zeros[0])
-    seq = run_recursion(coeffs, w, n_top, cap=10 ** 6)
-    sq = seq.values ** 2
-    # drop the spurious round-off regrowth of the minimal solution
-    floor = np.nonzero(sq < 1e-26 * np.max(sq))[0]
-    if floor.size:
-        sq = sq[:int(floor[0]) + 1]
-    return 1.0 / float(np.sum(sq))
-
-
-def cdh_discrete_mass(tau: float, a: float, k: int) -> float:
-    """Mass at the k-th isolated point of the mixed continuous-dual-Hahn
-    family with equal second parameters (a, a) and tau < 0."""
-    if tau >= 0:
-        raise InvalidFamilyParams("discrete part exists only for tau < 0")
-    lead = (-2.0 * gamma_fn(a - tau).real ** 2
-            / (math.exp(log_gamma_real(2.0 * a)) * gamma_fn(1.0 - 2.0 * tau).real))
-    body = ((-1.0) ** k * (k + tau) * pochhammer_real(a + tau, k) ** 2
-            * pochhammer_real(2.0 * tau, k)
-            / (pochhammer_real(1.0 - a + tau, k) ** 2 * math.factorial(k)))
-    return lead * body
-
-
-def _wilson_discrete_mass(f: MixedWilson, k: int) -> float:
-    """Mass at the k-th isolated point of a mixed Wilson record (a, b, c, c)
-    with a < 0."""
-    a, b, c = f.a, f.b, f.c
-    lead = (-2.0 * gamma_fn(a + b + 2.0 * c).real * gamma_fn(b - a).real
-            * gamma_fn(c - a).real ** 2
-            / (gamma_fn(1.0 - 2.0 * a).real * gamma_fn(2.0 * c).real
-               * gamma_fn(b + c).real ** 2))
-    body = ((k + a) * pochhammer_real(2.0 * a, k) * pochhammer_real(a + b, k)
-            * pochhammer_real(a + c, k) ** 2
-            / (pochhammer_real(1.0 + a - b, k)
-               * pochhammer_real(a - c + 1.0, k) ** 2 * math.factorial(k)))
-    return lead * body
-
-
-def mass_point(family, k: int) -> float:
-    """Recursion variable (the ``run_recursion`` argument) of the k-th mass
-    point of a family's discrete part."""
-    if isinstance(family, (Meixner, Krawtchouk)):
-        return spectral_point(family, k)
-    if isinstance(family, (ContinuousDualHahn, MixedWilson)):
-        return family.discrete_point(k)
-    raise NoClosedForm(f"no mass-point formula for {type(family).__name__}")
-
-
-def discrete_mass(family, k: int) -> float:
-    """Orthonormality mass at the k-th mass point of a family's discrete
-    part, so that sum_k m_k P_n(x_k) P_l(x_k) (plus the continuous part of a
-    mixed weight) is delta_nl."""
-    if isinstance(family, Meixner):
-        mu, tau = family.mu, family.tau
-        lead = (1.0 - tau) ** (2.0 * mu)
-        return lead * pochhammer_real(2.0 * mu, k) * tau ** k / math.factorial(k)
-    if isinstance(family, Krawtchouk):
-        N, tau = family.N, family.tau
-        return binomial(N, k) * tau ** k * (1.0 - tau) ** (N - k)
-    if isinstance(family, ContinuousDualHahn):
-        if family.a != family.b:
-            raise InvalidFamilyParams("mixed extension implemented for a == b")
-        return cdh_discrete_mass(family.tau, family.a, k)
-    if isinstance(family, MixedWilson):
-        if not family.mixed:
-            raise InvalidFamilyParams("discrete part exists only for a < 0")
-        return _wilson_discrete_mass(family, k)
-    raise NoClosedForm(f"no per-point mass formula for {type(family).__name__}")
-
-
 def _mass_arrays(family, n: int, masses=None) -> dict:
     """The masses / mass_points / mass_indices of WeightFunction for the mass
     points k = 0..n-1."""
     if masses is None:
-        masses = [discrete_mass(family, k) for k in range(n)]
+        masses = [family.discrete_mass(k) for k in range(n)]
     return {"masses": masses,
-            "mass_points": [mass_point(family, k) for k in range(n)],
+            "mass_points": [family.mass_point(k) for k in range(n)],
             "mass_indices": np.arange(n)}
 
 
@@ -736,13 +126,49 @@ def _quadratic_weight(family, density) -> WeightFunction:
                           **_mass_arrays(family, family.n_discrete()))
 
 
-def weight(family) -> WeightFunction:
-    """The normalized orthogonality weight of a family."""
-    family.validate()
-    if isinstance(family, (ExtendedJacobiContinuous, ExtendedJacobiDiscrete)):
-        raise NoClosedForm("weight of the extended Jacobi families is unknown")
-    if isinstance(family, MeixnerPollaczek):
-        mu, th = family.mu, family.theta
+_MEIXNER_TAIL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# family records
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MeixnerPollaczek:
+    """Two-parameter continuous family; argument z real."""
+    mu: float
+    theta: float
+    kind = "meixner_pollaczek"
+
+    def validate(self):
+        if not self.mu > 0:
+            raise InvalidFamilyParams(f"Meixner-Pollaczek needs mu > 0, got {self.mu}")
+        if not 0.0 < self.theta < math.pi:
+            raise InvalidFamilyParams(f"needs 0 < theta < pi, got {self.theta}")
+
+    def streams(self, n_terms):
+        ns = np.arange(n_terms, dtype=float)
+        mu, th = self.mu, self.theta
+        s = -(ns + mu) * math.cos(th) / math.sin(th)
+        t = np.sqrt((ns + 1.0) * (ns + 2.0 * mu)) / (2.0 * math.sin(th))
+        return RecursionCoeffs(s, t)
+
+    def spectral_point(self, arg):
+        return float(arg)
+
+    def closed_form(self, n, arg):
+        mu, th = self.mu, float(self.theta)
+        z = float(arg)
+        pref = math.sqrt(pochhammer_real(2.0 * mu, n) / math.factorial(n))
+        phase = cmath.exp(1j * n * th)
+        p2, x = complex(mu, z), 1.0 - cmath.exp(-2j * th)
+        series = _terminating_sum(n, lambda t, j: t * (
+            (-n + j) * (p2 + j) / ((2.0 * mu + j) * (j + 1.0)) * x), 1.0 + 0.0j)
+        return real_part_checked(pref * phase * series, rel_tol=1e-8,
+                                 context="Meixner-Pollaczek")
+
+    def weight(self):
+        mu, th = self.mu, self.theta
         log_lead = (2.0 * mu * math.log(2.0 * math.sin(th))
                     - math.log(2.0 * math.pi) - log_gamma_real(2.0 * mu))
 
@@ -754,18 +180,170 @@ def weight(family) -> WeightFunction:
 
         return WeightFunction("continuous", density=density,
                               support=(-math.inf, math.inf))
-    if isinstance(family, Meixner):
+
+    def density_at(self, arg):
+        return weight(self).density(float(arg))
+
+    mass_point = discrete_mass = _no_mass_formula
+
+
+@dataclass(frozen=True)
+class Meixner:
+    """Discrete family on k = 0, 1, 2, ...; tau in (0, 1)."""
+    mu: float
+    tau: float
+    kind = "meixner"
+
+    def validate(self):
+        if not self.mu > 0:
+            raise InvalidFamilyParams(f"Meixner needs mu > 0, got {self.mu}")
+        if not 0.0 < self.tau < 1.0:
+            raise InvalidFamilyParams(f"Meixner needs 0 < tau < 1, got {self.tau}")
+
+    def streams(self, n_terms):
+        ns = np.arange(n_terms, dtype=float)
+        mu, tau = self.mu, self.tau
+        s = -(ns * (1.0 + tau) + 2.0 * mu * tau)
+        t = np.sqrt((ns + 1.0) * (ns + 2.0 * mu) * tau)
+        return RecursionCoeffs(s, t)
+
+    def spectral_point(self, arg):
+        return (self.tau - 1.0) * float(arg)
+
+    def closed_form(self, n, arg):
+        mu, tau = self.mu, self.tau
+        k = int(arg)
+        pref = math.sqrt(pochhammer_real(2.0 * mu, n) / math.factorial(n)) * tau ** (n / 2.0)
+        x = 1.0 - 1.0 / tau
+        series = _terminating_sum(n, lambda t, j: t * (
+            (-n + j) * (-k + j) / ((2.0 * mu + j) * (j + 1.0)) * x))
+        return pref * series
+
+    def weight(self):
         ms, cum = [], 0.0
         while cum < 1.0 - _MEIXNER_TAIL:
             if len(ms) > 100000:
                 raise InvalidFamilyParams("Meixner mass tail does not close")
-            ms.append(discrete_mass(family, len(ms)))
+            ms.append(self.discrete_mass(len(ms)))
             cum += ms[-1]
-        return WeightFunction("discrete", **_mass_arrays(family, len(ms), ms))
-    if isinstance(family, Krawtchouk):
-        return WeightFunction("discrete", **_mass_arrays(family, family.N + 1))
-    if isinstance(family, ContinuousDualHahn):
-        tau, a, b = family.tau, family.a, family.b
+        return WeightFunction("discrete", **_mass_arrays(self, len(ms), ms))
+
+    mass_point = spectral_point
+
+    def discrete_mass(self, k):
+        mu, tau = self.mu, self.tau
+        lead = (1.0 - tau) ** (2.0 * mu)
+        return lead * pochhammer_real(2.0 * mu, k) * tau ** k / math.factorial(k)
+
+
+@dataclass(frozen=True)
+class Krawtchouk:
+    """Finite discrete family on k = 0..N; tau in (0, 1).
+
+    Streams are for the real (untwisted) normalized polynomials divided by
+    sqrt(tau(1-tau)), i.e. spectral variable z = k/sqrt(tau(1-tau)).
+    """
+    N: int
+    tau: float
+    kind = "krawtchouk"
+
+    def validate(self):
+        if self.N < 0 or self.N != int(self.N):
+            raise InvalidFamilyParams(f"Krawtchouk needs integer N >= 0, got {self.N}")
+        if not 0.0 < self.tau < 1.0:
+            raise InvalidFamilyParams(f"Krawtchouk needs 0 < tau < 1, got {self.tau}")
+
+    def streams(self, n_terms):
+        ns = np.arange(n_terms, dtype=float)
+        N, tau = self.N, self.tau
+        root = math.sqrt(tau * (1.0 - tau))
+        s = (N * tau + ns * (1.0 - 2.0 * tau)) / root
+        inner = (ns + 1.0) * (N - ns)
+        t = -np.sqrt(np.abs(inner))
+        return RecursionCoeffs(s, t, t_squared=inner)
+
+    def spectral_point(self, arg):
+        return float(arg) / math.sqrt(self.tau * (1.0 - self.tau))
+
+    def closed_form(self, n, arg):
+        N, tau = self.N, self.tau
+        k = int(arg)
+        pref = math.sqrt(binomial(N, n)) * (tau / (1.0 - tau)) ** (n / 2.0)
+        x = 1.0 / tau
+        series = _terminating_sum(n, lambda t, j: t * (
+            (-n + j) * (-k + j) / ((-N + j) * (j + 1.0)) * x))
+        return pref * series
+
+    def weight(self):
+        return WeightFunction("discrete", **_mass_arrays(self, self.N + 1))
+
+    mass_point = spectral_point
+
+    def discrete_mass(self, k):
+        N, tau = self.N, self.tau
+        return binomial(N, k) * tau ** k * (1.0 - tau) ** (N - k)
+
+
+@dataclass(frozen=True)
+class ContinuousDualHahn:
+    """Three-parameter family in w = z^2; tau < 0 adds a finite discrete part."""
+    tau: float
+    a: float
+    b: float
+    kind = "continuous_dual_hahn"
+
+    def validate(self):
+        if not (self.a > 0 and self.b > 0):
+            raise InvalidFamilyParams("continuous dual Hahn needs a, b > 0")
+        if self.tau == 0.0:
+            raise InvalidFamilyParams("tau = 0 is degenerate")
+
+    @property
+    def mixed(self) -> bool:
+        return self.tau < 0.0
+
+    def n_discrete(self) -> int:
+        """Number of mass points: k = 0..floor(-tau)."""
+        return int(math.floor(-self.tau)) + 1 if self.mixed else 0
+
+    def streams(self, n_terms):
+        ns = np.arange(n_terms, dtype=float)
+        tau, a, b = self.tau, self.a, self.b
+        s = (ns + tau + a) * (ns + tau + b) + ns * (ns + a + b - 1.0) - tau * tau
+        if a == b:
+            t = -(ns + tau + a) * np.sqrt((ns + 1.0) * (ns + 2.0 * a))
+            return RecursionCoeffs(s, t)
+        prod = ((ns + tau + a) * (ns + tau + b)
+                * (ns + 1.0) * (ns + a + b))
+        if np.any(prod < 0):
+            raise InvalidFamilyParams(
+                "continuous dual Hahn off-diagonal squared negative; "
+                "use a == b for the mixed extension")
+        return RecursionCoeffs(s, -np.sqrt(prod))
+
+    def spectral_point(self, arg):
+        return float(arg)  # already the squared variable w = z^2
+
+    def closed_form(self, n, arg):
+        tau, a, b = self.tau, self.a, self.b
+        w = float(arg)
+        if a == b:
+            pref_sq_signed = pochhammer_real(tau + a, n)  # analytic branch, signed
+            pref = pref_sq_signed / math.sqrt(
+                math.factorial(n) * pochhammer_real(a + b, n))
+        else:
+            prod = pochhammer_real(tau + a, n) * pochhammer_real(tau + b, n)
+            if prod < 0:
+                raise InvalidFamilyParams(
+                    "closed form undefined: (tau+a)_n (tau+b)_n < 0")
+            pref = math.sqrt(prod / (math.factorial(n) * pochhammer_real(a + b, n)))
+        series = _terminating_sum(n, lambda t, j: (
+            t * (-n + j) * ((tau + j) ** 2 + w)
+            / (tau + a + j) / (tau + b + j) / (j + 1)))
+        return pref * series
+
+    def weight(self):
+        tau, a, b = self.tau, self.a, self.b
         norm = math.exp(log_gamma_real(tau + a) + log_gamma_real(tau + b)
                         + log_gamma_real(a + b)) if tau > 0 else None
         if tau < 0:
@@ -774,29 +352,491 @@ def weight(family) -> WeightFunction:
             # non-integer tau+a).
             norm = (gamma_fn(tau + a) * gamma_fn(tau + b)).real * math.exp(
                 log_gamma_real(a + b))
-        return _quadratic_weight(family, _gamma_ratio_density((tau, a, b), norm))
-    if isinstance(family, DualHahn):
-        pts, ms = masses_from_recursion(family_coeffs(family, family.N + 1))
+        return _quadratic_weight(self, _gamma_ratio_density((tau, a, b), norm))
+
+    def density_at(self, arg):
+        return weight(self).density(math.sqrt(max(arg, 0.0)))
+
+    def mass_point(self, k):
+        """Polynomial argument of the k-th mass point, w_k = -(k+tau)^2."""
+        return -((k + self.tau) ** 2)
+
+    def discrete_mass(self, k):
+        """Mass at the k-th isolated point of the mixed family with equal
+        second parameters (a, a) and tau < 0."""
+        tau, a = self.tau, self.a
+        if a != self.b:
+            raise InvalidFamilyParams("mixed extension implemented for a == b")
+        if tau >= 0:
+            raise InvalidFamilyParams("discrete part exists only for tau < 0")
+        lead = (-2.0 * gamma_fn(a - tau).real ** 2
+                / (math.exp(log_gamma_real(2.0 * a)) * gamma_fn(1.0 - 2.0 * tau).real))
+        body = ((-1.0) ** k * (k + tau) * pochhammer_real(a + tau, k) ** 2
+                * pochhammer_real(2.0 * tau, k)
+                / (pochhammer_real(1.0 - a + tau, k) ** 2 * math.factorial(k)))
+        return lead * body
+
+
+def masses_from_recursion(coeffs: RecursionCoeffs):
+    """Mass points and masses of a finite orthonormal family from its
+    truncated Jacobi matrix (Golub-Welsch): points are the eigenvalues, and
+    the mass at a point is the squared first component of its unit
+    eigenvector.  Bisection plus inverse iteration (LAPACK dstebz/dstein)
+    keeps the tiny masses to ~1e-13 relative; the default divide-and-conquer
+    driver gets only their absolute size right."""
+    n = len(coeffs)
+    points, vecs = eigh_tridiagonal(coeffs.s, coeffs.t[:n - 1],
+                                    lapack_driver="stebz")
+    return points, vecs[0] ** 2
+
+
+@dataclass(frozen=True)
+class DualHahn:
+    """Finite discrete family on k = 0..N with parameters (tau, sigma)."""
+    N: int
+    tau: float
+    sigma: float
+    kind = "dual_hahn"
+
+    def validate(self):
+        if self.N < 0 or self.N != int(self.N):
+            raise InvalidFamilyParams(f"dual Hahn needs integer N >= 0, got {self.N}")
+        ok = (self.tau > -1 and self.sigma > -1) or (self.tau < -self.N and
+                                                     self.sigma < -self.N)
+        if not ok:
+            raise InvalidFamilyParams(
+                "dual Hahn needs tau, sigma > -1 or tau, sigma < -N")
+
+    def streams(self, n_terms):
+        ns = np.arange(n_terms, dtype=float)
+        N, tau, sg = self.N, self.tau, self.sigma
+        s = ((ns + tau + 1.0) * (N - ns) + ns * (N + sg + 1.0 - ns)
+             + 0.25 * (tau + sg + 1.0) ** 2)
+        inner = (ns + 1.0) * (ns + tau + 1.0) * (N - ns) * (N - ns + sg)
+        # sign fixed so run_recursion reproduces the 3F2 closed form
+        t = -np.sqrt(np.abs(inner))
+        return RecursionCoeffs(s, t, t_squared=inner)
+
+    def spectral_point(self, arg):
+        return (int(arg) + 0.5 * (self.tau + self.sigma + 1.0)) ** 2
+
+    def closed_form(self, n, arg):
+        N, tau, sg = self.N, self.tau, self.sigma
+        k = int(arg)
+        pref = math.sqrt(pochhammer_real(tau + 1.0, n)
+                         * pochhammer_real(N - n + 1.0, n)
+                         / (math.factorial(n)
+                            * pochhammer_real(N + sg - n + 1.0, n)))
+        return pref * _terminating_sum(n, lambda t, j: (
+            t * ((-n + j) * (-k + j) * (k + tau + sg + 1.0 + j))
+            / ((tau + 1.0 + j) * (-N + j) * (j + 1.0))))
+
+    def weight(self):
+        pts, ms = masses_from_recursion(family_coeffs(self, self.N + 1))
         # the eigenvalues ascend, and so do the points (k + (tau+sigma+1)/2)^2
         # when tau, sigma > -1; when tau, sigma < -N they fall as k grows
-        ks = np.argsort([family.spectral_point(k) for k in range(family.N + 1)],
+        ks = np.argsort([self.spectral_point(k) for k in range(self.N + 1)],
                         kind="stable")
         return WeightFunction("discrete", masses=ms, mass_points=pts,
                               mass_indices=ks)
-    if isinstance(family, Wilson):
-        a, b, c, d = (complex(family.a), complex(family.b),
-                      complex(family.c), complex(family.d))
+
+    mass_point = discrete_mass = _no_mass_formula
+
+
+def _wilson_value(a: complex, b: complex, c: complex, d: complex, n: int,
+                  w: float) -> float:
+    """Normalized Wilson P_n(w) from the 4F3 led by parameter a."""
+    s = a + b + c + d
+    # split: complex front (a+b)_n(a+c)_n(a+d)_n 4F3 is real for conjugate
+    # pairs, and the remaining norm factor is real positive outright.
+    front = (pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
+             * _terminating_sum(n, lambda t, j: (
+                 t * (-n + j) * (n + s - 1.0 + j) * ((a + j) ** 2 + w)
+                 / (a + b + j) / (a + c + j) / (a + d + j) / (j + 1)),
+                 1.0 + 0.0j))
+    norm_sq = ((2 * n + s - 1.0) / (n + s - 1.0) * pochhammer(s, n)
+               / (pochhammer(a + b, n) * pochhammer(a + c, n)
+                  * pochhammer(a + d, n) * pochhammer(b + c, n)
+                  * pochhammer(b + d, n) * pochhammer(c + d, n)
+                  * math.factorial(n)))
+    norm_sq = real_part_checked(norm_sq, rel_tol=1e-8, context="Wilson norm")
+    if norm_sq < 0:
+        raise InvalidFamilyParams("Wilson normalization undefined here")
+    # the sum cancels heavily near polynomial zeros: the imaginary residue
+    # is a loose guard there, absolute accuracy is what the oracle tests
+    return real_part_checked(front, rel_tol=1e-5,
+                             context="Wilson") * math.sqrt(norm_sq)
+
+
+@dataclass(frozen=True)
+class Wilson:
+    """Four-parameter family in w = z^2; complex-conjugate pairs allowed."""
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+    kind = "wilson"
+
+    def validate(self):
+        params = (self.a, self.b, self.c, self.d)
+        for p in params:
+            if complex(p).real <= 0:
+                raise InvalidFamilyParams(
+                    "Wilson needs Re(a,b,c,d) > 0 with conjugate pairs")
+        for p in params:
+            if abs(complex(p).imag) > 0 and not any(
+                    abs(complex(q) - complex(p).conjugate()) < 1e-12 for q in params):
+                raise InvalidFamilyParams("non-real Wilson parameters must pair up")
+
+    @property
+    def mixed(self) -> bool:
+        return False
+
+    def _an(self, n: float) -> complex:
+        a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
+        s = a + b + c + d
+        return ((n + a + b) * (n + a + c) * (n + a + d) * (n + s - 1.0)
+                / ((2 * n + s) * (2 * n + s - 1.0)))
+
+    def _cn(self, n: float) -> complex:
+        a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
+        s = a + b + c + d
+        return (n * (n + b + c - 1.0) * (n + b + d - 1.0) * (n + c + d - 1.0)
+                / ((2 * n + s - 1.0) * (2 * n + s - 2.0)))
+
+    def streams(self, n_terms):
+        # the off-diagonal sign tracks sign((n+a+c)(n+b+c)), so the streams of
+        # a mixed Wilson record continue those of the admissible region, where
+        # that factor is positive and t_n = -sqrt(A_n C_{n+1})
+        s = np.empty(n_terms)
+        t = np.empty(n_terms)
+        t2 = np.empty(n_terms)
+        a, b, c = complex(self.a), complex(self.b), complex(self.c)
+        aa = a * a
+        for i in range(n_terms):
+            n = float(i)
+            s[i] = real_part_checked(self._an(n) + self._cn(n) - aa,
+                                     context=f"Wilson s_{i}")
+            prod = self._an(n) * self._cn(n + 1.0)
+            t2[i] = real_part_checked(prod, context=f"Wilson t_{i}^2")
+            branch = real_part_checked((n + a + c) * (n + b + c),
+                                       context=f"Wilson branch_{i}")
+            t[i] = -math.copysign(math.sqrt(abs(t2[i])),
+                                  branch if branch != 0 else 1.0)
+        return RecursionCoeffs(s, t, t_squared=t2)
+
+    def spectral_point(self, arg):
+        return float(arg)  # already the squared variable w = z^2
+
+    def closed_form(self, n, arg):
+        # W_n is symmetric in (a, b, c, d): lead the 4F3 with the real
+        # parameter of smallest real part, whose terms cancel least
+        ps = [complex(p) for p in (self.a, self.b, self.c, self.d)]
+        real = [p for p in ps if p.imag == 0.0]
+        if real:
+            lead = min(real, key=lambda p: p.real)
+            ps.remove(lead)
+            ps.insert(0, lead)
+        return _wilson_value(*ps, n, float(arg))
+
+    def weight(self):
+        a, b, c, d = (complex(self.a), complex(self.b),
+                      complex(self.c), complex(self.d))
         s = a + b + c + d
         log_h0 = (log_gamma(a + b) + log_gamma(a + c) + log_gamma(a + d)
                   + log_gamma(b + c) + log_gamma(b + d) + log_gamma(c + d)
                   - log_gamma(s))
         h0 = real_part_checked(cmath.exp(log_h0), context="Wilson weight norm")
-        return _quadratic_weight(family, _gamma_ratio_density((a, b, c, d), h0))
-    if isinstance(family, Racah):
+        return _quadratic_weight(self, _gamma_ratio_density((a, b, c, d), h0))
+
+    def density_at(self, arg):
+        return weight(self).density(math.sqrt(max(arg, 0.0)))
+
+    mass_point = discrete_mass = _no_mass_formula
+
+
+@dataclass(frozen=True)
+class MixedWilson(Wilson):
+    """Wilson continued to a real pair (a, b) = (sigma - q, sigma + q) with
+    c = d: the conjugate pair sigma +- i tau with tau^2 < 0.  For a < 0 the
+    weight gains a finite discrete part at w_k = -(k+a)^2."""
+
+    def validate(self):
+        if any(complex(p).imag for p in (self.a, self.b, self.c, self.d)):
+            raise InvalidFamilyParams("mixed Wilson needs real parameters")
+        if self.c != self.d:
+            raise InvalidFamilyParams("mixed Wilson needs c == d")
+
+    @property
+    def mixed(self) -> bool:
+        return self.a < 0.0
+
+    def n_discrete(self) -> int:
+        """Number of mass points: k = 0..floor(-a)."""
+        return int(math.floor(-self.a)) + 1 if self.mixed else 0
+
+    def closed_form(self, n, arg):
+        # the continuation is defined through a: it stays the lead
+        return _wilson_value(*map(complex, (self.a, self.b, self.c, self.d)),
+                             n, float(arg))
+
+    def mass_point(self, k):
+        """Polynomial argument of the k-th mass point, w_k = -(k+a)^2."""
+        return -((k + self.a) ** 2)
+
+    def discrete_mass(self, k):
+        """Mass at the k-th isolated point (a, b, c, c) with a < 0."""
+        if not self.mixed:
+            raise InvalidFamilyParams("discrete part exists only for a < 0")
+        a, b, c = self.a, self.b, self.c
+        lead = (-2.0 * gamma_fn(a + b + 2.0 * c).real * gamma_fn(b - a).real
+                * gamma_fn(c - a).real ** 2
+                / (gamma_fn(1.0 - 2.0 * a).real * gamma_fn(2.0 * c).real
+                   * gamma_fn(b + c).real ** 2))
+        body = ((k + a) * pochhammer_real(2.0 * a, k) * pochhammer_real(a + b, k)
+                * pochhammer_real(a + c, k) ** 2
+                / (pochhammer_real(1.0 + a - b, k)
+                   * pochhammer_real(a - c + 1.0, k) ** 2 * math.factorial(k)))
+        return lead * body
+
+
+@dataclass(frozen=True)
+class Racah:
+    """Finite discrete family on k = 0..N, parameters (gamma, sigma).
+
+    This two-parameter specialization is intrinsically "twisted": the signed
+    squares of its symmetrized off-diagonals are negative for every n < N, so
+    no real symmetric three-term form exists.  ``streams`` reports the
+    formal streams (|t_n| with negative t_squared) and the honest real values
+    are produced by ``values_by_recursion``, which runs the asymmetric real
+    recursion the closed form actually satisfies.
+    """
+    N: int
+    gamma: float
+    sigma: float
+    kind = "racah"
+    twisted = True
+
+    def validate(self):
+        if self.N < 0 or self.N != int(self.N):
+            raise InvalidFamilyParams(f"Racah needs integer N >= 0, got {self.N}")
+        if self.gamma <= -1 or self.sigma <= -1:
+            raise InvalidFamilyParams("Racah needs gamma, sigma > -1")
+
+    def _a(self, n: int) -> float:
+        """(n-N)(n+g+1)(n+s+1)(n+g+s+1)/((2n+g+s+1)(2n+g+s+2)); <= 0 for n <= N."""
+        g, s, N = self.gamma, self.sigma, self.N
+        if n == 0:
+            # cancel the (g+s+1) pair so g+s -> -1 stays finite
+            return -N * (g + 1.0) * (s + 1.0) / (g + s + 2.0)
+        return ((n - N) * (n + g + 1.0) * (n + s + 1.0) * (n + g + s + 1.0)
+                / ((2 * n + g + s + 1.0) * (2 * n + g + s + 2.0)))
+
+    def _c(self, n: int) -> float:
+        """n(n+g)(n+s)(n+g+s+N+1)/((2n+g+s)(2n+g+s+1)); >= 0."""
+        g, s, N = self.gamma, self.sigma, self.N
+        if n == 0:
+            return 0.0
+        return (n * (n + g) * (n + s) * (n + g + s + N + 1.0)
+                / ((2 * n + g + s) * (2 * n + g + s + 1.0)))
+
+    def streams(self, n_terms):
+        N = self.N
+        s = np.array([0.25 * N * N - self._a(i) - self._c(i)
+                      for i in range(n_terms)])
+        t2 = np.array([self._a(i) * self._c(i + 1) for i in range(n_terms)])
+        # |t_n| of the formal symmetrized recursion
+        t = np.array([math.sqrt(abs(v)) for v in t2])
+        return RecursionCoeffs(s, t, t_squared=t2)
+
+    def spectral_point(self, arg):
+        return 0.25 * (self.N - 2.0 * int(arg)) ** 2
+
+    def closed_form(self, n, arg):
+        N, g, sg = self.N, self.gamma, self.sigma
+        k = int(arg)
+        gs = g + sg
+        # normalization |..| of the usual bracket: the (-N)_n sign lives in
+        # the twist absorbed by the asymmetric real recursion
+        pref = math.sqrt((2 * n + gs + 1.0) / (n + gs + 1.0)
+                         * (math.factorial(N) / math.factorial(N - n))
+                         * pochhammer_real(gs + 2.0, n)
+                         / (pochhammer_real(gs + N + 2.0, n) * math.factorial(n)))
+        return pref * _terminating_sum(n, lambda t, j: (
+            t * ((-n + j) * (-k + j) * (n + gs + 1.0 + j) * (k - N + j))
+            / ((g + 1.0 + j) * (sg + 1.0 + j) * (-N + j) * (j + 1.0))))
+
+    def weight(self):
         # The spectral points ((N-2k)/2)^2 collide pairwise (k <-> N-k), so a
         # positive dual orthogonality cannot exist for this specialization;
         # the printed mass formula is 0/0-degenerate accordingly.
         raise InvalidFamilyParams(
             "this Racah specialization has no positive discrete weight: "
             "its spectral points coincide pairwise")
-    raise TypeError(f"unknown family {family!r}")
+
+    mass_point = discrete_mass = _no_mass_formula
+
+
+def _extended_jacobi_streams(mu, nu, sigma, shift, n_terms) -> RecursionCoeffs:
+    """Jacobi streams, diagonal shifted by shift (sigma + (n+(mu+nu+1)/2)^2)."""
+    from .basis import jacobi_c, jacobi_d  # local import avoids a cycle
+    s = np.array([jacobi_c(i, mu, nu)
+                  + shift * (sigma + (i + 0.5 * (mu + nu + 1.0)) ** 2)
+                  for i in range(n_terms)])
+    t = np.array([jacobi_d(i, mu, nu) for i in range(n_terms)])
+    return RecursionCoeffs(s, t)
+
+
+@dataclass(frozen=True)
+class ExtendedJacobiContinuous:
+    """Recursion-only family extending the Jacobi recursion (continuous kind).
+
+    Polynomial of degree n in 1/z; taking z -> infinity recovers the
+    orthonormal Jacobi recursion in the variable cos(theta).  sigma shifts
+    the quadratic-in-n diagonal term.  No closed form or weight is known.
+    """
+    mu: float
+    nu: float
+    theta: float
+    sigma: float = 0.0
+    z: float = math.inf
+    kind = "extended_jacobi_continuous"
+
+    def validate(self):
+        if not 0.0 < self.theta < math.pi:
+            raise InvalidFamilyParams(f"needs 0 < theta < pi, got {self.theta}")
+        if self.z == 0.0:
+            raise InvalidFamilyParams("argument z must be nonzero")
+
+    def streams(self, n_terms):
+        shift = (math.sin(self.theta) / self.z) if math.isfinite(self.z) else 0.0
+        return _extended_jacobi_streams(self.mu, self.nu, self.sigma, shift, n_terms)
+
+    def spectral_point(self, arg):
+        return math.cos(self.theta)
+
+    closed_form = weight = _recursion_only
+    mass_point = discrete_mass = _no_mass_formula
+
+
+@dataclass(frozen=True)
+class ExtendedJacobiDiscrete:
+    """Discrete counterpart of the extended Jacobi family; spectrum points
+    z_k are not derivable from known theory and must be supplied."""
+    mu: float
+    nu: float
+    tau: float
+    sigma: float = 0.0
+    z_k: float = math.inf
+    kind = "extended_jacobi_discrete"
+
+    def validate(self):
+        if not 0.0 < self.tau < 1.0:
+            raise InvalidFamilyParams(f"needs 0 < tau < 1, got {self.tau}")
+        if self.z_k == 0.0:
+            raise InvalidFamilyParams("spectrum point z_k must be nonzero")
+
+    def streams(self, n_terms):
+        tau = self.tau
+        shift = ((1.0 - tau) / (2.0 * math.sqrt(tau) * self.z_k)
+                 if math.isfinite(self.z_k) else 0.0)
+        return _extended_jacobi_streams(self.mu, self.nu, self.sigma, shift, n_terms)
+
+    def spectral_point(self, arg):
+        return (1.0 + self.tau) / (2.0 * math.sqrt(self.tau))
+
+    closed_form = weight = _recursion_only
+    mass_point = discrete_mass = _no_mass_formula
+
+
+# ---------------------------------------------------------------------------
+# entry points: the checks every family shares, then the record's formula
+# ---------------------------------------------------------------------------
+
+_CLOSED_FORM_N_CAP = 30
+
+
+def family_coeffs(family, n_terms: int) -> RecursionCoeffs:
+    """Recursion streams (s_n, t_n), n = 0..n_terms-1, of a family."""
+    family.validate()
+    N = getattr(family, "N", None)
+    if N is not None and n_terms > N + 1:
+        raise InvalidFamilyParams(
+            f"{type(family).__name__} streams end at n = N = {N}")
+    return family.streams(n_terms)
+
+
+def spectral_point(family, arg) -> float:
+    """Map a family's natural argument (z, w, or index k) to the recursion
+    variable fed to ``run_recursion``."""
+    return family.spectral_point(arg)
+
+
+def closed_form(family, n: int, arg) -> float:
+    """Normalized polynomial value from the terminating hypergeometric form.
+
+    Argument conventions: Meixner-Pollaczek takes z; the discrete families
+    take the integer index k; the quadratic-variable families take w = z^2
+    (any real sign, covering mass points of mixed spectra).  P_0 = 1 for
+    every family.
+    """
+    family.validate()
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if n > _CLOSED_FORM_N_CAP:
+        raise ValueError(f"closed forms capped at n = {_CLOSED_FORM_N_CAP}")
+    if n == 0:
+        return 1.0
+    N = getattr(family, "N", None)
+    if N is not None:
+        name = type(family).__name__
+        if not 0 <= int(arg) <= N:
+            raise InvalidFamilyParams(f"{name} index k must be 0..{N}")
+        if n > N:
+            raise InvalidFamilyParams(f"{name} degree capped at N = {N}")
+    return family.closed_form(n, arg)
+
+
+def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
+    """P_0..P_{n_max} at a family's natural argument, by recursion.
+
+    Uses the symmetric engine wherever the family has a genuine real
+    symmetric form; a twisted family (Racah here) runs the honest asymmetric
+    real recursion its values satisfy, t_{n-1} below and -t_n above the
+    diagonal.  That path skips ``validate``: the finite Jacobi-equation
+    match builds Racah records outside its range.
+    """
+    N = getattr(family, "N", None)
+    if N is not None and n_max > N:
+        raise InvalidFamilyParams(f"{type(family).__name__} degrees end at N = {N}")
+    if getattr(family, "twisted", False):
+        co = family.streams(max(n_max, 1))
+        return run_recursion_general(co.s, np.concatenate(([0.0], co.t[:-1])),
+                                     -co.t, family.spectral_point(arg), n_max)
+    coeffs = family_coeffs(family, max(n_max, 1))
+    z = spectral_point(family, arg)
+    return run_recursion(coeffs, z, n_max).values
+
+
+def isolated_mass_from_recursion(coeffs: RecursionCoeffs, w: float,
+                                 n_sum: int = 400) -> float:
+    """Mass of an isolated spectral point of an infinite family:
+    1/sum_{n>=0} P_n(w)^2.  A vanishing t_n decouples the chain exactly and
+    the sum terminates there."""
+    n_top = min(n_sum, len(coeffs) - 1)
+    zeros = np.nonzero(coeffs.t[:n_top] == 0.0)[0]
+    if zeros.size:
+        n_top = int(zeros[0])
+    seq = run_recursion(coeffs, w, n_top, cap=10 ** 6)
+    sq = seq.values ** 2
+    # drop the spurious round-off regrowth of the minimal solution
+    floor = np.nonzero(sq < 1e-26 * np.max(sq))[0]
+    if floor.size:
+        sq = sq[:int(floor[0]) + 1]
+    return 1.0 / float(np.sum(sq))
+
+
+def weight(family) -> WeightFunction:
+    """The normalized orthogonality weight of a family."""
+    family.validate()
+    return family.weight()

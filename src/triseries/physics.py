@@ -6,6 +6,9 @@ quantization, scattering phase shifts from the coefficient-polynomial
 asymptotics (gamma-function expressions), and everything is cross-checked by
 an independent finite-difference discretization of the Schrodinger operator.
 
+Each case record carries its formulas as methods (``Case``); the module
+functions hold what the cases share.
+
 Atomic units throughout: H = -1/2 d^2/dr^2 + V(r).
 """
 
@@ -13,19 +16,50 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Protocol
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import families as fam
 from . import solve as solvemod
-from .errors import (BelowThreshold, MeshTooCoarse, NoBoundStates, NoContinuum,
-                     InvalidFamilyParams)
+from .errors import (AmbiguousRegion, BelowThreshold, InvalidFamilyParams,
+                     MeshTooCoarse, NoBoundStates, NoContinuum)
 from .gammafn import arg_gamma, wrap_angle
-from .tra import JACOBI, LAGUERRE, OdeParams
+from .tra import JACOBI, LAGUERRE, OdeParams, resolve_basis
 
 SQRT2 = math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class RadialMesh:
+    """Uniform Dirichlet mesh on (lo, hi): interior nodes lo + j h."""
+    lo: float
+    hi: float
+    h: float
+
+    def nodes(self):
+        n = int(round((self.hi - self.lo) / self.h)) - 1
+        return self.lo + self.h * np.arange(1, n + 1)
+
+    def halved(self):
+        return RadialMesh(self.lo, self.hi, 0.5 * self.h)
+
+
+class Case(Protocol):
+    """The formulas every potential record carries (documentation only)."""
+    name: str
+    threshold: float     # continuum threshold; math.inf if purely discrete
+    bound_e_cap: float   # energies above it leave the bound-state family region
+    def potential(self, r): ...
+    def x_of_r(self, r): ...
+    # bound=True: the orientation the bound series needs (differs for Coulomb)
+    def ode_params(self, E: float, bound: bool = False) -> OdeParams: ...
+    def spectrum_edge(self) -> float: ...   # level m is bound iff m < edge
+    def level_energy(self, m: int) -> float: ...
+    def fd_mesh(self, n_levels: int) -> RadialMesh: ...
+    def bound_scenario(self) -> tuple: ...  # (scenario, free basis index)
+    # cases with a finite threshold: the phase shift before wrapping
+    def phase(self, E: float) -> float: ...
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +74,7 @@ class CoulombCase:
     lam: float = 1.0
 
     name = "coulomb"
-    ab = (0.0, 0.0)
-    equation = LAGUERRE
+    threshold = 0.0
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -59,8 +92,39 @@ class CoulombCase:
             v = v + self.ell * (self.ell + 1) / (2.0 * r * r)
         return v
 
-    domain = (0.0, math.inf)
-    threshold = 0.0
+    def ode_params(self, E, bound=False):
+        # the standard map describes +Z/r (A_zero = +2Z/lam); the potential
+        # is the attractive -Z/r, so the bound orientation flips that sign
+        lam = self.lam
+        a_zero = 2.0 * self.Z / lam
+        return OdeParams(LAGUERRE, 0.0, 0.0,
+                         A_plus=2.0 * E / lam ** 2,
+                         A_minus=-self.ell * (self.ell + 1.0),
+                         A_zero=-abs(a_zero) if bound else a_zero)
+
+    @property
+    def bound_e_cap(self):
+        # the discrete (Meixner) region of the basis at scale lam
+        return -self.lam ** 2 / 8.0
+
+    def spectrum_edge(self):
+        return math.inf if self.Z > 0 else 0.0
+
+    def level_energy(self, m):
+        n = m + self.ell + 1.0
+        return -0.5 * self.Z ** 2 / (n * n)
+
+    def phase(self, E):
+        kappa = math.sqrt(2.0 * E)
+        return arg_gamma(complex(self.ell + 1.0, -self.Z / kappa))
+
+    def fd_mesh(self, n_levels):
+        n_top = n_levels + self.ell + 1
+        r_max = max(40.0, 18.0 * n_top / max(self.Z, 1e-6))
+        return RadialMesh(0.0, r_max, 0.005)
+
+    def bound_scenario(self):
+        return "LA", None
 
 
 @dataclass(frozen=True)
@@ -71,20 +135,14 @@ class OscillatorCase:
     lam: float = 1.0
 
     name = "oscillator"
-    ab = (0.5, 0.0)
-    equation = LAGUERRE
+    threshold = math.inf   # purely discrete
+    bound_e_cap = math.inf
 
     def __post_init__(self):
         if self.omega <= 0 or self.lam <= 0:
             raise ValueError("omega and lam must be > 0")
         if self.ell < 0 or self.ell != int(self.ell):
             raise ValueError("ell must be a non-negative integer")
-
-    # the doubled basis scale makes x = (lam r)^2 and the Gaussian weight
-    # exp(-lam^2 r^2 / 2); admissibility then reads lam^2 <= omega.
-    @property
-    def lam_ode(self):
-        return 2.0 * self.lam
 
     def x_of_r(self, r):
         return (self.lam * np.asarray(r, dtype=float)) ** 2
@@ -96,8 +154,27 @@ class OscillatorCase:
             v = v + self.ell * (self.ell + 1) / (2.0 * r * r)
         return v
 
-    domain = (0.0, math.inf)
-    threshold = math.inf   # purely discrete
+    def ode_params(self, E, bound=False):
+        # the doubled basis scale makes x = (lam r)^2 and the Gaussian weight
+        # exp(-lam^2 r^2 / 2); admissibility then reads lam^2 <= omega.
+        lo = 2.0 * self.lam
+        return OdeParams(LAGUERRE, 0.5, 0.0,
+                         A_plus=-4.0 * self.omega ** 2 / lo ** 4,
+                         A_minus=-0.25 * self.ell * (self.ell + 1.0),
+                         A_zero=-2.0 * E / lo ** 2)
+
+    def spectrum_edge(self):
+        return math.inf
+
+    def level_energy(self, m):
+        return self.omega * (2.0 * m + self.ell + 1.5)
+
+    def fd_mesh(self, n_levels):
+        r_turn = math.sqrt(2.0 * self.level_energy(n_levels)) / self.omega
+        return RadialMesh(0.0, 2.0 * r_turn + 8.0 / math.sqrt(self.omega), 0.004)
+
+    def bound_scenario(self):
+        return "LA", None
 
 
 @dataclass(frozen=True)
@@ -114,8 +191,8 @@ class MorseCase:
     nu: float = 0.0
 
     name = "morse"
-    ab = (1.0, 0.0)
-    equation = LAGUERRE
+    threshold = 0.0
+    bound_e_cap = math.inf
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -137,8 +214,37 @@ class MorseCase:
         x = np.exp(self.lam * np.asarray(r, dtype=float))
         return self.V2 * x * x - self.V1 * x
 
-    domain = (-math.inf, math.inf)
-    threshold = 0.0
+    @property
+    def tau(self) -> float:
+        return 0.5 - 2.0 * self.V1 / self.lam ** 2
+
+    def ode_params(self, E, bound=False):
+        lam = self.lam
+        return OdeParams(LAGUERRE, 1.0, 0.0,
+                         A_plus=-2.0 * self.V2 / lam ** 2,
+                         A_minus=2.0 * E / lam ** 2,
+                         A_zero=-2.0 * self.V1 / lam ** 2)
+
+    def spectrum_edge(self):
+        return -self.tau
+
+    def level_energy(self, m):
+        lam = self.lam
+        return -0.5 * lam ** 2 * (m + 0.5 - 2.0 * self.V1 / lam ** 2) ** 2
+
+    def phase(self, E):
+        kl = math.sqrt(2.0 * E) / self.lam
+        return (arg_gamma(complex(0.0, 2.0 * kl))
+                - arg_gamma(complex(self.tau, kl))
+                - 2.0 * arg_gamma(complex(0.5 * (self.nu + 1.0), kl)))
+
+    def fd_mesh(self, n_levels):
+        lam = self.lam
+        r_star = math.log(max(self.V1, 1e-6) / (2.0 * self.V2)) / lam
+        return RadialMesh(r_star - 28.0 / lam, r_star + 6.0 / lam, 0.004 / lam)
+
+    def bound_scenario(self):
+        return "LB", self.nu
 
 
 @dataclass(frozen=True)
@@ -156,8 +262,8 @@ class PoschlTellerCase:
     mu: Optional[float] = None
 
     name = "poschl_teller"
-    ab = (1.0, 0.5)
-    equation = JACOBI
+    threshold = 0.0
+    bound_e_cap = math.inf
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -194,8 +300,45 @@ class PoschlTellerCase:
         return 0.25 * (self.A * (self.A - self.lam) / np.sinh(u) ** 2
                        + self.lam * self.B / np.cosh(u) ** 2)
 
-    domain = (0.0, math.inf)
-    threshold = 0.0
+    def ode_params(self, E, bound=False):
+        lam = self.lam
+        return OdeParams(JACOBI, 1.0, 0.5,
+                         A_plus=-self.A * (self.A - lam) / (2.0 * lam ** 2),
+                         A_minus=2.0 * E / lam ** 2,
+                         A_zero=self.B / (4.0 * lam),
+                         A_one=0.0)
+
+    def spectrum_edge(self):
+        if self.B >= self.lam / 4.0:
+            return 0.0
+        root = math.sqrt(0.25 - self.B / self.lam)
+        return 0.5 * root - 0.5 * (self.nu + 1.0)
+
+    def level_energy(self, m):
+        lam = self.lam
+        root = math.sqrt(0.25 - self.B / lam)
+        return -0.25 * lam ** 2 * (2.0 * m + self.nu + 1.0 - root) ** 2
+
+    def phase(self, E):
+        lam = self.lam
+        z = math.sqrt(E) / lam
+        sg = 0.5 * (self.nu + 1.0)
+        gm = 0.5 * (self.mu + 1.0)
+        tau_sq = 0.25 * (self.B / lam - 0.25)
+        if tau_sq >= 0:
+            tu = math.sqrt(tau_sq)
+            p1, p2 = complex(sg, z + tu), complex(sg, z - tu)
+        else:
+            q = math.sqrt(-tau_sq)
+            p1, p2 = complex(sg - q, z), complex(sg + q, z)
+        return (arg_gamma(complex(0.0, 2.0 * z)) - arg_gamma(p1)
+                - arg_gamma(p2) - 2.0 * arg_gamma(complex(gm, z)))
+
+    def fd_mesh(self, n_levels):
+        return RadialMesh(0.0, 45.0 / self.lam, 0.002 / self.lam)
+
+    def bound_scenario(self):
+        return "JC", self.mu
 
 
 @dataclass(frozen=True)
@@ -209,8 +352,8 @@ class ScarfCase:
     mu: Optional[float] = None
 
     name = "scarf"
-    ab = (0.5, 0.5)
-    equation = JACOBI
+    threshold = math.inf   # purely discrete
+    bound_e_cap = math.inf
 
     def __post_init__(self):
         if (self.L is None) == (self.lam is None):
@@ -248,11 +391,29 @@ class ScarfCase:
                - self.B * (2.0 * self.A - self.lam) * np.cos(lr))
         return num / (2.0 * np.sin(lr) ** 2)
 
-    @property
-    def domain(self):
-        return (0.0, self.L)
+    def ode_params(self, E, bound=False):
+        lam = self.lam
+        al, bl = self.A / lam, self.B / lam
+        return OdeParams(JACOBI, 0.5, 0.5,
+                         A_plus=0.5 * (0.25 - (al - bl - 0.5) ** 2),
+                         A_minus=0.5 * (0.25 - (al + bl - 0.5) ** 2),
+                         A_zero=-2.0 * E / lam ** 2,
+                         A_one=0.0)
 
-    threshold = math.inf   # purely discrete
+    def spectrum_edge(self):
+        return math.inf
+
+    def level_energy(self, m):
+        lam = self.lam
+        if self.A > self.B:
+            return 0.5 * lam ** 2 * (m + self.A / lam) ** 2
+        return 0.5 * lam ** 2 * (m + 0.5 + self.B / lam) ** 2
+
+    def fd_mesh(self, n_levels):
+        return RadialMesh(0.0, self.L, self.L / 4000.0)
+
+    def bound_scenario(self):
+        return "JC", self.mu
 
 
 @dataclass(frozen=True)
@@ -268,8 +429,7 @@ class EckartCase:
     mu: Optional[float] = None
 
     name = "eckart"
-    ab = (1.0, 0.0)
-    equation = JACOBI
+    bound_e_cap = math.inf
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -294,21 +454,52 @@ class EckartCase:
         return 0.25 * (0.5 * self.A * (self.A - self.lam) / np.sinh(u) ** 2
                        + self.lam * self.B / np.tanh(u) + self.lam * self.B)
 
-    domain = (0.0, math.inf)
-
     @property
     def threshold(self):
         return 0.5 * self.lam * self.B
 
+    def ode_params(self, E, bound=False):
+        lam = self.lam
+        al = self.A / lam
+        return OdeParams(JACOBI, 1.0, 0.0,
+                         A_plus=-2.0 * al * (al - 1.0),
+                         A_minus=2.0 * (2.0 * E - lam * self.B) / lam ** 2,
+                         A_zero=2.0 * E / lam ** 2,
+                         A_one=0.0)
 
-CASE_TYPES = {
-    "coulomb": CoulombCase,
-    "oscillator": OscillatorCase,
-    "morse": MorseCase,
-    "poschl_teller": PoschlTellerCase,
-    "scarf": ScarfCase,
-    "eckart": EckartCase,
-}
+    def spectrum_edge(self):
+        if self.B >= 0:
+            return 0.0
+        return math.sqrt(-self.B / self.lam) - 0.5 * (self.nu + 1.0)
+
+    def level_energy(self, m):
+        lam = self.lam
+        g = m + 0.5 * (self.nu + 1.0)
+        return -0.125 * lam ** 2 * (g - (self.B / lam) / g) ** 2
+
+    def phase(self, E):
+        lam = self.lam
+        kl = math.sqrt(2.0 * E) / lam
+        zsq = kl ** 2 - self.B / lam
+        if zsq < 0:
+            raise BelowThreshold("Eckart scattering variable imaginary")
+        z = math.sqrt(zsq)
+        sg = 0.5 * (self.nu + 1.0)
+        gm = 0.5 * (self.mu + 1.0)
+        return (arg_gamma(complex(0.0, 2.0 * z))
+                - arg_gamma(complex(sg, z + kl))
+                - arg_gamma(complex(sg, z - kl))
+                - 2.0 * arg_gamma(complex(gm, z)))
+
+    def fd_mesh(self, n_levels):
+        return RadialMesh(0.0, 50.0 / self.lam, 0.003 / self.lam)
+
+    def bound_scenario(self):
+        return "JC", self.mu
+
+
+CASE_TYPES = {c.name: c for c in (CoulombCase, OscillatorCase, MorseCase,
+                                  PoschlTellerCase, ScarfCase, EckartCase)}
 
 
 # ---------------------------------------------------------------------------
@@ -316,64 +507,15 @@ CASE_TYPES = {
 # ---------------------------------------------------------------------------
 
 def to_ode_params(case, E: float) -> OdeParams:
-    """The standard equation-parameter map of a case at energy E.
-
-    Note the Coulomb map carries the repulsive-orientation sign convention
-    (A_zero = +2Z/lam); the bound-state assembly uses the attractive
-    orientation, see ``bound_ode_params``.
-    """
-    lam = case.lam
-    if isinstance(case, CoulombCase):
-        return OdeParams(LAGUERRE, 0.0, 0.0,
-                         A_plus=2.0 * E / lam ** 2,
-                         A_minus=-case.ell * (case.ell + 1.0),
-                         A_zero=2.0 * case.Z / lam)
-    if isinstance(case, OscillatorCase):
-        lo = case.lam_ode
-        return OdeParams(LAGUERRE, 0.5, 0.0,
-                         A_plus=-4.0 * case.omega ** 2 / lo ** 4,
-                         A_minus=-0.25 * case.ell * (case.ell + 1.0),
-                         A_zero=-2.0 * E / lo ** 2)
-    if isinstance(case, MorseCase):
-        return OdeParams(LAGUERRE, 1.0, 0.0,
-                         A_plus=-2.0 * case.V2 / lam ** 2,
-                         A_minus=2.0 * E / lam ** 2,
-                         A_zero=-2.0 * case.V1 / lam ** 2)
-    if isinstance(case, PoschlTellerCase):
-        return OdeParams(JACOBI, 1.0, 0.5,
-                         A_plus=-case.A * (case.A - lam) / (2.0 * lam ** 2),
-                         A_minus=2.0 * E / lam ** 2,
-                         A_zero=case.B / (4.0 * lam),
-                         A_one=0.0)
-    if isinstance(case, ScarfCase):
-        al, bl = case.A / lam, case.B / lam
-        return OdeParams(JACOBI, 0.5, 0.5,
-                         A_plus=0.5 * (0.25 - (al - bl - 0.5) ** 2),
-                         A_minus=0.5 * (0.25 - (al + bl - 0.5) ** 2),
-                         A_zero=-2.0 * E / lam ** 2,
-                         A_one=0.0)
-    if isinstance(case, EckartCase):
-        al = case.A / lam
-        return OdeParams(JACOBI, 1.0, 0.0,
-                         A_plus=-2.0 * al * (al - 1.0),
-                         A_minus=2.0 * (2.0 * E - lam * case.B) / lam ** 2,
-                         A_zero=2.0 * E / lam ** 2,
-                         A_one=0.0)
-    raise TypeError(f"unknown case {case!r}")
+    """The standard equation-parameter map of a case at energy E.  The
+    Coulomb map carries the repulsive orientation (A_zero = +2Z/lam)."""
+    return case.ode_params(E)
 
 
 def bound_ode_params(case, E: float) -> OdeParams:
-    """Equation parameters oriented so the bound series exists.
-
-    Only the Coulomb case differs from ``to_ode_params``: its standard map
-    describes +Z/r while the case potential is the attractive -Z/r, so the
-    bound orientation flips the sign of A_zero.
-    """
-    p = to_ode_params(case, E)
-    if isinstance(case, CoulombCase):
-        from dataclasses import replace
-        return replace(p, A_zero=-abs(p.A_zero))
-    return p
+    """Equation parameters oriented so the bound series exists; only the
+    Coulomb case differs from ``to_ode_params``."""
+    return case.ode_params(E, bound=True)
 
 
 # ---------------------------------------------------------------------------
@@ -403,54 +545,13 @@ def spectrum_size(case) -> float:
 
     A level exactly at the continuum threshold is not bound and is not
     counted."""
-    if isinstance(case, (CoulombCase, OscillatorCase, ScarfCase)):
-        if isinstance(case, CoulombCase) and case.Z <= 0:
-            return 0
-        return math.inf
-    if isinstance(case, MorseCase):
-        tau = 0.5 - 2.0 * case.V1 / case.lam ** 2
-        return _levels_below(-tau)
-    if isinstance(case, PoschlTellerCase):
-        if case.B >= case.lam / 4.0:
-            return 0
-        root = math.sqrt(0.25 - case.B / case.lam)
-        return _levels_below(0.5 * root - 0.5 * (case.nu + 1.0))
-    if isinstance(case, EckartCase):
-        if case.B >= 0:
-            return 0
-        sigma = 0.5 * (case.nu + 1.0)
-        return _levels_below(math.sqrt(-case.B / case.lam) - sigma)
-    raise TypeError(f"unknown case {case!r}")
+    edge = case.spectrum_edge()
+    return math.inf if edge == math.inf else _levels_below(edge)
 
 
-def bound_energy(case, m: int, printed_variant: bool = False) -> float:
+def bound_energy(case, m: int) -> float:
     """The m-th bound level from the discrete-family quantization."""
-    if isinstance(case, CoulombCase):
-        n = m + case.ell + 1.0
-        if printed_variant:
-            # the formula as sometimes printed, without the square; kept for
-            # comparison only -- the oracle confirms the squared form
-            return -0.5 * case.Z ** 2 / n
-        return -0.5 * case.Z ** 2 / (n * n)
-    if isinstance(case, OscillatorCase):
-        return case.omega * (2.0 * m + case.ell + 1.5)
-    if isinstance(case, MorseCase):
-        lam = case.lam
-        return -0.5 * lam ** 2 * (m + 0.5 - 2.0 * case.V1 / lam ** 2) ** 2
-    if isinstance(case, PoschlTellerCase):
-        lam = case.lam
-        root = math.sqrt(0.25 - case.B / lam)
-        return -0.25 * lam ** 2 * (2.0 * m + case.nu + 1.0 - root) ** 2
-    if isinstance(case, ScarfCase):
-        lam = case.lam
-        if case.A > case.B:
-            return 0.5 * lam ** 2 * (m + case.A / lam) ** 2
-        return 0.5 * lam ** 2 * (m + 0.5 + case.B / lam) ** 2
-    if isinstance(case, EckartCase):
-        lam = case.lam
-        g = m + 0.5 * (case.nu + 1.0)
-        return -0.125 * lam ** 2 * (g - (case.B / lam) / g) ** 2
-    raise TypeError(f"unknown case {case!r}")
+    return case.level_energy(m)
 
 
 def bound_spectrum(case, m_max: int = None) -> SpectrumResult:
@@ -480,105 +581,22 @@ def bound_spectrum(case, m_max: int = None) -> SpectrumResult:
 
 def phase_shift(case, E: float) -> float:
     """Scattering phase shift at continuum energy E, in (-pi, pi]."""
-    if isinstance(case, (OscillatorCase, ScarfCase)):
+    thr = case.threshold
+    if not math.isfinite(thr):
         raise NoContinuum(f"{case.name} has a purely discrete spectrum")
-    lam = case.lam
-    if isinstance(case, CoulombCase):
-        if E <= 0:
-            raise BelowThreshold("Coulomb continuum needs E > 0")
-        kappa = math.sqrt(2.0 * E)
-        return arg_gamma(complex(case.ell + 1.0, -case.Z / kappa))
-    if isinstance(case, MorseCase):
-        if E <= 0:
-            raise BelowThreshold("Morse continuum needs E > 0")
-        kappa = math.sqrt(2.0 * E)
-        kl = kappa / lam
-        tau = 0.5 - 2.0 * case.V1 / lam ** 2
-        d = (arg_gamma(complex(0.0, 2.0 * kl))
-             - arg_gamma(complex(tau, kl))
-             - 2.0 * arg_gamma(complex(0.5 * (case.nu + 1.0), kl)))
-        return wrap_angle(d)
-    if isinstance(case, PoschlTellerCase):
-        if E <= 0:
-            raise BelowThreshold("Poschl-Teller continuum needs E > 0")
-        z = math.sqrt(E) / lam
-        sg = 0.5 * (case.nu + 1.0)
-        gm = 0.5 * (case.mu + 1.0)
-        tau_sq = 0.25 * (case.B / lam - 0.25)
-        if tau_sq >= 0:
-            tu = math.sqrt(tau_sq)
-            d = (arg_gamma(complex(0.0, 2.0 * z))
-                 - arg_gamma(complex(sg, z + tu))
-                 - arg_gamma(complex(sg, z - tu))
-                 - 2.0 * arg_gamma(complex(gm, z)))
-        else:
-            q = math.sqrt(-tau_sq)
-            d = (arg_gamma(complex(0.0, 2.0 * z))
-                 - arg_gamma(complex(sg - q, z))
-                 - arg_gamma(complex(sg + q, z))
-                 - 2.0 * arg_gamma(complex(gm, z)))
-        return wrap_angle(d)
-    if isinstance(case, EckartCase):
-        thr = case.threshold
-        if E <= 0 or E < thr:
-            raise BelowThreshold(f"Eckart continuum needs E > max(0, {thr})")
-        kappa = math.sqrt(2.0 * E)
-        zsq = (kappa / lam) ** 2 - case.B / lam
-        if zsq < 0:
-            raise BelowThreshold("Eckart scattering variable imaginary")
-        z = math.sqrt(zsq)
-        sg = 0.5 * (case.nu + 1.0)
-        gm = 0.5 * (case.mu + 1.0)
-        kl = kappa / lam
-        d = (arg_gamma(complex(0.0, 2.0 * z))
-             - arg_gamma(complex(sg, z + kl))
-             - arg_gamma(complex(sg, z - kl))
-             - 2.0 * arg_gamma(complex(gm, z)))
-        return wrap_angle(d)
-    raise TypeError(f"unknown case {case!r}")
+    if E <= 0 or E < thr:
+        raise BelowThreshold(f"{case.name} continuum needs E > max(0, {thr})")
+    return wrap_angle(case.phase(E))
 
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadialMesh:
-    """Uniform Dirichlet mesh on (lo, hi): interior nodes lo + j h."""
-    lo: float
-    hi: float
-    h: float
-
-    def nodes(self):
-        n = int(round((self.hi - self.lo) / self.h)) - 1
-        return self.lo + self.h * np.arange(1, n + 1)
-
-    def halved(self):
-        return RadialMesh(self.lo, self.hi, 0.5 * self.h)
-
-
 def default_mesh(case, n_levels: int = 3) -> RadialMesh:
     """A per-case mesh covering the classically allowed region of the lowest
     few levels, tuned so the two-mesh check passes at its default gate."""
-    if isinstance(case, CoulombCase):
-        n_top = n_levels + case.ell + 1
-        r_max = max(40.0, 18.0 * n_top / max(case.Z, 1e-6))
-        return RadialMesh(0.0, r_max, 0.005)
-    if isinstance(case, OscillatorCase):
-        e_top = case.omega * (2.0 * n_levels + case.ell + 1.5)
-        r_turn = math.sqrt(2.0 * e_top) / case.omega
-        return RadialMesh(0.0, 2.0 * r_turn + 8.0 / math.sqrt(case.omega), 0.004)
-    if isinstance(case, MorseCase):
-        lam = case.lam
-        r_star = math.log(max(case.V1, 1e-6) / (2.0 * case.V2)) / lam
-        return RadialMesh(r_star - 28.0 / lam, r_star + 6.0 / lam, 0.004 / lam)
-    if isinstance(case, PoschlTellerCase):
-        return RadialMesh(0.0, 45.0 / case.lam, 0.002 / case.lam)
-    if isinstance(case, ScarfCase):
-        return RadialMesh(0.0, case.L, case.L / 4000.0)
-    if isinstance(case, EckartCase):
-        return RadialMesh(0.0, 50.0 / case.lam, 0.003 / case.lam)
-    raise TypeError(f"unknown case {case!r}")
+    return case.fd_mesh(n_levels)
 
 
 def _fd_eigenvalues(case, mesh: RadialMesh, k: int) -> np.ndarray:
@@ -627,48 +645,29 @@ def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,
 # series solutions for the physics cases
 # ---------------------------------------------------------------------------
 
-def _bound_scenario(case):
-    """(scenario, free basis index) of a case's bound-state family match."""
-    if isinstance(case, (CoulombCase, OscillatorCase)):
-        return "LA", None
-    if isinstance(case, MorseCase):
-        return "LB", case.nu
-    if isinstance(case, (PoschlTellerCase, ScarfCase, EckartCase)):
-        return "JC", case.mu
-    raise TypeError(f"unknown case {case!r}")
-
-
-def bound_match(case, m: int):
-    """Family match for the m-th bound state of a case."""
-    params = bound_ode_params(case, bound_energy(case, m))
-    scenario, free_value = _bound_scenario(case)
-    return params, solvemod.match_family(params, scenario, free_value=free_value)
-
-
 def bound_series(case, m: int, truncation: int = None):
     """(OdeParams, SeriesSolution) of the m-th bound state."""
-    from .errors import AmbiguousRegion
-    if isinstance(case, CoulombCase):
-        n = m + case.ell + 1.0
-        if case.lam > 2.0 * abs(case.Z) / n + 1e-12:
-            raise InvalidFamilyParams(
-                f"basis scale lam = {case.lam} exceeds 2|Z|/(m+ell+1) = "
-                f"{2.0 * abs(case.Z) / n}")
     e = bound_energy(case, m)
+    cap = case.bound_e_cap
+    # cap < 0; a level within 1e-9 (relative) of it is left to the match,
+    # which reports AmbiguousRegion
+    if e > cap * (1.0 - 1e-9):
+        raise InvalidFamilyParams(
+            f"{case.name}: level m={m} at E={e} lies above E={cap}, where the "
+            f"discrete family of basis scale lam = {case.lam} ends")
     params = bound_ode_params(case, e)
+    scenario, free_value = case.bound_scenario()
     try:
-        _, match = bound_match(case, m)
+        match = solvemod.match_family(params, scenario, free_value=free_value)
     except AmbiguousRegion:
         # the scale sits exactly on the region boundary: the off-diagonal of
         # the coefficient recursion vanishes identically and the state is a
         # single basis element
-        from .tra import resolve_basis
         spec = resolve_basis(params, "LA")
         f = np.zeros(m + 1)
         f[m] = 1.0
         return params, solvemod.SeriesSolution(f, spec, m + 1, 1.0, float(m))
-    sol = solvemod.assemble_solution(match, int(m), truncation)
-    return params, sol
+    return params, solvemod.assemble_solution(match, int(m), truncation)
 
 
 def wavefunction(case, sol: solvemod.SeriesSolution, r):
@@ -685,35 +684,25 @@ def tra_bound_energy(case, m: int, tol: float = 1e-12) -> float:
     """
     from scipy.optimize import brentq
 
-    scenario, free_value = _bound_scenario(case)
+    scenario, free_value = case.bound_scenario()
 
     def index_mismatch(e):
         try:
             match = solvemod.match_family(bound_ode_params(case, e), scenario,
                                           free_value=free_value)
             return (match.spectral_map.family_value
-                    - fam.mass_point(match.family, m))
+                    - match.family.mass_point(m))
         except Exception:
             return math.nan
 
     e_star = bound_energy(case, m)
     span = max(abs(e_star) * 0.2, 1e-3)
-    # the discrete-family region of the Coulomb case ends at E = -lam^2/8
-    e_cap = -case.lam ** 2 / 8.0 * (1.0 + 1e-3) if isinstance(case, CoulombCase) \
-        else math.inf
-
-    def clamp(x):
-        return min(x, e_cap)
-
-    lo, hi = e_star - span, clamp(e_star + span)
-    flo, fhi = index_mismatch(lo), index_mismatch(hi)
-    if not (math.isfinite(flo) and math.isfinite(fhi)) or flo * fhi > 0:
-        # widen until bracketed
-        for fac in (2.0, 4.0, 8.0):
-            lo, hi = e_star - fac * span, clamp(e_star + fac * span)
-            flo, fhi = index_mismatch(lo), index_mismatch(hi)
-            if math.isfinite(flo) and math.isfinite(fhi) and flo * fhi <= 0:
-                break
-        else:
-            raise NoBoundStates(f"could not bracket level m={m}")
+    e_cap = case.bound_e_cap * (1.0 + 1e-3)
+    for fac in (1.0, 2.0, 4.0, 8.0):   # widen until bracketed
+        lo, hi = e_star - fac * span, min(e_star + fac * span, e_cap)
+        flo, fhi = index_mismatch(lo), index_mismatch(hi)
+        if math.isfinite(flo) and math.isfinite(fhi) and flo * fhi <= 0:
+            break
+    else:
+        raise NoBoundStates(f"could not bracket level m={m}")
     return brentq(index_mismatch, lo, hi, xtol=tol)

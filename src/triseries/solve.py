@@ -316,7 +316,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         if not 0 <= k <= n_top:
             raise IndexOutOfSpectrum(f"index {k} outside 0..{n_top}")
         vals = fam.values_by_recursion(f, k, n_top)
-        p = 1.0 if unnorm else math.sqrt(fam.discrete_mass(f, k))
+        p = 1.0 if unnorm else math.sqrt(f.discrete_mass(k))
         coeff = p * np.asarray(vals)
         return SeriesSolution(coeff, match.spec, n_top + 1, p, float(k), f, unnorm)
     if kind == DISCRETE_INFINITE or (kind == MIXED and is_index) \
@@ -332,8 +332,8 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
             raise IndexOutOfSpectrum(f"index {k} outside 0..{match.n_finite}")
         coeffs = fam.family_coeffs(f, truncation + 1)
         vals = _clip_roundoff_tail(_values_with_decoupling(
-            coeffs, fam.mass_point(f, k), truncation))
-        p = 1.0 if unnorm else math.sqrt(fam.discrete_mass(f, k))
+            coeffs, f.mass_point(k), truncation))
+        p = 1.0 if unnorm else math.sqrt(f.discrete_mass(k))
         return SeriesSolution(p * np.asarray(vals), match.spec, truncation + 1,
                               p, float(k), f, unnorm)
     # continuous component
@@ -341,12 +341,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
     coeffs = fam.family_coeffs(f, truncation + 1)
     z = fam.spectral_point(f, zval)
     vals = run_recursion(coeffs, z, truncation).values
-    if unnorm:
-        p = 1.0
-    else:
-        wgt = fam.weight(f)
-        p = math.sqrt(wgt.density(zval if isinstance(f, fam.MeixnerPollaczek)
-                                  else math.sqrt(max(zval, 0.0))))
+    p = 1.0 if unnorm else math.sqrt(f.density_at(zval))
     coeff = p * np.asarray(vals)
     if enforce_tail:
         tail = np.max(np.abs(coeff[-3:]))

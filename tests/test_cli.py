@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from triseries.cli import main
+from triseries.cli import _build_case, build_parser, main
+from triseries.physics import (CoulombCase, EckartCase, MorseCase,
+                               OscillatorCase, PoschlTellerCase, ScarfCase)
 
 
 def run_cli(capsys, *args):
@@ -149,3 +151,25 @@ def test_polytable_config_replay_keeps_every_flag(tmp_path, capsys):
     code, out2, _ = run_cli(capsys, "--config", str(cfg))
     assert code == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flags, expect", [
+    (["coulomb", "--Z", "2", "--ell", "1", "--lambda", "0.5"],
+     CoulombCase(Z=2.0, ell=1, lam=0.5)),
+    (["oscillator", "--omega", "0.7", "--ell", "2", "--lambda", "0.4"],
+     OscillatorCase(omega=0.7, ell=2, lam=0.4)),
+    (["morse", "--V1", "1.1", "--lambda", "1.5", "--nu", "0.3"],
+     MorseCase(lam=1.5, V1=1.1, nu=0.3)),
+    (["poschl_teller", "--A", "2", "--B", "-20", "--mu", "0.3"],
+     PoschlTellerCase(lam=1.0, A=2.0, B=-20.0, mu=0.3)),
+    (["scarf", "--A", "2", "--B", "0.5", "--L", "3"],
+     ScarfCase(A=2.0, B=0.5, L=3.0)),
+    (["scarf", "--A", "2", "--B", "0.5", "--lambda", "1.2"],
+     ScarfCase(A=2.0, B=0.5, lam=1.2)),
+    (["eckart", "--A", "-1", "--B", "-30", "--lambda", "0.8"],
+     EckartCase(lam=0.8, A=-1.0, B=-30.0)),
+], ids=["coulomb", "oscillator", "morse", "poschl_teller", "scarf-L",
+        "scarf-lambda", "eckart"])
+def test_build_case_equals_direct_construction(flags, expect):
+    ns = build_parser().parse_args(["spectrum", "--case"] + flags)
+    assert _build_case(ns) == expect

@@ -1,5 +1,5 @@
 """Cross-module invariants: scenario algebra, second oracle draws, error
-surfaces and the concurrency claims."""
+surfaces, the concurrency claims and the case/family record protocols."""
 
 import concurrent.futures
 import math
@@ -10,10 +10,10 @@ import pytest
 from triseries import families as fam
 from triseries.errors import MeshTooCoarse, NoFamilyApplies, NumericalOverflow
 from triseries.gammafn import abs_gamma_sq, gamma_fn
-from triseries.physics import (CoulombCase, EckartCase, MorseCase,
-                               OscillatorCase, PoschlTellerCase, RadialMesh,
-                               ScarfCase, bound_energy, bound_series,
-                               fd_oracle)
+from triseries.physics import (CASE_TYPES, Case, CoulombCase, EckartCase,
+                               MorseCase, OscillatorCase, PoschlTellerCase,
+                               RadialMesh, ScarfCase, bound_energy,
+                               bound_series, fd_oracle)
 from triseries.recurrence import run_recursion
 from triseries.solve import assemble_solution, match_family, ode_residual
 from triseries.tra import OdeParams, jacobi_st2r2, resolve_basis
@@ -128,3 +128,41 @@ def test_pure_functions_are_concurrency_safe():
         parallel_r = list(pool.map(lambda x: ode_residual(params, sol, [float(x)]),
                                    xs))
     assert serial_r == parallel_r
+
+
+def _protocol_members(proto):
+    """Method and attribute names a documentation Protocol lists."""
+    names = {n for n in vars(proto) if not n.startswith("_")}
+    return names | set(vars(proto).get("__annotations__", {}))
+
+
+def test_records_carry_their_protocol():
+    # every case and family record holds its own formulas; the module
+    # functions only dispatch to them
+    cases = [CoulombCase(Z=1.0), OscillatorCase(omega=1.0),
+             MorseCase(lam=1.0, V1=1.0),
+             PoschlTellerCase(lam=1.0, A=1.0, B=-36.0),
+             ScarfCase(A=2.0, B=0.5, lam=1.0),
+             EckartCase(lam=1.0, A=2.0, B=-20.0)]
+    assert {type(c) for c in cases} == set(CASE_TYPES.values())
+    members = _protocol_members(Case)
+    assert "ode_params" in members and "phase" in members
+    for case in cases:
+        # only the cases with a continuum have a scattering phase
+        need = members if math.isfinite(case.threshold) else members - {"phase"}
+        missing = {n for n in need if not hasattr(case, n)}
+        assert not missing, (case.name, missing)
+        assert CASE_TYPES[case.name] is type(case)
+    families = [fam.MeixnerPollaczek(0.7, 1.0), fam.Meixner(0.5, 0.25),
+                fam.Krawtchouk(5, 0.4), fam.ContinuousDualHahn(0.5, 0.8, 0.9),
+                fam.DualHahn(5, 0.3, 0.6), fam.Wilson(0.5, 0.7, 0.9, 1.1),
+                fam.MixedWilson(-0.3, 1.3, 0.8, 0.8), fam.Racah(5, 0.4, 0.9),
+                fam.ExtendedJacobiContinuous(0.3, 0.7, 1.1, 0.0, 5.0),
+                fam.ExtendedJacobiDiscrete(0.3, 0.7, 0.4, 0.0, 2.0)]
+    members = _protocol_members(fam.Family)
+    assert {"streams", "closed_form", "weight", "mass_point", "kind"} <= members
+    for f in families:
+        missing = {n for n in members if not hasattr(f, n)}
+        assert not missing, (type(f).__name__, missing)
+        assert isinstance(f.kind, str)
+    assert len({f.kind for f in families}) == len(families) - 1   # MixedWilson

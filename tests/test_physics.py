@@ -22,7 +22,7 @@ def test_coulomb_parameter_map():
 
 
 def test_oscillator_parameter_map():
-    # published map at the doubled basis scale: lam_ode = 2 with lam = 1
+    # published map at the doubled basis scale 2 lam = 1 (lam = 0.5)
     p = to_ode_params(OscillatorCase(omega=1.0, ell=0, lam=0.5), 1.5)
     assert p.A_plus == pytest.approx(-4.0)
     assert p.A_minus == pytest.approx(0.0)
@@ -38,8 +38,16 @@ def test_coulomb_energies():
     case = CoulombCase(Z=1.0, ell=0)
     assert bound_energy(case, 0) == pytest.approx(-0.5)
     assert bound_energy(case, 1) == pytest.approx(-0.125)
-    # the formula as printed without the square, kept for comparison only
-    assert bound_energy(case, 1, printed_variant=True) == pytest.approx(-0.25)
+    # the oracle confirms -Z^2/(2 n^2), n = m + ell + 1, within the spectrum
+    # tolerance, and rejects the formula as sometimes printed, -Z^2/(2 n)
+    oracle = fd_oracle(case, 3)
+    tol = 1e-3   # the spectrum command's default relative band
+    for m, e_fd in enumerate(oracle):
+        n = m + 1.0
+        band = tol * max(abs(e_fd), 1e-2)
+        assert abs(bound_energy(case, m) - e_fd) <= band
+        if m >= 1:   # the two forms agree at m = 0
+            assert abs(-0.5 / n - e_fd) > band
 
 
 def test_oscillator_energies():

@@ -5,8 +5,9 @@ import pytest
 
 from triseries import families as fam
 from triseries.errors import (AmbiguousRegion, IndexOutOfSpectrum,
-                              NoFamilyApplies, SingularPointTooClose,
-                              TruncationTooSmall, ZeroSolution)
+                              InvalidFamilyParams, NoFamilyApplies,
+                              SingularPointTooClose, TruncationTooSmall,
+                              ZeroSolution)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase,
                                bound_energy, bound_ode_params, bound_series,
@@ -119,6 +120,17 @@ def test_finite_expansion_streams_reproduce_signed_squares():
     assert np.allclose(sub[1:] * sup[:-1], raw.t_squared[:-1], atol=1e-12)
 
 
+def test_coulomb_basis_scale_caps_the_levels():
+    # the scale lam carries level m while 2Z/(m+1) >= lam: at lam = 1, m = 1
+    # sits on the family-region boundary (a single basis element) and m = 2
+    # lies beyond it
+    case = CoulombCase(Z=1.0, lam=1.0)
+    _, sol = bound_series(case, 1)
+    assert np.count_nonzero(sol.f) == 1
+    with pytest.raises(InvalidFamilyParams):
+        bound_series(case, 2)
+
+
 def test_hydrogen_ground_state_shape():
     case = CoulombCase(Z=1.0, ell=0, lam=2.0)   # basis scale matched to 2Z
     from triseries.physics import wavefunction
@@ -224,7 +236,7 @@ def test_mixed_components_satisfy_the_raw_recursion():
         return worst
 
     z_cont = m.spectral_map.to_raw(1.7)     # continuous component at w = 1.7
-    z_disc = m.spectral_map.to_raw(m.family.discrete_point(0))
+    z_disc = m.spectral_map.to_raw(m.family.mass_point(0))
     assert raw_residual(np.real(cont.f), z_cont) < 1e-10
     assert raw_residual(np.real(disc.f), z_disc) < 1e-10
 
