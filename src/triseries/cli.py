@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -102,10 +103,10 @@ def cmd_spectrum(ns) -> int:
 def cmd_phaseshift(ns) -> int:
     case = _build_case(ns)
     if ns.E is not None:
-        energies = [ns.E]
+        energies = np.array([ns.E])
     else:
-        energies = list(np.linspace(ns.E_min, ns.E_max, ns.n_E))
-    rows = [(e, physics.phase_shift(case, float(e))) for e in energies]
+        energies = np.linspace(ns.E_min, ns.E_max, ns.n_E)
+    rows = list(zip(energies, physics.phase_shift(case, energies)))
     _emit(_case_config(ns), ["E", "delta"], rows, {}, ns.format, ns.out)
     return 0
 
@@ -122,15 +123,24 @@ def cmd_wavefunction(ns) -> int:
     return 0
 
 
+def _mu(ns) -> float:
+    """--mu, or (nu+1)/2 from --nu as the Laguerre-equation match sets it."""
+    return 0.5 * (ns.nu + 1.0) if ns.mu is None else ns.mu
+
+
+def _b(ns) -> float:
+    """--b, or --a when it is not given."""
+    return ns.a if ns.b is None else ns.b
+
+
 _FAMILY_BUILDERS = {
-    "meixner_pollaczek": lambda ns: fam.MeixnerPollaczek(ns.mu, ns.theta),
-    "meixner": lambda ns: fam.Meixner(0.5 * (ns.nu + 1.0) if ns.mu is None
-                                      else ns.mu, ns.tau),
+    "meixner_pollaczek": lambda ns: fam.MeixnerPollaczek(_mu(ns), ns.theta),
+    "meixner": lambda ns: fam.Meixner(_mu(ns), ns.tau),
     "krawtchouk": lambda ns: fam.Krawtchouk(ns.N, ns.tau),
-    "continuous_dual_hahn": lambda ns: fam.ContinuousDualHahn(
-        ns.tau, ns.a, ns.b if ns.b is not None else ns.a),
+    "continuous_dual_hahn": lambda ns: fam.ContinuousDualHahn(ns.tau, ns.a,
+                                                              _b(ns)),
     "dual_hahn": lambda ns: fam.DualHahn(ns.N, ns.tau, ns.sigma),
-    "wilson": lambda ns: fam.Wilson(ns.a, ns.b, ns.c, ns.d),
+    "wilson": lambda ns: fam.Wilson(ns.a, _b(ns), ns.c, ns.d),
     "racah": lambda ns: fam.Racah(ns.N, ns.gamma, ns.sigma),
 }
 
@@ -210,7 +220,10 @@ def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every ``main`` call reuses it."""
     ap = argparse.ArgumentParser(
         prog="triseries",
         description="Series solutions of Laguerre- and Jacobi-type equations "

@@ -1,8 +1,8 @@
 """Log-gamma, Pochhammer symbols and binomial coefficients.
 
 Everything downstream (weights, normalization prefactors, phase shifts) is
-built on a Lanczos log-gamma that accepts real or complex argument, so the
-same code path serves |Gamma(x+iy)|^2 and arg Gamma(z).
+built on scipy's complex log-gamma, so the same code path serves
+|Gamma(x+iy)|^2 and arg Gamma(z), and a phase-shift grid is one array call.
 """
 
 from __future__ import annotations
@@ -10,63 +10,34 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+from scipy.special import loggamma
+
 from .errors import NumericalOverflow
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.9189385332046727417803297364056176
-
 _POCHHAMMER_PRODUCT_MAX = 64  # direct product below, log-gamma ratio above
+_TWO_PI = 2.0 * math.pi
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma(z) for real or complex z.
-
-    Uses the reflection formula for Re z < 0.5.  Poles (non-positive
-    integers) raise ZeroDivisionError through the sin factor.
+def log_gamma(z):
+    """log Gamma(z) for real or complex z, a scalar or an array
+    (scipy.special.loggamma: the branch continuous off the negative real
+    axis).  A scalar in gives a Python complex out.  Poles (non-positive
+    integers) raise ZeroDivisionError.
     """
-    z = complex(z)
-    if z.real < 0.5:
-        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        return cmath.log(cmath.pi) - _log_sin_pi(z) - log_gamma(1.0 - z)
-    z -= 1.0
-    x = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        x += _LANCZOS_COEFFS[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
-
-
-def _log_sin_pi(z: complex) -> complex:
-    """log sin(pi z).  Past |Im pi z| = 700, where sin itself overflows, it
-    uses sin w = (i/2) e^{-iw} (1 - e^{2iw}) for Im w > 0 (the conjugate
-    below); e^{2iw} is then below 1e-600 and drops out."""
-    w = cmath.pi * z
-    if abs(w.imag) <= 700.0:
-        s = cmath.sin(w)
-        if s == 0:
-            raise ZeroDivisionError(f"log_gamma pole at z = {z}")
-        return cmath.log(s)
-    if w.imag > 0:
-        return -1j * w + cmath.log(0.5j)
-    return 1j * w + cmath.log(-0.5j)
+    lg = loggamma(z + 0j)
+    if isinstance(lg, np.ndarray):
+        pole = np.isnan(lg) & np.isfinite(z)
+        if pole.any():
+            raise ZeroDivisionError(f"log_gamma pole at z = {z[pole][0]}")
+        return lg
+    if lg != lg and cmath.isfinite(z):   # scipy returns nan at the poles
+        raise ZeroDivisionError(f"log_gamma pole at z = {z}")
+    return complex(lg)
 
 
 def log_gamma_real(x: float) -> float:
-    """log |Gamma(x)| for real non-pole x > 0; raises for x <= 0 poles."""
-    if x <= 0.0 and x == math.floor(x):
-        raise ZeroDivisionError(f"log_gamma pole at x = {x}")
+    """log |Gamma(x)| for real non-pole x; raises at the x <= 0 poles."""
     return log_gamma(x).real
 
 
@@ -86,13 +57,9 @@ def abs_gamma_sq(x: float, y: float) -> float:
     return math.exp(two_re)
 
 
-def arg_gamma(z: complex) -> float:
-    """arg Gamma(z) wrapped to (-pi, pi]."""
-    phase = log_gamma(z).imag
-    wrapped = math.remainder(phase, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
+def arg_gamma(z):
+    """arg Gamma(z) wrapped to (-pi, pi]; z a scalar or an array."""
+    return wrap_angle(log_gamma(z).imag)
 
 
 def pochhammer(a: complex, n: int) -> complex:
@@ -131,12 +98,13 @@ def real_part_checked(value: complex, rel_tol: float = 1e-10, context: str = "")
     return value.real
 
 
-def wrap_angle(phi: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    w = math.remainder(phi, 2.0 * math.pi)
-    if w <= -math.pi:
-        w += 2.0 * math.pi
-    return w
+def wrap_angle(phi):
+    """Reduce an angle (a float or an array) to (-pi, pi].  fmod and the one
+    shift by 2 pi are exact, so this is math.remainder with -pi sent to pi."""
+    w = np.fmod(phi, _TWO_PI)
+    w = np.where(w > math.pi, w - _TWO_PI, w)
+    w = np.where(w <= -math.pi, w + _TWO_PI, w)
+    return w if w.ndim else float(w)
 
 
 def binomial(n: int, k: int) -> float:

@@ -58,8 +58,9 @@ class Case(Protocol):
     def level_energy(self, m: int) -> float: ...
     def fd_mesh(self, n_levels: int) -> RadialMesh: ...
     def bound_scenario(self) -> tuple: ...  # (scenario, free basis index)
-    # cases with a finite threshold: the phase shift before wrapping
-    def phase(self, E: float) -> float: ...
+    # cases with a finite threshold: the phase shift before wrapping, at an
+    # energy or an array of energies
+    def phase(self, E): ...
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +116,8 @@ class CoulombCase:
         return -0.5 * self.Z ** 2 / (n * n)
 
     def phase(self, E):
-        kappa = math.sqrt(2.0 * E)
-        return arg_gamma(complex(self.ell + 1.0, -self.Z / kappa))
+        kappa = np.sqrt(2.0 * E)
+        return arg_gamma(self.ell + 1.0 + 1j * (-self.Z / kappa))
 
     def fd_mesh(self, n_levels):
         n_top = n_levels + self.ell + 1
@@ -233,10 +234,10 @@ class MorseCase:
         return -0.5 * lam ** 2 * (m + 0.5 - 2.0 * self.V1 / lam ** 2) ** 2
 
     def phase(self, E):
-        kl = math.sqrt(2.0 * E) / self.lam
-        return (arg_gamma(complex(0.0, 2.0 * kl))
-                - arg_gamma(complex(self.tau, kl))
-                - 2.0 * arg_gamma(complex(0.5 * (self.nu + 1.0), kl)))
+        kl = np.sqrt(2.0 * E) / self.lam
+        return (arg_gamma(1j * (2.0 * kl))
+                - arg_gamma(self.tau + 1j * kl)
+                - 2.0 * arg_gamma(0.5 * (self.nu + 1.0) + 1j * kl))
 
     def fd_mesh(self, n_levels):
         lam = self.lam
@@ -321,18 +322,18 @@ class PoschlTellerCase:
 
     def phase(self, E):
         lam = self.lam
-        z = math.sqrt(E) / lam
+        z = np.sqrt(E) / lam
         sg = 0.5 * (self.nu + 1.0)
         gm = 0.5 * (self.mu + 1.0)
         tau_sq = 0.25 * (self.B / lam - 0.25)
         if tau_sq >= 0:
             tu = math.sqrt(tau_sq)
-            p1, p2 = complex(sg, z + tu), complex(sg, z - tu)
+            p1, p2 = sg + 1j * (z + tu), sg + 1j * (z - tu)
         else:
             q = math.sqrt(-tau_sq)
-            p1, p2 = complex(sg - q, z), complex(sg + q, z)
-        return (arg_gamma(complex(0.0, 2.0 * z)) - arg_gamma(p1)
-                - arg_gamma(p2) - 2.0 * arg_gamma(complex(gm, z)))
+            p1, p2 = sg - q + 1j * z, sg + q + 1j * z
+        return (arg_gamma(1j * (2.0 * z)) - arg_gamma(p1)
+                - arg_gamma(p2) - 2.0 * arg_gamma(gm + 1j * z))
 
     def fd_mesh(self, n_levels):
         return RadialMesh(0.0, 45.0 / self.lam, 0.002 / self.lam)
@@ -479,17 +480,17 @@ class EckartCase:
 
     def phase(self, E):
         lam = self.lam
-        kl = math.sqrt(2.0 * E) / lam
+        kl = np.sqrt(2.0 * E) / lam
         zsq = kl ** 2 - self.B / lam
-        if zsq < 0:
+        if np.any(zsq < 0):
             raise BelowThreshold("Eckart scattering variable imaginary")
-        z = math.sqrt(zsq)
+        z = np.sqrt(zsq)
         sg = 0.5 * (self.nu + 1.0)
         gm = 0.5 * (self.mu + 1.0)
-        return (arg_gamma(complex(0.0, 2.0 * z))
-                - arg_gamma(complex(sg, z + kl))
-                - arg_gamma(complex(sg, z - kl))
-                - 2.0 * arg_gamma(complex(gm, z)))
+        return (arg_gamma(1j * (2.0 * z))
+                - arg_gamma(sg + 1j * (z + kl))
+                - arg_gamma(sg + 1j * (z - kl))
+                - 2.0 * arg_gamma(gm + 1j * z))
 
     def fd_mesh(self, n_levels):
         return RadialMesh(0.0, 50.0 / self.lam, 0.003 / self.lam)
@@ -579,12 +580,14 @@ def bound_spectrum(case, m_max: int = None) -> SpectrumResult:
 # phase shifts
 # ---------------------------------------------------------------------------
 
-def phase_shift(case, E: float) -> float:
-    """Scattering phase shift at continuum energy E, in (-pi, pi]."""
+def phase_shift(case, E):
+    """Scattering phase shift in (-pi, pi] at continuum energy E: a float
+    gives a float, an array of energies an array."""
     thr = case.threshold
     if not math.isfinite(thr):
         raise NoContinuum(f"{case.name} has a purely discrete spectrum")
-    if E <= 0 or E < thr:
+    E = np.asarray(E, dtype=float)
+    if np.any((E <= 0) | (E < thr)):
         raise BelowThreshold(f"{case.name} continuum needs E > max(0, {thr})")
     return wrap_angle(case.phase(E))
 

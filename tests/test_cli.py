@@ -5,6 +5,8 @@ import json
 import pytest
 
 from triseries.cli import _build_case, build_parser, main
+from triseries.families import (MeixnerPollaczek, Wilson,
+                                values_by_recursion)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase)
 
@@ -63,6 +65,27 @@ def test_polytable_degree_zero(capsys):
     assert out.strip().split("\n")[1] == "0,1"
 
 
+def test_polytable_meixner_pollaczek_mu_from_nu(capsys):
+    # without --mu, mu = (nu + 1)/2 as for Meixner; nu defaults to 0
+    code, out, err = run_cli(capsys, "polytable", "--family",
+                             "meixner_pollaczek", "--theta", "1.1",
+                             "--z", "0.5", "--n-max", "6")
+    assert code == 0, err
+    table = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    expect = values_by_recursion(MeixnerPollaczek(0.5, 1.1), 0.5, 6)
+    assert table == expect.tolist()
+
+
+def test_polytable_wilson_b_defaults_to_a(capsys):
+    code, out, err = run_cli(capsys, "polytable", "--family", "wilson",
+                             "--a", "0.5", "--c", "0.7", "--d", "0.9",
+                             "--z", "2", "--n-max", "3")
+    assert code == 0, err
+    table = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    expect = values_by_recursion(Wilson(0.5, 0.5, 0.7, 0.9), 2.0, 3)
+    assert table == expect.tolist()
+
+
 def test_match_names_family_and_assignments(capsys):
     code, out, _ = run_cli(capsys, "match", "--equation", "laguerre",
                            "--scenario", "LA", "--a", "0", "--b", "0",
@@ -95,6 +118,33 @@ def test_json_config_round_trip(tmp_path, capsys):
     code, out2, _ = run_cli(capsys, "--config", str(cfg), "phaseshift")
     assert code == 0
     assert out1 == out2
+
+
+def test_cached_parser_reuse_is_safe(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    spectrum = ("spectrum", "--case", "oscillator", "--omega", "0.8",
+                "--m-max", "1", "--format", "json")
+    phase = ("phaseshift", "--case", "eckart", "--A", "2", "--B", "-20",
+             "--E-min", "0.1", "--E-max", "4", "--n-E", "9", "--format", "json")
+    code, first, _ = run_cli(capsys, *spectrum)
+    assert code == 0
+    code, phase_out, _ = run_cli(capsys, *phase)
+    assert code == 0
+    cfg = tmp_path / "phase.json"
+    cfg.write_text(phase_out)
+    assert run_cli(capsys, "polytable", "--family", "wilson", "--a", "0.5",
+                   "--z", "2", "--n-max", "3")[0] == 0
+    for bad in (["spectrum"], ["phaseshift", "--case", "nowhere"],
+                ["polytable", "--family", "racah", "--z", "1", "--n-max", "x"]):
+        with pytest.raises(SystemExit):
+            main(bad)
+        capsys.readouterr()
+    code, last, _ = run_cli(capsys, *spectrum)
+    assert code == 0
+    assert last == first
+    code, replay, _ = run_cli(capsys, "--config", str(cfg))
+    assert code == 0
+    assert replay == phase_out
 
 
 def test_csv_output_to_file(tmp_path, capsys):

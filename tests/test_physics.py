@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -146,6 +147,8 @@ def test_phase_shift_errors():
         phase_shift(OscillatorCase(omega=1.0), 1.0)
     with pytest.raises(NoContinuum):
         phase_shift(ScarfCase(A=2.0, B=0.5, lam=1.0), 1.0)
+    with pytest.raises(NoContinuum):
+        phase_shift(OscillatorCase(omega=1.0), np.array([1.0, 2.0]))
     with pytest.raises(BelowThreshold):
         phase_shift(CoulombCase(Z=1.0), -0.5)
     with pytest.raises(BelowThreshold):
@@ -161,6 +164,90 @@ def test_phase_shifts_real_finite_continuous():
         assert np.all(np.isfinite(ds))
         unwrapped = np.unwrap(ds)
         assert np.max(np.abs(np.diff(unwrapped))) < 0.5
+
+
+# the four continuum cases; Poschl-Teller on both signs of its tau^2 =
+# (B/lam - 1/4)/4, Eckart with B < 0 (bound states) and B > 0 (threshold
+# lam B/2 above zero)
+CONTINUUM_CASES = [
+    (CoulombCase(Z=1.3, ell=1), 0.2),
+    (MorseCase(lam=1.0, V1=1.1, nu=0.3), 0.05),
+    (PoschlTellerCase(lam=1.0, A=1.0, B=-36.0), 0.05),
+    (PoschlTellerCase(lam=1.0, A=2.0, B=3.0), 0.05),
+    (EckartCase(lam=1.0, A=2.0, B=-20.0), 0.05),
+    (EckartCase(lam=0.8, A=-1.0, B=0.5), 0.25),
+]
+CONTINUUM_IDS = ["coulomb", "morse", "pt-tau2-neg", "pt-tau2-pos",
+                 "eckart-bound", "eckart-B-pos"]
+
+
+def _mp_phase(case, E):
+    """The unwrapped phase of each case at E, transcribed into 40-digit
+    mpmath: sums of arg Gamma = Im log Gamma."""
+    with mp.workdps(40):
+        def ag(re, im):
+            return mp.im(mp.loggamma(mp.mpc(re, im)))
+        E = mp.mpf(E)
+        if case.name == "coulomb":
+            return ag(case.ell + 1, -mp.mpf(case.Z) / mp.sqrt(2 * E))
+        lam = mp.mpf(case.lam)
+        if case.name == "morse":
+            k = mp.sqrt(2 * E) / lam
+            return (ag(0, 2 * k) - ag(case.tau, k)
+                    - 2 * ag((mp.mpf(case.nu) + 1) / 2, k))
+        sg = (mp.mpf(case.nu) + 1) / 2
+        gm = (mp.mpf(case.mu) + 1) / 2
+        if case.name == "poschl_teller":
+            z = mp.sqrt(E) / lam
+            tau_sq = (mp.mpf(case.B) / lam - mp.mpf(1) / 4) / 4
+            if tau_sq >= 0:
+                t = mp.sqrt(tau_sq)
+                pair = ag(sg, z + t) + ag(sg, z - t)
+            else:
+                q = mp.sqrt(-tau_sq)
+                pair = ag(sg - q, z) + ag(sg + q, z)
+            return ag(0, 2 * z) - pair - 2 * ag(gm, z)
+        k = mp.sqrt(2 * E) / lam   # Eckart
+        z = mp.sqrt(k * k - mp.mpf(case.B) / lam)
+        return (ag(0, 2 * z) - ag(sg, z + k) - ag(sg, z - k)
+                - 2 * ag(gm, z))
+
+
+@pytest.mark.parametrize("case, e_min", CONTINUUM_CASES, ids=CONTINUUM_IDS)
+def test_phase_shift_array_equals_scalar_calls(case, e_min):
+    es = np.linspace(e_min, 6.0, 60)
+    ds = phase_shift(case, es)
+    assert isinstance(ds, np.ndarray) and ds.shape == es.shape
+    scalars = [phase_shift(case, float(e)) for e in es]
+    assert all(type(d) is float for d in scalars)
+    assert ds.tolist() == scalars
+
+
+@pytest.mark.parametrize("case, e_min", CONTINUUM_CASES, ids=CONTINUUM_IDS)
+def test_phase_shift_array_matches_mpmath(case, e_min):
+    es = np.linspace(e_min, 6.0, 25)
+    ds = phase_shift(case, es)
+    for e, d in zip(es, ds):
+        ref = _mp_phase(case, float(e))
+        with mp.workdps(40):
+            off = float(mp.mpf(float(d)) - ref
+                        - 2 * mp.pi * mp.nint((mp.mpf(float(d)) - ref) / (2 * mp.pi)))
+        assert abs(off) < 1e-12, (float(e), off)
+        assert -math.pi < d <= math.pi
+
+
+@pytest.mark.parametrize("case, energies", [
+    (CoulombCase(Z=1.0), [0.5, -0.1, 2.0]),
+    (CoulombCase(Z=1.0), [0.0, 1.0]),
+    (MorseCase(lam=1.0, V1=1.0), [1.0, -0.2]),
+    (PoschlTellerCase(lam=1.0, A=1.0, B=-36.0), [-1.0, 1.0]),
+    (EckartCase(lam=1.0, A=2.0, B=1.0), [0.6, 0.4, 2.0]),   # below lam B/2
+    (EckartCase(lam=1.0, A=2.0, B=-20.0), [1.0, 0.0]),
+], ids=["coulomb-negative", "coulomb-zero", "morse", "poschl_teller",
+        "eckart-B-pos", "eckart-B-neg"])
+def test_phase_shift_array_below_threshold_raises(case, energies):
+    with pytest.raises(BelowThreshold):
+        phase_shift(case, np.array(energies))
 
 
 def test_phase_shift_coupling_to_zero():
