@@ -53,6 +53,10 @@ class AmbiguousRegion(TriseriesError):
     """ODE parameters sit on the boundary between two family regions."""
 
 
+class NoTerminatingIndex(TriseriesError):
+    """No basis index ends the coefficient chain of a level after N + 1 terms."""
+
+
 class IndexOutOfSpectrum(TriseriesError):
     """Discrete spectral index outside the family's finite range."""
 

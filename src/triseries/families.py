@@ -126,6 +126,16 @@ def _quadratic_weight(family, density) -> WeightFunction:
                           **_mass_arrays(family, family.n_discrete()))
 
 
+def _log_abs_rising(x: float, k: int) -> float:
+    """log |(x)_k| with the gammas off their poles: (x)_k = (-1)^k Gamma(1-x)
+    / Gamma(1-x-k) while every factor is negative; -inf for a zero factor."""
+    if x + k < 1.0:
+        return log_gamma_real(1.0 - x) - log_gamma_real(1.0 - x - k)
+    if x <= 0.0 and x == math.floor(x):
+        return -math.inf
+    return log_gamma_real(x + k) - log_gamma_real(x)
+
+
 _MEIXNER_TAIL = 1e-12
 
 
@@ -362,19 +372,16 @@ class ContinuousDualHahn:
         return -((k + self.tau) ** 2)
 
     def discrete_mass(self, k):
-        """Mass at the k-th isolated point of the mixed family with equal
-        second parameters (a, a) and tau < 0."""
+        """Mass at the k-th isolated point of the mixed family (tau, a, a),
+        tau < 0: -2 (k+tau) (a+tau)_k^2 Gamma(a-tau-k)^2 / (Gamma(2a)
+        Gamma(1-2tau-k) k!), one exp of log-gammas at positive arguments."""
         tau, a = self.tau, self.a
-        if a != self.b:
-            raise InvalidFamilyParams("mixed extension implemented for a == b")
-        if tau >= 0:
-            raise InvalidFamilyParams("discrete part exists only for tau < 0")
-        lead = (-2.0 * gamma_fn(a - tau).real ** 2
-                / (math.exp(log_gamma_real(2.0 * a)) * gamma_fn(1.0 - 2.0 * tau).real))
-        body = ((-1.0) ** k * (k + tau) * pochhammer_real(a + tau, k) ** 2
-                * pochhammer_real(2.0 * tau, k)
-                / (pochhammer_real(1.0 - a + tau, k) ** 2 * math.factorial(k)))
-        return lead * body
+        if a != self.b or not 0 <= k < self.n_discrete():
+            raise InvalidFamilyParams(f"no mass point k={k} (needs a == b)")
+        return -2.0 * (k + tau) * math.exp(
+            2.0 * _log_abs_rising(a + tau, k) + 2.0 * log_gamma_real(a - tau - k)
+            - log_gamma_real(2.0 * a) - log_gamma_real(1.0 - 2.0 * tau - k)
+            - log_gamma_real(k + 1.0))
 
 
 def masses_from_recursion(coeffs: RecursionCoeffs):
@@ -585,19 +592,18 @@ class MixedWilson(Wilson):
         return -((k + self.a) ** 2)
 
     def discrete_mass(self, k):
-        """Mass at the k-th isolated point (a, b, c, c) with a < 0."""
-        if not self.mixed:
-            raise InvalidFamilyParams("discrete part exists only for a < 0")
+        """Mass at the k-th isolated point (a, b, c, c), a < 0 < b, c, a+b:
+        -2 (k+a) (a+c)_k^2 Gamma(a+b+k) Gamma(a+b+2c) Gamma(b-a-k) Gamma(c-a-k)^2
+        / (Gamma(a+b) Gamma(2c) Gamma(b+c)^2 Gamma(1-2a-k) k!)."""
         a, b, c = self.a, self.b, self.c
-        lead = (-2.0 * gamma_fn(a + b + 2.0 * c).real * gamma_fn(b - a).real
-                * gamma_fn(c - a).real ** 2
-                / (gamma_fn(1.0 - 2.0 * a).real * gamma_fn(2.0 * c).real
-                   * gamma_fn(b + c).real ** 2))
-        body = ((k + a) * pochhammer_real(2.0 * a, k) * pochhammer_real(a + b, k)
-                * pochhammer_real(a + c, k) ** 2
-                / (pochhammer_real(1.0 + a - b, k)
-                   * pochhammer_real(a - c + 1.0, k) ** 2 * math.factorial(k)))
-        return lead * body
+        if min(b, c, a + b) <= 0 or not 0 <= k < self.n_discrete():
+            raise InvalidFamilyParams(f"no mass point k={k} (needs b, c, a+b > 0)")
+        return -2.0 * (k + a) * math.exp(
+            2.0 * _log_abs_rising(a + c, k) + log_gamma_real(a + b + k)
+            + log_gamma_real(a + b + 2.0 * c) + log_gamma_real(b - a - k)
+            + 2.0 * log_gamma_real(c - a - k) - log_gamma_real(a + b)
+            - log_gamma_real(2.0 * c) - 2.0 * log_gamma_real(b + c)
+            - log_gamma_real(1.0 - 2.0 * a - k) - log_gamma_real(k + 1.0))
 
 
 @dataclass(frozen=True)

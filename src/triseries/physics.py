@@ -21,11 +21,14 @@ from typing import Optional, Protocol
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from . import families as fam
 from . import solve as solvemod
 from .errors import (AmbiguousRegion, BelowThreshold, InvalidFamilyParams,
-                     MeshTooCoarse, NoBoundStates, NoContinuum)
+                     MeshTooCoarse, NoBoundStates, NoContinuum,
+                     NoTerminatingIndex, TriseriesError)
 from .gammafn import arg_gamma, wrap_angle
-from .tra import JACOBI, LAGUERRE, OdeParams, resolve_basis
+from .tra import (JACOBI, LAGUERRE, OdeParams, resolve_basis,
+                  terminating_free_index)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,7 +60,9 @@ class Case(Protocol):
     def spectrum_edge(self) -> float: ...   # level m is bound iff m < edge
     def level_energy(self, m: int) -> float: ...
     def fd_mesh(self, n_levels: int) -> RadialMesh: ...
-    def bound_scenario(self) -> tuple: ...  # (scenario, free basis index)
+    # (scenario, E-independent free index): the phase-shift basis and the
+    # root find of tra_bound_energy; a JC/LB bound series takes its own index
+    def bound_scenario(self) -> tuple: ...
     # cases with a finite threshold: the phase shift before wrapping, at an
     # energy or an array of energies
     def phase(self, E): ...
@@ -184,7 +189,7 @@ class MorseCase:
 
     The tridiagonal reduction requires V2 = lam^2/8 exactly (the second-order
     slope constraint); V2 defaults to that value and any explicit V2 must
-    match it.  ``nu`` is the free basis index (> -1).
+    match it.  ``nu`` is the phase-shift basis index (> -1).
     """
     lam: float
     V1: float
@@ -255,7 +260,7 @@ class PoschlTellerCase:
     Note the sqrt2 in the argument: it is what the Jacobi-equation reduction
     with exponent pair (1, 1/2) actually produces, and the finite-difference
     oracle confirms the spectrum formula only with these arguments.
-    ``mu`` is the free basis index (> -1); defaults to the constrained nu.
+    ``mu`` is the phase-shift basis index (> -1); see ``__post_init__``.
     """
     lam: float
     A: float
@@ -272,18 +277,12 @@ class PoschlTellerCase:
         if self.A == 0:
             raise ValueError("A must be nonzero")
         if self.mu is None:
-            # when bound states exist, pick the free index that decouples the
-            # coefficient chain after the top level: the bound series become
-            # exact finite combinations
-            if self.B < self.lam / 4.0:
-                w0 = 0.5 * math.sqrt(0.25 - self.B / self.lam)
-                gap = w0 - 0.5 * (self.nu + 1.0)
-                if gap > 0:
-                    frac = gap - math.floor(gap)
-                    gamma = frac if frac > 1e-9 else 1.0
-                    object.__setattr__(self, "mu", 2.0 * gamma - 1.0)
-            if self.mu is None:
-                object.__setattr__(self, "mu", self.nu)
+            # the phase shift reads mu: default to the index on which the
+            # top level's series ends (nu when there are no bound states)
+            top = spectrum_size(self) - 1
+            object.__setattr__(self, "mu", self.nu if top < 0 else (
+                terminating_free_index(self.ode_params(0.0), "JC", top,
+                                       nu_sign=1 if self.nu >= 0 else -1)))
         if self.mu <= -1:
             raise ValueError("basis index mu must be > -1")
 
@@ -366,15 +365,7 @@ class ScarfCase:
         if self.lam <= 0:
             raise ValueError("lam must be > 0")
         if self.mu is None:
-            # decoupling choice: level m terminates after m + floor(eta/2)
-            # terms, eta = A/lam + B/lam - 1/2 (the other index combination)
-            eta = (self.A + self.B) / self.lam - 0.5
-            half = 0.5 * eta
-            frac = half - math.floor(half)
-            gamma = frac if frac > 1e-9 else 1.0
-            if gamma <= 0:
-                gamma = 0.5 * (eta + 1.0)  # fall back to the generic choice
-            object.__setattr__(self, "mu", 2.0 * gamma - 1.0)
+            object.__setattr__(self, "mu", self.nu)
         if self.mu <= -1:
             raise ValueError("basis index mu must be > -1")
 
@@ -535,19 +526,12 @@ class SpectrumResult:
         return np.array([e for _, e in self.levels])
 
 
-def _levels_below(edge: float) -> int:
-    """Number of integers m >= 0 with m < edge: the levels strictly below the
-    continuum threshold, when level m reaches it at m = edge."""
-    return max(int(math.ceil(edge)), 0)
-
-
 def spectrum_size(case) -> float:
-    """Size of the discrete spectrum by the closed-form counting rules.
-
-    A level exactly at the continuum threshold is not bound and is not
-    counted."""
+    """Size of the discrete spectrum by the closed-form counting rules: the
+    integers m >= 0 with m < edge, where level m reaches the threshold at
+    m = edge.  A level exactly at the threshold is not bound, not counted."""
     edge = case.spectrum_edge()
-    return math.inf if edge == math.inf else _levels_below(edge)
+    return math.inf if edge == math.inf else max(int(math.ceil(edge)), 0)
 
 
 def bound_energy(case, m: int) -> float:
@@ -648,8 +632,13 @@ def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,
 # series solutions for the physics cases
 # ---------------------------------------------------------------------------
 
+_CUT_ROUNDOFF = 1e-11   # |t_N| next to its neighbours where a chain ends
+
+
 def bound_series(case, m: int, truncation: int = None):
-    """(OdeParams, SeriesSolution) of the m-th bound state."""
+    """(OdeParams, SeriesSolution) of the m-th bound state.  A JC/LB level
+    is the N = m chain on its own free index, taken at mass point m (no
+    truncation); an LA level is the Meixner series cut at ``truncation``."""
     e = bound_energy(case, m)
     cap = case.bound_e_cap
     # cap < 0; a level within 1e-9 (relative) of it is left to the match,
@@ -659,9 +648,22 @@ def bound_series(case, m: int, truncation: int = None):
             f"{case.name}: level m={m} at E={e} lies above E={cap}, where the "
             f"discrete family of basis scale lam = {case.lam} ends")
     params = bound_ode_params(case, e)
-    scenario, free_value = case.bound_scenario()
+    scenario, _ = case.bound_scenario()
+    if scenario == "JC" and case.nu < 0:
+        raise NoTerminatingIndex(
+            f"{case.name}: the level formula takes nu = {case.nu} < 0 but the "
+            f"basis the positive root; level m={m} has no terminating series")
+    if scenario != "LA":
+        match = solvemod.match_family(params, scenario, free_value=(
+            terminating_free_index(params, scenario, m)))
+        t = np.abs(fam.family_coeffs(match.family, m + 2).t)
+        near = max(t[m + 1], t[m - 1] if m else 0.0)
+        if not t[m] <= _CUT_ROUNDOFF * near:
+            raise NoTerminatingIndex(f"{case.name}: |t_{m}| = {t[m]:.2e} is not "
+                                     f"round-off next to {near:.2e}")
+        return params, solvemod.assemble_solution(match, m, truncation=m)
     try:
-        match = solvemod.match_family(params, scenario, free_value=free_value)
+        match = solvemod.match_family(params, scenario)
     except AmbiguousRegion:
         # the scale sits exactly on the region boundary: the off-diagonal of
         # the coefficient recursion vanishes identically and the state is a
@@ -695,7 +697,7 @@ def tra_bound_energy(case, m: int, tol: float = 1e-12) -> float:
                                           free_value=free_value)
             return (match.spectral_map.family_value
                     - match.family.mass_point(m))
-        except Exception:
+        except (TriseriesError, ValueError, ArithmeticError):
             return math.nan
 
     e_star = bound_energy(case, m)

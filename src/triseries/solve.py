@@ -221,41 +221,14 @@ _TAIL_REL = 1e-8
 
 
 def finite_expansion_streams(params: OdeParams, spec, n_terms: int):
-    """Real (diag, sub, sup) streams of the expansion recursion when the
-    basis index is a negative integer (finite families).
-
-    The generic streams carry sqrt(n(n+nu)) factors whose arguments turn
-    negative for nu = -N-1; with the positive finite-case basis normalization
-    those factors split into sign(n+nu) sqrt(n |n+nu|), making the recursion
-    real but asymmetric (the products sub_{n+1} sup_n reproduce the signed
-    squares of the formal symmetrization).  Exposed for diagnostics.
-    """
-    a, b, nu = params.a, params.b, spec.nu
-    ns = np.arange(n_terms, dtype=float)
-    sub_root = np.sqrt(ns * np.abs(ns + nu))
-    sup_root = np.sign(ns + nu + 1.0) * np.sqrt((ns + 1.0) * np.abs(ns + nu + 1.0))
-    if spec.scenario == "LA":
-        c1 = params.A_plus - 0.25 * b * b - 0.25
-        c2 = c1 + 0.5
-        diag = (2.0 * ns + nu + 1.0) * c1
-        return diag, -c2 * sub_root, -c2 * sup_root, params.A_zero + 0.5 * a * b
-    omega = params.A_zero + 0.5 * (nu + a * b + 1.0)
-    diag = ((2.0 * ns + nu + 1.0) * (ns + omega)
-            - 0.25 * (nu * nu - 1.0) + 0.25 * (a - 1.0) ** 2)
-    return (diag, -(ns + omega - 0.5) * sub_root,
-            -(ns + omega + 0.5) * sup_root, params.A_minus)
-
-
-def _values_with_decoupling(coeffs, z: float, n_max: int) -> np.ndarray:
-    """run_recursion that treats a vanishing t_n as an exact decoupling of
-    the coefficient chain (the state is a finite combination)."""
-    try:
-        return run_recursion(coeffs, z, n_max).values
-    except ZeroOffDiagonal:
-        tz = np.nonzero(coeffs.t[:n_max] == 0.0)[0]
-        n_top = int(tz[0])
-        head = run_recursion(coeffs, z, n_top).values
-        return np.concatenate([head, np.zeros(n_max - n_top)])
+    """Real (diag, sub, sup, raw value) of the Laguerre expansion recursion
+    at a negative-integer basis index (finite families), for diagnostics: the
+    positive finite-case normalization gives sup_n a sign(n+nu+1), so sub_{n+1}
+    sup_n are the signed squares of the formal symmetrization."""
+    raw, zmap = laguerre_st2r2(params, spec, n_terms)
+    sign = np.sign(np.arange(n_terms) + spec.nu + 1.0)
+    return (raw.s, np.concatenate(([0.0], raw.t[:-1])), sign * raw.t,
+            zmap.raw_value)
 
 
 _CLIP_TAIL_REL = 1e-6
@@ -319,30 +292,25 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         p = 1.0 if unnorm else math.sqrt(f.discrete_mass(k))
         coeff = p * np.asarray(vals)
         return SeriesSolution(coeff, match.spec, n_top + 1, p, float(k), f, unnorm)
-    if kind == DISCRETE_INFINITE or (kind == MIXED and is_index) \
-            or kind == DISCRETE_UNKNOWN:
-        if kind == DISCRETE_UNKNOWN:
-            coeffs = fam.family_coeffs(f, truncation + 1)
-            z = fam.spectral_point(f, spectral)
-            vals = run_recursion(coeffs, z, truncation).values
-            return SeriesSolution(np.asarray(vals), match.spec, truncation + 1,
-                                  1.0, float(spectral), f, True)
+    coeffs = fam.family_coeffs(f, truncation + 1)
+    if kind == DISCRETE_INFINITE or (kind == MIXED and is_index):
         k = int(spectral)
         if kind == MIXED and not 0 <= k <= match.n_finite:
             raise IndexOutOfSpectrum(f"index {k} outside 0..{match.n_finite}")
-        coeffs = fam.family_coeffs(f, truncation + 1)
-        vals = _clip_roundoff_tail(_values_with_decoupling(
-            coeffs, f.mass_point(k), truncation))
+        vals = run_recursion(coeffs, f.mass_point(k), truncation).values
+        if kind == DISCRETE_INFINITE:
+            # Meixner: forward recursion regrows the dominant solution
+            vals = _clip_roundoff_tail(vals)
         p = 1.0 if unnorm else math.sqrt(f.discrete_mass(k))
-        return SeriesSolution(p * np.asarray(vals), match.spec, truncation + 1,
-                              p, float(k), f, unnorm)
-    # continuous component
+        return SeriesSolution(p * vals, match.spec, truncation + 1, p,
+                              float(k), f, unnorm)
+    # continuous component, or a discrete point no formula places
     zval = float(spectral)
-    coeffs = fam.family_coeffs(f, truncation + 1)
-    z = fam.spectral_point(f, zval)
-    vals = run_recursion(coeffs, z, truncation).values
+    coeff = run_recursion(coeffs, fam.spectral_point(f, zval), truncation).values
+    if kind == DISCRETE_UNKNOWN:
+        return SeriesSolution(coeff, match.spec, truncation + 1, 1.0, zval, f, True)
     p = 1.0 if unnorm else math.sqrt(f.density_at(zval))
-    coeff = p * np.asarray(vals)
+    coeff = p * coeff
     if enforce_tail:
         tail = np.max(np.abs(coeff[-3:]))
         if tail > _TAIL_REL * np.max(np.abs(coeff)):

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .basis import jacobi_c, jacobi_d_squared
-from .errors import (DegenerateDenominator, RealityViolation, ScenarioMismatch,
-                     ScenarioRequiresA1Zero, ZeroOffDiagonal)
+from .errors import (DegenerateDenominator, NoTerminatingIndex, RealityViolation,
+                     ScenarioMismatch, ScenarioRequiresA1Zero, ZeroOffDiagonal)
 from .recurrence import RecursionCoeffs
 
 LAGUERRE = "laguerre"
@@ -289,6 +289,26 @@ def jacobi_st2r2(params: OdeParams, spec: BasisSpec, n_terms: int):
     t2 = d2 * q_up * q_up
     zmap = SpectralMap("A_minus", params.A_minus)
     return RecursionCoeffs(s, t, t_squared=t2), zmap
+
+
+def terminating_free_index(params: OdeParams, scenario: str, N: int,
+                           nu_sign: int = +1) -> float:
+    """The free index on which the recursion ends after N + 1 terms (t_N = 0):
+    JC's q_N = ((2N+mu+nu+2)^2 + chi)/4 at mu = sqrt(-chi) - nu - 2 - 2N (nu
+    on the ``nu_sign`` root), LB's N + omega + 1/2 at nu = -2(N+A_zero+1) - ab.
+    NoTerminatingIndex if no index > -1 (a basis) does it."""
+    if scenario == "LB":
+        free = -2.0 * (N + params.A_zero + 1.0) - params.a * params.b
+    elif scenario == "JC":
+        chi = 4.0 * params.A_zero - (params.a + params.b - 1.0) ** 2
+        nu = resolve_basis(params, "JC", nu_sign=nu_sign, free_value=0.0).nu
+        free = math.sqrt(-chi) - nu - 2.0 - 2.0 * N if chi < 0 else math.nan
+    else:
+        raise ScenarioMismatch(f"scenario {scenario} has no terminating index")
+    if not free > -1.0:
+        raise NoTerminatingIndex(f"no index > -1 ends the {scenario} chain at "
+                                 f"N = {N} (it would be {free})")
+    return free
 
 
 def wilson_match_identity_residual(mu: float, nu: float, chi: float, n: int) -> float:

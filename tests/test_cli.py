@@ -177,6 +177,23 @@ def test_wavefunction_rows(capsys):
     assert len(lines) == 6
 
 
+def test_wavefunction_negative_nu_is_a_typed_error(capsys):
+    # the level formula takes nu < 0 here: exit 1 with the error named, not
+    # a traceback or an exit 0 with a wrong psi
+    code, out, err = run_cli(capsys, "wavefunction", "--case", "scarf",
+                             "--A", "0.488", "--B", "0.421", "--lambda",
+                             "1.674", "--m", "0")
+    assert code == 1 and out == ""
+    assert "NoTerminatingIndex" in err and "Traceback" not in err
+
+
+def test_wavefunction_excited_eckart_level_terminates(capsys):
+    code, out, _ = run_cli(capsys, "wavefunction", "--case", "eckart", "--A",
+                           "2", "--B", "-20", "--m", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["truncation"] == 3
+
+
 def test_spectrum_level_at_threshold_exits_0(capsys):
     # Poschl-Teller lam=1, A=2, B=-20: level m=1 sits at E = 0, the
     # threshold, so only m=0 is bound

@@ -175,6 +175,46 @@ def test_cdh_mixed_discrete_masses_match_dual_orthogonality():
         assert printed == pytest.approx(oracle, rel=2e-4)
 
 
+def _mp_mixed_masses(f, k):
+    """The printed mixed-family mass (gamma lead times Pochhammer body) at
+    40 digits, for a CDH (tau, a, a) or a mixed Wilson (a, b, c, c)."""
+    import mpmath as mp
+    with mp.workdps(40):
+        if isinstance(f, fam.ContinuousDualHahn):
+            t, a = mp.mpf(f.tau), mp.mpf(f.a)
+            lead = -2 * mp.gamma(a - t) ** 2 / (mp.gamma(2 * a) * mp.gamma(1 - 2 * t))
+            body = ((-1) ** k * (k + t) * mp.rf(a + t, k) ** 2 * mp.rf(2 * t, k)
+                    / (mp.rf(1 - a + t, k) ** 2 * mp.factorial(k)))
+        else:
+            a, b, c = mp.mpf(f.a), mp.mpf(f.b), mp.mpf(f.c)
+            lead = (-2 * mp.gamma(a + b + 2 * c) * mp.gamma(b - a) * mp.gamma(c - a) ** 2
+                    / (mp.gamma(1 - 2 * a) * mp.gamma(2 * c) * mp.gamma(b + c) ** 2))
+            body = ((k + a) * mp.rf(2 * a, k) * mp.rf(a + b, k) * mp.rf(a + c, k) ** 2
+                    / (mp.rf(1 + a - b, k) * mp.rf(a - c + 1, k) ** 2
+                       * mp.factorial(k)))
+        return float(lead * body)
+
+
+def test_mixed_discrete_masses_match_mpmath_in_log_space():
+    # seeded draws up to Gamma arguments ~ 200, where the gammas themselves
+    # overflow double precision but the masses do not
+    rng = np.random.default_rng(12)
+    n = 0
+    for _ in range(60):
+        sg, q, gm = rng.uniform(0.5, 30.0), rng.uniform(0.3, 40.0), rng.uniform(0.05, 20.0)
+        tau, a = -rng.uniform(0.1, 40.0), rng.uniform(0.05, 30.0)
+        for f in (fam.MixedWilson(sg - q, sg + q, gm, gm),
+                  fam.ContinuousDualHahn(tau, a, a)):
+            for k in range(min(f.n_discrete(), 4)):
+                ref = _mp_mixed_masses(f, k)
+                if ref != 0.0:
+                    assert f.discrete_mass(k) == pytest.approx(ref, rel=1e-12)
+                    n += 1
+    assert n >= 100
+    with pytest.raises(InvalidFamilyParams):
+        fam.ContinuousDualHahn(-1.6, 0.9, 0.9).discrete_mass(2)
+
+
 def test_wilson_mixed_masses_match_dual_orthogonality():
     sg, gm, q = 1.0, 0.8, 2.3
     f = fam.MixedWilson(sg - q, sg + q, gm, gm)

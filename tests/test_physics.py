@@ -320,3 +320,29 @@ def test_bound_spectrum_rejects_level_at_threshold(case, monkeypatch):
     monkeypatch.setattr("triseries.physics.spectrum_size", lambda c: 2)
     with pytest.raises(NoBoundStates):
         bound_spectrum(case)
+
+
+def test_poschl_teller_default_mu_ends_the_top_level():
+    # the phase shift reads mu; its default is the top level's terminating
+    # index, the value the earlier fractional-gap rule 2 frac(gap) - 1 gave
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lam = float(rng.uniform(0.5, 2.0))
+        case = PoschlTellerCase(lam=lam, A=float(rng.uniform(-3.0, 3.0)),
+                                B=float(rng.uniform(-60.0, 1.0)) * lam)
+        gap = case.spectrum_edge()
+        if spectrum_size(case) == 0:
+            assert case.mu == case.nu
+            continue
+        frac = gap - math.floor(gap)
+        assert case.mu == pytest.approx(2.0 * (frac if frac > 1e-9 else 1.0)
+                                        - 1.0, abs=1e-12)
+
+
+def test_tra_bound_energy_lets_programming_errors_through(monkeypatch):
+    # only the errors a match can raise count as "no value here"
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a domain error")
+    monkeypatch.setattr("triseries.solve.match_family", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        tra_bound_energy(MorseCase(lam=1.0, V1=1.0), 0)

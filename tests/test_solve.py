@@ -6,12 +6,12 @@ import pytest
 from triseries import families as fam
 from triseries.errors import (AmbiguousRegion, IndexOutOfSpectrum,
                               InvalidFamilyParams, NoFamilyApplies,
-                              SingularPointTooClose, TruncationTooSmall,
-                              ZeroSolution)
+                              NoTerminatingIndex, SingularPointTooClose,
+                              TruncationTooSmall, ZeroSolution)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase,
                                bound_energy, bound_ode_params, bound_series,
-                               to_ode_params)
+                               spectrum_size, to_ode_params, wavefunction)
 from triseries.solve import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE,
                              MIXED, SeriesSolution, assemble_mixed,
                              assemble_solution, match_family, ode_residual)
@@ -174,6 +174,120 @@ def test_terminating_states_solve_the_ode_to_roundoff(case, ms, xs):
         assert ode_residual(params, sol, xs) <= 1e-12
 
 
+def _terminating_draw(rng, name):
+    """An admissible Morse/Poschl-Teller/Scarf/Eckart case; the Jacobi
+    cases may come out with nu < 0, which the caller skips."""
+    lam = float(rng.uniform(0.5, 2.0))
+    u = lambda lo, hi: float(rng.uniform(lo, hi)) * lam
+    sign = float(rng.choice([-1.0, 1.0]))
+    if name == "morse":
+        return MorseCase(lam=lam, V1=u(0.3, 3.0) * lam)
+    if name == "poschl_teller":
+        return PoschlTellerCase(lam=lam, A=sign * u(0.5, 3.0), B=-u(2.0, 60.0))
+    if name == "scarf":
+        return ScarfCase(A=u(0.2, 4.0), B=u(0.2, 4.0), lam=lam)
+    return EckartCase(lam=lam, A=sign * u(0.5, 3.0), B=-u(2.0, 40.0))
+
+
+@pytest.mark.parametrize("name", ["morse", "poschl_teller", "scarf", "eckart"])
+def test_jacobi_and_morse_levels_terminate_over_seeded_draws(name):
+    # every level m <= 3 is the finite series on its own free index, cut at
+    # N = m: its residual is round-off, whatever the parameters
+    rng = np.random.default_rng(8)
+    xs = (np.linspace(0.3, 6.0, 20) if name == "morse"
+          else np.linspace(-0.9, 0.9, 20))
+    n_draws = n_levels = 0
+    while n_draws < 30:
+        case = _terminating_draw(rng, name)
+        if name != "morse" and case.nu < 0:
+            continue
+        n_draws += 1
+        for m in range(min(4, spectrum_size(case))):
+            params, sol = bound_series(case, m)
+            assert len(sol.f) == m + 1
+            assert ode_residual(params, sol, xs) <= 1e-12, (case, m)
+            assert sol.norm_sq_partial() == pytest.approx(1.0, rel=1e-12)
+            n_levels += 1
+    assert n_levels >= 30
+
+
+# psi(r) of the terminating states that were right before the cut at N = m
+# replaced the exact-zero decoupling (sampled from that code)
+PSI_BEFORE_CUT = [
+    (MorseCase(lam=1.0, V1=1.0), 0, (-3.0, -1.0, 0.5, 1.5),
+     (0.007662115760207627, 0.13126812249814576, 0.6564332764744327,
+      0.7136103988457362)),
+    (PoschlTellerCase(lam=1.0, A=1.0, B=-36.0), 0, (0.2, 0.6, 1.5, 3.0),
+     (0.5466983225518784, 1.0981487770429816, 0.36409742708612125,
+      0.005823376208406823)),
+    (ScarfCase(A=2.0, B=0.5, lam=1.0), 0, (0.3, 1.0, 2.0, 2.8),
+     (0.19454593324968797, 0.8296450620043186, 0.5737746988239948,
+      0.04036033576445617)),
+    (EckartCase(lam=1.0, A=2.0, B=-20.0), 0, (0.2, 0.7, 1.5, 3.0),
+     (0.7586031450532442, 0.791824971203106, 0.07686552443914331,
+      0.00028504278566719255)),
+    (ScarfCase(A=0.5, B=2.0, lam=1.0), 0, (0.3, 1.0, 2.0, 2.8),
+     (0.041114838265844666, 0.5625077304934003, 0.6828031829465744,
+      0.056247631955369574)),
+    (ScarfCase(A=0.5, B=2.0, lam=1.0), 1, (0.3, 1.0, 2.0, 2.8),
+     (-0.08782940777090667, -0.6795952245469393, 0.6353706314538081,
+      0.11850662853576517)),
+    (ScarfCase(A=0.5, B=2.0, lam=1.0), 2, (0.3, 1.0, 2.0, 2.8),
+     (0.1430128062703601, 0.37888684880661244, 0.09354749135053583,
+      0.18932574580794004)),
+]
+
+
+@pytest.mark.parametrize("case, m, rs, psi", PSI_BEFORE_CUT)
+def test_terminating_states_keep_their_normalized_psi(case, m, rs, psi):
+    _, sol = bound_series(case, m)
+    got = wavefunction(case, sol, np.array(rs))
+    assert np.max(np.abs(got - psi)) <= 1e-13 * np.max(np.abs(psi))
+
+
+@pytest.mark.parametrize("case", [
+    PoschlTellerCase(lam=1.0, A=0.3, B=-10.0),
+    EckartCase(lam=1.0, A=0.3, B=-20.0),
+    ScarfCase(A=0.488, B=0.421, lam=1.674),
+], ids=lambda c: c.name)
+def test_level_formula_with_negative_nu_raises(case):
+    # the level formula takes the smaller indicial exponent (nu < 0) while
+    # the basis takes the positive root: no terminating series to give
+    assert case.nu < 0
+    with pytest.raises(NoTerminatingIndex, match="takes nu = -"):
+        bound_series(case, 0)
+
+
+def test_chain_that_does_not_end_at_the_level_raises(monkeypatch):
+    # a free index off the level's own leaves t_N well above round-off
+    from triseries import tra
+    shifted = lambda p, sc, N: tra.terminating_free_index(p, sc, N) + 0.1
+    monkeypatch.setattr("triseries.physics.terminating_free_index", shifted)
+    for case in (EckartCase(lam=1.0, A=2.0, B=-20.0), MorseCase(lam=1.0, V1=1.1)):
+        with pytest.raises(NoTerminatingIndex, match="not round-off"):
+            bound_series(case, 1)
+
+
+def test_deep_wells_have_finite_masses_and_roundoff_residuals():
+    # Gamma arguments of several hundred: the masses are one exp of a
+    # log-gamma sum, so nothing overflows on the way to a mass below 1
+    xs = np.linspace(-0.9, 0.9, 20)
+    for m in (0, 1):
+        params, sol = bound_series(EckartCase(lam=1.0, A=2.0, B=-400.0), m)
+        assert ode_residual(params, sol, xs) <= 1e-12
+        assert sol.norm_sq_partial() == pytest.approx(1.0, rel=1e-12)
+    for case in (PoschlTellerCase(lam=1.0, A=1.0, B=-30000.0),
+                 ScarfCase(A=150.0, B=0.5, lam=1.0)):
+        for m in (0, 1, 2):
+            params, sol = bound_series(case, m)
+            # the equation's terms reach ~2e4 here: round-off of the largest
+            scale = max(abs(params.A_plus), abs(params.A_minus),
+                        abs(params.A_zero))
+            # the chain ends at N, so the mass is 1 / sum_{n<=N} P_n^2
+            assert sol.norm_sq_partial() == pytest.approx(1.0, rel=1e-12)
+            assert ode_residual(params, sol, xs) <= 1e-15 * scale
+
+
 def test_zero_solution_residual_raises():
     p = OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0)
     from triseries.tra import resolve_basis
@@ -253,18 +367,21 @@ def test_norm_stabilization_for_bound_states():
 
 
 def test_coefficients_satisfy_raw_recursion_mixed_regime():
-    # continued quadratic family: assembled f_n must solve the raw stream
+    # continued quadratic family: the chain cut at N = m, with f_n = 0 past
+    # it, must solve the raw stream (t_N is round-off at the cut)
     from triseries.physics import ScarfCase
-    from triseries.tra import jacobi_st2r2
+    from triseries.tra import jacobi_st2r2, terminating_free_index
     case = ScarfCase(A=2.0, B=0.5, lam=1.0)
-    e0 = bound_energy(case, 0)
-    p = bound_ode_params(case, e0)
-    m = match_family(p, "JC", free_value=case.mu)
-    sol = assemble_solution(m, 0, truncation=12)
-    raw, _ = jacobi_st2r2(p, m.spec, 13)
-    f = np.real(sol.f)
-    zr = m.spectral_map.raw_value
-    for n in range(1, 11):
-        res = zr * f[n] - (raw.s[n] * f[n] + raw.t[n - 1] * f[n - 1]
-                           + raw.t[n] * f[n + 1])
-        assert abs(res) < 1e-10
+    for level in (0, 1, 2):
+        p, sol = bound_series(case, level)
+        m = match_family(p, "JC",
+                         free_value=terminating_free_index(p, "JC", level))
+        assert m.spec == sol.spec and len(sol.f) == level + 1
+        raw, _ = jacobi_st2r2(p, m.spec, 13)
+        f = np.zeros(13)
+        f[:level + 1] = np.real(sol.f)
+        zr = m.spectral_map.raw_value
+        for n in range(1, 11):
+            res = zr * f[n] - (raw.s[n] * f[n] + raw.t[n - 1] * f[n - 1]
+                               + raw.t[n] * f[n + 1])
+            assert abs(res) < 1e-10

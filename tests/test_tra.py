@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from triseries.errors import (DegenerateDenominator, RealityViolation,
-                              ScenarioMismatch, ScenarioRequiresA1Zero,
-                              ZeroOffDiagonal)
+from triseries.errors import (DegenerateDenominator, NoTerminatingIndex,
+                              RealityViolation, ScenarioMismatch,
+                              ScenarioRequiresA1Zero, ZeroOffDiagonal)
 from triseries.tra import (OdeParams, apply_swap_symmetry,
                            jacobi_ratio_identity_residuals, jacobi_st2r2,
                            krawtchouk_index_relation, laguerre_st2r2,
-                           resolve_basis, wilson_match_identity_residual)
+                           resolve_basis, terminating_free_index,
+                           wilson_match_identity_residual)
 from triseries.verify import identity_suite, stream_match_suite
 
 
@@ -193,3 +194,45 @@ def test_stream_match_suite_passes():
 def test_identity_suite_passes():
     for check in identity_suite():
         assert check.passed, f"{check.name}: {check.value} > {check.tolerance}"
+
+
+@pytest.mark.parametrize("case_args, m, expect", [
+    (("eckart", 1.0, 2.0, -20.0), 1, 8.0 / 3.0),
+    (("eckart", 1.0, 2.0, -20.0), 2, 0.0),
+    (("scarf", 1.0, 2.2, 0.6), 3, 1.3),
+    (("morse", 1.0, 1.1), 1, 0.4),
+    (("morse", 1.0, 1.0), 0, 2.0),
+])
+def test_terminating_free_index_zeroes_the_off_diagonal(case_args, m, expect):
+    # the index of level m makes the raw t_m vanish, and only t_m
+    from triseries import physics
+    name, *args = case_args
+    case = {"eckart": lambda lam, A, B: physics.EckartCase(lam=lam, A=A, B=B),
+            "scarf": lambda lam, A, B: physics.ScarfCase(A=A, B=B, lam=lam),
+            "morse": lambda lam, V1: physics.MorseCase(lam=lam, V1=V1)}[name](*args)
+    params = case.ode_params(case.level_energy(m), bound=True)
+    scenario = "LB" if name == "morse" else "JC"
+    free = terminating_free_index(params, scenario, m)
+    assert free == pytest.approx(expect, abs=1e-13)
+    spec = resolve_basis(params, scenario, free_value=free)
+    streams = laguerre_st2r2 if scenario == "LB" else jacobi_st2r2
+    t = np.abs(streams(params, spec, m + 2)[0].t)
+    assert t[m] <= 1e-13 * t[m + 1]
+    assert np.all(t[:m] > 1e-3 * t[m + 1])
+
+
+def test_terminating_free_index_raises_where_none_exists():
+    # chi >= 0: q_n = ((2n+mu+nu+2)^2 + chi)/4 has no real zero
+    p = OdeParams("jacobi", 0.5, 0.5, -0.2, -0.4, 1.0)
+    with pytest.raises(NoTerminatingIndex, match="it would be nan"):
+        terminating_free_index(p, "JC", 0)
+    # the zero would need mu <= -1: sqrt(-chi) = 2 < nu + 2 + 2N
+    p = OdeParams("jacobi", 0.5, 0.5, -0.2, -0.4, -1.0)
+    with pytest.raises(NoTerminatingIndex, match="no index > -1"):
+        terminating_free_index(p, "JC", 1)
+    with pytest.raises(NoTerminatingIndex, match="no index > -1"):
+        terminating_free_index(OdeParams("laguerre", 1.0, 0.0, 0.0, -0.3, 0.0),
+                               "LB", 0)
+    with pytest.raises(ScenarioMismatch):
+        terminating_free_index(OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0),
+                               "LA", 0)
