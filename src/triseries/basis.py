@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, IndexOutOfValidity
-from .gammafn import log_gamma_real, pochhammer_real
+from .gammafn import log_abs_rising, log_gamma_real
 
 
 def _is_negative_integer_leq(v: float, bound: float = -1.0) -> bool:
@@ -85,11 +85,10 @@ def laguerre_norm(n: int, nu: float) -> float:
     """
     if _is_negative_integer_leq(nu):
         _check_negative_index(nu, n, "Laguerre index nu")
-        poch = pochhammer_real(nu + 1.0, n)
-        if n == 0:
-            return 1.0
-        return math.sqrt(math.exp(log_gamma_real(n + 1.0)) / abs(poch))
-    return math.exp(0.5 * (log_gamma_real(n + 1.0) - log_gamma_real(n + nu + 1.0)))
+        val = log_gamma_real(n + 1.0) - log_abs_rising(nu + 1.0, n)
+    else:
+        val = log_gamma_real(n + 1.0) - log_gamma_real(n + nu + 1.0)
+    return math.exp(0.5 * val)
 
 
 def jacobi_norm(n: int, mu: float, nu: float) -> float:
@@ -98,21 +97,18 @@ def jacobi_norm(n: int, mu: float, nu: float) -> float:
     lead = (2 * n + mu + nu + 1.0) / 2.0 ** (mu + nu + 1.0)
     if lead <= 0:
         raise IndexOutOfValidity(f"nonpositive leading norm factor at n={n}")
-    neg_mu = _is_negative_integer_leq(mu)
-    neg_nu = _is_negative_integer_leq(nu)
-    if neg_mu or neg_nu:
+    if _is_negative_integer_leq(mu) or _is_negative_integer_leq(nu):
         _check_negative_index(mu, n, "Jacobi index mu")
         _check_negative_index(nu, n, "Jacobi index nu")
-        # Gamma(n+a+1)/Gamma(a+1) = (a+1)_n keeps ratios finite for n <= N.
-        num = math.exp(log_gamma_real(n + 1.0)) * abs(pochhammer_real(mu + nu + 1.0, n)) \
-            if not _is_negative_integer_leq(mu + nu + 1.0, 0.0) else math.exp(
-                log_gamma_real(n + 1.0))
-        den = abs(pochhammer_real(mu + 1.0, n)) * abs(pochhammer_real(nu + 1.0, n))
-        if den == 0.0:
-            raise IndexOutOfValidity(f"Jacobi norm degenerate at n={n}")
-        return math.sqrt(lead * num / den)
-    val = (log_gamma_real(n + 1.0) + log_gamma_real(n + mu + nu + 1.0)
-           - log_gamma_real(n + mu + 1.0) - log_gamma_real(n + nu + 1.0))
+        # Gamma(n+a+1)/Gamma(a+1) = (a+1)_n keeps ratios finite for n <= N;
+        # a nonpositive-integer mu+nu+1 drops its factor as well
+        top = (0.0 if _is_negative_integer_leq(mu + nu + 1.0, 0.0)
+               else log_abs_rising(mu + nu + 1.0, n))
+        val = (log_gamma_real(n + 1.0) + top
+               - log_abs_rising(mu + 1.0, n) - log_abs_rising(nu + 1.0, n))
+    else:
+        val = (log_gamma_real(n + 1.0) + log_gamma_real(n + mu + nu + 1.0)
+               - log_gamma_real(n + mu + 1.0) - log_gamma_real(n + nu + 1.0))
     return math.sqrt(lead) * math.exp(0.5 * val)
 
 

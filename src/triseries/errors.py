@@ -17,10 +17,6 @@ class NoClosedForm(TriseriesError):
     """The family is defined by its recursion only; no hypergeometric form exists."""
 
 
-class NumericalOverflow(TriseriesError):
-    """A prefactor or gamma ratio overflowed double precision."""
-
-
 class IndexOutOfValidity(TriseriesError):
     """Negative-parameter classical polynomial used outside its valid degree range."""
 
@@ -58,7 +54,8 @@ class NoTerminatingIndex(TriseriesError):
 
 
 class IndexOutOfSpectrum(TriseriesError):
-    """Discrete spectral index outside the family's finite range."""
+    """Discrete spectral index outside the family's finite range, or a
+    negative bound-level index."""
 
 
 class TruncationTooSmall(TriseriesError):

@@ -24,10 +24,10 @@ from typing import Protocol
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammasgn
 
 from .errors import InvalidFamilyParams, NoClosedForm
-from .gammafn import (binomial, gamma_fn, log_gamma,
-                      log_gamma_real, pochhammer, pochhammer_real,
+from .gammafn import (log_abs_rising, log_gamma, log_gamma_real, pochhammer,
                       real_part_checked)
 from .recurrence import RecursionCoeffs, run_recursion, run_recursion_general
 
@@ -102,17 +102,18 @@ def _mass_arrays(family, n: int, masses=None) -> dict:
             "mass_indices": np.arange(n)}
 
 
-def _gamma_ratio_density(params, norm: float):
+def _gamma_ratio_density(params, log_norm: float, sign: float):
     """z -> prod_p |Gamma(p + iz)|^2 / |Gamma(2iz)|^2 / (2 pi norm), the shape
-    of the continuous-dual-Hahn and Wilson densities.  The gammas are summed
-    as logarithms and exponentiated once, so large z neither underflows the
-    factors to 0 nor overflows them."""
+    of the continuous-dual-Hahn and Wilson densities, for a norm given as
+    log|norm| and its sign.  The gammas are summed as logarithms with the
+    norm's and exponentiated once, so neither large z nor large parameters
+    under- or overflow the factors."""
     params = tuple(complex(p) for p in params)
-    scale = 2.0 * math.pi * norm
+    log_scale = math.log(2.0 * math.pi) + log_norm
 
     def density(z):
         log_ratio = sum(log_gamma(p + 1j * z) for p in params) - log_gamma(2j * z)
-        return math.exp(2.0 * log_ratio.real) / scale
+        return sign * math.exp(2.0 * log_ratio.real - log_scale)
 
     return density
 
@@ -124,16 +125,6 @@ def _quadratic_weight(family, density) -> WeightFunction:
         return WeightFunction("continuous", density=density, support=(0.0, math.inf))
     return WeightFunction("mixed", density=density, support=(0.0, math.inf),
                           **_mass_arrays(family, family.n_discrete()))
-
-
-def _log_abs_rising(x: float, k: int) -> float:
-    """log |(x)_k| with the gammas off their poles: (x)_k = (-1)^k Gamma(1-x)
-    / Gamma(1-x-k) while every factor is negative; -inf for a zero factor."""
-    if x + k < 1.0:
-        return log_gamma_real(1.0 - x) - log_gamma_real(1.0 - x - k)
-    if x <= 0.0 and x == math.floor(x):
-        return -math.inf
-    return log_gamma_real(x + k) - log_gamma_real(x)
 
 
 _MEIXNER_TAIL = 1e-12
@@ -169,7 +160,7 @@ class MeixnerPollaczek:
     def closed_form(self, n, arg):
         mu, th = self.mu, float(self.theta)
         z = float(arg)
-        pref = math.sqrt(pochhammer_real(2.0 * mu, n) / math.factorial(n))
+        pref = math.sqrt(pochhammer(2.0 * mu, n) / math.factorial(n))
         phase = cmath.exp(1j * n * th)
         p2, x = complex(mu, z), 1.0 - cmath.exp(-2j * th)
         series = _terminating_sum(n, lambda t, j: t * (
@@ -223,7 +214,7 @@ class Meixner:
     def closed_form(self, n, arg):
         mu, tau = self.mu, self.tau
         k = int(arg)
-        pref = math.sqrt(pochhammer_real(2.0 * mu, n) / math.factorial(n)) * tau ** (n / 2.0)
+        pref = math.sqrt(pochhammer(2.0 * mu, n) / math.factorial(n)) * tau ** (n / 2.0)
         x = 1.0 - 1.0 / tau
         series = _terminating_sum(n, lambda t, j: t * (
             (-n + j) * (-k + j) / ((2.0 * mu + j) * (j + 1.0)) * x))
@@ -241,9 +232,12 @@ class Meixner:
     mass_point = spectral_point
 
     def discrete_mass(self, k):
+        """(1-tau)^{2mu} (2mu)_k tau^k / k!, one exp of log-gammas."""
         mu, tau = self.mu, self.tau
-        lead = (1.0 - tau) ** (2.0 * mu)
-        return lead * pochhammer_real(2.0 * mu, k) * tau ** k / math.factorial(k)
+        if k < 0:
+            raise InvalidFamilyParams(f"Meixner mass index k={k} < 0")
+        return math.exp(2.0 * mu * math.log1p(-tau) + log_abs_rising(2.0 * mu, k)
+                        + k * math.log(tau) - log_gamma_real(k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -278,7 +272,9 @@ class Krawtchouk:
     def closed_form(self, n, arg):
         N, tau = self.N, self.tau
         k = int(arg)
-        pref = math.sqrt(binomial(N, n)) * (tau / (1.0 - tau)) ** (n / 2.0)
+        # sqrt(binomial(N, n)) (tau/(1-tau))^{n/2}
+        pref = math.exp(0.5 * (log_abs_rising(N - n + 1.0, n) - log_gamma_real(n + 1.0)
+                               + n * math.log(tau / (1.0 - tau))))
         x = 1.0 / tau
         series = _terminating_sum(n, lambda t, j: t * (
             (-n + j) * (-k + j) / ((-N + j) * (j + 1.0)) * x))
@@ -290,8 +286,12 @@ class Krawtchouk:
     mass_point = spectral_point
 
     def discrete_mass(self, k):
+        """binomial(N, k) tau^k (1-tau)^{N-k}, one exp of log-gammas."""
         N, tau = self.N, self.tau
-        return binomial(N, k) * tau ** k * (1.0 - tau) ** (N - k)
+        if not 0 <= k <= N:
+            raise InvalidFamilyParams(f"Krawtchouk mass index k={k} outside 0..{N}")
+        return math.exp(log_abs_rising(N - k + 1.0, k) - log_gamma_real(k + 1.0)
+                        + k * math.log(tau) + (N - k) * math.log1p(-tau))
 
 
 @dataclass(frozen=True)
@@ -338,31 +338,29 @@ class ContinuousDualHahn:
         tau, a, b = self.tau, self.a, self.b
         w = float(arg)
         if a == b:
-            pref_sq_signed = pochhammer_real(tau + a, n)  # analytic branch, signed
+            pref_sq_signed = pochhammer(tau + a, n)  # analytic branch, signed
             pref = pref_sq_signed / math.sqrt(
-                math.factorial(n) * pochhammer_real(a + b, n))
+                math.factorial(n) * pochhammer(a + b, n))
         else:
-            prod = pochhammer_real(tau + a, n) * pochhammer_real(tau + b, n)
+            prod = pochhammer(tau + a, n) * pochhammer(tau + b, n)
             if prod < 0:
                 raise InvalidFamilyParams(
                     "closed form undefined: (tau+a)_n (tau+b)_n < 0")
-            pref = math.sqrt(prod / (math.factorial(n) * pochhammer_real(a + b, n)))
+            pref = math.sqrt(prod / (math.factorial(n) * pochhammer(a + b, n)))
         series = _terminating_sum(n, lambda t, j: (
             t * (-n + j) * ((tau + j) ** 2 + w)
             / (tau + a + j) / (tau + b + j) / (j + 1)))
         return pref * series
 
     def weight(self):
+        # norm Gamma(tau+a)Gamma(tau+b)Gamma(a+b), with the gammas continued
+        # to tau < 0 (poles avoided for non-integer tau+a)
         tau, a, b = self.tau, self.a, self.b
-        norm = math.exp(log_gamma_real(tau + a) + log_gamma_real(tau + b)
-                        + log_gamma_real(a + b)) if tau > 0 else None
-        if tau < 0:
-            # ac-part normalization Gamma(tau+a)Gamma(tau+b)Gamma(a+b) still
-            # holds with the gammas continued to tau < 0 (poles avoided for
-            # non-integer tau+a).
-            norm = (gamma_fn(tau + a) * gamma_fn(tau + b)).real * math.exp(
-                log_gamma_real(a + b))
-        return _quadratic_weight(self, _gamma_ratio_density((tau, a, b), norm))
+        log_norm = (log_gamma_real(tau + a) + log_gamma_real(tau + b)
+                    + log_gamma_real(a + b))
+        sign = float(gammasgn(tau + a) * gammasgn(tau + b))
+        return _quadratic_weight(
+            self, _gamma_ratio_density((tau, a, b), log_norm, sign))
 
     def density_at(self, arg):
         return weight(self).density(math.sqrt(max(arg, 0.0)))
@@ -379,7 +377,7 @@ class ContinuousDualHahn:
         if a != self.b or not 0 <= k < self.n_discrete():
             raise InvalidFamilyParams(f"no mass point k={k} (needs a == b)")
         return -2.0 * (k + tau) * math.exp(
-            2.0 * _log_abs_rising(a + tau, k) + 2.0 * log_gamma_real(a - tau - k)
+            2.0 * log_abs_rising(a + tau, k) + 2.0 * log_gamma_real(a - tau - k)
             - log_gamma_real(2.0 * a) - log_gamma_real(1.0 - 2.0 * tau - k)
             - log_gamma_real(k + 1.0))
 
@@ -430,10 +428,10 @@ class DualHahn:
     def closed_form(self, n, arg):
         N, tau, sg = self.N, self.tau, self.sigma
         k = int(arg)
-        pref = math.sqrt(pochhammer_real(tau + 1.0, n)
-                         * pochhammer_real(N - n + 1.0, n)
+        pref = math.sqrt(pochhammer(tau + 1.0, n)
+                         * pochhammer(N - n + 1.0, n)
                          / (math.factorial(n)
-                            * pochhammer_real(N + sg - n + 1.0, n)))
+                            * pochhammer(N + sg - n + 1.0, n)))
         return pref * _terminating_sum(n, lambda t, j: (
             t * ((-n + j) * (-k + j) * (k + tau + sg + 1.0 + j))
             / ((tau + 1.0 + j) * (-N + j) * (j + 1.0))))
@@ -547,14 +545,16 @@ class Wilson:
         return _wilson_value(*ps, n, float(arg))
 
     def weight(self):
-        a, b, c, d = (complex(self.a), complex(self.b),
-                      complex(self.c), complex(self.d))
-        s = a + b + c + d
-        log_h0 = (log_gamma(a + b) + log_gamma(a + c) + log_gamma(a + d)
-                  + log_gamma(b + c) + log_gamma(b + d) + log_gamma(c + d)
-                  - log_gamma(s))
-        h0 = real_part_checked(cmath.exp(log_h0), context="Wilson weight norm")
-        return _quadratic_weight(self, _gamma_ratio_density((a, b, c, d), h0))
+        # h0 = prod_{p<q} Gamma(p+q) / Gamma(s): the non-real sums pair up
+        # as conjugates, whose product |Gamma|^2 > 0, so only the real sums
+        # carry a sign
+        ps = [complex(p) for p in (self.a, self.b, self.c, self.d)]
+        pairs = [p + q for i, p in enumerate(ps) for q in ps[i + 1:]]
+        s = sum(ps)
+        log_h0 = sum(log_gamma(p).real for p in pairs) - log_gamma(s).real
+        sign = float(math.prod(gammasgn(p.real) for p in pairs + [s]
+                               if p.imag == 0.0))
+        return _quadratic_weight(self, _gamma_ratio_density(ps, log_h0, sign))
 
     def density_at(self, arg):
         return weight(self).density(math.sqrt(max(arg, 0.0)))
@@ -599,7 +599,7 @@ class MixedWilson(Wilson):
         if min(b, c, a + b) <= 0 or not 0 <= k < self.n_discrete():
             raise InvalidFamilyParams(f"no mass point k={k} (needs b, c, a+b > 0)")
         return -2.0 * (k + a) * math.exp(
-            2.0 * _log_abs_rising(a + c, k) + log_gamma_real(a + b + k)
+            2.0 * log_abs_rising(a + c, k) + log_gamma_real(a + b + k)
             + log_gamma_real(a + b + 2.0 * c) + log_gamma_real(b - a - k)
             + 2.0 * log_gamma_real(c - a - k) - log_gamma_real(a + b)
             - log_gamma_real(2.0 * c) - 2.0 * log_gamma_real(b + c)
@@ -666,8 +666,8 @@ class Racah:
         # the twist absorbed by the asymmetric real recursion
         pref = math.sqrt((2 * n + gs + 1.0) / (n + gs + 1.0)
                          * (math.factorial(N) / math.factorial(N - n))
-                         * pochhammer_real(gs + 2.0, n)
-                         / (pochhammer_real(gs + N + 2.0, n) * math.factorial(n)))
+                         * pochhammer(gs + 2.0, n)
+                         / (pochhammer(gs + N + 2.0, n) * math.factorial(n)))
         return pref * _terminating_sum(n, lambda t, j: (
             t * ((-n + j) * (-k + j) * (n + gs + 1.0 + j) * (k - N + j))
             / ((g + 1.0 + j) * (sg + 1.0 + j) * (-N + j) * (j + 1.0))))

@@ -1,8 +1,11 @@
-"""Log-gamma, Pochhammer symbols and binomial coefficients.
+"""Log-gamma, signed-log rising factorials and Pochhammer products.
 
 Everything downstream (weights, normalization prefactors, phase shifts) is
 built on scipy's complex log-gamma, so the same code path serves
 |Gamma(x+iy)|^2 and arg Gamma(z), and a phase-shift grid is one array call.
+Every weight normalization is one exp of a sum of ``log_gamma_real`` /
+``log_abs_rising`` terms, with its sign carried apart, so no gamma product is
+formed in linear space where it could overflow.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from .errors import NumericalOverflow
-
-_POCHHAMMER_PRODUCT_MAX = 64  # direct product below, log-gamma ratio above
 _TWO_PI = 2.0 * math.pi
 
 
@@ -41,20 +41,14 @@ def log_gamma_real(x: float) -> float:
     return log_gamma(x).real
 
 
-def gamma_fn(z: complex) -> complex:
-    """Gamma(z) via exp(log_gamma); raises NumericalOverflow when too large."""
-    lg = log_gamma(z)
-    if lg.real > 700.0:
-        raise NumericalOverflow(f"Gamma({z}) overflows double precision")
-    return cmath.exp(lg)
-
-
-def abs_gamma_sq(x: float, y: float) -> float:
-    """|Gamma(x + iy)|^2 computed as exp(2 Re log Gamma(x + iy))."""
-    two_re = 2.0 * log_gamma(complex(x, y)).real
-    if two_re > 700.0:
-        raise NumericalOverflow(f"|Gamma({x}+{y}i)|^2 overflows")
-    return math.exp(two_re)
+def log_abs_rising(x: float, k: int) -> float:
+    """log |(x)_k| with the gammas off their poles: (x)_k = (-1)^k Gamma(1-x)
+    / Gamma(1-x-k) while every factor is negative; -inf for a zero factor."""
+    if x + k < 1.0:
+        return log_gamma_real(1.0 - x) - log_gamma_real(1.0 - x - k)
+    if x <= 0.0 and x == math.floor(x):
+        return -math.inf
+    return log_gamma_real(x + k) - log_gamma_real(x)
 
 
 def arg_gamma(z):
@@ -63,29 +57,15 @@ def arg_gamma(z):
 
 
 def pochhammer(a: complex, n: int) -> complex:
-    """Rising factorial (a)_n.
-
-    Direct product for n <= 64; log-gamma ratio exp(lgamma(a+n) - lgamma(a))
-    above that.  The ratio branch assumes a is not at / does not cross a pole,
-    which holds for every admissible family parameter here; the direct product
-    handles negative reals (including exact zeros of the product) for small n.
-    """
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1) for real or complex a, as
+    the plain product: exact zeros and signs of negative a come out right,
+    and the closed forms that use it stop at degree 30."""
     if n < 0:
         raise ValueError("pochhammer requires n >= 0")
-    if n == 0:
-        return 1.0
-    if n <= _POCHHAMMER_PRODUCT_MAX:
-        out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
-        for k in range(n):
-            out *= a + k
-        return out
-    return cmath.exp(log_gamma(a + n) - log_gamma(a))
-
-
-def pochhammer_real(a: float, n: int) -> float:
-    """Rising factorial for real a, returned as float."""
-    v = pochhammer(a, n)
-    return v.real if isinstance(v, complex) else v
+    out = 1.0
+    for k in range(n):
+        out *= a + k
+    return out
 
 
 def real_part_checked(value: complex, rel_tol: float = 1e-10, context: str = "") -> float:
@@ -105,13 +85,3 @@ def wrap_angle(phi):
     w = np.where(w > math.pi, w - _TWO_PI, w)
     w = np.where(w <= -math.pi, w + _TWO_PI, w)
     return w if w.ndim else float(w)
-
-
-def binomial(n: int, k: int) -> float:
-    """Binomial coefficient as a float (n can be large)."""
-    if k < 0 or k > n:
-        return 0.0
-    return math.exp(
-        log_gamma_real(n + 1.0) - log_gamma_real(k + 1.0) - log_gamma_real(n - k + 1.0)
-    )
-

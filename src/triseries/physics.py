@@ -23,9 +23,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import families as fam
 from . import solve as solvemod
-from .errors import (AmbiguousRegion, BelowThreshold, InvalidFamilyParams,
-                     MeshTooCoarse, NoBoundStates, NoContinuum,
-                     NoTerminatingIndex, TriseriesError)
+from .errors import (AmbiguousRegion, BelowThreshold, IndexOutOfSpectrum,
+                     InvalidFamilyParams, MeshTooCoarse, NoBoundStates,
+                     NoContinuum, NoTerminatingIndex, TriseriesError)
 from .gammafn import arg_gamma, wrap_angle
 from .tra import (JACOBI, LAGUERRE, OdeParams, resolve_basis,
                   terminating_free_index)
@@ -536,11 +536,15 @@ def spectrum_size(case) -> float:
 
 def bound_energy(case, m: int) -> float:
     """The m-th bound level from the discrete-family quantization."""
+    if m < 0:
+        raise IndexOutOfSpectrum(f"{case.name}: level index m={m} < 0")
     return case.level_energy(m)
 
 
 def bound_spectrum(case, m_max: int = None) -> SpectrumResult:
     """Discrete levels m = 0..m_max (or the full finite spectrum)."""
+    if m_max is not None and m_max < 0:
+        raise IndexOutOfSpectrum(f"{case.name}: m_max={m_max} < 0")
     size = spectrum_size(case)
     if size == 0:
         raise NoBoundStates(f"{case.name}: no bound states for these parameters")

@@ -4,7 +4,7 @@ and verify it against the ODE by residual evaluation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ class MatchResult:
     spectral_map: SpectralMap
     spectrum_kind: str
     n_finite: Optional[int] = None   # size-1 count N of a finite/mixed part
-    notes: dict = field(default_factory=dict)
+    unnormalized: bool = False   # the family has no weight to normalize by
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
     """
     spec = resolve_basis(params, scenario, nu_sign=nu_sign, mu_sign=mu_sign,
                          free_value=free_value)
-    base_notes = {"params": params}
     a, b = params.a, params.b
     if scenario == "LA":
         u = 4.0 * params.A_plus - b * b
@@ -97,7 +96,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             family = fam.MeixnerPollaczek(0.5 * (spec.nu + 1.0), theta)
             m = SpectralMap(zmap.combination, zmap.raw_value,
                             scale=-math.sqrt(u), offset=0.0)
-            return MatchResult(family, spec, m, CONTINUOUS, notes=base_notes)
+            return MatchResult(family, spec, m, CONTINUOUS)
         if u < -1.0:
             ch = c1 / c2
             sh = math.sqrt(ch * ch - 1.0)
@@ -107,8 +106,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             m = SpectralMap(zmap.combination, zmap.raw_value,
                             scale=-c2 / exp_m,
                             offset=(spec.nu + 1.0) * c2 * sh)
-            return MatchResult(family, spec, m, DISCRETE_INFINITE,
-                               notes=base_notes)
+            return MatchResult(family, spec, m, DISCRETE_INFINITE)
         # the finite gap -1 < u < 0: only the measure-zero set nu = -N-1 works
         n_fin = _near_nonneg_integer(-spec.nu - 1.0)
         if n_fin is None:
@@ -121,8 +119,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
         family = fam.Krawtchouk(n_fin, tau)
         m = SpectralMap(zmap.combination, zmap.raw_value, scale=c2,
                         offset=-n_fin * c2 * ch, twist=-1)
-        return MatchResult(family, spec, m, DISCRETE_FINITE, n_finite=n_fin,
-                           notes={**base_notes, "phase_twist": True})
+        return MatchResult(family, spec, m, DISCRETE_FINITE, n_finite=n_fin)
     if scenario == "LB":
         _, zmap = laguerre_st2r2(params, spec, 1)
         m = SpectralMap(zmap.combination, zmap.raw_value, scale=1.0,
@@ -135,15 +132,14 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             m = SpectralMap(zmap.combination, zmap.raw_value, scale=-1.0,
                             offset=0.25 * (a - 1.0) ** 2)
             return MatchResult(family, spec, m, DISCRETE_FINITE,
-                               n_finite=n_fin, notes=base_notes)
+                               n_finite=n_fin)
         tau = params.A_zero + 0.5 * (a * b + 1.0)
         half = 0.5 * (spec.nu + 1.0)
         family = fam.ContinuousDualHahn(tau, half, half)
         if tau > 0:
-            return MatchResult(family, spec, m, CONTINUOUS, notes=base_notes)
+            return MatchResult(family, spec, m, CONTINUOUS)
         n_fin = int(math.floor(-tau))
-        return MatchResult(family, spec, m, MIXED, n_finite=n_fin,
-                           notes=base_notes)
+        return MatchResult(family, spec, m, MIXED, n_finite=n_fin)
     if scenario == "JA":
         if params.A_one == 0.0:
             raise ZeroOffDiagonal("this scenario has no recursion when A_one = 0")
@@ -156,8 +152,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             z = -math.copysign(1.0, params.A_one) * math.sqrt(
                 params.A_one ** 2 - chi0 ** 2)
             family = fam.ExtendedJacobiContinuous(spec.mu, spec.nu, theta, 0.0, z)
-            return MatchResult(family, spec, m, CONTINUOUS,
-                               notes={**base_notes, "unnormalized": True})
+            return MatchResult(family, spec, m, CONTINUOUS, unnormalized=True)
         c = chi0 / params.A_one
         if c < 1.0:
             raise NoFamilyApplies(
@@ -167,18 +162,14 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
         zk = z_k if z_k is not None else -params.A_one * (1.0 - tau) / (
             2.0 * math.sqrt(tau))
         family = fam.ExtendedJacobiDiscrete(spec.mu, spec.nu, tau, 0.0, zk)
-        return MatchResult(family, spec, m, DISCRETE_UNKNOWN,
-                           notes={**base_notes, "unnormalized": True,
-                                  "z_k_user": z_k is not None})
+        return MatchResult(family, spec, m, DISCRETE_UNKNOWN, unnormalized=True)
     if scenario in ("JB", "JC"):
         # JB is the swap-symmetric mirror of JC; match on JC coordinates.
         use = params
         use_spec = spec
-        swapped = False
         if scenario == "JB":
             from .tra import apply_swap_symmetry
             use, use_spec = apply_swap_symmetry(params, spec)
-            swapped = True
         _, zmap = jacobi_st2r2(use, use_spec, 1)
         chi = 4.0 * use.A_zero - (use.a + use.b - 1.0) ** 2
         n_fin = _near_nonneg_integer(-use_spec.mu - 1.0)
@@ -190,9 +181,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             m = SpectralMap(zmap.combination, zmap.raw_value, scale=-2.0,
                             offset=0.5 * (use.a - 1.0) ** 2)
             return MatchResult(family, use_spec, m, DISCRETE_FINITE,
-                               n_finite=n_fin,
-                               notes={"params": use, "swapped": swapped,
-                                      "unnormalized": True})
+                               n_finite=n_fin, unnormalized=True)
         sg = 0.5 * (use_spec.nu + 1.0)
         gm = 0.5 * (use_spec.mu + 1.0)
         m = SpectralMap(zmap.combination, zmap.raw_value, scale=2.0,
@@ -200,16 +189,13 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
         if chi >= 0:
             tw = 0.5 * math.sqrt(chi)
             family = fam.Wilson(complex(sg, tw), complex(sg, -tw), gm, gm)
-            return MatchResult(family, use_spec, m, CONTINUOUS,
-                               notes={"params": use, "swapped": swapped})
+            return MatchResult(family, use_spec, m, CONTINUOUS)
         q = 0.5 * math.sqrt(-chi)
         family = fam.MixedWilson(sg - q, sg + q, gm, gm)
         if not family.mixed:
-            return MatchResult(family, use_spec, m, CONTINUOUS,
-                               notes={"params": use, "swapped": swapped})
+            return MatchResult(family, use_spec, m, CONTINUOUS)
         return MatchResult(family, use_spec, m, MIXED,
-                           n_finite=family.n_discrete() - 1,
-                           notes={"params": use, "swapped": swapped})
+                           n_finite=family.n_discrete() - 1)
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -276,7 +262,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
     kind = match.spectrum_kind
     if truncation is None:
         truncation = DEFAULT_TRUNCATION
-    unnorm = bool(match.notes.get("unnormalized", False))
+    unnorm = match.unnormalized
     is_index = isinstance(spectral, (int, np.integer))
     if kind == DISCRETE_FINITE:
         # The finite negative-index associations are formal: their printed

@@ -142,6 +142,28 @@ def test_negative_index_norm_finite():
     vals = [laguerre_norm(n, -4.0) for n in range(4)]
     assert all(math.isfinite(v) and v > 0 for v in vals)
 
+    # they match c_n = sqrt(n! / |(nu+1)_n|) and its Jacobi analogue at
+    # nu = -N-1, also at N = 200, where n! and the Pochhammer symbols
+    # overflow on their own
+    def mp_jacobi(n, mu, nu):
+        top = mp.rf(mu + nu + 1, n) if mu + nu + 1 > 0 else 1   # dropped at -2
+        return mp.sqrt((2 * n + mu + nu + 1) / mp.mpf(2) ** (mu + nu + 1)
+                       * mp.factorial(n) * abs(top)
+                       / abs(mp.rf(mu + 1, n) * mp.rf(nu + 1, n)))
+
+    with mp.workdps(40):
+        for N in (3, 20, 200):
+            neg = -N - 1.0
+            for n in sorted({0, 1, 2, N // 2, N}):
+                ref = mp.sqrt(mp.factorial(n) / abs(mp.rf(neg + 1, n)))
+                assert laguerre_norm(n, neg) == pytest.approx(float(ref), rel=1e-12)
+                ref = float(mp_jacobi(n, mp.mpf(neg), mp.mpf(N + 3.5)))
+                assert jacobi_norm(n, neg, N + 3.5) == pytest.approx(ref, rel=1e-12)
+                assert jacobi_norm(n, N + 3.5, neg) == pytest.approx(ref, rel=1e-12)
+                if n >= 2:   # mu + nu + 1 = -2: that factor is dropped
+                    ref = float(mp_jacobi(n, mp.mpf(neg), mp.mpf(N - 2.0)))
+                    assert jacobi_norm(n, neg, N - 2.0) == pytest.approx(ref, rel=1e-12)
+
 
 def _mp_norm(spec, n):
     """c_n from mpmath Gamma functions (Pochhammer ratios for a negative

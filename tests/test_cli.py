@@ -187,6 +187,16 @@ def test_wavefunction_negative_nu_is_a_typed_error(capsys):
     assert "NoTerminatingIndex" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["coulomb", "oscillator", "morse",
+                                  "poschl_teller", "scarf", "eckart"])
+def test_negative_level_index_is_a_typed_error(case, capsys):
+    for args in (("wavefunction", "--case", case, "--m", "-1"),
+                 ("spectrum", "--case", case, "--m-max", "-1")):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        assert "IndexOutOfSpectrum" in err and "Traceback" not in err
+
+
 def test_wavefunction_excited_eckart_level_terminates(capsys):
     code, out, _ = run_cli(capsys, "wavefunction", "--case", "eckart", "--A",
                            "2", "--B", "-20", "--m", "2", "--format", "json")

@@ -215,6 +215,34 @@ def test_mixed_discrete_masses_match_mpmath_in_log_space():
         fam.ContinuousDualHahn(-1.6, 0.9, 0.9).discrete_mass(2)
 
 
+def test_meixner_krawtchouk_masses_match_mpmath_in_log_space():
+    # Meixner (0.5, 0.9) needs ~260 masses, and k! and (2 mu)_k overflow on
+    # their own from k = 171; so does binomial(2000, 1000)
+    import mpmath as mp
+    with mp.workdps(40):
+        for mu, tau in ((0.5, 0.9), (2.3, 0.4)):
+            w = fam.weight(fam.Meixner(mu, tau))
+            mu, tau = mp.mpf(mu), mp.mpf(tau)
+            for k, m in enumerate(w.masses):
+                ref = ((1 - tau) ** (2 * mu) * mp.rf(2 * mu, k) * tau ** k
+                       / mp.factorial(k))
+                assert m == pytest.approx(float(ref), rel=1e-12)
+        for N, tau, ks in ((12, 0.3, range(13)), (300, 0.3, range(0, 301, 7)),
+                           (2000, 0.5, (1000,))):
+            f = fam.Krawtchouk(N, tau)
+            tau = mp.mpf(tau)
+            for k in ks:
+                ref = float(mp.binomial(N, k) * tau ** k * (1 - tau) ** (N - k))
+                assert f.discrete_mass(k) == pytest.approx(ref, rel=1e-12)
+
+
+def test_mass_index_outside_support_raises():
+    for f, k in ((fam.Krawtchouk(5, 0.3), 6), (fam.Krawtchouk(5, 0.3), -1),
+                 (fam.Meixner(1.0, 0.5), -1)):
+        with pytest.raises(InvalidFamilyParams):
+            f.discrete_mass(k)
+
+
 def test_wilson_mixed_masses_match_dual_orthogonality():
     sg, gm, q = 1.0, 0.8, 2.3
     f = fam.MixedWilson(sg - q, sg + q, gm, gm)
@@ -369,17 +397,32 @@ def _mp_gamma_ratio_density(params, z):
         return float(num / abs(mp.gamma(2j * z)) ** 2 / (2 * mp.pi * mp.re(h0)))
 
 
-@pytest.mark.parametrize("w, params", [
-    (fam.weight(fam.ContinuousDualHahn(0.8, 0.7, 0.7)), (0.8, 0.7, 0.7)),
-    (fam.weight(fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2)),
-     (complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2)),
-    (fam.weight(fam.MixedWilson(1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8)),
-     (1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8)),
-], ids=["continuous_dual_hahn", "wilson", "mixed_wilson"])
-def test_weight_density_large_argument(w, params):
-    d = w.density(100.0)
-    assert d > 0.0
-    assert d == pytest.approx(_mp_gamma_ratio_density(params, 100.0), rel=1e-10)
-    assert w.density(1.3) == pytest.approx(
-        _mp_gamma_ratio_density(params, 1.3), rel=1e-10)
-    assert w.density(200.0) >= 0.0
+@pytest.mark.parametrize("f, rel", [
+    (fam.ContinuousDualHahn(0.8, 0.7, 0.7), 1e-12),
+    (fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2), 1e-12),
+    (fam.MixedWilson(1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8), 1e-12),
+    (fam.ContinuousDualHahn(-3.3, 2.0, 2.0), 1e-12),
+    (fam.Wilson(complex(50, 3), complex(50, -3), complex(40, 7), complex(40, -7)),
+     1e-12),
+    # h0 < 0 (Gamma(a+b) < 0): the density keeps that sign
+    (fam.MixedWilson(0.5, -0.6, 0.3, 0.3), 1e-12),
+    # the norms' gammas overflow on their own; the log-gamma terms reach
+    # ~5e3, so their rounding alone is ~1e-12 of the density
+    (fam.ContinuousDualHahn(-1.5, 200.0, 200.0), 5e-12),
+    (fam.Wilson(300.0, 300.0, 2.0, 2.0), 5e-12),
+    (fam.MixedWilson(-1.5, 300.0, 2.0, 2.0), 5e-12),
+], ids=["continuous_dual_hahn", "wilson", "mixed_wilson", "cdh_mixed",
+        "wilson_two_pairs", "mixed_wilson_negative_norm", "cdh_mixed_200",
+        "wilson_300", "mixed_wilson_300"])
+def test_weight_density_large_argument(f, rel):
+    # norm and density are one exp of a log-gamma sum, so neither large z nor
+    # large parameters over- or underflow the factors
+    w = fam.weight(f)
+    params = [getattr(f, name) for name in ("tau", "a", "b", "c", "d")
+              if hasattr(f, name)]
+    for z in (0.3, 0.5, 1.3, 10.0, 50.0, 100.0):
+        assert w.density(z) == pytest.approx(_mp_gamma_ratio_density(params, z),
+                                             rel=rel)
+    assert w.density(200.0) * w.density(1.3) >= 0.0
+    for k, m in enumerate(w.masses if w.kind == "mixed" else ()):
+        assert m == pytest.approx(_mp_mixed_masses(f, k), rel=1e-12)

@@ -1,5 +1,5 @@
-"""Log-gamma, Pochhammer and hypergeometric helpers against scipy and
-40-digit mpmath."""
+"""Log-gamma, signed-log rising factorials and Pochhammer products against
+scipy and 40-digit mpmath."""
 
 import cmath
 import math
@@ -102,13 +102,6 @@ def test_log_gamma_array_equals_scalar_calls():
     assert type(gf.log_gamma(2.5)) is complex
 
 
-def test_abs_gamma_sq_known_value():
-    # |Gamma(1/2 + iy)|^2 = pi / cosh(pi y)
-    for y in (0.0, 0.3, 1.7, -2.5):
-        assert gf.abs_gamma_sq(0.5, y) == pytest.approx(
-            math.pi / math.cosh(math.pi * y), rel=1e-12)
-
-
 def test_arg_gamma_regression():
     assert gf.arg_gamma(complex(1.0, -1.0)) == pytest.approx(0.30164032, abs=1e-7)
     assert gf.arg_gamma(complex(1.0, 0.0)) == 0.0
@@ -119,14 +112,26 @@ def test_pochhammer_matches_scipy():
     for _ in range(200):
         a = rng.uniform(-6, 6)
         n = int(rng.integers(0, 20))
-        assert gf.pochhammer_real(a, n) == pytest.approx(
+        assert gf.pochhammer(a, n) == pytest.approx(
             float(poch(a, n)), rel=1e-11, abs=1e-11)
 
 
-def test_pochhammer_long_products_switch_to_loggamma():
+def test_pochhammer_long_product():
     a = 1.37
     exact = float(poch(a, 120))
-    assert gf.pochhammer_real(a, 120) == pytest.approx(exact, rel=1e-10)
+    assert gf.pochhammer(a, 120) == pytest.approx(exact, rel=1e-10)
+
+
+def test_log_abs_rising_matches_mpmath():
+    # both gamma branches (all factors negative, or none at a pole), signs
+    # of negative arguments dropped, and -inf at a zero factor
+    with mp.workdps(40):
+        for x in (-7.5, -3.25, -0.5, 0.3, 2.0, 150.2):
+            for k in range(9):
+                ref = float(mp.log(abs(mp.rf(mp.mpf(x), k))))
+                assert gf.log_abs_rising(x, k) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+    assert gf.log_abs_rising(-3.0, 4) == -math.inf
+    assert gf.log_abs_rising(-3.0, 3) == pytest.approx(math.log(6.0), rel=1e-14)
 
 
 def test_wrap_angle():

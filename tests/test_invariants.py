@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from triseries import families as fam
-from triseries.errors import MeshTooCoarse, NoFamilyApplies, NumericalOverflow
-from triseries.gammafn import abs_gamma_sq, gamma_fn
+from triseries.errors import MeshTooCoarse, NoFamilyApplies
 from triseries.physics import (CASE_TYPES, Case, CoulombCase, EckartCase,
                                MorseCase, OscillatorCase, PoschlTellerCase,
                                RadialMesh, ScarfCase, bound_energy,
@@ -61,7 +60,6 @@ def test_discrete_extended_family_match_and_input_point():
     # a user-supplied spectrum point is taken as given
     m2 = match_family(p, "JA", z_k=-2.5)
     assert m2.family.z_k == -2.5
-    assert m2.notes["z_k_user"]
     sol = assemble_solution(m2, 0, truncation=15)
     assert sol.unnormalized and len(sol.f) == 16
 
@@ -73,13 +71,6 @@ def test_discrete_extended_family_wrong_side_has_no_match():
                   chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=lam1)
     with pytest.raises(NoFamilyApplies):
         match_family(p, "JA")
-
-
-def test_gamma_overflow_raises():
-    with pytest.raises(NumericalOverflow):
-        gamma_fn(400.0)
-    with pytest.raises(NumericalOverflow):
-        abs_gamma_sq(250.0, 0.0)
 
 
 def test_mesh_too_coarse_detected():
