@@ -24,17 +24,26 @@ from .errors import DomainError, IndexOutOfValidity
 from .gammafn import log_abs_rising, log_gamma_real
 
 
-def _is_negative_integer_leq(v: float, bound: float = -1.0) -> bool:
-    return v <= bound + 1e-12 and abs(v - round(v)) < 1e-12
+_INTEGER_TOL = 1e-9
+
+
+def negative_integer_index(v: float):
+    """N when the index v is the negative integer -N-1 (N >= 0) to within
+    1e-9 of max(1, N), else None.  The family matcher and the basis norms
+    both decide by this rule."""
+    x = -v - 1.0
+    r = round(x)
+    if r >= 0 and abs(x - r) <= _INTEGER_TOL * max(1.0, abs(x)):
+        return int(r)
+    return None
 
 
 def _check_negative_index(param: float, n: int, label: str) -> None:
-    if _is_negative_integer_leq(param):
-        n_cap = int(round(-param)) - 1  # param = -N-1 allows n <= N
-        if n > n_cap:
-            raise IndexOutOfValidity(
-                f"{label} = {param} only valid for degrees n <= {n_cap}, got {n}"
-            )
+    n_cap = negative_integer_index(param)   # param = -N-1 allows n <= N
+    if n_cap is not None and n > n_cap:
+        raise IndexOutOfValidity(
+            f"{label} = {param} only valid for degrees n <= {n_cap}, got {n}"
+        )
 
 
 def jacobi_orthonormal_coeffs(mu: float, nu: float, n_terms: int):
@@ -83,7 +92,7 @@ def laguerre_norm(n: int, nu: float) -> float:
     n-independent Gamma(nu+1) is dropped, giving c_n = sqrt(n!/|(nu+1)_n|),
     which fixes the basis up to one overall constant.
     """
-    if _is_negative_integer_leq(nu):
+    if negative_integer_index(nu) is not None:
         _check_negative_index(nu, n, "Laguerre index nu")
         val = log_gamma_real(n + 1.0) - log_abs_rising(nu + 1.0, n)
     else:
@@ -97,12 +106,12 @@ def jacobi_norm(n: int, mu: float, nu: float) -> float:
     lead = (2 * n + mu + nu + 1.0) / 2.0 ** (mu + nu + 1.0)
     if lead <= 0:
         raise IndexOutOfValidity(f"nonpositive leading norm factor at n={n}")
-    if _is_negative_integer_leq(mu) or _is_negative_integer_leq(nu):
+    if any(negative_integer_index(v) is not None for v in (mu, nu)):
         _check_negative_index(mu, n, "Jacobi index mu")
         _check_negative_index(nu, n, "Jacobi index nu")
         # Gamma(n+a+1)/Gamma(a+1) = (a+1)_n keeps ratios finite for n <= N;
         # a nonpositive-integer mu+nu+1 drops its factor as well
-        top = (0.0 if _is_negative_integer_leq(mu + nu + 1.0, 0.0)
+        top = (0.0 if negative_integer_index(mu + nu) is not None
                else log_abs_rising(mu + nu + 1.0, n))
         val = (log_gamma_real(n + 1.0) + top
                - log_abs_rising(mu + 1.0, n) - log_abs_rising(nu + 1.0, n))

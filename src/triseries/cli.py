@@ -220,11 +220,20 @@ def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, since 2 means a failed
+    tolerance; the subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
     was, so every ``main`` call reuses it."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="triseries",
         description="Series solutions of Laguerre- and Jacobi-type equations "
                     "through three-term recursions and orthogonal polynomials")
@@ -340,6 +349,9 @@ def main(argv=None) -> int:
             return 1
         if isinstance(stored, dict) and "config" in stored:
             stored = stored["config"]
+        if not isinstance(stored, dict):
+            print("error: config must be a JSON object", file=sys.stderr)
+            return 1
         args = raw_args
         command = stored.get("command")
         if command and (not args or args[0].startswith("--")):

@@ -2,22 +2,24 @@
 
 Each family provides the (s_n, t_n) streams of its symmetric three-term
 recursion in the normalization where the orthonormality weight integrates
-(or sums) to one, plus, where it exists, the terminating-hypergeometric
-closed form and the weight itself.  Two of the families (the extended
-Jacobi-recursion families with continuous and discrete argument) are
-recursion-only objects: no closed form or weight is known for them.
+(or sums) to one, plus, where it is known, the weight itself.  Two of the
+families (the extended Jacobi-recursion families with continuous and
+discrete argument) are recursion-only objects: no closed form or weight is
+known for them.
 
 Each family record carries its formulas as methods (``Family``); the module
-functions hold the checks every family shares.
+functions hold the checks every family shares.  A double-precision P_n has
+one evaluator, the recursion (``values_by_recursion``); each family's
+terminating-hypergeometric form is written once, in 40-digit arithmetic, as
+``verify.closed_form_hp``.
 
 Sign conventions are fixed so that ``run_recursion`` on ``family_coeffs``
-reproduces ``closed_form`` exactly; the test-suite enforces this for every
+reproduces that hypergeometric form; the test-suite enforces this for every
 family over random admissible parameter draws.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -27,7 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammasgn
 
 from .errors import InvalidFamilyParams, NoClosedForm
-from .gammafn import (log_abs_rising, log_gamma, log_gamma_real, pochhammer,
+from .gammafn import (log_abs_rising, log_gamma, log_gamma_real,
                       real_part_checked)
 from .recurrence import RecursionCoeffs, run_recursion, run_recursion_general
 
@@ -41,7 +43,6 @@ class Family(Protocol):
     def validate(self) -> None: ...
     def streams(self, n_terms: int) -> RecursionCoeffs: ...   # unvalidated
     def spectral_point(self, arg) -> float: ...   # recursion variable of arg
-    def closed_form(self, n: int, arg) -> float: ...   # P_n(arg), n >= 1
     def weight(self) -> "WeightFunction": ...
     # the recursion variable of the k-th mass point, and the mass there
     def mass_point(self, k: int) -> float: ...
@@ -52,20 +53,9 @@ def _no_mass_formula(self, k: int):
     raise NoClosedForm(f"no mass formula for {type(self).__name__}")
 
 
-def _recursion_only(self, *args):
+def _recursion_only(self):
     raise NoClosedForm(f"{type(self).__name__} is recursion-only: "
                        "no closed form or weight is known")
-
-
-def _terminating_sum(n: int, step, term=1.0):
-    """t_0 + ... + t_n with t_0 = ``term`` and t_{j+1} = step(t_j, j): a
-    terminating hypergeometric series given by its term ratio.  A
-    denominator parameter that reaches zero raises ZeroDivisionError."""
-    total = term
-    for j in range(n):
-        term = step(term, j)
-        total += term
-    return total
 
 
 @dataclass(frozen=True)
@@ -157,17 +147,6 @@ class MeixnerPollaczek:
     def spectral_point(self, arg):
         return float(arg)
 
-    def closed_form(self, n, arg):
-        mu, th = self.mu, float(self.theta)
-        z = float(arg)
-        pref = math.sqrt(pochhammer(2.0 * mu, n) / math.factorial(n))
-        phase = cmath.exp(1j * n * th)
-        p2, x = complex(mu, z), 1.0 - cmath.exp(-2j * th)
-        series = _terminating_sum(n, lambda t, j: t * (
-            (-n + j) * (p2 + j) / ((2.0 * mu + j) * (j + 1.0)) * x), 1.0 + 0.0j)
-        return real_part_checked(pref * phase * series, rel_tol=1e-8,
-                                 context="Meixner-Pollaczek")
-
     def weight(self):
         mu, th = self.mu, self.theta
         log_lead = (2.0 * mu * math.log(2.0 * math.sin(th))
@@ -210,15 +189,6 @@ class Meixner:
 
     def spectral_point(self, arg):
         return (self.tau - 1.0) * float(arg)
-
-    def closed_form(self, n, arg):
-        mu, tau = self.mu, self.tau
-        k = int(arg)
-        pref = math.sqrt(pochhammer(2.0 * mu, n) / math.factorial(n)) * tau ** (n / 2.0)
-        x = 1.0 - 1.0 / tau
-        series = _terminating_sum(n, lambda t, j: t * (
-            (-n + j) * (-k + j) / ((2.0 * mu + j) * (j + 1.0)) * x))
-        return pref * series
 
     def weight(self):
         ms, cum = [], 0.0
@@ -268,17 +238,6 @@ class Krawtchouk:
 
     def spectral_point(self, arg):
         return float(arg) / math.sqrt(self.tau * (1.0 - self.tau))
-
-    def closed_form(self, n, arg):
-        N, tau = self.N, self.tau
-        k = int(arg)
-        # sqrt(binomial(N, n)) (tau/(1-tau))^{n/2}
-        pref = math.exp(0.5 * (log_abs_rising(N - n + 1.0, n) - log_gamma_real(n + 1.0)
-                               + n * math.log(tau / (1.0 - tau))))
-        x = 1.0 / tau
-        series = _terminating_sum(n, lambda t, j: t * (
-            (-n + j) * (-k + j) / ((-N + j) * (j + 1.0)) * x))
-        return pref * series
 
     def weight(self):
         return WeightFunction("discrete", **_mass_arrays(self, self.N + 1))
@@ -333,24 +292,6 @@ class ContinuousDualHahn:
 
     def spectral_point(self, arg):
         return float(arg)  # already the squared variable w = z^2
-
-    def closed_form(self, n, arg):
-        tau, a, b = self.tau, self.a, self.b
-        w = float(arg)
-        if a == b:
-            pref_sq_signed = pochhammer(tau + a, n)  # analytic branch, signed
-            pref = pref_sq_signed / math.sqrt(
-                math.factorial(n) * pochhammer(a + b, n))
-        else:
-            prod = pochhammer(tau + a, n) * pochhammer(tau + b, n)
-            if prod < 0:
-                raise InvalidFamilyParams(
-                    "closed form undefined: (tau+a)_n (tau+b)_n < 0")
-            pref = math.sqrt(prod / (math.factorial(n) * pochhammer(a + b, n)))
-        series = _terminating_sum(n, lambda t, j: (
-            t * (-n + j) * ((tau + j) ** 2 + w)
-            / (tau + a + j) / (tau + b + j) / (j + 1)))
-        return pref * series
 
     def weight(self):
         # norm Gamma(tau+a)Gamma(tau+b)Gamma(a+b), with the gammas continued
@@ -425,17 +366,6 @@ class DualHahn:
     def spectral_point(self, arg):
         return (int(arg) + 0.5 * (self.tau + self.sigma + 1.0)) ** 2
 
-    def closed_form(self, n, arg):
-        N, tau, sg = self.N, self.tau, self.sigma
-        k = int(arg)
-        pref = math.sqrt(pochhammer(tau + 1.0, n)
-                         * pochhammer(N - n + 1.0, n)
-                         / (math.factorial(n)
-                            * pochhammer(N + sg - n + 1.0, n)))
-        return pref * _terminating_sum(n, lambda t, j: (
-            t * ((-n + j) * (-k + j) * (k + tau + sg + 1.0 + j))
-            / ((tau + 1.0 + j) * (-N + j) * (j + 1.0))))
-
     def weight(self):
         pts, ms = masses_from_recursion(family_coeffs(self, self.N + 1))
         # the eigenvalues ascend, and so do the points (k + (tau+sigma+1)/2)^2
@@ -446,31 +376,6 @@ class DualHahn:
                               mass_indices=ks)
 
     mass_point = discrete_mass = _no_mass_formula
-
-
-def _wilson_value(a: complex, b: complex, c: complex, d: complex, n: int,
-                  w: float) -> float:
-    """Normalized Wilson P_n(w) from the 4F3 led by parameter a."""
-    s = a + b + c + d
-    # split: complex front (a+b)_n(a+c)_n(a+d)_n 4F3 is real for conjugate
-    # pairs, and the remaining norm factor is real positive outright.
-    front = (pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
-             * _terminating_sum(n, lambda t, j: (
-                 t * (-n + j) * (n + s - 1.0 + j) * ((a + j) ** 2 + w)
-                 / (a + b + j) / (a + c + j) / (a + d + j) / (j + 1)),
-                 1.0 + 0.0j))
-    norm_sq = ((2 * n + s - 1.0) / (n + s - 1.0) * pochhammer(s, n)
-               / (pochhammer(a + b, n) * pochhammer(a + c, n)
-                  * pochhammer(a + d, n) * pochhammer(b + c, n)
-                  * pochhammer(b + d, n) * pochhammer(c + d, n)
-                  * math.factorial(n)))
-    norm_sq = real_part_checked(norm_sq, rel_tol=1e-8, context="Wilson norm")
-    if norm_sq < 0:
-        raise InvalidFamilyParams("Wilson normalization undefined here")
-    # the sum cancels heavily near polynomial zeros: the imaginary residue
-    # is a loose guard there, absolute accuracy is what the oracle tests
-    return real_part_checked(front, rel_tol=1e-5,
-                             context="Wilson") * math.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)
@@ -500,12 +405,17 @@ class Wilson:
     def _an(self, n: float) -> complex:
         a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
         s = a + b + c + d
+        if n == 0:
+            # cancel the (s-1) pair so s = 1 stays finite
+            return (a + b) * (a + c) * (a + d) / s
         return ((n + a + b) * (n + a + c) * (n + a + d) * (n + s - 1.0)
                 / ((2 * n + s) * (2 * n + s - 1.0)))
 
     def _cn(self, n: float) -> complex:
         a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
         s = a + b + c + d
+        if n == 0:
+            return 0.0   # its denominator vanishes at s = 1 and s = 2
         return (n * (n + b + c - 1.0) * (n + b + d - 1.0) * (n + c + d - 1.0)
                 / ((2 * n + s - 1.0) * (2 * n + s - 2.0)))
 
@@ -532,17 +442,6 @@ class Wilson:
 
     def spectral_point(self, arg):
         return float(arg)  # already the squared variable w = z^2
-
-    def closed_form(self, n, arg):
-        # W_n is symmetric in (a, b, c, d): lead the 4F3 with the real
-        # parameter of smallest real part, whose terms cancel least
-        ps = [complex(p) for p in (self.a, self.b, self.c, self.d)]
-        real = [p for p in ps if p.imag == 0.0]
-        if real:
-            lead = min(real, key=lambda p: p.real)
-            ps.remove(lead)
-            ps.insert(0, lead)
-        return _wilson_value(*ps, n, float(arg))
 
     def weight(self):
         # h0 = prod_{p<q} Gamma(p+q) / Gamma(s): the non-real sums pair up
@@ -582,11 +481,6 @@ class MixedWilson(Wilson):
         """Number of mass points: k = 0..floor(-a)."""
         return int(math.floor(-self.a)) + 1 if self.mixed else 0
 
-    def closed_form(self, n, arg):
-        # the continuation is defined through a: it stays the lead
-        return _wilson_value(*map(complex, (self.a, self.b, self.c, self.d)),
-                             n, float(arg))
-
     def mass_point(self, k):
         """Polynomial argument of the k-th mass point, w_k = -(k+a)^2."""
         return -((k + self.a) ** 2)
@@ -615,7 +509,7 @@ class Racah:
     no real symmetric three-term form exists.  ``streams`` reports the
     formal streams (|t_n| with negative t_squared) and the honest real values
     are produced by ``values_by_recursion``, which runs the asymmetric real
-    recursion the closed form actually satisfies.
+    recursion its hypergeometric form actually satisfies.
     """
     N: int
     gamma: float
@@ -657,20 +551,6 @@ class Racah:
 
     def spectral_point(self, arg):
         return 0.25 * (self.N - 2.0 * int(arg)) ** 2
-
-    def closed_form(self, n, arg):
-        N, g, sg = self.N, self.gamma, self.sigma
-        k = int(arg)
-        gs = g + sg
-        # normalization |..| of the usual bracket: the (-N)_n sign lives in
-        # the twist absorbed by the asymmetric real recursion
-        pref = math.sqrt((2 * n + gs + 1.0) / (n + gs + 1.0)
-                         * (math.factorial(N) / math.factorial(N - n))
-                         * pochhammer(gs + 2.0, n)
-                         / (pochhammer(gs + N + 2.0, n) * math.factorial(n)))
-        return pref * _terminating_sum(n, lambda t, j: (
-            t * ((-n + j) * (-k + j) * (n + gs + 1.0 + j) * (k - N + j))
-            / ((g + 1.0 + j) * (sg + 1.0 + j) * (-N + j) * (j + 1.0))))
 
     def weight(self):
         # The spectral points ((N-2k)/2)^2 collide pairwise (k <-> N-k), so a
@@ -721,7 +601,7 @@ class ExtendedJacobiContinuous:
     def spectral_point(self, arg):
         return math.cos(self.theta)
 
-    closed_form = weight = _recursion_only
+    weight = _recursion_only
     mass_point = discrete_mass = _no_mass_formula
 
 
@@ -751,16 +631,13 @@ class ExtendedJacobiDiscrete:
     def spectral_point(self, arg):
         return (1.0 + self.tau) / (2.0 * math.sqrt(self.tau))
 
-    closed_form = weight = _recursion_only
+    weight = _recursion_only
     mass_point = discrete_mass = _no_mass_formula
 
 
 # ---------------------------------------------------------------------------
 # entry points: the checks every family shares, then the record's formula
 # ---------------------------------------------------------------------------
-
-_CLOSED_FORM_N_CAP = 30
-
 
 def family_coeffs(family, n_terms: int) -> RecursionCoeffs:
     """Recursion streams (s_n, t_n), n = 0..n_terms-1, of a family."""
@@ -776,31 +653,6 @@ def spectral_point(family, arg) -> float:
     """Map a family's natural argument (z, w, or index k) to the recursion
     variable fed to ``run_recursion``."""
     return family.spectral_point(arg)
-
-
-def closed_form(family, n: int, arg) -> float:
-    """Normalized polynomial value from the terminating hypergeometric form.
-
-    Argument conventions: Meixner-Pollaczek takes z; the discrete families
-    take the integer index k; the quadratic-variable families take w = z^2
-    (any real sign, covering mass points of mixed spectra).  P_0 = 1 for
-    every family.
-    """
-    family.validate()
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if n > _CLOSED_FORM_N_CAP:
-        raise ValueError(f"closed forms capped at n = {_CLOSED_FORM_N_CAP}")
-    if n == 0:
-        return 1.0
-    N = getattr(family, "N", None)
-    if N is not None:
-        name = type(family).__name__
-        if not 0 <= int(arg) <= N:
-            raise InvalidFamilyParams(f"{name} index k must be 0..{N}")
-        if n > N:
-            raise InvalidFamilyParams(f"{name} degree capped at N = {N}")
-    return family.closed_form(n, arg)
 
 
 def values_by_recursion(family, arg, n_max: int) -> np.ndarray:

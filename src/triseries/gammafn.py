@@ -1,4 +1,4 @@
-"""Log-gamma, signed-log rising factorials and Pochhammer products.
+"""Log-gamma and signed-log rising factorials.
 
 Everything downstream (weights, normalization prefactors, phase shifts) is
 built on scipy's complex log-gamma, so the same code path serves
@@ -54,18 +54,6 @@ def log_abs_rising(x: float, k: int) -> float:
 def arg_gamma(z):
     """arg Gamma(z) wrapped to (-pi, pi]; z a scalar or an array."""
     return wrap_angle(log_gamma(z).imag)
-
-
-def pochhammer(a: complex, n: int) -> complex:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1) for real or complex a, as
-    the plain product: exact zeros and signs of negative a come out right,
-    and the closed forms that use it stop at degree 30."""
-    if n < 0:
-        raise ValueError("pochhammer requires n >= 0")
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
 
 
 def real_part_checked(value: complex, rel_tol: float = 1e-10, context: str = "") -> float:

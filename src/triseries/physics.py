@@ -358,12 +358,13 @@ class ScarfCase:
     def __post_init__(self):
         if (self.L is None) == (self.lam is None):
             raise ValueError("give exactly one of L (box size) or lam = pi/L")
+        given = "lam" if self.L is None else "L"
+        if not 0 < getattr(self, given) < math.inf:
+            raise ValueError(f"{given} must be finite and > 0")
         if self.L is None:
             object.__setattr__(self, "L", math.pi / self.lam)
         else:
             object.__setattr__(self, "lam", math.pi / self.L)
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
         if self.mu is None:
             object.__setattr__(self, "mu", self.nu)
         if self.mu <= -1:

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import families as fam
-from .basis import evaluate_series
+from .basis import evaluate_series, negative_integer_index
 from .errors import (AmbiguousRegion, IndexOutOfSpectrum, NoFamilyApplies,
                      SingularPointTooClose, TruncationTooSmall, ZeroOffDiagonal,
                      ZeroSolution)
@@ -26,7 +26,6 @@ DISCRETE_UNKNOWN = "discrete_unknown"
 
 DEFAULT_TRUNCATION = 60
 _BOUNDARY_TOL = 1e-9
-_INTEGER_TOL = 1e-9
 
 LAGUERRE_MARGIN = 0.05   # keep x >= margin away from the x = 0 singularity
 JACOBI_MARGIN = 0.95     # keep |x| <= margin away from x = +-1
@@ -61,13 +60,6 @@ class SeriesSolution:
     def __call__(self, x):
         """y(x) on an array (or scalar) x."""
         return evaluate_series(self.spec, self.f, x)[0]
-
-
-def _near_nonneg_integer(x: float):
-    r = round(x)
-    if r >= 0 and abs(x - r) <= _INTEGER_TOL * max(1.0, abs(x)):
-        return int(r)
-    return None
 
 
 def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
@@ -108,7 +100,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
                             offset=(spec.nu + 1.0) * c2 * sh)
             return MatchResult(family, spec, m, DISCRETE_INFINITE)
         # the finite gap -1 < u < 0: only the measure-zero set nu = -N-1 works
-        n_fin = _near_nonneg_integer(-spec.nu - 1.0)
+        n_fin = negative_integer_index(spec.nu)
         if n_fin is None:
             raise NoFamilyApplies(
                 "b^2 - 1 < 4 A_plus < b^2 with non-integer sqrt((1-a)^2-4A_minus)-1: "
@@ -124,7 +116,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
         _, zmap = laguerre_st2r2(params, spec, 1)
         m = SpectralMap(zmap.combination, zmap.raw_value, scale=1.0,
                         offset=0.25 * (a - 1.0) ** 2)
-        n_fin = _near_nonneg_integer(-spec.nu - 1.0)
+        n_fin = negative_integer_index(spec.nu)
         if n_fin is not None:
             two = 2.0 * params.A_zero + a * b
             family = fam.DualHahn(n_fin, 0.5 * (two - n_fin - 1.0),
@@ -172,7 +164,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             use, use_spec = apply_swap_symmetry(params, spec)
         _, zmap = jacobi_st2r2(use, use_spec, 1)
         chi = 4.0 * use.A_zero - (use.a + use.b - 1.0) ** 2
-        n_fin = _near_nonneg_integer(-use_spec.mu - 1.0)
+        n_fin = negative_integer_index(use_spec.mu)
         if n_fin is not None and chi < 0:
             root = math.sqrt(-chi)
             sg = 0.5 * (use_spec.mu + use_spec.nu + root)

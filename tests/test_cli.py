@@ -49,6 +49,64 @@ def test_spectrum_tolerance_failure_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, config", [
+    (["--config", "CFG"], [1, 2]),
+    (["--config", "CFG", "spectrum"], {"config": "spectrum"}),
+    (["spectrum", "--case", "scarf", "--L", "0"], None),
+    (["spectrum", "--case", "scarf", "--lambda", "0"], None),
+    (["spectrum", "--case", "scarf", "--L", "inf"], None),
+], ids=["config-list", "config-string", "scarf-L-0", "scarf-lambda-0",
+        "scarf-L-inf"])
+def test_bad_input_exits_1_with_one_error_line(args, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [str(cfg) if a == "CFG" else a for a in args]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, config", [
+    (["spectrum"], None),
+    (["--config", "CFG"], {"command": "spectrum", "case": "oscillator",
+                           "no_such_key": 1}),
+], ids=["missing-case", "config-unknown-key"])
+def test_usage_error_exits_1(args, config, tmp_path, capsys):
+    # exit 2 is kept for a failed tolerance
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [str(cfg) if a == "CFG" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: triseries")
+    assert err.splitlines()[-1].startswith(("triseries: error: ",
+                                            "triseries spectrum: error: "))
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+    assert "--case" in capsys.readouterr().out
+
+
+def test_polytable_wilson_parameter_sum_two(capsys):
+    code, out, err = run_cli(capsys, "polytable", "--family", "wilson",
+                             "--a", "0.5", "--b", "0.5", "--c", "0.5",
+                             "--d", "0.5", "--z", "1", "--n-max", "3")
+    assert code == 0, err
+    vals = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    ref = values_by_recursion(Wilson(0.5, 0.5, 0.5, 0.5), 1.0, 3)
+    assert vals == pytest.approx(list(ref), rel=1e-15)
+
+
 def test_phaseshift_single_energy(capsys):
     code, out, _ = run_cli(capsys, "phaseshift", "--case", "coulomb",
                            "--Z", "1", "--ell", "0", "--E", "0.5")

@@ -1,4 +1,5 @@
-"""The named polynomial families: coefficients, closed forms and weights."""
+"""The named polynomial families: coefficients, hypergeometric forms and
+weights."""
 
 import math
 
@@ -38,48 +39,25 @@ def test_wilson_equal_parameters_finite_coefficients():
     assert np.all(co.t_squared[:10] > 0)
 
 
-def test_closed_form_degree_zero_is_one():
-    for f, arg in ((fam.MeixnerPollaczek(0.7, 1.0), 0.3),
-                   (fam.Meixner(0.5, 0.25), 2),
-                   (fam.Krawtchouk(5, 0.4), 3),
-                   (fam.ContinuousDualHahn(0.5, 0.8, 0.9), 1.0),
-                   (fam.DualHahn(5, 0.3, 0.6), 2),
-                   (fam.Wilson(0.5, 0.7, 0.9, 1.1), 0.4),
-                   (fam.Racah(5, 0.4, 0.9), 2)):
-        assert fam.closed_form(f, 0, arg) == 1.0
-
-
 def test_meixner_example_equals_recursion():
     f = fam.Meixner(0.5, 0.25)
-    cf = fam.closed_form(f, 1, 0)
-    assert cf == pytest.approx(0.5, rel=1e-14)   # sqrt((1) tau) * 2F1(-1,0;..) = 1/2
     co = fam.family_coeffs(f, 2)
     seq = run_recursion(co, fam.spectral_point(f, 0), 1)
-    assert seq.values[1] == pytest.approx(cf, rel=1e-13)
+    # sqrt((1) tau) * 2F1(-1,0;..) = 1/2
+    assert seq.values[1] == pytest.approx(0.5, rel=1e-13)
 
 
 def test_krawtchouk_two_term_sum_vanishes():
     # prefactor * 2F1(-1,-1;-2;2) = prefactor * (1 - 1/2 * 2) = 0
     f = fam.Krawtchouk(2, 0.5)
-    assert fam.closed_form(f, 1, 1) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_closed_form_respects_degree_caps():
-    with pytest.raises(ValueError):
-        fam.closed_form(fam.Meixner(0.5, 0.2), 31, 1)
-    with pytest.raises(InvalidFamilyParams):
-        fam.closed_form(fam.Krawtchouk(4, 0.3), 5, 1)
+    assert fam.values_by_recursion(f, 1, 1)[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_extended_families_have_no_closed_form_or_weight():
-    f = fam.ExtendedJacobiContinuous(0.3, 0.7, 1.1, 0.0, 5.0)
-    with pytest.raises(NoClosedForm):
-        fam.closed_form(f, 2, 0.5)
-    with pytest.raises(NoClosedForm):
-        fam.weight(f)
-    g = fam.ExtendedJacobiDiscrete(0.3, 0.7, 0.4, 0.0, 2.0)
-    with pytest.raises(NoClosedForm):
-        fam.closed_form(g, 2, 1)
+    for f in (fam.ExtendedJacobiContinuous(0.3, 0.7, 1.1, 0.0, 5.0),
+              fam.ExtendedJacobiDiscrete(0.3, 0.7, 0.4, 0.0, 2.0)):
+        with pytest.raises(NoClosedForm):
+            fam.weight(f)
 
 
 def test_invalid_family_params():
@@ -150,20 +128,27 @@ def test_meixner_pollaczek_density_far_tails(theta, z):
     assert d == pytest.approx(float(ref), rel=1e-10)
 
 
-def test_closed_form_denominator_zero_raises():
-    # (tau + a + j) reaches 0 at j = 1 inside the terminating sum
-    with pytest.raises(ZeroDivisionError):
-        fam.closed_form(fam.ContinuousDualHahn(-1.5, 0.5, 0.5), 3, 1.0)
-
-
 def test_wilson_reality_with_conjugate_pair():
     f = fam.Wilson(complex(0.7, 0.9), complex(0.7, -0.9), 1.1, 1.1)
     co = fam.family_coeffs(f, 11)
     assert np.all(np.isfinite(co.s))
     assert np.all(np.isfinite(co.t))
-    for n in range(8):
-        v = fam.closed_form(f, n, 1.3)
-        assert math.isfinite(v)
+    v = fam.values_by_recursion(f, 1.3, 7)
+    assert np.all(np.isfinite(v))
+
+
+@pytest.mark.parametrize("f", [
+    fam.Wilson(0.25, 0.25, 0.25, 0.25),
+    fam.Wilson(0.5, 0.5, 0.5, 0.5),
+    fam.Wilson(complex(0.6, 0.7), complex(0.6, -0.7), 0.4, 0.4),
+], ids=["sum_one", "sum_two", "sum_two_conjugate_pair"])
+def test_wilson_streams_at_parameter_sum_one_and_two(f):
+    # A_0 and C_0 are 0/0 as printed when a+b+c+d is 1 or 2; the cancelled
+    # forms A_0 = (a+b)(a+c)(a+d)/s and C_0 = 0 keep the streams finite
+    for w in (0.3, 1.0, 2.7):
+        vals = fam.values_by_recursion(f, w, 10)
+        ref = closed_form_hp(f, w, 10)
+        assert np.max(np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
 
 
 def test_cdh_mixed_discrete_masses_match_dual_orthogonality():
@@ -269,22 +254,12 @@ def test_degeneration_suite_passes():
 
 
 def test_wilson_closed_form_precision_on_hard_draws():
-    # these draws miss the 5e-8 double-precision band (601, 3588) or raise
-    # ArithmeticError (1350) when the 4F3 is led by the large or complex
-    # parameter a; W_n is symmetric in (a, b, c, d), and the real parameter
-    # of smallest real part leads with little cancellation
+    # draws whose Wilson 4F3 cancels heavily: a double-precision sum of it
+    # missed 5e-8 (601, 3588) or kept an imaginary residue (1350); the
+    # recursion against the 40-digit form holds its tolerance on all three
     for seed in (601, 1350, 3588):
         for check in oracle_equivalence_suite(n_draws=1, seed=seed):
             assert check.passed, (seed, check)
-
-
-def test_high_precision_reference_self_consistency():
-    # the reference and the double evaluation agree on a benign draw
-    f = fam.Wilson(0.5, 0.8, 1.1, 0.9)
-    ref = closed_form_hp(f, 1.7, 5)
-    for n in range(6):
-        assert fam.closed_form(f, n, 1.7) == pytest.approx(
-            ref[n], rel=1e-11, abs=1e-11)
 
 
 def test_dual_hahn_golub_welsch_masses_n40():
@@ -376,8 +351,6 @@ def test_high_precision_reference_matches_mpmath_hyper(kind):
     (fam.Meixner(0.5, 1.5), 2, 3),                       # tau outside (0, 1)
 ])
 def test_high_precision_reference_rejects_like_closed_form(f, arg, n_max):
-    with pytest.raises(InvalidFamilyParams):
-        fam.closed_form(f, n_max, arg)
     with pytest.raises(InvalidFamilyParams):
         closed_form_hp(f, arg, n_max)
 

@@ -1,5 +1,5 @@
-"""Log-gamma, signed-log rising factorials and Pochhammer products against
-scipy and 40-digit mpmath."""
+"""Log-gamma and signed-log rising factorials against scipy and 40-digit
+mpmath."""
 
 import cmath
 import math
@@ -7,7 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln, loggamma, poch
+from scipy.special import gammaln, loggamma
 
 from triseries import gammafn as gf
 
@@ -105,21 +105,6 @@ def test_log_gamma_array_equals_scalar_calls():
 def test_arg_gamma_regression():
     assert gf.arg_gamma(complex(1.0, -1.0)) == pytest.approx(0.30164032, abs=1e-7)
     assert gf.arg_gamma(complex(1.0, 0.0)) == 0.0
-
-
-def test_pochhammer_matches_scipy():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a = rng.uniform(-6, 6)
-        n = int(rng.integers(0, 20))
-        assert gf.pochhammer(a, n) == pytest.approx(
-            float(poch(a, n)), rel=1e-11, abs=1e-11)
-
-
-def test_pochhammer_long_product():
-    a = 1.37
-    exact = float(poch(a, 120))
-    assert gf.pochhammer(a, 120) == pytest.approx(exact, rel=1e-10)
 
 
 def test_log_abs_rising_matches_mpmath():

@@ -151,7 +151,8 @@ def test_records_carry_their_protocol():
                 fam.ExtendedJacobiContinuous(0.3, 0.7, 1.1, 0.0, 5.0),
                 fam.ExtendedJacobiDiscrete(0.3, 0.7, 0.4, 0.0, 2.0)]
     members = _protocol_members(fam.Family)
-    assert {"streams", "closed_form", "weight", "mass_point", "kind"} <= members
+    assert {"streams", "weight", "mass_point", "kind"} <= members
+    assert "closed_form" not in members
     for f in families:
         missing = {n for n in members if not hasattr(f, n)}
         assert not missing, (type(f).__name__, missing)

@@ -16,6 +16,7 @@ from triseries.solve import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE,
                              MIXED, SeriesSolution, assemble_mixed,
                              assemble_solution, match_family, ode_residual)
 from triseries.tra import OdeParams
+from triseries.verify import closed_form_hp
 
 
 def test_match_coulomb_scattering_is_oscillatory_family():
@@ -99,10 +100,38 @@ def test_finite_family_coefficients_are_weighted_family_values():
     m = match_family(p, "LA", nu_sign=-1)
     k = 1
     sol = assemble_solution(m, k)
+    ref = closed_form_hp(m.family, k, n_fin)
     for n in range(n_fin + 1):
-        expect = sol.norm_factor * fam.closed_form(m.family, n, k)
+        expect = sol.norm_factor * ref[n]
         assert float(np.real(sol.f[n])) == pytest.approx(expect, rel=1e-10,
                                                          abs=1e-12)
+
+
+def test_near_integer_finite_index_gives_the_integer_series():
+    # the matcher and the basis norms share one negative-integer rule, so an
+    # index 1e-10 off nu = -4 gives the Krawtchouk(3, .) series of nu = -4
+    xs = np.array([0.2, 0.7, 1.5, 3.0])
+    ys = []
+    for nu in (-4.0, -4.0 + 1e-10):
+        p = OdeParams("laguerre", 0.25, 0.25, -0.12,
+                      ((1 - 0.25) ** 2 - nu * nu) / 4.0, 1.7)
+        m = match_family(p, "LA", nu_sign=-1)
+        assert m.spectrum_kind == DISCRETE_FINITE and m.n_finite == 3
+        ys.append(assemble_solution(m, 1)(xs))
+    assert np.max(np.abs(ys[1] - ys[0])) < 1e-8 * np.max(np.abs(ys[0]))
+
+
+def test_jc_wilson_match_with_parameter_sum_two_assembles():
+    # mu + nu = 0 gives a Wilson record with a+b+c+d = 2, whose printed A_0
+    # and C_0 are 0/0
+    p = OdeParams("jacobi", 0.8, 0.5, 0.08, 1.2, 1.1)
+    m = match_family(p, "JC", free_value=-0.3)
+    f = m.family
+    assert (f.a + f.b + f.c + f.d).real == pytest.approx(2.0, abs=1e-14)
+    sol = assemble_solution(m, 1.3, enforce_tail=False)
+    ref = closed_form_hp(f, 1.3, 10)
+    assert np.allclose(sol.f[:11] / sol.norm_factor, ref, rtol=1e-12,
+                       atol=1e-12)
 
 
 def test_finite_expansion_streams_reproduce_signed_squares():
