@@ -37,6 +37,34 @@ def _fmt(x) -> str:
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _json_column(cells) -> list:
+    """JSON texts of one column's cells: the numbers in one call of json's C
+    encoder, whose float repr, NaN/Infinity spelling and int text are those
+    of json.dumps(indent=2); the strings one by one."""
+    nums = [c for c in cells if not isinstance(c, str)]
+    texts = iter(json.dumps(nums)[1:-1].split(", "))
+    return [_STRING(c) if isinstance(c, str) else next(texts) for c in cells]
+
+
+def _json_rows(header, rows) -> str:
+    """The "rows" value as json.dumps(sort_keys=True, indent=2) writes it
+    one level down, built column by column: each row is the object
+    dict(zip(header, map(_cell, row)))."""
+    if not rows:
+        return "[]"
+    # a repeated name keeps its last column, as dict(zip(...)) does
+    last = {name: i for i, name in enumerate(header)}
+    keys = sorted(last)
+    cols = [_json_column([_cell(row[last[k]]) for row in rows]) for k in keys]
+    row_text = ("    {\n" + ",\n".join(
+        "      " + _STRING(k).replace("%", "%%") + ": %s" for k in keys)
+        + "\n    }")
+    return "[\n" + ",\n".join(map(row_text.__mod__, zip(*cols))) + "\n  ]"
+
+
 def _emit(config: dict, header, rows, diagnostics: dict, fmt: str, out_path):
     if fmt == "csv":
         lines = [",".join(header)]
@@ -44,12 +72,12 @@ def _emit(config: dict, header, rows, diagnostics: dict, fmt: str, out_path):
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
     else:
-        payload = {
-            "config": config,
-            "rows": [dict(zip(header, map(_cell, row))) for row in rows],
-            "diagnostics": diagnostics,
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+        # the bytes of json.dumps({"config", "diagnostics", "rows"},
+        # sort_keys=True, indent=2, default=str): "rows" sorts last, so its
+        # placeholder [] ends the small part and the table text replaces it
+        head = json.dumps({"config": config, "diagnostics": diagnostics,
+                           "rows": []}, sort_keys=True, indent=2, default=str)
+        text = head[:-len("[]\n}")] + _json_rows(header, rows) + "\n}\n"
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)

@@ -97,11 +97,13 @@ def _gamma_ratio_density(params, log_norm: float, sign: float):
     of the continuous-dual-Hahn and Wilson densities, for a norm given as
     log|norm| and its sign.  The gammas are summed as logarithms with the
     norm's and exponentiated once, so neither large z nor large parameters
-    under- or overflow the factors."""
+    under- or overflow the factors.  The density is 0 at z = 0."""
     params = tuple(complex(p) for p in params)
     log_scale = math.log(2.0 * math.pi) + log_norm
 
     def density(z):
+        if z == 0.0:
+            return 0.0   # the factor 1/|Gamma(2iz)|^2 vanishes there
         log_ratio = sum(log_gamma(p + 1j * z) for p in params) - log_gamma(2j * z)
         return sign * math.exp(2.0 * log_ratio.real - log_scale)
 
@@ -378,6 +380,25 @@ class DualHahn:
     mass_point = discrete_mass = _no_mass_formula
 
 
+def _wilson_form_ac(n_terms, a_roots, c_roots, rho):
+    """A_n, n = 0..n_terms-1, and C_n, n = 0..n_terms, of a recursion of
+    Wilson form, in one array pass:
+        A_n = (n+a_1)(n+a_2)(n+a_3)(n+rho-1) / ((2n+rho)(2n+rho-1)),
+        C_n = n(n+c_1)(n+c_2)(n+c_3) / ((2n+rho-1)(2n+rho-2)).
+    At n = 0 they take the forms A_0 = a_1 a_2 a_3 / rho, with the (rho-1)
+    pair cancelled, and C_0 = 0, so rho = 1 and rho = 2 stay finite; the
+    array pass runs at n >= 1 only.  Each factor is n + x, a denominator
+    factor 2n + x taken as 2(n + x/2)."""
+    n = np.arange(n_terms + 1.0)
+    n[0] = 1.0
+    f = np.array((a_roots[0], 0.0, a_roots[1], c_roots[0], a_roots[2],
+                  c_roots[1], rho - 1.0, c_roots[2],
+                  0.5 * rho, 0.5 * (rho - 1.0), 0.5 * (rho - 2.0)))[:, None] + n
+    ac = f[0:2] * f[2:4] * f[4:6] * f[6:8] / (4.0 * f[8:10] * f[9:11])
+    ac[:, 0] = (a_roots[0] * a_roots[1] * a_roots[2] / rho, 0.0)
+    return ac[0, :-1], ac[1]
+
+
 @dataclass(frozen=True)
 class Wilson:
     """Four-parameter family in w = z^2; complex-conjugate pairs allowed."""
@@ -402,43 +423,28 @@ class Wilson:
     def mixed(self) -> bool:
         return False
 
-    def _an(self, n: float) -> complex:
-        a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
-        s = a + b + c + d
-        if n == 0:
-            # cancel the (s-1) pair so s = 1 stays finite
-            return (a + b) * (a + c) * (a + d) / s
-        return ((n + a + b) * (n + a + c) * (n + a + d) * (n + s - 1.0)
-                / ((2 * n + s) * (2 * n + s - 1.0)))
-
-    def _cn(self, n: float) -> complex:
-        a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
-        s = a + b + c + d
-        if n == 0:
-            return 0.0   # its denominator vanishes at s = 1 and s = 2
-        return (n * (n + b + c - 1.0) * (n + b + d - 1.0) * (n + c + d - 1.0)
-                / ((2 * n + s - 1.0) * (2 * n + s - 2.0)))
-
     def streams(self, n_terms):
-        # the off-diagonal sign tracks sign((n+a+c)(n+b+c)), so the streams of
-        # a mixed Wilson record continue those of the admissible region, where
-        # that factor is positive and t_n = -sqrt(A_n C_{n+1})
-        s = np.empty(n_terms)
-        t = np.empty(n_terms)
-        t2 = np.empty(n_terms)
-        a, b, c = complex(self.a), complex(self.b), complex(self.c)
-        aa = a * a
-        for i in range(n_terms):
-            n = float(i)
-            s[i] = real_part_checked(self._an(n) + self._cn(n) - aa,
-                                     context=f"Wilson s_{i}")
-            prod = self._an(n) * self._cn(n + 1.0)
-            t2[i] = real_part_checked(prod, context=f"Wilson t_{i}^2")
-            branch = real_part_checked((n + a + c) * (n + b + c),
-                                       context=f"Wilson branch_{i}")
-            t[i] = -math.copysign(math.sqrt(abs(t2[i])),
-                                  branch if branch != 0 else 1.0)
-        return RecursionCoeffs(s, t, t_squared=t2)
+        ps = [complex(p) for p in (self.a, self.b, self.c, self.d)]
+        pair = any(p.imag for p in ps)
+        # real parameters take real arithmetic: no residue to check
+        a, b, c, d = ps if pair else [p.real for p in ps]
+        an, cn = _wilson_form_ac(n_terms, (a + b, a + c, a + d),
+                                 (b + c - 1.0, b + d - 1.0, c + d - 1.0),
+                                 a + b + c + d)
+        ns = np.arange(n_terms)
+        # per n: s_n, t_n^2 and the branch (n+a+c)(n+b+c), whose sign the
+        # off-diagonal takes, so the streams of a mixed Wilson record
+        # continue those of the admissible region, where that factor is
+        # positive and t_n = -sqrt(A_n C_{n+1})
+        v = (an + cn[:-1] - a * a, an * cn[1:], (ns + (a + c)) * (ns + (b + c)))
+        if pair:
+            names = ("s_%d", "t_%d^2", "branch_%d")
+            v = real_part_checked(np.stack(v, axis=1), context=(
+                lambda n, k: "Wilson " + names[k] % n)).T
+        s_n, t2, branch = v
+        # + 0.0 makes a -0 branch +0: a zero branch counts as positive
+        t = -np.copysign(np.sqrt(np.abs(t2)), branch + 0.0)
+        return RecursionCoeffs(s_n, t, t_squared=t2)
 
     def spectral_point(self, arg):
         return float(arg)  # already the squared variable w = z^2
@@ -523,31 +529,16 @@ class Racah:
         if self.gamma <= -1 or self.sigma <= -1:
             raise InvalidFamilyParams("Racah needs gamma, sigma > -1")
 
-    def _a(self, n: int) -> float:
-        """(n-N)(n+g+1)(n+s+1)(n+g+s+1)/((2n+g+s+1)(2n+g+s+2)); <= 0 for n <= N."""
-        g, s, N = self.gamma, self.sigma, self.N
-        if n == 0:
-            # cancel the (g+s+1) pair so g+s -> -1 stays finite
-            return -N * (g + 1.0) * (s + 1.0) / (g + s + 2.0)
-        return ((n - N) * (n + g + 1.0) * (n + s + 1.0) * (n + g + s + 1.0)
-                / ((2 * n + g + s + 1.0) * (2 * n + g + s + 2.0)))
-
-    def _c(self, n: int) -> float:
-        """n(n+g)(n+s)(n+g+s+N+1)/((2n+g+s)(2n+g+s+1)); >= 0."""
-        g, s, N = self.gamma, self.sigma, self.N
-        if n == 0:
-            return 0.0
-        return (n * (n + g) * (n + s) * (n + g + s + N + 1.0)
-                / ((2 * n + g + s) * (2 * n + g + s + 1.0)))
-
     def streams(self, n_terms):
-        N = self.N
-        s = np.array([0.25 * N * N - self._a(i) - self._c(i)
-                      for i in range(n_terms)])
-        t2 = np.array([self._a(i) * self._c(i + 1) for i in range(n_terms)])
+        # A_n = (n-N)(n+g+1)(n+s+1)(n+g+s+1)/((2n+g+s+1)(2n+g+s+2)) <= 0 for
+        # n <= N, and C_n = n(n+g)(n+s)(n+g+s+N+1)/((2n+g+s)(2n+g+s+1)) >= 0
+        g, sg, N = self.gamma, self.sigma, self.N
+        an, cn = _wilson_form_ac(n_terms, (-N, g + 1.0, sg + 1.0),
+                                 (g, sg, g + sg + N + 1.0), g + sg + 2.0)
+        t2 = an * cn[1:]
         # |t_n| of the formal symmetrized recursion
-        t = np.array([math.sqrt(abs(v)) for v in t2])
-        return RecursionCoeffs(s, t, t_squared=t2)
+        return RecursionCoeffs(0.25 * N * N - an - cn[:-1], np.sqrt(np.abs(t2)),
+                               t_squared=t2)
 
     def spectral_point(self, arg):
         return 0.25 * (self.N - 2.0 * int(arg)) ** 2

@@ -56,14 +56,19 @@ def arg_gamma(z):
     return wrap_angle(log_gamma(z).imag)
 
 
-def real_part_checked(value: complex, rel_tol: float = 1e-10, context: str = "") -> float:
-    """Return the real part, asserting the imaginary residue is negligible."""
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > rel_tol * scale:
+def real_part_checked(value, rel_tol: float = 1e-10, context=""):
+    """The real part of a complex scalar or array, asserting that every
+    imaginary residue is negligible against max(1, |value|).  ``context``
+    names the value; for an array it is a function of the index of the
+    first element that fails, in C order."""
+    v = np.asarray(value)
+    bad = np.abs(v.imag) > rel_tol * np.maximum(1.0, np.abs(v))
+    if bad.any():
+        where = np.unravel_index(np.argmax(bad), v.shape)
+        name = context(*where) if v.ndim else context
         raise ArithmeticError(
-            f"imaginary residue {value.imag:.3e} too large {context or ''}".strip()
-        )
-    return value.real
+            f"imaginary residue {v[where].imag:.3e} too large {name}".strip())
+    return v.real if v.ndim else float(v.real)
 
 
 def wrap_angle(phi):

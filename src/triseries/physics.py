@@ -15,7 +15,7 @@ Atomic units throughout: H = -1/2 d^2/dr^2 + V(r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Protocol
 
 import numpy as np
@@ -46,6 +46,15 @@ class RadialMesh:
 
     def halved(self):
         return RadialMesh(self.lo, self.hi, 0.5 * self.h)
+
+
+def _require_finite(case) -> None:
+    """Reject a case record whose numeric field is nan or infinite, naming
+    the field; a field left at None is not set."""
+    for f in fields(case):
+        v = getattr(case, f.name)
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{case.name}: {f.name} must be finite, got {v}")
 
 
 class Case(Protocol):
@@ -83,6 +92,7 @@ class CoulombCase:
     threshold = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam <= 0:
             raise ValueError("scale lam must be > 0")
         if self.ell < 0 or self.ell != int(self.ell):
@@ -145,6 +155,7 @@ class OscillatorCase:
     bound_e_cap = math.inf
 
     def __post_init__(self):
+        _require_finite(self)
         if self.omega <= 0 or self.lam <= 0:
             raise ValueError("omega and lam must be > 0")
         if self.ell < 0 or self.ell != int(self.ell):
@@ -201,6 +212,7 @@ class MorseCase:
     bound_e_cap = math.inf
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam <= 0:
             raise ValueError("lam must be > 0")
         pinned = self.lam ** 2 / 8.0
@@ -272,6 +284,7 @@ class PoschlTellerCase:
     bound_e_cap = math.inf
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam <= 0:
             raise ValueError("lam must be > 0")
         if self.A == 0:
@@ -356,11 +369,12 @@ class ScarfCase:
     bound_e_cap = math.inf
 
     def __post_init__(self):
+        _require_finite(self)
         if (self.L is None) == (self.lam is None):
             raise ValueError("give exactly one of L (box size) or lam = pi/L")
         given = "lam" if self.L is None else "L"
-        if not 0 < getattr(self, given) < math.inf:
-            raise ValueError(f"{given} must be finite and > 0")
+        if not getattr(self, given) > 0:
+            raise ValueError(f"{given} must be > 0")
         if self.L is None:
             object.__setattr__(self, "L", math.pi / self.lam)
         else:
@@ -425,6 +439,7 @@ class EckartCase:
     bound_e_cap = math.inf
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam <= 0:
             raise ValueError("lam must be > 0")
         if self.A == 0:
@@ -661,12 +676,14 @@ def bound_series(case, m: int, truncation: int = None):
     if scenario != "LA":
         match = solvemod.match_family(params, scenario, free_value=(
             terminating_free_index(params, scenario, m)))
-        t = np.abs(fam.family_coeffs(match.family, m + 2).t)
+        coeffs = fam.family_coeffs(match.family, m + 2)
+        t = np.abs(coeffs.t)
         near = max(t[m + 1], t[m - 1] if m else 0.0)
         if not t[m] <= _CUT_ROUNDOFF * near:
             raise NoTerminatingIndex(f"{case.name}: |t_{m}| = {t[m]:.2e} is not "
                                      f"round-off next to {near:.2e}")
-        return params, solvemod.assemble_solution(match, m, truncation=m)
+        return params, solvemod.assemble_solution(match, m, truncation=m,
+                                                  coeffs=coeffs)
     try:
         match = solvemod.match_family(params, scenario)
     except AmbiguousRegion:

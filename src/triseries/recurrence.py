@@ -45,7 +45,7 @@ class RecursionCoeffs:
             object.__setattr__(self, "t_squared", np.asarray(self.t_squared, dtype=float))
         if s.shape != t.shape or s.ndim != 1:
             raise ValueError("s and t must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
+        if not (np.isfinite(s).all() and np.isfinite(t).all()):
             raise ValueError("recursion coefficients must be finite")
 
     def __len__(self) -> int:

@@ -243,12 +243,13 @@ def _clip_roundoff_tail(vals: np.ndarray) -> np.ndarray:
 
 
 def assemble_solution(match: MatchResult, spectral, truncation: int = None,
-                      enforce_tail: bool = True) -> SeriesSolution:
+                      enforce_tail: bool = True, coeffs=None) -> SeriesSolution:
     """Build f_n = p * P_n for a spectral value (continuous) or index k.
 
     For mixed spectra, an integer ``spectral`` selects the discrete
     component at that index and a float selects the continuous component at
-    that squared-variable value.
+    that squared-variable value.  ``coeffs``: the family's streams when the
+    caller has built them already, at least truncation + 1 terms long.
     """
     f = match.family
     kind = match.spectrum_kind
@@ -270,7 +271,8 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         p = 1.0 if unnorm else math.sqrt(f.discrete_mass(k))
         coeff = p * np.asarray(vals)
         return SeriesSolution(coeff, match.spec, n_top + 1, p, float(k), f, unnorm)
-    coeffs = fam.family_coeffs(f, truncation + 1)
+    if coeffs is None:
+        coeffs = fam.family_coeffs(f, truncation + 1)
     if kind == DISCRETE_INFINITE or (kind == MIXED and is_index):
         k = int(spectral)
         if kind == MIXED and not 0 <= k <= match.n_finite:

@@ -1,13 +1,16 @@
 """Command-line behavior: outputs, exit codes, determinism, round trips."""
 
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
-from triseries.cli import _build_case, build_parser, main
+from triseries.cli import _build_case, _emit, build_parser, main
 from triseries.families import (MeixnerPollaczek, Wilson,
                                 values_by_recursion)
-from triseries.physics import (CoulombCase, EckartCase, MorseCase,
+from triseries.physics import (CASE_TYPES, CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase)
 
 
@@ -308,3 +311,85 @@ def test_polytable_config_replay_keeps_every_flag(tmp_path, capsys):
 def test_build_case_equals_direct_construction(flags, expect):
     ns = build_parser().parse_args(["spectrum", "--case"] + flags)
     assert _build_case(ns) == expect
+
+
+# every float field of every case record, as (case, field)
+_FLOAT_FIELDS = [(name, f.name) for name, cls in sorted(CASE_TYPES.items())
+                 for f in dataclasses.fields(cls) if f.name != "ell"]
+
+
+@pytest.mark.parametrize("case, field", _FLOAT_FIELDS,
+                         ids=[f"{c}-{f}" for c, f in _FLOAT_FIELDS])
+def test_non_finite_case_field_exits_1(case, field, capsys):
+    flag = "--lambda" if field == "lam" else f"--{field}"
+    for value in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, "spectrum", "--case", case,
+                                 f"{flag}={value}")
+        assert (code, out) == (1, ""), (value, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{field} must be finite" in err
+        assert "Traceback" not in err
+
+
+# commands whose JSON and CSV outputs the writer tests cover; match writes
+# JSON only
+_WRITER_COMMANDS = {
+    "spectrum": ["spectrum", "--case", "coulomb", "--m-max", "2"],
+    "phaseshift-200": ["phaseshift", "--case", "morse", "--V1", "1",
+                       "--E-min", "0.1", "--E-max", "5", "--n-E", "200"],
+    "phaseshift-0": ["phaseshift", "--case", "eckart", "--A", "2", "--B", "-20",
+                     "--n-E", "0"],
+    "wavefunction-0": ["wavefunction", "--case", "oscillator", "--n-r", "0"],
+    "polytable-0": ["polytable", "--family", "meixner", "--z", "-0.5",
+                    "--n-max", "0"],
+    "polytable-200": ["polytable", "--family", "wilson", "--a", "0.5",
+                      "--b", "0.9", "--c", "1.3", "--d", "0.7", "--z", "2.5",
+                      "--n-max", "200"],
+    "verify-matches": ["verify", "--suite", "matches"],
+    "match": ["match", "--equation", "laguerre", "--scenario", "LA",
+              "--a", "0", "--b", "0", "--A-plus", "1.0", "--A-minus", "0",
+              "--A-zero", "2.0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITER_COMMANDS))
+def test_json_output_is_json_dumps_indent_2(name, capsys):
+    code, out, err = run_cli(capsys, *_WRITER_COMMANDS[name], "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(set(_WRITER_COMMANDS) - {"match"}))
+def test_csv_output_is_the_json_cells_at_17_digits(name, capsys):
+    # CSV: the header, then each row's cells in header order, floats with
+    # 17 significant digits, integers and strings as they are
+    args = _WRITER_COMMANDS[name]
+    _, out_json, _ = run_cli(capsys, *args, "--format", "json")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0, err
+    header = out.split("\n", 1)[0].split(",")
+    lines = [",".join(header)] + [
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                 for v in (row[k] for k in header))
+        for row in json.loads(out_json)["rows"]]
+    assert out == "\n".join(lines) + "\n"
+
+
+def test_emit_json_equals_json_dumps_of_row_dicts(capsys):
+    header = ["value", "label", "count", "%s"]
+    rows = [(math.nan, 'a "quoted" \u00e9t\u00e9', np.int64(7), 1.5),
+            (math.inf, "plain", 3, np.float64(0.1)),
+            (-math.inf, "", np.int64(-2), 2),
+            (np.float64(1e-310), "\u2603, \\ / \t", 12345678901234567890, -0.0)]
+    config = {"command": "test", "zeta": 1, "alpha": None}
+    diagnostics = {"ok": True, "nested": {"b": 1, "a": [1, 2]}}
+    _emit(config, header, rows, diagnostics, "json", None)
+    out = capsys.readouterr().out
+    cells = [[v if isinstance(v, str) else
+              int(v) if isinstance(v, (int, np.integer)) else float(v)
+              for v in row] for row in rows]
+    expect = json.dumps({"config": config, "diagnostics": diagnostics,
+                         "rows": [dict(zip(header, row)) for row in cells]},
+                        sort_keys=True, indent=2, default=str) + "\n"
+    assert out == expect

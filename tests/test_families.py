@@ -151,6 +151,125 @@ def test_wilson_streams_at_parameter_sum_one_and_two(f):
         assert np.max(np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
 
 
+def _wilson_streams_per_n(f, n_terms):
+    """s_n, t_n, t_n^2 of a Wilson record from A_n and C_n, one n at a time
+    in 40-digit arithmetic, with the size |A_n| + |C_n| + |a^2| of s_n's
+    terms."""
+    import mpmath as mp
+    with mp.workdps(40):
+        a, b, c, d = (mp.mpc(complex(p)) for p in (f.a, f.b, f.c, f.d))
+        s = a + b + c + d
+
+        def A(n):
+            if n == 0:
+                return (a + b) * (a + c) * (a + d) / s
+            return ((n + a + b) * (n + a + c) * (n + a + d) * (n + s - 1)
+                    / ((2 * n + s) * (2 * n + s - 1)))
+
+        def C(n):
+            if n == 0:
+                return mp.mpc(0)
+            return (n * (n + b + c - 1) * (n + b + d - 1) * (n + c + d - 1)
+                    / ((2 * n + s - 1) * (2 * n + s - 2)))
+
+        rows = []
+        for n in range(n_terms):
+            t2 = mp.re(A(n) * C(n + 1))
+            branch = mp.re((n + a + c) * (n + b + c))
+            t = mp.sqrt(abs(t2)) * (1 if branch < 0 else -1)
+            rows.append([float(x) for x in (
+                mp.re(A(n) + C(n) - a * a), t, t2,
+                abs(A(n)) + abs(C(n)) + abs(a * a))])
+    return np.array(rows).T
+
+
+def _racah_streams_per_n(f, n_terms):
+    """s_n, |t_n|, t_n^2 of a Racah record from A_n and C_n in 40-digit
+    arithmetic, with the size N^2/4 + |A_n| + |C_n| of s_n's terms."""
+    import mpmath as mp
+    with mp.workdps(40):
+        g, sg, N = mp.mpf(f.gamma), mp.mpf(f.sigma), f.N
+
+        def A(n):
+            if n == 0:
+                return -N * (g + 1) * (sg + 1) / (g + sg + 2)
+            return ((n - N) * (n + g + 1) * (n + sg + 1) * (n + g + sg + 1)
+                    / ((2 * n + g + sg + 1) * (2 * n + g + sg + 2)))
+
+        def C(n):
+            if n == 0:
+                return mp.mpf(0)
+            return (n * (n + g) * (n + sg) * (n + g + sg + N + 1)
+                    / ((2 * n + g + sg) * (2 * n + g + sg + 1)))
+
+        q = mp.mpf(N) ** 2 / 4
+        rows = [[float(x) for x in (
+            q - A(n) - C(n), mp.sqrt(abs(A(n) * C(n + 1))), A(n) * C(n + 1),
+            q + abs(A(n)) + abs(C(n)))] for n in range(n_terms)]
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("f, per_n", [
+    (fam.Wilson(0.25, 0.25, 0.25, 0.25), _wilson_streams_per_n),
+    (fam.Wilson(0.5, 0.5, 0.5, 0.5), _wilson_streams_per_n),
+    (fam.Wilson(0.5, 0.9, 1.3, 0.7), _wilson_streams_per_n),
+    (fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2),
+     _wilson_streams_per_n),
+    (fam.MixedWilson(1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8), _wilson_streams_per_n),
+    (fam.Racah(200, -0.5, -0.5 + 1e-9), _racah_streams_per_n),
+], ids=["wilson_sum_one", "wilson_sum_two", "wilson", "wilson_pair",
+        "mixed_wilson", "racah_gamma_sigma_near_minus_one"])
+def test_streams_equal_per_n_formulas(f, per_n):
+    # one array pass over n gives each n's A_n/C_n streams: s_n to 1e-15 of
+    # the terms it sums, t_n to 1e-15 relative and t_n^2, a product of two
+    # such values, to 2e-15; every n_terms gives the same leading entries
+    s_ref, t_ref, t2_ref, terms = per_n(f, 201)
+    full = f.streams(201)
+    assert np.all(np.abs(full.s - s_ref) <= 1e-15 * terms)
+    assert np.all(np.abs(full.t - t_ref) <= 1e-15 * np.abs(t_ref))
+    assert np.all(np.abs(full.t_squared - t2_ref) <= 2e-15 * np.abs(t2_ref))
+    for n_terms in range(1, 201):
+        co = f.streams(n_terms)
+        assert len(co) == n_terms
+        for got, whole in ((co.s, full.s), (co.t, full.t),
+                           (co.t_squared, full.t_squared)):
+            assert np.array_equal(got, whole[:n_terms])
+
+
+def test_unpaired_complex_wilson_streams_name_the_first_residue():
+    f = fam.Wilson(complex(1.0, 0.5), complex(1.0, -0.4), 1.0, 1.0)
+    for n_terms in (1, 3, 201):
+        with pytest.raises(ArithmeticError, match=r"Wilson s_0$"):
+            f.streams(n_terms)
+
+
+@pytest.mark.parametrize("f", [fam.ContinuousDualHahn(0.8, 0.7, 0.7),
+                               fam.Wilson(0.5, 0.9, 1.3, 0.7)],
+                         ids=["continuous_dual_hahn", "wilson"])
+def test_gamma_ratio_density_is_zero_at_zero(f):
+    # prod_p |Gamma(p+iz)|^2 / |Gamma(2iz)|^2 / (2 pi norm) -> 0 as z -> 0,
+    # where Gamma(2iz) has its pole; the norm is Gamma(tau+a) Gamma(tau+b)
+    # Gamma(a+b) (CDH) or prod_{p<q} Gamma(p+q) / Gamma(a+b+c+d) (Wilson)
+    import mpmath as mp
+    density = fam.weight(f).density
+    assert density(0.0) == 0.0
+    with mp.workdps(40):
+        if f.kind == "continuous_dual_hahn":
+            ps = [mp.mpf(p) for p in (f.tau, f.a, f.b)]
+            norm = mp.fprod(mp.gamma(p + q) for p, q in
+                            ((ps[0], ps[1]), (ps[0], ps[2]), (ps[1], ps[2])))
+        else:
+            ps = [mp.mpf(p) for p in (f.a, f.b, f.c, f.d)]
+            norm = (mp.fprod(mp.gamma(ps[i] + ps[j])
+                             for i in range(4) for j in range(i + 1, 4))
+                    / mp.gamma(sum(ps)))
+        z = mp.mpf("1e-8")
+        ref = (mp.fprod(abs(mp.gamma(p + 1j * z)) ** 2 for p in ps)
+               / abs(mp.gamma(2j * z)) ** 2 / (2 * mp.pi * norm))
+    assert density(1e-8) == pytest.approx(float(ref), rel=1e-12)
+    assert density(1e-8) < 1e-14
+
+
 def test_cdh_mixed_discrete_masses_match_dual_orthogonality():
     f = fam.ContinuousDualHahn(-1.6, 0.9, 0.9)
     co = fam.family_coeffs(f, 6001)

@@ -140,3 +140,10 @@ def test_wrap_angle_is_ieee_remainder_on_arrays():
 def test_real_part_checked_raises_on_complex():
     with pytest.raises(ArithmeticError):
         gf.real_part_checked(complex(1.0, 0.5))
+
+
+def test_real_part_checked_array_names_the_first_failure():
+    v = np.array([[1.0, complex(2.0, 1e-12)], [complex(3.0, 0.5), 4.0j]])
+    with pytest.raises(ArithmeticError, match=r"too large row 1 col 0$"):
+        gf.real_part_checked(v, context=lambda i, k: f"row {i} col {k}")
+    assert gf.real_part_checked(v[:1]).tolist() == [[1.0, 2.0]]
