@@ -110,7 +110,8 @@ def _case_config(ns) -> dict:
 def cmd_spectrum(ns) -> int:
     case = _build_case(ns)
     spec = physics.bound_spectrum(case, m_max=ns.m_max)
-    oracle = physics.fd_oracle(case, n_levels=len(spec.levels))
+    mesh = physics.default_mesh(case, len(spec.levels))
+    oracle = physics.fd_oracle(case, n_levels=len(spec.levels), mesh=mesh)
     formula = spec.energies
     order = np.argsort(formula)
     rows = []
@@ -124,7 +125,9 @@ def cmd_spectrum(ns) -> int:
             ok = False
     rows.sort(key=lambda r: r[0])
     _emit(_case_config(ns), ["m", "E_formula", "E_oracle", "abs_diff"], rows,
-          {"tolerance": ns.tol, "within_tolerance": ok}, ns.format, ns.out)
+          {"tolerance": ns.tol, "within_tolerance": ok,
+           "fd_nodes": [mesh.nodes().size, mesh.halved().nodes().size]},
+          ns.format, ns.out)
     return 0 if ok else 2
 
 

@@ -84,3 +84,8 @@ class BelowThreshold(TriseriesError):
 
 class MeshTooCoarse(TriseriesError):
     """Finite-difference eigenvalues did not stabilize under mesh refinement."""
+
+
+class BoxTooSmall(TriseriesError):
+    """Fewer finite-difference eigenvalues than requested lie below the
+    continuum threshold: a level does not fit in the oracle's box."""

@@ -15,7 +15,7 @@ Atomic units throughout: H = -1/2 d^2/dr^2 + V(r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Protocol
 
 import numpy as np
@@ -23,9 +23,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import families as fam
 from . import solve as solvemod
-from .errors import (AmbiguousRegion, BelowThreshold, IndexOutOfSpectrum,
-                     InvalidFamilyParams, MeshTooCoarse, NoBoundStates,
-                     NoContinuum, NoTerminatingIndex, TriseriesError)
+from .errors import (AmbiguousRegion, BelowThreshold, BoxTooSmall,
+                     IndexOutOfSpectrum, InvalidFamilyParams, MeshTooCoarse,
+                     NoBoundStates, NoContinuum, NoTerminatingIndex,
+                     TriseriesError)
 from .gammafn import arg_gamma, wrap_angle
 from .tra import (JACOBI, LAGUERRE, OdeParams, resolve_basis,
                   terminating_free_index)
@@ -35,17 +36,49 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class RadialMesh:
-    """Uniform Dirichlet mesh on (lo, hi): interior nodes lo + j h."""
+    """Mapped Dirichlet mesh on (lo, hi): nodes r = c + a sinh(u/a), with u
+    on a uniform grid of step h from the image of lo.  Near c the spacing is
+    about h; a distance d from it, about h d/a, so a tail costs nodes
+    logarithmically.  The default a = inf is the uniform mesh lo + j h."""
     lo: float
     hi: float
     h: float
+    a: float = math.inf
+    c: float = 0.0
+
+    def _u(self, r):
+        """The image of r, u = a asinh((r - c)/a)."""
+        return r - self.c if self.a == math.inf else (
+            self.a * math.asinh((r - self.c) / self.a))
+
+    def _steps(self) -> int:
+        """u-steps from lo to the far Dirichlet end, the one nearest hi."""
+        return int(round((self._u(self.hi) - self._u(self.lo)) / self.h))
+
+    def _r(self, j):
+        """r a number j of u-steps from lo."""
+        if self.a == math.inf:
+            return self.lo + self.h * j
+        return self.c + self.a * np.sinh((self._u(self.lo) + self.h * j)
+                                         / self.a)
 
     def nodes(self):
-        n = int(round((self.hi - self.lo) / self.h)) - 1
-        return self.lo + self.h * np.arange(1, n + 1)
+        return self._r(np.arange(1, self._steps()))
+
+    def spacings(self):
+        """r_{j+1} - r_j from lo to the far end, each computed without
+        cancellation: 2a sinh(h/2a) cosh(u_{j+1/2}/a)."""
+        n = self._steps()
+        if self.a == math.inf:
+            return np.full(n, self.h)
+        mid = self._u(self.lo) + self.h * (np.arange(n) + 0.5)
+        return (2.0 * self.a * math.sinh(0.5 * self.h / self.a)
+                * np.cosh(mid / self.a))
 
     def halved(self):
-        return RadialMesh(self.lo, self.hi, 0.5 * self.h)
+        """Step h/2 up to this mesh's far end: every node of this mesh is a
+        node of the halved one."""
+        return replace(self, h=0.5 * self.h, hi=float(self._r(self._steps())))
 
 
 def _require_finite(case) -> None:
@@ -135,9 +168,12 @@ class CoulombCase:
         return arg_gamma(self.ell + 1.0 + 1j * (-self.Z / kappa))
 
     def fd_mesh(self, n_levels):
+        if self.Z <= 0:
+            raise NoBoundStates(f"{self.name}: no bound states for Z <= 0")
+        unit = 1.0 / self.Z   # the Bohr radius
         n_top = n_levels + self.ell + 1
-        r_max = max(40.0, 18.0 * n_top / max(self.Z, 1e-6))
-        return RadialMesh(0.0, r_max, 0.005)
+        return RadialMesh(0.0, max(40.0, 18.0 * n_top) * unit, 0.003 * unit,
+                          a=unit)
 
     def bound_scenario(self):
         return "LA", None
@@ -166,7 +202,7 @@ class OscillatorCase:
 
     def potential(self, r):
         r = np.asarray(r, dtype=float)
-        v = 0.5 * self.omega ** 2 * r * r
+        v = 0.5 * (self.omega * r) ** 2   # omega**2 underflows below 1e-154
         if self.ell:
             v = v + self.ell * (self.ell + 1) / (2.0 * r * r)
         return v
@@ -187,8 +223,10 @@ class OscillatorCase:
         return self.omega * (2.0 * m + self.ell + 1.5)
 
     def fd_mesh(self, n_levels):
+        unit = 1.0 / math.sqrt(self.omega)   # the oscillator length
         r_turn = math.sqrt(2.0 * self.level_energy(n_levels)) / self.omega
-        return RadialMesh(0.0, 2.0 * r_turn + 8.0 / math.sqrt(self.omega), 0.004)
+        return RadialMesh(0.0, 2.0 * r_turn + 8.0 * unit, 0.0024 * unit,
+                          a=unit)
 
     def bound_scenario(self):
         return "LA", None
@@ -259,7 +297,8 @@ class MorseCase:
     def fd_mesh(self, n_levels):
         lam = self.lam
         r_star = math.log(max(self.V1, 1e-6) / (2.0 * self.V2)) / lam
-        return RadialMesh(r_star - 28.0 / lam, r_star + 6.0 / lam, 0.004 / lam)
+        return RadialMesh(r_star - 28.0 / lam, r_star + 6.0 / lam,
+                          0.0017 / lam, a=1.0 / lam, c=r_star)
 
     def bound_scenario(self):
         return "LB", self.nu
@@ -348,7 +387,8 @@ class PoschlTellerCase:
                 - arg_gamma(p2) - 2.0 * arg_gamma(gm + 1j * z))
 
     def fd_mesh(self, n_levels):
-        return RadialMesh(0.0, 45.0 / self.lam, 0.002 / self.lam)
+        return RadialMesh(0.0, 45.0 / self.lam, 0.00067 / self.lam,
+                          a=1.0 / self.lam)
 
     def bound_scenario(self):
         return "JC", self.mu
@@ -500,7 +540,8 @@ class EckartCase:
                 - 2.0 * arg_gamma(gm + 1j * z))
 
     def fd_mesh(self, n_levels):
-        return RadialMesh(0.0, 50.0 / self.lam, 0.003 / self.lam)
+        return RadialMesh(0.0, 50.0 / self.lam, 0.0027 / self.lam,
+                          a=1.0 / self.lam)
 
     def bound_scenario(self):
         return "JC", self.mu
@@ -602,16 +643,30 @@ def phase_shift(case, E):
 
 def default_mesh(case, n_levels: int = 3) -> RadialMesh:
     """A per-case mesh covering the classically allowed region of the lowest
-    few levels, tuned so the two-mesh check passes at its default gate."""
+    few levels, graded in the case's length unit, with the u-step chosen so
+    the extrapolation residual stays within half the default gate."""
     return case.fd_mesh(n_levels)
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_SQRT_HUGE = math.sqrt(np.finfo(float).max)
+
+
 def _fd_eigenvalues(case, mesh: RadialMesh, k: int) -> np.ndarray:
-    r = mesh.nodes()
-    v = case.potential(r)
-    inv_h2 = 1.0 / (mesh.h * mesh.h)
-    diag = inv_h2 + v
-    off = np.full(r.size - 1, -0.5 * inv_h2)
+    # conservative 3-point form on the spacings s_{j-1/2}, s_{j+1/2}:
+    # A psi = E W psi with W = diag(w_j), w_j = (s_{j-1/2} + s_{j+1/2})/2,
+    # solved as the symmetric W^{-1/2} A W^{-1/2}.  Its diagonal
+    # (1/s_{j-1/2} + 1/s_{j+1/2})/(2 w_j) is 1/(s_{j-1/2} s_{j+1/2}), so a
+    # uniform mesh gives 1/h^2 + V and -1/(2h^2) to the last bit.
+    s = mesh.spacings()
+    w = 0.5 * (s[:-1] + s[1:])
+    diag = 1.0 / (s[:-1] * s[1:]) + case.potential(mesh.nodes())
+    off = -0.5 / (s[1:-1] * np.sqrt(w[:-1] * w[1:]))
+    # the Sturm count squares the off-diagonals (all negative): the squares
+    # must stay normal floats, which a case scale far from 1 breaks
+    if not (_SQRT_TINY <= -off.max() and -off.min() <= _SQRT_HUGE):
+        raise ValueError(f"{case.name}: FD off-diagonal {off.min():.1e} is "
+                         f"outside the range the eigensolver can square")
     # LAPACK dstebz: Sturm-count bisection for the k lowest eigenvalues
     evals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                              select_range=(0, k - 1), lapack_driver="stebz")
@@ -620,7 +675,7 @@ def _fd_eigenvalues(case, mesh: RadialMesh, k: int) -> np.ndarray:
         hi = min(case.threshold, 0.0) + 1e-9
         n_below = int(np.count_nonzero(evals < hi))
         if n_below < k:
-            raise ValueError(f"only {n_below} eigenvalues below hi={hi}")
+            raise BoxTooSmall(f"only {n_below} eigenvalues below hi={hi}")
     return evals
 
 

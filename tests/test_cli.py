@@ -393,3 +393,33 @@ def test_emit_json_equals_json_dumps_of_row_dicts(capsys):
                          "rows": [dict(zip(header, row)) for row in cells]},
                         sort_keys=True, indent=2, default=str) + "\n"
     assert out == expect
+
+
+def test_level_outside_the_box_is_a_typed_error(capsys):
+    # Eckart lam=1, A=2, B=-16.15: level 2 decays over 1/kappa = 53, longer
+    # than the oracle's box of 50
+    code, out, err = run_cli(capsys, "spectrum", "--case", "eckart",
+                             "--lambda", "1", "--A", "2", "--B", "-16.15")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BoxTooSmall: only 2 eigenvalues below hi=")
+
+
+def test_spectrum_json_reports_the_fd_node_counts(capsys):
+    args = ("spectrum", "--case", "coulomb", "--m-max", "2")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    mesh = CoulombCase(Z=1.0).fd_mesh(3)
+    assert json.loads(out)["diagnostics"]["fd_nodes"] == [
+        mesh.nodes().size, mesh.halved().nodes().size]
+    code, csv, _ = run_cli(capsys, *args)
+    assert csv.count("\n") == 4 and "fd_nodes" not in csv
+
+
+def test_poschl_teller_shallow_top_level_passes_the_gate(capsys):
+    # B in (-34.8, -32] raised MeshTooCoarse on the uniform mesh
+    for b in ("-34.7", "-33", "-32"):
+        code, out, err = run_cli(capsys, "spectrum", "--case", "poschl_teller",
+                                 "--lambda", "1", "--A", "1", "--B", b,
+                                 "--format", "json")
+        assert code == 0, (b, err)
+        assert json.loads(out)["diagnostics"]["within_tolerance"] is True

@@ -5,14 +5,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from triseries.errors import (BelowThreshold, InvalidFamilyParams,
                               NoBoundStates, NoContinuum)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, RadialMesh,
-                               ScarfCase, bound_energy, bound_spectrum,
-                               fd_oracle, phase_shift, spectrum_size,
-                               to_ode_params, tra_bound_energy)
+                               ScarfCase, _fd_eigenvalues, bound_energy,
+                               bound_spectrum, default_mesh, fd_oracle,
+                               phase_shift, spectrum_size, to_ode_params,
+                               tra_bound_energy)
 
 
 def test_coulomb_parameter_map():
@@ -133,6 +135,97 @@ def test_fd_oracle_matches_hyperbolic_well_formula():
     formula = np.sort([bound_energy(case, m) for m in range(3)])
     vals = fd_oracle(case, n_levels=3, mesh=RadialMesh(0.0, 45.0, 0.0015))
     assert np.max(np.abs(vals - formula) / np.abs(formula)) < 1e-4
+
+
+def test_uniform_mesh_is_the_plain_three_point_operator():
+    # without grading the weighted form is 1/h^2 + V on the diagonal and
+    # -1/(2h^2) off it, at the nodes lo + j h
+    for case, mesh in ((CoulombCase(Z=1.0), RadialMesh(0.0, 80.0, 0.005)),
+                       (PoschlTellerCase(lam=1.0, A=2.0, B=-45.0),
+                        RadialMesh(0.0, 45.0, 0.0015)),
+                       (MorseCase(lam=1.0, V1=1.0), RadialMesh(-28.0, 6.0, 0.004)),
+                       (ScarfCase(A=2.0, B=0.5, lam=1.0),
+                        RadialMesh(0.0, math.pi, math.pi / 4000.0))):
+        n = int(round((mesh.hi - mesh.lo) / mesh.h)) - 1
+        r = mesh.lo + mesh.h * np.arange(1, n + 1)
+        assert np.array_equal(mesh.nodes(), r)
+        inv_h2 = 1.0 / (mesh.h * mesh.h)
+        old = eigh_tridiagonal(inv_h2 + case.potential(r),
+                               np.full(n - 1, -0.5 * inv_h2), eigvals_only=True,
+                               select="i", select_range=(0, 1),
+                               lapack_driver="stebz")
+        new = _fd_eigenvalues(case, mesh, 2)
+        assert np.max(np.abs(new - old) / np.abs(old)) <= 1e-12, case.name
+
+
+def test_graded_mesh_nodes_and_spacings_agree():
+    mesh = RadialMesh(-3.0, 9.0, 0.0103, a=0.7, c=1.2)
+    s = mesh.spacings()
+    r = mesh.lo + np.cumsum(s)
+    assert np.allclose(r[:-1], mesh.nodes(), rtol=0.0, atol=1e-12)
+    # the far end lies within half a u-step of hi
+    assert abs(r[-1] - mesh.hi) < 0.5 * s[-1]
+    # the finest spacing sits at the centre c, about h there
+    j = np.argmin(s)
+    assert abs(r[j] - mesh.c) < 0.02 and s[j] < 1.0001 * mesh.h
+    # halving u nests the meshes, far end included (here hi lies 0.43 of a
+    # step past the far end, so stepping h/2 to hi would add one more step)
+    fine = mesh.halved().nodes()
+    assert fine.size == 2 * mesh.nodes().size + 1
+    assert np.allclose(fine[1::2], mesh.nodes(), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("case, k", [
+    (CoulombCase(Z=1.0, ell=0), 3), (CoulombCase(Z=1.0, ell=1), 3),
+    (OscillatorCase(omega=0.5, ell=0), 4), (OscillatorCase(omega=1.0, ell=2), 4),
+    (MorseCase(lam=1.0, V1=1.0), 2),
+    (PoschlTellerCase(lam=1.0, A=1.0, B=-36.0), 3),
+    (EckartCase(lam=1.0, A=2.0, B=-20.0), 3),
+], ids=["coulomb-ell0", "coulomb-ell1", "oscillator-omega0.5",
+        "oscillator-ell2", "morse", "poschl_teller", "eckart"])
+def test_graded_meshes_converge_at_second_order(case, k):
+    # Richardson's premise on each graded default mesh: the shifts from h to
+    # h/2 and from h/2 to h/4 have the ratio 4.  A shift that is already
+    # below 1e-8 of the level (the Coulomb 1s level, where the leading h^2
+    # term nearly cancels on this mesh) is round-off of the bisection and
+    # has no order.
+    mesh = default_mesh(case, k)
+    e_h, e_h2, e_h4 = (_fd_eigenvalues(case, m, k) for m in
+                       (mesh, mesh.halved(), mesh.halved().halved()))
+    scale = np.maximum(np.abs(e_h2), 1e-2)
+    measured = np.abs(e_h - e_h2) > 1e-8 * scale
+    assert np.count_nonzero(measured) >= k - 1
+    order = np.log2((e_h - e_h2)[measured] / (e_h2 - e_h4)[measured])
+    assert np.all((order >= 1.8) & (order <= 2.2)), order
+
+
+@pytest.mark.parametrize("make, values", [
+    (lambda s: CoulombCase(Z=s), (1e-4, 1.0, 1e4)),
+    (lambda s: CoulombCase(Z=s, ell=2), (1e-4, 1.0, 1e4)),
+    (lambda s: OscillatorCase(omega=s), (1e-6, 1.0, 1e6)),
+    (lambda s: OscillatorCase(omega=s, ell=1), (1e-6, 1.0, 1e6)),
+], ids=["coulomb", "coulomb-ell2", "oscillator", "oscillator-ell1"])
+def test_fd_node_count_does_not_depend_on_the_scale(make, values):
+    # each mesh is written in the case's own length unit (1/Z, 1/sqrt(omega))
+    sizes = {default_mesh(make(s)).nodes().size for s in values}
+    assert len(sizes) == 1 and sizes.pop() < 5000
+
+
+def test_fd_oracle_follows_the_scale_until_the_eigensolver_cannot():
+    # the same nodes in the case's unit give the same relative accuracy;
+    # where the squared off-diagonals would underflow the oracle refuses
+    for omega in (1e-100, 1e100):
+        case = OscillatorCase(omega=omega, ell=1)
+        formula = [bound_energy(case, m) for m in range(3)]
+        assert fd_oracle(case, 3) == pytest.approx(formula, rel=1e-8)
+    for case in (OscillatorCase(omega=1e-160), CoulombCase(Z=1e80)):
+        with pytest.raises(ValueError, match="eigensolver can square"):
+            fd_oracle(case, 2)
+
+
+def test_coulomb_mesh_without_bound_states_is_refused():
+    with pytest.raises(NoBoundStates):
+        default_mesh(CoulombCase(Z=-1.0))
 
 
 def test_phase_shift_regression_and_free_limit():
