@@ -10,8 +10,8 @@ known for them.
 Each family record carries its formulas as methods (``Family``); the module
 functions hold the checks every family shares.  A double-precision P_n has
 one evaluator, the recursion (``values_by_recursion``); each family's
-terminating-hypergeometric form is written once, in 40-digit arithmetic, as
-``verify.closed_form_hp``.
+terminating-hypergeometric form is written once, in 40-digit ``decimal``
+arithmetic, as ``verify.closed_form_hp``.
 
 Sign conventions are fixed so that ``run_recursion`` on ``family_coeffs``
 reproduces that hypergeometric form; the test-suite enforces this for every

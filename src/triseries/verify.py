@@ -2,8 +2,9 @@
 matches and algebraic identities.
 
 ``closed_form_hp`` holds each family's one closed form, its terminating
-hypergeometric series in 40-digit arithmetic; the oracle suite checks the
-double-precision recursion against it.
+hypergeometric series in 40-digit arithmetic on the standard library's
+``decimal``; the oracle suite checks the double-precision recursion against
+it.
 
 Each suite returns a list of ``Check`` records; the CLI prints them and exits
 nonzero if any fails, and the test-suite asserts them individually.
@@ -11,8 +12,12 @@ nonzero if any fails, and the test-suite asserts them individually.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from scipy.integrate import quad
@@ -84,123 +89,195 @@ CLOSED_FORM_KINDS = ("meixner_pollaczek", "meixner", "krawtchouk",
                      "continuous_dual_hahn", "dual_hahn", "wilson", "racah")
 
 
+class _Complex:
+    """A (real, imag) pair of Decimals in the active context, with the few
+    operations the complex closed forms need.  Its ``real`` and ``imag``
+    match those of ``Decimal``, so one formula serves real and complex
+    parameters."""
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, o):
+        if isinstance(o, _Complex):
+            return _Complex(self.real + o.real, self.imag + o.imag)
+        return _Complex(self.real + o, self.imag)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, _Complex):
+            return _Complex(self.real * o.real - self.imag * o.imag,
+                            self.real * o.imag + self.imag * o.real)
+        return _Complex(self.real * o, self.imag * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, _Complex):
+            d = o.real * o.real + o.imag * o.imag
+            return _Complex((self.real * o.real + self.imag * o.imag) / d,
+                            (self.imag * o.real - self.real * o.imag) / d)
+        return _Complex(self.real / o, self.imag / o)
+
+
+def _cos_sin(theta: Decimal):
+    """cos and sin of theta, |theta| < pi, from the Taylor series of
+    e^{i theta} with five guard digits (its terms stay below 5)."""
+    with decimal.localcontext() as work:
+        work.prec += 5
+        eps = Decimal(10) ** -work.prec
+        parts = [Decimal(0)] * 4          # the terms of k = 0, 1, 2, 3 mod 4
+        term, k = Decimal(1), 0
+        while abs(term) > eps:
+            parts[k % 4] += term
+            k += 1
+            term = term * theta / k
+    return parts[0] - parts[2], parts[1] - parts[3]
+
+
+def _dec(x) -> Decimal:
+    return Decimal(float(x))          # exact: a float is a finite decimal fraction
+
+
 def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
     """P_0..P_{n_max} at one argument from the terminating-hypergeometric
-    forms, in ``dps``-digit mpmath arithmetic.
+    forms, in ``dps``-digit arithmetic on the standard library's ``decimal``
+    (precision ``dps + 1``, in a context of its own: the caller's is left as
+    it was).
 
     This is each family's one closed form, the reference the recursion
     values are compared against.  Its unit-argument sums cancel heavily, so
-    it is evaluated in ``dps`` digits, apart from the recursion: the
-    Pochhammer prefactors are running products in n, and each degree sums
-    its own terminating series, whose term ratio is (-n + j) [(n + shift +
-    j)] c_j with the n-independent c_j formed once.  Argument conventions:
-    Meixner-Pollaczek takes z; the discrete families take the integer index
-    k; the quadratic-variable families take w = z^2.
+    it is evaluated in ``dps`` digits, apart from the recursion: with
+    C_j = prod_{i<j} c_i formed once per call from the n-independent term
+    ratios c_j, degree n sums S_n = sum_j (-n)_j [(n + shift)_j] C_j, and
+    the Pochhammer prefactors are running products in n.  A complex C_j
+    (Meixner-Pollaczek, complex Wilson) sums its real and imaginary parts
+    on the same real weights.  Argument conventions: Meixner-Pollaczek
+    takes z; the discrete families take the integer index k; the
+    quadratic-variable families take w = z^2.
+
+    Forty digits are no reference for high degrees, where the sums cancel
+    hardest: against 120 digits, Wilson(.5, .5, .5, .5) at w = 1 is off by
+    3e-13 at degree 40, 6e-5 at degree 50 and 1e3 at degree 60.  Callers
+    that need such degrees pass a larger ``dps``.
+
+    A complex Wilson record needs exactly conjugate pairs, which keep its
+    shift a + b + c + d - 1 real; pairs conjugate only to within
+    ``Wilson.validate``'s 1e-12 raise ``InvalidFamilyParams``.
     """
-    import mpmath as mp
     f.validate()
     if n_max < 0:
         raise ValueError("degree must be >= 0")
     if hasattr(f, "N") and n_max > f.N:
         raise InvalidFamilyParams(f"{type(f).__name__} degrees end at N = {f.N}")
-    with mp.workdps(dps):
+    context = decimal.Context(prec=dps + 1, rounding=decimal.ROUND_HALF_EVEN,
+                              traps=[decimal.InvalidOperation,
+                                     decimal.DivisionByZero, decimal.Overflow])
+    with decimal.localcontext(context):
         def products(x, step=1):
             """prod_{i<n} (x + step i) for n = 0..n_max: rising factorials
             for step 1, falling for -1, powers for 0."""
-            out = [mp.mpf(1)]
+            out = [Decimal(1)]
             for i in range(n_max):
                 out.append(out[-1] * (x + step * i))
             return out
 
         def sums(c, shift=None):
-            """sum_j prod_{i<j} (-n + i) [(n + shift + i)] c_i, n = 0..n_max."""
+            """S_n = sum_j (-n)_j [(n + shift)_j] C_j for n = 0..n_max; the
+            weights are exact integers when there is no shift."""
+            cum = list(accumulate(c, mul, initial=Decimal(1)))
+            re = [v.real for v in cum]
+            im = [v.imag for v in cum] if c and isinstance(c[0], _Complex) else None
             out = []
             for n in range(n_max + 1):
-                tot = term = mp.mpf(1)
-                for j in range(n):
-                    ratio = (j - n) * c[j]
-                    if shift is not None:
-                        ratio *= n + shift + j
-                    term *= ratio
-                    tot += term
-                out.append(tot)
+                ratios = ((j - n) if shift is None else (j - n) * (n + shift + j)
+                          for j in range(n))
+                w = list(accumulate(ratios, mul, initial=1))
+                tot = sum(map(mul, w, re))
+                out.append(tot if im is None else _Complex(tot, sum(map(mul, w, im))))
             return out
 
-        js = range(n_max)
+        def root(x, n):
+            if x < 0:
+                raise InvalidFamilyParams(
+                    f"{type(f).__name__} closed form undefined at degree {n}: "
+                    "its squared prefactor is negative")
+            return x.sqrt()
+
+        js, ns = range(n_max), range(1, n_max + 1)
         fact = products(1)
         if isinstance(f, fam.MeixnerPollaczek):
-            mu, th, z = mp.mpf(f.mu), mp.mpf(f.theta), mp.mpf(float(arg))
-            x = 1 - mp.exp(-2j * th)
-            cj = [(mu + 1j * z + j) * x / ((2 * mu + j) * (j + 1)) for j in js]
-            r2mu, phase, tot = products(2 * mu), products(mp.exp(1j * th), 0), sums(cj)
-            vals = [(mp.sqrt(r2mu[n] / fact[n]) * phase[n] * tot[n]).real
-                    for n in range(1, n_max + 1)]
-        elif isinstance(f, fam.Meixner):
-            mu, tau, k = mp.mpf(f.mu), mp.mpf(f.tau), int(arg)
-            x = 1 - 1 / tau
-            cj = [(-k + j) * x / ((2 * mu + j) * (j + 1)) for j in js]
-            r2mu, power, tot = products(2 * mu), products(mp.sqrt(tau), 0), sums(cj)
-            vals = [mp.sqrt(r2mu[n] / fact[n]) * power[n] * tot[n]
-                    for n in range(1, n_max + 1)]
-        elif isinstance(f, fam.Krawtchouk):
-            tau, k, N = mp.mpf(f.tau), int(arg), f.N
-            cj = [mp.mpf(-k + j) / ((-N + j) * (j + 1)) / tau for j in js]
-            fall, power = products(mp.mpf(N), -1), products(mp.sqrt(tau / (1 - tau)), 0)
+            mu, z = _dec(f.mu), _dec(arg)
+            cos, sin = _cos_sin(_dec(f.theta))
+            x = _Complex(2 * sin * sin, 2 * sin * cos)       # 1 - e^{-2i theta}
+            cj = [_Complex(mu + j, z) * x / ((2 * mu + j) * (j + 1)) for j in js]
+            r2mu, phase = products(2 * mu), products(_Complex(cos, sin), 0)
             tot = sums(cj)
-            vals = [mp.sqrt(fall[n] / fact[n]) * power[n] * tot[n]
-                    for n in range(1, n_max + 1)]
+            vals = [root(r2mu[n] / fact[n], n) * (phase[n] * tot[n]).real for n in ns]
+        elif isinstance(f, fam.Meixner):
+            mu, tau, k = _dec(f.mu), _dec(f.tau), int(arg)
+            x = 1 - 1 / tau
+            cj = [(j - k) * x / ((2 * mu + j) * (j + 1)) for j in js]
+            r2mu, power, tot = products(2 * mu), products(tau.sqrt(), 0), sums(cj)
+            vals = [root(r2mu[n] / fact[n], n) * power[n] * tot[n] for n in ns]
+        elif isinstance(f, fam.Krawtchouk):
+            tau, k, N = _dec(f.tau), int(arg), int(f.N)
+            cj = [Decimal(j - k) / ((j - N) * (j + 1)) / tau for j in js]
+            fall, power = products(N, -1), products((tau / (1 - tau)).sqrt(), 0)
+            tot = sums(cj)
+            vals = [root(fall[n] / fact[n], n) * power[n] * tot[n] for n in ns]
         elif isinstance(f, fam.ContinuousDualHahn):
-            tau, a, b = mp.mpf(f.tau), mp.mpf(f.a), mp.mpf(f.b)
-            w = mp.mpf(float(arg))
+            tau, a, b, w = _dec(f.tau), _dec(f.a), _dec(f.b), _dec(arg)
             cj = [((tau + j) ** 2 + w) / ((tau + a + j) * (tau + b + j) * (j + 1))
                   for j in js]
             ra, rb, rab = products(tau + a), products(tau + b), products(a + b)
             tot = sums(cj)
-            vals = []
-            for n in range(1, n_max + 1):
-                if f.a == f.b:   # analytic branch, signed
-                    pref = ra[n] / mp.sqrt(fact[n] * rab[n])
-                elif ra[n] * rb[n] < 0:
-                    raise InvalidFamilyParams(
-                        "closed form undefined: (tau+a)_n (tau+b)_n < 0")
-                else:
-                    pref = mp.sqrt(ra[n] * rb[n] / (fact[n] * rab[n]))
-                vals.append(pref * tot[n])
+            if f.a == f.b:   # analytic branch, signed
+                vals = [ra[n] / root(fact[n] * rab[n], n) * tot[n] for n in ns]
+            else:            # negative where (tau+a)_n (tau+b)_n < 0
+                vals = [root(ra[n] * rb[n] / (fact[n] * rab[n]), n) * tot[n]
+                        for n in ns]
         elif isinstance(f, fam.DualHahn):
-            tau, sg, k, N = mp.mpf(f.tau), mp.mpf(f.sigma), int(arg), f.N
-            cj = [(-k + j) * (k + tau + sg + 1 + j)
-                  / ((tau + 1 + j) * (-N + j) * (j + 1)) for j in js]
-            rt, fall = products(tau + 1), products(mp.mpf(N), -1)
+            tau, sg, k, N = _dec(f.tau), _dec(f.sigma), int(arg), int(f.N)
+            cj = [(j - k) * (k + tau + sg + 1 + j)
+                  / ((tau + 1 + j) * (j - N) * (j + 1)) for j in js]
+            rt, fall = products(tau + 1), products(N, -1)
             fall_s, tot = products(N + sg, -1), sums(cj)
-            vals = [mp.sqrt(rt[n] * fall[n] / (fact[n] * fall_s[n])) * tot[n]
-                    for n in range(1, n_max + 1)]
+            vals = [root(rt[n] * fall[n] / (fact[n] * fall_s[n]), n) * tot[n]
+                    for n in ns]
         elif isinstance(f, fam.Wilson):
-            a, b, c, d = (mp.mpc(complex(f.a)), mp.mpc(complex(f.b)),
-                          mp.mpc(complex(f.c)), mp.mpc(complex(f.d)))
-            w = mp.mpf(float(arg))
-            s = a + b + c + d
-            cj = [((a + j) ** 2 + w)
+            ps = [complex(p) for p in (f.a, f.b, f.c, f.d)]
+            if sorted((p.real, p.imag) for p in ps) != sorted(
+                    (p.real, -p.imag) for p in ps):
+                raise InvalidFamilyParams(
+                    "the Wilson closed form needs exactly conjugate pairs")
+            a, b, c, d = (_Complex(_dec(p.real), _dec(p.imag)) if p.imag
+                          else _dec(p.real) for p in ps)
+            w = _dec(arg)
+            s = sum(_dec(p.real) for p in ps)    # real: the pairs are exact
+            cj = [((a + j) * (a + j) + w)
                   / ((a + b + j) * (a + c + j) * (a + d + j) * (j + 1)) for j in js]
             rab, rac, rad = products(a + b), products(a + c), products(a + d)
             rbc, rbd, rcd = products(b + c), products(b + d), products(c + d)
             rs, tot = products(s), sums(cj, shift=s - 1)
             vals = []
-            for n in range(1, n_max + 1):
-                front = rab[n] * rac[n] * rad[n] * tot[n]
-                norm = ((2 * n + s - 1) / (n + s - 1) * rs[n]
-                        / (rab[n] * rac[n] * rad[n] * rbc[n] * rbd[n] * rcd[n]
-                           * fact[n]))
-                vals.append((front * mp.sqrt(norm)).real)
+            for n in ns:
+                lead = rab[n] * rac[n] * rad[n]
+                # the pair sums close under conjugation: the product is real
+                den = (lead * rbc[n] * rbd[n] * rcd[n] * fact[n]).real
+                norm = (2 * n + s - 1) / (n + s - 1) * rs[n] / den
+                vals.append(root(norm, n) * (lead * tot[n]).real)
         elif isinstance(f, fam.Racah):
-            g, sg, k, N = mp.mpf(f.gamma), mp.mpf(f.sigma), int(arg), f.N
+            g, sg, k, N = _dec(f.gamma), _dec(f.sigma), int(arg), int(f.N)
             gs = g + sg
-            cj = [(-k + j) * (k - N + j)
-                  / ((g + 1 + j) * (sg + 1 + j) * (-N + j) * (j + 1)) for j in js]
-            fall, rg = products(mp.mpf(N), -1), products(gs + 2)
+            cj = [(j - k) * (k - N + j)
+                  / ((g + 1 + j) * (sg + 1 + j) * (j - N) * (j + 1)) for j in js]
+            fall, rg = products(N, -1), products(gs + 2)
             rgn, tot = products(gs + N + 2), sums(cj, shift=gs + 1)
-            vals = [mp.sqrt((2 * n + gs + 1) / (n + gs + 1) * fall[n] * rg[n]
-                            / (rgn[n] * fact[n])) * tot[n]
-                    for n in range(1, n_max + 1)]
+            vals = [root((2 * n + gs + 1) / (n + gs + 1) * fall[n] * rg[n]
+                         / (rgn[n] * fact[n]), n) * tot[n] for n in ns]
         else:
             raise TypeError(f"no high-precision form for {f!r}")
         return np.array([1.0] + [float(v) for v in vals])
@@ -210,6 +287,8 @@ def oracle_equivalence_suite(n_draws: int = 100, n_max: int = 10,
                              seed: int = 20240817):
     """Recursion values vs terminating-hypergeometric values, per family,
     with the hypergeometric reference evaluated in high precision."""
+    if n_draws < 1 or n_max < 0:
+        raise ValueError(f"need n_draws >= 1 and n_max >= 0, got {n_draws}, {n_max}")
     rng = np.random.default_rng(seed)
     out = []
     for kind in CLOSED_FORM_KINDS:

@@ -1,12 +1,18 @@
 """The named polynomial families: coefficients, hypergeometric forms and
 weights."""
 
+import decimal
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import triseries
 from triseries import families as fam
 from triseries.errors import InvalidFamilyParams, NoClosedForm
 from triseries.recurrence import run_recursion
@@ -472,6 +478,92 @@ def test_high_precision_reference_matches_mpmath_hyper(kind):
 def test_high_precision_reference_rejects_like_closed_form(f, arg, n_max):
     with pytest.raises(InvalidFamilyParams):
         closed_form_hp(f, arg, n_max)
+
+
+def test_high_precision_reference_runs_without_mpmath():
+    # the runtime needs no mpmath: the oracle suite passes with it blocked
+    src = Path(triseries.__file__).resolve().parents[1]
+    script = ("import sys\n"
+              "sys.modules['mpmath'] = None\n"
+              "from triseries.verify import oracle_equivalence_suite\n"
+              "checks = oracle_equivalence_suite(n_draws=1)\n"
+              "assert len(checks) == 7, checks\n"
+              "assert all(c.passed for c in checks), checks\n"
+              "print('ok')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ok"
+
+
+def test_high_precision_reference_agrees_with_twice_the_digits():
+    # criterion 6's draws (the oracle suite's default seed, 100 per family,
+    # degrees <= 10): 40 and 80 digits agree far inside its 1e-10
+    rng = np.random.default_rng(20240817)
+    worst = 0.0
+    for kind in CLOSED_FORM_KINDS:
+        for _ in range(100):
+            f, args = random_family(kind, rng)
+            top = min(10, getattr(f, "N", 10))
+            for arg in args:
+                ref = closed_form_hp(f, arg, top, dps=80)
+                diff = np.abs(closed_form_hp(f, arg, top) - ref)
+                worst = max(worst, float(np.max(diff / np.maximum(1.0, np.abs(ref)))))
+    assert worst <= 1e-13
+
+
+def _decimal_state():
+    ctx = decimal.getcontext()
+    return ctx.prec, ctx.rounding, dict(ctx.traps)
+
+
+@pytest.mark.parametrize("f, arg, n_max", [
+    (fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2), 1.3, 10),
+    (fam.MeixnerPollaczek(0.8, 2.1), -0.7, 10),
+    (fam.Krawtchouk(3, 0.4), 2, 4),                      # raises: past N
+    (fam.ContinuousDualHahn(-1.0, 0.5, 1.5), 1.0, 3),   # raises inside
+], ids=["wilson", "meixner_pollaczek", "krawtchouk_past_n", "cdh_negative"])
+def test_high_precision_reference_keeps_the_callers_decimal_context(f, arg, n_max):
+    # the reference runs in its own context: a caller's coarse, untrapped
+    # context neither changes its values nor is changed by it, returning or
+    # raising
+    try:
+        expect = closed_form_hp(f, arg, n_max)
+    except InvalidFamilyParams:
+        expect = None
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.traps[decimal.InvalidOperation] = False
+        before = _decimal_state()
+        if expect is None:
+            with pytest.raises(InvalidFamilyParams):
+                closed_form_hp(f, arg, n_max)
+        else:
+            assert np.array_equal(closed_form_hp(f, arg, n_max), expect)
+        assert _decimal_state() == before
+        assert decimal.getcontext() is ctx
+
+
+@pytest.mark.parametrize("f", [
+    # conjugate only to within validate()'s 1e-12: a + b + c + d is not real
+    fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6 + 1e-13), 1.2, 1.2),
+    # every parameter has a conjugate partner, but the pairs do not match up
+    fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), complex(0.7, 0.6),
+               complex(0.7, 0.6)),
+], ids=["near_conjugate", "unmatched_pairs"])
+def test_high_precision_reference_needs_exact_wilson_pairs(f):
+    f.validate()
+    with pytest.raises(InvalidFamilyParams, match="exactly conjugate"):
+        closed_form_hp(f, 1.0, 5)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_draws": 0}, {"n_draws": -1},
+                                    {"n_max": -1}])
+def test_oracle_suite_refuses_to_check_nothing(kwargs):
+    with pytest.raises(ValueError):
+        oracle_equivalence_suite(**kwargs)
 
 
 def _mp_gamma_ratio_density(params, z):
