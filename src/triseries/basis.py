@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, IndexOutOfValidity
-from .gammafn import log_abs_rising, log_gamma_real
+from .gammafn import log_gamma
 
 
 _INTEGER_TOL = 1e-9
@@ -38,12 +38,27 @@ def negative_integer_index(v: float):
     return None
 
 
-def _check_negative_index(param: float, n: int, label: str) -> None:
-    n_cap = negative_integer_index(param)   # param = -N-1 allows n <= N
-    if n_cap is not None and n > n_cap:
-        raise IndexOutOfValidity(
-            f"{label} = {param} only valid for degrees n <= {n_cap}, got {n}"
-        )
+def _validate(d, lead, *indices) -> bool:
+    """Raise IndexOutOfValidity at the first degree of d with lead <= 0 or past the cap
+    N of an index v = -N-1, as per-degree calls would; True if an index is capped."""
+    checks = [(lead <= 0, "nonpositive leading norm factor at n={}")] + [
+        (d > cap, f"{label} = {v} only valid for degrees n <= {cap}, got {{}}")
+        for v, label in indices if (cap := negative_integer_index(v)) is not None]
+    fails = [(int(np.argmax(bad)), msg) for bad, msg in checks if np.count_nonzero(bad)]
+    if fails:   # the first failing degree; at a tie the first check, as min is stable
+        pos, msg = min(fails, key=lambda fail: fail[0])
+        raise IndexOutOfValidity(msg.format(d[pos]))
+    return len(checks) > 1
+
+
+def _log_rising(d, xs):
+    """log Gamma(d+1) and the rows log|(x)_d|, x in xs, from one log_gamma call,
+    on the branches of ``gammafn.log_abs_rising`` (reflected where x + d < 1)."""
+    x = np.array(xs)[:, None]
+    refl = x + d < 1.0
+    lg = log_gamma(np.vstack((d + 1.0, np.where(refl, 1.0 - x, x + d),
+                              np.where(refl, 1.0 - x - d, x)))).real
+    return lg[0], lg[1:len(xs) + 1] - lg[len(xs) + 1:]
 
 
 def jacobi_orthonormal_coeffs(mu: float, nu: float, n_terms: int):
@@ -85,95 +100,91 @@ def jacobi_d_squared(n: int, mu: float, nu: float) -> float:
     return (2.0 / (2 * n + mu + nu + 2.0)) ** 2 * arg
 
 
-def laguerre_norm(n: int, nu: float) -> float:
-    """c_n = sqrt(Gamma(n+1)/Gamma(n+nu+1)).
+def laguerre_norm(n, nu: float):
+    """c_n = sqrt(Gamma(n+1)/Gamma(n+nu+1)) for a degree n or an array of them.
 
     For nu = -N-1 (negative integer) the Gamma ratio degenerates; the
     n-independent Gamma(nu+1) is dropped, giving c_n = sqrt(n!/|(nu+1)_n|),
     which fixes the basis up to one overall constant.
     """
-    if negative_integer_index(nu) is not None:
-        _check_negative_index(nu, n, "Laguerre index nu")
-        val = log_gamma_real(n + 1.0) - log_abs_rising(nu + 1.0, n)
+    d = np.atleast_1d(n)
+    if not _validate(d, 1.0, (nu, "Laguerre index nu")):
+        g, h = log_gamma(d + np.array([[1.0], [nu]]) + [[0.0], [1.0]]).real
     else:
-        val = log_gamma_real(n + 1.0) - log_gamma_real(n + nu + 1.0)
-    return math.exp(0.5 * val)
+        g, (h,) = _log_rising(d, [nu + 1.0])
+    c = [math.exp(0.5 * v) for v in (g - h).tolist()]   # np.exp may differ by an ulp
+    return np.array(c) if np.ndim(n) else c[0]
 
 
-def jacobi_norm(n: int, mu: float, nu: float) -> float:
-    """c_n of the Jacobi basis element; negative-integer mu or nu handled as
-    in ``laguerre_norm`` (singular n-independent factor dropped)."""
-    lead = (2 * n + mu + nu + 1.0) / 2.0 ** (mu + nu + 1.0)
-    if lead <= 0:
-        raise IndexOutOfValidity(f"nonpositive leading norm factor at n={n}")
-    if any(negative_integer_index(v) is not None for v in (mu, nu)):
-        _check_negative_index(mu, n, "Jacobi index mu")
-        _check_negative_index(nu, n, "Jacobi index nu")
-        # Gamma(n+a+1)/Gamma(a+1) = (a+1)_n keeps ratios finite for n <= N;
-        # a nonpositive-integer mu+nu+1 drops its factor as well
-        top = (0.0 if negative_integer_index(mu + nu) is not None
-               else log_abs_rising(mu + nu + 1.0, n))
-        val = (log_gamma_real(n + 1.0) + top
-               - log_abs_rising(mu + 1.0, n) - log_abs_rising(nu + 1.0, n))
+def jacobi_norm(n, mu: float, nu: float):
+    """c_n of the Jacobi basis element for a degree n or an array of them; a
+    negative-integer mu or nu is handled as in ``laguerre_norm``."""
+    d = np.atleast_1d(n)
+    lead = (2 * d + mu + nu + 1.0) / 2.0 ** (mu + nu + 1.0)
+    if not _validate(d, lead, (mu, "Jacobi index mu"), (nu, "Jacobi index nu")):
+        args = d + np.array([[0.0], [mu], [mu], [nu]])   # n, n+mu, n+mu, n+nu
+        args[1] += nu
+        g, h, i, j = log_gamma(args + 1.0).real   # summed as in n + mu + nu + 1
     else:
-        val = (log_gamma_real(n + 1.0) + log_gamma_real(n + mu + nu + 1.0)
-               - log_gamma_real(n + mu + 1.0) - log_gamma_real(n + nu + 1.0))
-    return math.sqrt(lead) * math.exp(0.5 * val)
+        # (a+1)_n is finite for n <= N; a negative-integer mu+nu drops (mu+nu+1)_n
+        top = negative_integer_index(mu + nu) is None
+        g, (i, j, *h) = _log_rising(d, [mu + 1.0, nu + 1.0] + [mu + nu + 1.0] * top)
+        h = h[0] if top else 0.0
+    c = [math.sqrt(a) * math.exp(0.5 * v)
+         for a, v in zip(lead.tolist(), (g + h - i - j).tolist())]
+    return np.array(c) if np.ndim(n) else c[0]
 
 
-class BasisKind:
-    LAGUERRE = "laguerre"
-    JACOBI = "jacobi"
-
-
-def _recursion_step(spec, k: int):
-    """(a, b, c, d) of P_{k+1}(x) = ((a + b x) P_k(x) - c P_{k-1}(x)) / d,
-    the classical three-term recursion of the spec's polynomials."""
-    nu = spec.nu
-    if spec.equation == BasisKind.LAGUERRE:
-        return 2 * k + nu + 1.0, -1.0, k + nu, k + 1.0
-    mu = spec.mu
-    if k == 0:
-        return 0.5 * (mu - nu), 0.5 * (mu + nu + 2.0), 0.0, 1.0
-    c = 2 * k + mu + nu
-    a1 = 2.0 * (k + 1.0) * (k + mu + nu + 1.0) * c
-    if a1 == 0.0:
-        raise IndexOutOfValidity(
-            f"Jacobi recursion degenerate at degree {k + 1} for mu={mu}, nu={nu}")
-    return ((c + 1.0) * (mu * mu - nu * nu), (c + 1.0) * c * (c + 2.0),
-            2.0 * (k + mu) * (k + nu) * (c + 2.0), a1)
+def _recursion_steps(spec, n_steps: int):
+    """Rows (a, b, c, d), k < n_steps, of P_{k+1} = ((a + b x) P_k - c P_{k-1}) / d:
+    four array calls for Laguerre; cheaper scalar steps for Jacobi's short chains."""
+    if spec.equation == "laguerre":
+        k = np.arange(n_steps)
+        return 2 * k + spec.nu + 1.0, np.full(n_steps, -1.0), k + spec.nu, k + 1.0
+    mu, nu = spec.mu, spec.nu
+    steps = [(0.5 * (mu - nu), 0.5 * (mu + nu + 2.0), 0.0, 1.0)]
+    for k in range(1, n_steps):
+        e = 2 * k + mu + nu
+        d = 2.0 * (k + 1.0) * (k + mu + nu + 1.0) * e
+        if d == 0.0:
+            raise IndexOutOfValidity(
+                f"Jacobi recursion degenerate at degree {k + 1} for mu={mu}, nu={nu}")
+        steps.append(((e + 1.0) * (mu * mu - nu * nu), (e + 1.0) * e * (e + 2.0),
+                      2.0 * (k + mu) * (k + nu) * (e + 2.0), d))
+    return np.array(steps).T
 
 
 def evaluate_series(spec, f, x):
     """(y, y', y'') of the series y(x) = sum_n f_n phi_n(x) on an array x.
 
     ``spec`` needs attributes equation ("laguerre"|"jacobi"), alpha, beta,
-    nu (and mu for Jacobi).  One pass over n carries (P_n, P_n', P_n'')
-    through the classical recursion differentiated term by term, and the
-    product rule on the weight x^alpha e^{-beta x} or (1-x)^alpha (1+x)^beta
-    supplies the weight's share of the derivatives.  Trailing zero
-    coefficients are dropped, so a negative-integer index only limits the
-    degrees that carry a term.  y' and y'' are nan at an endpoint of the
+    nu (and mu for Jacobi).  One pass over n carries (P_n, P_n', P_n'') as
+    one array through the classical recursion differentiated term by term,
+    and the product rule on the weight x^alpha e^{-beta x} or (1-x)^alpha
+    (1+x)^beta supplies the weight's share of the derivatives.  Trailing
+    zero coefficients are dropped, so a negative-integer index only limits
+    the degrees that carry a term.  y' and y'' are nan at an endpoint of the
     domain (x = 0, x = +-1), where the weight need not be differentiable.
     """
     x = np.asarray(x, dtype=float)
-    f = np.trim_zeros(np.asarray(f, dtype=float), "b")
-    if spec.equation == BasisKind.LAGUERRE:
+    f = np.asarray(f, dtype=float)
+    terms = np.flatnonzero(f)
+    f = f[:terms[-1] + 1 if terms.size else 0]
+    if spec.equation == "laguerre":
         outside = x < 0
-        if np.any(outside):
+        if np.count_nonzero(outside):
             raise DomainError(f"Laguerre basis needs x >= 0, got {x[outside][0]}")
-        fc = [fn * laguerre_norm(n, spec.nu) if fn else 0.0 for n, fn in enumerate(f)]
+        norms = laguerre_norm(terms, spec.nu)
         inside = x > 0
         t = np.where(inside, x, 1.0)
         weight = x ** spec.alpha * np.exp(-spec.beta * x)
         g = spec.alpha / t - spec.beta                      # w'/w
         dg = -spec.alpha / (t * t)
-    elif spec.equation == BasisKind.JACOBI:
+    elif spec.equation == "jacobi":
         outside = ~((x >= -1.0) & (x <= 1.0))
-        if np.any(outside):
+        if np.count_nonzero(outside):
             raise DomainError(f"Jacobi basis needs -1 <= x <= 1, got {x[outside][0]}")
-        fc = [fn * jacobi_norm(n, spec.mu, spec.nu) if fn else 0.0
-              for n, fn in enumerate(f)]
+        norms = jacobi_norm(terms, spec.mu, spec.nu)
         inside = np.abs(x) < 1.0
         om = np.where(inside, 1.0 - x, 1.0)
         op = np.where(inside, 1.0 + x, 1.0)
@@ -182,20 +193,23 @@ def evaluate_series(spec, f, x):
         dg = -spec.alpha / (om * om) - spec.beta / (op * op)
     else:
         raise ValueError(f"unknown basis equation {spec.equation!r}")
-    zero = np.zeros_like(x)
-    prev = (zero, zero, zero)
-    cur = (np.ones_like(x), zero, zero)
-    s0, s1, s2 = zero, zero, zero
-    for n, fcn in enumerate(fc):
+    fc = np.zeros_like(f)
+    fc[terms] = f[terms] * norms
+    if f.size > 1:
+        a, b, c, d = _recursion_steps(spec, f.size - 1)
+        lin = a[:, None] + b[:, None] * x.ravel()
+        b2 = np.multiply.outer(b, [[1.0], [2.0]])   # P' gains b P, P'' gains 2b P'
+    prev, cur, s = np.zeros((3, 3, x.size))
+    cur[0] = 1.0
+    for n, fcn in enumerate(fc.tolist()):
         if n > 0:
-            a, b, c, d = _recursion_step(spec, n - 1)
-            lin = a + b * x
-            prev, cur = cur, ((lin * cur[0] - c * prev[0]) / d,
-                              (lin * cur[1] + b * cur[0] - c * prev[1]) / d,
-                              (lin * cur[2] + 2.0 * b * cur[1] - c * prev[2]) / d)
-        s0 = s0 + fcn * cur[0]
-        s1 = s1 + fcn * cur[1]
-        s2 = s2 + fcn * cur[2]
+            nxt = lin[n - 1] * cur
+            nxt[1:] += b2[n - 1] * cur[:2]
+            nxt -= c[n - 1] * prev
+            nxt /= d[n - 1]
+            prev, cur = cur, nxt
+        s += fcn * cur
+    s0, s1, s2 = s.reshape((3,) + x.shape)
     y = weight * s0
     dy = weight * (s1 + g * s0)
     d2y = weight * (s2 + 2.0 * g * s1 + (g * g + dg) * s0)

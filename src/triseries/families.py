@@ -414,9 +414,10 @@ class Wilson:
             if complex(p).real <= 0:
                 raise InvalidFamilyParams(
                     "Wilson needs Re(a,b,c,d) > 0 with conjugate pairs")
-        for p in params:
-            if abs(complex(p).imag) > 0 and not any(
-                    abs(complex(q) - complex(p).conjugate()) < 1e-12 for q in params):
+        ps = [complex(p) for p in params]
+        for p in ps:   # the multiset equals its conjugate: as many p as conj(p)
+            if (sum(abs(q - p) < 1e-12 for q in ps)
+                    != sum(abs(q - p.conjugate()) < 1e-12 for q in ps)):
                 raise InvalidFamilyParams("non-real Wilson parameters must pair up")
 
     @property

@@ -28,7 +28,7 @@ def log_gamma(z):
     lg = loggamma(z + 0j)
     if isinstance(lg, np.ndarray):
         pole = np.isnan(lg) & np.isfinite(z)
-        if pole.any():
+        if np.count_nonzero(pole):
             raise ZeroDivisionError(f"log_gamma pole at z = {z[pole][0]}")
         return lg
     if lg != lg and cmath.isfinite(z):   # scipy returns nan at the poles

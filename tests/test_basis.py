@@ -10,8 +10,10 @@ from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, eval_jacobi
 
 from triseries.basis import (evaluate_series, jacobi_norm,
-                             jacobi_orthonormal_coeffs, laguerre_norm)
+                             jacobi_orthonormal_coeffs, laguerre_norm,
+                             negative_integer_index)
 from triseries.errors import DomainError, IndexOutOfValidity
+from triseries.gammafn import log_abs_rising, log_gamma_real
 from triseries.tra import BasisSpec
 
 
@@ -200,6 +202,12 @@ def _mp_series(spec, f):
     # nu = -5 admits degrees 0..4 only
     (BasisSpec("laguerre", alpha=0.5, beta=0.5, nu=-5.0, scenario="LA"), 5,
      (0.4, 1.2, 3.0, 7.0)),
+    # the default truncation of the Coulomb and oscillator states: 61 terms
+    # (the Coulomb spec alpha = 1, beta = 1/2, nu = 1), and as many Jacobi ones
+    (BasisSpec("laguerre", alpha=1.0, beta=0.5, nu=1.0, scenario="LA"), 61,
+     (0.3, 1.1, 2.9, 6.5)),
+    (BasisSpec("jacobi", alpha=0.8, beta=0.6, nu=0.7, mu=1.1, scenario="JC"), 61,
+     (-0.85, -0.3, 0.2, 0.9)),
 ])
 def test_series_derivatives_against_mpmath(spec, n_terms, xs):
     f = np.random.default_rng(11).uniform(0.5, 1.5, n_terms)
@@ -209,3 +217,185 @@ def test_series_derivatives_against_mpmath(spec, n_terms, xs):
         for i, x in enumerate(xs):
             want = [float(mp.diff(ref, mp.mpf(x), k)) for k in range(3)]
             assert [y[i], yp[i], ypp[i]] == pytest.approx(want, rel=1e-10)
+
+
+# --- the array norms and the stacked pass against per-degree forms ---------
+
+def _norm_per_degree(n, mu, nu):
+    """c_n one degree at a time from scalar log-gammas, in the order of terms
+    and of checks the norms use (Laguerre when mu is None)."""
+    indices = ([(nu, "Laguerre index nu")] if mu is None
+               else [(mu, "Jacobi index mu"), (nu, "Jacobi index nu")])
+    lead = 1.0 if mu is None else (2 * n + mu + nu + 1.0) / 2.0 ** (mu + nu + 1.0)
+    if lead <= 0:
+        raise IndexOutOfValidity(f"nonpositive leading norm factor at n={n}")
+    caps = [(negative_integer_index(v), v, label) for v, label in indices]
+    for cap, v, label in caps:
+        if cap is not None and n > cap:
+            raise IndexOutOfValidity(
+                f"{label} = {v} only valid for degrees n <= {cap}, got {n}")
+    g = log_gamma_real(n + 1.0)
+    capped = any(cap is not None for cap, _, _ in caps)
+    if mu is None:
+        return math.exp(0.5 * (g - log_abs_rising(nu + 1.0, n) if capped
+                               else g - log_gamma_real(n + nu + 1.0)))
+    if capped:
+        top = (0.0 if negative_integer_index(mu + nu) is not None
+               else log_abs_rising(mu + nu + 1.0, n))
+        val = (g + top - log_abs_rising(mu + 1.0, n)
+               - log_abs_rising(nu + 1.0, n))
+    else:
+        val = (g + log_gamma_real(n + mu + nu + 1.0)
+               - log_gamma_real(n + mu + 1.0) - log_gamma_real(n + nu + 1.0))
+    return math.sqrt(lead) * math.exp(0.5 * val)
+
+
+def _first_error(degrees, mu, nu):
+    """The message of the first per-degree norm call over ``degrees`` that
+    raises, or None."""
+    for n in degrees:
+        try:
+            _norm_per_degree(n, mu, nu)
+        except IndexOutOfValidity as exc:
+            return str(exc)
+    return None
+
+
+def _norm(degrees, mu, nu):
+    return laguerre_norm(degrees, nu) if mu is None else jacobi_norm(degrees, mu, nu)
+
+
+NORM_PARAMS = [
+    (None, 1.0), (None, 0.5), (None, -0.37), (None, 7.25), (None, -0.0),
+    (None, -5.0), (None, -1.0), (None, -41.0), (None, -5.0 + 1e-12),
+    (1.1, 0.7), (1.0, 1.0), (-0.48, 0.5), (0.0, 3.0), (7.0, 3.0),
+    (-7.0, 9.5), (9.5, -7.0), (-4.0, 2.0), (-4.0, -4.0), (-8.0, -2.5),
+    (-6.0, 5.5), (-30.0, 60.5),
+]
+
+
+@pytest.mark.parametrize("mu, nu", NORM_PARAMS)
+def test_array_norms_equal_per_degree_forms_bit_for_bit(mu, nu):
+    degrees = np.arange(70)
+    first = _first_error(degrees.tolist(), mu, nu)
+    if first is None:
+        got = _norm(degrees, mu, nu)
+        want = np.array([_norm_per_degree(n, mu, nu) for n in range(70)])
+        assert got.tobytes() == want.tobytes()
+        for n in (0, 1, 69):   # a scalar degree gives a float, the same bits
+            one = _norm(n, mu, nu)
+            assert type(one) is float and one == got[n]
+        return
+    with pytest.raises(IndexOutOfValidity) as exc:
+        _norm(degrees, mu, nu)
+    assert str(exc.value) == first
+    # the valid degrees alone still evaluate, and to the per-degree bits
+    ok = [n for n in range(70) if _first_error([n], mu, nu) is None]
+    if ok:
+        want = np.array([_norm_per_degree(n, mu, nu) for n in ok])
+        assert _norm(np.array(ok), mu, nu).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("degrees, mu, nu, message", [
+    # nu = -N-1 allows n <= N: the first degree past the cap is named
+    (np.arange(8), None, -5.0, "Laguerre index nu = -5.0 only valid for "
+                               "degrees n <= 4, got 5"),
+    # the JC finite-region (Racah) basis: mu = -7 has a negative lead at n = 0
+    (np.arange(7), -7.0, 1.4317821063276353,
+     "nonpositive leading norm factor at n=0"),
+    # array order, not degree order, decides which degree is first
+    (np.array([2, 9, 6]), -8.0, 9.5, "Jacobi index mu = -8.0 only valid for "
+                                     "degrees n <= 7, got 9"),
+    (np.array([1, 6, 5]), 9.5, -5.0, "Jacobi index nu = -5.0 only valid for "
+                                     "degrees n <= 4, got 6"),
+    # both capped: at the first failing degree the lead comes first, then mu
+    (np.array([3, 5, 4]), -7.0, -6.0, "nonpositive leading norm factor at n=3"),
+    (np.array([4]), -3.0, -4.0, "Jacobi index mu = -3.0 only valid for "
+                                "degrees n <= 2, got 4"),
+    (np.array([5, 4]), -6.0, -3.0, "Jacobi index nu = -3.0 only valid for "
+                                   "degrees n <= 2, got 5"),
+])
+def test_array_norms_raise_at_the_same_first_degree(degrees, mu, nu, message):
+    assert _first_error(degrees.tolist(), mu, nu) == message
+    with pytest.raises(IndexOutOfValidity) as exc:
+        _norm(degrees, mu, nu)
+    assert str(exc.value) == message
+
+
+def _rowwise_series(spec, f, x):
+    """(y, y', y'') by the recursion carried one derivative row at a time,
+    with per-degree recursion coefficients and norms."""
+    f = np.trim_zeros(np.asarray(f, dtype=float), "b")
+    mu = spec.mu if spec.equation == "jacobi" else None
+    fc = [fn * _norm_per_degree(n, mu, spec.nu) if fn else 0.0
+          for n, fn in enumerate(f)]
+    nu = spec.nu
+
+    def step(k):
+        if mu is None:
+            return 2 * k + nu + 1.0, -1.0, k + nu, k + 1.0
+        if k == 0:
+            return 0.5 * (mu - nu), 0.5 * (mu + nu + 2.0), 0.0, 1.0
+        c = 2 * k + mu + nu
+        return ((c + 1.0) * (mu * mu - nu * nu), (c + 1.0) * c * (c + 2.0),
+                2.0 * (k + mu) * (k + nu) * (c + 2.0),
+                2.0 * (k + 1.0) * (k + mu + nu + 1.0) * c)
+
+    zero = np.zeros_like(x)
+    prev, cur = (zero, zero, zero), (np.ones_like(x), zero, zero)
+    s0 = s1 = s2 = zero
+    for n, fcn in enumerate(fc):
+        if n > 0:
+            a, b, c, d = step(n - 1)
+            lin = a + b * x
+            prev, cur = cur, ((lin * cur[0] - c * prev[0]) / d,
+                              (lin * cur[1] + b * cur[0] - c * prev[1]) / d,
+                              (lin * cur[2] + 2.0 * b * cur[1] - c * prev[2]) / d)
+        s0, s1, s2 = s0 + fcn * cur[0], s1 + fcn * cur[1], s2 + fcn * cur[2]
+    if mu is None:
+        inside = x > 0
+        t = np.where(inside, x, 1.0)
+        weight = x ** spec.alpha * np.exp(-spec.beta * x)
+        g, dg = spec.alpha / t - spec.beta, -spec.alpha / (t * t)
+    else:
+        inside = np.abs(x) < 1.0
+        om, op = np.where(inside, 1.0 - x, 1.0), np.where(inside, 1.0 + x, 1.0)
+        weight = (1.0 - x) ** spec.alpha * (1.0 + x) ** spec.beta
+        g = spec.beta / op - spec.alpha / om
+        dg = -spec.alpha / (om * om) - spec.beta / (op * op)
+    return (weight * s0,
+            np.where(inside, weight * (s1 + g * s0), np.nan),
+            np.where(inside, weight * (s2 + 2.0 * g * s1 + (g * g + dg) * s0),
+                     np.nan))
+
+
+@pytest.mark.parametrize("spec, n_terms", [
+    (BasisSpec("laguerre", alpha=1.0, beta=0.5, nu=1.0, scenario="LA"), 61),
+    (BasisSpec("laguerre", alpha=2.0, beta=1.0, nu=3.0, scenario="LA"), 41),
+    (BasisSpec("laguerre", alpha=0.5, beta=0.5, nu=-5.0, scenario="LA"), 5),
+    (BasisSpec("laguerre", alpha=1.25, beta=0.25, nu=-0.0, scenario="LA"), 2),
+    (BasisSpec("jacobi", alpha=1.25, beta=0.75, nu=1.0, mu=1.0, scenario="JC"), 1),
+    (BasisSpec("jacobi", alpha=1.25, beta=0.75, nu=1.0, mu=1.0, scenario="JC"), 3),
+    (BasisSpec("jacobi", alpha=0.8, beta=0.6, nu=0.7, mu=1.1, scenario="JC"), 61),
+    (BasisSpec("jacobi", alpha=0.5, beta=1.5, nu=5.5, mu=-6.0, scenario="JC"), 6),
+])
+def test_stacked_pass_equals_rowwise_recursion_bit_for_bit(spec, n_terms):
+    rng = np.random.default_rng(n_terms)
+    f = rng.uniform(-1.5, 1.5, n_terms)
+    f[rng.random(n_terms) < 0.3] = 0.0   # interior zeros skip their norms
+    lo, hi = (0.0, 12.0) if spec.equation == "laguerre" else (-1.0, 1.0)
+    x = np.concatenate(([lo, hi], rng.uniform(lo, hi, 40)))
+    for got, want in zip(evaluate_series(spec, f, x), _rowwise_series(spec, f, x)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scalar_x_gives_the_one_element_values():
+    for spec, x0 in [
+            (BasisSpec("laguerre", alpha=1.0, beta=0.5, nu=1.0, scenario="LA"), 2.9),
+            (BasisSpec("jacobi", alpha=0.8, beta=0.6, nu=0.7, mu=1.1,
+                       scenario="JC"), -0.3)]:
+        f = np.random.default_rng(5).uniform(0.5, 1.5, 12)
+        for scalar, one in zip(evaluate_series(spec, f, x0),
+                               evaluate_series(spec, f, np.array([x0]))):
+            assert np.shape(scalar) == () and one.shape == (1,)
+            assert np.asarray(scalar).tobytes() == one.tobytes()

@@ -21,6 +21,12 @@ from triseries.verify import (CLOSED_FORM_KINDS, closed_form_hp,
                               random_family, weight_suite)
 
 
+# every parameter has a conjugate in the list, but the multiset is not closed
+# under conjugation: three copies of 0.7+0.6j face one 0.7-0.6j
+_UNMATCHED_WILSON = fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6),
+                               complex(0.7, 0.6), complex(0.7, 0.6))
+
+
 def test_meixner_pollaczek_first_coefficients():
     nu = 1.3
     theta = 0.9
@@ -546,17 +552,47 @@ def test_high_precision_reference_keeps_the_callers_decimal_context(f, arg, n_ma
         assert decimal.getcontext() is ctx
 
 
-@pytest.mark.parametrize("f", [
+@pytest.mark.parametrize("f, valid, refusal", [
     # conjugate only to within validate()'s 1e-12: a + b + c + d is not real
-    fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6 + 1e-13), 1.2, 1.2),
-    # every parameter has a conjugate partner, but the pairs do not match up
-    fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), complex(0.7, 0.6),
-               complex(0.7, 0.6)),
+    (fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6 + 1e-13), 1.2, 1.2), True,
+     "exactly conjugate"),
+    # every parameter has a conjugate partner, but the pairs do not match up,
+    # so validate() refuses the record before the reference sees it
+    (_UNMATCHED_WILSON, False, "must pair up"),
 ], ids=["near_conjugate", "unmatched_pairs"])
-def test_high_precision_reference_needs_exact_wilson_pairs(f):
-    f.validate()
-    with pytest.raises(InvalidFamilyParams, match="exactly conjugate"):
+def test_high_precision_reference_needs_exact_wilson_pairs(f, valid, refusal):
+    if valid:
+        f.validate()
+    else:
+        with pytest.raises(InvalidFamilyParams, match=refusal):
+            f.validate()
+    with pytest.raises(InvalidFamilyParams, match=refusal):
         closed_form_hp(f, 1.0, 5)
+
+
+def test_wilson_validate_needs_a_conjugation_closed_multiset():
+    # a+b+c+d is not real there: the streams ended in a raw ArithmeticError
+    with pytest.raises(InvalidFamilyParams, match="must pair up"):
+        _UNMATCHED_WILSON.validate()
+    with pytest.raises(InvalidFamilyParams, match="must pair up"):
+        fam.family_coeffs(_UNMATCHED_WILSON, 5)
+    with pytest.raises(InvalidFamilyParams, match="must pair up"):
+        fam.values_by_recursion(_UNMATCHED_WILSON, 1.0, 4)
+    with pytest.raises(InvalidFamilyParams, match="must pair up"):
+        fam.Wilson(complex(0.7, 0.6), complex(0.7, 0.6), 1.2, 1.2).validate()
+    # closed multisets pass: a pair in any position, two pairs, a pair that
+    # is conjugate to within 1e-12, and repeated pairs
+    for ps in [(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2),
+               (1.2, complex(0.7, -0.6), 0.9, complex(0.7, 0.6)),
+               (complex(0.7, 0.6), complex(0.5, 0.2), complex(0.5, -0.2),
+                complex(0.7, -0.6)),
+               (complex(0.7, 0.6), complex(0.7, -0.6 + 1e-13), 1.2, 1.2),
+               (complex(0.7, 0.6), complex(0.7, -0.6), complex(0.7, -0.6),
+                complex(0.7, 0.6))]:
+        fam.Wilson(*ps).validate()
+    f = fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2)
+    assert np.all(np.isfinite(fam.family_coeffs(f, 6).s))
+    assert np.all(np.isfinite(fam.values_by_recursion(f, 1.0, 4)))
 
 
 @pytest.mark.parametrize("kwargs", [{"n_draws": 0}, {"n_draws": -1},
