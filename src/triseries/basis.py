@@ -154,8 +154,9 @@ def _recursion_steps(spec, n_steps: int):
     return np.array(steps).T
 
 
-def evaluate_series(spec, f, x):
-    """(y, y', y'') of the series y(x) = sum_n f_n phi_n(x) on an array x.
+def evaluate_series(spec, f, x, derivatives: bool = True):
+    """(y, y', y'') of the series y(x) = sum_n f_n phi_n(x) on an array x,
+    or y alone when ``derivatives`` is false.
 
     ``spec`` needs attributes equation ("laguerre"|"jacobi"), alpha, beta,
     nu (and mu for Jacobi).  One pass over n carries (P_n, P_n', P_n'') as
@@ -165,6 +166,8 @@ def evaluate_series(spec, f, x):
     zero coefficients are dropped, so a negative-integer index only limits
     the degrees that carry a term.  y' and y'' are nan at an endpoint of the
     domain (x = 0, x = +-1), where the weight need not be differentiable.
+    y alone carries P_n only, in the same operations, so it is the same y
+    bit for bit.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -199,18 +202,21 @@ def evaluate_series(spec, f, x):
         a, b, c, d = _recursion_steps(spec, f.size - 1)
         lin = a[:, None] + b[:, None] * x.ravel()
         b2 = np.multiply.outer(b, [[1.0], [2.0]])   # P' gains b P, P'' gains 2b P'
-    prev, cur, s = np.zeros((3, 3, x.size))
+    prev, cur, s = np.zeros((3, 3 if derivatives else 1, x.size))
     cur[0] = 1.0
     for n, fcn in enumerate(fc.tolist()):
         if n > 0:
             nxt = lin[n - 1] * cur
-            nxt[1:] += b2[n - 1] * cur[:2]
+            if derivatives:
+                nxt[1:] += b2[n - 1] * cur[:2]
             nxt -= c[n - 1] * prev
             nxt /= d[n - 1]
             prev, cur = cur, nxt
         s += fcn * cur
+    y = weight * s[0].reshape(x.shape)
+    if not derivatives:
+        return y
     s0, s1, s2 = s.reshape((3,) + x.shape)
-    y = weight * s0
     dy = weight * (s1 + g * s0)
     d2y = weight * (s2 + 2.0 * g * s1 + (g * g + dg) * s0)
     return y, np.where(inside, dy, np.nan), np.where(inside, d2y, np.nan)

@@ -17,6 +17,10 @@ class NoClosedForm(TriseriesError):
     """The family is defined by its recursion only; no hypergeometric form exists."""
 
 
+class PrecisionExhausted(TriseriesError):
+    """A high-precision reference would need more digits than its cap."""
+
+
 class IndexOutOfValidity(TriseriesError):
     """Negative-parameter classical polynomial used outside its valid degree range."""
 

@@ -432,17 +432,20 @@ class Wilson:
         an, cn = _wilson_form_ac(n_terms, (a + b, a + c, a + d),
                                  (b + c - 1.0, b + d - 1.0, c + d - 1.0),
                                  a + b + c + d)
-        ns = np.arange(n_terms)
-        # per n: s_n, t_n^2 and the branch (n+a+c)(n+b+c), whose sign the
-        # off-diagonal takes, so the streams of a mixed Wilson record
-        # continue those of the admissible region, where that factor is
-        # positive and t_n = -sqrt(A_n C_{n+1})
-        v = (an + cn[:-1] - a * a, an * cn[1:], (ns + (a + c)) * (ns + (b + c)))
+        s_n, t2 = an + cn[:-1] - a * a, an * cn[1:]
         if pair:
-            names = ("s_%d", "t_%d^2", "branch_%d")
-            v = real_part_checked(np.stack(v, axis=1), context=(
+            # s_n and t_n^2 are symmetric in a, b, c, d, so real wherever the
+            # pairs sit, and t_n^2 > 0 for Re(a, b, c, d) > 0: t_n = -sqrt
+            names = ("s_%d", "t_%d^2")
+            s_n, t2 = real_part_checked(np.stack((s_n, t2), axis=1), context=(
                 lambda n, k: "Wilson " + names[k] % n)).T
-        s_n, t2, branch = v
+            branch = 1.0
+        else:
+            # the off-diagonal takes the sign of (n+a+c)(n+b+c), so the
+            # streams of a mixed Wilson record continue those of the
+            # admissible region, where that factor is positive
+            ns = np.arange(n_terms)
+            branch = (ns + (a + c)) * (ns + (b + c))
         # + 0.0 makes a -0 branch +0: a zero branch counts as positive
         t = -np.copysign(np.sqrt(np.abs(t2)), branch + 0.0)
         return RecursionCoeffs(s_n, t, t_squared=t2)
@@ -648,7 +651,9 @@ def spectral_point(family, arg) -> float:
 
 
 def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
-    """P_0..P_{n_max} at a family's natural argument, by recursion.
+    """P_0..P_{n_max} at a family's natural argument, by recursion.  A
+    scalar ``arg`` gives one array; an array of arguments gives one row per
+    argument, from streams built once.
 
     Uses the symmetric engine wherever the family has a genuine real
     symmetric form; a twisted family (Racah here) runs the honest asymmetric
@@ -659,13 +664,19 @@ def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
     N = getattr(family, "N", None)
     if N is not None and n_max > N:
         raise InvalidFamilyParams(f"{type(family).__name__} degrees end at N = {N}")
+    args = [arg] if np.ndim(arg) == 0 else list(arg)
     if getattr(family, "twisted", False):
         co = family.streams(max(n_max, 1))
-        return run_recursion_general(co.s, np.concatenate(([0.0], co.t[:-1])),
-                                     -co.t, family.spectral_point(arg), n_max)
-    coeffs = family_coeffs(family, max(n_max, 1))
-    z = spectral_point(family, arg)
-    return run_recursion(coeffs, z, n_max).values
+        sub, sup = np.concatenate(([0.0], co.t[:-1])), -co.t
+        rows = [run_recursion_general(co.s, sub, sup, family.spectral_point(a),
+                                      n_max) for a in args]
+    else:
+        coeffs = family_coeffs(family, max(n_max, 1))
+        rows = [run_recursion(coeffs, spectral_point(family, a), n_max).values
+                for a in args]
+    if np.ndim(arg) == 0:
+        return rows[0]
+    return np.array(rows).reshape(len(args), n_max + 1)
 
 
 def isolated_mass_from_recursion(coeffs: RecursionCoeffs, w: float,

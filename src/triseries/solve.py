@@ -59,7 +59,7 @@ class SeriesSolution:
 
     def __call__(self, x):
         """y(x) on an array (or scalar) x."""
-        return evaluate_series(self.spec, self.f, x)[0]
+        return evaluate_series(self.spec, self.f, x, derivatives=False)
 
 
 def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,

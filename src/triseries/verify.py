@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import families as fam
-from .errors import InvalidFamilyParams
+from .errors import InvalidFamilyParams, PrecisionExhausted
 from .recurrence import run_recursion
 from .tra import (OdeParams, SpectralMap, jacobi_st2r2, laguerre_st2r2,
                   resolve_basis, wilson_match_identity_residual,
@@ -121,6 +121,15 @@ class _Complex:
                             (self.imag * o.real - self.real * o.imag) / d)
         return _Complex(self.real / o, self.imag / o)
 
+    def __rtruediv__(self, o):
+        d = self.real * self.real + self.imag * self.imag
+        return _Complex(o * self.real / d, -o * self.imag / d)
+
+
+def _magnitude(v):
+    """|re| + |im| of a Decimal or _Complex: within a factor sqrt(2) of |v|."""
+    return abs(v.real) + abs(v.imag)
+
 
 def _cos_sin(theta: Decimal):
     """cos and sin of theta, |theta| < pi, from the Taylor series of
@@ -137,31 +146,43 @@ def _cos_sin(theta: Decimal):
     return parts[0] - parts[2], parts[1] - parts[3]
 
 
+MAX_DPS = 1280   # closed_form_hp doubles its digits up to this many
+
+
 def _dec(x) -> Decimal:
     return Decimal(float(x))          # exact: a float is a finite decimal fraction
 
 
 def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
-    """P_0..P_{n_max} at one argument from the terminating-hypergeometric
-    forms, in ``dps``-digit arithmetic on the standard library's ``decimal``
+    """P_0..P_{n_max} from the terminating-hypergeometric forms, in
+    ``dps``-digit arithmetic on the standard library's ``decimal``
     (precision ``dps + 1``, in a context of its own: the caller's is left as
-    it was).
+    it was).  A scalar ``arg`` gives one array of n_max + 1 values; an array
+    of arguments gives one such row per argument, each equal bit for bit to
+    the scalar call.
 
     This is each family's one closed form, the reference the recursion
     values are compared against.  Its unit-argument sums cancel heavily, so
-    it is evaluated in ``dps`` digits, apart from the recursion: with
-    C_j = prod_{i<j} c_i formed once per call from the n-independent term
-    ratios c_j, degree n sums S_n = sum_j (-n)_j [(n + shift)_j] C_j, and
-    the Pochhammer prefactors are running products in n.  A complex C_j
-    (Meixner-Pollaczek, complex Wilson) sums its real and imaginary parts
-    on the same real weights.  Argument conventions: Meixner-Pollaczek
-    takes z; the discrete families take the integer index k; the
-    quadratic-variable families take w = z^2.
+    it is evaluated in ``dps`` digits, apart from the recursion: degree n
+    sums S_n = sum_j (-n)_j [(n + shift)_j] C_j, with C_j = prod_{i<j} c_i
+    from the n-independent term ratios c_j.  Everything but the c_j, the C_j
+    and the sums is argument-free and formed once per call: the weights
+    (-n)_j [(n + shift)_j] (exact integers when there is no shift), the
+    Pochhammer prefactors (running products in n) and their square roots.
+    A complex C_j (Meixner-Pollaczek, complex Wilson) sums its real and
+    imaginary parts on the same real weights.  Argument conventions:
+    Meixner-Pollaczek takes z; the discrete families take the integer index
+    k; the quadratic-variable families take w = z^2.
 
-    Forty digits are no reference for high degrees, where the sums cancel
-    hardest: against 120 digits, Wilson(.5, .5, .5, .5) at w = 1 is off by
-    3e-13 at degree 40, 6e-5 at degree 50 and 1e3 at degree 60.  Callers
-    that need such degrees pass a larger ``dps``.
+    The sums cancel hardest at high degree: at 40 digits, Wilson(.5, .5, .5,
+    .5) at w = 1 would be off by 3e-13 at degree 40 and 1e3 at degree 60.
+    So degree n's rounding is bounded by |prefactor| (3n + 3) 10^-dps
+    sum_j |w_nj| |C_j|, w_nj = (-n)_j [(n + shift)_j], and first, more
+    loosely, by the argument-free sum_j |w_nj| times max_j |C_j|.  An
+    argument whose bound leaves fewer than 17 digits of max(1, |P_n|) at
+    some degree is evaluated again at twice the digits; past ``MAX_DPS``
+    digits the call raises ``PrecisionExhausted``.  The oracle suite's draws
+    (degrees <= 10) keep 29 digits or more, so they never repeat.
 
     A complex Wilson record needs exactly conjugate pairs, which keep its
     shift a + b + c + d - 1 real; pairs conjugate only to within
@@ -172,6 +193,7 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
         raise ValueError("degree must be >= 0")
     if hasattr(f, "N") and n_max > f.N:
         raise InvalidFamilyParams(f"{type(f).__name__} degrees end at N = {f.N}")
+    args = [arg] if np.ndim(arg) == 0 else list(arg)
     context = decimal.Context(prec=dps + 1, rounding=decimal.ROUND_HALF_EVEN,
                               traps=[decimal.InvalidOperation,
                                      decimal.DivisionByZero, decimal.Overflow])
@@ -184,21 +206,6 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
                 out.append(out[-1] * (x + step * i))
             return out
 
-        def sums(c, shift=None):
-            """S_n = sum_j (-n)_j [(n + shift)_j] C_j for n = 0..n_max; the
-            weights are exact integers when there is no shift."""
-            cum = list(accumulate(c, mul, initial=Decimal(1)))
-            re = [v.real for v in cum]
-            im = [v.imag for v in cum] if c and isinstance(c[0], _Complex) else None
-            out = []
-            for n in range(n_max + 1):
-                ratios = ((j - n) if shift is None else (j - n) * (n + shift + j)
-                          for j in range(n))
-                w = list(accumulate(ratios, mul, initial=1))
-                tot = sum(map(mul, w, re))
-                out.append(tot if im is None else _Complex(tot, sum(map(mul, w, im))))
-            return out
-
         def root(x, n):
             if x < 0:
                 raise InvalidFamilyParams(
@@ -206,47 +213,61 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
                     "its squared prefactor is negative")
             return x.sqrt()
 
+        # each family converts its arguments (xs), gives its term ratios c_j
+        # as a function of one converted argument, and the argument-free
+        # prefactors of P_n = pre_n (rot_n S_n).real, or pre_n S_n when it
+        # has no rotation rot_n
         js, ns = range(n_max), range(1, n_max + 1)
         fact = products(1)
+        shift = rot = None
         if isinstance(f, fam.MeixnerPollaczek):
-            mu, z = _dec(f.mu), _dec(arg)
+            mu, xs = _dec(f.mu), [_dec(a) for a in args]
             cos, sin = _cos_sin(_dec(f.theta))
             x = _Complex(2 * sin * sin, 2 * sin * cos)       # 1 - e^{-2i theta}
-            cj = [_Complex(mu + j, z) * x / ((2 * mu + j) * (j + 1)) for j in js]
-            r2mu, phase = products(2 * mu), products(_Complex(cos, sin), 0)
-            tot = sums(cj)
-            vals = [root(r2mu[n] / fact[n], n) * (phase[n] * tot[n]).real for n in ns]
+            num, den = [mu + j for j in js], [(2 * mu + j) * (j + 1) for j in js]
+
+            def ratios(z):
+                return [_Complex(m, z) * x / d for m, d in zip(num, den)]
+            r2mu, rot = products(2 * mu), products(_Complex(cos, sin), 0)[1:]
+            pre = [root(r2mu[n] / fact[n], n) for n in ns]
         elif isinstance(f, fam.Meixner):
-            mu, tau, k = _dec(f.mu), _dec(f.tau), int(arg)
+            mu, tau, xs = _dec(f.mu), _dec(f.tau), [int(a) for a in args]
             x = 1 - 1 / tau
-            cj = [(j - k) * x / ((2 * mu + j) * (j + 1)) for j in js]
-            r2mu, power, tot = products(2 * mu), products(tau.sqrt(), 0), sums(cj)
-            vals = [root(r2mu[n] / fact[n], n) * power[n] * tot[n] for n in ns]
+            den = [(2 * mu + j) * (j + 1) for j in js]
+
+            def ratios(k):
+                return [(j - k) * x / d for j, d in zip(js, den)]
+            r2mu, power = products(2 * mu), products(tau.sqrt(), 0)
+            pre = [root(r2mu[n] / fact[n], n) * power[n] for n in ns]
         elif isinstance(f, fam.Krawtchouk):
-            tau, k, N = _dec(f.tau), int(arg), int(f.N)
-            cj = [Decimal(j - k) / ((j - N) * (j + 1)) / tau for j in js]
+            tau, xs, N = _dec(f.tau), [int(a) for a in args], int(f.N)
+            den = [(j - N) * (j + 1) for j in js]
+
+            def ratios(k):
+                return [Decimal(j - k) / d / tau for j, d in zip(js, den)]
             fall, power = products(N, -1), products((tau / (1 - tau)).sqrt(), 0)
-            tot = sums(cj)
-            vals = [root(fall[n] / fact[n], n) * power[n] * tot[n] for n in ns]
+            pre = [root(fall[n] / fact[n], n) * power[n] for n in ns]
         elif isinstance(f, fam.ContinuousDualHahn):
-            tau, a, b, w = _dec(f.tau), _dec(f.a), _dec(f.b), _dec(arg)
-            cj = [((tau + j) ** 2 + w) / ((tau + a + j) * (tau + b + j) * (j + 1))
-                  for j in js]
+            tau, a, b = _dec(f.tau), _dec(f.a), _dec(f.b)
+            xs = [_dec(x) for x in args]
+            num = [(tau + j) ** 2 for j in js]
+            den = [(tau + a + j) * (tau + b + j) * (j + 1) for j in js]
+
+            def ratios(w):
+                return [(m + w) / d for m, d in zip(num, den)]
             ra, rb, rab = products(tau + a), products(tau + b), products(a + b)
-            tot = sums(cj)
             if f.a == f.b:   # analytic branch, signed
-                vals = [ra[n] / root(fact[n] * rab[n], n) * tot[n] for n in ns]
+                pre = [ra[n] / root(fact[n] * rab[n], n) for n in ns]
             else:            # negative where (tau+a)_n (tau+b)_n < 0
-                vals = [root(ra[n] * rb[n] / (fact[n] * rab[n]), n) * tot[n]
-                        for n in ns]
+                pre = [root(ra[n] * rb[n] / (fact[n] * rab[n]), n) for n in ns]
         elif isinstance(f, fam.DualHahn):
-            tau, sg, k, N = _dec(f.tau), _dec(f.sigma), int(arg), int(f.N)
-            cj = [(j - k) * (k + tau + sg + 1 + j)
-                  / ((tau + 1 + j) * (j - N) * (j + 1)) for j in js]
-            rt, fall = products(tau + 1), products(N, -1)
-            fall_s, tot = products(N + sg, -1), sums(cj)
-            vals = [root(rt[n] * fall[n] / (fact[n] * fall_s[n]), n) * tot[n]
-                    for n in ns]
+            tau, sg, xs, N = _dec(f.tau), _dec(f.sigma), [int(a) for a in args], int(f.N)
+            den = [(tau + 1 + j) * (j - N) * (j + 1) for j in js]
+
+            def ratios(k):
+                return [(j - k) * (k + tau + sg + 1 + j) / d for j, d in zip(js, den)]
+            rt, fall, fall_s = products(tau + 1), products(N, -1), products(N + sg, -1)
+            pre = [root(rt[n] * fall[n] / (fact[n] * fall_s[n]), n) for n in ns]
         elif isinstance(f, fam.Wilson):
             ps = [complex(p) for p in (f.a, f.b, f.c, f.d)]
             if sorted((p.real, p.imag) for p in ps) != sorted(
@@ -255,38 +276,86 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
                     "the Wilson closed form needs exactly conjugate pairs")
             a, b, c, d = (_Complex(_dec(p.real), _dec(p.imag)) if p.imag
                           else _dec(p.real) for p in ps)
-            w = _dec(arg)
+            xs = [_dec(x) for x in args]
             s = sum(_dec(p.real) for p in ps)    # real: the pairs are exact
-            cj = [((a + j) * (a + j) + w)
-                  / ((a + b + j) * (a + c + j) * (a + d + j) * (j + 1)) for j in js]
+            num = [(a + j) * (a + j) for j in js]
+            den = [(a + b + j) * (a + c + j) * (a + d + j) * (j + 1) for j in js]
+
+            def ratios(w):
+                return [(m + w) / e for m, e in zip(num, den)]
             rab, rac, rad = products(a + b), products(a + c), products(a + d)
             rbc, rbd, rcd = products(b + c), products(b + d), products(c + d)
-            rs, tot = products(s), sums(cj, shift=s - 1)
-            vals = []
+            rs, shift, rot, pre = products(s), s - 1, [], []
             for n in ns:
                 lead = rab[n] * rac[n] * rad[n]
                 # the pair sums close under conjugation: the product is real
-                den = (lead * rbc[n] * rbd[n] * rcd[n] * fact[n]).real
-                norm = (2 * n + s - 1) / (n + s - 1) * rs[n] / den
-                vals.append(root(norm, n) * (lead * tot[n]).real)
+                pairs = (lead * rbc[n] * rbd[n] * rcd[n] * fact[n]).real
+                norm = (2 * n + s - 1) / (n + s - 1) * rs[n] / pairs
+                rot.append(lead)
+                pre.append(root(norm, n))
         elif isinstance(f, fam.Racah):
-            g, sg, k, N = _dec(f.gamma), _dec(f.sigma), int(arg), int(f.N)
+            g, sg, xs, N = _dec(f.gamma), _dec(f.sigma), [int(a) for a in args], int(f.N)
             gs = g + sg
-            cj = [(j - k) * (k - N + j)
-                  / ((g + 1 + j) * (sg + 1 + j) * (j - N) * (j + 1)) for j in js]
-            fall, rg = products(N, -1), products(gs + 2)
-            rgn, tot = products(gs + N + 2), sums(cj, shift=gs + 1)
-            vals = [root((2 * n + gs + 1) / (n + gs + 1) * fall[n] * rg[n]
-                         / (rgn[n] * fact[n]), n) * tot[n] for n in ns]
+            den = [(g + 1 + j) * (sg + 1 + j) * (j - N) * (j + 1) for j in js]
+
+            def ratios(k):
+                return [(j - k) * (k - N + j) / d for j, d in zip(js, den)]
+            fall, rg, rgn = products(N, -1), products(gs + 2), products(gs + N + 2)
+            shift = gs + 1
+            pre = [root((2 * n + gs + 1) / (n + gs + 1) * fall[n] * rg[n]
+                        / (rgn[n] * fact[n]), n) for n in ns]
         else:
             raise TypeError(f"no high-precision form for {f!r}")
-        return np.array([1.0] + [float(v) for v in vals])
+        # the weights (-n)_j [(n + shift)_j] of degree n, j = 0..n
+        weights = [list(accumulate(((j - n) if shift is None
+                                    else (j - n) * (n + shift + j) for j in range(n)),
+                                   mul, initial=1)) for n in ns]
+        # degree n's rounding, in units of 10^-17, is at most bound_n
+        # sum_j |w_nj| |C_j|, which is at most loose max_j |C_j| at every n
+        unit = Decimal(10) ** (17 - dps)
+        bound = [abs(p) * (3 * n + 3) * unit for n, p in zip(ns, pre)]
+        if rot is not None:
+            bound = [e * _magnitude(r) for e, r in zip(bound, rot)]
+        abs_w = [[abs(v) for v in w] for w in weights]
+        loose = max((e * sum(a) for e, a in zip(bound, abs_w)), default=0)
+        rows, again = [], []
+        for i, xi in enumerate(xs):
+            cum = list(accumulate(ratios(xi), mul, initial=Decimal(1)))
+            re = [v.real for v in cum]
+            if isinstance(cum[-1], _Complex):
+                im = [v.imag for v in cum]
+                tot = [_Complex(sum(map(mul, w, re)), sum(map(mul, w, im)))
+                       for w in weights]
+                c_max = max(map(abs, re)) + max(map(abs, im))
+            else:
+                tot = [sum(map(mul, w, re)) for w in weights]
+                c_max = max(map(abs, re))
+            if rot is None:
+                vals = [p * t for p, t in zip(pre, tot)]
+            else:
+                vals = [p * (r * t).real for p, r, t in zip(pre, rot, tot)]
+            # max(1, |P_n|) >= 1: one product clears every degree at once
+            if loose * c_max > 1:
+                c_abs = list(map(_magnitude, cum))
+                if any(e * sum(map(mul, a, c_abs)) > max(1, abs(v))
+                       for e, a, v in zip(bound, abs_w, vals)):
+                    again.append(i)
+            rows.append([1.0, *map(float, vals)])
+    out = np.array(rows).reshape(len(xs), n_max + 1)
+    if again:
+        if 2 * dps > MAX_DPS:
+            raise PrecisionExhausted(
+                f"{type(f).__name__} closed form to degree {n_max} needs more "
+                f"than {MAX_DPS} digits")
+        out[again] = closed_form_hp(f, [args[i] for i in again], n_max, 2 * dps)
+    return out[0] if np.ndim(arg) == 0 else out
 
 
 def oracle_equivalence_suite(n_draws: int = 100, n_max: int = 10,
                              seed: int = 20240817):
     """Recursion values vs terminating-hypergeometric values, per family,
-    with the hypergeometric reference evaluated in high precision."""
+    with the hypergeometric reference evaluated in high precision: one
+    reference call and one stream build per draw, for its three arguments."""
     if n_draws < 1 or n_max < 0:
         raise ValueError(f"need n_draws >= 1 and n_max >= 0, got {n_draws}, {n_max}")
     rng = np.random.default_rng(seed)
@@ -298,12 +367,10 @@ def oracle_equivalence_suite(n_draws: int = 100, n_max: int = 10,
             top = n_max
             if hasattr(f, "N"):
                 top = min(n_max, f.N)
-            for arg in args:
-                vals = fam.values_by_recursion(f, arg, top)
-                refs = closed_form_hp(f, arg, top)
-                for n, ref in enumerate(refs):
-                    scale = max(1.0, abs(ref))
-                    worst = max(worst, abs(ref - vals[n]) / scale)
+            vals = fam.values_by_recursion(f, args, top)
+            refs = closed_form_hp(f, args, top)
+            worst = max(worst, float(np.max(np.abs(refs - vals)
+                                            / np.maximum(1.0, np.abs(refs)))))
         out.append(Check(f"oracle_equivalence[{kind}]", worst, 1e-10))
     return out
 

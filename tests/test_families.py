@@ -14,7 +14,9 @@ from scipy.integrate import quad
 
 import triseries
 from triseries import families as fam
-from triseries.errors import InvalidFamilyParams, NoClosedForm
+from triseries import verify
+from triseries.errors import (InvalidFamilyParams, NoClosedForm,
+                              PrecisionExhausted)
 from triseries.recurrence import run_recursion
 from triseries.verify import (CLOSED_FORM_KINDS, closed_form_hp,
                               degeneration_suite, oracle_equivalence_suite,
@@ -646,3 +648,147 @@ def test_weight_density_large_argument(f, rel):
     assert w.density(200.0) * w.density(1.3) >= 0.0
     for k, m in enumerate(w.masses if w.kind == "mixed" else ()):
         assert m == pytest.approx(_mp_mixed_masses(f, k), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array arguments: one reference call and one stream build per draw
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("f, args, n_max", [
+    (fam.MeixnerPollaczek(0.8, 2.1), [-0.7, 0.0, 2.4], 10),
+    (fam.Meixner(1.3, 0.4), [0, 3, 11], 10),
+    (fam.Krawtchouk(7, 0.35), [0, 4, 7], 7),
+    (fam.ContinuousDualHahn(0.6, 1.1, 0.4), [0.2, 3.0, 8.5], 10),
+    (fam.DualHahn(9, 0.4, 1.2), [0, 5, 9], 9),
+    (fam.Wilson(0.5, 1.1, 0.8, 1.7), [0.3, 1.3, 3.9], 10),
+    (fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2),
+     [0.3, 1.3, 3.9], 10),
+    (fam.Racah(8, 0.6, 1.4), [0, 3, 8], 8),           # the twisted path
+], ids=["meixner_pollaczek", "meixner", "krawtchouk", "continuous_dual_hahn",
+        "dual_hahn", "wilson", "wilson_complex", "racah"])
+def test_array_arguments_equal_the_scalar_calls_row_by_row(f, args, n_max):
+    args = np.asarray(args)
+    ref = closed_form_hp(f, args, n_max)
+    vals = fam.values_by_recursion(f, args, n_max)
+    assert ref.shape == vals.shape == (len(args), n_max + 1)
+    for i, arg in enumerate(args):
+        assert np.array_equal(ref[i], closed_form_hp(f, arg, n_max))
+        assert np.array_equal(vals[i], fam.values_by_recursion(f, arg, n_max))
+    assert np.max(np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))) < 1e-10
+    # a one-argument array keeps its row axis
+    assert closed_form_hp(f, args[:1], n_max).shape == (1, n_max + 1)
+    assert fam.values_by_recursion(f, args[:1], n_max).shape == (1, n_max + 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:   # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("f, arg, n_max", [
+    (fam.Krawtchouk(3, 0.4), 2, 4),                      # degree past N
+    (fam.ContinuousDualHahn(-1.0, 0.5, 1.5), 1.0, 3),   # negative radicand
+    (fam.DualHahn(3, 0.4, 0.2), 1, 4),
+    (fam.Meixner(0.5, 1.5), 2, 3),                       # tau outside (0, 1)
+    (_UNMATCHED_WILSON, 1.0, 4),
+])
+def test_array_arguments_raise_like_the_scalar_calls(f, arg, n_max):
+    for fn in (closed_form_hp, fam.values_by_recursion):
+        scalar = _outcome(fn, f, arg, n_max)
+        array = _outcome(fn, f, [arg, arg], n_max)
+        if isinstance(scalar, tuple):
+            assert array == scalar
+        else:
+            assert np.array_equal(array, [scalar, scalar])
+    assert isinstance(_outcome(closed_form_hp, f, arg, n_max), tuple)
+
+
+def _per_argument_oracle_checks(seed, n_max=10):
+    """(name, value) of oracle_equivalence_suite(n_draws=1, seed), with one
+    reference call and one recursion per argument and degree by degree."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for kind in CLOSED_FORM_KINDS:
+        f, args = random_family(kind, rng)
+        top = min(n_max, getattr(f, "N", n_max))
+        worst = 0.0
+        for arg in args:
+            vals = fam.values_by_recursion(f, arg, top)
+            refs = closed_form_hp(f, arg, top)
+            for n, ref in enumerate(refs):
+                worst = max(worst, abs(ref - vals[n]) / max(1.0, abs(ref)))
+        out.append((f"oracle_equivalence[{kind}]", worst))
+    return out
+
+
+def test_oracle_suite_equals_a_per_argument_loop(monkeypatch):
+    # bit for bit, and the precision guard never re-evaluates a draw
+    digits = []
+    inner = verify.closed_form_hp
+
+    def spy(f, arg, n_max, dps=40):
+        digits.append(dps)
+        return inner(f, arg, n_max, dps)
+
+    monkeypatch.setattr(verify, "closed_form_hp", spy)
+    for seed in range(400):
+        checks = oracle_equivalence_suite(n_draws=1, seed=seed)
+        assert [(c.name, c.value) for c in checks] == \
+            _per_argument_oracle_checks(seed), seed
+    assert len(digits) == 400 * len(CLOSED_FORM_KINDS)
+    assert set(digits) == {40}
+
+
+def test_precision_guard_raises_the_digits_where_they_run_out():
+    # at 40 digits alone, degree 60 would be 1e3 off: the guard re-evaluates
+    f = fam.Wilson(0.5, 0.5, 0.5, 0.5)
+    ref = closed_form_hp(f, 1.0, 60, dps=120)
+    got = closed_form_hp(f, 1.0, 60)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    assert np.max(np.abs(fam.values_by_recursion(f, 1.0, 60) - ref)
+                  / np.maximum(1.0, np.abs(ref))) < 1e-10
+
+
+def test_precision_guard_raises_a_typed_error_past_its_cap(monkeypatch):
+    f = fam.Wilson(0.5, 0.5, 0.5, 0.5)
+    monkeypatch.setattr(verify, "MAX_DPS", 60)
+    with pytest.raises(PrecisionExhausted, match="more than 60 digits"):
+        closed_form_hp(f, [0.5, 1.0], 60)
+    assert np.array_equal(closed_form_hp(f, 1.0, 10),    # needs no more
+                          verify.closed_form_hp(f, 1.0, 10, dps=40))
+
+
+@pytest.mark.parametrize("ps", [
+    (complex(0.7, 0.6), complex(0.7, -0.6), complex(0.5, 0.2), complex(0.5, -0.2)),
+    (1.2, complex(0.7, -0.6), 0.9, complex(0.7, 0.6)),
+], ids=["two_pairs", "pair_at_b_d"])
+def test_wilson_conjugate_pair_in_any_position(ps):
+    # the streams took the sign of t_n from (n+a+c)(n+b+c), complex here, and
+    # the reference had no real / complex division
+    f = fam.Wilson(*ps)
+    co = fam.family_coeffs(f, 11)
+    assert np.all(co.t_squared > 0) and np.all(co.t < 0)
+    args = np.array([0.3, 1.0, 2.7, 6.0])
+    ref = closed_form_hp(f, args, 10)
+    vals = fam.values_by_recursion(f, args, 10)
+    assert np.max(np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))) < 1e-10
+    # the polynomials are symmetric in a, b, c, d
+    swapped = closed_form_hp(fam.Wilson(*ps[::-1]), args, 10)
+    assert np.max(np.abs(swapped - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+
+
+@pytest.mark.parametrize("f", [
+    fam.Wilson(0.5, 1.1, 0.8, 1.7),
+    fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2),
+    fam.MixedWilson(1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8),   # t_0 > 0
+], ids=["real", "pair_at_a_b", "mixed"])
+def test_wilson_off_diagonal_keeps_the_branch_sign(f):
+    co = f.streams(12)
+    n = np.arange(12)
+    a, b, c = (complex(p) for p in (f.a, f.b, f.c))
+    branch = ((n + a + c) * (n + b + c)).real
+    assert np.array_equal(co.t, -np.copysign(np.sqrt(np.abs(co.t_squared)),
+                                             branch + 0.0))
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from triseries import families as fam
+from triseries.basis import evaluate_series
 from triseries.errors import (AmbiguousRegion, IndexOutOfSpectrum,
                               InvalidFamilyParams, NoFamilyApplies,
                               NoTerminatingIndex, SingularPointTooClose,
@@ -414,3 +415,19 @@ def test_coefficients_satisfy_raw_recursion_mixed_regime():
             res = zr * f[n] - (raw.s[n] * f[n] + raw.t[n - 1] * f[n - 1]
                                + raw.t[n] * f[n + 1])
             assert abs(res) < 1e-10
+
+
+@pytest.mark.parametrize("case, m", [
+    (CoulombCase(Z=1.0, ell=1, lam=0.3), 2),
+    (OscillatorCase(omega=0.5, ell=2, lam=0.4), 1),
+    (EckartCase(lam=1.0, A=2.0, B=-20.0), 2),
+], ids=["coulomb", "oscillator", "eckart_jacobi"])
+def test_wavefunction_equals_the_full_evaluator_bit_for_bit(case, m):
+    # psi carries P_n alone, in the operations of the (P, P', P'') pass
+    _, sol = bound_series(case, m)
+    rs = np.linspace(0.05, 12.0, 200)
+    psi = wavefunction(case, sol, rs)
+    assert np.array_equal(psi, evaluate_series(sol.spec, sol.f,
+                                               case.x_of_r(rs))[0])
+    assert np.array_equal(sol(case.x_of_r(rs[7])), psi[7:8].reshape(()))
+
