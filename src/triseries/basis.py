@@ -178,22 +178,13 @@ def evaluate_series(spec, f, x, derivatives: bool = True):
         if np.count_nonzero(outside):
             raise DomainError(f"Laguerre basis needs x >= 0, got {x[outside][0]}")
         norms = laguerre_norm(terms, spec.nu)
-        inside = x > 0
-        t = np.where(inside, x, 1.0)
         weight = x ** spec.alpha * np.exp(-spec.beta * x)
-        g = spec.alpha / t - spec.beta                      # w'/w
-        dg = -spec.alpha / (t * t)
     elif spec.equation == "jacobi":
         outside = ~((x >= -1.0) & (x <= 1.0))
         if np.count_nonzero(outside):
             raise DomainError(f"Jacobi basis needs -1 <= x <= 1, got {x[outside][0]}")
         norms = jacobi_norm(terms, spec.mu, spec.nu)
-        inside = np.abs(x) < 1.0
-        om = np.where(inside, 1.0 - x, 1.0)
-        op = np.where(inside, 1.0 + x, 1.0)
         weight = (1.0 - x) ** spec.alpha * (1.0 + x) ** spec.beta
-        g = spec.beta / op - spec.alpha / om                # w'/w
-        dg = -spec.alpha / (om * om) - spec.beta / (op * op)
     else:
         raise ValueError(f"unknown basis equation {spec.equation!r}")
     fc = np.zeros_like(f)
@@ -216,6 +207,16 @@ def evaluate_series(spec, f, x, derivatives: bool = True):
     y = weight * s[0].reshape(x.shape)
     if not derivatives:
         return y
+    if spec.equation == "laguerre":   # g = w'/w and its derivative dg
+        inside = x > 0
+        t = np.where(inside, x, 1.0)
+        g, dg = spec.alpha / t - spec.beta, -spec.alpha / (t * t)
+    else:
+        inside = np.abs(x) < 1.0
+        om = np.where(inside, 1.0 - x, 1.0)
+        op = np.where(inside, 1.0 + x, 1.0)
+        g = spec.beta / op - spec.alpha / om
+        dg = -spec.alpha / (om * om) - spec.beta / (op * op)
     s0, s1, s2 = s.reshape((3,) + x.shape)
     dy = weight * (s1 + g * s0)
     d2y = weight * (s2 + 2.0 * g * s1 + (g * g + dg) * s0)

@@ -19,6 +19,7 @@ import numpy as np
 from . import families as fam
 from . import physics, solve, verify
 from .errors import TriseriesError
+from .recurrence import run_recursion
 from .tra import OdeParams
 
 
@@ -179,8 +180,7 @@ _FAMILY_BUILDERS = {
 def cmd_polytable(ns) -> int:
     family = _FAMILY_BUILDERS[ns.family](ns)
     coeffs = fam.family_coeffs(family, max(ns.n_max, 1))
-    from .recurrence import run_recursion
-    vals = run_recursion(coeffs, ns.z, ns.n_max).values
+    vals = run_recursion(coeffs, ns.z, ns.n_max)
     rows = [(n, float(v)) for n, v in enumerate(vals)]
     _emit(_case_config(ns), ["n", "P_n"], rows, {}, ns.format, ns.out)
     return 0

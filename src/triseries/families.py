@@ -62,24 +62,18 @@ def _recursion_only(self):
 class WeightFunction:
     """Normalized orthogonality weight: continuous density, discrete masses,
     or both (mixed)."""
-    kind: str                      # "continuous" | "discrete" | "mixed"
-    density = None                 # set via object.__setattr__
-    support: tuple = None
-    masses: np.ndarray = None      # discrete masses, aligned with mass_points
-    mass_points: np.ndarray = None  # polynomial arguments of the mass points
+    kind: str                        # "continuous" | "discrete" | "mixed"
+    density: object = None           # z -> density of the continuous part
+    masses: np.ndarray = None        # discrete masses, aligned with mass_points
+    mass_points: np.ndarray = None   # polynomial arguments of the mass points
     mass_indices: np.ndarray = None  # integer labels k of the mass points
 
-    def __init__(self, kind, density=None, support=None, masses=None,
-                 mass_points=None, mass_indices=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "masses",
-                           None if masses is None else np.asarray(masses, dtype=float))
-        object.__setattr__(self, "mass_points",
-                           None if mass_points is None else np.asarray(mass_points, dtype=float))
-        object.__setattr__(self, "mass_indices",
-                           None if mass_indices is None else np.asarray(mass_indices))
+    def __post_init__(self):
+        for name, dtype in (("masses", float), ("mass_points", float),
+                            ("mass_indices", None)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name,
+                                   np.asarray(getattr(self, name), dtype=dtype))
 
 
 def _mass_arrays(family, n: int, masses=None) -> dict:
@@ -114,8 +108,8 @@ def _quadratic_weight(family, density) -> WeightFunction:
     """Weight of a family in w = z^2: the density on z > 0, plus the masses
     of the discrete part when the family is mixed."""
     if not family.mixed:
-        return WeightFunction("continuous", density=density, support=(0.0, math.inf))
-    return WeightFunction("mixed", density=density, support=(0.0, math.inf),
+        return WeightFunction("continuous", density=density)
+    return WeightFunction("mixed", density=density,
                           **_mass_arrays(family, family.n_discrete()))
 
 
@@ -160,8 +154,7 @@ class MeixnerPollaczek:
             return math.exp(log_lead + (2.0 * th - math.pi) * z
                             + 2.0 * log_gamma(complex(mu, z)).real)
 
-        return WeightFunction("continuous", density=density,
-                              support=(-math.inf, math.inf))
+        return WeightFunction("continuous", density=density)
 
     def density_at(self, arg):
         return weight(self).density(float(arg))
@@ -644,12 +637,6 @@ def family_coeffs(family, n_terms: int) -> RecursionCoeffs:
     return family.streams(n_terms)
 
 
-def spectral_point(family, arg) -> float:
-    """Map a family's natural argument (z, w, or index k) to the recursion
-    variable fed to ``run_recursion``."""
-    return family.spectral_point(arg)
-
-
 def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
     """P_0..P_{n_max} at a family's natural argument, by recursion.  A
     scalar ``arg`` gives one array; an array of arguments gives one row per
@@ -672,7 +659,7 @@ def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
                                       n_max) for a in args]
     else:
         coeffs = family_coeffs(family, max(n_max, 1))
-        rows = [run_recursion(coeffs, spectral_point(family, a), n_max).values
+        rows = [run_recursion(coeffs, family.spectral_point(a), n_max)
                 for a in args]
     if np.ndim(arg) == 0:
         return rows[0]
@@ -688,8 +675,7 @@ def isolated_mass_from_recursion(coeffs: RecursionCoeffs, w: float,
     zeros = np.nonzero(coeffs.t[:n_top] == 0.0)[0]
     if zeros.size:
         n_top = int(zeros[0])
-    seq = run_recursion(coeffs, w, n_top, cap=10 ** 6)
-    sq = seq.values ** 2
+    sq = run_recursion(coeffs, w, n_top, cap=10 ** 6) ** 2
     # drop the spurious round-off regrowth of the minimal solution
     floor = np.nonzero(sq < 1e-26 * np.max(sq))[0]
     if floor.size:

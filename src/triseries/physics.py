@@ -552,22 +552,6 @@ CASE_TYPES = {c.name: c for c in (CoulombCase, OscillatorCase, MorseCase,
 
 
 # ---------------------------------------------------------------------------
-# parameter maps
-# ---------------------------------------------------------------------------
-
-def to_ode_params(case, E: float) -> OdeParams:
-    """The standard equation-parameter map of a case at energy E.  The
-    Coulomb map carries the repulsive orientation (A_zero = +2Z/lam)."""
-    return case.ode_params(E)
-
-
-def bound_ode_params(case, E: float) -> OdeParams:
-    """Equation parameters oriented so the bound series exists; only the
-    Coulomb case differs from ``to_ode_params``."""
-    return case.ode_params(E, bound=True)
-
-
-# ---------------------------------------------------------------------------
 # bound spectra
 # ---------------------------------------------------------------------------
 
@@ -722,7 +706,7 @@ def bound_series(case, m: int, truncation: int = None):
         raise InvalidFamilyParams(
             f"{case.name}: level m={m} at E={e} lies above E={cap}, where the "
             f"discrete family of basis scale lam = {case.lam} ends")
-    params = bound_ode_params(case, e)
+    params = case.ode_params(e, bound=True)
     scenario, _ = case.bound_scenario()
     if scenario == "JC" and case.nu < 0:
         raise NoTerminatingIndex(
@@ -770,8 +754,8 @@ def tra_bound_energy(case, m: int, tol: float = 1e-12) -> float:
 
     def index_mismatch(e):
         try:
-            match = solvemod.match_family(bound_ode_params(case, e), scenario,
-                                          free_value=free_value)
+            match = solvemod.match_family(case.ode_params(e, bound=True),
+                                          scenario, free_value=free_value)
             return (match.spectral_map.family_value
                     - match.family.mass_point(m))
         except (TriseriesError, ValueError, ArithmeticError):

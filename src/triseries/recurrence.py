@@ -51,26 +51,9 @@ class RecursionCoeffs:
     def __len__(self) -> int:
         return self.s.shape[0]
 
-    @property
-    def is_twisted(self) -> bool:
-        """True when any signed square t_n^2 is negative (formal family)."""
-        return bool(np.any(self.t_squared < 0))
-
-
-@dataclass(frozen=True)
-class PolySequence:
-    """Values P_0(z)..P_N(z) produced by ``run_recursion`` at one argument."""
-
-    values: np.ndarray
-    argument: float
-    coeffs: RecursionCoeffs
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 def run_recursion(coeffs: RecursionCoeffs, z: float, n_max: int,
-                  cap: int = DEFAULT_N_MAX_CAP) -> PolySequence:
+                  cap: int = DEFAULT_N_MAX_CAP) -> np.ndarray:
     """Evaluate P_0..P_{n_max} at argument z by forward recursion.
 
     P_0 = 1, P_1 = (z - s_0)/t_0, then
@@ -99,7 +82,7 @@ def run_recursion(coeffs: RecursionCoeffs, z: float, n_max: int,
     for n in range(1, n_max):
         values[n + 1] = ((z - coeffs.s[n]) * values[n]
                          - coeffs.t[n - 1] * values[n - 1]) / coeffs.t[n]
-    return PolySequence(values=values, argument=float(z), coeffs=coeffs)
+    return values
 
 
 def run_recursion_general(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray,
@@ -123,21 +106,21 @@ def run_recursion_general(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray,
     return values
 
 
-def christoffel_darboux_check(seq: PolySequence, z: float, h: float = None) -> float:
-    """Absolute residual of the diagonal Christoffel-Darboux identity at z.
+def christoffel_darboux_check(coeffs: RecursionCoeffs, z: float, n_top: int,
+                              h: float = None) -> float:
+    """Absolute residual of the diagonal Christoffel-Darboux identity at z
+    for N = n_top.
 
     Derivatives P' are central differences of step h (default 1e-5 scaled by
     max(1, |z|)), so the residual carries an O(h^2) truncation floor.
     """
-    n_top = len(seq) - 1
     if n_top < 1:
         raise ValueError("need at least P_0 and P_1 for the identity")
     if h is None:
         h = 1e-5 * max(1.0, abs(z))
-    coeffs = seq.coeffs
-    plus = run_recursion(coeffs, z + h, n_top).values
-    minus = run_recursion(coeffs, z - h, n_top).values
-    center = run_recursion(coeffs, z, n_top).values
+    plus = run_recursion(coeffs, z + h, n_top)
+    minus = run_recursion(coeffs, z - h, n_top)
+    center = run_recursion(coeffs, z, n_top)
     dP = (plus - minus) / (2.0 * h)
     lhs = float(np.sum(center[:n_top] ** 2))
     rhs = coeffs.t[n_top - 1] * (dP[n_top] * center[n_top - 1]

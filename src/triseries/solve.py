@@ -53,10 +53,6 @@ class SeriesSolution:
     family: object = None
     unnormalized: bool = False
 
-    def norm_sq_partial(self, upto: int = None) -> float:
-        sl = self.f if upto is None else self.f[:upto + 1]
-        return float(np.sum(np.abs(sl) ** 2))
-
     def __call__(self, x):
         """y(x) on an array (or scalar) x."""
         return evaluate_series(self.spec, self.f, x, derivatives=False)
@@ -196,19 +192,6 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
 # ---------------------------------------------------------------------------
 
 _TAIL_REL = 1e-8
-
-
-def finite_expansion_streams(params: OdeParams, spec, n_terms: int):
-    """Real (diag, sub, sup, raw value) of the Laguerre expansion recursion
-    at a negative-integer basis index (finite families), for diagnostics: the
-    positive finite-case normalization gives sup_n a sign(n+nu+1), so sub_{n+1}
-    sup_n are the signed squares of the formal symmetrization."""
-    raw, zmap = laguerre_st2r2(params, spec, n_terms)
-    sign = np.sign(np.arange(n_terms) + spec.nu + 1.0)
-    return (raw.s, np.concatenate(([0.0], raw.t[:-1])), sign * raw.t,
-            zmap.raw_value)
-
-
 _CLIP_TAIL_REL = 1e-6
 _CLIP_REGROWTH = 1e2
 
@@ -277,7 +260,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         k = int(spectral)
         if kind == MIXED and not 0 <= k <= match.n_finite:
             raise IndexOutOfSpectrum(f"index {k} outside 0..{match.n_finite}")
-        vals = run_recursion(coeffs, f.mass_point(k), truncation).values
+        vals = run_recursion(coeffs, f.mass_point(k), truncation)
         if kind == DISCRETE_INFINITE:
             # Meixner: forward recursion regrows the dominant solution
             vals = _clip_roundoff_tail(vals)
@@ -286,7 +269,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
                               float(k), f, unnorm)
     # continuous component, or a discrete point no formula places
     zval = float(spectral)
-    coeff = run_recursion(coeffs, fam.spectral_point(f, zval), truncation).values
+    coeff = run_recursion(coeffs, f.spectral_point(zval), truncation)
     if kind == DISCRETE_UNKNOWN:
         return SeriesSolution(coeff, match.spec, truncation + 1, 1.0, zval, f, True)
     p = 1.0 if unnorm else math.sqrt(f.density_at(zval))
@@ -297,17 +280,6 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
             raise TruncationTooSmall(
                 f"tail {tail:.2e} not negligible at truncation {truncation}")
     return SeriesSolution(coeff, match.spec, truncation + 1, p, zval, f, unnorm)
-
-
-def assemble_mixed(match: MatchResult, z: float, k: int,
-                   truncation: int = None):
-    """Both components of a mixed-spectrum solution (continuous at z,
-    discrete at index k)."""
-    if match.spectrum_kind != MIXED:
-        raise ValueError("assemble_mixed needs a mixed-spectrum match")
-    cont = assemble_solution(match, float(z), truncation, enforce_tail=False)
-    disc = assemble_solution(match, int(k), truncation)
-    return cont, disc
 
 
 # ---------------------------------------------------------------------------

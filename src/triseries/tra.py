@@ -91,9 +91,6 @@ class SpectralMap:
     def family_value(self) -> float:
         return (self.raw_value - self.offset) / self.scale
 
-    def to_raw(self, fam: float) -> float:
-        return fam * self.scale + self.offset
-
 
 def _close(x: float, y: float) -> bool:
     return abs(x - y) <= _REL_TOL * max(1.0, abs(x), abs(y))
@@ -372,24 +369,3 @@ def apply_swap_symmetry(params: OdeParams, spec: BasisSpec):
     new_spec = BasisSpec(JACOBI, alpha=spec.beta, beta=spec.alpha,
                          nu=spec.mu, mu=spec.nu, scenario=new_scenario)
     return new_params, new_spec
-
-
-def krawtchouk_index_relation(params: OdeParams, spec: BasisSpec, k: int):
-    """Both versions of the finite-case index relation for 2 A_zero + ab.
-
-    Returns (printed, consistent): ``printed`` evaluates the relation as it
-    is usually quoted; ``consistent`` is the value implied by the coefficient
-    streams themselves.  They disagree, which is reported rather than
-    silently corrected.
-    """
-    if spec.scenario != "LA":
-        raise ScenarioMismatch("finite Laguerre case lives in scenario LA")
-    u = 4.0 * params.A_plus - params.b ** 2
-    if not -1.0 < u < 0.0:
-        raise ScenarioMismatch("parameters outside the finite-family region")
-    N = -spec.nu - 1.0
-    sh = -(u - 1.0) / (u + 1.0)
-    ch = math.sqrt(1.0 + sh * sh)
-    printed = (2.0 * k * ch - N * (sh + (ch + sh))) / (1.0 - sh)
-    consistent = (2.0 * k - N) * ch / (1.0 + sh)
-    return printed, consistent

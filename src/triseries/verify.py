@@ -383,7 +383,7 @@ def _discrete_gram(f, n_top: int, points, masses):
     co = fam.family_coeffs(f, n_top + 2)
     g = np.zeros((n_top + 1, n_top + 1))
     for pt, m in zip(points, masses):
-        vals = run_recursion(co, float(pt), n_top).values
+        vals = run_recursion(co, float(pt), n_top)
         g += m * np.outer(vals, vals)
     return g
 
@@ -430,7 +430,7 @@ def weight_suite(seed: int = 20240818):
             for n2 in range(n1, 7):
                 def integrand(z, n1=n1, n2=n2):
                     v = run_recursion(co, z if name == "meixner_pollaczek"
-                                      else z * z, max(n1, n2)).values
+                                      else z * z, max(n1, n2))
                     return w.density(z) * v[n1] * v[n2]
                 val = quad(integrand, support[0], support[1],
                            epsabs=1e-9, limit=300)[0]
@@ -468,83 +468,42 @@ def _stream_match(raw, zmap: SpectralMap, coeffs, twist: int = 1):
 
 
 def stream_match_suite(n_terms: int = 16):
-    """All eight coefficient-stream matches, term by term."""
+    """All eight coefficient-stream matches, term by term; a finite family's
+    streams end at n = N."""
     from . import solve as sv
+    lb = ("laguerre", 1.3, 0.6, (0.6 * 0.6 - 1.0) / 4.0, 0.7, 0.9)
+    jc = ("jacobi", 0.8, 0.5, -0.9, 1.2)
+    # (match, equation parameters, scenario, match keywords, whether the
+    # matched record is validated): the finite LB and JC records lie outside
+    # validate()'s range, so their streams are taken unvalidated
+    table = (
+        ("LA-meixner_pollaczek", ("laguerre", 0.3, 0.4, 1.2, -0.6, 1.7),
+         "LA", {}, True),
+        ("LA-meixner", ("laguerre", 0.3, 0.4, -0.9, -0.6, 1.7), "LA", {}, True),
+        # the finite region: index nu = -N-1, N = 17
+        ("LA-krawtchouk", ("laguerre", 0.25, 0.25, -0.12,
+                           ((1 - 0.25) ** 2 - 18 ** 2) / 4.0, 1.7),
+         "LA", {"nu_sign": -1}, True),
+        ("LB-continuous_dual_hahn", lb, "LB", {"free_value": 1.4}, True),
+        ("LB-dual_hahn", lb, "LB", {"free_value": -18.0}, False),
+        ("JA-extended_jacobi", ("jacobi", 0.4, 0.7, -1.1, -0.8,
+                                1.9 + 0.25 * (0.4 + 0.7 - 1.0) ** 2, 2.3),
+         "JA", {}, True),
+        ("JC-wilson", jc + (1.1, 0.0), "JC", {"free_value": 0.9}, True),
+        # finite index mu = -7, negative quadratic offset
+        ("JC-racah", jc + (-2.0, 0.0), "JC", {"free_value": -7.0}, False),
+    )
     out = []
-
-    # Laguerre scenario LA, oscillatory region
-    p = OdeParams("laguerre", 0.3, 0.4, 1.2, -0.6, 1.7)
-    spec = resolve_basis(p, "LA")
-    raw, _ = laguerre_st2r2(p, spec, n_terms)
-    m = sv.match_family(p, "LA")
-    out.append(Check("match[LA-meixner_pollaczek]",
-                     _stream_match(raw, m.spectral_map,
-                                   fam.family_coeffs(m.family, n_terms)), 1e-10))
-    # LA, exponential region
-    p = OdeParams("laguerre", 0.3, 0.4, -0.9, -0.6, 1.7)
-    spec = resolve_basis(p, "LA")
-    raw, _ = laguerre_st2r2(p, spec, n_terms)
-    m = sv.match_family(p, "LA")
-    out.append(Check("match[LA-meixner]",
-                     _stream_match(raw, m.spectral_map,
-                                   fam.family_coeffs(m.family, n_terms)), 1e-10))
-    # LA, finite region (index -N-1)
-    n_fin = 17
-    p = OdeParams("laguerre", 0.25, 0.25, -0.12,
-                  ((1 - 0.25) ** 2 - (n_fin + 1) ** 2) / 4.0, 1.7)
-    spec = resolve_basis(p, "LA", nu_sign=-1)
-    raw, _ = laguerre_st2r2(p, spec, n_terms)
-    m = sv.match_family(p, "LA", nu_sign=-1)
-    out.append(Check("match[LA-krawtchouk]",
-                     _stream_match(raw, m.spectral_map,
-                                   fam.family_coeffs(m.family, n_terms),
-                                   twist=m.spectral_map.twist), 1e-10))
-    # Laguerre scenario LB, continuous
-    b = 0.6
-    p = OdeParams("laguerre", 1.3, b, (b * b - 1.0) / 4.0, 0.7, 0.9)
-    spec = resolve_basis(p, "LB", free_value=1.4)
-    raw, _ = laguerre_st2r2(p, spec, n_terms)
-    m = sv.match_family(p, "LB", free_value=1.4)
-    out.append(Check("match[LB-continuous_dual_hahn]",
-                     _stream_match(raw, m.spectral_map,
-                                   fam.family_coeffs(m.family, n_terms)), 1e-10))
-    # LB, finite (the matched record lies outside validate()'s range, so
-    # its streams are taken unvalidated, here and for Racah below)
-    n_fin = 17
-    p = OdeParams("laguerre", 1.3, b, (b * b - 1.0) / 4.0, 0.7, 0.9)
-    spec = resolve_basis(p, "LB", free_value=-(n_fin + 1.0))
-    raw, _ = laguerre_st2r2(p, spec, n_terms)
-    m = sv.match_family(p, "LB", free_value=-(n_fin + 1.0))
-    out.append(Check("match[LB-dual_hahn]",
-                     _stream_match(raw, m.spectral_map,
-                                   m.family.streams(n_terms)), 1e-10))
-    # Jacobi scenario JA, extended family
-    chi0 = 1.9
-    p = OdeParams("jacobi", 0.4, 0.7, -1.1, -0.8,
-                  chi0 + 0.25 * (0.4 + 0.7 - 1.0) ** 2, A_one=2.3)
-    spec = resolve_basis(p, "JA")
-    raw, _ = jacobi_st2r2(p, spec, n_terms)
-    m = sv.match_family(p, "JA")
-    out.append(Check("match[JA-extended_jacobi]",
-                     _stream_match(raw, m.spectral_map,
-                                   fam.family_coeffs(m.family, n_terms)), 1e-10))
-    # Jacobi scenario JC, Wilson
-    p = OdeParams("jacobi", 0.8, 0.5, -0.9, 1.2, 1.1, A_one=0.0)
-    spec = resolve_basis(p, "JC", free_value=0.9)
-    raw, _ = jacobi_st2r2(p, spec, n_terms)
-    m = sv.match_family(p, "JC", free_value=0.9)
-    out.append(Check("match[JC-wilson]",
-                     _stream_match(raw, m.spectral_map,
-                                   fam.family_coeffs(m.family, n_terms)), 1e-10))
-    # JC, Racah (finite index, negative quadratic offset)
-    n_fin = 6
-    p = OdeParams("jacobi", 0.8, 0.5, -0.9, 1.2, -2.0, A_one=0.0)
-    spec = resolve_basis(p, "JC", free_value=-(n_fin + 1.0))
-    raw, _ = jacobi_st2r2(p, spec, n_fin + 1)
-    m = sv.match_family(p, "JC", free_value=-(n_fin + 1.0))
-    out.append(Check("match[JC-racah]",
-                     _stream_match(raw, m.spectral_map,
-                                   m.family.streams(n_fin + 1)), 1e-10))
+    for label, args, scenario, keywords, validated in table:
+        p = OdeParams(*args)
+        m = sv.match_family(p, scenario, **keywords)
+        n = min(n_terms, getattr(m.family, "N", n_terms) + 1)
+        raw, _ = (laguerre_st2r2 if p.equation == "laguerre"
+                  else jacobi_st2r2)(p, m.spec, n)
+        coeffs = (fam.family_coeffs(m.family, n) if validated
+                  else m.family.streams(n))
+        out.append(Check(f"match[{label}]", _stream_match(
+            raw, m.spectral_map, coeffs, twist=m.spectral_map.twist), 1e-10))
     return out
 
 

@@ -56,9 +56,9 @@ def test_wilson_equal_parameters_finite_coefficients():
 def test_meixner_example_equals_recursion():
     f = fam.Meixner(0.5, 0.25)
     co = fam.family_coeffs(f, 2)
-    seq = run_recursion(co, fam.spectral_point(f, 0), 1)
+    seq = run_recursion(co, f.spectral_point(0), 1)
     # sqrt((1) tau) * 2F1(-1,0;..) = 1/2
-    assert seq.values[1] == pytest.approx(0.5, rel=1e-13)
+    assert seq[1] == pytest.approx(0.5, rel=1e-13)
 
 
 def test_krawtchouk_two_term_sum_vanishes():
@@ -125,6 +125,18 @@ def test_dual_hahn_mass_labels_on_negative_branch():
         assert pt == pytest.approx(f.spectral_point(int(k)), rel=1e-12)
         vals = fam.values_by_recursion(f, int(k), f.N)
         assert m == pytest.approx(1.0 / float(np.sum(vals ** 2)), rel=1e-10)
+
+
+@pytest.mark.parametrize("f", [
+    fam.Meixner(0.5, 0.25), fam.Krawtchouk(9, 0.35), fam.DualHahn(9, 0.4, 1.2),
+    fam.ContinuousDualHahn(-1.6, 0.9, 0.9),
+    fam.MixedWilson(1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8),
+], ids=["meixner", "krawtchouk", "dual_hahn", "mixed_cdh", "mixed_wilson"])
+def test_weight_masses_are_float_arrays_with_integer_labels(f):
+    w = fam.weight(f)
+    assert w.masses.dtype == w.mass_points.dtype == np.float64
+    assert np.issubdtype(w.mass_indices.dtype, np.integer)
+    assert w.masses.shape == w.mass_points.shape == w.mass_indices.shape
 
 
 @pytest.mark.parametrize("theta, z", [(3.0, 300.0), (0.5, -300.0)])

@@ -104,9 +104,9 @@ def test_pure_functions_are_concurrency_safe():
     f = fam.MeixnerPollaczek(0.8, 1.1)
     co = fam.family_coeffs(f, 24)
     zs = np.linspace(-2.0, 2.0, 24)
-    serial = [run_recursion(co, float(z), 20).values for z in zs]
+    serial = [run_recursion(co, float(z), 20) for z in zs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda z: run_recursion(co, float(z), 20).values,
+        parallel = list(pool.map(lambda z: run_recursion(co, float(z), 20),
                                  zs))
     for s, p in zip(serial, parallel):
         assert np.array_equal(s, p)

@@ -13,12 +13,11 @@ from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, RadialMesh,
                                ScarfCase, _fd_eigenvalues, bound_energy,
                                bound_spectrum, default_mesh, fd_oracle,
-                               phase_shift, spectrum_size, to_ode_params,
-                               tra_bound_energy)
+                               phase_shift, spectrum_size, tra_bound_energy)
 
 
 def test_coulomb_parameter_map():
-    p = to_ode_params(CoulombCase(Z=1.0, ell=0, lam=1.0), 0.5)
+    p = CoulombCase(Z=1.0, ell=0, lam=1.0).ode_params(0.5)
     assert p.A_zero == pytest.approx(2.0)
     assert p.A_minus == pytest.approx(0.0)
     assert p.A_plus == pytest.approx(1.0)
@@ -26,14 +25,14 @@ def test_coulomb_parameter_map():
 
 def test_oscillator_parameter_map():
     # published map at the doubled basis scale 2 lam = 1 (lam = 0.5)
-    p = to_ode_params(OscillatorCase(omega=1.0, ell=0, lam=0.5), 1.5)
+    p = OscillatorCase(omega=1.0, ell=0, lam=0.5).ode_params(1.5)
     assert p.A_plus == pytest.approx(-4.0)
     assert p.A_minus == pytest.approx(0.0)
     assert p.A_zero == pytest.approx(-3.0)
 
 
 def test_eckart_zero_coupling_linear_term():
-    p = to_ode_params(EckartCase(lam=1.0, A=1.0, B=-1.0), 0.0)
+    p = EckartCase(lam=1.0, A=1.0, B=-1.0).ode_params(0.0)
     assert p.A_plus == pytest.approx(0.0)   # -2 (A/lam)(A/lam - 1) at A = lam
 
 

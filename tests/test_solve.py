@@ -11,18 +11,18 @@ from triseries.errors import (AmbiguousRegion, IndexOutOfSpectrum,
                               TruncationTooSmall, ZeroSolution)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase,
-                               bound_energy, bound_ode_params, bound_series,
-                               spectrum_size, to_ode_params, wavefunction)
+                               bound_energy, bound_series, spectrum_size,
+                               wavefunction)
 from triseries.solve import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE,
-                             MIXED, SeriesSolution, assemble_mixed,
-                             assemble_solution, match_family, ode_residual)
+                             MIXED, SeriesSolution, assemble_solution,
+                             match_family, ode_residual)
 from triseries.tra import OdeParams
 from triseries.verify import closed_form_hp
 
 
 def test_match_coulomb_scattering_is_oscillatory_family():
     case = CoulombCase(Z=1.0, ell=0, lam=1.0)
-    p = to_ode_params(case, 0.5)   # kappa = 1
+    p = case.ode_params(0.5)   # kappa = 1
     m = match_family(p, "LA")
     assert isinstance(m.family, fam.MeixnerPollaczek)
     assert m.spectrum_kind == CONTINUOUS
@@ -33,7 +33,7 @@ def test_match_oscillator_bound_recovers_spectrum():
     # lam strictly inside the admissibility window (lam^2 < omega)
     case = OscillatorCase(omega=1.0, ell=0, lam=0.8)
     e0 = bound_energy(case, 0)   # omega (2m + l + 3/2)
-    p = to_ode_params(case, e0)
+    p = case.ode_params(e0)
     m = match_family(p, "LA")
     assert isinstance(m.family, fam.Meixner)
     assert m.spectrum_kind == DISCRETE_INFINITE
@@ -43,7 +43,7 @@ def test_match_oscillator_bound_recovers_spectrum():
 
 def test_match_morse_shallow_is_purely_continuous():
     case = MorseCase(lam=1.0, V1=0.2)   # V1 <= lam^2/4
-    p = to_ode_params(case, 0.3)
+    p = case.ode_params(0.3)
     m = match_family(p, "LB", free_value=0.0)
     assert isinstance(m.family, fam.ContinuousDualHahn)
     assert m.family.tau > 0
@@ -52,7 +52,7 @@ def test_match_morse_shallow_is_purely_continuous():
 
 def test_match_morse_deep_is_mixed():
     case = MorseCase(lam=1.0, V1=1.0)
-    p = to_ode_params(case, -1.0)
+    p = case.ode_params(-1.0)
     m = match_family(p, "LB", free_value=0.0)
     assert m.spectrum_kind == MIXED
     assert m.n_finite == 1
@@ -133,21 +133,6 @@ def test_jc_wilson_match_with_parameter_sum_two_assembles():
     ref = closed_form_hp(f, 1.3, 10)
     assert np.allclose(sol.f[:11] / sol.norm_factor, ref, rtol=1e-12,
                        atol=1e-12)
-
-
-def test_finite_expansion_streams_reproduce_signed_squares():
-    # the real asymmetric finite streams carry the formal twisted squares:
-    # sub_{n+1} * sup_n equals the (negative) signed t_n^2 of the raw stream
-    from triseries.solve import finite_expansion_streams
-    from triseries.tra import laguerre_st2r2, resolve_basis
-    n_fin = 5
-    p = OdeParams("laguerre", 0.25, 0.25, -0.12,
-                  ((1 - 0.25) ** 2 - (n_fin + 1) ** 2) / 4.0, 1.7)
-    spec = resolve_basis(p, "LA", nu_sign=-1)
-    diag, sub, sup, zraw = finite_expansion_streams(p, spec, n_fin + 1)
-    raw, _ = laguerre_st2r2(p, spec, n_fin + 1)
-    assert np.allclose(diag, raw.s, atol=1e-12)
-    assert np.allclose(sub[1:] * sup[:-1], raw.t_squared[:-1], atol=1e-12)
 
 
 def test_coulomb_basis_scale_caps_the_levels():
@@ -236,7 +221,7 @@ def test_jacobi_and_morse_levels_terminate_over_seeded_draws(name):
             params, sol = bound_series(case, m)
             assert len(sol.f) == m + 1
             assert ode_residual(params, sol, xs) <= 1e-12, (case, m)
-            assert sol.norm_sq_partial() == pytest.approx(1.0, rel=1e-12)
+            assert np.sum(sol.f ** 2) == pytest.approx(1.0, rel=1e-12)
             n_levels += 1
     assert n_levels >= 30
 
@@ -305,7 +290,7 @@ def test_deep_wells_have_finite_masses_and_roundoff_residuals():
     for m in (0, 1):
         params, sol = bound_series(EckartCase(lam=1.0, A=2.0, B=-400.0), m)
         assert ode_residual(params, sol, xs) <= 1e-12
-        assert sol.norm_sq_partial() == pytest.approx(1.0, rel=1e-12)
+        assert np.sum(sol.f ** 2) == pytest.approx(1.0, rel=1e-12)
     for case in (PoschlTellerCase(lam=1.0, A=1.0, B=-30000.0),
                  ScarfCase(A=150.0, B=0.5, lam=1.0)):
         for m in (0, 1, 2):
@@ -314,7 +299,7 @@ def test_deep_wells_have_finite_masses_and_roundoff_residuals():
             scale = max(abs(params.A_plus), abs(params.A_minus),
                         abs(params.A_zero))
             # the chain ends at N, so the mass is 1 / sum_{n<=N} P_n^2
-            assert sol.norm_sq_partial() == pytest.approx(1.0, rel=1e-12)
+            assert np.sum(sol.f ** 2) == pytest.approx(1.0, rel=1e-12)
             assert ode_residual(params, sol, xs) <= 1e-15 * scale
 
 
@@ -343,7 +328,7 @@ def test_singular_margins_enforced():
 
 def test_truncation_check_fires_for_nondecaying_series():
     case = CoulombCase(Z=1.0, ell=0, lam=1.0)
-    p = to_ode_params(case, 0.5)
+    p = case.ode_params(0.5)
     m = match_family(p, "LA")
     with pytest.raises(TruncationTooSmall):
         assemble_solution(m, m.spectral_map.family_value, truncation=30)
@@ -352,9 +337,11 @@ def test_truncation_check_fires_for_nondecaying_series():
 def test_mixed_assembly_produces_both_components():
     case = MorseCase(lam=1.0, V1=1.0, nu=0.35)
     e0 = bound_energy(case, 0)
-    p = bound_ode_params(case, e0)
+    p = case.ode_params(e0, bound=True)
     m = match_family(p, "LB", free_value=0.35)
-    cont, disc = assemble_mixed(m, 1.2, 0, truncation=50)
+    assert m.spectrum_kind == MIXED
+    cont = assemble_solution(m, 1.2, 50, enforce_tail=False)
+    disc = assemble_solution(m, 0, 50)
     assert len(cont.f) == 51
     assert len(disc.f) == 51
     assert disc.norm_factor > 0
@@ -366,9 +353,11 @@ def test_mixed_components_satisfy_the_raw_recursion():
     from triseries.tra import laguerre_st2r2
     case = MorseCase(lam=1.0, V1=1.0, nu=0.35)
     e0 = bound_energy(case, 0)
-    p = bound_ode_params(case, e0)
+    p = case.ode_params(e0, bound=True)
     m = match_family(p, "LB", free_value=0.35)
-    cont, disc = assemble_mixed(m, 1.7, 0, truncation=40)
+    assert m.spectrum_kind == MIXED
+    cont = assemble_solution(m, 1.7, 40, enforce_tail=False)
+    disc = assemble_solution(m, 0, 40)
     raw, _ = laguerre_st2r2(p, m.spec, 42)
 
     def raw_residual(f, z_raw):
@@ -379,8 +368,9 @@ def test_mixed_components_satisfy_the_raw_recursion():
             worst = max(worst, abs(r) / max(1.0, abs(f[n])))
         return worst
 
-    z_cont = m.spectral_map.to_raw(1.7)     # continuous component at w = 1.7
-    z_disc = m.spectral_map.to_raw(m.family.mass_point(0))
+    sm = m.spectral_map   # the raw value of a family value v is v scale + offset
+    z_cont = 1.7 * sm.scale + sm.offset     # continuous component at w = 1.7
+    z_disc = m.family.mass_point(0) * sm.scale + sm.offset
     assert raw_residual(np.real(cont.f), z_cont) < 1e-10
     assert raw_residual(np.real(disc.f), z_disc) < 1e-10
 
@@ -388,11 +378,11 @@ def test_mixed_components_satisfy_the_raw_recursion():
 def test_norm_stabilization_for_bound_states():
     case = CoulombCase(Z=1.0, ell=0, lam=1.0)
     _, sol = bound_series(case, 0, truncation=100)
-    drift = abs(sol.norm_sq_partial(100) - sol.norm_sq_partial(80))
+    drift = abs(np.sum(sol.f[:101] ** 2) - np.sum(sol.f[:81] ** 2))
     assert drift < 1e-10
     case = OscillatorCase(omega=1.0, ell=0, lam=0.8)
     _, sol = bound_series(case, 0, truncation=100)
-    drift = abs(sol.norm_sq_partial(100) - sol.norm_sq_partial(80))
+    drift = abs(np.sum(sol.f[:101] ** 2) - np.sum(sol.f[:81] ** 2))
     assert drift < 1e-10
 
 

@@ -10,8 +10,7 @@ from triseries.errors import (DegenerateDenominator, NoTerminatingIndex,
                               ScenarioRequiresA1Zero, ZeroOffDiagonal)
 from triseries.tra import (OdeParams, apply_swap_symmetry,
                            jacobi_ratio_identity_residuals, jacobi_st2r2,
-                           krawtchouk_index_relation, laguerre_st2r2,
-                           resolve_basis, terminating_free_index,
+                           laguerre_st2r2, resolve_basis, terminating_free_index,
                            wilson_match_identity_residual)
 from triseries.verify import identity_suite, stream_match_suite
 
@@ -166,29 +165,17 @@ def test_swap_symmetry_rejects_laguerre():
         apply_swap_symmetry(p, spec)
 
 
-def test_finite_index_relation_disagrees_with_printed_form():
-    # the printed index relation and the internally consistent one differ;
-    # the structural claim (linearity in k) holds for both
-    n_fin = 7
-    p = OdeParams("laguerre", 0.25, 0.25, -0.12,
-                  ((1 - 0.25) ** 2 - (n_fin + 1) ** 2) / 4.0, 1.7)
-    spec = resolve_basis(p, "LA", nu_sign=-1)
-    printed = []
-    consistent = []
-    for k in range(4):
-        pr, co = krawtchouk_index_relation(p, spec, k)
-        printed.append(pr)
-        consistent.append(co)
-    d_pr = np.diff(printed)
-    d_co = np.diff(consistent)
-    assert np.allclose(d_pr, d_pr[0])     # linear in k
-    assert np.allclose(d_co, d_co[0])
-    assert not np.allclose(printed, consistent)
-
-
 def test_stream_match_suite_passes():
     for check in stream_match_suite():
         assert check.passed, f"{check.name}: {check.value} > {check.tolerance}"
+
+
+def test_stream_match_suite_names_its_eight_matches_in_order():
+    assert [c.name for c in stream_match_suite()] == [
+        "match[LA-meixner_pollaczek]", "match[LA-meixner]",
+        "match[LA-krawtchouk]", "match[LB-continuous_dual_hahn]",
+        "match[LB-dual_hahn]", "match[JA-extended_jacobi]",
+        "match[JC-wilson]", "match[JC-racah]"]
 
 
 def test_identity_suite_passes():
