@@ -127,7 +127,7 @@ def cmd_spectrum(ns) -> int:
     rows.sort(key=lambda r: r[0])
     _emit(_case_config(ns), ["m", "E_formula", "E_oracle", "abs_diff"], rows,
           {"tolerance": ns.tol, "within_tolerance": ok,
-           "fd_nodes": [mesh.nodes().size, mesh.halved().nodes().size]},
+           "fd_nodes": [mesh.steps() - 1, mesh.halved().steps() - 1]},
           ns.format, ns.out)
     return 0 if ok else 2
 

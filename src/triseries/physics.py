@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Optional, Protocol
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
 
 from . import families as fam
 from . import solve as solvemod
@@ -51,7 +53,7 @@ class RadialMesh:
         return r - self.c if self.a == math.inf else (
             self.a * math.asinh((r - self.c) / self.a))
 
-    def _steps(self) -> int:
+    def steps(self) -> int:
         """u-steps from lo to the far Dirichlet end, the one nearest hi."""
         return int(round((self._u(self.hi) - self._u(self.lo)) / self.h))
 
@@ -63,12 +65,12 @@ class RadialMesh:
                                          / self.a)
 
     def nodes(self):
-        return self._r(np.arange(1, self._steps()))
+        return self._r(np.arange(1, self.steps()))
 
     def spacings(self):
         """r_{j+1} - r_j from lo to the far end, each computed without
         cancellation: 2a sinh(h/2a) cosh(u_{j+1/2}/a)."""
-        n = self._steps()
+        n = self.steps()
         if self.a == math.inf:
             return np.full(n, self.h)
         mid = self._u(self.lo) + self.h * (np.arange(n) + 0.5)
@@ -78,7 +80,7 @@ class RadialMesh:
     def halved(self):
         """Step h/2 up to this mesh's far end: every node of this mesh is a
         node of the halved one."""
-        return replace(self, h=0.5 * self.h, hi=float(self._r(self._steps())))
+        return replace(self, h=0.5 * self.h, hi=float(self._r(self.steps())))
 
 
 def _require_finite(case) -> None:
@@ -636,7 +638,7 @@ _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 _SQRT_HUGE = math.sqrt(np.finfo(float).max)
 
 
-def _fd_eigenvalues(case, mesh: RadialMesh, k: int) -> np.ndarray:
+def _fd_operator(case, mesh: RadialMesh):
     # conservative 3-point form on the spacings s_{j-1/2}, s_{j+1/2}:
     # A psi = E W psi with W = diag(w_j), w_j = (s_{j-1/2} + s_{j+1/2})/2,
     # solved as the symmetric W^{-1/2} A W^{-1/2}.  Its diagonal
@@ -651,9 +653,47 @@ def _fd_eigenvalues(case, mesh: RadialMesh, k: int) -> np.ndarray:
     if not (_SQRT_TINY <= -off.max() and -off.min() <= _SQRT_HUGE):
         raise ValueError(f"{case.name}: FD off-diagonal {off.min():.1e} is "
                          f"outside the range the eigensolver can square")
-    # LAPACK dstebz: Sturm-count bisection for the k lowest eigenvalues
-    evals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                             select_range=(0, k - 1), lapack_driver="stebz")
+    return diag, off
+
+
+def _lowest_eigenvalues(diag, off, k: int, seeds=None) -> np.ndarray:
+    """The k lowest eigenvalues of the symmetric tridiagonal T = (diag, off):
+    seeds (by default bisected to 1e-8 ||T||) polished by Rayleigh-quotient
+    iteration and certified, or else LAPACK dstebz's full bisection."""
+    bisect = partial(eigh_tridiagonal, diag, off, eigvals_only=True,
+                     select="i", select_range=(0, k - 1), lapack_driver="stebz")
+    norm = np.abs(diag).max() + 2.0 * np.abs(off).max()   # >= ||T||_inf
+    seeds = bisect(tol=1e-8 * norm) if seeds is None else seeds
+    start = np.random.default_rng(0).random(diag.size)   # no symmetry
+    lam, eta = np.empty(k), np.empty(k)
+    for i, mu in enumerate(seeds):
+        v = start
+        for _ in range(5):   # numpy sums, not BLAS (threaded on long vectors)
+            v = dgtsv(off, diag - mu, off, v)[3]
+            v = v / math.sqrt((v * v).sum())
+            r = (diag * v + np.append(off * v[1:], 0.0)
+                 + np.append(0.0, off * v[:-1]))
+            mu = (v * r).sum()
+            res = math.sqrt(((r - mu * v) ** 2).sum())
+            if res <= 64 * np.finfo(float).eps * norm:
+                break
+        else:
+            return bisect()
+        lam[i], eta[i] = mu, 2.0 * res + 32 * np.finfo(float).eps * norm
+    # [lam - eta, lam + eta] holds an eigenvalue: 2 res covers the round-off
+    # of res (read from T, whatever dgtsv returned), 32 eps ||T|| twice a
+    # Sturm count's.  Disjoint intervals, none below lo (T - lo is positive
+    # definite: the count from lo - eta[0] is 0) and k up to hi certify them.
+    lo, hi = lam[0] - eta[0], lam[-1] + eta[-1]
+    certified = (np.all(np.diff(lam) > eta[:-1] + eta[1:])
+                 and dpttrf(diag - lo, off)[2] == 0
+                 and dstebz(diag, off, 1, lo - eta[0], hi, 0, 0,   # (vl, vu]
+                            hi - lo + eta[0], "E")[0] == k)
+    return lam if certified else bisect()
+
+
+def _fd_eigenvalues(case, mesh: RadialMesh, k: int, seeds=None) -> np.ndarray:
+    evals = _lowest_eigenvalues(*_fd_operator(case, mesh), k, seeds)
     if math.isfinite(case.threshold):
         # bound levels sit strictly below the continuum threshold
         hi = min(case.threshold, 0.0) + 1e-9
@@ -673,7 +713,7 @@ def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,
     if mesh is None:
         mesh = default_mesh(case, n_levels)
     e_h = _fd_eigenvalues(case, mesh, n_levels)
-    e_h2 = _fd_eigenvalues(case, mesh.halved(), n_levels)
+    e_h2 = _fd_eigenvalues(case, mesh.halved(), n_levels, seeds=e_h)
     rich = (4.0 * e_h2 - e_h) / 3.0
     scale = np.maximum(np.abs(rich), 1e-2)
     rel = np.abs(e_h2 - e_h) / scale

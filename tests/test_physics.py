@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from triseries.errors import (BelowThreshold, InvalidFamilyParams,
-                              NoBoundStates, NoContinuum)
+from triseries import cli, physics
+from triseries.errors import (BelowThreshold, BoxTooSmall, InvalidFamilyParams,
+                              MeshTooCoarse, NoBoundStates, NoContinuum)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, RadialMesh,
-                               ScarfCase, _fd_eigenvalues, bound_energy,
+                               ScarfCase, _fd_eigenvalues, _fd_operator,
+                               _lowest_eigenvalues, bound_energy,
                                bound_spectrum, default_mesh, fd_oracle,
                                phase_shift, spectrum_size, tra_bound_energy)
 
@@ -138,7 +140,7 @@ def test_fd_oracle_matches_hyperbolic_well_formula():
 
 def test_uniform_mesh_is_the_plain_three_point_operator():
     # without grading the weighted form is 1/h^2 + V on the diagonal and
-    # -1/(2h^2) off it, at the nodes lo + j h
+    # -1/(2h^2) off it, at the nodes lo + j h, to the last bit
     for case, mesh in ((CoulombCase(Z=1.0), RadialMesh(0.0, 80.0, 0.005)),
                        (PoschlTellerCase(lam=1.0, A=2.0, B=-45.0),
                         RadialMesh(0.0, 45.0, 0.0015)),
@@ -149,10 +151,11 @@ def test_uniform_mesh_is_the_plain_three_point_operator():
         r = mesh.lo + mesh.h * np.arange(1, n + 1)
         assert np.array_equal(mesh.nodes(), r)
         inv_h2 = 1.0 / (mesh.h * mesh.h)
-        old = eigh_tridiagonal(inv_h2 + case.potential(r),
-                               np.full(n - 1, -0.5 * inv_h2), eigvals_only=True,
-                               select="i", select_range=(0, 1),
-                               lapack_driver="stebz")
+        plain = (inv_h2 + case.potential(r), np.full(n - 1, -0.5 * inv_h2))
+        diag, off = _fd_operator(case, mesh)
+        assert np.array_equal(diag, plain[0]), case.name
+        assert np.array_equal(off, plain[1]), case.name
+        old = _lowest_eigenvalues(*plain, 2)
         new = _fd_eigenvalues(case, mesh, 2)
         assert np.max(np.abs(new - old) / np.abs(old)) <= 1e-12, case.name
 
@@ -186,7 +189,7 @@ def test_graded_meshes_converge_at_second_order(case, k):
     # Richardson's premise on each graded default mesh: the shifts from h to
     # h/2 and from h/2 to h/4 have the ratio 4.  A shift that is already
     # below 1e-8 of the level (the Coulomb 1s level, where the leading h^2
-    # term nearly cancels on this mesh) is round-off of the bisection and
+    # term nearly cancels on this mesh) is round-off of the eigensolver and
     # has no order.
     mesh = default_mesh(case, k)
     e_h, e_h2, e_h4 = (_fd_eigenvalues(case, m, k) for m in
@@ -196,6 +199,92 @@ def test_graded_meshes_converge_at_second_order(case, k):
     assert np.count_nonzero(measured) >= k - 1
     order = np.log2((e_h - e_h2)[measured] / (e_h2 - e_h4)[measured])
     assert np.all((order >= 1.8) & (order <= 2.2)), order
+
+
+ACCEPTANCE_POINTS = [
+    (CoulombCase(Z=1.0, ell=0), 3), (CoulombCase(Z=1.0, ell=1), 3),
+    (OscillatorCase(omega=0.5, ell=0), 4), (OscillatorCase(omega=0.5, ell=2), 4),
+    (OscillatorCase(omega=1.0, ell=0), 4), (OscillatorCase(omega=1.0, ell=2), 4),
+    (MorseCase(lam=1.0, V1=1.0), 2),
+    (PoschlTellerCase(lam=1.0, A=1.0, B=-36.0), 3),
+    (EckartCase(lam=1.0, A=2.0, B=-20.0), 3),
+    (ScarfCase(A=2.0, B=0.5, lam=1.0), 3), (ScarfCase(A=0.5, B=2.0, lam=1.0), 3)]
+
+# the spectrum inputs the benchmark draws at seed 4242 (two rounds)
+SEED_4242_SPECTRUM = [
+    ["coulomb", "--Z", "1.0", "--ell", "0"],
+    ["coulomb", "--Z", "1.0", "--ell", "1"],
+    ["oscillator", "--omega", "0.5367234584263785", "--ell", "2"],
+    ["oscillator", "--omega", "0.9216519132866143", "--ell", "0"],
+    ["morse", "--lambda", "1.0", "--V1", "0.82918195207967"],
+    ["morse", "--lambda", "1.0", "--V1", "1.026479562246494"],
+    ["poschl_teller", "--lambda", "1.0", "--A", "1.0",
+     "--B", "-38.36229711695489"],
+    ["poschl_teller", "--lambda", "1.0", "--A", "2.0", "--B", "-20.0"],
+    ["scarf", "--A", "2.173976910712642", "--B", "0.40296110772637794",
+     "--lambda", "1.0"],
+    ["scarf", "--A", "0.30673032120614535", "--B", "2.125820095690913",
+     "--lambda", "1.0"],
+    ["eckart", "--lambda", "1.0", "--A", "2.0", "--B", "-23.23309642347765"],
+    ["eckart", "--lambda", "1.0", "--A", "2.0", "--B", "-16.399750403433877"]]
+
+
+def _bisection(diag, off, k, tol=0.0):
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, k - 1), tol=tol,
+                            lapack_driver="stebz")
+
+
+@pytest.mark.parametrize("case, k", ACCEPTANCE_POINTS,
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_polished_levels_match_a_tight_bisection(case, k):
+    # each mesh as fd_oracle solves it: the h/2 mesh from the h-mesh levels
+    mesh = default_mesh(case, k)
+    e_h = _fd_eigenvalues(case, mesh, k)
+    e_h2 = _fd_eigenvalues(case, mesh.halved(), k, seeds=e_h)
+    for m, e in ((mesh, e_h), (mesh.halved(), e_h2)):
+        tight = _bisection(*_fd_operator(case, m), k, tol=1e-300)
+        assert np.max(np.abs(e - tight) / np.abs(tight)) <= 1e-9
+
+
+def test_no_acceptance_or_benchmark_input_falls_back(monkeypatch, capsys):
+    # the fallback is the one bisection call without a tolerance
+    full = []
+
+    def spy(*args, **kwargs):
+        if "tol" not in kwargs:
+            full.append(args[0].size)
+        return eigh_tridiagonal(*args, **kwargs)
+    monkeypatch.setattr(physics, "eigh_tridiagonal", spy)
+    for case, k in ACCEPTANCE_POINTS:
+        fd_oracle(case, k)
+    for argv in SEED_4242_SPECTRUM:
+        cli.main(["spectrum", "--case", *argv, "--format", "json"])
+    capsys.readouterr()
+    assert full == []
+
+
+def test_uncertified_seeds_give_the_full_bisection_bit_for_bit():
+    # each seed set fails one condition of the certificate: a level twice
+    # (the window still holds 3 levels), levels 1-3 in place of 0-2 (none
+    # twice, 3 in the window), and levels far up the spectrum
+    case = PoschlTellerCase(lam=1.0, A=1.0, B=-36.0)
+    diag, off = _fd_operator(case, default_mesh(case, 3))
+    full = _bisection(diag, off, 3)
+    for seeds in (full[[0, 2, 2]], _bisection(diag, off, 4)[1:], full + 50.0):
+        assert np.array_equal(_lowest_eigenvalues(diag, off, 3, seeds), full)
+
+
+@pytest.mark.parametrize("case, error, text", [
+    (PoschlTellerCase(lam=1.0, A=2.0, B=-20.0), BoxTooSmall,
+     "only 1 eigenvalues below"),
+    (EckartCase(lam=1.0, A=2.0, B=-16.15), BoxTooSmall,
+     "only 2 eigenvalues below"),
+    (ScarfCase(A=1.2, B=0.6, lam=1.0), MeshTooCoarse, "moved by"),
+], ids=["poschl_teller-zero-energy", "eckart-shallow", "scarf-narrow-gap"])
+def test_oracle_typed_errors(case, error, text):
+    with pytest.raises(error, match=text):
+        fd_oracle(case, 3)
 
 
 @pytest.mark.parametrize("make, values", [
