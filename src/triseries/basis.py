@@ -1,5 +1,5 @@
 """Weighted Laguerre / Jacobi bases: norms, the series evaluator and the
-orthonormal Jacobi streams.
+orthonormal Jacobi recursion coefficients.
 
 The expansion bases are
     Laguerre:  phi_n(x) = c_n x^alpha e^{-beta x} L_n^nu(x),
@@ -61,43 +61,30 @@ def _log_rising(d, xs):
     return lg[0], lg[1:len(xs) + 1] - lg[len(xs) + 1:]
 
 
-def jacobi_orthonormal_coeffs(mu: float, nu: float, n_terms: int):
-    """(s_n, t_n) of the orthonormal Jacobi three-term recursion.
+def jacobi_cd(mu: float, nu: float, n_terms: int):
+    """(C_n, D_n, D_n^2), n < n_terms, of the orthonormal Jacobi three-term
+    recursion (diagonal C_n, off-diagonal D_n):
 
-    s_n = C_n = (nu^2 - mu^2) / ((2n+mu+nu)(2n+mu+nu+2)),
-    t_n = D_n = 2/(2n+mu+nu+2) sqrt((n+1)(n+mu+1)(n+nu+1)(n+mu+nu+1)
-                                     / ((2n+mu+nu+1)(2n+mu+nu+3))).
+        C_n = (nu^2 - mu^2) / ((2n+mu+nu)(2n+mu+nu+2)),
+        D_n = 2/(2n+mu+nu+2) sqrt((n+1)(n+mu+1)(n+nu+1)(n+mu+nu+1)
+                                   / ((2n+mu+nu+1)(2n+mu+nu+3))).
+
+    D_n^2 is signed: negative in the formal finite cases, where D_n is nan.
     These are the z -> infinity limit coefficients of the extended family
     built on the same C_n, D_n.
     """
-    s = np.array([jacobi_c(n, mu, nu) for n in range(n_terms)])
-    t = np.array([jacobi_d(n, mu, nu) for n in range(n_terms)])
-    return s, t
-
-
-def jacobi_c(n: int, mu: float, nu: float) -> float:
-    """C_n = (nu^2 - mu^2)/((2n+mu+nu)(2n+mu+nu+2)), with the n=0 cancellation."""
-    if n == 0:
-        # (nu-mu)(nu+mu)/((mu+nu)(mu+nu+2)) -> (nu-mu)/(mu+nu+2), valid as mu+nu -> 0
-        return (nu - mu) / (mu + nu + 2.0)
-    d1 = 2 * n + mu + nu
-    d2 = d1 + 2.0
-    return (nu * nu - mu * mu) / (d1 * d2)
-
-
-def jacobi_d(n: int, mu: float, nu: float) -> float:
-    """D_n, the orthonormal Jacobi off-diagonal; NaN-free only while real."""
+    n = np.arange(n_terms, dtype=float)
+    e = 2.0 * n + mu + nu
+    c = (nu * nu - mu * mu) / np.where(n > 0, e * (e + 2.0), 1.0)
+    # (nu-mu)(nu+mu)/((mu+nu)(mu+nu+2)) -> (nu-mu)/(mu+nu+2), valid as mu+nu -> 0
+    c[:1] = (nu - mu) / (mu + nu + 2.0)
     arg = ((n + 1.0) * (n + mu + 1.0) * (n + nu + 1.0) * (n + mu + nu + 1.0)
-           / ((2 * n + mu + nu + 1.0) * (2 * n + mu + nu + 3.0)))
-    return 2.0 / (2 * n + mu + nu + 2.0) * math.copysign(math.sqrt(abs(arg)), 1.0) \
-        if arg >= 0 else float("nan")
-
-
-def jacobi_d_squared(n: int, mu: float, nu: float) -> float:
-    """Signed square of D_n (negative in the formal finite cases)."""
-    arg = ((n + 1.0) * (n + mu + 1.0) * (n + nu + 1.0) * (n + mu + nu + 1.0)
-           / ((2 * n + mu + nu + 1.0) * (2 * n + mu + nu + 3.0)))
-    return (2.0 / (2 * n + mu + nu + 2.0)) ** 2 * arg
+           / ((e + 1.0) * (e + 3.0)))
+    g = 2.0 / (e + 2.0)
+    d = np.where(arg >= 0, g * np.sqrt(np.abs(arg)), np.nan)
+    # float_power squares through libm pow, as a float's g ** 2 does; g * g
+    # may differ from it in the last bit
+    return c, d, np.float_power(g, 2) * arg
 
 
 def laguerre_norm(n, nu: float):

@@ -62,6 +62,11 @@ class IndexOutOfSpectrum(TriseriesError):
     negative bound-level index."""
 
 
+class NoPointwiseSolution(TriseriesError):
+    """A family match whose series solves the coefficient recursion but not
+    the equation pointwise (the finite negative-index families)."""
+
+
 class TruncationTooSmall(TriseriesError):
     """Series tail is not negligible at the requested truncation order."""
 

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammasgn
 
+from .basis import jacobi_cd
 from .errors import InvalidFamilyParams, NoClosedForm
 from .gammafn import (log_abs_rising, log_gamma, log_gamma_real,
                       real_part_checked)
@@ -553,12 +554,10 @@ class Racah:
 
 def _extended_jacobi_streams(mu, nu, sigma, shift, n_terms) -> RecursionCoeffs:
     """Jacobi streams, diagonal shifted by shift (sigma + (n+(mu+nu+1)/2)^2)."""
-    from .basis import jacobi_c, jacobi_d  # local import avoids a cycle
-    s = np.array([jacobi_c(i, mu, nu)
-                  + shift * (sigma + (i + 0.5 * (mu + nu + 1.0)) ** 2)
-                  for i in range(n_terms)])
-    t = np.array([jacobi_d(i, mu, nu) for i in range(n_terms)])
-    return RecursionCoeffs(s, t)
+    c, d, _ = jacobi_cd(mu, nu, n_terms)
+    n = np.arange(n_terms, dtype=float)
+    return RecursionCoeffs(
+        c + shift * (sigma + np.float_power(n + 0.5 * (mu + nu + 1.0), 2)), d)
 
 
 @dataclass(frozen=True)

@@ -772,7 +772,7 @@ def bound_series(case, m: int, truncation: int = None):
         spec = resolve_basis(params, "LA")
         f = np.zeros(m + 1)
         f[m] = 1.0
-        return params, solvemod.SeriesSolution(f, spec, m + 1, 1.0, float(m))
+        return params, solvemod.SeriesSolution(f, spec, m + 1, 1.0)
     return params, solvemod.assemble_solution(match, int(m), truncation)
 
 

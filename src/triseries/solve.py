@@ -4,7 +4,7 @@ and verify it against the ODE by residual evaluation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -12,11 +12,11 @@ import numpy as np
 from . import families as fam
 from .basis import evaluate_series, negative_integer_index
 from .errors import (AmbiguousRegion, IndexOutOfSpectrum, NoFamilyApplies,
-                     SingularPointTooClose, TruncationTooSmall, ZeroOffDiagonal,
-                     ZeroSolution)
+                     NoPointwiseSolution, SingularPointTooClose,
+                     TruncationTooSmall, ZeroOffDiagonal, ZeroSolution)
 from .recurrence import run_recursion
-from .tra import (BasisSpec, OdeParams, SpectralMap, jacobi_st2r2,
-                  laguerre_st2r2, resolve_basis)
+from .tra import (BasisSpec, OdeParams, SpectralMap, apply_swap_symmetry,
+                  raw_spectral_map, resolve_basis)
 
 CONTINUOUS = "continuous"
 DISCRETE_INFINITE = "discrete_infinite"
@@ -49,8 +49,6 @@ class SeriesSolution:
     spec: BasisSpec
     truncation: int
     norm_factor: float
-    argument: float
-    family: object = None
     unnormalized: bool = False
 
     def __call__(self, x):
@@ -59,8 +57,7 @@ class SeriesSolution:
 
 
 def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
-                 mu_sign: int = +1, free_value: float = None,
-                 z_k: float = None) -> MatchResult:
+                 mu_sign: int = +1, free_value: float = None) -> MatchResult:
     """Select the polynomial family whose constraint region contains params.
 
     The returned ``spectral_map`` sends the ODE-parameter combination to the
@@ -78,12 +75,11 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
         if abs(u) <= _BOUNDARY_TOL or abs(u + 1.0) <= _BOUNDARY_TOL:
             raise AmbiguousRegion(
                 f"4 A_plus - b^2 = {u} sits on a family-region boundary")
-        _, zmap = laguerre_st2r2(params, spec, 1)
+        raw = raw_spectral_map(params, scenario)
         if u > 0:
             theta = math.acos(c1 / c2)
             family = fam.MeixnerPollaczek(0.5 * (spec.nu + 1.0), theta)
-            m = SpectralMap(zmap.combination, zmap.raw_value,
-                            scale=-math.sqrt(u), offset=0.0)
+            m = replace(raw, scale=-math.sqrt(u))
             return MatchResult(family, spec, m, CONTINUOUS)
         if u < -1.0:
             ch = c1 / c2
@@ -91,9 +87,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             exp_m = 1.0 / (ch + sh)   # e^{-theta}, cancellation-free
             tau = exp_m * exp_m
             family = fam.Meixner(0.5 * (spec.nu + 1.0), tau)
-            m = SpectralMap(zmap.combination, zmap.raw_value,
-                            scale=-c2 / exp_m,
-                            offset=(spec.nu + 1.0) * c2 * sh)
+            m = replace(raw, scale=-c2 / exp_m, offset=(spec.nu + 1.0) * c2 * sh)
             return MatchResult(family, spec, m, DISCRETE_INFINITE)
         # the finite gap -1 < u < 0: only the measure-zero set nu = -N-1 works
         n_fin = negative_integer_index(spec.nu)
@@ -105,22 +99,19 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
         ch = math.sqrt(1.0 + sh * sh)
         tau = 0.5 * (1.0 + sh / ch)
         family = fam.Krawtchouk(n_fin, tau)
-        m = SpectralMap(zmap.combination, zmap.raw_value, scale=c2,
-                        offset=-n_fin * c2 * ch, twist=-1)
+        m = replace(raw, scale=c2, offset=-n_fin * c2 * ch, twist=-1)
         return MatchResult(family, spec, m, DISCRETE_FINITE, n_finite=n_fin)
     if scenario == "LB":
-        _, zmap = laguerre_st2r2(params, spec, 1)
-        m = SpectralMap(zmap.combination, zmap.raw_value, scale=1.0,
-                        offset=0.25 * (a - 1.0) ** 2)
+        raw = raw_spectral_map(params, scenario)
         n_fin = negative_integer_index(spec.nu)
         if n_fin is not None:
             two = 2.0 * params.A_zero + a * b
             family = fam.DualHahn(n_fin, 0.5 * (two - n_fin - 1.0),
                                   0.5 * (-two - n_fin - 1.0))
-            m = SpectralMap(zmap.combination, zmap.raw_value, scale=-1.0,
-                            offset=0.25 * (a - 1.0) ** 2)
+            m = replace(raw, scale=-1.0, offset=0.25 * (a - 1.0) ** 2)
             return MatchResult(family, spec, m, DISCRETE_FINITE,
                                n_finite=n_fin)
+        m = replace(raw, offset=0.25 * (a - 1.0) ** 2)
         tau = params.A_zero + 0.5 * (a * b + 1.0)
         half = 0.5 * (spec.nu + 1.0)
         family = fam.ContinuousDualHahn(tau, half, half)
@@ -131,10 +122,9 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
     if scenario == "JA":
         if params.A_one == 0.0:
             raise ZeroOffDiagonal("this scenario has no recursion when A_one = 0")
-        _, zmap = jacobi_st2r2(params, spec, 1)
-        chi0 = params.A_zero - 0.25 * (a + b - 1.0) ** 2
-        m = SpectralMap(zmap.combination, zmap.raw_value,
-                        scale=params.A_one, offset=0.0)
+        raw = raw_spectral_map(params, scenario)
+        chi0 = raw.raw_value
+        m = replace(raw, scale=params.A_one)
         if params.A_one ** 2 >= chi0 ** 2:
             theta = math.acos(chi0 / params.A_one)
             z = -math.copysign(1.0, params.A_one) * math.sqrt(
@@ -147,18 +137,14 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
                 "discrete extended-Jacobi regime needs the normalized diagonal "
                 "offset >= 1; got chi0/A_one < -1")
         tau = (2.0 * c * c - 1.0) - 2.0 * abs(c) * math.sqrt(c * c - 1.0)
-        zk = z_k if z_k is not None else -params.A_one * (1.0 - tau) / (
-            2.0 * math.sqrt(tau))
+        zk = -params.A_one * (1.0 - tau) / (2.0 * math.sqrt(tau))
         family = fam.ExtendedJacobiDiscrete(spec.mu, spec.nu, tau, 0.0, zk)
         return MatchResult(family, spec, m, DISCRETE_UNKNOWN, unnormalized=True)
     if scenario in ("JB", "JC"):
         # JB is the swap-symmetric mirror of JC; match on JC coordinates.
-        use = params
-        use_spec = spec
-        if scenario == "JB":
-            from .tra import apply_swap_symmetry
-            use, use_spec = apply_swap_symmetry(params, spec)
-        _, zmap = jacobi_st2r2(use, use_spec, 1)
+        use, use_spec = (apply_swap_symmetry(params, spec) if scenario == "JB"
+                         else (params, spec))
+        raw = raw_spectral_map(use, "JC")
         chi = 4.0 * use.A_zero - (use.a + use.b - 1.0) ** 2
         n_fin = negative_integer_index(use_spec.mu)
         if n_fin is not None and chi < 0:
@@ -166,14 +152,12 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             sg = 0.5 * (use_spec.mu + use_spec.nu + root)
             gm = 0.5 * (use_spec.mu + use_spec.nu - root)
             family = fam.Racah(n_fin, gm, sg)
-            m = SpectralMap(zmap.combination, zmap.raw_value, scale=-2.0,
-                            offset=0.5 * (use.a - 1.0) ** 2)
+            m = replace(raw, scale=-2.0, offset=0.5 * (use.a - 1.0) ** 2)
             return MatchResult(family, use_spec, m, DISCRETE_FINITE,
                                n_finite=n_fin, unnormalized=True)
         sg = 0.5 * (use_spec.nu + 1.0)
         gm = 0.5 * (use_spec.mu + 1.0)
-        m = SpectralMap(zmap.combination, zmap.raw_value, scale=2.0,
-                        offset=0.5 * (use.a - 1.0) ** 2)
+        m = replace(raw, scale=2.0, offset=0.5 * (use.a - 1.0) ** 2)
         if chi >= 0:
             tw = 0.5 * math.sqrt(chi)
             family = fam.Wilson(complex(sg, tw), complex(sg, -tw), gm, gm)
@@ -233,6 +217,9 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
     component at that index and a float selects the continuous component at
     that squared-variable value.  ``coeffs``: the family's streams when the
     caller has built them already, at least truncation + 1 terms long.
+    A finite (negative basis-index) match raises NoPointwiseSolution: its
+    f_n solve the coefficient recursion, but the series does not solve the
+    equation pointwise.
     """
     f = match.family
     kind = match.spectrum_kind
@@ -241,19 +228,9 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
     unnorm = match.unnormalized
     is_index = isinstance(spectral, (int, np.integer))
     if kind == DISCRETE_FINITE:
-        # The finite negative-index associations are formal: their printed
-        # spectral identification belongs to the sign-flipped (twisted)
-        # symmetrization and the operator action leaks a degenerate-polynomial
-        # term at the top degree, so these series are exact solutions of the
-        # coefficient recursion, not of the equation pointwise.
-        k = int(spectral)
-        n_top = match.n_finite
-        if not 0 <= k <= n_top:
-            raise IndexOutOfSpectrum(f"index {k} outside 0..{n_top}")
-        vals = fam.values_by_recursion(f, k, n_top)
-        p = 1.0 if unnorm else math.sqrt(f.discrete_mass(k))
-        coeff = p * np.asarray(vals)
-        return SeriesSolution(coeff, match.spec, n_top + 1, p, float(k), f, unnorm)
+        raise NoPointwiseSolution(
+            f"the finite {f.kind} match (N = {match.n_finite}) gives no series "
+            "that solves the equation pointwise")
     if coeffs is None:
         coeffs = fam.family_coeffs(f, truncation + 1)
     if kind == DISCRETE_INFINITE or (kind == MIXED and is_index):
@@ -265,13 +242,12 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
             # Meixner: forward recursion regrows the dominant solution
             vals = _clip_roundoff_tail(vals)
         p = 1.0 if unnorm else math.sqrt(f.discrete_mass(k))
-        return SeriesSolution(p * vals, match.spec, truncation + 1, p,
-                              float(k), f, unnorm)
+        return SeriesSolution(p * vals, match.spec, truncation + 1, p, unnorm)
     # continuous component, or a discrete point no formula places
     zval = float(spectral)
     coeff = run_recursion(coeffs, f.spectral_point(zval), truncation)
     if kind == DISCRETE_UNKNOWN:
-        return SeriesSolution(coeff, match.spec, truncation + 1, 1.0, zval, f, True)
+        return SeriesSolution(coeff, match.spec, truncation + 1, 1.0, True)
     p = 1.0 if unnorm else math.sqrt(f.density_at(zval))
     coeff = p * coeff
     if enforce_tail:
@@ -279,7 +255,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         if tail > _TAIL_REL * np.max(np.abs(coeff)):
             raise TruncationTooSmall(
                 f"tail {tail:.2e} not negligible at truncation {truncation}")
-    return SeriesSolution(coeff, match.spec, truncation + 1, p, zval, f, unnorm)
+    return SeriesSolution(coeff, match.spec, truncation + 1, p, unnorm)
 
 
 # ---------------------------------------------------------------------------

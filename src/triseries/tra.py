@@ -20,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import jacobi_c, jacobi_d_squared
+from .basis import jacobi_cd
 from .errors import (DegenerateDenominator, NoTerminatingIndex, RealityViolation,
-                     ScenarioMismatch, ScenarioRequiresA1Zero, ZeroOffDiagonal)
+                     ScenarioMismatch, ScenarioRequiresA1Zero, TriseriesError,
+                     ZeroOffDiagonal)
 from .recurrence import RecursionCoeffs
 
 LAGUERRE = "laguerre"
@@ -134,49 +135,59 @@ def resolve_basis(params: OdeParams, scenario: str, nu_sign: int = +1,
     if scenario in ("JB", "JC") and params.A_one != 0.0:
         raise ScenarioRequiresA1Zero(
             f"scenario {scenario} requires A_one = 0, got {params.A_one}")
-    if scenario == "JA":
-        disc_mu = (1.0 - a) ** 2 - 2.0 * params.A_minus
-        disc_nu = (1.0 - b) ** 2 - 2.0 * params.A_plus
-        if disc_mu < 0 or disc_nu < 0:
-            raise RealityViolation("negative square-root argument for mu or nu")
-        mu = mu_sign * math.sqrt(disc_mu)
-        nu = nu_sign * math.sqrt(disc_nu)
-        return BasisSpec(JACOBI, alpha=0.5 * (mu + 1.0 - a),
-                         beta=0.5 * (nu + 1.0 - b), nu=nu, mu=mu, scenario="JA")
-    if scenario == "JB":
-        disc_mu = (1.0 - a) ** 2 - 2.0 * params.A_minus
-        if disc_mu < 0:
-            raise RealityViolation("negative square-root argument for mu")
-        if free_value is None:
-            raise ValueError("scenario JB leaves nu free; pass free_value")
-        mu = mu_sign * math.sqrt(disc_mu)
-        nu = float(free_value)
-        return BasisSpec(JACOBI, alpha=0.5 * (mu + 1.0 - a),
-                         beta=0.5 * (nu + 2.0 - b), nu=nu, mu=mu, scenario="JB")
-    # "JC"
+    # JA roots both indices; JB leaves nu free and JC mu, and the free index
+    # enters its exponent with +2 where a rooted one enters with +1
+    free = {"JB": "nu", "JC": "mu"}.get(scenario)
+    disc_mu = (1.0 - a) ** 2 - 2.0 * params.A_minus
     disc_nu = (1.0 - b) ** 2 - 2.0 * params.A_plus
-    if disc_nu < 0:
-        raise RealityViolation("negative square-root argument for nu")
-    if free_value is None:
-        raise ValueError("scenario JC leaves mu free; pass free_value")
-    nu = nu_sign * math.sqrt(disc_nu)
-    mu = float(free_value)
-    return BasisSpec(JACOBI, alpha=0.5 * (mu + 2.0 - a),
-                     beta=0.5 * (nu + 1.0 - b), nu=nu, mu=mu, scenario="JC")
+    if (free != "mu" and disc_mu < 0) or (free != "nu" and disc_nu < 0):
+        rooted = {None: "mu or nu", "nu": "mu", "mu": "nu"}[free]
+        raise RealityViolation(f"negative square-root argument for {rooted}")
+    if free is not None and free_value is None:
+        raise ValueError(f"scenario {scenario} leaves {free} free; pass free_value")
+    mu = float(free_value) if free == "mu" else mu_sign * math.sqrt(disc_mu)
+    nu = float(free_value) if free == "nu" else nu_sign * math.sqrt(disc_nu)
+    return BasisSpec(JACOBI, alpha=0.5 * (mu + (2.0 if free == "mu" else 1.0) - a),
+                     beta=0.5 * (nu + (2.0 if free == "nu" else 1.0) - b),
+                     nu=nu, mu=mu, scenario=scenario)
 
 
-def _check_laguerre_spec(params: OdeParams, spec: BasisSpec) -> None:
-    a, b = params.a, params.b
-    if spec.scenario == "LA":
-        ok = (_close(2.0 * spec.alpha, spec.nu + 1.0 - a)
-              and _close(2.0 * spec.beta, b + 1.0)
-              and _close(spec.nu ** 2, (1.0 - a) ** 2 - 4.0 * params.A_minus))
-    else:
-        disc = 1.0 + 4.0 * params.A_plus
-        ok = (disc >= 0
-              and _close(2.0 * spec.alpha, spec.nu + 2.0 - a)
-              and _close(2.0 * spec.beta, 1.0 + math.sqrt(max(disc, 0.0))))
-    if not ok:
+def raw_spectral_map(params: OdeParams, scenario: str) -> SpectralMap:
+    """The scenario's raw spectral variable: the bare ODE-parameter
+    combination in which its coefficient streams are written.  It depends on
+    the parameters alone; ScenarioMismatch for LB off b^2 = 1 + 4 A_plus."""
+    if scenario == "LA":
+        return SpectralMap("A_zero + a b / 2", params.A_zero + 0.5 * params.a * params.b)
+    if scenario == "LB":
+        if not _close(params.b ** 2, 1.0 + 4.0 * params.A_plus):
+            # the second scenario exists only on the slope-constrained surface
+            raise ScenarioMismatch(
+                f"scenario LB needs b^2 = 1 + 4 A_plus; got b^2 = {params.b ** 2}, "
+                f"1 + 4 A_plus = {1.0 + 4.0 * params.A_plus}")
+        return SpectralMap("A_minus", params.A_minus)
+    if scenario == "JA":
+        return SpectralMap("A_zero - (a+b-1)^2/4",
+                           params.A_zero - 0.25 * (params.a + params.b - 1.0) ** 2)
+    if scenario == "JB":
+        return SpectralMap("A_plus", params.A_plus)
+    return SpectralMap("A_minus", params.A_minus)
+
+
+def _check_spec(params: OdeParams, spec: BasisSpec) -> None:
+    """ScenarioMismatch unless ``spec`` is, field by field, what
+    ``resolve_basis`` gives on the spec's own root signs and free index."""
+    nu_sign, mu_sign = (-1 if v is not None and v < 0 else +1
+                        for v in (spec.nu, spec.mu))
+    try:
+        ref = resolve_basis(params, spec.scenario, nu_sign=nu_sign, mu_sign=mu_sign,
+                            free_value=spec.mu if spec.scenario == "JC" else spec.nu)
+    except TriseriesError as exc:
+        raise ScenarioMismatch(f"basis spec does not satisfy the {spec.scenario} "
+                               f"relations: {exc}") from exc
+    pairs = [(spec.alpha, ref.alpha), (spec.beta, ref.beta), (spec.nu, ref.nu)]
+    if ref.mu is not None:
+        pairs.append((spec.mu, ref.mu))
+    if not all(_close(x, y) for x, y in pairs):
         raise ScenarioMismatch(
             f"basis spec does not satisfy the {spec.scenario} relations")
 
@@ -185,106 +196,69 @@ def laguerre_st2r2(params: OdeParams, spec: BasisSpec, n_terms: int):
     """Raw coefficient streams of the Laguerre-equation recursion.
 
     Returns (RecursionCoeffs, SpectralMap) in the normalization where the
-    spectral variable is the bare combination (A_zero + ab/2 for "LA",
-    A_minus for "LB").
+    spectral variable is the bare combination of ``raw_spectral_map``.
     """
     if params.equation != LAGUERRE or spec.scenario not in SCENARIOS_LAGUERRE:
         raise ScenarioMismatch("laguerre_st2r2 needs a Laguerre params/spec pair")
-    _check_laguerre_spec(params, spec)
-    if spec.scenario == "LB" and not _close(params.b ** 2,
-                                            1.0 + 4.0 * params.A_plus):
-        # the second scenario exists only on the slope-constrained surface
-        raise ScenarioMismatch(
-            f"scenario LB needs b^2 = 1 + 4 A_plus; got b^2 = {params.b ** 2}, "
-            f"1 + 4 A_plus = {1.0 + 4.0 * params.A_plus}")
+    _check_spec(params, spec)
+    zmap = raw_spectral_map(params, spec.scenario)
     a, b, nu = params.a, params.b, spec.nu
     ns = np.arange(n_terms, dtype=float)
+    inner = (ns + 1.0) * (ns + nu + 1.0)
     if spec.scenario == "LA":
         c1 = params.A_plus - 0.25 * b * b - 0.25
         c2 = c1 + 0.5
         if abs(c2) < 1e-300:
             raise ZeroOffDiagonal("off-diagonal coefficient A_plus - b^2/4 + 1/4 = 0")
         s = (2.0 * ns + nu + 1.0) * c1
-        inner = (ns + 1.0) * (ns + nu + 1.0)
         t = -c2 * np.sqrt(np.abs(inner))
         t2 = c2 * c2 * inner
-        zmap = SpectralMap("A_zero + a b / 2", params.A_zero + 0.5 * a * b)
         return RecursionCoeffs(s, t, t_squared=t2), zmap
     omega = params.A_zero + 0.5 * (nu + a * b + 1.0)
     s = ((2.0 * ns + nu + 1.0) * (ns + omega)
          - 0.25 * (nu * nu - 1.0) + 0.25 * (a - 1.0) ** 2)
-    inner = (ns + 1.0) * (ns + nu + 1.0)
     coef = ns + omega + 0.5
     t = -coef * np.sqrt(np.abs(inner))
     t2 = coef * coef * inner
-    zmap = SpectralMap("A_minus", params.A_minus)
     return RecursionCoeffs(s, t, t_squared=t2), zmap
 
 
-def _check_jacobi_spec(params: OdeParams, spec: BasisSpec) -> None:
-    a, b = params.a, params.b
-    sc = spec.scenario
-    if sc == "JA":
-        ok = (_close(2.0 * spec.alpha, spec.mu + 1.0 - a)
-              and _close(2.0 * spec.beta, spec.nu + 1.0 - b)
-              and _close(spec.mu ** 2, (1.0 - a) ** 2 - 2.0 * params.A_minus)
-              and _close(spec.nu ** 2, (1.0 - b) ** 2 - 2.0 * params.A_plus))
-    elif sc == "JB":
-        ok = (params.A_one == 0.0
-              and _close(2.0 * spec.alpha, spec.mu + 1.0 - a)
-              and _close(2.0 * spec.beta, spec.nu + 2.0 - b)
-              and _close(spec.mu ** 2, (1.0 - a) ** 2 - 2.0 * params.A_minus))
-    else:
-        ok = (params.A_one == 0.0
-              and _close(2.0 * spec.alpha, spec.mu + 2.0 - a)
-              and _close(2.0 * spec.beta, spec.nu + 1.0 - b)
-              and _close(spec.nu ** 2, (1.0 - b) ** 2 - 2.0 * params.A_plus))
-    if not ok:
-        raise ScenarioMismatch(f"basis spec does not satisfy the {sc} relations")
-
-
 def jacobi_st2r2(params: OdeParams, spec: BasisSpec, n_terms: int):
-    """Raw coefficient streams of the Jacobi-equation recursion."""
+    """Raw coefficient streams of the Jacobi-equation recursion, as
+    (RecursionCoeffs, SpectralMap) like ``laguerre_st2r2``."""
     if params.equation != JACOBI or spec.scenario not in SCENARIOS_JACOBI:
         raise ScenarioMismatch("jacobi_st2r2 needs a Jacobi params/spec pair")
-    _check_jacobi_spec(params, spec)
+    _check_spec(params, spec)
+    zmap = raw_spectral_map(params, spec.scenario)
     a, b = params.a, params.b
     mu, nu = spec.mu, spec.nu
     chi = 4.0 * params.A_zero - (a + b - 1.0) ** 2
     ns = np.arange(n_terms, dtype=float)
+    e = 2.0 * ns + mu + nu
+    c, _, d2 = jacobi_cd(mu, nu, n_terms)
     sc = spec.scenario
     if sc == "JA":
         if params.A_one == 0.0:
             raise ZeroOffDiagonal("with A_one = 0 this scenario has no recursion")
-        s = np.array([params.A_one * jacobi_c(i, mu, nu)
-                      - 0.25 * (2 * i + mu + nu + 1.0) ** 2
-                      for i in range(n_terms)])
-        d2 = np.array([jacobi_d_squared(i, mu, nu) for i in range(n_terms)])
+        s = params.A_one * c - 0.25 * np.float_power(e + 1.0, 2)
         t = params.A_one * np.sqrt(np.abs(d2))
         t2 = params.A_one ** 2 * d2
-        zmap = SpectralMap("A_zero - (a+b-1)^2/4",
-                           params.A_zero - 0.25 * (a + b - 1.0) ** 2)
         return RecursionCoeffs(s, t, t_squared=t2), zmap
-    q_up = 0.25 * ((2.0 * ns + mu + nu + 2.0) ** 2 + chi)
-    d2 = np.array([jacobi_d_squared(i, mu, nu) for i in range(n_terms)])
+    q_up = 0.25 * ((e + 2.0) ** 2 + chi)
     ratio = np.zeros(n_terms)
     if sc == "JB":
-        ratio[1:] = 2.0 * ns[1:] * (ns[1:] + mu) / (2.0 * ns[1:] + mu + nu)
-        cshift = np.array([jacobi_c(i, mu, nu) + 1.0 for i in range(n_terms)])
-        s = (-ratio + cshift * q_up
+        ratio[1:] = 2.0 * ns[1:] * (ns[1:] + mu) / e[1:]
+        s = (-ratio + (c + 1.0) * q_up
              - 0.5 * (nu + 1.0) ** 2 + 0.5 * (b - 1.0) ** 2)
         t = np.sqrt(np.abs(d2)) * q_up
         t2 = d2 * q_up * q_up
-        zmap = SpectralMap("A_plus", params.A_plus)
         return RecursionCoeffs(s, t, t_squared=t2), zmap
     # "JC"
-    ratio[1:] = 2.0 * ns[1:] * (ns[1:] + nu) / (2.0 * ns[1:] + mu + nu)
-    cshift = np.array([jacobi_c(i, mu, nu) - 1.0 for i in range(n_terms)])
-    s = (-ratio - cshift * q_up
+    ratio[1:] = 2.0 * ns[1:] * (ns[1:] + nu) / e[1:]
+    s = (-ratio - (c - 1.0) * q_up
          - 0.5 * (mu + 1.0) ** 2 + 0.5 * (a - 1.0) ** 2)
     t = -np.sqrt(np.abs(d2)) * q_up
     t2 = d2 * q_up * q_up
-    zmap = SpectralMap("A_minus", params.A_minus)
     return RecursionCoeffs(s, t, t_squared=t2), zmap
 
 
@@ -332,7 +306,7 @@ def wilson_match_identity_residual(mu: float, nu: float, chi: float, n: int) -> 
         rhs = -4.0 * n * (n + nu) / d0
     else:
         rhs = 0.0
-    cn = jacobi_c(n, mu, nu)
+    cn = float(jacobi_cd(mu, nu, n + 1)[0][n])
     rhs += 0.5 * (1.0 - cn) * up
     return abs(lhs - rhs)
 
@@ -346,7 +320,7 @@ def jacobi_ratio_identity_residuals(mu: float, nu: float, n: int):
         raise DegenerateDenominator("2n+mu+nu(+2) too close to zero")
     if n == 0:
         return 0.0, 0.0
-    cn = jacobi_c(n, mu, nu)
+    cn = float(jacobi_cd(mu, nu, n + 1)[0][n])
     lhs_b = 2.0 * n * (n + mu + nu + 1.0) * (mu - nu) / (d0 * d2)
     rhs_b = 2.0 * n * (n + mu) / d0 - n * (cn + 1.0)
     lhs_c = 2.0 * n * (n + mu + nu + 1.0) * (nu - mu) / (d0 * d2)

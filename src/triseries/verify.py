@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import families as fam
+from .basis import jacobi_cd
 from .errors import InvalidFamilyParams, PrecisionExhausted
 from .recurrence import run_recursion
 from .tra import (OdeParams, SpectralMap, jacobi_st2r2, laguerre_st2r2,
@@ -551,13 +552,12 @@ def identity_suite(n_draws: int = 1000, seed: int = 20240819):
 def degeneration_suite():
     """The extended continuous family degenerates to the orthonormal Jacobi
     recursion as its argument grows."""
-    from .basis import jacobi_orthonormal_coeffs
     out = []
     worst = 0.0
     for (mu, nu, th) in ((0.3, 1.2, 0.9), (1.7, 0.4, 2.9), (0.0, 0.0, 0.7)):
         f = fam.ExtendedJacobiContinuous(mu, nu, th, 0.0, 1e8)
         co = fam.family_coeffs(f, 11)
-        s_j, t_j = jacobi_orthonormal_coeffs(mu, nu, 11)
+        s_j, t_j, _ = jacobi_cd(mu, nu, 11)
         worst = max(worst,
                     float(np.max(np.abs(co.s - s_j) / np.maximum(1.0, np.abs(s_j)))),
                     float(np.max(np.abs(co.t - t_j) / np.maximum(1.0, np.abs(t_j)))))

@@ -2,6 +2,8 @@
 evaluator that computes both."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -9,9 +11,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, eval_jacobi
 
-from triseries.basis import (evaluate_series, jacobi_norm,
-                             jacobi_orthonormal_coeffs, laguerre_norm,
-                             negative_integer_index)
+from triseries.basis import (evaluate_series, jacobi_cd, jacobi_norm,
+                             laguerre_norm, negative_integer_index)
 from triseries.errors import DomainError, IndexOutOfValidity
 from triseries.gammafn import log_abs_rising, log_gamma_real
 from triseries.tra import BasisSpec
@@ -85,9 +86,62 @@ def test_negative_integer_index_validity():
 
 
 def test_jacobi_orthonormal_offdiagonal_positive():
-    s, t = jacobi_orthonormal_coeffs(0.4, 1.3, 12)
+    s, t, _ = jacobi_cd(0.4, 1.3, 12)
     assert np.all(t > 0)
     assert np.all(np.isfinite(s))
+
+
+def test_jacobi_cd_cancelled_first_diagonal_without_warning():
+    # mu + nu = 0 makes the printed C_0 0/0; the cancelled form is (nu-mu)/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, d, _ = jacobi_cd(0.7, -0.7, 6)
+    assert c[0] == (-0.7 - 0.7) / 2.0
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(d))
+
+
+def test_jacobi_cd_nan_off_diagonal_where_its_square_is_negative():
+    # mu = -7, nu = 8: only (n+mu+1) < 0 for n < 6, so D_n^2 < 0 and D_n is nan
+    c, d, d2 = jacobi_cd(-7.0, 8.0, 6)
+    assert np.all(d2 < 0)
+    assert np.all(np.isnan(d))
+    assert np.all(np.isfinite(c))
+
+
+@pytest.mark.parametrize("mu, nu", [
+    (Fraction(2, 5), Fraction(13, 10)), (Fraction(-1, 2), Fraction(5, 2)),
+    (Fraction(3), Fraction(-1, 5)), (Fraction(-9, 10), Fraction(-4, 5)),
+])
+def test_jacobi_cd_equals_the_closed_forms(mu, nu):
+    # exact rational C_n and D_n^2 from the printed (uncancelled) forms
+    c, d, d2 = jacobi_cd(float(mu), float(nu), 12)
+    for n in range(12):
+        e = 2 * n + mu + nu
+        c_ref = (nu * nu - mu * mu) / (e * (e + 2))
+        d2_ref = (Fraction(4) / (e + 2) ** 2 * (n + 1) * (n + mu + 1) * (n + nu + 1)
+                  * (n + mu + nu + 1) / ((e + 1) * (e + 3)))
+        assert c[n] == pytest.approx(float(c_ref), rel=1e-15, abs=1e-15)
+        assert d2[n] == pytest.approx(float(d2_ref), rel=1e-15)
+        assert d[n] == pytest.approx(math.sqrt(d2_ref), rel=1e-15)
+
+
+def test_jacobi_cd_equals_the_scalar_forms_bit_for_bit():
+    # the per-degree float forms, in the same order of operations; the
+    # stream builders' output bytes rest on this equality
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        mu, nu = (float(v) for v in rng.uniform(-0.99, 8.0, 2))
+        c, d, d2 = jacobi_cd(mu, nu, 30)
+        for n in range(30):
+            e = 2 * n + mu + nu
+            c_ref = ((nu - mu) / (mu + nu + 2.0) if n == 0
+                     else (nu * nu - mu * mu) / (e * (e + 2.0)))
+            arg = ((n + 1.0) * (n + mu + 1.0) * (n + nu + 1.0) * (n + mu + nu + 1.0)
+                   / ((e + 1.0) * (e + 3.0)))
+            g = 2.0 / (e + 2.0)
+            assert c[n] == c_ref
+            assert d[n] == g * math.sqrt(arg)
+            assert d2[n] == g ** 2 * arg
 
 
 def test_basis_element_vanishes_at_origin_with_positive_power():

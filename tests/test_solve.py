@@ -5,8 +5,8 @@ import pytest
 
 from triseries import families as fam
 from triseries.basis import evaluate_series
-from triseries.errors import (AmbiguousRegion, IndexOutOfSpectrum,
-                              InvalidFamilyParams, NoFamilyApplies,
+from triseries.errors import (AmbiguousRegion, InvalidFamilyParams,
+                              NoFamilyApplies, NoPointwiseSolution,
                               NoTerminatingIndex, SingularPointTooClose,
                               TruncationTooSmall, ZeroSolution)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
@@ -82,44 +82,33 @@ def test_extended_family_assembly_is_unnormalized():
     assert sol.norm_factor == 1.0
 
 
-def test_finite_family_assembly_has_exactly_n_plus_one_terms():
-    n_fin = 3
-    p = OdeParams("laguerre", 0.25, 0.25, -0.12,
-                  ((1 - 0.25) ** 2 - (n_fin + 1) ** 2) / 4.0, 1.7)
-    m = match_family(p, "LA", nu_sign=-1)
-    assert m.spectrum_kind == DISCRETE_FINITE and m.n_finite == 3
-    sol = assemble_solution(m, 1)
-    assert len(sol.f) == 4
-    with pytest.raises(IndexOutOfSpectrum):
-        assemble_solution(m, 4)
+def _krawtchouk_params(nu):
+    return OdeParams("laguerre", 0.25, 0.25, -0.12,
+                     ((1 - 0.25) ** 2 - nu * nu) / 4.0, 1.7)
 
 
-def test_finite_family_coefficients_are_weighted_family_values():
-    n_fin = 3
-    p = OdeParams("laguerre", 0.25, 0.25, -0.12,
-                  ((1 - 0.25) ** 2 - (n_fin + 1) ** 2) / 4.0, 1.7)
-    m = match_family(p, "LA", nu_sign=-1)
-    k = 1
-    sol = assemble_solution(m, k)
-    ref = closed_form_hp(m.family, k, n_fin)
-    for n in range(n_fin + 1):
-        expect = sol.norm_factor * ref[n]
-        assert float(np.real(sol.f[n])) == pytest.approx(expect, rel=1e-10,
-                                                         abs=1e-12)
-
-
-def test_near_integer_finite_index_gives_the_integer_series():
+@pytest.mark.parametrize("params, scenario, keywords, family, n_fin", [
+    pytest.param(_krawtchouk_params(-4.0), "LA", {"nu_sign": -1},
+                 fam.Krawtchouk, 3, id="LA-krawtchouk"),
     # the matcher and the basis norms share one negative-integer rule, so an
-    # index 1e-10 off nu = -4 gives the Krawtchouk(3, .) series of nu = -4
-    xs = np.array([0.2, 0.7, 1.5, 3.0])
-    ys = []
-    for nu in (-4.0, -4.0 + 1e-10):
-        p = OdeParams("laguerre", 0.25, 0.25, -0.12,
-                      ((1 - 0.25) ** 2 - nu * nu) / 4.0, 1.7)
-        m = match_family(p, "LA", nu_sign=-1)
-        assert m.spectrum_kind == DISCRETE_FINITE and m.n_finite == 3
-        ys.append(assemble_solution(m, 1)(xs))
-    assert np.max(np.abs(ys[1] - ys[0])) < 1e-8 * np.max(np.abs(ys[0]))
+    # index 1e-10 off nu = -4 is the same finite match
+    pytest.param(_krawtchouk_params(-4.0 + 1e-10), "LA", {"nu_sign": -1},
+                 fam.Krawtchouk, 3, id="LA-krawtchouk-near-integer"),
+    pytest.param(OdeParams("laguerre", 1.3, 0.6, -0.16, 0.7, 0.9), "LB",
+                 {"free_value": -18.0}, fam.DualHahn, 17, id="LB-dual_hahn"),
+    pytest.param(OdeParams("jacobi", 0.8, 0.5, -0.9, 1.2, -2.0, A_one=0.0), "JC",
+                 {"free_value": -7.0}, fam.Racah, 6, id="JC-racah"),
+])
+def test_finite_family_match_refuses_assembly(params, scenario, keywords,
+                                              family, n_fin):
+    # a finite (negative basis-index) match solves the coefficient recursion
+    # only: no series of it solves the equation pointwise
+    m = match_family(params, scenario, **keywords)
+    assert isinstance(m.family, family)
+    assert m.spectrum_kind == DISCRETE_FINITE and m.n_finite == n_fin
+    for k in (0, n_fin):
+        with pytest.raises(NoPointwiseSolution):
+            assemble_solution(m, k)
 
 
 def test_jc_wilson_match_with_parameter_sum_two_assembles():
@@ -307,7 +296,7 @@ def test_zero_solution_residual_raises():
     p = OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0)
     from triseries.tra import resolve_basis
     spec = resolve_basis(p, "LA")
-    sol = SeriesSolution(np.zeros(5), spec, 5, 1.0, 0.0)
+    sol = SeriesSolution(np.zeros(5), spec, 5, 1.0)
     with pytest.raises(ZeroSolution):
         ode_residual(p, sol, [0.5, 1.0])
 
@@ -316,12 +305,12 @@ def test_singular_margins_enforced():
     p = OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0)
     from triseries.tra import resolve_basis
     spec = resolve_basis(p, "LA")
-    sol = SeriesSolution(np.ones(3), spec, 3, 1.0, 0.0)
+    sol = SeriesSolution(np.ones(3), spec, 3, 1.0)
     with pytest.raises(SingularPointTooClose):
         ode_residual(p, sol, [0.01])
     pj = OdeParams("jacobi", 0.5, 0.5, 0.1, 0.1, 5.0, A_one=2.0)
     specj = resolve_basis(pj, "JA")
-    solj = SeriesSolution(np.ones(3), specj, 3, 1.0, 0.0)
+    solj = SeriesSolution(np.ones(3), specj, 3, 1.0)
     with pytest.raises(SingularPointTooClose):
         ode_residual(pj, solj, [0.99])
 

@@ -1,10 +1,12 @@
 """Constraint scenarios, coefficient streams and the matching identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from triseries.basis import jacobi_cd
 from triseries.errors import (DegenerateDenominator, NoTerminatingIndex,
                               RealityViolation, ScenarioMismatch,
                               ScenarioRequiresA1Zero, ZeroOffDiagonal)
@@ -110,9 +112,44 @@ def test_equal_indices_zero_diagonal_shift():
     p = OdeParams("jacobi", 0.5, 0.5, -0.8, -0.8, 1.9, A_one=2.0)
     spec = resolve_basis(p, "JA")
     assert spec.mu == pytest.approx(spec.nu)
-    from triseries.basis import jacobi_c
+    c, _, _ = jacobi_cd(spec.mu, spec.nu, 8)
     for n in range(8):
-        assert jacobi_c(n, spec.mu, spec.nu) == pytest.approx(0.0, abs=1e-14)
+        assert c[n] == pytest.approx(0.0, abs=1e-14)
+
+
+# (params, scenario, free index) of each scenario, with both root signs
+_SCENARIO_INPUTS = [
+    (OdeParams("laguerre", 0.3, 0.4, -0.9, -0.6, 1.7), "LA", None),
+    (OdeParams("laguerre", 1.3, 0.6, -0.16, 0.7, 0.9), "LB", 1.4),
+    (OdeParams("jacobi", 0.4, 0.7, -1.1, -0.8, 1.9025, A_one=2.3), "JA", None),
+    (OdeParams("jacobi", 0.5, 0.8, 1.2, -0.9, 1.1, A_one=0.0), "JB", 0.9),
+    (OdeParams("jacobi", 0.8, 0.5, -0.9, 1.2, 1.1, A_one=0.0), "JC", 0.9),
+]
+
+
+# the indices a square root fixes (LB's nu is free, but alpha ties it down)
+_ROOTED = {"LA": ("nu",), "LB": ("nu",), "JA": ("mu", "nu"), "JB": ("mu",),
+           "JC": ("nu",)}
+
+
+@pytest.mark.parametrize("params, scenario, free", _SCENARIO_INPUTS,
+                         ids=[scenario for _, scenario, _ in _SCENARIO_INPUTS])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_stream_builders_check_the_scenario_relations(params, scenario, free,
+                                                      sign):
+    streams = laguerre_st2r2 if params.equation == "laguerre" else jacobi_st2r2
+    spec = resolve_basis(params, scenario, nu_sign=sign, mu_sign=sign,
+                         free_value=free)
+    streams(params, spec, 6)   # the resolved spec passes
+    for field in ("alpha", "beta") + _ROOTED[scenario]:
+        value = getattr(spec, field)
+        assert value != 0.0
+        bad = replace(spec, **{field: value * (1.0 + 1e-6)})
+        with pytest.raises(ScenarioMismatch):
+            streams(params, bad, 6)
+    if scenario in ("JB", "JC"):
+        with pytest.raises(ScenarioMismatch):
+            streams(replace(params, A_one=0.5), spec, 6)
 
 
 def test_quadratic_family_parameter_from_hyperbolic_well():
