@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfValidity
+from .errors import DegenerateDenominator, DomainError, IndexOutOfValidity
 from .gammafn import log_gamma
 
 
@@ -71,10 +71,17 @@ def jacobi_cd(mu: float, nu: float, n_terms: int):
 
     D_n^2 is signed: negative in the formal finite cases, where D_n is nan.
     These are the z -> infinity limit coefficients of the extended family
-    built on the same C_n, D_n.
+    built on the same C_n, D_n.  DegenerateDenominator where a denominator
+    vanishes.
     """
     n = np.arange(n_terms, dtype=float)
     e = 2.0 * n + mu + nu
+    # the denominators: 2n+mu+nu (n > 0) and 2n+mu+nu+1, +2, +3
+    zero = np.nonzero(np.where(n > 0, e, 1.0) * (e + 1.0) * (e + 2.0) * (e + 3.0)
+                      == 0.0)[0]
+    if zero.size:
+        raise DegenerateDenominator(f"a Jacobi recursion denominator vanishes at "
+                                    f"n = {zero[0]} (mu + nu = {mu + nu})")
     c = (nu * nu - mu * mu) / np.where(n > 0, e * (e + 2.0), 1.0)
     # (nu-mu)(nu+mu)/((mu+nu)(mu+nu+2)) -> (nu-mu)/(mu+nu+2), valid as mu+nu -> 0
     c[:1] = (nu - mu) / (mu + nu + 2.0)

@@ -98,3 +98,7 @@ class MeshTooCoarse(TriseriesError):
 class BoxTooSmall(TriseriesError):
     """Fewer finite-difference eigenvalues than requested lie below the
     continuum threshold: a level does not fit in the oracle's box."""
+
+
+class NonFiniteValue(TriseriesError):
+    """A recursion value is inf or nan: an overflow or a non-finite argument."""

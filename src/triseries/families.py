@@ -32,7 +32,7 @@ from .basis import jacobi_cd
 from .errors import InvalidFamilyParams, NoClosedForm
 from .gammafn import (log_abs_rising, log_gamma, log_gamma_real,
                       real_part_checked)
-from .recurrence import RecursionCoeffs, run_recursion, run_recursion_general
+from .recurrence import RecursionCoeffs, _forward, run_recursion
 
 
 class Family(Protocol):
@@ -639,30 +639,22 @@ def family_coeffs(family, n_terms: int) -> RecursionCoeffs:
 def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
     """P_0..P_{n_max} at a family's natural argument, by recursion.  A
     scalar ``arg`` gives one array; an array of arguments gives one row per
-    argument, from streams built once.
+    argument, from one stream build and one recursion over all of them.
 
-    Uses the symmetric engine wherever the family has a genuine real
-    symmetric form; a twisted family (Racah here) runs the honest asymmetric
+    A twisted family (Racah here) has no real symmetric form; it runs the
     real recursion its values satisfy, t_{n-1} below and -t_n above the
-    diagonal.  That path skips ``validate``: the finite Jacobi-equation
-    match builds Racah records outside its range.
+    diagonal.
     """
     N = getattr(family, "N", None)
     if N is not None and n_max > N:
         raise InvalidFamilyParams(f"{type(family).__name__} degrees end at N = {N}")
-    args = [arg] if np.ndim(arg) == 0 else list(arg)
+    co = family_coeffs(family, max(n_max, 1))
+    z = (family.spectral_point(arg) if np.ndim(arg) == 0
+         else np.array([family.spectral_point(a) for a in arg], dtype=float))
     if getattr(family, "twisted", False):
-        co = family.streams(max(n_max, 1))
-        sub, sup = np.concatenate(([0.0], co.t[:-1])), -co.t
-        rows = [run_recursion_general(co.s, sub, sup, family.spectral_point(a),
-                                      n_max) for a in args]
-    else:
-        coeffs = family_coeffs(family, max(n_max, 1))
-        rows = [run_recursion(coeffs, family.spectral_point(a), n_max)
-                for a in args]
-    if np.ndim(arg) == 0:
-        return rows[0]
-    return np.array(rows).reshape(len(args), n_max + 1)
+        t = co.t[:n_max].tolist()
+        return _forward(co.s[:n_max].tolist(), t, [-v for v in t], z)
+    return run_recursion(co, z, n_max)
 
 
 def isolated_mass_from_recursion(coeffs: RecursionCoeffs, w: float,

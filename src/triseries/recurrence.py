@@ -1,21 +1,26 @@
-"""Generic engine for symmetric three-term recursions.
+"""The one engine for three-term recursions.
 
 A symmetric three-term recursion
     z P_n = s_n P_n + t_{n-1} P_{n-1} + t_n P_n+1,   t_{-1} := 0,
 with P_0 = 1 determines P_n(z) for every n.  This module evaluates the
-sequence and checks the diagonal Christoffel-Darboux identity, which every
-such family satisfies:
+sequence at one argument or an array of them, and checks the diagonal
+Christoffel-Darboux identity, which every such family satisfies:
 
     sum_{n=0}^{N-1} P_n(z)^2 = t_{N-1} [P_N'(z) P_{N-1}(z) - P_N(z) P_{N-1}'(z)].
+
+The same loop steps a twisted stream (imaginary symmetrized off-diagonals,
+real values) in its real form, t_{n-1} below and -t_n above the diagonal.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroOffDiagonal
+from .errors import NonFiniteValue, ZeroOffDiagonal
 
 DEFAULT_N_MAX_CAP = 500  # forward recursion degrades eventually; stay well below
 
@@ -27,7 +32,7 @@ class RecursionCoeffs:
     ``t_squared`` carries the signed squares t_n^2.  For the classical
     families it simply equals t**2; the finite "twisted" cases (where the
     printed recursion has imaginary off-diagonals) store t as |t_n| with the
-    negative square kept here, and such streams are rejected by the engine.
+    negative square kept here, and ``run_recursion`` rejects such streams.
     """
 
     s: np.ndarray
@@ -52,9 +57,11 @@ class RecursionCoeffs:
         return self.s.shape[0]
 
 
-def run_recursion(coeffs: RecursionCoeffs, z: float, n_max: int,
+def run_recursion(coeffs: RecursionCoeffs, z, n_max: int,
                   cap: int = DEFAULT_N_MAX_CAP) -> np.ndarray:
-    """Evaluate P_0..P_{n_max} at argument z by forward recursion.
+    """Evaluate P_0..P_{n_max} by forward recursion at z, one argument or an
+    array of them.  An array gives one row per argument, each row bit for
+    bit the scalar call's.
 
     P_0 = 1, P_1 = (z - s_0)/t_0, then
     P_{n+1} = [(z - s_n) P_n - t_{n-1} P_{n-1}] / t_n.
@@ -63,46 +70,40 @@ def run_recursion(coeffs: RecursionCoeffs, z: float, n_max: int,
         raise ValueError("n_max must be >= 0")
     if n_max > cap:
         raise ValueError(f"n_max={n_max} exceeds forward-recursion cap {cap}")
-    if n_max > 0:
-        if len(coeffs) < n_max:
-            raise ValueError("coefficient streams shorter than n_max")
-        used_t = coeffs.t[:n_max]
-        if np.any(used_t == 0.0):
-            bad = int(np.nonzero(used_t == 0.0)[0][0])
-            raise ZeroOffDiagonal(f"t_{bad} = 0: family parameterization invalid here")
-        if np.any(coeffs.t_squared[:n_max] < 0.0):
-            bad = int(np.nonzero(coeffs.t_squared[:n_max] < 0.0)[0][0])
-            raise ZeroOffDiagonal(
-                f"t_{bad}^2 < 0: twisted stream has no real polynomial sequence"
-            )
-    values = np.empty(n_max + 1, dtype=float)
-    values[0] = 1.0
-    if n_max >= 1:
-        values[1] = (z - coeffs.s[0]) / coeffs.t[0]
-    for n in range(1, n_max):
-        values[n + 1] = ((z - coeffs.s[n]) * values[n]
-                         - coeffs.t[n - 1] * values[n - 1]) / coeffs.t[n]
-    return values
+    if len(coeffs) < n_max:
+        raise ValueError("coefficient streams shorter than n_max")
+    t = coeffs.t[:n_max].tolist()
+    if 0.0 in t:
+        raise ZeroOffDiagonal(f"t_{t.index(0.0)} = 0: family parameterization "
+                              "invalid here")
+    negative = [n for n, v in enumerate(coeffs.t_squared[:n_max].tolist()) if v < 0.0]
+    if negative:
+        raise ZeroOffDiagonal(f"t_{negative[0]}^2 < 0: twisted stream has no real "
+                              "polynomial sequence")
+    return _forward(coeffs.s[:n_max].tolist(), t, t, z)
 
 
-def run_recursion_general(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray,
-                          z: float, n_max: int) -> np.ndarray:
-    """Evaluate a (possibly nonsymmetric) three-term recursion.
-
-    z f_n = diag_n f_n + sub_n f_{n-1} + sup_n f_{n+1}, f_0 = 1.  Used by the
-    mixed-spectrum assemblies where the symmetrized off-diagonals would be
-    imaginary although the function values themselves are real.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    values = np.empty(n_max + 1, dtype=float)
-    values[0] = 1.0
-    for n in range(n_max):
-        if sup[n] == 0.0:
-            raise ZeroOffDiagonal(f"sup_{n} = 0 in general recursion")
-        prev = values[n - 1] if n > 0 else 0.0
-        subterm = sub[n] * prev if n > 0 else 0.0
-        values[n + 1] = ((z - diag[n]) * values[n] - subterm) / sup[n]
+def _forward(s: list, sub: list, sup: list, z) -> np.ndarray:
+    """f_0..f_n, n = len(s), of z f_k = s_k f_k + sub_{k-1} f_{k-1} + sup_k f_{k+1},
+    f_0 = 1, for nonzero sup_k.  A scalar z steps Python floats; an array
+    steps whole rows through the same expression.  NonFiniteValue names the
+    first degree that is not finite; only the last is tested, since with
+    finite nonzero coefficients no value past an inf or nan is finite."""
+    scalar = isinstance(z, float) or np.ndim(z) == 0
+    x = float(z) if scalar else np.asarray(z, dtype=float)
+    prev, cur = 0.0, 1.0 if scalar else np.ones(x.shape)
+    rows = [cur]
+    with contextlib.nullcontext() if scalar else np.errstate(all="ignore"):
+        for sn, below, above in zip(s, [0.0, *sub], sup):
+            prev, cur = cur, ((x - sn) * cur - below * prev) / above
+            rows.append(cur)
+    values = np.array(rows)
+    if not scalar:   # one row per argument
+        values = values.transpose(*range(1, x.ndim + 1), 0).copy()
+    if not (math.isfinite(cur) if scalar else np.isfinite(cur).all()):
+        first = np.argmin(np.isfinite(values).reshape(-1, len(rows)).all(axis=0))
+        raise NonFiniteValue(f"P_{first} is not finite: the forward recursion "
+                             "overflowed or z is not finite")
     return values
 
 
@@ -118,9 +119,7 @@ def christoffel_darboux_check(coeffs: RecursionCoeffs, z: float, n_top: int,
         raise ValueError("need at least P_0 and P_1 for the identity")
     if h is None:
         h = 1e-5 * max(1.0, abs(z))
-    plus = run_recursion(coeffs, z + h, n_top)
-    minus = run_recursion(coeffs, z - h, n_top)
-    center = run_recursion(coeffs, z, n_top)
+    plus, minus, center = run_recursion(coeffs, np.array([z + h, z - h, z]), n_top)
     dP = (plus - minus) / (2.0 * h)
     lhs = float(np.sum(center[:n_top] ** 2))
     rhs = coeffs.t[n_top - 1] * (dP[n_top] * center[n_top - 1]

@@ -13,9 +13,9 @@ from scipy.special import eval_genlaguerre, eval_jacobi
 
 from triseries.basis import (evaluate_series, jacobi_cd, jacobi_norm,
                              laguerre_norm, negative_integer_index)
-from triseries.errors import DomainError, IndexOutOfValidity
+from triseries.errors import DegenerateDenominator, DomainError, IndexOutOfValidity
 from triseries.gammafn import log_abs_rising, log_gamma_real
-from triseries.tra import BasisSpec
+from triseries.tra import BasisSpec, OdeParams, jacobi_st2r2, resolve_basis
 
 
 def basis_element(spec, n, x):
@@ -142,6 +142,19 @@ def test_jacobi_cd_equals_the_scalar_forms_bit_for_bit():
             assert c[n] == c_ref
             assert d[n] == g * math.sqrt(arg)
             assert d2[n] == g ** 2 * arg
+
+
+@pytest.mark.parametrize("shift", [-2.0, -1.0])
+def test_jacobi_cd_raises_where_a_denominator_vanishes(shift):
+    # mu + nu = -2 divides by zero in C_0, C_1 and D_0; mu + nu = -1 makes
+    # D_0^2 0/0
+    p = OdeParams("jacobi", 0.8, 0.5, -0.9, 1.2, 1.1)
+    nu = resolve_basis(p, "JC", free_value=0.0).nu
+    spec = resolve_basis(p, "JC", free_value=shift - nu)
+    with pytest.raises(DegenerateDenominator, match="vanishes at n = 0"):
+        jacobi_st2r2(p, spec, 8)
+    with pytest.raises(DegenerateDenominator, match="vanishes at n = 1"):
+        jacobi_cd(0.5, shift - 3.5, 4)
 
 
 def test_basis_element_vanishes_at_origin_with_positive_power():

@@ -111,6 +111,15 @@ def test_polytable_wilson_parameter_sum_two(capsys):
     assert vals == pytest.approx(list(ref), rel=1e-15)
 
 
+def test_polytable_overflow_exits_one_with_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "polytable", "--family", "meixner",
+                             "--mu", "0.7", "--tau", "0.4", "--z", "1e300",
+                             "--n-max", "40")
+    assert code == 1 and out == ""
+    assert err == "error: NonFiniteValue: P_2 is not finite: the forward " \
+                  "recursion overflowed or z is not finite\n"
+
+
 def test_phaseshift_single_energy(capsys):
     code, out, _ = run_cli(capsys, "phaseshift", "--case", "coulomb",
                            "--Z", "1", "--ell", "0", "--E", "0.5")

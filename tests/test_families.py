@@ -388,6 +388,19 @@ def test_oracle_equivalence_suite_passes():
         assert check.passed, f"{check.name}: {check.value} > {check.tolerance}"
 
 
+def test_discrete_gram_sums_point_by_point_in_mass_order():
+    # one recursion over all 161 points, summed in the order of a running sum
+    f = fam.Meixner(0.5, 0.25)
+    points = [f.mass_point(k) for k in range(161)]
+    masses = [f.discrete_mass(k) for k in range(161)]
+    co = fam.family_coeffs(f, 8)
+    g = np.zeros((7, 7))
+    for pt, m in zip(points, masses):
+        vals = run_recursion(co, pt, 6)
+        g += m * np.outer(vals, vals)
+    assert np.array_equal(verify._discrete_gram(f, 6, points, masses), g)
+
+
 def test_weight_suite_passes():
     for check in weight_suite():
         assert check.passed, f"{check.name}: {check.value} > {check.tolerance}"
@@ -584,6 +597,13 @@ def test_high_precision_reference_needs_exact_wilson_pairs(f, valid, refusal):
         closed_form_hp(f, 1.0, 5)
 
 
+def test_twisted_values_validate_the_record():
+    with pytest.raises(InvalidFamilyParams, match="gamma, sigma > -1"):
+        fam.values_by_recursion(fam.Racah(3, -1.5, 0.2), 1, 3)
+    with pytest.raises(InvalidFamilyParams, match="gamma, sigma > -1"):
+        fam.values_by_recursion(fam.Racah(3, 0.2, -1.5), [0, 1], 3)
+
+
 def test_wilson_validate_needs_a_conjugation_closed_multiset():
     # a+b+c+d is not real there: the streams ended in a raw ArithmeticError
     with pytest.raises(InvalidFamilyParams, match="must pair up"):
@@ -676,8 +696,9 @@ def test_weight_density_large_argument(f, rel):
     (fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2),
      [0.3, 1.3, 3.9], 10),
     (fam.Racah(8, 0.6, 1.4), [0, 3, 8], 8),           # the twisted path
+    (fam.Meixner(0.5, 0.25), range(161), 6),          # the weight suite's points
 ], ids=["meixner_pollaczek", "meixner", "krawtchouk", "continuous_dual_hahn",
-        "dual_hahn", "wilson", "wilson_complex", "racah"])
+        "dual_hahn", "wilson", "wilson_complex", "racah", "meixner_161"])
 def test_array_arguments_equal_the_scalar_calls_row_by_row(f, args, n_max):
     args = np.asarray(args)
     ref = closed_form_hp(f, args, n_max)

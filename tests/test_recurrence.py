@@ -1,13 +1,14 @@
-"""The symmetric three-term engine and the Christoffel-Darboux check."""
+"""The three-term engine, on one argument or an array, and the
+Christoffel-Darboux check."""
 
 import math
 
 import numpy as np
 import pytest
 
-from triseries.errors import ZeroOffDiagonal
+from triseries.errors import NonFiniteValue, ZeroOffDiagonal
 from triseries.families import (ContinuousDualHahn, Meixner, MeixnerPollaczek,
-                                Wilson, family_coeffs)
+                                Racah, Wilson, family_coeffs, values_by_recursion)
 from triseries.recurrence import (RecursionCoeffs, christoffel_darboux_check,
                                   run_recursion)
 from triseries.verify import closed_form_hp
@@ -106,3 +107,65 @@ def test_family_recursion_matches_closed_forms_low_degrees():
         ref = closed_form_hp(fam, arg, 10)
         for n in range(11):
             assert seq[n] == pytest.approx(ref[n], rel=1e-10, abs=1e-10)
+
+
+def _reference_values(s, sub, sup, z, n_max):
+    """z f_n = s_n f_n + sub_{n-1} f_{n-1} + sup_n f_{n+1}, written out degree
+    by degree on numpy scalars."""
+    vals = np.empty(n_max + 1)
+    vals[0] = 1.0
+    for n in range(n_max):
+        below = sub[n - 1] * vals[n - 1] if n else 0.0
+        vals[n + 1] = ((z - s[n]) * vals[n] - below) / sup[n]
+    return vals
+
+
+@pytest.mark.parametrize("f, z, n_max", [
+    (MeixnerPollaczek(0.8, 2.1), np.array(0.4), 200),             # 0-d
+    (MeixnerPollaczek(0.8, 2.1), np.array([-3.1]), 200),          # 1 element
+    (Wilson(0.5, 1.1, 0.8, 1.7), np.linspace(0.0, 40.0, 161), 200),
+], ids=["0d", "one", "wilson_161"])
+def test_array_rows_equal_the_scalar_calls_bit_for_bit(f, z, n_max):
+    co = family_coeffs(f, n_max)
+    vals = run_recursion(co, z, n_max)
+    assert vals.shape == z.shape + (n_max + 1,)
+    for zi, row in zip(np.atleast_1d(z), np.atleast_2d(vals)):
+        assert np.array_equal(row, run_recursion(co, float(zi), n_max))
+        assert np.array_equal(row, _reference_values(co.s, co.t, co.t, zi, n_max))
+
+
+def test_twisted_array_rows_equal_the_scalar_calls_bit_for_bit():
+    # Racah's real nonsymmetric form runs through the same loop
+    f = Racah(200, 0.6, 1.4)
+    ks = np.arange(0, 201, 5)
+    vals = values_by_recursion(f, ks, 200)
+    assert vals.shape == (len(ks), 201)
+    co = family_coeffs(f, 200)
+    for k, row in zip(ks, vals):
+        assert np.array_equal(row, values_by_recursion(f, int(k), 200))
+        assert np.array_equal(row, _reference_values(co.s, co.t, -co.t,
+                                                     f.spectral_point(k), 200))
+    assert np.array_equal(values_by_recursion(f, ks[:1], 200)[0], vals[0])
+
+
+@pytest.mark.parametrize("z, h", [(3.0, None), (-0.75, 1e-5), (2.0, 2e-3)])
+def test_christoffel_darboux_equals_three_scalar_recursions(z, h):
+    co = family_coeffs(Meixner(0.5, 0.25), 9)
+    step = 1e-5 * max(1.0, abs(z)) if h is None else h
+    plus, minus, center = (run_recursion(co, x, 8) for x in (z + step, z - step, z))
+    dp = (plus - minus) / (2.0 * step)
+    ref = abs(float(np.sum(center[:8] ** 2))
+              - co.t[7] * (dp[8] * center[7] - center[8] * dp[7]))
+    assert christoffel_darboux_check(co, z, 8, h) == ref
+
+
+@pytest.mark.parametrize("z, first", [
+    (1e300, 2), (np.array([0.5, 1e300]), 2), (math.nan, 1),
+])
+def test_non_finite_value_raises_a_typed_error(z, first):
+    # Python floats overflow without a warning; numpy rows would warn, which
+    # the test configuration turns into an error
+    co = family_coeffs(Meixner(0.7, 0.4), 40)
+    with pytest.raises(NonFiniteValue, match=f"P_{first} is not finite"):
+        run_recursion(co, z, 40)
+    assert np.all(run_recursion(co, z, 0) == 1.0)
