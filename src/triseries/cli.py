@@ -1,9 +1,13 @@
 """Command-line surface: spectra, phase shifts, wavefunction samples,
 polynomial tables, property verification and family matching.
 
-Output is CSV (numeric payload, 17 significant digits, LF endings) or JSON
-(one object with "config", "rows", "diagnostics").  Exit codes: 0 success,
-1 usage/config/domain error, 2 verification-tolerance failure.
+Each command hands its table to the writer as columns.  Output is CSV
+(numeric payload, 17 significant digits, LF endings) or JSON (one object
+with "config", "rows", "diagnostics").  Exit codes: 0 success,
+1 usage/config/domain/arithmetic error, 2 verification-tolerance failure.
+
+A call imports numpy, scipy.special and scipy.linalg; scipy's quadrature
+stack loads only when ``verify --suite weights`` (or ``all``) runs.
 """
 
 from __future__ import annotations
@@ -33,11 +37,6 @@ def _cell(x):
     return float(x)
 
 
-def _fmt(x) -> str:
-    v = _cell(x)
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-
 _STRING = json.encoder.encode_basestring_ascii
 
 
@@ -50,35 +49,40 @@ def _json_column(cells) -> list:
     return [_STRING(c) if isinstance(c, str) else next(texts) for c in cells]
 
 
-def _json_rows(header, rows) -> str:
+def _json_rows(header, cols) -> str:
     """The "rows" value as json.dumps(sort_keys=True, indent=2) writes it
-    one level down, built column by column: each row is the object
-    dict(zip(header, map(_cell, row)))."""
-    if not rows:
+    one level down, built from the table's columns of JSON values: row i is
+    the object dict(zip(header, the i-th cell of each column))."""
+    if not cols or not cols[0]:
         return "[]"
     # a repeated name keeps its last column, as dict(zip(...)) does
     last = {name: i for i, name in enumerate(header)}
     keys = sorted(last)
-    cols = [_json_column([_cell(row[last[k]]) for row in rows]) for k in keys]
+    texts = [_json_column(cols[last[k]]) for k in keys]
     row_text = ("    {\n" + ",\n".join(
         "      " + _STRING(k).replace("%", "%%") + ": %s" for k in keys)
         + "\n    }")
-    return "[\n" + ",\n".join(map(row_text.__mod__, zip(*cols))) + "\n  ]"
+    return "[\n" + ",\n".join(map(row_text.__mod__, zip(*texts))) + "\n  ]"
 
 
-def _emit(config: dict, header, rows, diagnostics: dict, fmt: str, out_path):
+def _emit(config: dict, header, columns, diagnostics: dict, fmt: str,
+          out_path):
+    """Write a table given as columns: a numpy array of a float or int dtype
+    (never bool, which tolist would make true/false) becomes Python values in
+    one tolist call, any other column passes through _cell cell by cell."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(map(_cell, c))
+            for c in columns]
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        texts = [[f"{v:.17g}" if isinstance(v, float) else str(v) for v in col]
+                 for col in cols]
+        text = "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
     else:
         # the bytes of json.dumps({"config", "diagnostics", "rows"},
         # sort_keys=True, indent=2, default=str): "rows" sorts last, so its
         # placeholder [] ends the small part and the table text replaces it
         head = json.dumps({"config": config, "diagnostics": diagnostics,
                            "rows": []}, sort_keys=True, indent=2, default=str)
-        text = head[:-len("[]\n}")] + _json_rows(header, rows) + "\n}\n"
+        text = head[:-len("[]\n}")] + _json_rows(header, cols) + "\n}\n"
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
@@ -113,19 +117,13 @@ def cmd_spectrum(ns) -> int:
     spec = physics.bound_spectrum(case, m_max=ns.m_max)
     mesh = physics.default_mesh(case, len(spec.levels))
     oracle = physics.fd_oracle(case, n_levels=len(spec.levels), mesh=mesh)
-    formula = spec.energies
-    order = np.argsort(formula)
-    rows = []
-    ok = True
-    for rank, idx in enumerate(order):
-        m, e = spec.levels[idx]
-        e_fd = float(oracle[rank])
-        diff = abs(e - e_fd)
-        rows.append((m, e, e_fd, diff))
-        if diff > ns.tol * max(abs(e_fd), 1e-2):
-            ok = False
-    rows.sort(key=lambda r: r[0])
-    _emit(_case_config(ns), ["m", "E_formula", "E_oracle", "abs_diff"], rows,
+    ms, formula = zip(*spec.levels)
+    # the oracle lists the levels by energy, the table lists them by m
+    e_fd = oracle[np.argsort(np.argsort(spec.energies))].tolist()
+    diff = [abs(e - f) for e, f in zip(formula, e_fd)]
+    ok = not any(d > ns.tol * max(abs(f), 1e-2) for d, f in zip(diff, e_fd))
+    _emit(_case_config(ns), ["m", "E_formula", "E_oracle", "abs_diff"],
+          [ms, formula, e_fd, diff],
           {"tolerance": ns.tol, "within_tolerance": ok,
            "fd_nodes": [mesh.steps() - 1, mesh.halved().steps() - 1]},
           ns.format, ns.out)
@@ -138,8 +136,9 @@ def cmd_phaseshift(ns) -> int:
         energies = np.array([ns.E])
     else:
         energies = np.linspace(ns.E_min, ns.E_max, ns.n_E)
-    rows = list(zip(energies, physics.phase_shift(case, energies)))
-    _emit(_case_config(ns), ["E", "delta"], rows, {}, ns.format, ns.out)
+    _emit(_case_config(ns), ["E", "delta"],
+          [energies, physics.phase_shift(case, energies)], {}, ns.format,
+          ns.out)
     return 0
 
 
@@ -148,8 +147,7 @@ def cmd_wavefunction(ns) -> int:
     _, sol = physics.bound_series(case, ns.m, truncation=ns.truncation)
     rs = np.linspace(ns.r_min, ns.r_max, ns.n_r)
     psi = physics.wavefunction(case, sol, rs)
-    rows = [(float(r), float(p)) for r, p in zip(rs, psi)]
-    _emit(_case_config(ns), ["r", "psi"], rows,
+    _emit(_case_config(ns), ["r", "psi"], [rs, psi],
           {"truncation": sol.truncation,
            "unnormalized": bool(sol.unnormalized)}, ns.format, ns.out)
     return 0
@@ -181,19 +179,20 @@ def cmd_polytable(ns) -> int:
     family = _FAMILY_BUILDERS[ns.family](ns)
     coeffs = fam.family_coeffs(family, max(ns.n_max, 1))
     vals = run_recursion(coeffs, ns.z, ns.n_max)
-    rows = [(n, float(v)) for n, v in enumerate(vals)]
-    _emit(_case_config(ns), ["n", "P_n"], rows, {}, ns.format, ns.out)
+    _emit(_case_config(ns), ["n", "P_n"], [np.arange(vals.size), vals], {},
+          ns.format, ns.out)
     return 0
 
 
 def cmd_verify(ns) -> int:
     names = None if ns.suite == "all" else [ns.suite]
     checks = verify.run_suites(names)
-    rows = [(c.name, c.value, c.tolerance, "pass" if c.passed else "fail")
-            for c in checks]
+    columns = [[c.name for c in checks], [c.value for c in checks],
+               [c.tolerance for c in checks],
+               ["pass" if c.passed else "fail" for c in checks]]
     ok = all(c.passed for c in checks)
-    _emit(_case_config(ns), ["property", "value", "tolerance", "status"], rows,
-          {"all_passed": ok}, ns.format, ns.out)
+    _emit(_case_config(ns), ["property", "value", "tolerance", "status"],
+          columns, {"all_passed": ok}, ns.format, ns.out)
     return 0 if ok else 2
 
 
@@ -402,7 +401,7 @@ def main(argv=None) -> int:
         ns = ap.parse_args(raw_args)
     try:
         return ns.func(ns)
-    except TriseriesError as exc:
+    except (TriseriesError, ArithmeticError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(ns, "format", "csv") == "json":
             sys.stderr.write(json.dumps({"diagnostics": diag}) + "\n")

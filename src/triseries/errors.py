@@ -101,4 +101,5 @@ class BoxTooSmall(TriseriesError):
 
 
 class NonFiniteValue(TriseriesError):
-    """A recursion value is inf or nan: an overflow or a non-finite argument."""
+    """A computed value (a recursion value or a phase shift) is inf or nan:
+    an overflow, an underflowed scale or a non-finite argument."""

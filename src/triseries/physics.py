@@ -28,7 +28,7 @@ from . import solve as solvemod
 from .errors import (AmbiguousRegion, BelowThreshold, BoxTooSmall,
                      IndexOutOfSpectrum, InvalidFamilyParams, MeshTooCoarse,
                      NoBoundStates, NoContinuum, NoTerminatingIndex,
-                     TriseriesError)
+                     NonFiniteValue, TriseriesError)
 from .gammafn import arg_gamma, wrap_angle
 from .tra import (JACOBI, LAGUERRE, OdeParams, resolve_basis,
                   terminating_free_index)
@@ -620,7 +620,13 @@ def phase_shift(case, E):
     E = np.asarray(E, dtype=float)
     if np.any((E <= 0) | (E < thr)):
         raise BelowThreshold(f"{case.name} continuum needs E > max(0, {thr})")
-    return wrap_angle(case.phase(E))
+    with np.errstate(all="ignore"):
+        delta = wrap_angle(case.phase(E))
+    bad = ~np.isfinite(delta)
+    if np.any(bad):
+        raise NonFiniteValue(f"{case.name}: the phase shift at E="
+                             f"{float(E[bad].flat[0])!r} is not finite")
+    return delta
 
 
 # ---------------------------------------------------------------------------

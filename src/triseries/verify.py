@@ -20,7 +20,6 @@ from itertools import accumulate
 from operator import mul
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from . import families as fam
 from .basis import jacobi_cd
@@ -389,6 +388,8 @@ def _discrete_gram(f, n_top: int, points, masses):
 
 def weight_suite(seed: int = 20240818):
     """Mass normalization and discrete/continuous orthonormality."""
+    from scipy.integrate import quad, quad_vec
+
     out = []
     # Meixner: infinite masses, truncated by tail mass
     f = fam.Meixner(0.5, 0.25)

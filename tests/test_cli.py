@@ -3,10 +3,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triseries
 from triseries.cli import _build_case, _emit, build_parser, main
 from triseries.families import (MeixnerPollaczek, Wilson,
                                 values_by_recursion)
@@ -349,9 +355,13 @@ _WRITER_COMMANDS = {
                        "--E-min", "0.1", "--E-max", "5", "--n-E", "200"],
     "phaseshift-0": ["phaseshift", "--case", "eckart", "--A", "2", "--B", "-20",
                      "--n-E", "0"],
+    "phaseshift-1": ["phaseshift", "--case", "coulomb", "--E", "0.7"],
     "wavefunction-0": ["wavefunction", "--case", "oscillator", "--n-r", "0"],
+    "wavefunction-37": ["wavefunction", "--case", "coulomb", "--n-r", "37"],
     "polytable-0": ["polytable", "--family", "meixner", "--z", "-0.5",
                     "--n-max", "0"],
+    "polytable-40": ["polytable", "--family", "meixner", "--mu", "0.7",
+                     "--tau", "0.4", "--z", "-1.2", "--n-max", "40"],
     "polytable-200": ["polytable", "--family", "wilson", "--a", "0.5",
                       "--b", "0.9", "--c", "1.3", "--d", "0.7", "--z", "2.5",
                       "--n-max", "200"],
@@ -394,7 +404,8 @@ def test_emit_json_equals_json_dumps_of_row_dicts(capsys):
             (np.float64(1e-310), "\u2603, \\ / \t", 12345678901234567890, -0.0)]
     config = {"command": "test", "zeta": 1, "alpha": None}
     diagnostics = {"ok": True, "nested": {"b": 1, "a": [1, 2]}}
-    _emit(config, header, rows, diagnostics, "json", None)
+    _emit(config, header, [list(col) for col in zip(*rows)], diagnostics,
+          "json", None)
     out = capsys.readouterr().out
     cells = [[v if isinstance(v, str) else
               int(v) if isinstance(v, (int, np.integer)) else float(v)
@@ -433,3 +444,50 @@ def test_poschl_teller_shallow_top_level_passes_the_gate(capsys):
                                  "--format", "json")
         assert code == 0, (b, err)
         assert json.loads(out)["diagnostics"]["within_tolerance"] is True
+
+
+@pytest.mark.parametrize("args, error", [
+    (("spectrum", "--case", "coulomb", "--Z", "1e300"), "OverflowError"),
+    (("spectrum", "--case", "morse", "--lambda", "1e-300"),
+     "ZeroDivisionError"),
+    (("polytable", "--family", "dual_hahn", "--tau", "1e300", "--z", "1",
+      "--n-max", "3"), "OverflowError"),
+])
+def test_arithmetic_fault_is_one_error_line(args, error, capsys):
+    # an overflow or a division by zero in a case or family formula exits 1
+    # with one line, as a typed error does
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, ""), err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
+    code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert (code, out) == (1, ""), err
+    assert json.loads(err)["diagnostics"]["error"] == error
+
+
+def test_non_finite_phase_shift_is_a_typed_error(capsys):
+    # lambda = 1e-300 makes Eckart's phase nan; nothing is printed for it and
+    # no numpy warning escapes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "phaseshift", "--case", "eckart",
+                                 "--lambda", "1e-300", "--E", "1")
+    assert (code, out, caught) == (1, "", [])
+    assert err == ("error: NonFiniteValue: eckart: the phase shift at E=1.0 "
+                   "is not finite\n")
+
+
+def test_cli_import_leaves_the_quadrature_stack_out():
+    # a fresh CLI process loads scipy.integrate (and the optimize and sparse
+    # packages it pulls in) only when the weight suite runs
+    code = ("import sys, triseries.cli\n"
+            "triseries.cli.build_parser()\n"
+            "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "triseries.verify.weight_suite()\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    src = str(Path(triseries.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
