@@ -348,6 +348,11 @@ class DualHahn:
         if not ok:
             raise InvalidFamilyParams(
                 "dual Hahn needs tau, sigma > -1 or tau, sigma < -N")
+        c = self.tau + self.sigma + 1.0   # the spectral points square it
+        if not math.isfinite(c * c):
+            raise InvalidFamilyParams(
+                f"dual Hahn needs (tau + sigma + 1)^2 finite, got "
+                f"tau = {self.tau}, sigma = {self.sigma}")
 
     def streams(self, n_terms):
         ns = np.arange(n_terms, dtype=float)

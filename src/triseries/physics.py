@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from typing import Optional, Protocol
 
 import numpy as np
@@ -83,6 +82,11 @@ class RadialMesh:
         return replace(self, h=0.5 * self.h, hi=float(self._r(self.steps())))
 
 
+# a float whose square is a normal float lies in [_SQRT_TINY, _SQRT_HUGE]
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_SQRT_HUGE = math.sqrt(np.finfo(float).max)
+
+
 def _require_finite(case) -> None:
     """Reject a case record whose numeric field is nan or infinite, naming
     the field; a field left at None is not set."""
@@ -132,6 +136,9 @@ class CoulombCase:
             raise ValueError("scale lam must be > 0")
         if self.ell < 0 or self.ell != int(self.ell):
             raise ValueError("ell must be a non-negative integer")
+        if not math.isfinite(self.Z * self.Z):
+            raise ValueError(f"coulomb: Z = {self.Z} is out of range: the "
+                             f"level energies -Z^2/(2 n^2) overflow")
 
     def x_of_r(self, r):
         return self.lam * r
@@ -255,6 +262,9 @@ class MorseCase:
         _require_finite(self)
         if self.lam <= 0:
             raise ValueError("lam must be > 0")
+        if not _SQRT_TINY <= self.lam <= _SQRT_HUGE:
+            raise ValueError(f"morse: lam = {self.lam} is out of range: "
+                             f"lam^2 is not a normal float")
         pinned = self.lam ** 2 / 8.0
         if self.V2 is None:
             object.__setattr__(self, "V2", pinned)
@@ -640,8 +650,7 @@ def default_mesh(case, n_levels: int = 3) -> RadialMesh:
     return case.fd_mesh(n_levels)
 
 
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
-_SQRT_HUGE = math.sqrt(np.finfo(float).max)
+_SEED_COARSENING = 8   # an h mesh takes its seeds from the mesh of step 8h
 
 
 def _fd_operator(case, mesh: RadialMesh):
@@ -662,18 +671,36 @@ def _fd_operator(case, mesh: RadialMesh):
     return diag, off
 
 
-def _lowest_eigenvalues(diag, off, k: int, seeds=None) -> np.ndarray:
-    """The k lowest eigenvalues of the symmetric tridiagonal T = (diag, off):
-    seeds (by default bisected to 1e-8 ||T||) polished by Rayleigh-quotient
-    iteration and certified, or else LAPACK dstebz's full bisection."""
-    bisect = partial(eigh_tridiagonal, diag, off, eigvals_only=True,
-                     select="i", select_range=(0, k - 1), lapack_driver="stebz")
-    norm = np.abs(diag).max() + 2.0 * np.abs(off).max()   # >= ||T||_inf
-    seeds = bisect(tol=1e-8 * norm) if seeds is None else seeds
-    start = np.random.default_rng(0).random(diag.size)   # no symmetry
-    lam, eta = np.empty(k), np.empty(k)
-    for i, mu in enumerate(seeds):
-        v = start
+def _norm(diag, off) -> float:
+    """A bound on ||T||_inf of the tridiagonal T = (diag, off)."""
+    return np.abs(diag).max() + 2.0 * np.abs(off).max()
+
+
+def _bisection(diag, off, k: int, loose: bool = False) -> np.ndarray:
+    """LAPACK dstebz's k lowest eigenvalues of T = (diag, off): to full
+    accuracy, or loose, to 1e-8 _norm(T), as seeds for a polish."""
+    tol = {"tol": 1e-8 * _norm(diag, off)} if loose else {}
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, k - 1), lapack_driver="stebz",
+                            **tol)
+
+
+def _lowest_eigenvalues(diag, off, k: int, seeds=None, starts=None):
+    """The k lowest eigenpairs of the symmetric tridiagonal T = (diag, off),
+    as (values, unit vectors as the rows of a k x n array).
+
+    Each seed (by default T's own loose bisection) is polished by
+    Rayleigh-quotient iteration from its start vector (by default one
+    random vector shared by all seeds), and the values are certified.  If a
+    polish stalls or the certificate refuses, the values are dstebz's full
+    bisection and the vectors None."""
+    norm = _norm(diag, off)
+    seeds = _bisection(diag, off, k, loose=True) if seeds is None else seeds
+    if starts is None:
+        # one random vector: no symmetry of T can make it orthogonal to a level
+        starts = [np.random.default_rng(0).random(diag.size)] * k
+    lam, eta, vecs = np.empty(k), np.empty(k), np.empty((k, diag.size))
+    for i, (mu, v) in enumerate(zip(seeds, starts)):
         for _ in range(5):   # numpy sums, not BLAS (threaded on long vectors)
             v = dgtsv(off, diag - mu, off, v)[3]
             v = v / math.sqrt((v * v).sum())
@@ -684,8 +711,9 @@ def _lowest_eigenvalues(diag, off, k: int, seeds=None) -> np.ndarray:
             if res <= 64 * np.finfo(float).eps * norm:
                 break
         else:
-            return bisect()
+            return _bisection(diag, off, k), None
         lam[i], eta[i] = mu, 2.0 * res + 32 * np.finfo(float).eps * norm
+        vecs[i] = v
     # [lam - eta, lam + eta] holds an eigenvalue: 2 res covers the round-off
     # of res (read from T, whatever dgtsv returned), 32 eps ||T|| twice a
     # Sturm count's.  Disjoint intervals, none below lo (T - lo is positive
@@ -695,18 +723,48 @@ def _lowest_eigenvalues(diag, off, k: int, seeds=None) -> np.ndarray:
                  and dpttrf(diag - lo, off)[2] == 0
                  and dstebz(diag, off, 1, lo - eta[0], hi, 0, 0,   # (vl, vu]
                             hi - lo + eta[0], "E")[0] == k)
-    return lam if certified else bisect()
+    return (lam, vecs) if certified else (_bisection(diag, off, k), None)
 
 
-def _fd_eigenvalues(case, mesh: RadialMesh, k: int, seeds=None) -> np.ndarray:
-    evals = _lowest_eigenvalues(*_fd_operator(case, mesh), k, seeds)
+def _prolong(vecs) -> np.ndarray:
+    """Rows on the nodes of a mesh carried to the nodes of its halved mesh:
+    node j is node 2j there, and each node in between takes the mean of its
+    two neighbours, with 0 past the ends."""
+    k, n = vecs.shape
+    fine = np.zeros((k, 2 * n + 1))
+    fine[:, 1::2] = vecs
+    fine[:, :-1:2] += 0.5 * vecs   # the right neighbour of nodes 0 .. n-1
+    fine[:, 2::2] += 0.5 * vecs    # the left neighbour of nodes 1 .. n
+    return fine
+
+
+def _coarse_seeds(case, mesh: RadialMesh, k: int):
+    """Seeds for the k lowest FD levels on ``mesh``: a loose bisection of the
+    operator on the mesh of step _SEED_COARSENING h, or None (the mesh's own
+    bisection) if that one has under k nodes."""
+    coarse = replace(mesh, h=_SEED_COARSENING * mesh.h)
+    if coarse.steps() <= k:
+        return None
+    return _bisection(*_fd_operator(case, coarse), k, loose=True)
+
+
+def _fd_eigenpairs(case, mesh: RadialMesh, k: int, seeds=None, starts=None):
+    """The k lowest FD levels on ``mesh`` as _lowest_eigenvalues gives them;
+    BoxTooSmall if fewer than k lie below the continuum threshold."""
+    evals, vecs = _lowest_eigenvalues(*_fd_operator(case, mesh), k, seeds,
+                                      starts)
     if math.isfinite(case.threshold):
         # bound levels sit strictly below the continuum threshold
         hi = min(case.threshold, 0.0) + 1e-9
         n_below = int(np.count_nonzero(evals < hi))
         if n_below < k:
             raise BoxTooSmall(f"only {n_below} eigenvalues below hi={hi}")
-    return evals
+    return evals, vecs
+
+
+def _fd_eigenvalues(case, mesh: RadialMesh, k: int, seeds=None,
+                    starts=None) -> np.ndarray:
+    return _fd_eigenpairs(case, mesh, k, seeds, starts)[0]
 
 
 def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,
@@ -715,11 +773,15 @@ def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,
 
     Solves at steps h and h/2, Richardson-extrapolates, and raises
     MeshTooCoarse when the two meshes disagree beyond ``gate`` relative.
+    The h-mesh seeds are a loose bisection on the mesh of step 8h; the h/2
+    polish starts from the h-mesh levels and their eigenvectors.
     """
     if mesh is None:
         mesh = default_mesh(case, n_levels)
-    e_h = _fd_eigenvalues(case, mesh, n_levels)
-    e_h2 = _fd_eigenvalues(case, mesh.halved(), n_levels, seeds=e_h)
+    e_h, v_h = _fd_eigenpairs(case, mesh, n_levels,
+                              _coarse_seeds(case, mesh, n_levels))
+    e_h2 = _fd_eigenvalues(case, mesh.halved(), n_levels, seeds=e_h,
+                           starts=None if v_h is None else _prolong(v_h))
     rich = (4.0 * e_h2 - e_h) / 3.0
     scale = np.maximum(np.abs(rich), 1e-2)
     rel = np.abs(e_h2 - e_h) / scale

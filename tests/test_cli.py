@@ -447,11 +447,10 @@ def test_poschl_teller_shallow_top_level_passes_the_gate(capsys):
 
 
 @pytest.mark.parametrize("args, error", [
-    (("spectrum", "--case", "coulomb", "--Z", "1e300"), "OverflowError"),
-    (("spectrum", "--case", "morse", "--lambda", "1e-300"),
+    (("spectrum", "--case", "morse", "--V1", "1e300"), "OverflowError"),
+    (("wavefunction", "--case", "oscillator", "--lambda", "1e-300"),
      "ZeroDivisionError"),
-    (("polytable", "--family", "dual_hahn", "--tau", "1e300", "--z", "1",
-      "--n-max", "3"), "OverflowError"),
+    (("spectrum", "--case", "scarf", "--A", "1e300"), "OverflowError"),
 ])
 def test_arithmetic_fault_is_one_error_line(args, error, capsys):
     # an overflow or a division by zero in a case or family formula exits 1
@@ -462,6 +461,24 @@ def test_arithmetic_fault_is_one_error_line(args, error, capsys):
     code, out, err = run_cli(capsys, *args, "--format", "json")
     assert (code, out) == (1, ""), err
     assert json.loads(err)["diagnostics"]["error"] == error
+
+
+@pytest.mark.parametrize("args, line", [
+    (("spectrum", "--case", "coulomb", "--Z", "1e300"),
+     "error: coulomb: Z = 1e+300 is out of range: the level energies "
+     "-Z^2/(2 n^2) overflow\n"),
+    (("spectrum", "--case", "morse", "--lambda", "1e-300"),
+     "error: morse: lam = 1e-300 is out of range: lam^2 is not a normal "
+     "float\n"),
+    (("polytable", "--family", "dual_hahn", "--tau", "1e300", "--z", "1",
+      "--n-max", "3"),
+     "error: InvalidFamilyParams: dual Hahn needs (tau + sigma + 1)^2 "
+     "finite, got tau = 1e+300, sigma = 0.5\n"),
+])
+def test_out_of_range_field_is_named(args, line, capsys):
+    # the record refuses a field whose derived quantity would overflow or
+    # divide by zero, and the one error line names the field and its value
+    assert run_cli(capsys, *args) == (1, "", line)
 
 
 def test_non_finite_phase_shift_is_a_typed_error(capsys):

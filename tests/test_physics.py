@@ -155,7 +155,7 @@ def test_uniform_mesh_is_the_plain_three_point_operator():
         diag, off = _fd_operator(case, mesh)
         assert np.array_equal(diag, plain[0]), case.name
         assert np.array_equal(off, plain[1]), case.name
-        old = _lowest_eigenvalues(*plain, 2)
+        old, _ = _lowest_eigenvalues(*plain, 2)
         new = _fd_eigenvalues(case, mesh, 2)
         assert np.max(np.abs(new - old) / np.abs(old)) <= 1e-12, case.name
 
@@ -228,6 +228,14 @@ SEED_4242_SPECTRUM = [
     ["eckart", "--lambda", "1.0", "--A", "2.0", "--B", "-23.23309642347765"],
     ["eckart", "--lambda", "1.0", "--A", "2.0", "--B", "-16.399750403433877"]]
 
+# benchmark-style inputs whose h mesh took the full bisection when its seeds
+# came from a loose bisection of that same mesh: a seed fell nearer a box
+# state than its own level
+SEEDED_ON_THE_SAME_MESH_FELL_BACK = [
+    ["scarf", "--A", "0.467", "--B", "1.577", "--lambda", "1"],
+    ["scarf", "--A", "0.39", "--B", "2.12", "--lambda", "1"],
+    ["poschl_teller", "--lambda", "1", "--A", "1", "--B", "-32.27"]]
+
 
 def _bisection(diag, off, k, tol=0.0):
     return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
@@ -258,10 +266,55 @@ def test_no_acceptance_or_benchmark_input_falls_back(monkeypatch, capsys):
     monkeypatch.setattr(physics, "eigh_tridiagonal", spy)
     for case, k in ACCEPTANCE_POINTS:
         fd_oracle(case, k)
-    for argv in SEED_4242_SPECTRUM:
+    for argv in SEED_4242_SPECTRUM + SEEDED_ON_THE_SAME_MESH_FELL_BACK:
         cli.main(["spectrum", "--case", *argv, "--format", "json"])
     capsys.readouterr()
     assert full == []
+
+
+@pytest.mark.parametrize("case, k", ACCEPTANCE_POINTS,
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_levels_come_with_unit_eigenvectors(case, k):
+    # both meshes as fd_oracle solves them: the h/2 polish starts from the
+    # h-mesh vectors carried to its nodes
+    def solve():
+        mesh = default_mesh(case, k)
+        e_h, v_h = physics._fd_eigenpairs(
+            case, mesh, k, physics._coarse_seeds(case, mesh, k))
+        e_h2, v_h2 = physics._fd_eigenpairs(case, mesh.halved(), k, e_h,
+                                            physics._prolong(v_h))
+        return [(mesh, e_h, v_h), (mesh.halved(), e_h2, v_h2)]
+
+    first, again = solve(), solve()
+    eps = np.finfo(float).eps
+    for (mesh, lam, vecs), (_, lam2, vecs2) in zip(first, again):
+        diag, off = _fd_operator(case, mesh)
+        t_inf = np.max(np.abs(diag) + np.append(np.abs(off), 0.0)
+                       + np.append(0.0, np.abs(off)))
+        assert vecs.shape == (k, diag.size)
+        for e, v in zip(lam, vecs):
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            tv = diag * v + np.append(off * v[1:], 0.0) + np.append(
+                0.0, off * v[:-1])
+            assert np.linalg.norm(tv - e * v) <= 64 * eps * t_inf
+        assert np.array_equal(lam, lam2) and np.array_equal(vecs, vecs2)
+
+
+def test_prolonged_vectors_sit_on_the_nested_nodes():
+    # h node j is h/2 node 2j; a node in between takes the mean of its two
+    # neighbours, with 0 past the ends
+    vecs = np.array([[1.0, 2.0, 4.0], [-3.0, 0.5, 1.0]])
+    assert np.array_equal(physics._prolong(vecs),
+                          [[0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 2.0],
+                           [-1.5, -3.0, -1.25, 0.5, 0.75, 1.0, 0.5]])
+
+
+def test_the_full_bisection_returns_no_vectors():
+    case = PoschlTellerCase(lam=1.0, A=1.0, B=-36.0)
+    diag, off = _fd_operator(case, default_mesh(case, 3))
+    full = _bisection(diag, off, 3)
+    values, vectors = _lowest_eigenvalues(diag, off, 3, full[[0, 2, 2]])
+    assert np.array_equal(values, full) and vectors is None
 
 
 def test_uncertified_seeds_give_the_full_bisection_bit_for_bit():
@@ -272,7 +325,8 @@ def test_uncertified_seeds_give_the_full_bisection_bit_for_bit():
     diag, off = _fd_operator(case, default_mesh(case, 3))
     full = _bisection(diag, off, 3)
     for seeds in (full[[0, 2, 2]], _bisection(diag, off, 4)[1:], full + 50.0):
-        assert np.array_equal(_lowest_eigenvalues(diag, off, 3, seeds), full)
+        values, _ = _lowest_eigenvalues(diag, off, 3, seeds)
+        assert np.array_equal(values, full)
 
 
 @pytest.mark.parametrize("case, error, text", [
