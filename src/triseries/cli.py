@@ -401,15 +401,14 @@ def main(argv=None) -> int:
         ns = ap.parse_args(raw_args)
     try:
         return ns.func(ns)
-    except (TriseriesError, ArithmeticError) as exc:
+    except (TriseriesError, ArithmeticError, ValueError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(ns, "format", "csv") == "json":
             sys.stderr.write(json.dumps({"diagnostics": diag}) + "\n")
-        else:
+        elif isinstance(exc, (TriseriesError, ArithmeticError)):
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        else:   # a ValueError, such as a record's refusal: its message alone
+            sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

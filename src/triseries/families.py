@@ -20,6 +20,7 @@ family over random admissible parameter draws.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -48,6 +49,14 @@ class Family(Protocol):
     # the recursion variable of the k-th mass point, and the mass there
     def mass_point(self, k: int) -> float: ...
     def discrete_mass(self, k: int) -> float: ...
+
+
+def _require_finite(record) -> None:
+    """Refuse a family record whose numeric field is nan or infinite, naming
+    the field and its value."""
+    for name, v in vars(record).items():
+        if not cmath.isfinite(v):
+            raise InvalidFamilyParams(f"{record.kind}: {name} must be finite, got {v}")
 
 
 def _no_mass_formula(self, k: int):
@@ -129,6 +138,7 @@ class MeixnerPollaczek:
     kind = "meixner_pollaczek"
 
     def validate(self):
+        _require_finite(self)
         if not self.mu > 0:
             raise InvalidFamilyParams(f"Meixner-Pollaczek needs mu > 0, got {self.mu}")
         if not 0.0 < self.theta < math.pi:
@@ -171,6 +181,7 @@ class Meixner:
     kind = "meixner"
 
     def validate(self):
+        _require_finite(self)
         if not self.mu > 0:
             raise InvalidFamilyParams(f"Meixner needs mu > 0, got {self.mu}")
         if not 0.0 < self.tau < 1.0:
@@ -218,6 +229,7 @@ class Krawtchouk:
     kind = "krawtchouk"
 
     def validate(self):
+        _require_finite(self)
         if self.N < 0 or self.N != int(self.N):
             raise InvalidFamilyParams(f"Krawtchouk needs integer N >= 0, got {self.N}")
         if not 0.0 < self.tau < 1.0:
@@ -258,6 +270,7 @@ class ContinuousDualHahn:
     kind = "continuous_dual_hahn"
 
     def validate(self):
+        _require_finite(self)
         if not (self.a > 0 and self.b > 0):
             raise InvalidFamilyParams("continuous dual Hahn needs a, b > 0")
         if self.tau == 0.0:
@@ -341,6 +354,7 @@ class DualHahn:
     kind = "dual_hahn"
 
     def validate(self):
+        _require_finite(self)
         if self.N < 0 or self.N != int(self.N):
             raise InvalidFamilyParams(f"dual Hahn needs integer N >= 0, got {self.N}")
         ok = (self.tau > -1 and self.sigma > -1) or (self.tau < -self.N and
@@ -408,6 +422,7 @@ class Wilson:
     kind = "wilson"
 
     def validate(self):
+        _require_finite(self)
         params = (self.a, self.b, self.c, self.d)
         for p in params:
             if complex(p).real <= 0:
@@ -477,6 +492,7 @@ class MixedWilson(Wilson):
     weight gains a finite discrete part at w_k = -(k+a)^2."""
 
     def validate(self):
+        _require_finite(self)
         if any(complex(p).imag for p in (self.a, self.b, self.c, self.d)):
             raise InvalidFamilyParams("mixed Wilson needs real parameters")
         if self.c != self.d:
@@ -527,6 +543,7 @@ class Racah:
     twisted = True
 
     def validate(self):
+        _require_finite(self)
         if self.N < 0 or self.N != int(self.N):
             raise InvalidFamilyParams(f"Racah needs integer N >= 0, got {self.N}")
         if self.gamma <= -1 or self.sigma <= -1:

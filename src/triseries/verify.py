@@ -13,10 +13,11 @@ nonzero if any fails, and the test-suite asserts them individually.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from operator import mul
 
 import numpy as np
@@ -131,6 +132,11 @@ def _magnitude(v):
     return abs(v.real) + abs(v.imag)
 
 
+def _pair_product(u, v):
+    """(re, im) of u v from the (re, im) pairs u and v, as _Complex forms it."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
 def _cos_sin(theta: Decimal):
     """cos and sin of theta, |theta| < pi, from the Taylor series of
     e^{i theta} with five guard digits (its terms stay below 5)."""
@@ -153,6 +159,18 @@ def _dec(x) -> Decimal:
     return Decimal(float(x))          # exact: a float is a finite decimal fraction
 
 
+@functools.lru_cache(maxsize=16)
+def _shift_free_weights(n_max: int):
+    """The weights (-n)_j of degrees n = 1..n_max, j = 0..n, their absolute
+    values and the sum of those per degree, as Decimals: exact integers,
+    which no context rounds."""
+    weights = [list(accumulate(range(-n, 0), mul, initial=1)) for n in range(1, n_max + 1)]
+    abs_w = [[abs(v) for v in w] for w in weights]
+    return (tuple(tuple(map(Decimal, w)) for w in weights),
+            tuple(tuple(map(Decimal, a)) for a in abs_w),
+            tuple(Decimal(sum(a)) for a in abs_w))
+
+
 def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
     """P_0..P_{n_max} from the terminating-hypergeometric forms, in
     ``dps``-digit arithmetic on the standard library's ``decimal``
@@ -167,10 +185,13 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
     sums S_n = sum_j (-n)_j [(n + shift)_j] C_j, with C_j = prod_{i<j} c_i
     from the n-independent term ratios c_j.  Everything but the c_j, the C_j
     and the sums is argument-free and formed once per call: the weights
-    (-n)_j [(n + shift)_j] (exact integers when there is no shift), the
-    Pochhammer prefactors (running products in n) and their square roots.
-    A complex C_j (Meixner-Pollaczek, complex Wilson) sums its real and
-    imaginary parts on the same real weights.  Argument conventions:
+    (-n)_j [(n + shift)_j], the Pochhammer prefactors (running products in
+    n) and their square roots.  Without a shift the weights are exact
+    integers, built once per n_max.  A discrete family's sums stop at its
+    first C_j that is exactly zero, past which every term is zero.  A
+    complex C_j (Meixner-Pollaczek, complex Wilson) is carried as a pair of
+    real and imaginary Decimals, each summed on the same real weights, and
+    only the real part of rot_n S_n is formed.  Argument conventions:
     Meixner-Pollaczek takes z; the discrete families take the integer index
     k; the quadratic-variable families take w = z^2.
 
@@ -220,14 +241,18 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
         js, ns = range(n_max), range(1, n_max + 1)
         fact = products(1)
         shift = rot = None
-        if isinstance(f, fam.MeixnerPollaczek):
+        complex_c = isinstance(f, fam.MeixnerPollaczek)   # ratios are (re, im) pairs
+        if complex_c:
             mu, xs = _dec(f.mu), [_dec(a) for a in args]
             cos, sin = _cos_sin(_dec(f.theta))
-            x = _Complex(2 * sin * sin, 2 * sin * cos)       # 1 - e^{-2i theta}
-            num, den = [mu + j for j in js], [(2 * mu + j) * (j + 1) for j in js]
+            x_re, x_im = 2 * sin * sin, 2 * sin * cos       # 1 - e^{-2i theta}
+            # (mu + j + iz) x / d_j as (re, im), the terms of _Complex's product
+            mx = [((mu + j) * x_re, (mu + j) * x_im) for j in js]
+            den = [(2 * mu + j) * (j + 1) for j in js]
 
             def ratios(z):
-                return [_Complex(m, z) * x / d for m, d in zip(num, den)]
+                zi, zr = z * x_im, z * x_re
+                return (((r - zi) / d, (i + zr) / d) for (r, i), d in zip(mx, den))
             r2mu, rot = products(2 * mu), products(_Complex(cos, sin), 0)[1:]
             pre = [root(r2mu[n] / fact[n], n) for n in ns]
         elif isinstance(f, fam.Meixner):
@@ -236,7 +261,7 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
             den = [(2 * mu + j) * (j + 1) for j in js]
 
             def ratios(k):
-                return [(j - k) * x / d for j, d in zip(js, den)]
+                return ((j - k) * x / d for j, d in zip(js, den))
             r2mu, power = products(2 * mu), products(tau.sqrt(), 0)
             pre = [root(r2mu[n] / fact[n], n) * power[n] for n in ns]
         elif isinstance(f, fam.Krawtchouk):
@@ -244,7 +269,7 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
             den = [(j - N) * (j + 1) for j in js]
 
             def ratios(k):
-                return [Decimal(j - k) / d / tau for j, d in zip(js, den)]
+                return (Decimal(j - k) / d / tau for j, d in zip(js, den))
             fall, power = products(N, -1), products((tau / (1 - tau)).sqrt(), 0)
             pre = [root(fall[n] / fact[n], n) * power[n] for n in ns]
         elif isinstance(f, fam.ContinuousDualHahn):
@@ -254,7 +279,7 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
             den = [(tau + a + j) * (tau + b + j) * (j + 1) for j in js]
 
             def ratios(w):
-                return [(m + w) / d for m, d in zip(num, den)]
+                return ((m + w) / d for m, d in zip(num, den))
             ra, rb, rab = products(tau + a), products(tau + b), products(a + b)
             if f.a == f.b:   # analytic branch, signed
                 pre = [ra[n] / root(fact[n] * rab[n], n) for n in ns]
@@ -265,7 +290,7 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
             den = [(tau + 1 + j) * (j - N) * (j + 1) for j in js]
 
             def ratios(k):
-                return [(j - k) * (k + tau + sg + 1 + j) / d for j, d in zip(js, den)]
+                return ((j - k) * (k + tau + sg + 1 + j) / d for j, d in zip(js, den))
             rt, fall, fall_s = products(tau + 1), products(N, -1), products(N + sg, -1)
             pre = [root(rt[n] * fall[n] / (fact[n] * fall_s[n]), n) for n in ns]
         elif isinstance(f, fam.Wilson):
@@ -276,13 +301,15 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
                     "the Wilson closed form needs exactly conjugate pairs")
             a, b, c, d = (_Complex(_dec(p.real), _dec(p.imag)) if p.imag
                           else _dec(p.real) for p in ps)
+            complex_c = any(p.imag for p in ps)
             xs = [_dec(x) for x in args]
             s = sum(_dec(p.real) for p in ps)    # real: the pairs are exact
             num = [(a + j) * (a + j) for j in js]
             den = [(a + b + j) * (a + c + j) * (a + d + j) * (j + 1) for j in js]
 
             def ratios(w):
-                return [(m + w) / e for m, e in zip(num, den)]
+                cs = ((m + w) / e for m, e in zip(num, den))
+                return ((q.real, q.imag) for q in cs) if complex_c else cs
             rab, rac, rad = products(a + b), products(a + c), products(a + d)
             rbc, rbd, rcd = products(b + c), products(b + d), products(c + d)
             rs, shift, rot, pre = products(s), s - 1, [], []
@@ -299,7 +326,7 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
             den = [(g + 1 + j) * (sg + 1 + j) * (j - N) * (j + 1) for j in js]
 
             def ratios(k):
-                return [(j - k) * (k - N + j) / d for j, d in zip(js, den)]
+                return ((j - k) * (k - N + j) / d for j, d in zip(js, den))
             fall, rg, rgn = products(N, -1), products(gs + 2), products(gs + N + 2)
             shift = gs + 1
             pre = [root((2 * n + gs + 1) / (n + gs + 1) * fall[n] * rg[n]
@@ -307,36 +334,41 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
         else:
             raise TypeError(f"no high-precision form for {f!r}")
         # the weights (-n)_j [(n + shift)_j] of degree n, j = 0..n
-        weights = [list(accumulate(((j - n) if shift is None
-                                    else (j - n) * (n + shift + j) for j in range(n)),
-                                   mul, initial=1)) for n in ns]
+        if shift is None:
+            weights, abs_w, abs_sums = _shift_free_weights(n_max)
+        else:
+            weights = [list(accumulate(((j - n) * (n + shift + j) for j in range(n)),
+                                       mul, initial=1)) for n in ns]
+            abs_w = [[abs(v) for v in w] for w in weights]
+            abs_sums = [sum(a) for a in abs_w]
         # degree n's rounding, in units of 10^-17, is at most bound_n
         # sum_j |w_nj| |C_j|, which is at most loose max_j |C_j| at every n
         unit = Decimal(10) ** (17 - dps)
         bound = [abs(p) * (3 * n + 3) * unit for n, p in zip(ns, pre)]
         if rot is not None:
             bound = [e * _magnitude(r) for e, r in zip(bound, rot)]
-        abs_w = [[abs(v) for v in w] for w in weights]
-        loose = max((e * sum(a) for e, a in zip(bound, abs_w)), default=0)
+        loose = max(map(mul, bound, abs_sums), default=0)
         rows, again = [], []
         for i, xi in enumerate(xs):
-            cum = list(accumulate(ratios(xi), mul, initial=Decimal(1)))
-            re = [v.real for v in cum]
-            if isinstance(cum[-1], _Complex):
-                im = [v.imag for v in cum]
-                tot = [_Complex(sum(map(mul, w, re)), sum(map(mul, w, im)))
-                       for w in weights]
+            if complex_c:   # C_0 = 1, C_1 = c_0, C_{j+1} = C_j c_j
+                re, im = zip((Decimal(1), Decimal(0)),
+                             *accumulate(ratios(xi), _pair_product))
+                vals = [p * (r.real * sum(map(mul, w, re)) - r.imag * sum(map(mul, w, im)))
+                        for p, r, w in zip(pre, rot, weights)]
                 c_max = max(map(abs, re)) + max(map(abs, im))
-            else:
+            else:           # a discrete family's C_j vanish from its first zero on
+                re = list(takewhile(bool, accumulate(ratios(xi), mul,
+                                                     initial=Decimal(1))))
                 tot = [sum(map(mul, w, re)) for w in weights]
                 c_max = max(map(abs, re))
-            if rot is None:
-                vals = [p * t for p, t in zip(pre, tot)]
-            else:
-                vals = [p * (r * t).real for p, r, t in zip(pre, rot, tot)]
+                if rot is None:
+                    vals = [p * t for p, t in zip(pre, tot)]
+                else:
+                    vals = [p * (r * t) for p, r, t in zip(pre, rot, tot)]
             # max(1, |P_n|) >= 1: one product clears every degree at once
             if loose * c_max > 1:
-                c_abs = list(map(_magnitude, cum))
+                c_abs = ([abs(r) + abs(q) for r, q in zip(re, im)] if complex_c
+                         else list(map(abs, re)))
                 if any(e * sum(map(mul, a, c_abs)) > max(1, abs(v))
                        for e, a, v in zip(bound, abs_w, vals)):
                     again.append(i)

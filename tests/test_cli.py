@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import triseries
-from triseries.cli import _build_case, _emit, build_parser, main
+from triseries.cli import _FAMILY_BUILDERS, _build_case, _emit, build_parser, main
 from triseries.families import (MeixnerPollaczek, Wilson,
                                 values_by_recursion)
 from triseries.physics import (CASE_TYPES, CoulombCase, EckartCase, MorseCase,
@@ -479,6 +479,39 @@ def test_out_of_range_field_is_named(args, line, capsys):
     # the record refuses a field whose derived quantity would overflow or
     # divide by zero, and the one error line names the field and its value
     assert run_cli(capsys, *args) == (1, "", line)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--lambda", "-1"), "scale lam must be > 0"),
+    (("--Z", "1e300"), "coulomb: Z = 1e+300 is out of range: the level "
+                       "energies -Z^2/(2 n^2) overflow"),
+])
+def test_record_refusal_is_one_json_line(args, message, capsys):
+    # under --format json a record's ValueError is written as a typed
+    # error's diagnostics line is
+    code, out, err = run_cli(capsys, "spectrum", "--case", "coulomb", *args,
+                             "--format", "json")
+    assert (code, out) == (1, "")
+    assert json.loads(err.splitlines()[-1]) == {
+        "diagnostics": {"error": "ValueError", "message": message}}
+
+
+def _family_float_fields():
+    ns = build_parser().parse_args(["polytable", "--family", "meixner", "--z", "1"])
+    return [(family, f.name) for family, build in sorted(_FAMILY_BUILDERS.items())
+            for f in dataclasses.fields(build(ns)) if f.type != "int"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family, field", _family_float_fields())
+def test_non_finite_family_field_is_named(family, field, value, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "polytable", "--family", family,
+                                 f"--{field}={value}", "--z", "1", "--n-max", "3")
+    assert (code, out, caught) == (1, "", [])
+    assert err == (f"error: InvalidFamilyParams: {family}: {field} must be "
+                   f"finite, got {float(value)}\n")
 
 
 def test_non_finite_phase_shift_is_a_typed_error(capsys):

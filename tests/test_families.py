@@ -2,6 +2,7 @@
 weights."""
 
 import decimal
+import hashlib
 import math
 import os
 import subprocess
@@ -772,6 +773,24 @@ def test_oracle_suite_equals_a_per_argument_loop(monkeypatch):
             _per_argument_oracle_checks(seed), seed
     assert len(digits) == 400 * len(CLOSED_FORM_KINDS)
     assert set(digits) == {40}
+
+
+# SHA-256 of the little-endian float64 bytes of closed_form_hp's rows for
+# every draw of oracle_equivalence_suite(n_draws=1, seed=s), s = 0..63, in
+# draw order: the references the recursion is judged by, pinned bit for bit
+_ORACLE_REFERENCE_DIGEST = \
+    "5a95d34e0aa0c7550360de9ecd2d99f232b545bc729f19dd4b6e0125b3ae4881"
+
+
+def test_oracle_references_keep_their_bits():
+    digest = hashlib.sha256()
+    for seed in range(64):
+        rng = np.random.default_rng(seed)
+        for kind in CLOSED_FORM_KINDS:
+            f, args = random_family(kind, rng)
+            top = min(10, getattr(f, "N", 10))
+            digest.update(closed_form_hp(f, args, top).astype("<f8").tobytes())
+    assert digest.hexdigest() == _ORACLE_REFERENCE_DIGEST
 
 
 def test_precision_guard_raises_the_digits_where_they_run_out():
