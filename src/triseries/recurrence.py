@@ -22,9 +22,6 @@ import numpy as np
 from .errors import NonFiniteValue, ZeroOffDiagonal
 
 DEFAULT_N_MAX_CAP = 500  # forward recursion degrades eventually; stay well below
-# an array of at most this many arguments steps each one as Python floats:
-# on tiny rows numpy's per-step overhead outweighs the vector arithmetic
-FEW_ARGUMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -87,41 +84,34 @@ def run_recursion(coeffs: RecursionCoeffs, z, n_max: int,
 
 def _forward(s: list, sub: list, sup: list, z) -> np.ndarray:
     """f_0..f_n, n = len(s), of z f_k = s_k f_k + sub_{k-1} f_{k-1} + sup_k f_{k+1},
-    f_0 = 1, for nonzero sup_k.  A scalar z steps Python floats, and so does
-    each argument of an array of at most ``FEW_ARGUMENTS``; a larger array
-    steps whole rows through the same expression.  NonFiniteValue names the
+    f_0 = 1, for nonzero sup_k, at a scalar z or one row per argument of an
+    array z.  Every argument steps as Python floats, so a row is bit for bit
+    the scalar call; a scalar skips the stacking.  NonFiniteValue names the
     first degree that is not finite in any row; only the last is tested,
     since with finite nonzero coefficients no value past an inf or nan is
     finite."""
-    scalar = isinstance(z, float) or np.ndim(z) == 0
-    if scalar:
-        rows = _steps(s, sub, sup, float(z), 1.0)
-        values, finite = np.array(rows), math.isfinite(rows[-1])
+    if isinstance(z, float) or np.ndim(z) == 0:
+        rows = [_steps(s, sub, sup, float(z))]
+        values = np.array(rows[0])
     else:
         x = np.asarray(z, dtype=float)
-        if x.size <= FEW_ARGUMENTS:
-            values = np.array([_steps(s, sub, sup, v, 1.0) for v in x.ravel().tolist()])
-            values = values.reshape(*x.shape, len(s) + 1)
-        else:   # whole numpy rows, then one row per argument
-            with np.errstate(all="ignore"):
-                rows = _steps(s, sub, sup, x, np.ones(x.shape))
-            values = np.array(rows).transpose(*range(1, x.ndim + 1), 0).copy()
-        finite = np.isfinite(values[..., -1]).all()
-    if not finite:
+        rows = [_steps(s, sub, sup, v) for v in x.ravel().tolist()]
+        values = np.array(rows).reshape(x.shape + (len(s) + 1,))
+    if not all(math.isfinite(row[-1]) for row in rows):
         first = np.argmin(np.isfinite(values).reshape(-1, len(s) + 1).all(axis=0))
         raise NonFiniteValue(f"P_{first} is not finite: the forward recursion "
                              "overflowed or z is not finite")
     return values
 
 
-def _steps(s: list, sub: list, sup: list, x, cur) -> list:
-    """[f_0 = cur, f_1, ..., f_n] at x: a float, or an array with cur of its
-    shape."""
-    prev, rows = 0.0, [cur]
+def _steps(s: list, sub: list, sup: list, x: float) -> list:
+    """[f_0, f_1, ..., f_n] at the float x."""
+    prev, cur = 0.0, 1.0
+    values = [cur]
     for sn, below, above in zip(s, [0.0, *sub], sup):
         prev, cur = cur, ((x - sn) * cur - below * prev) / above
-        rows.append(cur)
-    return rows
+        values.append(cur)
+    return values
 
 
 def christoffel_darboux_check(coeffs: RecursionCoeffs, z: float, n_top: int,

@@ -159,16 +159,19 @@ def _dec(x) -> Decimal:
     return Decimal(float(x))          # exact: a float is a finite decimal fraction
 
 
-@functools.lru_cache(maxsize=16)
-def _shift_free_weights(n_max: int):
-    """The weights (-n)_j of degrees n = 1..n_max, j = 0..n, their absolute
-    values and the sum of those per degree, as Decimals: exact integers,
-    which no context rounds."""
-    weights = [list(accumulate(range(-n, 0), mul, initial=1)) for n in range(1, n_max + 1)]
+def _weights(n_max: int, shift=None):
+    """The weights (-n)_j [(n + shift)_j] of degrees n = 1..n_max, j = 0..n,
+    as Decimals (exactly: without a shift they are integers), with their
+    absolute values and the sum of those per degree."""
+    weights = [list(accumulate(((j - n) if shift is None
+                                else (j - n) * (n + shift + j) for j in range(n)),
+                               mul, initial=1)) for n in range(1, n_max + 1)]
     abs_w = [[abs(v) for v in w] for w in weights]
-    return (tuple(tuple(map(Decimal, w)) for w in weights),
-            tuple(tuple(map(Decimal, a)) for a in abs_w),
-            tuple(Decimal(sum(a)) for a in abs_w))
+    return [list(map(Decimal, w)) for w in weights], abs_w, [sum(a) for a in abs_w]
+
+
+# without a shift the weights are integers that depend on n_max alone
+_shift_free_weights = functools.lru_cache(maxsize=16)(_weights)
 
 
 def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
@@ -185,13 +188,13 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
     sums S_n = sum_j (-n)_j [(n + shift)_j] C_j, with C_j = prod_{i<j} c_i
     from the n-independent term ratios c_j.  Everything but the c_j, the C_j
     and the sums is argument-free and formed once per call: the weights
-    (-n)_j [(n + shift)_j], the Pochhammer prefactors (running products in
-    n) and their square roots.  Without a shift the weights are exact
-    integers, built once per n_max.  A discrete family's sums stop at its
-    first C_j that is exactly zero, past which every term is zero.  A
-    complex C_j (Meixner-Pollaczek, complex Wilson) is carried as a pair of
-    real and imaginary Decimals, each summed on the same real weights, and
-    only the real part of rot_n S_n is formed.  Argument conventions:
+    (-n)_j [(n + shift)_j] (exact integers when there is no shift, built
+    once per n_max), the Pochhammer prefactors (running products in n) and
+    their square roots.  A discrete family's sums stop at its first C_j
+    that is exactly zero, past which every term is zero.  A complex C_j
+    (Meixner-Pollaczek, complex Wilson) is carried as a pair of real and
+    imaginary Decimals, each summed on the same real weights, and only the
+    real part of rot_n S_n is formed.  Argument conventions:
     Meixner-Pollaczek takes z; the discrete families take the integer index
     k; the quadratic-variable families take w = z^2.
 
@@ -333,14 +336,8 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
                         / (rgn[n] * fact[n]), n) for n in ns]
         else:
             raise TypeError(f"no high-precision form for {f!r}")
-        # the weights (-n)_j [(n + shift)_j] of degree n, j = 0..n
-        if shift is None:
-            weights, abs_w, abs_sums = _shift_free_weights(n_max)
-        else:
-            weights = [list(accumulate(((j - n) * (n + shift + j) for j in range(n)),
-                                       mul, initial=1)) for n in ns]
-            abs_w = [[abs(v) for v in w] for w in weights]
-            abs_sums = [sum(a) for a in abs_w]
+        weights, abs_w, abs_sums = (_shift_free_weights(n_max) if shift is None
+                                    else _weights(n_max, shift))
         # degree n's rounding, in units of 10^-17, is at most bound_n
         # sum_j |w_nj| |C_j|, which is at most loose max_j |C_j| at every n
         unit = Decimal(10) ** (17 - dps)
