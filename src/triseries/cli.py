@@ -40,36 +40,33 @@ def _cell(x):
 _STRING = json.encoder.encode_basestring_ascii
 
 
-def _json_column(cells) -> list:
-    """JSON texts of one column's cells: the numbers in one call of json's C
-    encoder, whose float repr, NaN/Infinity spelling and int text are those
-    of json.dumps(indent=2); the strings one by one."""
-    nums = [c for c in cells if not isinstance(c, str)]
-    texts = iter(json.dumps(nums)[1:-1].split(", "))
-    return [_STRING(c) if isinstance(c, str) else next(texts) for c in cells]
+def _json_texts(values) -> list:
+    """The JSON text of each scalar value, all from one call of json's C
+    encoder, whose float repr, NaN/Infinity spelling, int text and ASCII
+    string escapes are those of json.dumps(indent=2).  The texts come joined
+    by NUL, which none of them holds: the encoder escapes every control
+    character inside a string."""
+    text = json.dumps(values, separators=("\0", ":"), default=str)
+    return text[1:-1].split("\0") if values else []
 
 
-def _json_rows(header, cols) -> str:
-    """The "rows" value as json.dumps(sort_keys=True, indent=2) writes it
-    one level down, built from the table's columns of JSON values: row i is
-    the object dict(zip(header, the i-th cell of each column))."""
-    if not cols or not cols[0]:
-        return "[]"
-    # a repeated name keeps its last column, as dict(zip(...)) does
-    last = {name: i for i, name in enumerate(header)}
-    keys = sorted(last)
-    texts = [_json_column(cols[last[k]]) for k in keys]
-    row_text = ("    {\n" + ",\n".join(
-        "      " + _STRING(k).replace("%", "%%") + ": %s" for k in keys)
-        + "\n    }")
-    return "[\n" + ",\n".join(map(row_text.__mod__, zip(*texts))) + "\n  ]"
+def _json_object(keys, pad) -> str:
+    """A %-template of the text json.dumps(indent=2) writes for an object
+    with these sorted keys whose braces sit at indent pad: one %s a value."""
+    items = [f"{pad}  {_STRING(k).replace('%', '%%')}: %s" for k in keys]
+    return "{\n" + ",\n".join(items) + f"\n{pad}}}" if keys else "{}"
 
 
 def _emit(config: dict, header, columns, diagnostics: dict, fmt: str,
           out_path):
     """Write a table given as columns: a numpy array of a float or int dtype
     (never bool, which tolist would make true/false) becomes Python values in
-    one tolist call, any other column passes through _cell cell by cell."""
+    one tolist call, any other column passes through _cell cell by cell.
+
+    JSON is the bytes of json.dumps({"config", "diagnostics", "rows"},
+    sort_keys=True, indent=2, default=str), with the config values (parser
+    values, so scalars) and each column encoded by one _json_texts call; row
+    i is the object dict(zip(header, the i-th cell of each column))."""
     cols = [c.tolist() if isinstance(c, np.ndarray) else list(map(_cell, c))
             for c in columns]
     if fmt == "csv":
@@ -77,12 +74,20 @@ def _emit(config: dict, header, columns, diagnostics: dict, fmt: str,
                  for col in cols]
         text = "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
     else:
-        # the bytes of json.dumps({"config", "diagnostics", "rows"},
-        # sort_keys=True, indent=2, default=str): "rows" sorts last, so its
-        # placeholder [] ends the small part and the table text replaces it
-        head = json.dumps({"config": config, "diagnostics": diagnostics,
-                           "rows": []}, sort_keys=True, indent=2, default=str)
-        text = head[:-len("[]\n}")] + _json_rows(header, cols) + "\n}\n"
+        # a repeated name keeps its last column, as dict(zip(...)) does
+        last = {name: i for i, name in enumerate(header)}
+        keys, ckeys = sorted(last), sorted(config)
+        n_rows = len(cols[0]) if cols else 0
+        cells = [None] * (len(keys) * n_rows)   # row-major
+        for j, k in enumerate(keys):
+            cells[j::len(keys)] = _json_texts(cols[last[k]])
+        rows = ",\n".join(["    " + _json_object(keys, "    ")] * n_rows)
+        text = '{\n  "config": %s,\n  "diagnostics": %s,\n  "rows": %s\n}\n' % (
+            _json_object(ckeys, "  ")
+            % tuple(_json_texts([config[k] for k in ckeys])),
+            json.dumps(diagnostics, sort_keys=True, indent=2,
+                       default=str).replace("\n", "\n  "),
+            "[\n" + rows % tuple(cells) + "\n  ]" if n_rows else "[]")
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)

@@ -52,10 +52,15 @@ class Family(Protocol):
 
 
 def _require_finite(record) -> None:
-    """Refuse a family record whose numeric field is nan or infinite, naming
-    the field and its value."""
+    """Refuse a family record whose numeric field is nan, infinite or an
+    integer past the float range, naming the field and its value."""
     for name, v in vars(record).items():
-        if not cmath.isfinite(v):
+        try:
+            finite = cmath.isfinite(v)
+        except OverflowError:   # an int too large to convert to float
+            raise InvalidFamilyParams(f"{record.kind}: {name} = {v} is out of "
+                                      f"the float range") from None
+        if not finite:
             raise InvalidFamilyParams(f"{record.kind}: {name} must be finite, got {v}")
 
 
@@ -423,12 +428,12 @@ class Wilson:
 
     def validate(self):
         _require_finite(self)
-        params = (self.a, self.b, self.c, self.d)
-        for p in params:
-            if complex(p).real <= 0:
-                raise InvalidFamilyParams(
-                    "Wilson needs Re(a,b,c,d) > 0 with conjugate pairs")
-        ps = [complex(p) for p in params]
+        ps = [complex(p) for p in (self.a, self.b, self.c, self.d)]
+        if any(p.real <= 0 for p in ps):
+            raise InvalidFamilyParams(
+                "Wilson needs Re(a,b,c,d) > 0 with conjugate pairs")
+        if not any(p.imag for p in ps):
+            return   # a real multiset is its own conjugate
         for p in ps:   # the multiset equals its conjugate: as many p as conj(p)
             if (sum(abs(q - p) < 1e-12 for q in ps)
                     != sum(abs(q - p.conjugate()) < 1e-12 for q in ps)):

@@ -203,6 +203,9 @@ class OscillatorCase:
         _require_finite(self)
         if self.omega <= 0 or self.lam <= 0:
             raise ValueError("omega and lam must be > 0")
+        if not _SQRT_TINY <= 4.0 * self.lam * self.lam <= _SQRT_HUGE:
+            raise ValueError(f"oscillator: lam = {self.lam} is out of range: "
+                             f"(2 lam)^4 is not a normal float")
         if self.ell < 0 or self.ell != int(self.ell):
             raise ValueError("ell must be a non-negative integer")
 
@@ -265,6 +268,11 @@ class MorseCase:
         if not _SQRT_TINY <= self.lam <= _SQRT_HUGE:
             raise ValueError(f"morse: lam = {self.lam} is out of range: "
                              f"lam^2 is not a normal float")
+        # the level energies are -(lam (m + tau))^2 / 2, |m + tau| <= |tau|
+        scale = self.lam * self.tau
+        if not math.isfinite(scale * scale):
+            raise ValueError(f"morse: V1 = {self.V1} is out of range for lam = "
+                             f"{self.lam}: the level energies overflow")
         pinned = self.lam ** 2 / 8.0
         if self.V2 is None:
             object.__setattr__(self, "V2", pinned)
@@ -431,6 +439,12 @@ class ScarfCase:
             object.__setattr__(self, "L", math.pi / self.lam)
         else:
             object.__setattr__(self, "lam", math.pi / self.L)
+        for name in ("A", "B"):   # the ODE parameters square (A +- B)/lam - 1/2
+            u = 3.0 * getattr(self, name) / self.lam
+            if not math.isfinite(u * u):
+                raise ValueError(f"scarf: {name} = {getattr(self, name)} is out "
+                                 f"of range for lam = {self.lam}: ({name}/lam)^2 "
+                                 f"overflows")
         if self.mu is None:
             object.__setattr__(self, "mu", self.nu)
         if self.mu <= -1:

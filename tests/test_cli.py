@@ -401,19 +401,27 @@ def test_emit_json_equals_json_dumps_of_row_dicts(capsys):
     rows = [(math.nan, 'a "quoted" \u00e9t\u00e9', np.int64(7), 1.5),
             (math.inf, "plain", 3, np.float64(0.1)),
             (-math.inf, "", np.int64(-2), 2),
-            (np.float64(1e-310), "\u2603, \\ / \t", 12345678901234567890, -0.0)]
-    config = {"command": "test", "zeta": 1, "alpha": None}
-    diagnostics = {"ok": True, "nested": {"b": 1, "a": [1, 2]}}
-    _emit(config, header, [list(col) for col in zip(*rows)], diagnostics,
-          "json", None)
-    out = capsys.readouterr().out
-    cells = [[v if isinstance(v, str) else
-              int(v) if isinstance(v, (int, np.integer)) else float(v)
-              for v in row] for row in rows]
-    expect = json.dumps({"config": config, "diagnostics": diagnostics,
-                         "rows": [dict(zip(header, row)) for row in cells]},
-                        sort_keys=True, indent=2, default=str) + "\n"
-    assert out == expect
+            (np.float64(1e-310), "\u2603, \\ / \t", 12345678901234567890, -0.0),
+            (0.25, "nul \x00, bell \x07, \x1f\n\r, ", 0, 1e300)]
+    config = {"command": "test", "zeta": 1, "alpha": None,
+              "note": "a\x00b, c\x01\x1b", "%d": 0.1}
+    diagnostics = {"ok": True, "nested": {"b": 1, "a": [1, 2]},
+                   "text": "x\x00\ny"}
+    # every row; a header that repeats a name, whose last column wins as in
+    # dict(zip(...)); and a table with no rows
+    for head, table in ((header, rows), (["x", "label", "x"], rows),
+                        (header, [])):
+        columns = ([list(col) for col in zip(*table)] if table
+                   else [[] for _ in head])
+        _emit(config, head, columns, diagnostics, "json", None)
+        out = capsys.readouterr().out
+        cells = [[v if isinstance(v, str) else
+                  int(v) if isinstance(v, (int, np.integer)) else float(v)
+                  for v in row[:len(head)]] for row in table]
+        expect = json.dumps({"config": config, "diagnostics": diagnostics,
+                             "rows": [dict(zip(head, row)) for row in cells]},
+                            sort_keys=True, indent=2, default=str) + "\n"
+        assert out == expect
 
 
 def test_level_outside_the_box_is_a_typed_error(capsys):
@@ -446,11 +454,13 @@ def test_poschl_teller_shallow_top_level_passes_the_gate(capsys):
         assert json.loads(out)["diagnostics"]["within_tolerance"] is True
 
 
+# calls whose formulas still fault where no record check names the field
 @pytest.mark.parametrize("args, error", [
-    (("spectrum", "--case", "morse", "--V1", "1e300"), "OverflowError"),
-    (("wavefunction", "--case", "oscillator", "--lambda", "1e-300"),
+    (("spectrum", "--case", "scarf", "--lambda", "1e300"), "OverflowError"),
+    (("wavefunction", "--case", "coulomb", "--lambda", "1e-300"),
      "ZeroDivisionError"),
-    (("spectrum", "--case", "scarf", "--A", "1e300"), "OverflowError"),
+    (("wavefunction", "--case", "poschl_teller", "--A", "1e300"),
+     "OverflowError"),
 ])
 def test_arithmetic_fault_is_one_error_line(args, error, capsys):
     # an overflow or a division by zero in a case or family formula exits 1
@@ -479,6 +489,37 @@ def test_out_of_range_field_is_named(args, line, capsys):
     # the record refuses a field whose derived quantity would overflow or
     # divide by zero, and the one error line names the field and its value
     assert run_cli(capsys, *args) == (1, "", line)
+
+
+_HUGE_N = "1" * 401
+
+
+@pytest.mark.parametrize("args, field, value", [
+    (("polytable", "--family", "krawtchouk", "--N", _HUGE_N), "N", _HUGE_N),
+    (("polytable", "--family", "dual_hahn", "--N", _HUGE_N), "N", _HUGE_N),
+    (("polytable", "--family", "racah", "--N", _HUGE_N), "N", _HUGE_N),
+    (("spectrum", "--case", "morse", "--V1", "1e300"), "V1", "1e+300"),
+    (("spectrum", "--case", "scarf", "--A", "1e300"), "A", "1e+300"),
+    (("wavefunction", "--case", "oscillator", "--lambda", "1e-300"), "lam",
+     "1e-300"),
+], ids=["krawtchouk-N", "dual_hahn-N", "racah-N", "morse-V1", "scarf-A",
+        "oscillator-lam"])
+def test_field_the_record_cannot_hold_is_named(args, field, value, capsys):
+    # a field past what the record's formulas can hold is refused by the
+    # record, in one line naming the field and its value, not by an
+    # arithmetic fault
+    if args[0] == "polytable":
+        args += ("--z", "1", "--n-max", "3")
+    for fmt in ("csv", "json"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *args, "--format", fmt)
+        assert (code, out, caught) == (1, "", [])
+        assert err.count("\n") == 1 and f"{field} = {value} " in err, err
+        assert "OverflowError" not in err and "ZeroDivision" not in err, err
+        if fmt == "json":
+            diag = json.loads(err)["diagnostics"]
+            assert f"{field} = {value} " in diag["message"]
 
 
 @pytest.mark.parametrize("args, message", [

@@ -88,6 +88,40 @@ def test_invalid_family_params():
         fam.Wilson(complex(0.5, 0.4), 0.5, 0.5, 0.5).validate()
 
 
+def _wilson_pairs_by_the_full_count(params):
+    # the conjugate-pair count Wilson.validate ran on every record, real or
+    # not: as many p as conj(p), to within 1e-12
+    ps = [complex(p) for p in params]
+    return all(sum(abs(q - p) < 1e-12 for q in ps)
+               == sum(abs(q - p.conjugate()) < 1e-12 for q in ps) for p in ps)
+
+
+_P, _Q = complex(0.8, 0.5), complex(0.3, 2.0)
+
+
+@pytest.mark.parametrize("params", [
+    (0.5, 1.1, 0.8, 1.7), (0.5, 0.5, 0.5, 0.5), (1, 2, 3, 4),
+    (complex(0.5, 0.0), 1.1, 0.8, 1.7), (-0.1, 0.5, 0.5, 0.5),   # real
+    (_P, _P.conjugate(), 1.1, 1.1), (_P, _P.conjugate(), _Q, _Q.conjugate()),
+    (_P, _Q, _Q.conjugate(), _P.conjugate()),                     # exact pairs
+    (_P, _P.conjugate() + 3e-13, 1.1, 1.1),
+    (_P, complex(0.8, -0.5 - 9e-13), 1.1, 1.1),
+    (complex(0.5, 1e-13), 1.1, 0.8, 1.7),                        # within 1e-12
+    (_P, _P, 1.1, 1.1), (_P, 1.1, 1.2, 1.3), (_P, _Q.conjugate(), 1.1, 1.1),
+    (_P, complex(0.8, -0.5 - 2e-12), 1.1, 1.1),                  # no pairs
+])
+def test_wilson_validate_equals_the_full_pair_count(params):
+    # validate skips the pair count when no parameter has an imaginary part
+    expect = (all(complex(p).real > 0 for p in params)
+              and _wilson_pairs_by_the_full_count(params))
+    try:
+        fam.Wilson(*params).validate()
+        accepted = True
+    except InvalidFamilyParams:
+        accepted = False
+    assert accepted == expect
+
+
 def test_meixner_weight_masses_are_geometric():
     f = fam.Meixner(0.5, 0.25)   # nu = 0: masses (3/4)(1/4)^k
     w = fam.weight(f)
