@@ -41,11 +41,10 @@ _STRING = json.encoder.encode_basestring_ascii
 
 
 def _json_texts(values) -> list:
-    """The JSON text of each scalar value, all from one call of json's C
-    encoder, whose float repr, NaN/Infinity spelling, int text and ASCII
-    string escapes are those of json.dumps(indent=2).  The texts come joined
-    by NUL, which none of them holds: the encoder escapes every control
-    character inside a string."""
+    """The JSON text of each scalar value from one call of json's C encoder
+    (the float repr, NaN/Infinity, int text and ASCII escapes of
+    json.dumps(indent=2)), split on the NUL that joins them: no text holds
+    one, as the encoder escapes every control character in a string."""
     text = json.dumps(values, separators=("\0", ":"), default=str)
     return text[1:-1].split("\0") if values else []
 
@@ -64,9 +63,10 @@ def _emit(config: dict, header, columns, diagnostics: dict, fmt: str,
     one tolist call, any other column passes through _cell cell by cell.
 
     JSON is the bytes of json.dumps({"config", "diagnostics", "rows"},
-    sort_keys=True, indent=2, default=str), with the config values (parser
-    values, so scalars) and each column encoded by one _json_texts call; row
-    i is the object dict(zip(header, the i-th cell of each column))."""
+    sort_keys=True, indent=2, default=str): the config values (parser
+    values, so scalars) and each column take one _json_texts call, and the
+    diagnostics their own json.dumps, indented a level at each newline, all
+    of which are structure (a string escapes its own)."""
     cols = [c.tolist() if isinstance(c, np.ndarray) else list(map(_cell, c))
             for c in columns]
     if fmt == "csv":
