@@ -439,12 +439,14 @@ class ScarfCase:
             object.__setattr__(self, "L", math.pi / self.lam)
         else:
             object.__setattr__(self, "lam", math.pi / self.L)
-        for name in ("A", "B"):   # the ODE parameters square (A +- B)/lam - 1/2
+        # ode_params squares (A +- B)/lam - 1/2, which stays finite while
+        # |A| and |B| are at most lam sqrt(max float) / 3
+        for name in ("A", "B"):
             u = 3.0 * getattr(self, name) / self.lam
             if not math.isfinite(u * u):
                 raise ValueError(f"scarf: {name} = {getattr(self, name)} is out "
-                                 f"of range for lam = {self.lam}: ({name}/lam)^2 "
-                                 f"overflows")
+                                 f"of range for lam = {self.lam}: (A +- B)/lam "
+                                 f"squared overflows")
         if self.mu is None:
             object.__setattr__(self, "mu", self.nu)
         if self.mu <= -1:
