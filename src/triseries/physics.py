@@ -414,6 +414,12 @@ class PoschlTellerCase:
         return "JC", self.mu
 
 
+# a Scarf |A| + |B| above this times min(1, lam)^2 overflows the FD polish:
+# the smallest that failed, over lam = 1e-70 .. 1e70 and the signs and ratios
+# of A and B, was 7.86e84 min(1, lam)^2, at B = 0 or A = 0
+_SCARF_FD_FIELDS = 7.8e84
+
+
 @dataclass(frozen=True)
 class ScarfCase:
     """Confining trigonometric well on 0 < r < L with lam = pi/L:
@@ -444,13 +450,15 @@ class ScarfCase:
         for name in ("A", "B"):
             u = 3.0 * getattr(self, name) / self.lam
             if not math.isfinite(u * u):
-                raise ValueError(f"scarf: {name} = {getattr(self, name)} is out "
-                                 f"of range for lam = {self.lam}: (A +- B)/lam "
-                                 f"squared overflows")
+                raise self._out_of_range(name, "(A +- B)/lam squared overflows")
         if self.mu is None:
             object.__setattr__(self, "mu", self.nu)
         if self.mu <= -1:
             raise ValueError("basis index mu must be > -1")
+
+    def _out_of_range(self, name, why):
+        return ValueError(f"scarf: {name} = {getattr(self, name)} is out of "
+                          f"range for lam = {self.lam}: {why}")
 
     @property
     def nu(self) -> float:
@@ -485,9 +493,21 @@ class ScarfCase:
         return 0.5 * lam ** 2 * (m + 0.5 + self.B / lam) ** 2
 
     def fd_mesh(self, n_levels):
+        # the FD polish squares its iterates, which grow as A^2/lam^4 below
+        # lam = 1 and as the levels, ~A^2/2, above it
+        if abs(self.A) + abs(self.B) > _SCARF_FD_FIELDS * min(1.0, self.lam) ** 2:
+            raise self._out_of_range("A" if abs(self.A) >= abs(self.B) else "B",
+                                     "the FD oracle's polish overflows")
         return RadialMesh(0.0, self.L, self.L / 4000.0)
 
     def bound_scenario(self):
+        # the series' Jacobi basis divides by 2^(mu + nu + 1), where mu + nu
+        # + 1 is 2A/lam - 1 (A > B) or 2B/lam: from 1024 on it overflows
+        name = "A" if self.A > self.B else "B"
+        top = 2.0 * getattr(self, name) / self.lam - (name == "A")
+        if top >= 1024.0:
+            raise self._out_of_range(name, f"the bound series' Jacobi basis "
+                                     f"divides by 2^{top:.17g}")
         return "JC", self.mu
 
 

@@ -92,9 +92,9 @@ CLOSED_FORM_KINDS = ("meixner_pollaczek", "meixner", "krawtchouk",
 
 class _Complex:
     """A (real, imag) pair of Decimals in the active context, with the few
-    operations the complex closed forms need.  Its ``real`` and ``imag``
-    match those of ``Decimal``, so one formula serves real and complex
-    parameters."""
+    operations the complex closed forms (Meixner-Pollaczek, two Wilson pairs)
+    need.  Its ``real`` and ``imag`` match those of ``Decimal``, so one
+    formula serves real and complex parameters."""
     __slots__ = ("real", "imag")
 
     def __init__(self, real, imag):
@@ -163,8 +163,9 @@ def _weights(n_max: int, shift=None):
     """The weights (-n)_j [(n + shift)_j] of degrees n = 1..n_max, j = 0..n,
     as Decimals (exactly: without a shift they are integers), with their
     absolute values and the sum of those per degree."""
-    weights = [list(accumulate(((j - n) if shift is None
-                                else (j - n) * (n + shift + j) for j in range(n)),
+    # (j - n) [(n + shift + j)], j < n, where n + shift + j sums as (n + shift) + j
+    weights = [list(accumulate(range(-n, 0) if shift is None else
+                               map(mul, range(-n, 0), map((n + shift).__add__, range(n))),
                                mul, initial=1)) for n in range(1, n_max + 1)]
     abs_w = [[abs(v) for v in w] for w in weights]
     return [list(map(Decimal, w)) for w in weights], abs_w, [sum(a) for a in abs_w]
@@ -192,11 +193,13 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
     once per n_max), the Pochhammer prefactors (running products in n) and
     their square roots.  A discrete family's sums stop at its first C_j
     that is exactly zero, past which every term is zero.  A complex C_j
-    (Meixner-Pollaczek, complex Wilson) is carried as a pair of real and
-    imaginary Decimals, each summed on the same real weights, and only the
-    real part of rot_n S_n is formed.  Argument conventions:
-    Meixner-Pollaczek takes z; the discrete families take the integer index
-    k; the quadratic-variable families take w = z^2.
+    (Meixner-Pollaczek, two Wilson pairs) is carried as real and imaginary
+    Decimals, each summed on the real weights, and only Re(rot_n S_n) is
+    formed.  W_n is symmetric in a, b, c, d, so a Wilson record of one
+    conjugate pair z, z' is taken as (a, z, z', d), real a <= d, where each
+    product of conjugates, (a + z + j)(a + z' + j) = (a + Re z + j)^2 +
+    (Im z)^2, is real.  Meixner-Pollaczek takes the argument z, the discrete
+    families the integer index k, the quadratic-variable families w = z^2.
 
     The sums cancel hardest at high degree: at 40 digits, Wilson(.5, .5, .5,
     .5) at w = 1 would be off by 3e-13 at degree 40 and 1e3 at degree 60.
@@ -302,26 +305,43 @@ def closed_form_hp(f, arg, n_max: int, dps: int = 40) -> np.ndarray:
                     (p.real, -p.imag) for p in ps):
                 raise InvalidFamilyParams(
                     "the Wilson closed form needs exactly conjugate pairs")
+            conj = [p for p in ps if p.imag]
+            if len(conj) == 2:   # W_n is symmetric: the pair as b, c between real a <= d
+                lo, hi = sorted(p.real for p in ps if not p.imag)
+                ps = [lo, *conj, hi]
             a, b, c, d = (_Complex(_dec(p.real), _dec(p.imag)) if p.imag
                           else _dec(p.real) for p in ps)
-            complex_c = any(p.imag for p in ps)
+            complex_c = len(conj) == 4
             xs = [_dec(x) for x in args]
             s = sum(_dec(p.real) for p in ps)    # real: the pairs are exact
+
+            def col(x):   # the factors x + j of (x)_n
+                return [x + j for j in js]
+            if len(conj) == 2:   # each product of conjugates as one real
+                sq = b.imag * b.imag
+
+                def both(x):   # (x + b + j)(x + c + j) = (x + Re b + j)^2 + (Im b)^2
+                    return [v * v + sq for v in col(x + b.real)]
+                lead, rest = [both(a), col(a + d)], [col(b.real + c.real), both(d)]
+            else:
+                lead = [col(a + b), col(a + c), col(a + d)]
+                rest = [col(b + c), col(b + d), col(c + d)]
             num = [(a + j) * (a + j) for j in js]
-            den = [(a + b + j) * (a + c + j) * (a + d + j) * (j + 1) for j in js]
+            den = [math.prod(fs) * (j + 1) for j, fs in zip(js, zip(*lead))]
 
             def ratios(w):
                 cs = ((m + w) / e for m, e in zip(num, den))
                 return ((q.real, q.imag) for q in cs) if complex_c else cs
-            rab, rac, rad = products(a + b), products(a + c), products(a + d)
-            rbc, rbd, rcd = products(b + c), products(b + d), products(c + d)
+            # each column's running products (x)_n
+            lead, rest = ([list(accumulate(fs, mul, initial=Decimal(1))) for fs in cols]
+                          for cols in (lead, rest))
             rs, shift, rot, pre = products(s), s - 1, [], []
             for n in ns:
-                lead = rab[n] * rac[n] * rad[n]
+                ld = math.prod(r[n] for r in lead)
                 # the pair sums close under conjugation: the product is real
-                pairs = (lead * rbc[n] * rbd[n] * rcd[n] * fact[n]).real
+                pairs = (math.prod((r[n] for r in rest), start=ld) * fact[n]).real
                 norm = (2 * n + s - 1) / (n + s - 1) * rs[n] / pairs
-                rot.append(lead)
+                rot.append(ld)
                 pre.append(root(norm, n))
         elif isinstance(f, fam.Racah):
             g, sg, xs, N = _dec(f.gamma), _dec(f.sigma), [int(a) for a in args], int(f.N)

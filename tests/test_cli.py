@@ -522,6 +522,45 @@ def test_field_the_record_cannot_hold_is_named(args, field, value, capsys):
             assert f"{field} = {value} " in diag["message"]
 
 
+# Scarf fields whose derived quantities overflow, each bound measured: the
+# bound series' Jacobi basis 2^(mu + nu + 1) from A/lam = 512.5 or B/lam = 512
+# on, and the FD polish from |A| + |B| = 7.86e84 min(1, lam)^2 on; the calls
+# just inside either bound still print their tables
+@pytest.mark.parametrize("args, field, value", [
+    (("wavefunction", "--A", "1e150"), "A", "1e+150"),
+    (("spectrum", "--A", "1e150"), "A", "1e+150"),
+    (("wavefunction", "--A", "1000"), "A", "1000.0"),
+    (("wavefunction", "--B", "1000"), "B", "1000.0"),
+    (("wavefunction", "--A", "512.5"), "A", "512.5"),
+    (("wavefunction", "--B", "512"), "B", "512.0"),
+    (("spectrum", "--lambda", "1e-10", "--A", "1", "--B", "7.9e64"), "B",
+     "7.9e+64"),
+    (("spectrum", "--A", "5e84", "--B", "5e84"), "A", "5e+84"),
+    (("spectrum", "--A", "1000"), None, None),
+    (("wavefunction", "--A", "512.49"), None, None),
+    (("wavefunction", "--B", "511.99"), None, None),
+    (("spectrum", "--lambda", "1e-10", "--A", "1", "--B", "7.7e64"), None, None),
+], ids=["wavefunction-A-1e150", "spectrum-A-1e150", "wavefunction-A-1000",
+        "wavefunction-B-1000", "wavefunction-A-edge", "wavefunction-B-edge",
+        "spectrum-B-edge", "spectrum-A-plus-B", "spectrum-A-1000-kept", "wavefunction-A-kept",
+        "wavefunction-B-kept", "spectrum-B-kept"])
+def test_scarf_field_past_its_derived_range_is_named(args, field, value, capsys):
+    args = (args[0], "--case", "scarf", *args[1:])
+    for fmt in ("csv", "json"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *args, "--format", fmt)
+        assert caught == []
+        if field is None:
+            assert (code, err) == (0, "") and out
+            continue
+        assert (code, out) == (1, ""), err
+        assert err.count("\n") == 1 and f"scarf: {field} = {value} " in err, err
+        if fmt == "json":
+            diag = json.loads(err)["diagnostics"]
+            assert f"{field} = {value} " in diag["message"]
+
+
 @pytest.mark.parametrize("args, message", [
     (("--lambda", "-1"), "scale lam must be > 0"),
     (("--Z", "1e300"), "coulomb: Z = 1e+300 is out of range: the level "

@@ -3,6 +3,7 @@ weights."""
 
 import decimal
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -846,10 +847,45 @@ def test_precision_guard_raises_a_typed_error_past_its_cap(monkeypatch):
                           verify.closed_form_hp(f, 1.0, 10, dps=40))
 
 
-@pytest.mark.parametrize("ps", [
-    (complex(0.7, 0.6), complex(0.7, -0.6), complex(0.5, 0.2), complex(0.5, -0.2)),
-    (1.2, complex(0.7, -0.6), 0.9, complex(0.7, 0.6)),
-], ids=["two_pairs", "pair_at_b_d"])
+def test_precision_guard_repeats_a_conjugate_pair_record(monkeypatch):
+    # the pair record's real path runs out of digits as the real one does:
+    # degree 60 at w = 1 is evaluated again at 80 digits, and no further
+    f = fam.Wilson(complex(0.5, 0.2), complex(0.5, -0.2), 0.5, 0.5)
+    digits = []
+    inner = verify.closed_form_hp
+
+    def spy(f, arg, n_max, dps=40):
+        digits.append(dps)
+        return inner(f, arg, n_max, dps)
+
+    monkeypatch.setattr(verify, "closed_form_hp", spy)
+    got = verify.closed_form_hp(f, 1.0, 60)
+    assert digits == [40, 80]
+    ref = inner(f, 1.0, 60, dps=160)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+_PAIR = (complex(0.7, 0.6), complex(0.7, -0.6))
+
+
+def _pair_in_slots(slots, reals):
+    ps = list(reals)
+    for slot, p in zip(slots, _PAIR):
+        ps.insert(slot, p)
+    return tuple(ps)
+
+
+# one conjugate pair in each of the six slot pairs, beside two equal and two
+# distinct real parameters, and a record of two pairs
+_WILSON_PAIR_RECORDS = {
+    f"pair_at_{'abcd'[i]}_{'abcd'[j]}{label}": _pair_in_slots((i, j), reals)
+    for i, j in itertools.combinations(range(4), 2)
+    for label, reals in (("", (1.2, 0.9)), ("-equal", (1.2, 1.2)))}
+_WILSON_PAIR_RECORDS["two_pairs"] = (*_PAIR, complex(0.5, 0.2), complex(0.5, -0.2))
+
+
+@pytest.mark.parametrize("ps", list(_WILSON_PAIR_RECORDS.values()),
+                         ids=list(_WILSON_PAIR_RECORDS))
 def test_wilson_conjugate_pair_in_any_position(ps):
     # the streams took the sign of t_n from (n+a+c)(n+b+c), complex here, and
     # the reference had no real / complex division
@@ -860,9 +896,19 @@ def test_wilson_conjugate_pair_in_any_position(ps):
     ref = closed_form_hp(f, args, 10)
     vals = fam.values_by_recursion(f, args, 10)
     assert np.max(np.abs(vals - ref) / np.maximum(1.0, np.abs(ref))) < 1e-10
-    # the polynomials are symmetric in a, b, c, d
-    swapped = closed_form_hp(fam.Wilson(*ps[::-1]), args, 10)
-    assert np.max(np.abs(swapped - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+    for arg, row in zip(args, ref):
+        for n in range(11):
+            assert row[n] == pytest.approx(_mp_hyper_reference(f, n, arg),
+                                           rel=1e-13, abs=1e-13)
+    # the polynomials are symmetric in a, b, c, d; a one-pair record is
+    # evaluated in one order whatever order it is given in
+    if sum(1 for p in ps if complex(p).imag) == 2:
+        for order in itertools.permutations(ps):
+            assert np.array_equal(closed_form_hp(fam.Wilson(*order), args, 10),
+                                  ref), order
+    else:
+        swapped = closed_form_hp(fam.Wilson(*ps[::-1]), args, 10)
+        assert np.max(np.abs(swapped - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
 
 
 @pytest.mark.parametrize("f", [
