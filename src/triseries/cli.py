@@ -6,8 +6,11 @@ Each command hands its table to the writer as columns.  Output is CSV
 with "config", "rows", "diagnostics").  Exit codes: 0 success,
 1 usage/config/domain/arithmetic error, 2 verification-tolerance failure.
 
-A call imports numpy, scipy.special and scipy.linalg; scipy's quadrature
-stack loads only when ``verify --suite weights`` (or ``all``) runs.
+A call of ``--flag value`` pairs of its command's own flags reads them from
+a table taken from the parser; help, any other call and every usage error
+stay argparse's.  A negative number (-20, -.5, -2e1) is a value.  A call
+imports numpy, scipy.special and scipy.linalg; scipy's quadrature stack
+loads only when ``verify --suite weights`` (or ``all``) runs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -256,8 +260,13 @@ def _add_output_flags(p: argparse.ArgumentParser):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors exiting 1, since 2 means a failed
-    tolerance; the subparsers inherit the class."""
+    """argparse with usage errors exiting 1 (2 means a failed tolerance) and
+    -2e1 read as a negative number; the subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -346,29 +355,60 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _flag_table(command: str) -> tuple:
+    """What build_parser reads a command's ``--flag value`` pairs with: its
+    store actions by flag, required actions, start namespace and parser."""
+    ap = build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    p, ns = sub.choices[command], {}
+    for q in (ap, p):   # each default, a string one through its type
+        ns.update({a.dest: q._get_value(a, a.default) if isinstance(
+            a.default, str) else a.default for a in q._actions
+            if argparse.SUPPRESS not in (a.dest, a.default)}, **q._defaults)
+    return ({s: a for s, a in p._option_string_actions.items()
+             if type(a) is argparse._StoreAction and a.nargs is None},
+            {a for a in p._actions if a.required}, {**ns, sub.dest: command}, p)
+
+
+def _parse(args) -> argparse.Namespace:
+    """build_parser().parse_args(args), read from _flag_table when args is a
+    command and ``--flag value`` pairs of its own flags that argparse takes."""
+    try:
+        actions, required, start, p = _flag_table(args[0])
+        ns = dict(start)
+        for flag, text in zip(args[1::2], args[2::2]):
+            action = actions[flag]
+            if text[:1] == "-" and not p._negative_number_matcher.match(text):
+                break   # argparse reads it as an option
+            ns[action.dest] = p._get_value(action, text)
+            p._check_value(action, ns[action.dest])
+        else:   # the last of a repeated flag wins, as in argparse
+            if len(args) % 2 and required <= {actions[f] for f in args[1::2]}:
+                return argparse.Namespace(**ns)
+    except (IndexError, KeyError, argparse.ArgumentError):
+        pass
+    return build_parser().parse_args(args)
+
+
 def _extract_config_flag(args):
     """Pull --config out by hand; argparse would insist on required flags."""
-    rest = []
-    path = None
-    i = 0
+    rest, path, i = [], None, 0
     while i < len(args):
+        if args[i] == "--config" and i + 1 == len(args):
+            return None, rest + args[i:], "missing value for --config"
         if args[i] == "--config":
-            if i + 1 >= len(args):
-                return None, rest + args[i:], "missing value for --config"
-            path = args[i + 1]
-            i += 2
-            continue
-        if args[i].startswith("--config="):
-            path = args[i].split("=", 1)[1]
+            path, i = args[i + 1], i + 2
+        elif args[i].startswith("--config="):
+            path, i = args[i].split("=", 1)[1], i + 1
+        else:
+            rest.append(args[i])
             i += 1
-            continue
-        rest.append(args[i])
-        i += 1
     return path, rest, None
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     # --config supplies defaults; explicit flags override it
     raw_args = list(argv) if argv is not None else sys.argv[1:]
     config_path, raw_args, cfg_err = _extract_config_flag(raw_args)
@@ -388,22 +428,18 @@ def main(argv=None) -> int:
             print("error: config must be a JSON object", file=sys.stderr)
             return 1
         args = raw_args
-        command = stored.get("command")
-        if command and (not args or args[0].startswith("--")):
-            args = [command] + args
-        injected = []
-        for key, val in stored.items():
-            if key == "command" or val is None:
-                continue
-            flag = "--" + key.replace("_", "-")
-            if flag == "--lam":
-                flag = "--lambda"
-            injected.extend([flag, str(val)])
-        # flags given on the command line win: argparse takes the last value
+        if stored.get("command") and (not args or args[0].startswith("--")):
+            args = [stored["command"]] + args
+        # each stored dest as its flag (lam's is --lambda); flags given on
+        # the command line come after, and the last value of a flag wins
+        injected = [t for key, val in stored.items()
+                    if key != "command" and val is not None
+                    for t in ("--lambda" if key == "lam" else
+                              "--" + key.replace("_", "-"), str(val))]
         order = ([args[0]] + injected + args[1:]) if args else injected
-        ns = ap.parse_args(order)
+        ns = _parse(order)
     else:
-        ns = ap.parse_args(raw_args)
+        ns = _parse(raw_args)
     try:
         return ns.func(ns)
     except (TriseriesError, ArithmeticError, ValueError) as exc:

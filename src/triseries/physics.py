@@ -139,6 +139,10 @@ class CoulombCase:
         if not math.isfinite(self.Z * self.Z):
             raise ValueError(f"coulomb: Z = {self.Z} is out of range: the "
                              f"level energies -Z^2/(2 n^2) overflow")
+        sq = self.lam * self.lam   # the family edge -lam^2/8, A_plus 2E/lam^2
+        if not sq or not math.isfinite(sq + 1.0 / sq):
+            raise ValueError(f"coulomb: lam = {self.lam} is out of range: "
+                             f"lam^2 or 1/lam^2 is not finite")
 
     def x_of_r(self, r):
         return self.lam * r

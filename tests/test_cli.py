@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, exit codes, determinism, round trips."""
 
+import argparse
 import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 import triseries
-from triseries.cli import _FAMILY_BUILDERS, _build_case, _emit, build_parser, main
+from triseries.cli import (_FAMILY_BUILDERS, _build_case, _emit, _parse,
+                           build_parser, main)
 from triseries.families import (MeixnerPollaczek, Wilson,
                                 values_by_recursion)
 from triseries.physics import (CASE_TYPES, CoulombCase, EckartCase, MorseCase,
@@ -307,6 +310,98 @@ def test_polytable_config_replay_keeps_every_flag(tmp_path, capsys):
     assert out1 == out2
 
 
+def _smoke_argvs():
+    """The argv of every triseries call in the CI smoke block but the
+    --config replays, whose argv main composes from the stored config."""
+    workflow = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
+    argvs = []
+    for line in workflow.read_text().splitlines():
+        line = line.strip().removeprefix("code=0; ")
+        for part in line.replace("||", "&&").split("&&"):
+            words = part.split(" 2>")[0].split()
+            if words[:1] == ["triseries"] and "--config" not in words:
+                argvs.append(shlex.split(" ".join(words[1:])))
+    return argvs
+
+
+_REQUIRED_ONLY = [
+    ["spectrum", "--case", "coulomb"], ["phaseshift", "--case", "morse"],
+    ["wavefunction", "--case", "eckart"],
+    ["polytable", "--family", "meixner", "--z", "1"], ["verify"],
+    ["match", "--equation", "laguerre", "--scenario", "LA", "--a", "0",
+     "--b", "0", "--A-plus", "1", "--A-minus", "0", "--A-zero", "2"]]
+
+
+def test_flag_table_reads_what_argparse_reads(monkeypatch):
+    # the same namespace, its items in the same order, as argparse gives; the
+    # fast path must take every call here, so argparse's parse is shut off
+    # (the smoke block's usage error and help are argparse's, tested below)
+    argvs = _REQUIRED_ONLY + [a for a in _smoke_argvs()
+                              if a not in (["spectrum"], ["spectrum", "--help"])]
+    argvs += [["phaseshift", "--case", "eckart", "--B", b]
+              for b in ("-5", "-.5", "nan", " 1", "-2e1", "-1e-05", "-5.E+3")]
+    argvs.append(["spectrum", "--case", "coulomb", "--Z", "2", "--case",
+                  "oscillator", "--Z", "3"])
+    assert len(argvs) > 40
+    expect = [repr(vars(build_parser().parse_args(a))) for a in argvs]
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "parse_args", None)
+        assert [repr(vars(_parse(a))) for a in argvs] == expect
+
+
+def _outcome(capsys, call, args):
+    try:
+        code = call(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _argparse_alone(args):
+    ns = build_parser().parse_args(args)
+    return ns.func(ns)
+
+
+@pytest.mark.parametrize("args", [
+    ["-h"], ["spectrum", "--help"],
+    ["phaseshift", "--case", "morse", "--lam", "0.3", "--E", "1"],
+    ["phaseshift", "--case", "eckart", "--A", "2", "--B=-3", "--E", "1"],
+    ["spectrum", "--case", "coulomb", "--ell", "1.5"],
+    ["spectrum", "--case", "nowhere"], ["spectrum", "--Z", "1"],
+    ["spectrum", "--case", "coulomb", "--Z"],
+    ["spectrum", "--case", "--Z", "1"],
+    ["spectrum", "--case", "coulomb", "--n-max", "3"],
+], ids=["help", "spectrum-help", "abbreviation", "equals", "bad-type",
+        "bad-choice", "missing-case", "trailing-flag", "flag-as-value",
+        "polytable-flag"])
+def test_call_the_table_does_not_read_is_argparses(args, capsys):
+    # help, usage errors and every call outside --flag value pairs of the
+    # command's own flags end as build_parser().parse_args alone ends them
+    assert _outcome(capsys, main, args) == _outcome(capsys, _argparse_alone,
+                                                    args)
+
+
+@pytest.mark.parametrize("extra", [[], ["--lam", "1"]],
+                         ids=["table", "argparse"])
+def test_negative_number_in_scientific_notation_is_a_value(extra, capsys):
+    args = ["phaseshift", "--case", "eckart", "--A", "2", "--E", "1"] + extra
+    assert run_cli(capsys, *args, "--B", "-2e1") == run_cli(capsys, *args,
+                                                             "--B", "-20")
+
+
+def test_negative_exponent_value_replays(tmp_path, capsys):
+    # the config stores B as -1e-05, which the replay passes back as "-1e-05"
+    first, again = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(capsys, "phaseshift", "--case", "poschl_teller", "--B",
+                   "-0.00001", "--E", "1", "--format", "json", "--out",
+                   str(first))[0] == 0
+    assert json.loads(first.read_text())["config"]["B"] == -1e-05
+    assert run_cli(capsys, "--config", str(first), "--out", str(again)) == (
+        0, "", "")
+    assert again.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize("flags, expect", [
     (["coulomb", "--Z", "2", "--ell", "1", "--lambda", "0.5"],
      CoulombCase(Z=2.0, ell=1, lam=0.5)),
@@ -457,8 +552,8 @@ def test_poschl_teller_shallow_top_level_passes_the_gate(capsys):
 # calls whose formulas still fault where no record check names the field
 @pytest.mark.parametrize("args, error", [
     (("spectrum", "--case", "scarf", "--lambda", "1e300"), "OverflowError"),
-    (("wavefunction", "--case", "coulomb", "--lambda", "1e-300"),
-     "ZeroDivisionError"),
+    (("wavefunction", "--case", "oscillator", "--omega", "1e300"),
+     "OverflowError"),
     (("wavefunction", "--case", "poschl_teller", "--A", "1e300"),
      "OverflowError"),
 ])
@@ -502,8 +597,15 @@ _HUGE_N = "1" * 401
     (("spectrum", "--case", "scarf", "--A", "1e300"), "A", "1e+300"),
     (("wavefunction", "--case", "oscillator", "--lambda", "1e-300"), "lam",
      "1e-300"),
+    (("wavefunction", "--case", "coulomb", "--lambda", "1e300"), "lam",
+     "1e+300"),
+    (("wavefunction", "--case", "coulomb", "--lambda", "1e-160"), "lam",
+     "1e-160"),
+    (("wavefunction", "--case", "coulomb", "--lambda", "1e-300"), "lam",
+     "1e-300"),
 ], ids=["krawtchouk-N", "dual_hahn-N", "racah-N", "morse-V1", "scarf-A",
-        "oscillator-lam"])
+        "oscillator-lam", "coulomb-lam-huge", "coulomb-lam-1e-160",
+        "coulomb-lam-tiny"])
 def test_field_the_record_cannot_hold_is_named(args, field, value, capsys):
     # a field past what the record's formulas can hold is refused by the
     # record, in one line naming the field and its value, not by an
@@ -520,6 +622,29 @@ def test_field_the_record_cannot_hold_is_named(args, field, value, capsys):
         if fmt == "json":
             diag = json.loads(err)["diagnostics"]
             assert f"{field} = {value} " in diag["message"]
+
+
+# Coulomb's basis scale enters as lam^2 (the discrete family's edge
+# -lam^2/8) and 1/lam^2 (A_plus = 2E/lam^2); each bound is the last float at
+# which that square stays finite, and the call just inside it still prints
+@pytest.mark.parametrize("lam, kept", [
+    (1.3407807929942596e154, True), (7.458340731200208e-155, True),
+    (math.nextafter(1.3407807929942596e154, math.inf), False),
+    (math.nextafter(7.458340731200208e-155, 0.0), False),
+], ids=["huge-kept", "tiny-kept", "huge-refused", "tiny-refused"])
+def test_coulomb_lam_is_refused_where_its_squares_overflow(lam, kept, capsys):
+    square = lam * lam
+    assert kept == (math.isfinite(square) and math.isfinite(1.0 / square))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "phaseshift", "--case", "coulomb",
+                                 "--lambda", repr(lam), "--E", "1")
+    assert caught == []
+    if kept:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out, err) == (1, "", f"error: coulomb: lam = {lam} is out "
+                                    f"of range: lam^2 or 1/lam^2 is not finite\n")
 
 
 # Scarf fields whose derived quantities overflow, each bound measured: the
