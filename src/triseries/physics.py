@@ -20,7 +20,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from . import families as fam
 from . import solve as solvemod
@@ -690,9 +690,6 @@ def default_mesh(case, n_levels: int = 3) -> RadialMesh:
     return case.fd_mesh(n_levels)
 
 
-_SEED_COARSENING = 8   # an h mesh takes its seeds from the mesh of step 8h
-
-
 def _fd_operator(case, mesh: RadialMesh):
     # conservative 3-point form on the spacings s_{j-1/2}, s_{j+1/2}:
     # A psi = E W psi with W = diag(w_j), w_j = (s_{j-1/2} + s_{j+1/2})/2,
@@ -711,15 +708,12 @@ def _fd_operator(case, mesh: RadialMesh):
     return diag, off
 
 
-def _norm(diag, off) -> float:
-    """A bound on ||T||_inf of the tridiagonal T = (diag, off)."""
-    return np.abs(diag).max() + 2.0 * np.abs(off).max()
-
-
 def _bisection(diag, off, k: int, loose: bool = False) -> np.ndarray:
     """LAPACK dstebz's k lowest eigenvalues of T = (diag, off): to full
-    accuracy, or loose, to 1e-8 _norm(T), as seeds for a polish."""
-    tol = {"tol": 1e-8 * _norm(diag, off)} if loose else {}
+    accuracy, or loose, to 1e-8 of the bound |diag| + 2|off| on ||T||_inf,
+    as seeds for a polish."""
+    tol = ({"tol": 1e-8 * (np.abs(diag).max() + 2.0 * np.abs(off).max())}
+           if loose else {})
     return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                             select_range=(0, k - 1), lapack_driver="stebz",
                             **tol)
@@ -734,7 +728,7 @@ def _lowest_eigenvalues(diag, off, k: int, seeds=None, starts=None):
     random vector shared by all seeds), and the values are certified.  If a
     polish stalls or the certificate refuses, the values are dstebz's full
     bisection and the vectors None."""
-    norm = _norm(diag, off)
+    norm = np.abs(diag).max() + 2.0 * np.abs(off).max()   # >= ||T||_inf
     seeds = _bisection(diag, off, k, loose=True) if seeds is None else seeds
     if starts is None:
         # one random vector: no symmetry of T can make it orthogonal to a level
@@ -756,13 +750,12 @@ def _lowest_eigenvalues(diag, off, k: int, seeds=None, starts=None):
         vecs[i] = v
     # [lam - eta, lam + eta] holds an eigenvalue: 2 res covers the round-off
     # of res (read from T, whatever dgtsv returned), 32 eps ||T|| twice a
-    # Sturm count's.  Disjoint intervals, none below lo (T - lo is positive
-    # definite: the count from lo - eta[0] is 0) and k up to hi certify them.
-    lo, hi = lam[0] - eta[0], lam[-1] + eta[-1]
+    # Sturm count's.  k disjoint intervals hold k eigenvalues up to hi; one
+    # count of exactly k on (-2 ||T||, hi], below which T has none, makes
+    # them the k lowest.
+    lo, hi = -2.0 * norm, lam[-1] + eta[-1]
     certified = (np.all(np.diff(lam) > eta[:-1] + eta[1:])
-                 and dpttrf(diag - lo, off)[2] == 0
-                 and dstebz(diag, off, 1, lo - eta[0], hi, 0, 0,   # (vl, vu]
-                            hi - lo + eta[0], "E")[0] == k)
+                 and dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")[0] == k)
     return (lam, vecs) if certified else (_bisection(diag, off, k), None)
 
 
@@ -778,50 +771,36 @@ def _prolong(vecs) -> np.ndarray:
     return fine
 
 
-def _coarse_seeds(case, mesh: RadialMesh, k: int):
-    """Seeds for the k lowest FD levels on ``mesh``: a loose bisection of the
-    operator on the mesh of step _SEED_COARSENING h, or None (the mesh's own
-    bisection) if that one has under k nodes."""
-    coarse = replace(mesh, h=_SEED_COARSENING * mesh.h)
-    if coarse.steps() <= k:
-        return None
-    return _bisection(*_fd_operator(case, coarse), k, loose=True)
-
-
-def _fd_eigenpairs(case, mesh: RadialMesh, k: int, seeds=None, starts=None):
-    """The k lowest FD levels on ``mesh`` as _lowest_eigenvalues gives them;
-    BoxTooSmall if fewer than k lie below the continuum threshold."""
-    evals, vecs = _lowest_eigenvalues(*_fd_operator(case, mesh), k, seeds,
-                                      starts)
-    if math.isfinite(case.threshold):
-        # bound levels sit strictly below the continuum threshold
-        hi = min(case.threshold, 0.0) + 1e-9
-        n_below = int(np.count_nonzero(evals < hi))
-        if n_below < k:
-            raise BoxTooSmall(f"only {n_below} eigenvalues below hi={hi}")
-    return evals, vecs
-
-
-def _fd_eigenvalues(case, mesh: RadialMesh, k: int, seeds=None,
-                    starts=None) -> np.ndarray:
-    return _fd_eigenpairs(case, mesh, k, seeds, starts)[0]
-
-
 def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,
               gate: float = 1e-5) -> np.ndarray:
     """Lowest bound eigenvalues by 3-point finite differences.
 
     Solves at steps h and h/2, Richardson-extrapolates, and raises
     MeshTooCoarse when the two meshes disagree beyond ``gate`` relative.
-    The h-mesh seeds are a loose bisection on the mesh of step 8h; the h/2
-    polish starts from the h-mesh levels and their eigenvectors.
+    The h-mesh seeds are a loose bisection on the mesh of step 8h (on the h
+    mesh itself when the 8h mesh has at most ``n_levels`` steps); the h/2
+    polish starts from the h-mesh levels and their prolonged eigenvectors.
+    Each mesh raises BoxTooSmall if fewer than ``n_levels`` of its levels
+    lie below the continuum threshold.
     """
     if mesh is None:
         mesh = default_mesh(case, n_levels)
-    e_h, v_h = _fd_eigenpairs(case, mesh, n_levels,
-                              _coarse_seeds(case, mesh, n_levels))
-    e_h2 = _fd_eigenvalues(case, mesh.halved(), n_levels, seeds=e_h,
-                           starts=None if v_h is None else _prolong(v_h))
+    coarse = replace(mesh, h=8 * mesh.h)
+    levels = (None if coarse.steps() <= n_levels else
+              _bisection(*_fd_operator(case, coarse), n_levels, loose=True))
+    vecs, solved = None, []
+    for m in (mesh, mesh.halved()):
+        levels, vecs = _lowest_eigenvalues(
+            *_fd_operator(case, m), n_levels, levels,
+            None if vecs is None else _prolong(vecs))
+        if math.isfinite(case.threshold):
+            # bound levels sit strictly below the continuum threshold
+            hi = min(case.threshold, 0.0) + 1e-9
+            n_below = int(np.count_nonzero(levels < hi))
+            if n_below < n_levels:
+                raise BoxTooSmall(f"only {n_below} eigenvalues below hi={hi}")
+        solved.append(levels)
+    e_h, e_h2 = solved
     rich = (4.0 * e_h2 - e_h) / 3.0
     scale = np.maximum(np.abs(rich), 1e-2)
     rel = np.abs(e_h2 - e_h) / scale

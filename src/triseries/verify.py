@@ -122,10 +122,6 @@ class _Complex:
                             (self.imag * o.real - self.real * o.imag) / d)
         return _Complex(self.real / o, self.imag / o)
 
-    def __rtruediv__(self, o):
-        d = self.real * self.real + self.imag * self.imag
-        return _Complex(o * self.real / d, -o * self.imag / d)
-
 
 def _magnitude(v):
     """|re| + |im| of a Decimal or _Complex: within a factor sqrt(2) of |v|."""

@@ -76,6 +76,16 @@ def test_extended_families_have_no_closed_form_or_weight():
             fam.weight(f)
 
 
+def test_families_without_a_mass_formula_raise_no_closed_form():
+    for f in (fam.MeixnerPollaczek(0.5, 1.0), fam.DualHahn(5, 0.4, 1.2),
+              fam.Wilson(0.5, 0.5, 0.5, 0.5), fam.Racah(5, 0.4, 0.9),
+              fam.ExtendedJacobiContinuous(0.3, 0.7, 1.1, 0.0, 5.0),
+              fam.ExtendedJacobiDiscrete(0.3, 0.7, 0.4, 0.0, 2.0)):
+        for formula in (f.mass_point, f.discrete_mass):
+            with pytest.raises(NoClosedForm, match=type(f).__name__):
+                formula(0)
+
+
 def test_invalid_family_params():
     with pytest.raises(InvalidFamilyParams):
         fam.MeixnerPollaczek(-0.5, 1.0).validate()

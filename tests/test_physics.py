@@ -1,6 +1,7 @@
 """Potential cases: parameter maps, spectra, phase shifts, the FD oracle."""
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -12,10 +13,10 @@ from triseries.errors import (BelowThreshold, BoxTooSmall, InvalidFamilyParams,
                               MeshTooCoarse, NoBoundStates, NoContinuum)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, RadialMesh,
-                               ScarfCase, _fd_eigenvalues, _fd_operator,
-                               _lowest_eigenvalues, bound_energy,
-                               bound_spectrum, default_mesh, fd_oracle,
-                               phase_shift, spectrum_size, tra_bound_energy)
+                               ScarfCase, _fd_operator, _lowest_eigenvalues,
+                               bound_energy, bound_spectrum, default_mesh,
+                               fd_oracle, phase_shift, spectrum_size,
+                               tra_bound_energy)
 
 
 def test_coulomb_parameter_map():
@@ -155,8 +156,12 @@ def test_uniform_mesh_is_the_plain_three_point_operator():
         diag, off = _fd_operator(case, mesh)
         assert np.array_equal(diag, plain[0]), case.name
         assert np.array_equal(off, plain[1]), case.name
-        old, _ = _lowest_eigenvalues(*plain, 2)
-        new = _fd_eigenvalues(case, mesh, 2)
+        # the certificate promises a level only to within 2 res + 32 eps
+        # ||T||, at least 5.7e-10 on these meshes: the two solves agree to
+        # 1e-12 because both polish the same seeds, one loose bisection
+        seeds = physics._bisection(diag, off, 2, loose=True)
+        old, _ = _lowest_eigenvalues(*plain, 2, seeds)
+        new, _ = _lowest_eigenvalues(diag, off, 2, seeds)
         assert np.max(np.abs(new - old) / np.abs(old)) <= 1e-12, case.name
 
 
@@ -192,8 +197,8 @@ def test_graded_meshes_converge_at_second_order(case, k):
     # term nearly cancels on this mesh) is round-off of the eigensolver and
     # has no order.
     mesh = default_mesh(case, k)
-    e_h, e_h2, e_h4 = (_fd_eigenvalues(case, m, k) for m in
-                       (mesh, mesh.halved(), mesh.halved().halved()))
+    e_h, e_h2, e_h4 = (_lowest_eigenvalues(*_fd_operator(case, m), k)[0]
+                       for m in (mesh, mesh.halved(), mesh.halved().halved()))
     scale = np.maximum(np.abs(e_h2), 1e-2)
     measured = np.abs(e_h - e_h2) > 1e-8 * scale
     assert np.count_nonzero(measured) >= k - 1
@@ -248,8 +253,8 @@ def _bisection(diag, off, k, tol=0.0):
 def test_polished_levels_match_a_tight_bisection(case, k):
     # each mesh as fd_oracle solves it: the h/2 mesh from the h-mesh levels
     mesh = default_mesh(case, k)
-    e_h = _fd_eigenvalues(case, mesh, k)
-    e_h2 = _fd_eigenvalues(case, mesh.halved(), k, seeds=e_h)
+    e_h, _ = _lowest_eigenvalues(*_fd_operator(case, mesh), k)
+    e_h2, _ = _lowest_eigenvalues(*_fd_operator(case, mesh.halved()), k, e_h)
     for m, e in ((mesh, e_h), (mesh.halved(), e_h2)):
         tight = _bisection(*_fd_operator(case, m), k, tol=1e-300)
         assert np.max(np.abs(e - tight) / np.abs(tight)) <= 1e-9
@@ -275,14 +280,16 @@ def test_no_acceptance_or_benchmark_input_falls_back(monkeypatch, capsys):
 @pytest.mark.parametrize("case, k", ACCEPTANCE_POINTS,
                          ids=lambda x: getattr(x, "name", str(x)))
 def test_levels_come_with_unit_eigenvectors(case, k):
-    # both meshes as fd_oracle solves them: the h/2 polish starts from the
-    # h-mesh vectors carried to its nodes
+    # both meshes as fd_oracle solves them: the h mesh from the loose
+    # bisection on the mesh of step 8h, the h/2 polish from the h-mesh
+    # vectors carried to its nodes
     def solve():
         mesh = default_mesh(case, k)
-        e_h, v_h = physics._fd_eigenpairs(
-            case, mesh, k, physics._coarse_seeds(case, mesh, k))
-        e_h2, v_h2 = physics._fd_eigenpairs(case, mesh.halved(), k, e_h,
-                                            physics._prolong(v_h))
+        seeds = physics._bisection(
+            *_fd_operator(case, replace(mesh, h=8 * mesh.h)), k, loose=True)
+        e_h, v_h = _lowest_eigenvalues(*_fd_operator(case, mesh), k, seeds)
+        e_h2, v_h2 = _lowest_eigenvalues(*_fd_operator(case, mesh.halved()),
+                                         k, e_h, physics._prolong(v_h))
         return [(mesh, e_h, v_h), (mesh.halved(), e_h2, v_h2)]
 
     first, again = solve(), solve()
@@ -320,11 +327,12 @@ def test_the_full_bisection_returns_no_vectors():
 def test_uncertified_seeds_give_the_full_bisection_bit_for_bit():
     # each seed set fails one condition of the certificate: a level twice
     # (the window still holds 3 levels), levels 1-3 in place of 0-2 (none
-    # twice, 3 in the window), and levels far up the spectrum
+    # twice, 4 up to the top one), levels 0, 1 and 3 (a middle level
+    # skipped: 4 up to the top one), and levels far up the spectrum
     case = PoschlTellerCase(lam=1.0, A=1.0, B=-36.0)
     diag, off = _fd_operator(case, default_mesh(case, 3))
-    full = _bisection(diag, off, 3)
-    for seeds in (full[[0, 2, 2]], _bisection(diag, off, 4)[1:], full + 50.0):
+    full, four = _bisection(diag, off, 3), _bisection(diag, off, 4)
+    for seeds in (full[[0, 2, 2]], four[1:], four[[0, 1, 3]], full + 50.0):
         values, _ = _lowest_eigenvalues(diag, off, 3, seeds)
         assert np.array_equal(values, full)
 
