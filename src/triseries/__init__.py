@@ -1,7 +1,7 @@
 """Series solutions of Laguerre- and Jacobi-type second-order equations.
 
 The expansion coefficients of square-integrable series solutions obey
-symmetric three-term recursions solved by classical (and two recursion-only)
+symmetric three-term recursions solved by classical (and one recursion-only)
 orthogonal polynomial families; quantum-mechanics applications recover
 bound-state spectra and scattering phase shifts from the family data.
 """

@@ -70,9 +70,7 @@ def jacobi_cd(mu: float, nu: float, n_terms: int):
                                    / ((2n+mu+nu+1)(2n+mu+nu+3))).
 
     D_n^2 is signed: negative in the formal finite cases, where D_n is nan.
-    These are the z -> infinity limit coefficients of the extended family
-    built on the same C_n, D_n.  DegenerateDenominator where a denominator
-    vanishes.
+    DegenerateDenominator where a denominator vanishes.
     """
     n = np.arange(n_terms, dtype=float)
     e = 2.0 * n + mu + nu

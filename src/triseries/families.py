@@ -2,10 +2,9 @@
 
 Each family provides the (s_n, t_n) streams of its symmetric three-term
 recursion in the normalization where the orthonormality weight integrates
-(or sums) to one, plus, where it is known, the weight itself.  Two of the
-families (the extended Jacobi-recursion families with continuous and
-discrete argument) are recursion-only objects: no closed form or weight is
-known for them.
+(or sums) to one, plus, where it is known, the weight itself.  The extended
+Jacobi family of the JA scenario is recursion-only: no closed form or weight
+is known, and its levels and masses come from its truncated Jacobi matrix.
 
 Each family record carries its formulas as methods (``Family``); the module
 functions hold the checks every family shares.  A double-precision P_n has
@@ -26,14 +25,15 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammasgn
 
 from .basis import jacobi_cd
-from .errors import InvalidFamilyParams, NoClosedForm
+from .errors import (IndexOutOfSpectrum, InvalidFamilyParams, NoClosedForm,
+                     TruncationTooSmall)
 from .gammafn import (log_abs_rising, log_gamma, log_gamma_real,
                       real_part_checked)
-from .recurrence import RecursionCoeffs, _forward, run_recursion
+from .recurrence import (RecursionCoeffs, _forward, jacobi_eigenpairs,
+                         run_recursion)
 
 
 class Family(Protocol):
@@ -66,11 +66,6 @@ def _require_finite(record) -> None:
 
 def _no_mass_formula(self, k: int):
     raise NoClosedForm(f"no mass formula for {type(self).__name__}")
-
-
-def _recursion_only(self):
-    raise NoClosedForm(f"{type(self).__name__} is recursion-only: "
-                       "no closed form or weight is known")
 
 
 @dataclass(frozen=True)
@@ -338,15 +333,10 @@ class ContinuousDualHahn:
 
 
 def masses_from_recursion(coeffs: RecursionCoeffs):
-    """Mass points and masses of a finite orthonormal family from its
-    truncated Jacobi matrix (Golub-Welsch): points are the eigenvalues, and
-    the mass at a point is the squared first component of its unit
-    eigenvector.  Bisection plus inverse iteration (LAPACK dstebz/dstein)
-    keeps the tiny masses to ~1e-13 relative; the default divide-and-conquer
-    driver gets only their absolute size right."""
-    n = len(coeffs)
-    points, vecs = eigh_tridiagonal(coeffs.s, coeffs.t[:n - 1],
-                                    lapack_driver="stebz")
+    """Mass points and masses of a finite orthonormal family from its Jacobi
+    matrix: the eigenvalues, and the squared first components of the unit
+    eigenvectors (to ~1e-13 relative)."""
+    points, vecs = jacobi_eigenpairs(coeffs)
     return points, vecs[0] ** 2
 
 
@@ -579,74 +569,67 @@ class Racah:
     mass_point = discrete_mass = _no_mass_formula
 
 
-def _extended_jacobi_streams(mu, nu, sigma, shift, n_terms) -> RecursionCoeffs:
-    """Jacobi streams, diagonal shifted by shift (sigma + (n+(mu+nu+1)/2)^2)."""
-    c, d, _ = jacobi_cd(mu, nu, n_terms)
-    n = np.arange(n_terms, dtype=float)
-    return RecursionCoeffs(
-        c + shift * (sigma + np.float_power(n + 0.5 * (mu + nu + 1.0), 2)), d)
-
-
 @dataclass(frozen=True)
-class ExtendedJacobiContinuous:
-    """Recursion-only family extending the Jacobi recursion (continuous kind).
-
-    Polynomial of degree n in 1/z; taking z -> infinity recovers the
-    orthonormal Jacobi recursion in the variable cos(theta).  sigma shifts
-    the quadratic-in-n diagonal term.  No closed form or weight is known.
-    """
+class ExtendedJacobi:
+    """Recursion-only family of the JA scenario, with no known closed form or
+    weight.  Its streams are the scenario's raw ones, s_n = A_one C_n - (n +
+    (mu+nu+1)/2)^2 and t_n = A_one |D_n| (``basis.jacobi_cd``), in the variable
+    chi0 = A_zero - (a+b-1)^2/4.  Its spectrum is discrete and bounded above:
+    level k is the k-th eigenvalue from the top of its truncated Jacobi
+    matrix, and its mass the squared first component of the unit eigenvector."""
     mu: float
     nu: float
-    theta: float
-    sigma: float = 0.0
-    z: float = math.inf
-    kind = "extended_jacobi_continuous"
+    A_one: float
+    kind = "extended_jacobi"
 
     def validate(self):
-        if not 0.0 < self.theta < math.pi:
-            raise InvalidFamilyParams(f"needs 0 < theta < pi, got {self.theta}")
-        if self.z == 0.0:
-            raise InvalidFamilyParams("argument z must be nonzero")
+        _require_finite(self)
+        # mu, nu > -1 keep every D_n^2 >= 0: a real symmetric Jacobi matrix
+        if not (self.mu > -1.0 and self.nu > -1.0 and self.A_one != 0.0):
+            raise InvalidFamilyParams("extended Jacobi needs mu, nu > -1 and "
+                                      "A_one != 0")
 
     def streams(self, n_terms):
-        shift = (math.sin(self.theta) / self.z) if math.isfinite(self.z) else 0.0
-        return _extended_jacobi_streams(self.mu, self.nu, self.sigma, shift, n_terms)
+        c, _, d2 = jacobi_cd(self.mu, self.nu, n_terms)
+        e = 2.0 * np.arange(n_terms, dtype=float) + self.mu + self.nu
+        return RecursionCoeffs(self.A_one * c - 0.25 * np.float_power(e + 1.0, 2),
+                               self.A_one * np.sqrt(np.abs(d2)),
+                               t_squared=self.A_one ** 2 * d2)
 
     def spectral_point(self, arg):
-        return math.cos(self.theta)
+        return float(arg)
 
-    weight = _recursion_only
-    mass_point = discrete_mass = _no_mass_formula
+    def weight(self):
+        raise NoClosedForm("ExtendedJacobi is recursion-only: no closed form "
+                           "or weight is known")
 
+    def levels(self, k: int, n_terms: int = None):
+        """(T, values, vectors): the top k+1 eigenvalues of the T-term Jacobi
+        matrix, descending, and their unit eigenvectors as columns, each with
+        v_0 >= 0.  T is ``n_terms`` when given.  Otherwise T doubles from the
+        first of 60, 120, 240, ... above k until the top k+1 agree with those
+        of T/2 terms to 1e-9 max(1, |value|); TruncationTooSmall past 960."""
+        if k < 0:
+            raise IndexOutOfSpectrum(f"extended Jacobi level index {k} < 0")
+        n, prev = n_terms or 60, None
+        while n <= (n_terms or 960):
+            if n > k:
+                vals, vecs = jacobi_eigenpairs(family_coeffs(self, n), top=k + 1)
+                vals, vecs = vals[::-1], vecs[:, ::-1]
+                vecs = vecs * np.where(vecs[0] < 0.0, -1.0, 1.0)
+                if n_terms or prev is not None and np.all(
+                        np.abs(vals - prev) <= 1e-9 * np.maximum(1.0, np.abs(vals))):
+                    return n, vals, vecs
+                prev = vals
+            n *= 2
+        raise TruncationTooSmall(f"extended Jacobi level {k} does not settle "
+                                 f"within {n // 2} terms")
 
-@dataclass(frozen=True)
-class ExtendedJacobiDiscrete:
-    """Discrete counterpart of the extended Jacobi family; spectrum points
-    z_k are not derivable from known theory and must be supplied."""
-    mu: float
-    nu: float
-    tau: float
-    sigma: float = 0.0
-    z_k: float = math.inf
-    kind = "extended_jacobi_discrete"
+    def mass_point(self, k):
+        return float(self.levels(k)[1][k])
 
-    def validate(self):
-        if not 0.0 < self.tau < 1.0:
-            raise InvalidFamilyParams(f"needs 0 < tau < 1, got {self.tau}")
-        if self.z_k == 0.0:
-            raise InvalidFamilyParams("spectrum point z_k must be nonzero")
-
-    def streams(self, n_terms):
-        tau = self.tau
-        shift = ((1.0 - tau) / (2.0 * math.sqrt(tau) * self.z_k)
-                 if math.isfinite(self.z_k) else 0.0)
-        return _extended_jacobi_streams(self.mu, self.nu, self.sigma, shift, n_terms)
-
-    def spectral_point(self, arg):
-        return (1.0 + self.tau) / (2.0 * math.sqrt(self.tau))
-
-    weight = _recursion_only
-    mass_point = discrete_mass = _no_mass_formula
+    def discrete_mass(self, k):
+        return float(self.levels(k)[2][0, k] ** 2)
 
 
 # ---------------------------------------------------------------------------

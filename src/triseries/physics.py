@@ -449,6 +449,9 @@ class ScarfCase:
             object.__setattr__(self, "L", math.pi / self.lam)
         else:
             object.__setattr__(self, "lam", math.pi / self.L)
+        if not math.isfinite(self.lam * self.lam):   # from lam = 1.35e154 on
+            raise ValueError(f"scarf: {given} = {getattr(self, given)} is out of "
+                             f"range: lam^2 in the level energies overflows")
         # ode_params squares (A +- B)/lam - 1/2, which stays finite while
         # |A| and |B| are at most lam sqrt(max float) / 3
         for name in ("A", "B"):

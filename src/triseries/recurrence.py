@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonFiniteValue, ZeroOffDiagonal
 
@@ -112,6 +113,16 @@ def _steps(s: list, sub: list, sup: list, x: float) -> list:
         prev, cur = cur, ((x - sn) * cur - below * prev) / above
         values.append(cur)
     return values
+
+
+def jacobi_eigenpairs(coeffs: RecursionCoeffs, top: int = None):
+    """Eigenvalues, ascending, and unit eigenvectors (columns) of the Jacobi
+    matrix of ``coeffs`` (Golub & Welsch, Math. Comp. 23, 221 (1969)), all or
+    the ``top`` largest.  LAPACK dstebz/dstein keep small components to
+    ~1e-13 relative, where divide and conquer keeps only their absolute size."""
+    n = len(coeffs)
+    select = {} if top is None else {"select": "i", "select_range": (n - top, n - 1)}
+    return eigh_tridiagonal(coeffs.s, coeffs.t[:n - 1], lapack_driver="stebz", **select)
 
 
 def christoffel_darboux_check(coeffs: RecursionCoeffs, z: float, n_top: int,

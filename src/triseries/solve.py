@@ -22,7 +22,6 @@ CONTINUOUS = "continuous"
 DISCRETE_INFINITE = "discrete_infinite"
 DISCRETE_FINITE = "discrete_finite"
 MIXED = "mixed"
-DISCRETE_UNKNOWN = "discrete_unknown"
 
 DEFAULT_TRUNCATION = 60
 _BOUNDARY_TOL = 1e-9
@@ -39,7 +38,6 @@ class MatchResult:
     spectral_map: SpectralMap
     spectrum_kind: str
     n_finite: Optional[int] = None   # size-1 count N of a finite/mixed part
-    unnormalized: bool = False   # the family has no weight to normalize by
 
 
 @dataclass(frozen=True)
@@ -124,22 +122,17 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             raise ZeroOffDiagonal("this scenario has no recursion when A_one = 0")
         raw = raw_spectral_map(params, scenario)
         chi0 = raw.raw_value
-        m = replace(raw, scale=params.A_one)
-        if params.A_one ** 2 >= chi0 ** 2:
-            theta = math.acos(chi0 / params.A_one)
-            z = -math.copysign(1.0, params.A_one) * math.sqrt(
-                params.A_one ** 2 - chi0 ** 2)
-            family = fam.ExtendedJacobiContinuous(spec.mu, spec.nu, theta, 0.0, z)
-            return MatchResult(family, spec, m, CONTINUOUS, unnormalized=True)
-        c = chi0 / params.A_one
-        if c < 1.0:
+        family = fam.ExtendedJacobi(spec.mu, spec.nu, params.A_one)
+        # take levels until one lies below chi0, then the nearest of them
+        k = 2
+        while (levels := family.levels(k)[1])[-1] > chi0:
+            k = 2 * k + 1
+        k = int(np.argmin(np.abs(levels - chi0)))
+        if abs(levels[k] - chi0) > _BOUNDARY_TOL * max(1.0, abs(chi0)):
             raise NoFamilyApplies(
-                "discrete extended-Jacobi regime needs the normalized diagonal "
-                "offset >= 1; got chi0/A_one < -1")
-        tau = (2.0 * c * c - 1.0) - 2.0 * abs(c) * math.sqrt(c * c - 1.0)
-        zk = -params.A_one * (1.0 - tau) / (2.0 * math.sqrt(tau))
-        family = fam.ExtendedJacobiDiscrete(spec.mu, spec.nu, tau, 0.0, zk)
-        return MatchResult(family, spec, m, DISCRETE_UNKNOWN, unnormalized=True)
+                f"chi0 = {chi0!r} is no level of the extended Jacobi matrix: "
+                f"the nearest is level {k}, {float(levels[k])!r}")
+        return MatchResult(family, spec, raw, DISCRETE_INFINITE)
     if scenario in ("JB", "JC"):
         # JB is the swap-symmetric mirror of JC; match on JC coordinates.
         use, use_spec = (apply_swap_symmetry(params, spec) if scenario == "JB"
@@ -153,8 +146,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
             gm = 0.5 * (use_spec.mu + use_spec.nu - root)
             family = fam.Racah(n_fin, gm, sg)
             m = replace(raw, scale=-2.0, offset=0.5 * (use.a - 1.0) ** 2)
-            return MatchResult(family, use_spec, m, DISCRETE_FINITE,
-                               n_finite=n_fin, unnormalized=True)
+            return MatchResult(family, use_spec, m, DISCRETE_FINITE, n_finite=n_fin)
         sg = 0.5 * (use_spec.nu + 1.0)
         gm = 0.5 * (use_spec.mu + 1.0)
         m = replace(raw, scale=2.0, offset=0.5 * (use.a - 1.0) ** 2)
@@ -178,6 +170,7 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
 _TAIL_REL = 1e-8
 _CLIP_TAIL_REL = 1e-6
 _CLIP_REGROWTH = 1e2
+_ROW_MISS = 1e-10
 
 
 def _clip_roundoff_tail(vals: np.ndarray) -> np.ndarray:
@@ -222,10 +215,22 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
     equation pointwise.
     """
     f = match.family
+    if isinstance(f, fam.ExtendedJacobi):
+        # level k: the k-th unit eigenvector of the settled or the given matrix
+        k, chi0 = int(spectral), match.spectral_map.family_value
+        n, levels, vecs = f.levels(k, None if truncation is None else truncation + 1)
+        if abs(levels[k] - chi0) > _BOUNDARY_TOL * max(1.0, abs(chi0)):
+            raise IndexOutOfSpectrum(f"level {k} of the {n}-term Jacobi matrix is "
+                                     f"{float(levels[k])!r}, not the matched {chi0!r}")
+        # the vector solves each recursion row but row n, which it misses by
+        # t_{n-1} v_{n-1}; the ODE residual measured up to ~20 times that
+        miss = abs(f.streams(n).t[-1] * vecs[-1, k])
+        if miss > _ROW_MISS:
+            raise TruncationTooSmall(f"row {n} of the recursion misses by {miss:.2e}")
+        return SeriesSolution(vecs[:, k], match.spec, n, float(vecs[0, k]))
     kind = match.spectrum_kind
     if truncation is None:
         truncation = DEFAULT_TRUNCATION
-    unnorm = match.unnormalized
     is_index = isinstance(spectral, (int, np.integer))
     if kind == DISCRETE_FINITE:
         raise NoPointwiseSolution(
@@ -241,21 +246,19 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         if kind == DISCRETE_INFINITE:
             # Meixner: forward recursion regrows the dominant solution
             vals = _clip_roundoff_tail(vals)
-        p = 1.0 if unnorm else math.sqrt(f.discrete_mass(k))
-        return SeriesSolution(p * vals, match.spec, truncation + 1, p, unnorm)
-    # continuous component, or a discrete point no formula places
+        p = math.sqrt(f.discrete_mass(k))
+        return SeriesSolution(p * vals, match.spec, truncation + 1, p)
+    # continuous component
     zval = float(spectral)
     coeff = run_recursion(coeffs, f.spectral_point(zval), truncation)
-    if kind == DISCRETE_UNKNOWN:
-        return SeriesSolution(coeff, match.spec, truncation + 1, 1.0, True)
-    p = 1.0 if unnorm else math.sqrt(f.density_at(zval))
+    p = math.sqrt(f.density_at(zval))
     coeff = p * coeff
     if enforce_tail:
         tail = np.max(np.abs(coeff[-3:]))
         if tail > _TAIL_REL * np.max(np.abs(coeff)):
             raise TruncationTooSmall(
                 f"tail {tail:.2e} not negligible at truncation {truncation}")
-    return SeriesSolution(coeff, match.spec, truncation + 1, p, unnorm)
+    return SeriesSolution(coeff, match.spec, truncation + 1, p)
 
 
 # ---------------------------------------------------------------------------

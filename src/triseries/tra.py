@@ -24,6 +24,7 @@ from .basis import jacobi_cd
 from .errors import (DegenerateDenominator, NoTerminatingIndex, RealityViolation,
                      ScenarioMismatch, ScenarioRequiresA1Zero, TriseriesError,
                      ZeroOffDiagonal)
+from .families import ExtendedJacobi
 from .recurrence import RecursionCoeffs
 
 LAGUERRE = "laguerre"
@@ -232,18 +233,15 @@ def jacobi_st2r2(params: OdeParams, spec: BasisSpec, n_terms: int):
     zmap = raw_spectral_map(params, spec.scenario)
     a, b = params.a, params.b
     mu, nu = spec.mu, spec.nu
-    chi = 4.0 * params.A_zero - (a + b - 1.0) ** 2
-    ns = np.arange(n_terms, dtype=float)
-    e = 2.0 * ns + mu + nu
-    c, _, d2 = jacobi_cd(mu, nu, n_terms)
     sc = spec.scenario
     if sc == "JA":
         if params.A_one == 0.0:
             raise ZeroOffDiagonal("with A_one = 0 this scenario has no recursion")
-        s = params.A_one * c - 0.25 * np.float_power(e + 1.0, 2)
-        t = params.A_one * np.sqrt(np.abs(d2))
-        t2 = params.A_one ** 2 * d2
-        return RecursionCoeffs(s, t, t_squared=t2), zmap
+        return ExtendedJacobi(mu, nu, params.A_one).streams(n_terms), zmap
+    chi = 4.0 * params.A_zero - (a + b - 1.0) ** 2
+    ns = np.arange(n_terms, dtype=float)
+    e = 2.0 * ns + mu + nu
+    c, _, d2 = jacobi_cd(mu, nu, n_terms)
     q_up = 0.25 * ((e + 2.0) ** 2 + chi)
     ratio = np.zeros(n_terms)
     if sc == "JB":

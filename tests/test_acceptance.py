@@ -205,5 +205,5 @@ def test_criterion_09_ode_residuals():
 def test_criterion_10_extended_family_degeneration():
     checks = degeneration_suite()
     ok = all(c.passed for c in checks)
-    _report(10, ok, f"extended family at argument 1e8 matches orthonormal "
+    _report(10, ok, f"extended family streams over A_one = 1e9 match orthonormal "
                     f"Jacobi streams to 1e-6 (worst {checks[0].value:.2e})")

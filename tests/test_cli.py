@@ -549,9 +549,53 @@ def test_poschl_teller_shallow_top_level_passes_the_gate(capsys):
         assert json.loads(out)["diagnostics"]["within_tolerance"] is True
 
 
+def test_spectrum_fails_when_the_oracle_does_not_tell_levels_apart(
+        capsys, monkeypatch):
+    # Scarf A = 1e8: the oracle prints one value for m = 1 and m = 2, each
+    # within 3e-8 of its formula level but nearer the m = 0 formula level
+    args = ("spectrum", "--case", "scarf", "--A", "1e8", "--lambda", "1")
+    code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["diagnostics"]["within_tolerance"] is False
+    e_fd = [row["E_oracle"] for row in doc["rows"]]
+    assert e_fd[1] == e_fd[2]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (2, "") and out.count("\n") == 4
+    # two equal oracle levels midway between their distinct formula levels
+    # lie nearest neither other level, and still fail
+    levels = [triseries.physics.bound_energy(CoulombCase(Z=1.0), m) for m in range(3)]
+    mid = 0.5 * (levels[1] + levels[2])
+    monkeypatch.setattr(triseries.physics, "fd_oracle",
+                        lambda *a, **k: np.array([levels[0], mid, mid]))
+    args = ("spectrum", "--case", "coulomb", "--m-max", "2", "--tol", "10")
+    assert run_cli(capsys, *args)[0] == 2
+    monkeypatch.setattr(triseries.physics, "fd_oracle",
+                        lambda *a, **k: np.array([levels[0], mid, levels[2]]))
+    assert run_cli(capsys, *args)[0] == 0
+
+
+@pytest.mark.parametrize("args, field, value", [
+    (("--lambda", "1e300"), "lam", "1e+300"),
+    (("--L", "1e-300"), "L", "1e-300"),
+    (("--lambda", "1.35e154"), "lam", "1.35e+154"),
+])
+def test_scarf_scale_past_its_level_energy_range_is_named(args, field, value,
+                                                         capsys):
+    # the level energies take lam^2, which overflows from lam = 1.35e154 on
+    for command in ("spectrum", "wavefunction"):
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, command, "--case", "scarf", *args,
+                                     "--format", fmt)
+            assert (code, out) == (1, ""), err
+            assert err.count("\n") == 1 and "OverflowError" not in err
+            assert f"scarf: {field} = {value} is out of range" in err, err
+    assert ScarfCase(A=2.0, B=0.5, lam=1.34e154).lam == 1.34e154
+
+
 # calls whose formulas still fault where no record check names the field
 @pytest.mark.parametrize("args, error", [
-    (("spectrum", "--case", "scarf", "--lambda", "1e300"), "OverflowError"),
+    (("wavefunction", "--case", "eckart", "--A", "1e300"), "OverflowError"),
     (("wavefunction", "--case", "oscillator", "--omega", "1e300"),
      "OverflowError"),
     (("wavefunction", "--case", "poschl_teller", "--A", "1e300"),

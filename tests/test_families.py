@@ -13,12 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 import triseries
 from triseries import families as fam
 from triseries import verify
-from triseries.errors import (InvalidFamilyParams, NoClosedForm,
-                              PrecisionExhausted)
+from triseries.errors import (IndexOutOfSpectrum, InvalidFamilyParams,
+                              NoClosedForm, PrecisionExhausted,
+                              TruncationTooSmall)
 from triseries.recurrence import run_recursion
 from triseries.verify import (CLOSED_FORM_KINDS, closed_form_hp,
                               degeneration_suite, oracle_equivalence_suite,
@@ -70,17 +72,55 @@ def test_krawtchouk_two_term_sum_vanishes():
 
 
 def test_extended_families_have_no_closed_form_or_weight():
-    for f in (fam.ExtendedJacobiContinuous(0.3, 0.7, 1.1, 0.0, 5.0),
-              fam.ExtendedJacobiDiscrete(0.3, 0.7, 0.4, 0.0, 2.0)):
-        with pytest.raises(NoClosedForm):
+    # the extended Jacobi family is recursion-only: no weight and no
+    # hypergeometric form, but its levels and masses come from its matrix
+    for a_one in (2.0, -2.0):
+        f = fam.ExtendedJacobi(0.3, 0.7, a_one)
+        with pytest.raises(NoClosedForm, match="ExtendedJacobi"):
             fam.weight(f)
+        assert f.kind not in CLOSED_FORM_KINDS
+        n, levels, vecs = f.levels(2)
+        assert list(levels) == sorted(levels, reverse=True)
+        for k in range(3):
+            assert f.mass_point(k) == levels[k]
+            assert f.discrete_mass(k) == vecs[0, k] ** 2
+
+
+def test_extended_jacobi_levels_settle_under_doubling():
+    # the top levels of T and 2T terms agree to 1e-9, and the matrix of the
+    # settled T reproduces them: eigenvalues, unit vectors with v_0 >= 0
+    f = fam.ExtendedJacobi(1.4, 1.5132745950421556, 2.3)
+    n, levels, vecs = f.levels(2)
+    _, coarse, _ = f.levels(2, n // 2)
+    assert np.all(np.abs(levels - coarse) <= 1e-9 * np.maximum(1.0, np.abs(levels)))
+    co = fam.family_coeffs(f, n)
+    jac = np.diag(co.s) + np.diag(co.t[:-1], 1) + np.diag(co.t[:-1], -1)
+    assert np.allclose(jac @ vecs, vecs * levels, atol=1e-9)
+    assert np.allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+    assert np.all(vecs[0] >= 0.0)
+    # the top level at 40, 80 and 160 terms: the JA match replay's chi0
+    for terms in (40, 80, 160):
+        assert f.levels(0, terms)[1][0] == pytest.approx(-3.597613879324,
+                                                         abs=1e-11)
+    with pytest.raises(TruncationTooSmall):
+        f.levels(5, 5)
+    with pytest.raises(IndexOutOfSpectrum):
+        f.levels(-1)
+
+
+def test_dual_hahn_masses_keep_the_stebz_bits():
+    # masses_from_recursion goes through recurrence.jacobi_eigenpairs with
+    # the same LAPACK call as scipy's eigh_tridiagonal(..., "stebz")
+    co = fam.family_coeffs(fam.DualHahn(12, 1.5, 2.5), 13)
+    points, vecs = eigh_tridiagonal(co.s, co.t[:12], lapack_driver="stebz")
+    got_points, got_masses = fam.masses_from_recursion(co)
+    assert got_points.tobytes() == points.tobytes()
+    assert got_masses.tobytes() == (vecs[0] ** 2).tobytes()
 
 
 def test_families_without_a_mass_formula_raise_no_closed_form():
     for f in (fam.MeixnerPollaczek(0.5, 1.0), fam.DualHahn(5, 0.4, 1.2),
-              fam.Wilson(0.5, 0.5, 0.5, 0.5), fam.Racah(5, 0.4, 0.9),
-              fam.ExtendedJacobiContinuous(0.3, 0.7, 1.1, 0.0, 5.0),
-              fam.ExtendedJacobiDiscrete(0.3, 0.7, 0.4, 0.0, 2.0)):
+              fam.Wilson(0.5, 0.5, 0.5, 0.5), fam.Racah(5, 0.4, 0.9)):
         for formula in (f.mass_point, f.discrete_mass):
             with pytest.raises(NoClosedForm, match=type(f).__name__):
                 formula(0)

@@ -3,12 +3,13 @@ surfaces, the concurrency claims and the case/family record protocols."""
 
 import concurrent.futures
 import math
+import re
 
 import numpy as np
 import pytest
 
 from triseries import families as fam
-from triseries.errors import MeshTooCoarse, NoFamilyApplies
+from triseries.errors import IndexOutOfSpectrum, MeshTooCoarse, NoFamilyApplies
 from triseries.physics import (CASE_TYPES, Case, CoulombCase, EckartCase,
                                MorseCase, OscillatorCase, PoschlTellerCase,
                                RadialMesh, ScarfCase, bound_energy,
@@ -40,34 +41,43 @@ def test_scenario_relations_hold_exactly():
 
 
 def test_discrete_extended_family_match_and_input_point():
+    # chi0 on level 1 of the extended Jacobi matrix matches that level: the
+    # record's streams are the raw JA streams, with the identity spectral map
     a, b, lam1 = 0.4, 0.7, 0.8
-    chi0 = 1.9   # |chi0| > |A_one|: discrete regime of the extended family
+    p0 = OdeParams("jacobi", a, b, -1.1, -0.8, 0.0, A_one=lam1)
+    spec = resolve_basis(p0, "JA")
+    chi0 = fam.ExtendedJacobi(spec.mu, spec.nu, lam1).mass_point(1)
     p = OdeParams("jacobi", a, b, -1.1, -0.8,
                   chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=lam1)
     m = match_family(p, "JA")
     f = m.family
-    assert isinstance(f, fam.ExtendedJacobiDiscrete)
-    assert 0.0 < f.tau < 1.0
-    # the normalized diagonal offset reproduces (1+tau)/(2 sqrt(tau))
-    c = chi0 / lam1
-    assert (1.0 + f.tau) / (2.0 * math.sqrt(f.tau)) == pytest.approx(c, rel=1e-12)
-    # streams match the raw ones under the spectral map
+    assert f == fam.ExtendedJacobi(spec.mu, spec.nu, lam1)
+    assert m.spectral_map.family_value == pytest.approx(chi0, rel=1e-12)
     raw, _ = jacobi_st2r2(p, m.spec, 12)
     fc = fam.family_coeffs(f, 12)
-    s_fam = (raw.s - m.spectral_map.offset) / m.spectral_map.scale
-    assert np.allclose(s_fam, fc.s, atol=1e-12)
-    assert np.allclose(raw.t / m.spectral_map.scale, fc.t, atol=1e-12)
-    sol = assemble_solution(m, 0, truncation=15)
-    assert sol.unnormalized and len(sol.f) == 16
+    assert (raw.s.tobytes(), raw.t.tobytes()) == (fc.s.tobytes(), fc.t.tobytes())
+    # level 1 is the input point; levels 0 and 2 are not, and raise
+    sol = assemble_solution(m, 1)
+    assert ode_residual(p, sol, np.linspace(-0.9, 0.9, 20)) <= 1e-8
+    for k in (0, 2):
+        with pytest.raises(IndexOutOfSpectrum, match=f"level {k} "):
+            assemble_solution(m, k)
 
 
 def test_discrete_extended_family_wrong_side_has_no_match():
+    # chi0 = -1.9 lies above the top level, -3.788, and chi0 = -13 between
+    # levels 1 (-8.736) and 2 (-15.654), nearer level 2: no family applies,
+    # and the error names the nearest level
     a, b, lam1 = 0.4, 0.7, 0.8
-    chi0 = -1.9   # chi0/A_one < -1: no admissible tau
-    p = OdeParams("jacobi", a, b, -1.1, -0.8,
-                  chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=lam1)
-    with pytest.raises(NoFamilyApplies):
-        match_family(p, "JA")
+    spec = resolve_basis(OdeParams("jacobi", a, b, -1.1, -0.8, 0.0, A_one=lam1),
+                         "JA")
+    levels = fam.ExtendedJacobi(spec.mu, spec.nu, lam1).levels(2)[1]
+    for chi0, k in ((-1.9, 0), (-13.0, 2)):
+        p = OdeParams("jacobi", a, b, -1.1, -0.8,
+                      chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=lam1)
+        with pytest.raises(NoFamilyApplies, match=(
+                f"nearest is level {k}, {re.escape(repr(float(levels[k])))}$")):
+            match_family(p, "JA")
 
 
 def test_mesh_too_coarse_detected():
@@ -145,8 +155,7 @@ def test_records_carry_their_protocol():
                 fam.Krawtchouk(5, 0.4), fam.ContinuousDualHahn(0.5, 0.8, 0.9),
                 fam.DualHahn(5, 0.3, 0.6), fam.Wilson(0.5, 0.7, 0.9, 1.1),
                 fam.MixedWilson(-0.3, 1.3, 0.8, 0.8), fam.Racah(5, 0.4, 0.9),
-                fam.ExtendedJacobiContinuous(0.3, 0.7, 1.1, 0.0, 5.0),
-                fam.ExtendedJacobiDiscrete(0.3, 0.7, 0.4, 0.0, 2.0)]
+                fam.ExtendedJacobi(0.3, 0.7, 2.0)]
     members = _protocol_members(fam.Family)
     assert {"streams", "weight", "mass_point", "kind"} <= members
     assert "closed_form" not in members

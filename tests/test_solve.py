@@ -1,13 +1,16 @@
 """Family matching, series assembly and the ODE residual."""
 
+import math
+
 import numpy as np
 import pytest
 
 from triseries import families as fam
 from triseries.basis import evaluate_series
-from triseries.errors import (AmbiguousRegion, InvalidFamilyParams,
-                              NoFamilyApplies, NoPointwiseSolution,
-                              NoTerminatingIndex, SingularPointTooClose,
+from triseries.errors import (AmbiguousRegion, IndexOutOfSpectrum,
+                              InvalidFamilyParams, NoFamilyApplies,
+                              NoPointwiseSolution, NoTerminatingIndex,
+                              SingularPointTooClose, TriseriesError,
                               TruncationTooSmall, ZeroSolution)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase,
@@ -16,7 +19,8 @@ from triseries.physics import (CoulombCase, EckartCase, MorseCase,
 from triseries.solve import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE,
                              MIXED, SeriesSolution, assemble_solution,
                              match_family, ode_residual)
-from triseries.tra import OdeParams
+from triseries.recurrence import run_recursion
+from triseries.tra import OdeParams, resolve_basis
 from triseries.verify import closed_form_hp
 
 
@@ -71,15 +75,95 @@ def test_boundary_is_ambiguous():
         match_family(p, "LA")
 
 
-def test_extended_family_assembly_is_unnormalized():
-    chi0 = 1.9
-    p = OdeParams("jacobi", 0.4, 0.7, -1.1, -0.8,
-                  chi0 + 0.25 * (0.4 + 0.7 - 1.0) ** 2, A_one=2.3)
-    m = match_family(p, "JA")
-    assert isinstance(m.family, fam.ExtendedJacobiContinuous)
-    sol = assemble_solution(m, 0.0, truncation=25, enforce_tail=False)
-    assert sol.unnormalized
-    assert sol.norm_factor == 1.0
+def _ja_levels(a, b, a_plus, a_minus, a_one):
+    """The JA parameter sets whose chi0 = A_zero - (a+b-1)^2/4 are the top
+    three levels of their extended Jacobi matrix."""
+    spec = resolve_basis(OdeParams("jacobi", a, b, a_plus, a_minus, 0.0,
+                                   A_one=a_one), "JA")
+    levels = fam.ExtendedJacobi(spec.mu, spec.nu, a_one).levels(2)[1]
+    return [OdeParams("jacobi", a, b, a_plus, a_minus,
+                      chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=a_one)
+            for chi0 in levels]
+
+
+_JA_X = np.linspace(-0.9, 0.9, 20)
+
+
+def test_extended_family_assembly_is_a_unit_eigenvector():
+    # the series of level k is the k-th unit eigenvector with f_0 > 0, so
+    # its norm factor is f_0 = sqrt(discrete_mass(k)) and f_n = f_0 P_n(chi0)
+    for a_one in (2.3, -2.3):
+        for k, p in enumerate(_ja_levels(0.4, 0.7, -1.1, -0.8, a_one)):
+            m = match_family(p, "JA")
+            assert m.spectrum_kind == DISCRETE_INFINITE
+            sol = assemble_solution(m, k)
+            assert not sol.unnormalized and sol.f[0] > 0.0
+            assert np.sum(sol.f ** 2) == pytest.approx(1.0, rel=1e-13)
+            assert sol.norm_factor == sol.f[0] == math.sqrt(m.family.discrete_mass(k))
+            # forward recursion at chi0 keeps the leading terms only: it
+            # regrows the dominant solution from round-off
+            co = fam.family_coeffs(m.family, 4)
+            rec = run_recursion(co, m.spectral_map.family_value, 3)
+            assert np.allclose(sol.norm_factor * rec, sol.f[:4], rtol=1e-6)
+
+
+@pytest.mark.parametrize("a, b, a_plus, a_minus, a_one", [
+    (1.0, 0.5, -0.3, -0.8, -2.0),
+    (0.5, 0.5, -1.0, -1.5, 1.0),
+    (0.5, 0.5, 0.0, 0.0, 5.0),
+])
+def test_extended_family_levels_that_were_mislabelled_now_solve(
+        a, b, a_plus, a_minus, a_one):
+    # these three sets once gave a residual of 3.8e3, NoFamilyApplies and
+    # TruncationTooSmall at their top three levels
+    for k, p in enumerate(_ja_levels(a, b, a_plus, a_minus, a_one)):
+        sol = assemble_solution(match_family(p, "JA"), k)
+        assert ode_residual(p, sol, _JA_X) <= 1e-8
+
+
+def test_extended_family_seeded_draws_solve_or_raise_typed():
+    # 200 draws: a, b in [0, 2], A_plus in [-3, (1-b)^2/2], A_minus in
+    # [-3, (1-a)^2/2] (real mu, nu >= 0) and |A_one| in [0.1, 10] with a
+    # random sign; each of the top three levels solves to a residual <= 1e-8
+    # at 20 points of [-0.9, 0.9] or raises a typed error
+    rng = np.random.default_rng(20261020)
+    solved = 0
+    for _ in range(200):
+        a, b = rng.uniform(0.0, 2.0, size=2)
+        a_plus = rng.uniform(-3.0, (1.0 - b) ** 2 / 2.0)
+        a_minus = rng.uniform(-3.0, (1.0 - a) ** 2 / 2.0)
+        a_one = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 10.0)
+        try:
+            params = _ja_levels(a, b, a_plus, a_minus, a_one)
+        except TriseriesError:
+            continue
+        for k, p in enumerate(params):
+            try:
+                sol = assemble_solution(match_family(p, "JA"), k)
+            except TriseriesError:
+                continue
+            assert ode_residual(p, sol, _JA_X) <= 1e-8, (a, b, a_plus, a_minus,
+                                                          a_one, k)
+            solved += 1
+    assert solved == 600
+
+
+def test_extended_family_given_truncation_solves_or_raises_typed():
+    # a truncation given by the caller is used as given: a level it does not
+    # hold to 1e-9, or a recursion row it misses by more than 1e-10, raises
+    raised = 0
+    for a_one in (-2.0, 5.0, 1000.0):
+        for k, p in enumerate(_ja_levels(1.0, 0.5, -0.3, -0.8, a_one)):
+            m = match_family(p, "JA")
+            for truncation in range(2, 61):
+                try:
+                    sol = assemble_solution(m, k, truncation=truncation)
+                except (IndexOutOfSpectrum, TruncationTooSmall):
+                    raised += 1
+                    continue
+                assert sol.truncation == truncation + 1
+                assert ode_residual(p, sol, _JA_X) <= 1e-8
+    assert raised > 0
 
 
 def _krawtchouk_params(nu):
