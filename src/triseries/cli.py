@@ -161,8 +161,7 @@ def cmd_wavefunction(ns) -> int:
     rs = np.linspace(ns.r_min, ns.r_max, ns.n_r)
     psi = physics.wavefunction(case, sol, rs)
     _emit(_case_config(ns), ["r", "psi"], [rs, psi],
-          {"truncation": sol.truncation,
-           "unnormalized": bool(sol.unnormalized)}, ns.format, ns.out)
+          {"truncation": sol.truncation}, ns.format, ns.out)
     return 0
 
 
@@ -249,8 +248,6 @@ def _add_case_flags(p: argparse.ArgumentParser):
     p.add_argument("--B", type=float, default=0.0)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=None)
 
 
 def _add_output_flags(p: argparse.ArgumentParser):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
+from scipy.linalg.lapack import dstebz
 from scipy.special import gammasgn
 
 from .basis import jacobi_cd
@@ -569,6 +570,9 @@ class Racah:
     mass_point = discrete_mass = _no_mass_formula
 
 
+_MAX_TERMS = 960   # the largest truncation ExtendedJacobi.levels takes
+
+
 @dataclass(frozen=True)
 class ExtendedJacobi:
     """Recursion-only family of the JA scenario, with no known closed form or
@@ -612,8 +616,9 @@ class ExtendedJacobi:
         if k < 0:
             raise IndexOutOfSpectrum(f"extended Jacobi level index {k} < 0")
         n, prev = n_terms or 60, None
-        while n <= (n_terms or 960):
-            if n > k:
+        while n <= (n_terms or _MAX_TERMS):
+            # a first solve at the largest T has nothing to settle against
+            if n > k and (n_terms or prev is not None or 2 * n <= _MAX_TERMS):
                 vals, vecs = jacobi_eigenpairs(family_coeffs(self, n), top=k + 1)
                 vals, vecs = vals[::-1], vecs[:, ::-1]
                 vecs = vecs * np.where(vecs[0] < 0.0, -1.0, 1.0)
@@ -624,6 +629,19 @@ class ExtendedJacobi:
             n *= 2
         raise TruncationTooSmall(f"extended Jacobi level {k} does not settle "
                                  f"within {n // 2} terms")
+
+    def nearest_level(self, chi: float) -> tuple:
+        """(k, value) of the level nearest chi, c - 1 or c, where c levels of
+        the 960-term matrix (one loose dstebz Sturm count) lie above chi; a
+        level c that cannot settle (c + 1 > 480) raises TruncationTooSmall
+        before any vector is built."""
+        co = family_coeffs(self, _MAX_TERMS)
+        hi = np.abs(co.s).max() + 2.0 * np.abs(co.t).max()   # >= every level
+        c = 0 if chi >= hi else int(dstebz(co.s, co.t[:-1], 1, chi, hi, 0, 0,
+                                           hi - chi, "E")[0])
+        values = self.levels(c)[1]
+        k = int(np.argmin(np.abs(values - chi)))
+        return k, float(values[k])
 
     def mass_point(self, k):
         return float(self.levels(k)[1][k])

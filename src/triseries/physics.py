@@ -108,8 +108,9 @@ class Case(Protocol):
     def spectrum_edge(self) -> float: ...   # level m is bound iff m < edge
     def level_energy(self, m: int) -> float: ...
     def fd_mesh(self, n_levels: int) -> RadialMesh: ...
-    # (scenario, E-independent free index): the phase-shift basis and the
-    # root find of tra_bound_energy; a JC/LB bound series takes its own index
+    # (scenario, E-independent free index derived from the record): the
+    # phase-shift basis and the root find of tra_bound_energy; a JC/LB bound
+    # series takes its own index
     def bound_scenario(self) -> tuple: ...
     # cases with a finite threshold: the phase shift before wrapping, at an
     # energy or an array of energies
@@ -254,12 +255,11 @@ class MorseCase:
 
     The tridiagonal reduction requires V2 = lam^2/8 exactly (the second-order
     slope constraint); V2 defaults to that value and any explicit V2 must
-    match it.  ``nu`` is the phase-shift basis index (> -1).
+    match it.  The phase-shift basis index is nu = 0.
     """
     lam: float
     V1: float
     V2: Optional[float] = None
-    nu: float = 0.0
 
     name = "morse"
     threshold = 0.0
@@ -284,8 +284,6 @@ class MorseCase:
             raise InvalidFamilyParams(
                 f"the series solution requires V2 = lam^2/8 = {pinned}; "
                 f"got V2 = {self.V2}")
-        if self.nu <= -1:
-            raise ValueError("basis index nu must be > -1")
 
     def x_of_r(self, r):
         return np.exp(self.lam * np.asarray(r, dtype=float))
@@ -316,7 +314,7 @@ class MorseCase:
         kl = np.sqrt(2.0 * E) / self.lam
         return (arg_gamma(1j * (2.0 * kl))
                 - arg_gamma(self.tau + 1j * kl)
-                - 2.0 * arg_gamma(0.5 * (self.nu + 1.0) + 1j * kl))
+                - 2.0 * arg_gamma(0.5 + 1j * kl))
 
     def fd_mesh(self, n_levels):
         lam = self.lam
@@ -325,7 +323,7 @@ class MorseCase:
                           0.0017 / lam, a=1.0 / lam, c=r_star)
 
     def bound_scenario(self):
-        return "LB", self.nu
+        return "LB", 0.0
 
 
 @dataclass(frozen=True)
@@ -335,12 +333,10 @@ class PoschlTellerCase:
     Note the sqrt2 in the argument: it is what the Jacobi-equation reduction
     with exponent pair (1, 1/2) actually produces, and the finite-difference
     oracle confirms the spectrum formula only with these arguments.
-    ``mu`` is the phase-shift basis index (> -1); see ``__post_init__``.
     """
     lam: float
     A: float
     B: float
-    mu: Optional[float] = None
 
     name = "poschl_teller"
     threshold = 0.0
@@ -352,15 +348,6 @@ class PoschlTellerCase:
             raise ValueError("lam must be > 0")
         if self.A == 0:
             raise ValueError("A must be nonzero")
-        if self.mu is None:
-            # the phase shift reads mu: default to the index on which the
-            # top level's series ends (nu when there are no bound states)
-            top = spectrum_size(self) - 1
-            object.__setattr__(self, "mu", self.nu if top < 0 else (
-                terminating_free_index(self.ode_params(0.0), "JC", top,
-                                       nu_sign=1 if self.nu >= 0 else -1)))
-        if self.mu <= -1:
-            raise ValueError("basis index mu must be > -1")
 
     @property
     def nu(self) -> float:
@@ -399,7 +386,7 @@ class PoschlTellerCase:
         lam = self.lam
         z = np.sqrt(E) / lam
         sg = 0.5 * (self.nu + 1.0)
-        gm = 0.5 * (self.mu + 1.0)
+        gm = 0.5 * (self.bound_scenario()[1] + 1.0)
         tau_sq = 0.25 * (self.B / lam - 0.25)
         if tau_sq >= 0:
             tu = math.sqrt(tau_sq)
@@ -415,13 +402,20 @@ class PoschlTellerCase:
                           a=1.0 / self.lam)
 
     def bound_scenario(self):
-        return "JC", self.mu
+        # the free index the top level's series ends on (nu with no bound states)
+        top = spectrum_size(self) - 1
+        return "JC", self.nu if top < 0 else terminating_free_index(
+            self.ode_params(0.0), "JC", top, nu_sign=1 if self.nu >= 0 else -1)
 
 
 # a Scarf |A| + |B| above this times min(1, lam)^2 overflows the FD polish:
 # the smallest that failed, over lam = 1e-70 .. 1e70 and the signs and ratios
 # of A and B, was 7.86e84 min(1, lam)^2, at B = 0 or A = 0
 _SCARF_FD_FIELDS = 7.8e84
+# the FD off-diagonals, ~(4000 lam/pi)^2/2, square to normal floats on the
+# oracle's 8h, h and h/2 meshes for lam in [1.0852529475139155e-79,
+# 6.430633720577288e73], measured
+_SCARF_FD_LAM = (1.09e-79, 6.43e73)
 
 
 @dataclass(frozen=True)
@@ -432,7 +426,6 @@ class ScarfCase:
     B: float
     L: Optional[float] = None
     lam: Optional[float] = None
-    mu: Optional[float] = None
 
     name = "scarf"
     threshold = math.inf   # purely discrete
@@ -458,10 +451,6 @@ class ScarfCase:
             u = 3.0 * getattr(self, name) / self.lam
             if not math.isfinite(u * u):
                 raise self._out_of_range(name, "(A +- B)/lam squared overflows")
-        if self.mu is None:
-            object.__setattr__(self, "mu", self.nu)
-        if self.mu <= -1:
-            raise ValueError("basis index mu must be > -1")
 
     def _out_of_range(self, name, why):
         return ValueError(f"scarf: {name} = {getattr(self, name)} is out of "
@@ -505,6 +494,9 @@ class ScarfCase:
         if abs(self.A) + abs(self.B) > _SCARF_FD_FIELDS * min(1.0, self.lam) ** 2:
             raise self._out_of_range("A" if abs(self.A) >= abs(self.B) else "B",
                                      "the FD oracle's polish overflows")
+        if not _SCARF_FD_LAM[0] <= self.lam <= _SCARF_FD_LAM[1]:
+            raise ValueError(f"scarf: lam = {self.lam} (L = {self.L}) is out of "
+                             f"range for the FD oracle's off-diagonals")
         return RadialMesh(0.0, self.L, self.L / 4000.0)
 
     def bound_scenario(self):
@@ -515,7 +507,7 @@ class ScarfCase:
         if top >= 1024.0:
             raise self._out_of_range(name, f"the bound series' Jacobi basis "
                                      f"divides by 2^{top:.17g}")
-        return "JC", self.mu
+        return "JC", self.nu
 
 
 @dataclass(frozen=True)
@@ -523,12 +515,11 @@ class EckartCase:
     """V(r) = [A(A-lam)/2/sinh^2(lam r/2) + lam B/tanh(lam r/2) + lam B]/4.
 
     Bound states require B < 0 (attractive tail); the continuum threshold is
-    V(inf) = lam B / 2.
+    V(inf) = lam B / 2.  The phase-shift basis index is mu = nu.
     """
     lam: float
     A: float
     B: float
-    mu: Optional[float] = None
 
     name = "eckart"
     bound_e_cap = math.inf
@@ -539,10 +530,9 @@ class EckartCase:
             raise ValueError("lam must be > 0")
         if self.A == 0:
             raise ValueError("A must be nonzero")
-        if self.mu is None:
-            object.__setattr__(self, "mu", self.nu)
-        if self.mu <= -1:
-            raise ValueError("basis index mu must be > -1")
+        if self.nu <= -1:   # 0 < A/lam below half an ulp of 1
+            raise ValueError(f"eckart: A = {self.A} is out of range for lam = "
+                             f"{self.lam}: nu = 2A/lam - 1 rounds to -1")
 
     @property
     def nu(self) -> float:
@@ -588,18 +578,17 @@ class EckartCase:
             raise BelowThreshold("Eckart scattering variable imaginary")
         z = np.sqrt(zsq)
         sg = 0.5 * (self.nu + 1.0)
-        gm = 0.5 * (self.mu + 1.0)
         return (arg_gamma(1j * (2.0 * z))
                 - arg_gamma(sg + 1j * (z + kl))
                 - arg_gamma(sg + 1j * (z - kl))
-                - 2.0 * arg_gamma(gm + 1j * z))
+                - 2.0 * arg_gamma(sg + 1j * z))
 
     def fd_mesh(self, n_levels):
         return RadialMesh(0.0, 50.0 / self.lam, 0.0027 / self.lam,
                           a=1.0 / self.lam)
 
     def bound_scenario(self):
-        return "JC", self.mu
+        return "JC", self.nu
 
 
 CASE_TYPES = {c.name: c for c in (CoulombCase, OscillatorCase, MorseCase,
@@ -689,7 +678,7 @@ def phase_shift(case, E):
 def default_mesh(case, n_levels: int = 3) -> RadialMesh:
     """A per-case mesh covering the classically allowed region of the lowest
     few levels, graded in the case's length unit, with the u-step chosen so
-    the extrapolation residual stays within half the default gate."""
+    the extrapolation residual stays within half the gate."""
     return case.fd_mesh(n_levels)
 
 
@@ -774,18 +763,18 @@ def _prolong(vecs) -> np.ndarray:
     return fine
 
 
-def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None,
-              gate: float = 1e-5) -> np.ndarray:
+def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None) -> np.ndarray:
     """Lowest bound eigenvalues by 3-point finite differences.
 
     Solves at steps h and h/2, Richardson-extrapolates, and raises
-    MeshTooCoarse when the two meshes disagree beyond ``gate`` relative.
+    MeshTooCoarse when the two meshes disagree beyond a 1e-5 relative gate.
     The h-mesh seeds are a loose bisection on the mesh of step 8h (on the h
     mesh itself when the 8h mesh has at most ``n_levels`` steps); the h/2
     polish starts from the h-mesh levels and their prolonged eigenvectors.
     Each mesh raises BoxTooSmall if fewer than ``n_levels`` of its levels
     lie below the continuum threshold.
     """
+    gate = 1e-5
     if mesh is None:
         mesh = default_mesh(case, n_levels)
     coarse = replace(mesh, h=8 * mesh.h)
@@ -871,7 +860,7 @@ def wavefunction(case, sol: solvemod.SeriesSolution, r):
     return sol(case.x_of_r(np.atleast_1d(np.asarray(r, dtype=float))))
 
 
-def tra_bound_energy(case, m: int, tol: float = 1e-12) -> float:
+def tra_bound_energy(case, m: int) -> float:
     """Bound energy from the matching condition itself (root finding).
 
     Locates E where the spectral map sends the ODE parameters to the m-th
@@ -901,4 +890,4 @@ def tra_bound_energy(case, m: int, tol: float = 1e-12) -> float:
             break
     else:
         raise NoBoundStates(f"could not bracket level m={m}")
-    return brentq(index_mismatch, lo, hi, xtol=tol)
+    return brentq(index_mismatch, lo, hi, xtol=1e-12)

@@ -47,7 +47,6 @@ class SeriesSolution:
     spec: BasisSpec
     truncation: int
     norm_factor: float
-    unnormalized: bool = False
 
     def __call__(self, x):
         """y(x) on an array (or scalar) x."""
@@ -123,15 +122,11 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
         raw = raw_spectral_map(params, scenario)
         chi0 = raw.raw_value
         family = fam.ExtendedJacobi(spec.mu, spec.nu, params.A_one)
-        # take levels until one lies below chi0, then the nearest of them
-        k = 2
-        while (levels := family.levels(k)[1])[-1] > chi0:
-            k = 2 * k + 1
-        k = int(np.argmin(np.abs(levels - chi0)))
-        if abs(levels[k] - chi0) > _BOUNDARY_TOL * max(1.0, abs(chi0)):
+        k, level = family.nearest_level(chi0)
+        if abs(level - chi0) > _BOUNDARY_TOL * max(1.0, abs(chi0)):
             raise NoFamilyApplies(
                 f"chi0 = {chi0!r} is no level of the extended Jacobi matrix: "
-                f"the nearest is level {k}, {float(levels[k])!r}")
+                f"the nearest is level {k}, {level!r}")
         return MatchResult(family, spec, raw, DISCRETE_INFINITE)
     if scenario in ("JB", "JC"):
         # JB is the swap-symmetric mirror of JC; match on JC coordinates.

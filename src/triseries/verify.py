@@ -431,7 +431,7 @@ def _discrete_gram(f, n_top: int, points, masses):
     return np.add.reduce(terms, axis=0)   # a running sum, point after point
 
 
-def weight_suite(seed: int = 20240818):
+def weight_suite():
     """Mass normalization and discrete/continuous orthonormality."""
     from scipy.integrate import quad, quad_vec
 
@@ -504,9 +504,9 @@ def _stream_match(raw, zmap: SpectralMap, coeffs, twist: int = 1):
     return max(es, et)
 
 
-def stream_match_suite(n_terms: int = 16):
-    """All eight coefficient-stream matches, term by term; a finite family's
-    streams end at n = N."""
+def stream_match_suite():
+    """All eight coefficient-stream matches, term by term over 16 terms; a
+    finite family's streams end at n = N."""
     from . import solve as sv
     lb = ("laguerre", 1.3, 0.6, (0.6 * 0.6 - 1.0) / 4.0, 0.7, 0.9)
     jc = ("jacobi", 0.8, 0.5, -0.9, 1.2)
@@ -534,7 +534,7 @@ def stream_match_suite(n_terms: int = 16):
     for label, args, scenario, keywords, validated in table:
         p = OdeParams(*args)
         m = sv.match_family(p, scenario, **keywords)
-        n = min(n_terms, getattr(m.family, "N", n_terms) + 1)
+        n = min(16, getattr(m.family, "N", 16) + 1)
         raw, _ = (laguerre_st2r2 if p.equation == "laguerre"
                   else jacobi_st2r2)(p, m.spec, n)
         coeffs = (fam.family_coeffs(m.family, n) if validated

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -86,7 +87,16 @@ def test_bad_input_exits_1_with_one_error_line(args, config, tmp_path, capsys):
     (["spectrum"], None),
     (["--config", "CFG"], {"command": "spectrum", "case": "oscillator",
                            "no_such_key": 1}),
-], ids=["missing-case", "config-unknown-key"])
+    # the case commands take no basis index, and a stored one is refused
+    (["spectrum", "--case", "morse", "--nu", "0.3"], None),
+    (["phaseshift", "--case", "morse", "--nu", "0.3", "--E", "1"], None),
+    (["wavefunction", "--case", "poschl_teller", "--mu", "0.3"], None),
+    (["phaseshift", "--case", "eckart", "--A", "2", "--B", "-20", "--mu", "0.3"],
+     None),
+    (["--config", "CFG"], {"command": "phaseshift", "case": "morse",
+                           "nu": 0.0}),
+], ids=["missing-case", "config-unknown-key", "spectrum-nu", "phaseshift-nu",
+        "wavefunction-mu", "phaseshift-mu", "config-stored-nu"])
 def test_usage_error_exits_1(args, config, tmp_path, capsys):
     # exit 2 is kept for a failed tolerance
     if config is not None:
@@ -101,6 +111,37 @@ def test_usage_error_exits_1(args, config, tmp_path, capsys):
     assert err.splitlines()[-1].startswith(("triseries: error: ",
                                             "triseries spectrum: error: "))
     assert "Traceback" not in err
+
+
+def test_only_polytable_takes_a_basis_index(capsys):
+    # a case's basis index is derived from its record; polytable's --mu and
+    # --nu are family parameters
+    for cls in CASE_TYPES.values():
+        assert not {"mu", "nu"} & {f.name for f in dataclasses.fields(cls)}
+    code, out, _ = run_cli(capsys, "polytable", "--family", "meixner", "--mu",
+                           "0.7", "--nu", "0.3", "--z", "2", "--n-max", "3")
+    assert code == 0 and out.count("\n") == 5
+
+
+# SHA-256 of the default phaseshift tables as written while the basis index
+# was a settable field left at its default
+@pytest.mark.parametrize("flags, digest", [
+    (["morse", "--lambda", "1", "--V1", "1"],
+     "208daebfbf7f1b3c66cada3ef602537eb2aca2bd3be3b3889fa996fa827e32fd"),
+    (["poschl_teller", "--lambda", "1", "--A", "1", "--B", "-36"],
+     "1e9eda5da2b450061c5a3d8061b1f711625cc2aec9bde94abe67aae69b5b0640"),
+    (["poschl_teller", "--lambda", "1", "--A", "2", "--B", "3"],
+     "929a60972220a1189dcfe689ffc4e67a109d4621b0ca3b8d202f620347bf1766"),
+    (["eckart", "--lambda", "1", "--A", "2", "--B", "-20"],
+     "bdbf29917a88793b51bb98428e74ebd49e8f2e3e69df6c251992da0e2eb72eeb"),
+    # the default grid starts below this threshold, lam B/2 = 0.2
+    (["eckart", "--lambda", "0.8", "--A", "-1", "--B", "0.5", "--E-min", "0.25"],
+     "d38bd4ba3f4f5dde09a6a7d23089489c0d61bbafbbdb3cf40c815325b9f1fe0a"),
+], ids=["morse", "pt-tau2-neg", "pt-tau2-pos", "eckart-bound", "eckart-B-pos"])
+def test_default_phase_tables_keep_their_bytes(flags, digest, capsys):
+    code, out, err = run_cli(capsys, "phaseshift", "--case", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_help_exits_0(capsys):
@@ -407,10 +448,10 @@ def test_negative_exponent_value_replays(tmp_path, capsys):
      CoulombCase(Z=2.0, ell=1, lam=0.5)),
     (["oscillator", "--omega", "0.7", "--ell", "2", "--lambda", "0.4"],
      OscillatorCase(omega=0.7, ell=2, lam=0.4)),
-    (["morse", "--V1", "1.1", "--lambda", "1.5", "--nu", "0.3"],
-     MorseCase(lam=1.5, V1=1.1, nu=0.3)),
-    (["poschl_teller", "--A", "2", "--B", "-20", "--mu", "0.3"],
-     PoschlTellerCase(lam=1.0, A=2.0, B=-20.0, mu=0.3)),
+    (["morse", "--V1", "1.1", "--lambda", "1.5"],
+     MorseCase(lam=1.5, V1=1.1)),
+    (["poschl_teller", "--A", "2", "--B", "-20"],
+     PoschlTellerCase(lam=1.0, A=2.0, B=-20.0)),
     (["scarf", "--A", "2", "--B", "0.5", "--L", "3"],
      ScarfCase(A=2.0, B=0.5, L=3.0)),
     (["scarf", "--A", "2", "--B", "0.5", "--lambda", "1.2"],
@@ -623,6 +664,10 @@ def test_arithmetic_fault_is_one_error_line(args, error, capsys):
       "--n-max", "3"),
      "error: InvalidFamilyParams: dual Hahn needs (tau + sigma + 1)^2 "
      "finite, got tau = 1e+300, sigma = 0.5\n"),
+    # Eckart's basis index nu = 2A/lam - 1 must stay above -1
+    (("phaseshift", "--case", "eckart", "--A", "1e-300", "--E", "1"),
+     "error: eckart: A = 1e-300 is out of range for lam = 1.0: nu = 2A/lam - 1 "
+     "rounds to -1\n"),
 ])
 def test_out_of_range_field_is_named(args, line, capsys):
     # the record refuses a field whose derived quantity would overflow or
@@ -709,10 +754,19 @@ def test_coulomb_lam_is_refused_where_its_squares_overflow(lam, kept, capsys):
     (("wavefunction", "--A", "512.49"), None, None),
     (("wavefunction", "--B", "511.99"), None, None),
     (("spectrum", "--lambda", "1e-10", "--A", "1", "--B", "7.7e64"), None, None),
+    # the FD operator's off-diagonals square past the float range outside
+    # lam in [1.09e-79, 6.43e73]
+    (("spectrum", "--lambda", "1e152"), "lam", "1e+152"),
+    (("spectrum", "--lambda", "1e154"), "lam", "1e+154"),
+    (("spectrum", "--lambda", "1.3e154"), "lam", "1.3e+154"),
+    (("spectrum", "--lambda", "6.44e73"), "lam", "6.44e+73"),
+    (("spectrum", "--A", "0", "--L", "1e200"), "lam", "3.141592653589793e-200"),
 ], ids=["wavefunction-A-1e150", "spectrum-A-1e150", "wavefunction-A-1000",
         "wavefunction-B-1000", "wavefunction-A-edge", "wavefunction-B-edge",
         "spectrum-B-edge", "spectrum-A-plus-B", "spectrum-A-1000-kept", "wavefunction-A-kept",
-        "wavefunction-B-kept", "spectrum-B-kept"])
+        "wavefunction-B-kept", "spectrum-B-kept", "spectrum-lam-1e152",
+        "spectrum-lam-1e154", "spectrum-lam-1.3e154", "spectrum-lam-edge",
+        "spectrum-L-1e200"])
 def test_scarf_field_past_its_derived_range_is_named(args, field, value, capsys):
     args = (args[0], "--case", "scarf", *args[1:])
     for fmt in ("csv", "json"):

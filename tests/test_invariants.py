@@ -4,12 +4,14 @@ surfaces, the concurrency claims and the case/family record protocols."""
 import concurrent.futures
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
 from triseries import families as fam
-from triseries.errors import IndexOutOfSpectrum, MeshTooCoarse, NoFamilyApplies
+from triseries.errors import (IndexOutOfSpectrum, MeshTooCoarse, NoFamilyApplies,
+                              TruncationTooSmall)
 from triseries.physics import (CASE_TYPES, Case, CoulombCase, EckartCase,
                                MorseCase, OscillatorCase, PoschlTellerCase,
                                RadialMesh, ScarfCase, bound_energy,
@@ -164,3 +166,22 @@ def test_records_carry_their_protocol():
         assert not missing, (type(f).__name__, missing)
         assert isinstance(f.kind, str)
     assert len({f.kind for f in families}) == len(families) - 1   # MixedWilson
+
+
+def test_extended_family_refusal_past_the_settled_levels_is_quick():
+    # a chi0 below level 479 of the 960-term matrix has its nearest level
+    # where no truncation settles it: one Sturm count names that level, and
+    # no eigenvector is built.  chi0 = -2e5 lies between levels 444 and 445,
+    # which settle, and the refusal names the nearer one
+    a, b, lam1 = 0.4, 0.7, 2.3
+    shift = 0.25 * (a + b - 1.0) ** 2
+    for chi0, k in ((-3e5, 546), (-1e9, 960)):
+        p = OdeParams("jacobi", a, b, -1.1, -0.8, chi0 + shift, A_one=lam1)
+        start = time.perf_counter()
+        with pytest.raises(TruncationTooSmall, match=(
+                f"^extended Jacobi level {k} does not settle within 960 terms$")):
+            match_family(p, "JA")
+        assert time.perf_counter() - start < 0.1
+    p = OdeParams("jacobi", a, b, -1.1, -0.8, -2e5 + shift, A_one=lam1)
+    with pytest.raises(NoFamilyApplies, match="nearest is level 445, "):
+        match_family(p, "JA")

@@ -414,7 +414,7 @@ def test_phase_shifts_real_finite_continuous():
 # lam B/2 above zero)
 CONTINUUM_CASES = [
     (CoulombCase(Z=1.3, ell=1), 0.2),
-    (MorseCase(lam=1.0, V1=1.1, nu=0.3), 0.05),
+    (MorseCase(lam=1.0, V1=1.1), 0.05),
     (PoschlTellerCase(lam=1.0, A=1.0, B=-36.0), 0.05),
     (PoschlTellerCase(lam=1.0, A=2.0, B=3.0), 0.05),
     (EckartCase(lam=1.0, A=2.0, B=-20.0), 0.05),
@@ -436,10 +436,9 @@ def _mp_phase(case, E):
         lam = mp.mpf(case.lam)
         if case.name == "morse":
             k = mp.sqrt(2 * E) / lam
-            return (ag(0, 2 * k) - ag(case.tau, k)
-                    - 2 * ag((mp.mpf(case.nu) + 1) / 2, k))
+            return ag(0, 2 * k) - ag(case.tau, k) - 2 * ag(mp.mpf(1) / 2, k)
         sg = (mp.mpf(case.nu) + 1) / 2
-        gm = (mp.mpf(case.mu) + 1) / 2
+        gm = (mp.mpf(case.bound_scenario()[1]) + 1) / 2   # the basis index
         if case.name == "poschl_teller":
             z = mp.sqrt(E) / lam
             tau_sq = (mp.mpf(case.B) / lam - mp.mpf(1) / 4) / 4
@@ -495,7 +494,7 @@ def test_phase_shift_array_below_threshold_raises(case, energies):
 
 def test_phase_shift_coupling_to_zero():
     # Morse phase at V1 -> 0 with the pinned V2 stays finite and smooth
-    case = MorseCase(lam=1.0, V1=0.0, nu=0.7)
+    case = MorseCase(lam=1.0, V1=0.0)
     ds = [phase_shift(case, e) for e in np.linspace(0.1, 3.0, 10)]
     assert all(math.isfinite(d) for d in ds)
 
@@ -566,20 +565,22 @@ def test_bound_spectrum_rejects_level_at_threshold(case, monkeypatch):
 
 
 def test_poschl_teller_default_mu_ends_the_top_level():
-    # the phase shift reads mu; its default is the top level's terminating
-    # index, the value the earlier fractional-gap rule 2 frac(gap) - 1 gave
+    # the phase shift reads mu, bound_scenario's free index: the top level's
+    # terminating index, the value the earlier fractional-gap rule
+    # 2 frac(gap) - 1 gave
     rng = np.random.default_rng(5)
     for _ in range(200):
         lam = float(rng.uniform(0.5, 2.0))
         case = PoschlTellerCase(lam=lam, A=float(rng.uniform(-3.0, 3.0)),
                                 B=float(rng.uniform(-60.0, 1.0)) * lam)
         gap = case.spectrum_edge()
+        mu = case.bound_scenario()[1]
         if spectrum_size(case) == 0:
-            assert case.mu == case.nu
+            assert mu == case.nu
             continue
         frac = gap - math.floor(gap)
-        assert case.mu == pytest.approx(2.0 * (frac if frac > 1e-9 else 1.0)
-                                        - 1.0, abs=1e-12)
+        assert mu == pytest.approx(2.0 * (frac if frac > 1e-9 else 1.0) - 1.0,
+                                   abs=1e-12)
 
 
 def test_tra_bound_energy_lets_programming_errors_through(monkeypatch):

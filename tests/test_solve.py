@@ -97,7 +97,7 @@ def test_extended_family_assembly_is_a_unit_eigenvector():
             m = match_family(p, "JA")
             assert m.spectrum_kind == DISCRETE_INFINITE
             sol = assemble_solution(m, k)
-            assert not sol.unnormalized and sol.f[0] > 0.0
+            assert sol.f[0] > 0.0
             assert np.sum(sol.f ** 2) == pytest.approx(1.0, rel=1e-13)
             assert sol.norm_factor == sol.f[0] == math.sqrt(m.family.discrete_mass(k))
             # forward recursion at chi0 keeps the leading terms only: it
@@ -408,7 +408,7 @@ def test_truncation_check_fires_for_nondecaying_series():
 
 
 def test_mixed_assembly_produces_both_components():
-    case = MorseCase(lam=1.0, V1=1.0, nu=0.35)
+    case = MorseCase(lam=1.0, V1=1.0)
     e0 = bound_energy(case, 0)
     p = case.ode_params(e0, bound=True)
     m = match_family(p, "LB", free_value=0.35)
@@ -424,7 +424,7 @@ def test_mixed_components_satisfy_the_raw_recursion():
     # both pieces of a mixed solution solve the coefficient recursion at
     # machine precision, each at its own spectral value
     from triseries.tra import laguerre_st2r2
-    case = MorseCase(lam=1.0, V1=1.0, nu=0.35)
+    case = MorseCase(lam=1.0, V1=1.0)
     e0 = bound_energy(case, 0)
     p = case.ode_params(e0, bound=True)
     m = match_family(p, "LB", free_value=0.35)
