@@ -6,6 +6,10 @@ Each command hands its table to the writer as columns.  Output is CSV
 with "config", "rows", "diagnostics").  Exit codes: 0 success,
 1 usage/config/domain/arithmetic error, 2 verification-tolerance failure.
 
+Each case field has one flag (``lam``'s is ``--lambda``); what a case
+derives from its fields, such as Morse's V2 = lam^2/8 or Scarf's box pi/lam,
+has none.
+
 A call of ``--flag value`` pairs of its command's own flags reads them from
 a table taken from the parser; help, any other call and every usage error
 stay argparse's.  A negative number (-20, -.5, -2e1) is a value.  A call
@@ -101,10 +105,7 @@ def _emit(config: dict, header, columns, diagnostics: dict, fmt: str,
 
 def _build_case(ns) -> object:
     cls = physics.CASE_TYPES[ns.case]
-    kwargs = {f.name: getattr(ns, f.name) for f in dataclasses.fields(cls)}
-    if kwargs.get("L") is not None:
-        kwargs["lam"] = None   # Scarf: a box size replaces the default scale
-    return cls(**kwargs)
+    return cls(**{f.name: getattr(ns, f.name) for f in dataclasses.fields(cls)})
 
 
 # A run's configuration is every parser dest that holds a value, except the
@@ -161,7 +162,7 @@ def cmd_wavefunction(ns) -> int:
     rs = np.linspace(ns.r_min, ns.r_max, ns.n_r)
     psi = physics.wavefunction(case, sol, rs)
     _emit(_case_config(ns), ["r", "psi"], [rs, psi],
-          {"truncation": sol.truncation}, ns.format, ns.out)
+          {"truncation": len(sol.f)}, ns.format, ns.out)
     return 0
 
 
@@ -243,10 +244,8 @@ def _add_case_flags(p: argparse.ArgumentParser):
     p.add_argument("--ell", type=int, default=0)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--V1", type=float, default=1.0)
-    p.add_argument("--V2", type=float, default=None)
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--B", type=float, default=0.0)
-    p.add_argument("--L", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
 
 

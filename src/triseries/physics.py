@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Protocol
+from typing import Protocol
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -227,7 +227,13 @@ class OscillatorCase:
     def ode_params(self, E, bound=False):
         # the doubled basis scale makes x = (lam r)^2 and the Gaussian weight
         # exp(-lam^2 r^2 / 2); admissibility then reads lam^2 <= omega.
+        # A_plus stops being finite where this test says, to the ulp at the
+        # lam tried (1e-76 .. 1e70): omega = 6.703903964971298e153 at lam = 1
         lo = 2.0 * self.lam
+        if not math.isfinite(4.0 * self.omega * self.omega / lo ** 4):
+            raise ValueError(f"oscillator: omega = {self.omega} is out of range "
+                             f"for lam = {self.lam}: A_plus = -4 omega^2/(2 "
+                             f"lam)^4 overflows")
         return OdeParams(LAGUERRE, 0.5, 0.0,
                          A_plus=-4.0 * self.omega ** 2 / lo ** 4,
                          A_minus=-0.25 * self.ell * (self.ell + 1.0),
@@ -253,13 +259,12 @@ class OscillatorCase:
 class MorseCase:
     """V(r) = V2 e^{2 lam r} - V1 e^{lam r} on the whole line.
 
-    The tridiagonal reduction requires V2 = lam^2/8 exactly (the second-order
-    slope constraint); V2 defaults to that value and any explicit V2 must
-    match it.  The phase-shift basis index is nu = 0.
+    The tridiagonal reduction exists only at V2 = lam^2/8 (the second-order
+    slope constraint), so V2 is derived from lam, not set.  The phase-shift
+    basis index is nu = 0.
     """
     lam: float
     V1: float
-    V2: Optional[float] = None
 
     name = "morse"
     threshold = 0.0
@@ -277,13 +282,10 @@ class MorseCase:
         if not math.isfinite(scale * scale):
             raise ValueError(f"morse: V1 = {self.V1} is out of range for lam = "
                              f"{self.lam}: the level energies overflow")
-        pinned = self.lam ** 2 / 8.0
-        if self.V2 is None:
-            object.__setattr__(self, "V2", pinned)
-        elif abs(self.V2 - pinned) > 1e-9 * max(1.0, pinned):
-            raise InvalidFamilyParams(
-                f"the series solution requires V2 = lam^2/8 = {pinned}; "
-                f"got V2 = {self.V2}")
+
+    @property
+    def V2(self) -> float:
+        return self.lam ** 2 / 8.0
 
     def x_of_r(self, r):
         return np.exp(self.lam * np.asarray(r, dtype=float))
@@ -413,19 +415,22 @@ class PoschlTellerCase:
 # of A and B, was 7.86e84 min(1, lam)^2, at B = 0 or A = 0
 _SCARF_FD_FIELDS = 7.8e84
 # the FD off-diagonals, ~(4000 lam/pi)^2/2, square to normal floats on the
-# oracle's 8h, h and h/2 meshes for lam in [1.0852529475139155e-79,
-# 6.430633720577288e73], measured
-_SCARF_FD_LAM = (1.09e-79, 6.43e73)
+# oracle's 8h, h and h/2 meshes up to lam = 6.430633720577288e73, measured
+_SCARF_FD_LAM_MAX = 6.43e73
+# below this lam the FD polish's iterates, which grow as 1/(eps lam^2), can
+# square past the float range: scans of lam = 1e-73 .. 1e-68 over the signs
+# and ratios of A/lam and B/lam and 1 to 51 levels saw it up to 6.9e-71, by
+# chance at a rate falling as 1/lam^2, so the bound sits ~15 times above
+_SCARF_POLISH_LAM_MIN = 1e-69
 
 
 @dataclass(frozen=True)
 class ScarfCase:
-    """Confining trigonometric well on 0 < r < L with lam = pi/L:
+    """Confining trigonometric well on the box 0 < r < pi/lam:
     V(r) = [(A^2+B^2-lam A) - B(2A-lam) cos(lam r)] / (2 sin^2(lam r))."""
     A: float
     B: float
-    L: Optional[float] = None
-    lam: Optional[float] = None
+    lam: float
 
     name = "scarf"
     threshold = math.inf   # purely discrete
@@ -433,18 +438,11 @@ class ScarfCase:
 
     def __post_init__(self):
         _require_finite(self)
-        if (self.L is None) == (self.lam is None):
-            raise ValueError("give exactly one of L (box size) or lam = pi/L")
-        given = "lam" if self.L is None else "L"
-        if not getattr(self, given) > 0:
-            raise ValueError(f"{given} must be > 0")
-        if self.L is None:
-            object.__setattr__(self, "L", math.pi / self.lam)
-        else:
-            object.__setattr__(self, "lam", math.pi / self.L)
+        if not self.lam > 0:
+            raise ValueError("lam must be > 0")
         if not math.isfinite(self.lam * self.lam):   # from lam = 1.35e154 on
-            raise ValueError(f"scarf: {given} = {getattr(self, given)} is out of "
-                             f"range: lam^2 in the level energies overflows")
+            raise ValueError(f"scarf: lam = {self.lam} is out of range: lam^2 "
+                             f"in the level energies overflows")
         # ode_params squares (A +- B)/lam - 1/2, which stays finite while
         # |A| and |B| are at most lam sqrt(max float) / 3
         for name in ("A", "B"):
@@ -494,10 +492,15 @@ class ScarfCase:
         if abs(self.A) + abs(self.B) > _SCARF_FD_FIELDS * min(1.0, self.lam) ** 2:
             raise self._out_of_range("A" if abs(self.A) >= abs(self.B) else "B",
                                      "the FD oracle's polish overflows")
-        if not _SCARF_FD_LAM[0] <= self.lam <= _SCARF_FD_LAM[1]:
-            raise ValueError(f"scarf: lam = {self.lam} (L = {self.L}) is out of "
+        if self.lam < _SCARF_POLISH_LAM_MIN:
+            raise ValueError(f"scarf: lam = {self.lam} is out of range: below "
+                             f"lam = {_SCARF_POLISH_LAM_MIN} the FD oracle's "
+                             f"polish overflows")
+        box = math.pi / self.lam
+        if self.lam > _SCARF_FD_LAM_MAX:
+            raise ValueError(f"scarf: lam = {self.lam} (L = {box}) is out of "
                              f"range for the FD oracle's off-diagonals")
-        return RadialMesh(0.0, self.L, self.L / 4000.0)
+        return RadialMesh(0.0, box, box / 4000.0)
 
     def bound_scenario(self):
         # the series' Jacobi basis divides by 2^(mu + nu + 1), where mu + nu
@@ -601,10 +604,8 @@ CASE_TYPES = {c.name: c for c in (CoulombCase, OscillatorCase, MorseCase,
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Discrete levels (index, energy) plus the spectrum-size bookkeeping."""
+    """Discrete levels (index, energy)."""
     levels: tuple
-    size: float              # number of levels (math.inf when unbounded)
-    threshold: float
 
     @property
     def energies(self):
@@ -619,6 +620,14 @@ def spectrum_size(case) -> float:
     return math.inf if edge == math.inf else max(int(math.ceil(edge)), 0)
 
 
+def _bound_size(case) -> float:
+    """spectrum_size(case), raising NoBoundStates when it is 0."""
+    size = spectrum_size(case)
+    if size == 0:
+        raise NoBoundStates(f"{case.name}: no bound states for these parameters")
+    return size
+
+
 def bound_energy(case, m: int) -> float:
     """The m-th bound level from the discrete-family quantization."""
     if m < 0:
@@ -630,9 +639,7 @@ def bound_spectrum(case, m_max: int = None) -> SpectrumResult:
     """Discrete levels m = 0..m_max (or the full finite spectrum)."""
     if m_max is not None and m_max < 0:
         raise IndexOutOfSpectrum(f"{case.name}: m_max={m_max} < 0")
-    size = spectrum_size(case)
-    if size == 0:
-        raise NoBoundStates(f"{case.name}: no bound states for these parameters")
+    size = _bound_size(case)
     if size is math.inf:
         if m_max is None:
             raise ValueError(f"{case.name} has infinitely many levels; give m_max")
@@ -646,7 +653,7 @@ def bound_spectrum(case, m_max: int = None) -> SpectrumResult:
             raise NoBoundStates(
                 f"{case.name}: level m={m} at E={e} is not below the  "
                 f"continuum threshold {thr}; spectrum-size rule inconsistent")
-    return SpectrumResult(levels, size, thr)
+    return SpectrumResult(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +823,16 @@ _CUT_ROUNDOFF = 1e-11   # |t_N| next to its neighbours where a chain ends
 def bound_series(case, m: int, truncation: int = None):
     """(OdeParams, SeriesSolution) of the m-th bound state.  A JC/LB level
     is the N = m chain on its own free index, taken at mass point m (no
-    truncation); an LA level is the Meixner series cut at ``truncation``."""
-    e = bound_energy(case, m)
+    truncation); an LA level is the Meixner series cut at ``truncation``.
+    A level the spectrum does not hold is refused before any level formula
+    runs."""
+    if m < 0:
+        raise IndexOutOfSpectrum(f"{case.name}: level index m={m} < 0")
+    size = _bound_size(case)
+    if m >= size:
+        raise IndexOutOfSpectrum(f"{case.name}: level index m={m} is past the "
+                                 f"last of the spectrum's {size} levels")
+    e = case.level_energy(m)
     cap = case.bound_e_cap
     # cap < 0; a level within 1e-9 (relative) of it is left to the match,
     # which reports AmbiguousRegion
@@ -851,7 +866,7 @@ def bound_series(case, m: int, truncation: int = None):
         spec = resolve_basis(params, "LA")
         f = np.zeros(m + 1)
         f[m] = 1.0
-        return params, solvemod.SeriesSolution(f, spec, m + 1, 1.0)
+        return params, solvemod.SeriesSolution(f, spec, 1.0)
     return params, solvemod.assemble_solution(match, int(m), truncation)
 
 

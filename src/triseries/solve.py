@@ -45,7 +45,6 @@ class SeriesSolution:
     """Expansion coefficients f_n = p * P_n and the basis they multiply."""
     f: np.ndarray
     spec: BasisSpec
-    truncation: int
     norm_factor: float
 
     def __call__(self, x):
@@ -222,7 +221,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         miss = abs(f.streams(n).t[-1] * vecs[-1, k])
         if miss > _ROW_MISS:
             raise TruncationTooSmall(f"row {n} of the recursion misses by {miss:.2e}")
-        return SeriesSolution(vecs[:, k], match.spec, n, float(vecs[0, k]))
+        return SeriesSolution(vecs[:, k], match.spec, float(vecs[0, k]))
     kind = match.spectrum_kind
     if truncation is None:
         truncation = DEFAULT_TRUNCATION
@@ -242,7 +241,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
             # Meixner: forward recursion regrows the dominant solution
             vals = _clip_roundoff_tail(vals)
         p = math.sqrt(f.discrete_mass(k))
-        return SeriesSolution(p * vals, match.spec, truncation + 1, p)
+        return SeriesSolution(p * vals, match.spec, p)
     # continuous component
     zval = float(spectral)
     coeff = run_recursion(coeffs, f.spectral_point(zval), truncation)
@@ -253,7 +252,7 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
         if tail > _TAIL_REL * np.max(np.abs(coeff)):
             raise TruncationTooSmall(
                 f"tail {tail:.2e} not negligible at truncation {truncation}")
-    return SeriesSolution(coeff, match.spec, truncation + 1, p)
+    return SeriesSolution(coeff, match.spec, p)
 
 
 # ---------------------------------------------------------------------------

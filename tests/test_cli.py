@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 import triseries
-from triseries.cli import (_FAMILY_BUILDERS, _build_case, _emit, _parse,
-                           build_parser, main)
+from triseries.cli import (_FAMILY_BUILDERS, _add_case_flags, _build_case,
+                           _emit, _parse, build_parser, main)
 from triseries.families import (MeixnerPollaczek, Wilson,
                                 values_by_recursion)
 from triseries.physics import (CASE_TYPES, CoulombCase, EckartCase, MorseCase,
-                               OscillatorCase, PoschlTellerCase, ScarfCase)
+                               OscillatorCase, PoschlTellerCase, ScarfCase,
+                               SpectrumResult)
+from triseries.solve import SeriesSolution
 
 
 def run_cli(capsys, *args):
@@ -66,11 +68,11 @@ def test_spectrum_tolerance_failure_exit_code(capsys):
 @pytest.mark.parametrize("args, config", [
     (["--config", "CFG"], [1, 2]),
     (["--config", "CFG", "spectrum"], {"config": "spectrum"}),
-    (["spectrum", "--case", "scarf", "--L", "0"], None),
+    (["spectrum", "--case", "scarf", "--lambda", "-1"], None),
     (["spectrum", "--case", "scarf", "--lambda", "0"], None),
-    (["spectrum", "--case", "scarf", "--L", "inf"], None),
-], ids=["config-list", "config-string", "scarf-L-0", "scarf-lambda-0",
-        "scarf-L-inf"])
+    (["spectrum", "--case", "scarf", "--lambda", "inf"], None),
+], ids=["config-list", "config-string", "scarf-lambda-negative",
+        "scarf-lambda-0", "scarf-lambda-inf"])
 def test_bad_input_exits_1_with_one_error_line(args, config, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -95,8 +97,15 @@ def test_bad_input_exits_1_with_one_error_line(args, config, tmp_path, capsys):
      None),
     (["--config", "CFG"], {"command": "phaseshift", "case": "morse",
                            "nu": 0.0}),
+    # Morse's V2 = lam^2/8 and Scarf's box pi/lam are derived, not flags
+    (["spectrum", "--case", "morse", "--V2", "0.125"], None),
+    (["spectrum", "--case", "scarf", "--L", "3"], None),
+    (["--config", "CFG"], {"command": "spectrum", "case": "scarf", "L": 3.0}),
+    (["--config", "CFG"], {"command": "wavefunction", "case": "morse",
+                           "V2": 0.125}),
 ], ids=["missing-case", "config-unknown-key", "spectrum-nu", "phaseshift-nu",
-        "wavefunction-mu", "phaseshift-mu", "config-stored-nu"])
+        "wavefunction-mu", "phaseshift-mu", "config-stored-nu", "spectrum-V2",
+        "spectrum-L", "config-stored-L", "config-stored-V2"])
 def test_usage_error_exits_1(args, config, tmp_path, capsys):
     # exit 2 is kept for a failed tolerance
     if config is not None:
@@ -118,6 +127,17 @@ def test_only_polytable_takes_a_basis_index(capsys):
     # --nu are family parameters
     for cls in CASE_TYPES.values():
         assert not {"mu", "nu"} & {f.name for f in dataclasses.fields(cls)}
+    # no record stores what it derives: Morse's V2, Scarf's box, a series'
+    # length, a spectrum's size and threshold
+    names = lambda cls: tuple(f.name for f in dataclasses.fields(cls))
+    assert names(MorseCase) == ("lam", "V1")
+    assert names(ScarfCase) == ("A", "B", "lam")
+    assert names(SeriesSolution) == ("f", "spec", "norm_factor")
+    assert names(SpectrumResult) == ("levels",)
+    p = argparse.ArgumentParser()
+    _add_case_flags(p)
+    assert [a.option_strings[0] for a in p._actions[1:]] == [
+        "--case", "--Z", "--ell", "--omega", "--V1", "--A", "--B", "--lambda"]
     code, out, _ = run_cli(capsys, "polytable", "--family", "meixner", "--mu",
                            "0.7", "--nu", "0.3", "--z", "2", "--n-max", "3")
     assert code == 0 and out.count("\n") == 5
@@ -140,6 +160,60 @@ def test_only_polytable_takes_a_basis_index(capsys):
 ], ids=["morse", "pt-tau2-neg", "pt-tau2-pos", "eckart-bound", "eckart-B-pos"])
 def test_default_phase_tables_keep_their_bytes(flags, digest, capsys):
     code, out, err = run_cli(capsys, "phaseshift", "--case", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the default spectrum and wavefunction CSV tables of the six cases
+# at the acceptance parameters (the series scale 0.3 for Coulomb and 0.4 for
+# the oscillator), as written while Morse's V2 and Scarf's box size were
+# settable fields left unset
+_ACCEPTANCE_FLAGS = {
+    "coulomb": ["--Z", "1", "--ell", "0"],
+    "oscillator": ["--omega", "1", "--ell", "0"],
+    "morse": ["--lambda", "1", "--V1", "1"],
+    "poschl_teller": ["--lambda", "1", "--A", "1", "--B", "-36"],
+    "scarf": ["--A", "2", "--B", "0.5", "--lambda", "1"],
+    "eckart": ["--lambda", "1", "--A", "2", "--B", "-20"],
+}
+
+
+_TABLE_DIGESTS = [
+    ("spectrum", "coulomb",
+     "76f298e9fba28ca8993cc0fb0592a5bd7c3f45d838c1f80c3e6115e4260538e1"),
+    ("spectrum", "oscillator",
+     "263b2edf14ab8bc9b89132d71d5747d336b0ded86e5d85e05011a674637229ae"),
+    ("spectrum", "morse",
+     "1b4f9a0da7f8373721cd06b041761ee4c5cfc353cca8fdc9c8f611195d2247de"),
+    ("spectrum", "poschl_teller",
+     "26795fe36fd977b0c68b6876fb6ef1ff41768386e6f4519350afad094cd5a1d3"),
+    ("spectrum", "scarf",
+     "c3eabe8f4a9f1db26cd3f6a8041124caea68c2e6bc35ea2c7a275405f419bfb0"),
+    ("spectrum", "eckart",
+     "78d8b785ad9f0d22a7869932eff021e3f93f121a18e78d28ef2b87bff55e549b"),
+    ("wavefunction", "coulomb",
+     "c3c80afe68d8d8368e4f98aaad49e16e0589e35ece077f2ffb6a37e219dc4373"),
+    ("wavefunction", "oscillator",
+     "b784f9bded2c98d2dbd7c00415cdbc966fcefa8d323367c6678cdb49cc0d2aa4"),
+    ("wavefunction", "morse",
+     "df88a5ab95d6add219f99979ec695f1710872b6edf66f43ba78f635393eb8953"),
+    ("wavefunction", "poschl_teller",
+     "87bb1c51acf06841f8e76e78edc8c65bc6dae70d789a27dd4835712449344963"),
+    ("wavefunction", "scarf",
+     "57fc3575e118d29a61a6456eab9430f2adbe110c7f187b605e0bf23595819567"),
+    ("wavefunction", "eckart",
+     "6b969a73cd1125a468ac32dacd0ea1b64c4d5a040f902016c8bfc71713d44ca5"),
+]
+
+
+@pytest.mark.parametrize("command, case, digest", _TABLE_DIGESTS,
+                         ids=[f"{c}-{k}" for c, k, _ in _TABLE_DIGESTS])
+def test_default_level_and_state_tables_keep_their_bytes(command, case, digest,
+                                                         capsys):
+    scale = {"coulomb": ["--lambda", "0.3"], "oscillator": ["--lambda", "0.4"]}
+    extra = scale.get(case, []) if command == "wavefunction" else []
+    code, out, err = run_cli(capsys, command, "--case", case,
+                             *_ACCEPTANCE_FLAGS[case], *extra)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -452,14 +526,12 @@ def test_negative_exponent_value_replays(tmp_path, capsys):
      MorseCase(lam=1.5, V1=1.1)),
     (["poschl_teller", "--A", "2", "--B", "-20"],
      PoschlTellerCase(lam=1.0, A=2.0, B=-20.0)),
-    (["scarf", "--A", "2", "--B", "0.5", "--L", "3"],
-     ScarfCase(A=2.0, B=0.5, L=3.0)),
     (["scarf", "--A", "2", "--B", "0.5", "--lambda", "1.2"],
      ScarfCase(A=2.0, B=0.5, lam=1.2)),
     (["eckart", "--A", "-1", "--B", "-30", "--lambda", "0.8"],
      EckartCase(lam=0.8, A=-1.0, B=-30.0)),
-], ids=["coulomb", "oscillator", "morse", "poschl_teller", "scarf-L",
-        "scarf-lambda", "eckart"])
+], ids=["coulomb", "oscillator", "morse", "poschl_teller", "scarf-lambda",
+        "eckart"])
 def test_build_case_equals_direct_construction(flags, expect):
     ns = build_parser().parse_args(["spectrum", "--case"] + flags)
     assert _build_case(ns) == expect
@@ -618,7 +690,7 @@ def test_spectrum_fails_when_the_oracle_does_not_tell_levels_apart(
 
 @pytest.mark.parametrize("args, field, value", [
     (("--lambda", "1e300"), "lam", "1e+300"),
-    (("--L", "1e-300"), "L", "1e-300"),
+    (("--lambda", "3.141592653589793e300"), "lam", "3.141592653589793e+300"),
     (("--lambda", "1.35e154"), "lam", "1.35e+154"),
 ])
 def test_scarf_scale_past_its_level_energy_range_is_named(args, field, value,
@@ -634,23 +706,51 @@ def test_scarf_scale_past_its_level_energy_range_is_named(args, field, value,
     assert ScarfCase(A=2.0, B=0.5, lam=1.34e154).lam == 1.34e154
 
 
-# calls whose formulas still fault where no record check names the field
 @pytest.mark.parametrize("args, error", [
-    (("wavefunction", "--case", "eckart", "--A", "1e300"), "OverflowError"),
-    (("wavefunction", "--case", "oscillator", "--omega", "1e300"),
+    (("wavefunction", "--case", "eckart", "--A", "2", "--B", "-20"),
      "OverflowError"),
-    (("wavefunction", "--case", "poschl_teller", "--A", "1e300"),
-     "OverflowError"),
+    (("spectrum", "--case", "oscillator"), "OverflowError"),
+    (("phaseshift", "--case", "poschl_teller", "--E", "1"), "OverflowError"),
 ])
-def test_arithmetic_fault_is_one_error_line(args, error, capsys):
+def test_arithmetic_fault_is_one_error_line(args, error, monkeypatch, capsys):
     # an overflow or a division by zero in a case or family formula exits 1
-    # with one line, as a typed error does
+    # with one line, as a typed error does; no record admits a field whose
+    # formulas fault, so the case's formulas are made to
+    def fault(*_args, **_kwargs):
+        raise OverflowError("math range error")
+
+    formula = "phase" if args[0] == "phaseshift" else "level_energy"
+    monkeypatch.setattr(CASE_TYPES[args[2]], formula, fault)
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (1, ""), err
     assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
     code, out, err = run_cli(capsys, *args, "--format", "json")
     assert (code, out) == (1, ""), err
     assert json.loads(err)["diagnostics"]["error"] == error
+
+
+# calls whose level formulas faulted before wavefunction asked the spectrum
+# for the level; spectrum gives the same answer
+@pytest.mark.parametrize("args, error", [
+    (("poschl_teller", "--lambda", "1e300"), "NoBoundStates"),
+    (("poschl_teller", "--lambda", "1e-300"), "NoBoundStates"),
+    (("poschl_teller", "--A", "1e300"), "NoBoundStates"),
+    (("poschl_teller", "--A", "1", "--B", "5"), "NoBoundStates"),
+    (("eckart", "--A", "1e300"), "NoBoundStates"),
+    (("eckart", "--B", "1e300"), "NoBoundStates"),
+    (("eckart", "--lambda", "1e-300"), "NoBoundStates"),
+    (("morse", "--m", "2"), "IndexOutOfSpectrum"),
+], ids=["pt-lam-huge", "pt-lam-tiny", "pt-A-huge", "pt-B-5", "eckart-A-huge",
+        "eckart-B-huge", "eckart-lam-tiny", "morse-m-2"])
+def test_level_the_spectrum_does_not_hold_is_a_typed_error(args, error, capsys):
+    commands = ["wavefunction"] + (["spectrum"] if error == "NoBoundStates"
+                                   else [])
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command, "--case", *args)
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("args, line", [
@@ -692,9 +792,11 @@ _HUGE_N = "1" * 401
      "1e-160"),
     (("wavefunction", "--case", "coulomb", "--lambda", "1e-300"), "lam",
      "1e-300"),
+    (("wavefunction", "--case", "oscillator", "--omega", "1e300"), "omega",
+     "1e+300"),
 ], ids=["krawtchouk-N", "dual_hahn-N", "racah-N", "morse-V1", "scarf-A",
         "oscillator-lam", "coulomb-lam-huge", "coulomb-lam-1e-160",
-        "coulomb-lam-tiny"])
+        "coulomb-lam-tiny", "oscillator-omega"])
 def test_field_the_record_cannot_hold_is_named(args, field, value, capsys):
     # a field past what the record's formulas can hold is refused by the
     # record, in one line naming the field and its value, not by an
@@ -754,19 +856,25 @@ def test_coulomb_lam_is_refused_where_its_squares_overflow(lam, kept, capsys):
     (("wavefunction", "--A", "512.49"), None, None),
     (("wavefunction", "--B", "511.99"), None, None),
     (("spectrum", "--lambda", "1e-10", "--A", "1", "--B", "7.7e64"), None, None),
-    # the FD operator's off-diagonals square past the float range outside
-    # lam in [1.09e-79, 6.43e73]
+    # the FD operator's off-diagonals square past the float range above
+    # lam = 6.43e73, and the FD polish's iterates can below lam = 1e-69
     (("spectrum", "--lambda", "1e152"), "lam", "1e+152"),
     (("spectrum", "--lambda", "1e154"), "lam", "1e+154"),
     (("spectrum", "--lambda", "1.3e154"), "lam", "1.3e+154"),
     (("spectrum", "--lambda", "6.44e73"), "lam", "6.44e+73"),
-    (("spectrum", "--A", "0", "--L", "1e200"), "lam", "3.141592653589793e-200"),
+    (("spectrum", "--A", "0", "--lambda", "3.141592653589793e-200"), "lam",
+     "3.141592653589793e-200"),
+    (("spectrum", "--A", "0", "--B", "0", "--lambda", "1e-75"), "lam", "1e-75"),
+    (("spectrum", "--A", "0", "--B", "0", "--lambda", "9.999999999999998e-70"),
+     "lam", "9.999999999999998e-70"),
+    (("spectrum", "--A", "0", "--B", "0", "--lambda", "1e-69"), None, None),
 ], ids=["wavefunction-A-1e150", "spectrum-A-1e150", "wavefunction-A-1000",
         "wavefunction-B-1000", "wavefunction-A-edge", "wavefunction-B-edge",
         "spectrum-B-edge", "spectrum-A-plus-B", "spectrum-A-1000-kept", "wavefunction-A-kept",
         "wavefunction-B-kept", "spectrum-B-kept", "spectrum-lam-1e152",
         "spectrum-lam-1e154", "spectrum-lam-1.3e154", "spectrum-lam-edge",
-        "spectrum-L-1e200"])
+        "spectrum-lam-pi-1e-200", "spectrum-lam-1e-75",
+        "spectrum-lam-below-polish-edge", "spectrum-lam-polish-edge-kept"])
 def test_scarf_field_past_its_derived_range_is_named(args, field, value, capsys):
     args = (args[0], "--case", "scarf", *args[1:])
     for fmt in ("csv", "json"):

@@ -9,8 +9,8 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from triseries import cli, physics
-from triseries.errors import (BelowThreshold, BoxTooSmall, InvalidFamilyParams,
-                              MeshTooCoarse, NoBoundStates, NoContinuum)
+from triseries.errors import (BelowThreshold, BoxTooSmall, MeshTooCoarse,
+                              NoBoundStates, NoContinuum)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, RadialMesh,
                                ScarfCase, _fd_operator, _lowest_eigenvalues,
@@ -69,9 +69,25 @@ def test_morse_spectrum_values_and_size():
 
 
 def test_morse_requires_pinned_quadratic_coupling():
-    with pytest.raises(InvalidFamilyParams):
+    # V2 = lam^2/8 is derived from lam, not set
+    with pytest.raises(TypeError):
         MorseCase(lam=1.0, V1=1.0, V2=0.3)
-    assert MorseCase(lam=1.0, V1=1.0).V2 == pytest.approx(0.125)
+    assert MorseCase(lam=1.0, V1=1.0).V2 == 0.125
+    assert MorseCase(lam=0.3, V1=1.0).V2 == 0.3 ** 2 / 8.0
+
+
+def test_oscillator_omega_is_refused_where_a_plus_overflows():
+    # A_plus = -4 omega^2/(2 lam)^4: at lam = 1 the product 4 omega^2
+    # overflows first, from the float after this edge on
+    edge = 6.703903964971298e153
+    assert math.isfinite(OscillatorCase(omega=edge).ode_params(1.0).A_plus)
+    with pytest.raises(ValueError, match=r"omega = 6.703903964971299e\+153 is "
+                                         r"out of range for lam = 1.0"):
+        OscillatorCase(omega=math.nextafter(edge, math.inf)).ode_params(1.0)
+    # a smaller scale divides by a smaller (2 lam)^4
+    with pytest.raises(ValueError, match="omega = 1e\\+16 is out of range"):
+        OscillatorCase(omega=1e16, lam=1e-70).ode_params(1.0)
+    assert OscillatorCase(omega=2e14, lam=1e-70).ode_params(1.0).A_plus < 0
 
 
 def test_no_bound_states_conditions():
@@ -521,20 +537,9 @@ def test_tra_route_matches_formula_and_scale_free():
                 bound_energy(case, m), abs=1e-10), (case, m)
 
 
-def test_scarf_accepts_box_size_or_scale():
-    a = ScarfCase(A=2.0, B=0.5, L=math.pi)
-    b = ScarfCase(A=2.0, B=0.5, lam=1.0)
-    assert a.lam == pytest.approx(b.lam)
-    assert a.L == pytest.approx(b.L)
-    with pytest.raises(ValueError):
-        ScarfCase(A=2.0, B=0.5)
-    with pytest.raises(ValueError):
-        ScarfCase(A=2.0, B=0.5, L=3.0, lam=1.0)
-
-
 def test_coulomb_discrete_below_threshold():
-    spec = bound_spectrum(CoulombCase(Z=1.0, ell=1), m_max=2)
-    assert np.all(spec.energies < spec.threshold)
+    case = CoulombCase(Z=1.0, ell=1)
+    assert np.all(bound_spectrum(case, m_max=2).energies < case.threshold)
 
 
 # Inputs whose level m=1 sits exactly at the continuum threshold: E = -0.0,
@@ -551,7 +556,7 @@ def test_level_at_threshold_is_not_counted(case):
     assert spectrum_size(case) == 1
     spec = bound_spectrum(case)
     assert [m for m, _ in spec.levels] == [0]
-    assert np.all(spec.energies < spec.threshold)
+    assert np.all(spec.energies < case.threshold)
 
 
 @pytest.mark.parametrize("case", THRESHOLD_EDGE_CASES,

@@ -8,10 +8,11 @@ import pytest
 from triseries import families as fam
 from triseries.basis import evaluate_series
 from triseries.errors import (AmbiguousRegion, IndexOutOfSpectrum,
-                              InvalidFamilyParams, NoFamilyApplies,
-                              NoPointwiseSolution, NoTerminatingIndex,
-                              SingularPointTooClose, TriseriesError,
-                              TruncationTooSmall, ZeroSolution)
+                              InvalidFamilyParams, NoBoundStates,
+                              NoFamilyApplies, NoPointwiseSolution,
+                              NoTerminatingIndex, SingularPointTooClose,
+                              TriseriesError, TruncationTooSmall,
+                              ZeroSolution)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase,
                                bound_energy, bound_series, spectrum_size,
@@ -161,7 +162,7 @@ def test_extended_family_given_truncation_solves_or_raises_typed():
                 except (IndexOutOfSpectrum, TruncationTooSmall):
                     raised += 1
                     continue
-                assert sol.truncation == truncation + 1
+                assert len(sol.f) == truncation + 1
                 assert ode_residual(p, sol, _JA_X) <= 1e-8
     assert raised > 0
 
@@ -206,6 +207,30 @@ def test_jc_wilson_match_with_parameter_sum_two_assembles():
     ref = closed_form_hp(f, 1.3, 10)
     assert np.allclose(sol.f[:11] / sol.norm_factor, ref, rtol=1e-12,
                        atol=1e-12)
+
+
+def test_level_the_spectrum_does_not_hold_is_refused_first(monkeypatch):
+    # bound_series asks the spectrum for level m before any level formula
+    # runs: none is reached here
+    def fault(*_args):
+        raise OverflowError("a level formula ran")
+
+    for cls in (MorseCase, PoschlTellerCase, EckartCase):
+        monkeypatch.setattr(cls, "level_energy", fault)
+    for case in (PoschlTellerCase(lam=1.0, A=1.0, B=5.0),
+                 PoschlTellerCase(lam=1e300, A=1.0, B=0.0),
+                 EckartCase(lam=1.0, A=1e300, B=0.0)):
+        with pytest.raises(NoBoundStates):
+            bound_series(case, 0)
+    for case, m in ((MorseCase(lam=1.0, V1=1.0), 2),
+                    (EckartCase(lam=1.0, A=2.0, B=-20.0), 3)):
+        size = spectrum_size(case)
+        with pytest.raises(IndexOutOfSpectrum,
+                           match=f"m={m} is past the last of the spectrum's "
+                                 f"{size} levels"):
+            bound_series(case, m)
+    with pytest.raises(IndexOutOfSpectrum, match="m=-1 < 0"):
+        bound_series(PoschlTellerCase(lam=1.0, A=1.0, B=5.0), -1)
 
 
 def test_coulomb_basis_scale_caps_the_levels():
@@ -380,7 +405,7 @@ def test_zero_solution_residual_raises():
     p = OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0)
     from triseries.tra import resolve_basis
     spec = resolve_basis(p, "LA")
-    sol = SeriesSolution(np.zeros(5), spec, 5, 1.0)
+    sol = SeriesSolution(np.zeros(5), spec, 1.0)
     with pytest.raises(ZeroSolution):
         ode_residual(p, sol, [0.5, 1.0])
 
@@ -389,12 +414,12 @@ def test_singular_margins_enforced():
     p = OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0)
     from triseries.tra import resolve_basis
     spec = resolve_basis(p, "LA")
-    sol = SeriesSolution(np.ones(3), spec, 3, 1.0)
+    sol = SeriesSolution(np.ones(3), spec, 1.0)
     with pytest.raises(SingularPointTooClose):
         ode_residual(p, sol, [0.01])
     pj = OdeParams("jacobi", 0.5, 0.5, 0.1, 0.1, 5.0, A_one=2.0)
     specj = resolve_basis(pj, "JA")
-    solj = SeriesSolution(np.ones(3), specj, 3, 1.0)
+    solj = SeriesSolution(np.ones(3), specj, 1.0)
     with pytest.raises(SingularPointTooClose):
         ode_residual(pj, solj, [0.99])
 
