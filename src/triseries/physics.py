@@ -725,8 +725,8 @@ def _lowest_eigenvalues(diag, off, k: int, seeds=None, starts=None):
     Each seed (by default T's own loose bisection) is polished by
     Rayleigh-quotient iteration from its start vector (by default one
     random vector shared by all seeds), and the values are certified.  If a
-    polish stalls or the certificate refuses, the values are dstebz's full
-    bisection and the vectors None."""
+    polish stalls or overflows, or the certificate refuses, the values are
+    dstebz's full bisection and the vectors None."""
     norm = np.abs(diag).max() + 2.0 * np.abs(off).max()   # >= ||T||_inf
     seeds = _bisection(diag, off, k, loose=True) if seeds is None else seeds
     if starts is None:
@@ -736,7 +736,11 @@ def _lowest_eigenvalues(diag, off, k: int, seeds=None, starts=None):
     for i, (mu, v) in enumerate(zip(seeds, starts)):
         for _ in range(5):   # numpy sums, not BLAS (threaded on long vectors)
             v = dgtsv(off, diag - mu, off, v)[3]
-            v = v / math.sqrt((v * v).sum())
+            with np.errstate(over="ignore"):
+                size = math.sqrt((v * v).sum())
+            if not 0.0 < size < math.inf:   # a shift on a level overflowed v
+                return _bisection(diag, off, k), None
+            v = v / size
             r = (diag * v + np.append(off * v[1:], 0.0)
                  + np.append(0.0, off * v[:-1]))
             mu = (v * r).sum()

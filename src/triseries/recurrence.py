@@ -3,8 +3,8 @@
 A symmetric three-term recursion
     z P_n = s_n P_n + t_{n-1} P_{n-1} + t_n P_n+1,   t_{-1} := 0,
 with P_0 = 1 determines P_n(z) for every n.  This module evaluates the
-sequence at one argument or an array of them, and checks the diagonal
-Christoffel-Darboux identity, which every such family satisfies:
+sequence at one or many arguments, or its minimal solution, and checks the
+diagonal Christoffel-Darboux identity, which every such family satisfies:
 
     sum_{n=0}^{N-1} P_n(z)^2 = t_{N-1} [P_N'(z) P_{N-1}(z) - P_N(z) P_{N-1}'(z)].
 
@@ -22,7 +22,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonFiniteValue, ZeroOffDiagonal
 
-DEFAULT_N_MAX_CAP = 500  # forward recursion degrades eventually; stay well below
+DEFAULT_N_MAX_CAP = 500  # bounds a truncation's allocation and forward-recursion decay
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,7 @@ def run_recursion(coeffs: RecursionCoeffs, z, n_max: int,
     P_0 = 1, P_1 = (z - s_0)/t_0, then
     P_{n+1} = [(z - s_n) P_n - t_{n-1} P_{n-1}] / t_n.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if n_max > cap:
-        raise ValueError(f"n_max={n_max} exceeds forward-recursion cap {cap}")
+    check_degree(n_max, cap)
     if len(coeffs) < n_max:
         raise ValueError("coefficient streams shorter than n_max")
     t = coeffs.t[:n_max].tolist()
@@ -81,6 +78,29 @@ def run_recursion(coeffs: RecursionCoeffs, z, n_max: int,
         raise ZeroOffDiagonal(f"t_{negative[0]}^2 < 0: twisted stream has no real "
                               "polynomial sequence")
     return _forward(coeffs.s[:n_max].tolist(), t, t, z)
+
+
+def check_degree(n_max: int, cap: int = DEFAULT_N_MAX_CAP) -> None:
+    """Refuse a degree outside 0..cap, before any stream is built."""
+    if not 0 <= n_max <= cap:
+        raise ValueError("n_max must be >= 0" if n_max < 0 else
+                         f"n_max={n_max} exceeds forward-recursion cap {cap}")
+
+
+def minimal_solution(coeffs: RecursionCoeffs, z: float) -> np.ndarray:
+    """f_0..f_N, N = len(coeffs) - 1, of the minimal solution at z, f_0 = 1:
+    forward steps up to the top degree with (z - s_n)^2 < 4 t_{n-1} t_n, and
+    past it, where it decays and cannot overflow, backward (Miller) ratios
+    rho_n = f_n / f_{n-1} = t_{n-1} / (z - s_n - t_n rho_{n+1}) from
+    rho_{N+1} = 0 (W. Gautschi, SIAM Review 9, 24 (1967)).  Either direction
+    elsewhere would regrow the dominant solution from round-off."""
+    s, t = coeffs.s.tolist(), coeffs.t.tolist()
+    n, ratios = len(s) - 1, [0.0]
+    while n > 0 and (z - s[n]) * (z - s[n]) >= 4.0 * t[n - 1] * t[n]:
+        ratios.append(t[n - 1] / (z - s[n] - t[n] * ratios[-1]))
+        n -= 1
+    head = _forward(s[:n], t[:n], t[:n], float(z))
+    return np.append(head, head[-1] * np.cumprod(ratios[:0:-1]))
 
 
 def _forward(s: list, sub: list, sup: list, z) -> np.ndarray:

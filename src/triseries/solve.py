@@ -14,7 +14,7 @@ from .basis import evaluate_series, negative_integer_index
 from .errors import (AmbiguousRegion, IndexOutOfSpectrum, NoFamilyApplies,
                      NoPointwiseSolution, SingularPointTooClose,
                      TruncationTooSmall, ZeroOffDiagonal, ZeroSolution)
-from .recurrence import run_recursion
+from .recurrence import check_degree, minimal_solution, run_recursion
 from .tra import (BasisSpec, OdeParams, SpectralMap, apply_swap_symmetry,
                   raw_spectral_map, resolve_basis)
 
@@ -162,38 +162,8 @@ def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
 # ---------------------------------------------------------------------------
 
 _TAIL_REL = 1e-8
-_CLIP_TAIL_REL = 1e-6
-_CLIP_REGROWTH = 1e2
+_L2_CUT = 1e-9   # Meixner terms with a smaller l2 tail share are zeroed
 _ROW_MISS = 1e-10
-
-
-def _clip_roundoff_tail(vals: np.ndarray) -> np.ndarray:
-    """Zero the tail of a decaying coefficient sequence past the point where
-    forward recursion starts regrowing the dominant solution from round-off.
-
-    Contamination shows up as a V shape: geometric decay to a vertex deep in
-    the tail, then monotone-ish regrowth peaking at the final terms.  A sign
-    node does not match that signature (its rebound peaks right after the
-    node and keeps decaying), so it never triggers the clip.
-    """
-    a = np.abs(vals)
-    peak = float(np.max(a))
-    if peak == 0.0 or a.size < 8:
-        return vals
-    i_min = int(np.argmin(a))
-    vertex = a[i_min]
-    if i_min >= a.size - 4 or vertex >= _CLIP_TAIL_REL * peak:
-        return vals
-    suffix = a[i_min:]
-    s_max = float(np.max(suffix))
-    if s_max <= _CLIP_REGROWTH * max(vertex, 1e-300 * peak):
-        return vals
-    peak_at_end = int(np.argmax(suffix)) >= suffix.size - 3
-    if not (peak_at_end or a[-1] > 0.3 * s_max):
-        return vals
-    out = vals.copy()
-    out[i_min + 1:] = 0.0
-    return out
 
 
 def assemble_solution(match: MatchResult, spectral, truncation: int = None,
@@ -202,8 +172,8 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
 
     For mixed spectra, an integer ``spectral`` selects the discrete
     component at that index and a float selects the continuous component at
-    that squared-variable value.  ``coeffs``: the family's streams when the
-    caller has built them already, at least truncation + 1 terms long.
+    that squared-variable value.  ``coeffs``: the streams of a non-Meixner
+    family when the caller has built them, at least truncation + 1 terms.
     A finite (negative basis-index) match raises NoPointwiseSolution: its
     f_n solve the coefficient recursion, but the series does not solve the
     equation pointwise.
@@ -225,21 +195,26 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
     kind = match.spectrum_kind
     if truncation is None:
         truncation = DEFAULT_TRUNCATION
-    is_index = isinstance(spectral, (int, np.integer))
     if kind == DISCRETE_FINITE:
         raise NoPointwiseSolution(
             f"the finite {f.kind} match (N = {match.n_finite}) gives no series "
             "that solves the equation pointwise")
+    check_degree(truncation)
+    if kind == DISCRETE_INFINITE:
+        # Meixner: P_n(k) is the minimal solution; 2T + 2 terms settle T + 1
+        p = math.sqrt(f.discrete_mass(int(spectral)))
+        vals = p * minimal_solution(fam.family_coeffs(f, 2 * truncation + 2),
+                                    f.mass_point(int(spectral)))[:truncation + 1]
+        tail = np.sqrt(np.cumsum(vals[::-1] ** 2)[::-1])
+        vals[tail < _L2_CUT * tail[0]] = 0.0
+        return SeriesSolution(vals, match.spec, p)
     if coeffs is None:
         coeffs = fam.family_coeffs(f, truncation + 1)
-    if kind == DISCRETE_INFINITE or (kind == MIXED and is_index):
+    if kind == MIXED and isinstance(spectral, (int, np.integer)):
         k = int(spectral)
-        if kind == MIXED and not 0 <= k <= match.n_finite:
+        if not 0 <= k <= match.n_finite:
             raise IndexOutOfSpectrum(f"index {k} outside 0..{match.n_finite}")
         vals = run_recursion(coeffs, f.mass_point(k), truncation)
-        if kind == DISCRETE_INFINITE:
-            # Meixner: forward recursion regrows the dominant solution
-            vals = _clip_roundoff_tail(vals)
         p = math.sqrt(f.discrete_mass(k))
         return SeriesSolution(p * vals, match.spec, p)
     # continuous component

@@ -10,7 +10,7 @@ from triseries.errors import NonFiniteValue, ZeroOffDiagonal
 from triseries.families import (ContinuousDualHahn, Meixner, MeixnerPollaczek,
                                 Racah, Wilson, family_coeffs, values_by_recursion)
 from triseries.recurrence import (RecursionCoeffs, christoffel_darboux_check,
-                                  run_recursion)
+                                  minimal_solution, run_recursion)
 from triseries.verify import closed_form_hp
 
 
@@ -174,3 +174,31 @@ def test_non_finite_value_raises_a_typed_error(z, first):
     with pytest.raises(NonFiniteValue, match=f"P_{first} is not finite"):
         run_recursion(co, z, 40)
     assert np.all(run_recursion(co, z, 0) == 1.0)
+
+
+@pytest.mark.parametrize("k", [0, 4, 20, 40])
+def test_minimal_solution_is_the_meixner_sequence_at_a_mass_point(k):
+    # P_n(k) is the minimal solution at mass point k: the unit column
+    # sqrt(w_k) P_n(k) sums to 1, and every degree is kept to ~1e-12 of
+    # the peak, also where P_n(k) grows with n before it decays
+    fam = Meixner(0.7, 0.4)
+    ref = np.array(closed_form_hp(fam, k, 120), dtype=float)
+    f = minimal_solution(family_coeffs(fam, 400), fam.mass_point(k))
+    assert f[0] == 1.0 and len(f) == 400
+    assert fam.discrete_mass(k) * np.sum(f ** 2) == pytest.approx(1.0, rel=1e-11)
+    assert np.abs(f[:121] - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_minimal_solution_steps_forward_below_the_decay():
+    # where the local characteristic roots are complex, the minimal
+    # solution does not decay yet: degrees up to the last such one are the
+    # forward recursion's, bit for bit, and only the decay is backward
+    fam = Meixner(0.7, 0.4)
+    co = family_coeffs(fam, 200)
+    z = fam.mass_point(20)
+    d = (z - co.s[1:]) ** 2 - 4.0 * co.t[:-1] * co.t[1:]
+    last = int(np.nonzero(d < 0.0)[0][-1]) + 1
+    f = minimal_solution(co, z)
+    assert 20 < last < 100
+    assert np.array_equal(f[:last + 1], run_recursion(co, z, last))
+    assert np.all(np.diff(np.abs(f[last + 1:])) < 0.0)

@@ -1,6 +1,7 @@
 """Family matching, series assembly and the ODE residual."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from triseries.physics import (CoulombCase, EckartCase, MorseCase,
 from triseries.solve import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE,
                              MIXED, SeriesSolution, assemble_solution,
                              match_family, ode_residual)
-from triseries.recurrence import run_recursion
+from triseries.recurrence import minimal_solution, run_recursion
 from triseries.tra import OdeParams, resolve_basis
 from triseries.verify import closed_form_hp
 
@@ -260,6 +261,78 @@ def test_oscillator_residual_small_at_full_truncation():
     params, sol = bound_series(case, 0, truncation=40)
     res = ode_residual(params, sol, np.linspace(0.3, 8.0, 10))
     assert res < 1e-6
+
+
+_LA_X = np.linspace(0.3, 8.0, 20)
+
+
+@pytest.mark.parametrize("case, ms", [
+    (CoulombCase(Z=1.0, ell=0, lam=0.3), (1, 2)),
+    (CoulombCase(Z=1.0, ell=1, lam=0.3), (0, 1, 2)),
+    (OscillatorCase(omega=0.5, ell=2, lam=0.4), (0, 1, 2)),
+], ids=["coulomb-ell-0", "coulomb-ell-1", "oscillator-ell-2"])
+def test_meixner_states_that_decay_within_the_truncation_solve_to_3e_8(case, ms):
+    # the minimal solution by backward recursion; forward recursion with a
+    # round-off clip left 2e-8 to 2e-7 on these levels
+    for m in ms:
+        params, sol = bound_series(case, m)
+        assert ode_residual(params, sol, _LA_X) <= 3e-8
+
+
+@pytest.mark.parametrize("case, ms", [
+    (CoulombCase(Z=1.0, ell=0, lam=0.3), (0,)),
+    (CoulombCase(Z=4.03, ell=0, lam=0.99), (0,)),
+    (OscillatorCase(omega=1.0, ell=0, lam=0.4), (0, 2, 3)),
+], ids=["coulomb-1", "coulomb-4.03", "oscillator"])
+def test_meixner_states_at_a_long_truncation_solve_to_1e_7(case, ms):
+    # forward recursion with a round-off clip stalled at 1.4e-7 to 5.1e-7
+    for m in ms:
+        params, sol = bound_series(case, m, truncation=240)
+        assert ode_residual(params, sol, _LA_X) <= 1e-7
+
+
+def test_meixner_state_zeroes_exactly_the_terms_of_its_small_l2_tail():
+    # the kept terms are p times the minimal solution; the zeroed ones are
+    # the longest tail whose l2 norm is below 1e-9 of the whole
+    params, sol = bound_series(CoulombCase(Z=1.0, ell=0, lam=0.3), 1)
+    family = match_family(params, "LA").family
+    full = sol.norm_factor * minimal_solution(
+        fam.family_coeffs(family, 122), family.mass_point(1))[:61]
+    kept = np.count_nonzero(sol.f)
+    assert 0 < kept < 61 and np.all(sol.f[kept:] == 0.0)
+    assert np.array_equal(sol.f[:kept], full[:kept])
+    norm = np.linalg.norm(full)
+    assert np.linalg.norm(full[kept:]) < 1e-9 * norm <= np.linalg.norm(full[kept - 1:])
+
+
+@pytest.mark.parametrize("case, m", [
+    (OscillatorCase(omega=1.0, ell=0, lam=0.8), 12),
+    (OscillatorCase(omega=1.0, ell=0, lam=0.8), 18),
+    (OscillatorCase(omega=0.5, ell=2, lam=0.4), 24),
+], ids=["oscillator-12", "oscillator-18", "oscillator-ell-2-24"])
+def test_excited_meixner_states_keep_their_coefficients(case, m):
+    # P_n(m) grows and oscillates in n before it decays: forward steps up
+    # to the decay keep it where backward recursion alone would lose it
+    params, sol = bound_series(case, m)
+    family = match_family(params, "LA").family
+    ref = math.sqrt(family.discrete_mass(m)) * np.array(
+        closed_form_hp(family, m, len(sol.f) - 1), dtype=float)
+    assert np.abs(sol.f - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("truncation, message", [
+    (10 ** 6, "n_max=1000000 exceeds forward-recursion cap 500"),
+    (-1, "n_max must be >= 0"),
+])
+def test_truncation_is_refused_before_any_stream_is_built(truncation, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            bound_series(CoulombCase(Z=1.0, ell=0, lam=0.3), 1, truncation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_residual_trend_bound_series():
