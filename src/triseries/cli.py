@@ -13,8 +13,8 @@ has none.
 A call of ``--flag value`` pairs of its command's own flags reads them from
 a table taken from the parser; help, any other call and every usage error
 stay argparse's.  A negative number (-20, -.5, -2e1) is a value.  A call
-imports numpy, scipy.special and scipy.linalg; scipy's quadrature stack
-loads only when ``verify --suite weights`` (or ``all``) runs.
+imports numpy, scipy.special and scipy.linalg; no command loads scipy's
+quadrature stack (scipy.integrate), ``verify --suite weights`` included.
 """
 
 from __future__ import annotations

@@ -875,8 +875,16 @@ def bound_series(case, m: int, truncation: int = None):
 
 
 def wavefunction(case, sol: solvemod.SeriesSolution, r):
-    """psi(r) = y(x(r)) for an assembled series solution."""
-    return sol(case.x_of_r(np.atleast_1d(np.asarray(r, dtype=float))))
+    """psi(r) = y(x(r)) for an assembled series solution.  A psi that is
+    not finite (an overflowed weight) raises NonFiniteValue at its first r."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    with np.errstate(all="ignore"):
+        psi = sol(case.x_of_r(r))
+    bad = ~np.isfinite(psi)
+    if np.any(bad):
+        raise NonFiniteValue(f"{case.name}: psi at r={float(r[bad][0])!r} "
+                             "is not finite")
+    return psi
 
 
 def tra_bound_energy(case, m: int) -> float:

@@ -174,6 +174,8 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
     component at that index and a float selects the continuous component at
     that squared-variable value.  ``coeffs``: the streams of a non-Meixner
     family when the caller has built them, at least truncation + 1 terms.
+    A Meixner or extended-Jacobi index k whose mass point or level is not
+    the matched value raises IndexOutOfSpectrum.
     A finite (negative basis-index) match raises NoPointwiseSolution: its
     f_n solve the coefficient recursion, but the series does not solve the
     equation pointwise.
@@ -202,9 +204,14 @@ def assemble_solution(match: MatchResult, spectral, truncation: int = None,
     check_degree(truncation)
     if kind == DISCRETE_INFINITE:
         # Meixner: P_n(k) is the minimal solution; 2T + 2 terms settle T + 1
-        p = math.sqrt(f.discrete_mass(int(spectral)))
+        k, z = int(spectral), match.spectral_map.family_value
+        point = f.mass_point(k)
+        if abs(point - z) > _BOUNDARY_TOL * max(1.0, abs(z)):
+            raise IndexOutOfSpectrum(f"mass point {k} of {f.kind} is {point!r}, "
+                                     f"not the matched {z!r}")
+        p = math.sqrt(f.discrete_mass(k))
         vals = p * minimal_solution(fam.family_coeffs(f, 2 * truncation + 2),
-                                    f.mass_point(int(spectral)))[:truncation + 1]
+                                    point)[:truncation + 1]
         tail = np.sqrt(np.cumsum(vals[::-1] ** 2)[::-1])
         vals[tail < _L2_CUT * tail[0]] = 0.0
         return SeriesSolution(vals, match.spec, p)

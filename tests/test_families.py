@@ -492,6 +492,52 @@ def test_weight_suite_passes():
         assert check.passed, f"{check.name}: {check.value} > {check.tolerance}"
 
 
+def test_weight_suite_quadrature_values_are_round_off():
+    # the checks of the continuous and mixed weights, the integrated ones
+    quadrature = [c.value for c in weight_suite() if c.name.startswith(
+        ("meixner_pollaczek", "continuous_dual_hahn", "wilson", "cdh_mixed"))]
+    assert len(quadrature) == 8
+    assert max(quadrature) <= 1e-12
+
+
+def test_gauss_legendre_panels_cover_the_interval():
+    # two whole panels and a half one; 16 nodes a panel integrate a
+    # degree-31 polynomial exactly
+    z, h = verify.gauss_legendre(lambda v: v ** 31, -1.0, 1.5)
+    assert z.shape == h.shape == (48,)
+    assert np.all((z > -1.0) & (z < 1.5))
+    assert h.sum() == pytest.approx((1.5 ** 32 - 1.0) / 32, rel=1e-13)
+
+
+def test_gauss_integrals_equal_adaptive_quadrature():
+    # each integral of the weight suite, by the 16-point Gauss-Legendre rule
+    # and by scipy's adaptive quad/quad_vec, to 1e-12 absolute
+    from scipy.integrate import quad_vec
+    cases = [(fam.MeixnerPollaczek(0.75, 1.1), (-30.0, 30.0), False),
+             (fam.ContinuousDualHahn(0.8, 0.7, 0.7), (0.0, 40.0), True),
+             (fam.Wilson(complex(0.7, 0.6), complex(0.7, -0.6), 1.2, 1.2),
+              (0.0, 40.0), True)]
+    for f, (lo, hi), square in cases:
+        w = fam.weight(f)
+        co = fam.family_coeffs(f, 8)
+        z, dw = verify.gauss_legendre(w.density, lo, hi)
+        ref = quad(w.density, lo, hi, epsabs=1e-10, limit=300)[0]
+        assert abs(dw.sum() - ref) <= 1e-12, f
+        v = run_recursion(co, z * z if square else z, 6)
+
+        def integrand(x):
+            p = run_recursion(co, x * x if square else x, 6)
+            return w.density(x) * np.outer(p, p)
+        ref = quad_vec(integrand, lo, hi, epsabs=1e-9, limit=300)[0]
+        assert np.max(np.abs((v * dw[:, None]).T @ v - ref)) <= 1e-12, f
+    for f, hi, limit in ((fam.ContinuousDualHahn(-1.6, 0.9, 0.9), 40.0, 300),
+                         (fam.MixedWilson(1.0 - 2.3, 1.0 + 2.3, 0.8, 0.8), 60.0, 400)):
+        w = fam.weight(f)
+        ref = quad(w.density, 0.0, hi, epsabs=1e-10, limit=limit)[0]
+        dw = verify.gauss_legendre(w.density, 0.0, hi)[1]
+        assert abs(dw.sum() - ref) <= 1e-12, f
+
+
 def test_degeneration_suite_passes():
     for check in degeneration_suite():
         assert check.passed, f"{check.name}: {check.value} > {check.tolerance}"

@@ -234,6 +234,19 @@ def test_level_the_spectrum_does_not_hold_is_refused_first(monkeypatch):
         bound_series(PoschlTellerCase(lam=1.0, A=1.0, B=5.0), -1)
 
 
+def test_la_index_off_the_matched_mass_point_is_refused():
+    # at the parameters of Coulomb level 1 only Meixner index 1 is the
+    # matched mass point; indices 0 and 2 gave series with residuals 2.4
+    # and 3.2
+    params, level = bound_series(CoulombCase(Z=1.0, ell=0, lam=0.3), 1)
+    match = match_family(params, "LA")
+    assert match.spectrum_kind == DISCRETE_INFINITE
+    assert np.array_equal(assemble_solution(match, 1).f, level.f)
+    for k in (0, 2):
+        with pytest.raises(IndexOutOfSpectrum, match=f"mass point {k} of meixner"):
+            assemble_solution(match, k)
+
+
 def test_coulomb_basis_scale_caps_the_levels():
     # the scale lam carries level m while 2Z/(m+1) >= lam: at lam = 1, m = 1
     # sits on the family-region boundary (a single basis element) and m = 2
