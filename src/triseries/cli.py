@@ -166,19 +166,14 @@ def cmd_wavefunction(ns) -> int:
     return 0
 
 
-def _mu(ns) -> float:
-    """--mu, or (nu+1)/2 from --nu as the Laguerre-equation match sets it."""
-    return 0.5 * (ns.nu + 1.0) if ns.mu is None else ns.mu
-
-
 def _b(ns) -> float:
     """--b, or --a when it is not given."""
     return ns.a if ns.b is None else ns.b
 
 
 _FAMILY_BUILDERS = {
-    "meixner_pollaczek": lambda ns: fam.MeixnerPollaczek(_mu(ns), ns.theta),
-    "meixner": lambda ns: fam.Meixner(_mu(ns), ns.tau),
+    "meixner_pollaczek": lambda ns: fam.MeixnerPollaczek(ns.mu, ns.theta),
+    "meixner": lambda ns: fam.Meixner(ns.mu, ns.tau),
     "krawtchouk": lambda ns: fam.Krawtchouk(ns.N, ns.tau),
     "continuous_dual_hahn": lambda ns: fam.ContinuousDualHahn(ns.tau, ns.a,
                                                               _b(ns)),
@@ -308,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytable", help="P_n(z) table from the recursion")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_BUILDERS))
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=0.0)
+    p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--sigma", type=float, default=0.5)

@@ -21,10 +21,6 @@ class PrecisionExhausted(TriseriesError):
     """A high-precision reference would need more digits than its cap."""
 
 
-class IndexOutOfValidity(TriseriesError):
-    """Negative-parameter classical polynomial used outside its valid degree range."""
-
-
 class DomainError(TriseriesError):
     """Argument outside the support of a basis or weight."""
 

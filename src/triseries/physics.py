@@ -481,10 +481,14 @@ class ScarfCase:
         return math.inf
 
     def level_energy(self, m):
-        lam = self.lam
-        if self.A > self.B:
+        # V is even in B (B -> -B with r -> pi/lam - r), and each end takes the
+        # root u = (A -+ B)/lam of its exponent pair (u, 1 - u) when u > 0
+        lam, b = self.lam, abs(self.B)
+        if self.A > b:
             return 0.5 * lam ** 2 * (m + self.A / lam) ** 2
-        return 0.5 * lam ** 2 * (m + 0.5 + self.B / lam) ** 2
+        if self.A + b > 0:
+            return 0.5 * lam ** 2 * (m + 0.5 + b / lam) ** 2
+        return 0.5 * lam ** 2 * (m + 1.0 - self.A / lam) ** 2
 
     def fd_mesh(self, n_levels):
         # the FD polish squares its iterates, which grow as A^2/lam^4 below
@@ -503,13 +507,18 @@ class ScarfCase:
         return RadialMesh(0.0, box, box / 4000.0)
 
     def bound_scenario(self):
-        # the series' Jacobi basis divides by 2^(mu + nu + 1), where mu + nu
-        # + 1 is 2A/lam - 1 (A > B) or 2B/lam: from 1024 on it overflows
-        name = "A" if self.A > self.B else "B"
-        top = 2.0 * getattr(self, name) / self.lam - (name == "A")
+        # the series' Jacobi measure has mass 2^(mu + nu + 1) Gamma(mu + 1)
+        # Gamma(nu + 1) / Gamma(mu + nu + 2), where mu + nu + 1 is 2A/lam - 1,
+        # 2|B|/lam or 1 - 2A/lam on the branches of level_energy; from 1024
+        # on its power of 2 leaves the float range, and the state's weight
+        # factors (1 -+ x)^alpha overflow soon after
+        b = abs(self.B)
+        name, top = (("A", 2.0 * self.A / self.lam - 1.0) if self.A > b else
+                     ("B", 2.0 * b / self.lam) if self.A + b > 0 else
+                     ("A", 1.0 - 2.0 * self.A / self.lam))
         if top >= 1024.0:
-            raise self._out_of_range(name, f"the bound series' Jacobi basis "
-                                     f"divides by 2^{top:.17g}")
+            raise self._out_of_range(name, f"the bound series' Jacobi measure "
+                                     f"has the factor 2^{top:.17g}")
         return "JC", self.nu
 
 

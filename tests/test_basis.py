@@ -1,5 +1,5 @@
 """Classical polynomials, the weighted basis elements and the series
-evaluator that computes both."""
+evaluator that computes both on the orthonormal recursion."""
 
 import math
 import warnings
@@ -11,10 +11,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, eval_jacobi
 
-from triseries.basis import (evaluate_series, jacobi_cd, jacobi_norm,
-                             laguerre_norm, negative_integer_index)
-from triseries.errors import DegenerateDenominator, DomainError, IndexOutOfValidity
-from triseries.gammafn import log_abs_rising, log_gamma_real
+from triseries.basis import evaluate_series, jacobi_cd, negative_integer_index
+from triseries.errors import DegenerateDenominator, DomainError
+from triseries.gammafn import log_gamma_real
+from triseries.physics import (CoulombCase, EckartCase, MorseCase, ScarfCase,
+                               bound_series)
 from triseries.tra import BasisSpec, OdeParams, jacobi_st2r2, resolve_basis
 
 
@@ -25,16 +26,39 @@ def basis_element(spec, n, x):
     return float(evaluate_series(spec, f, x)[0])
 
 
+def _p0(mu, nu):
+    """c_0, the inverse square root of the measure's mass, as one exp of a
+    log-gamma sum (Laguerre when mu is None)."""
+    if mu is None:
+        return math.exp(-0.5 * log_gamma_real(nu + 1.0))
+    return math.exp(-0.5 * ((mu + nu + 1.0) * math.log(2.0) + log_gamma_real(mu + 1.0)
+                            + log_gamma_real(nu + 1.0) - log_gamma_real(mu + nu + 2.0)))
+
+
+def _norm(n, mu, nu):
+    """c_n of the module docstring, as c_0 times the square root of the
+    product of the ratios (c_{k+1}/c_k)^2, k < n, of its Gamma forms."""
+    sq = 1.0
+    for k in range(n):
+        if mu is None:
+            sq *= (k + 1.0) / (k + nu + 1.0)
+        else:
+            e = 2 * k + mu + nu
+            sq *= ((e + 3.0) * (k + 1.0) * (k + mu + nu + 1.0)
+                   / ((e + 1.0) * (k + mu + 1.0) * (k + nu + 1.0)))
+    return _p0(mu, nu) * math.sqrt(sq)
+
+
 def laguerre(n, nu, x):
     """L_n^nu(x): phi_n with weight 1, its norm divided out."""
     spec = BasisSpec("laguerre", alpha=0.0, beta=0.0, nu=nu, scenario="LA")
-    return basis_element(spec, n, x) / laguerre_norm(n, nu)
+    return basis_element(spec, n, x) / _norm(n, None, nu)
 
 
 def jacobi(n, mu, nu, x):
     """P_n^{(mu,nu)}(x): phi_n with weight 1, its norm divided out."""
     spec = BasisSpec("jacobi", alpha=0.0, beta=0.0, nu=nu, mu=mu, scenario="JC")
-    return basis_element(spec, n, x) / jacobi_norm(n, mu, nu)
+    return basis_element(spec, n, x) / _norm(n, mu, nu)
 
 
 def test_degree_zero():
@@ -74,15 +98,13 @@ def test_jacobi_against_scipy():
 
 
 def test_negative_integer_index_validity():
-    # nu = -N-1 allows degrees n <= N only; scipy returns nan there, so the
-    # reference is the explicit expansion L_3^{-5}(x) = -4 - 3x - x^2 - x^3/6
-    x = 1.2
-    assert laguerre(3, -5.0, x) == pytest.approx(
-        -4.0 - 3.0 * x - x * x - x ** 3 / 6.0, rel=1e-13)
-    with pytest.raises(IndexOutOfValidity):
-        laguerre(5, -5.0, 1.2)
-    with pytest.raises(IndexOutOfValidity):
-        jacobi(4, -4.0, 0.5, 0.2)
+    # the matcher reads nu = -N-1 as the finite family of size N + 1, but its
+    # measure has no finite mass: the evaluator refuses it at every degree
+    assert negative_integer_index(-5.0) == 4
+    with pytest.raises(DomainError, match="needs nu > -1, got -5.0"):
+        laguerre(3, -5.0, 1.2)
+    with pytest.raises(DomainError, match="needs mu, nu > -1, got -4.0, 0.5"):
+        jacobi(0, -4.0, 0.5, 0.2)
 
 
 def test_jacobi_orthonormal_offdiagonal_positive():
@@ -206,42 +228,12 @@ def test_jacobi_basis_orthonormality_quadrature():
             assert val == pytest.approx(1.0 if n == m else 0.0, abs=5e-9)
 
 
-def test_negative_index_norm_finite():
-    # the n-independent singular factor is dropped; ratios stay finite
-    vals = [laguerre_norm(n, -4.0) for n in range(4)]
-    assert all(math.isfinite(v) and v > 0 for v in vals)
-
-    # they match c_n = sqrt(n! / |(nu+1)_n|) and its Jacobi analogue at
-    # nu = -N-1, also at N = 200, where n! and the Pochhammer symbols
-    # overflow on their own
-    def mp_jacobi(n, mu, nu):
-        top = mp.rf(mu + nu + 1, n) if mu + nu + 1 > 0 else 1   # dropped at -2
-        return mp.sqrt((2 * n + mu + nu + 1) / mp.mpf(2) ** (mu + nu + 1)
-                       * mp.factorial(n) * abs(top)
-                       / abs(mp.rf(mu + 1, n) * mp.rf(nu + 1, n)))
-
-    with mp.workdps(40):
-        for N in (3, 20, 200):
-            neg = -N - 1.0
-            for n in sorted({0, 1, 2, N // 2, N}):
-                ref = mp.sqrt(mp.factorial(n) / abs(mp.rf(neg + 1, n)))
-                assert laguerre_norm(n, neg) == pytest.approx(float(ref), rel=1e-12)
-                ref = float(mp_jacobi(n, mp.mpf(neg), mp.mpf(N + 3.5)))
-                assert jacobi_norm(n, neg, N + 3.5) == pytest.approx(ref, rel=1e-12)
-                assert jacobi_norm(n, N + 3.5, neg) == pytest.approx(ref, rel=1e-12)
-                if n >= 2:   # mu + nu + 1 = -2: that factor is dropped
-                    ref = float(mp_jacobi(n, mp.mpf(neg), mp.mpf(N - 2.0)))
-                    assert jacobi_norm(n, neg, N - 2.0) == pytest.approx(ref, rel=1e-12)
-
-
 def _mp_norm(spec, n):
-    """c_n from mpmath Gamma functions (Pochhammer ratios for a negative
-    integer index, whose n-independent singular factor is dropped)."""
+    """c_n from mpmath Gamma functions."""
+    nu = mp.mpf(spec.nu)
     if spec.equation == "laguerre":
-        if spec.nu < 0 and spec.nu == int(spec.nu):
-            return mp.sqrt(mp.factorial(n) / abs(mp.rf(spec.nu + 1, n)))
-        return mp.sqrt(mp.gamma(n + 1) / mp.gamma(n + spec.nu + 1))
-    mu, nu = spec.mu, spec.nu
+        return mp.sqrt(mp.gamma(n + 1) / mp.gamma(n + nu + 1))
+    mu = mp.mpf(spec.mu)
     return mp.sqrt((2 * n + mu + nu + 1) / mp.mpf(2) ** (mu + nu + 1)
                    * mp.gamma(n + 1) * mp.gamma(n + mu + nu + 1)
                    / (mp.gamma(n + mu + 1) * mp.gamma(n + nu + 1)))
@@ -261,21 +253,19 @@ def _mp_series(spec, f):
     return y
 
 
+# each input keeps its id; spec2 was a negative index, now a DomainError
 @pytest.mark.parametrize("spec, n_terms, xs", [
     (BasisSpec("laguerre", alpha=1.3, beta=0.6, nu=0.7, scenario="LA"), 9,
      (0.3, 1.1, 2.9, 6.5)),
     (BasisSpec("jacobi", alpha=0.8, beta=0.6, nu=0.7, mu=1.1, scenario="JC"), 9,
      (-0.85, -0.3, 0.2, 0.9)),
-    # nu = -5 admits degrees 0..4 only
-    (BasisSpec("laguerre", alpha=0.5, beta=0.5, nu=-5.0, scenario="LA"), 5,
-     (0.4, 1.2, 3.0, 7.0)),
     # the default truncation of the Coulomb and oscillator states: 61 terms
     # (the Coulomb spec alpha = 1, beta = 1/2, nu = 1), and as many Jacobi ones
     (BasisSpec("laguerre", alpha=1.0, beta=0.5, nu=1.0, scenario="LA"), 61,
      (0.3, 1.1, 2.9, 6.5)),
     (BasisSpec("jacobi", alpha=0.8, beta=0.6, nu=0.7, mu=1.1, scenario="JC"), 61,
      (-0.85, -0.3, 0.2, 0.9)),
-])
+], ids=["spec0-9-xs0", "spec1-9-xs1", "spec3-61-xs3", "spec4-61-xs4"])
 def test_series_derivatives_against_mpmath(spec, n_terms, xs):
     f = np.random.default_rng(11).uniform(0.5, 1.5, n_terms)
     y, yp, ypp = evaluate_series(spec, f, np.array(xs))
@@ -286,139 +276,109 @@ def test_series_derivatives_against_mpmath(spec, n_terms, xs):
             assert [y[i], yp[i], ypp[i]] == pytest.approx(want, rel=1e-10)
 
 
-# --- the array norms and the stacked pass against per-degree forms ---------
-
-def _norm_per_degree(n, mu, nu):
-    """c_n one degree at a time from scalar log-gammas, in the order of terms
-    and of checks the norms use (Laguerre when mu is None)."""
-    indices = ([(nu, "Laguerre index nu")] if mu is None
-               else [(mu, "Jacobi index mu"), (nu, "Jacobi index nu")])
-    lead = 1.0 if mu is None else (2 * n + mu + nu + 1.0) / 2.0 ** (mu + nu + 1.0)
-    if lead <= 0:
-        raise IndexOutOfValidity(f"nonpositive leading norm factor at n={n}")
-    caps = [(negative_integer_index(v), v, label) for v, label in indices]
-    for cap, v, label in caps:
-        if cap is not None and n > cap:
-            raise IndexOutOfValidity(
-                f"{label} = {v} only valid for degrees n <= {cap}, got {n}")
-    g = log_gamma_real(n + 1.0)
-    capped = any(cap is not None for cap, _, _ in caps)
-    if mu is None:
-        return math.exp(0.5 * (g - log_abs_rising(nu + 1.0, n) if capped
-                               else g - log_gamma_real(n + nu + 1.0)))
-    if capped:
-        top = (0.0 if negative_integer_index(mu + nu) is not None
-               else log_abs_rising(mu + nu + 1.0, n))
-        val = (g + top - log_abs_rising(mu + 1.0, n)
-               - log_abs_rising(nu + 1.0, n))
-    else:
-        val = (g + log_gamma_real(n + mu + nu + 1.0)
-               - log_gamma_real(n + mu + 1.0) - log_gamma_real(n + nu + 1.0))
-    return math.sqrt(lead) * math.exp(0.5 * val)
+# the bound states whose digits the orthonormal recursion moves most, and a
+# 61-term Meixner state: the evaluator against a 50-digit sum of the same
+# series, as a fraction of the peak |y|
+@pytest.mark.parametrize("case, m, r", [
+    (ScarfCase(A=400.0, B=5.0, lam=1.0), 3, np.linspace(0.0, math.pi, 62)[1:-1]),
+    (ScarfCase(A=20.0, B=5.0, lam=1.0), 20, np.linspace(0.0, math.pi, 62)[1:-1]),
+    (MorseCase(lam=1.0, V1=30.0), 3, np.linspace(-3.0, 5.0, 61)),
+    (EckartCase(lam=1.0, A=2.0, B=-300.0), 14, np.linspace(0.01, 30.0, 61)),
+    (CoulombCase(Z=1.0, ell=0, lam=0.3), 2, np.linspace(0.01, 30.0, 61)),
+], ids=["scarf-400-5-m3", "scarf-20-5-m20", "morse-30-m3", "eckart-2-300-m14",
+        "coulomb-m2"])
+def test_bound_states_against_a_50_digit_sum(case, m, r):
+    _, sol = bound_series(case, m)
+    x = case.x_of_r(r)
+    y = evaluate_series(sol.spec, sol.f, x, derivatives=False)
+    ref = _mp_series(sol.spec, [mp.mpf(float(v)) for v in sol.f])
+    with mp.workdps(50):
+        want = np.array([float(ref(mp.mpf(float(v)))) for v in x])
+    assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _first_error(degrees, mu, nu):
-    """The message of the first per-degree norm call over ``degrees`` that
-    raises, or None."""
-    for n in degrees:
-        try:
-            _norm_per_degree(n, mu, nu)
-        except IndexOutOfValidity as exc:
-            return str(exc)
-    return None
-
-
-def _norm(degrees, mu, nu):
-    return laguerre_norm(degrees, nu) if mu is None else jacobi_norm(degrees, mu, nu)
-
+# --- the recursion against the per-degree norms, and its stacked pass ------
 
 NORM_PARAMS = [
     (None, 1.0), (None, 0.5), (None, -0.37), (None, 7.25), (None, -0.0),
-    (None, -5.0), (None, -1.0), (None, -41.0), (None, -5.0 + 1e-12),
     (1.1, 0.7), (1.0, 1.0), (-0.48, 0.5), (0.0, 3.0), (7.0, 3.0),
+]
+
+BELOW_MINUS_ONE = [
+    (None, -5.0), (None, -1.0), (None, -41.0), (None, -5.0 + 1e-12),
     (-7.0, 9.5), (9.5, -7.0), (-4.0, 2.0), (-4.0, -4.0), (-8.0, -2.5),
-    (-6.0, 5.5), (-30.0, 60.5),
+    (-6.0, 5.5), (-30.0, 60.5), (-1.0 - 1e-12, 0.5), (0.5, -1.5),
 ]
 
 
+def _weightless(mu, nu):
+    if mu is None:
+        return BasisSpec("laguerre", alpha=0.0, beta=0.0, nu=nu, scenario="LA")
+    return BasisSpec("jacobi", alpha=0.0, beta=0.0, nu=nu, mu=mu, scenario="JC")
+
+
 @pytest.mark.parametrize("mu, nu", NORM_PARAMS)
-def test_array_norms_equal_per_degree_forms_bit_for_bit(mu, nu):
-    degrees = np.arange(70)
-    first = _first_error(degrees.tolist(), mu, nu)
-    if first is None:
-        got = _norm(degrees, mu, nu)
-        want = np.array([_norm_per_degree(n, mu, nu) for n in range(70)])
-        assert got.tobytes() == want.tobytes()
-        for n in (0, 1, 69):   # a scalar degree gives a float, the same bits
-            one = _norm(n, mu, nu)
-            assert type(one) is float and one == got[n]
-        return
-    with pytest.raises(IndexOutOfValidity) as exc:
-        _norm(degrees, mu, nu)
-    assert str(exc.value) == first
-    # the valid degrees alone still evaluate, and to the per-degree bits
-    ok = [n for n in range(70) if _first_error([n], mu, nu) is None]
-    if ok:
-        want = np.array([_norm_per_degree(n, mu, nu) for n in ok])
-        assert _norm(np.array(ok), mu, nu).tobytes() == want.tobytes()
+def test_orthonormal_recursion_equals_the_per_degree_norms(mu, nu):
+    # phi_n with weight 1 is c_n times the classical polynomial, which mpmath
+    # gives one degree at a time, out to degree 69
+    spec = _weightless(mu, nu)
+    xs = (0.3, 2.9, 11.0) if mu is None else (-0.85, 0.2, 0.9)
+    with mp.workdps(40):
+        for n in (0, 1, 2, 35, 69):
+            for x in xs:
+                if mu is None:
+                    poly = mp.laguerre(n, mp.mpf(nu), x)
+                else:
+                    poly = mp.jacobi(n, mp.mpf(mu), mp.mpf(nu), x)
+                want = float(_mp_norm(spec, n) * poly)
+                assert basis_element(spec, n, x) == pytest.approx(
+                    want, rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.parametrize("degrees, mu, nu, message", [
-    # nu = -N-1 allows n <= N: the first degree past the cap is named
-    (np.arange(8), None, -5.0, "Laguerre index nu = -5.0 only valid for "
-                               "degrees n <= 4, got 5"),
-    # the JC finite-region (Racah) basis: mu = -7 has a negative lead at n = 0
-    (np.arange(7), -7.0, 1.4317821063276353,
-     "nonpositive leading norm factor at n=0"),
-    # array order, not degree order, decides which degree is first
-    (np.array([2, 9, 6]), -8.0, 9.5, "Jacobi index mu = -8.0 only valid for "
-                                     "degrees n <= 7, got 9"),
-    (np.array([1, 6, 5]), 9.5, -5.0, "Jacobi index nu = -5.0 only valid for "
-                                     "degrees n <= 4, got 6"),
-    # both capped: at the first failing degree the lead comes first, then mu
-    (np.array([3, 5, 4]), -7.0, -6.0, "nonpositive leading norm factor at n=3"),
-    (np.array([4]), -3.0, -4.0, "Jacobi index mu = -3.0 only valid for "
-                                "degrees n <= 2, got 4"),
-    (np.array([5, 4]), -6.0, -3.0, "Jacobi index nu = -3.0 only valid for "
-                                   "degrees n <= 2, got 5"),
-])
-def test_array_norms_raise_at_the_same_first_degree(degrees, mu, nu, message):
-    assert _first_error(degrees.tolist(), mu, nu) == message
-    with pytest.raises(IndexOutOfValidity) as exc:
-        _norm(degrees, mu, nu)
-    assert str(exc.value) == message
+@pytest.mark.parametrize("mu, nu", BELOW_MINUS_ONE)
+def test_index_at_or_below_minus_one_is_a_domain_error(mu, nu):
+    # the measure has no finite mass there: refused before any stream is
+    # built, for any series length and any x
+    spec = _weightless(mu, nu)
+    for f in ([], [1.0], np.ones(70)):
+        for x in (0.5, np.array([0.2, 5.0])):
+            with pytest.raises(DomainError, match="> -1, got"):
+                evaluate_series(spec, f, x)
+            with pytest.raises(DomainError, match="> -1, got"):
+                evaluate_series(spec, f, x, derivatives=False)
 
 
 def _rowwise_series(spec, f, x):
-    """(y, y', y'') by the recursion carried one derivative row at a time,
-    with per-degree recursion coefficients and norms."""
+    """(y, y', y'') by the orthonormal recursion carried one derivative row
+    at a time, with per-degree recursion coefficients."""
     f = np.trim_zeros(np.asarray(f, dtype=float), "b")
     mu = spec.mu if spec.equation == "jacobi" else None
-    fc = [fn * _norm_per_degree(n, mu, spec.nu) if fn else 0.0
-          for n, fn in enumerate(f)]
     nu = spec.nu
 
     def step(k):
+        """(s_k, t_k) of x p_k = t_{k-1} p_{k-1} + s_k p_k + t_k p_{k+1}."""
         if mu is None:
-            return 2 * k + nu + 1.0, -1.0, k + nu, k + 1.0
-        if k == 0:
-            return 0.5 * (mu - nu), 0.5 * (mu + nu + 2.0), 0.0, 1.0
-        c = 2 * k + mu + nu
-        return ((c + 1.0) * (mu * mu - nu * nu), (c + 1.0) * c * (c + 2.0),
-                2.0 * (k + mu) * (k + nu) * (c + 2.0),
-                2.0 * (k + 1.0) * (k + mu + nu + 1.0) * c)
+            return 2 * k + nu + 1.0, -math.sqrt((k + 1.0) * (k + nu + 1.0))
+        e = 2 * k + mu + nu
+        s = ((nu - mu) / (mu + nu + 2.0) if k == 0
+             else (nu * nu - mu * mu) / (e * (e + 2.0)))
+        arg = ((k + 1.0) * (k + mu + 1.0) * (k + nu + 1.0) * (k + mu + nu + 1.0)
+               / ((e + 1.0) * (e + 3.0)))
+        return s, 2.0 / (e + 2.0) * math.sqrt(arg)
 
     zero = np.zeros_like(x)
-    prev, cur = (zero, zero, zero), (np.ones_like(x), zero, zero)
+    prev, cur = (zero, zero, zero), (np.full_like(x, _p0(mu, nu)), zero, zero)
     s0 = s1 = s2 = zero
-    for n, fcn in enumerate(fc):
+    t_prev = 0.0
+    for n, fn in enumerate(f):
         if n > 0:
-            a, b, c, d = step(n - 1)
-            lin = a + b * x
-            prev, cur = cur, ((lin * cur[0] - c * prev[0]) / d,
-                              (lin * cur[1] + b * cur[0] - c * prev[1]) / d,
-                              (lin * cur[2] + 2.0 * b * cur[1] - c * prev[2]) / d)
-        s0, s1, s2 = s0 + fcn * cur[0], s1 + fcn * cur[1], s2 + fcn * cur[2]
+            s, t = step(n - 1)
+            lin = x - s
+            prev, cur = cur, ((lin * cur[0] - t_prev * prev[0]) / t,
+                              (lin * cur[1] + cur[0] - t_prev * prev[1]) / t,
+                              (lin * cur[2] + 2.0 * cur[1] - t_prev * prev[2]) / t)
+            t_prev = t
+        s0, s1, s2 = s0 + fn * cur[0], s1 + fn * cur[1], s2 + fn * cur[2]
     if mu is None:
         inside = x > 0
         t = np.where(inside, x, 1.0)
@@ -436,20 +396,19 @@ def _rowwise_series(spec, f, x):
                      np.nan))
 
 
+# each input keeps its id; spec2 and spec7 were negative indices
 @pytest.mark.parametrize("spec, n_terms", [
     (BasisSpec("laguerre", alpha=1.0, beta=0.5, nu=1.0, scenario="LA"), 61),
     (BasisSpec("laguerre", alpha=2.0, beta=1.0, nu=3.0, scenario="LA"), 41),
-    (BasisSpec("laguerre", alpha=0.5, beta=0.5, nu=-5.0, scenario="LA"), 5),
     (BasisSpec("laguerre", alpha=1.25, beta=0.25, nu=-0.0, scenario="LA"), 2),
     (BasisSpec("jacobi", alpha=1.25, beta=0.75, nu=1.0, mu=1.0, scenario="JC"), 1),
     (BasisSpec("jacobi", alpha=1.25, beta=0.75, nu=1.0, mu=1.0, scenario="JC"), 3),
     (BasisSpec("jacobi", alpha=0.8, beta=0.6, nu=0.7, mu=1.1, scenario="JC"), 61),
-    (BasisSpec("jacobi", alpha=0.5, beta=1.5, nu=5.5, mu=-6.0, scenario="JC"), 6),
-])
+], ids=["spec0-61", "spec1-41", "spec3-2", "spec4-1", "spec5-3", "spec6-61"])
 def test_stacked_pass_equals_rowwise_recursion_bit_for_bit(spec, n_terms):
     rng = np.random.default_rng(n_terms)
     f = rng.uniform(-1.5, 1.5, n_terms)
-    f[rng.random(n_terms) < 0.3] = 0.0   # interior zeros skip their norms
+    f[rng.random(n_terms) < 0.3] = 0.0   # interior zeros add nothing
     lo, hi = (0.0, 12.0) if spec.equation == "laguerre" else (-1.0, 1.0)
     x = np.concatenate(([lo, hi], rng.uniform(lo, hi, 40)))
     for got, want in zip(evaluate_series(spec, f, x), _rowwise_series(spec, f, x)):

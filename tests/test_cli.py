@@ -103,9 +103,14 @@ def test_bad_input_exits_1_with_one_error_line(args, config, tmp_path, capsys):
     (["--config", "CFG"], {"command": "spectrum", "case": "scarf", "L": 3.0}),
     (["--config", "CFG"], {"command": "wavefunction", "case": "morse",
                            "V2": 0.125}),
+    # polytable spells Meixner's and Meixner-Pollaczek's mu one way: --mu
+    (["polytable", "--family", "meixner", "--nu", "0", "--z", "1"], None),
+    (["--config", "CFG"], {"command": "polytable", "family": "meixner",
+                           "nu": 0.0, "z": 1.0}),
 ], ids=["missing-case", "config-unknown-key", "spectrum-nu", "phaseshift-nu",
         "wavefunction-mu", "phaseshift-mu", "config-stored-nu", "spectrum-V2",
-        "spectrum-L", "config-stored-L", "config-stored-V2"])
+        "spectrum-L", "config-stored-L", "config-stored-V2", "polytable-nu",
+        "config-polytable-nu"])
 def test_usage_error_exits_1(args, config, tmp_path, capsys):
     # exit 2 is kept for a failed tolerance
     if config is not None:
@@ -123,8 +128,8 @@ def test_usage_error_exits_1(args, config, tmp_path, capsys):
 
 
 def test_only_polytable_takes_a_basis_index(capsys):
-    # a case's basis index is derived from its record; polytable's --mu and
-    # --nu are family parameters
+    # a case's basis index is derived from its record; polytable's --mu is a
+    # family parameter
     for cls in CASE_TYPES.values():
         assert not {"mu", "nu"} & {f.name for f in dataclasses.fields(cls)}
     # no record stores what it derives: Morse's V2, Scarf's box, a series'
@@ -139,7 +144,7 @@ def test_only_polytable_takes_a_basis_index(capsys):
     assert [a.option_strings[0] for a in p._actions[1:]] == [
         "--case", "--Z", "--ell", "--omega", "--V1", "--A", "--B", "--lambda"]
     code, out, _ = run_cli(capsys, "polytable", "--family", "meixner", "--mu",
-                           "0.7", "--nu", "0.3", "--z", "2", "--n-max", "3")
+                           "0.7", "--z", "2", "--n-max", "3")
     assert code == 0 and out.count("\n") == 5
 
 
@@ -167,7 +172,8 @@ def test_default_phase_tables_keep_their_bytes(flags, digest, capsys):
 # SHA-256 of the default spectrum and wavefunction CSV tables of the six cases
 # at the acceptance parameters (the series scale 0.3 for Coulomb and 0.4 for
 # the oscillator), as written while Morse's V2 and Scarf's box size were
-# settable fields left unset
+# settable fields left unset; the Coulomb, oscillator and Scarf wavefunction
+# tables as the orthonormal basis recursion writes them
 _ACCEPTANCE_FLAGS = {
     "coulomb": ["--Z", "1", "--ell", "0"],
     "oscillator": ["--omega", "1", "--ell", "0"],
@@ -192,15 +198,15 @@ _TABLE_DIGESTS = [
     ("spectrum", "eckart",
      "78d8b785ad9f0d22a7869932eff021e3f93f121a18e78d28ef2b87bff55e549b"),
     ("wavefunction", "coulomb",
-     "9edac01bc91d01cefb8a01f710af7d87c9a6f4db3d6f24d604f8e404d38b6a21"),
+     "b7a04aac3828edb07eb3b1cab224569d2354722aa03252365f74f5bb869b11eb"),
     ("wavefunction", "oscillator",
-     "600c878e0c3435b564e86a292998bf0f2dbe21baadb86ecff454d04fa35787c3"),
+     "e0bc77632eab079a662e4248a2b984ef8957e388fbcb6a1d30c0554a5ae29df1"),
     ("wavefunction", "morse",
      "df88a5ab95d6add219f99979ec695f1710872b6edf66f43ba78f635393eb8953"),
     ("wavefunction", "poschl_teller",
      "87bb1c51acf06841f8e76e78edc8c65bc6dae70d789a27dd4835712449344963"),
     ("wavefunction", "scarf",
-     "57fc3575e118d29a61a6456eab9430f2adbe110c7f187b605e0bf23595819567"),
+     "0cd521de811e081194a5acf43f3a5118571c1252375116bd7f8ff3e7bc026329"),
     ("wavefunction", "eckart",
      "6b969a73cd1125a468ac32dacd0ea1b64c4d5a040f902016c8bfc71713d44ca5"),
 ]
@@ -254,14 +260,14 @@ def test_phaseshift_single_energy(capsys):
 
 def test_polytable_degree_zero(capsys):
     code, out, _ = run_cli(capsys, "polytable", "--family", "meixner",
-                           "--nu", "0", "--tau", "0.25", "--z", "3",
+                           "--mu", "0.5", "--tau", "0.25", "--z", "3",
                            "--n-max", "0")
     assert code == 0
     assert out.strip().split("\n")[1] == "0,1"
 
 
-def test_polytable_meixner_pollaczek_mu_from_nu(capsys):
-    # without --mu, mu = (nu + 1)/2 as for Meixner; nu defaults to 0
+def test_polytable_meixner_pollaczek_mu_defaults_to_a_half(capsys):
+    # without --mu, mu = 1/2, as for Meixner
     code, out, err = run_cli(capsys, "polytable", "--family",
                              "meixner_pollaczek", "--theta", "1.1",
                              "--z", "0.5", "--n-max", "6")
@@ -450,9 +456,10 @@ _REQUIRED_ONLY = [
 def test_flag_table_reads_what_argparse_reads(monkeypatch):
     # the same namespace, its items in the same order, as argparse gives; the
     # fast path must take every call here, so argparse's parse is shut off
-    # (the smoke block's usage error and help are argparse's, tested below)
-    argvs = _REQUIRED_ONLY + [a for a in _smoke_argvs()
-                              if a not in (["spectrum"], ["spectrum", "--help"])]
+    # (the smoke block's usage errors and help are argparse's, tested below)
+    usage = (["spectrum"], ["spectrum", "--help"],
+             ["polytable", "--family", "meixner", "--nu", "0", "--z", "1"])
+    argvs = _REQUIRED_ONLY + [a for a in _smoke_argvs() if a not in usage]
     argvs += [["phaseshift", "--case", "eckart", "--B", b]
               for b in ("-5", "-.5", "nan", " 1", "-2e1", "-1e-05", "-5.E+3")]
     argvs.append(["spectrum", "--case", "coulomb", "--Z", "2", "--case",
@@ -865,9 +872,9 @@ def test_coulomb_lam_is_refused_where_its_squares_overflow(lam, kept, capsys):
 
 
 # Scarf fields whose derived quantities overflow, each bound measured: the
-# bound series' Jacobi basis 2^(mu + nu + 1) from A/lam = 512.5 or B/lam = 512
-# on, and the FD polish from |A| + |B| = 7.86e84 min(1, lam)^2 on; the calls
-# just inside either bound still print their tables
+# bound series' Jacobi measure 2^(mu + nu + 1) from A/lam = 512.5, |B|/lam =
+# 512 or A/lam = -511.5 on, and the FD polish from |A| + |B| = 7.86e84
+# min(1, lam)^2 on; the calls just inside either bound still print their tables
 @pytest.mark.parametrize("args, field, value", [
     (("wavefunction", "--A", "1e150"), "A", "1e+150"),
     (("spectrum", "--A", "1e150"), "A", "1e+150"),
@@ -875,12 +882,18 @@ def test_coulomb_lam_is_refused_where_its_squares_overflow(lam, kept, capsys):
     (("wavefunction", "--B", "1000"), "B", "1000.0"),
     (("wavefunction", "--A", "512.5"), "A", "512.5"),
     (("wavefunction", "--B", "512"), "B", "512.0"),
+    (("wavefunction", "--B", "-1000"), "B", "-1000.0"),
+    (("wavefunction", "--B", "-512"), "B", "-512.0"),
+    (("wavefunction", "--B", "-1e150"), "B", "-1e+150"),
+    (("wavefunction", "--A", "-511.5"), "A", "-511.5"),
     (("spectrum", "--lambda", "1e-10", "--A", "1", "--B", "7.9e64"), "B",
      "7.9e+64"),
     (("spectrum", "--A", "5e84", "--B", "5e84"), "A", "5e+84"),
     (("spectrum", "--A", "1000"), None, None),
     (("wavefunction", "--A", "512.49"), None, None),
     (("wavefunction", "--B", "511.99"), None, None),
+    (("wavefunction", "--B", "-511.99"), None, None),
+    (("wavefunction", "--A", "-511.49"), None, None),
     (("spectrum", "--lambda", "1e-10", "--A", "1", "--B", "7.7e64"), None, None),
     # the FD operator's off-diagonals square past the float range above
     # lam = 6.43e73, and the FD polish's iterates can below lam = 1e-69
@@ -896,8 +909,10 @@ def test_coulomb_lam_is_refused_where_its_squares_overflow(lam, kept, capsys):
     (("spectrum", "--A", "0", "--B", "0", "--lambda", "1e-69"), None, None),
 ], ids=["wavefunction-A-1e150", "spectrum-A-1e150", "wavefunction-A-1000",
         "wavefunction-B-1000", "wavefunction-A-edge", "wavefunction-B-edge",
+        "wavefunction-B-minus-1000", "wavefunction-B-minus-edge",
+        "wavefunction-B-minus-1e150", "wavefunction-A-minus-edge",
         "spectrum-B-edge", "spectrum-A-plus-B", "spectrum-A-1000-kept", "wavefunction-A-kept",
-        "wavefunction-B-kept", "spectrum-B-kept", "spectrum-lam-1e152",
+        "wavefunction-B-kept", "wavefunction-B-minus-kept", "wavefunction-A-minus-kept", "spectrum-B-kept", "spectrum-lam-1e152",
         "spectrum-lam-1e154", "spectrum-lam-1.3e154", "spectrum-lam-edge",
         "spectrum-lam-pi-1e-200", "spectrum-lam-1e-75",
         "spectrum-lam-below-polish-edge", "spectrum-lam-polish-edge-kept"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from triseries import cli, physics
+from triseries import cli, physics, solve
 from triseries.errors import (BelowThreshold, BoxTooSmall, MeshTooCoarse,
                               NoBoundStates, NoContinuum)
 from triseries.physics import (CoulombCase, EckartCase, MorseCase,
@@ -134,6 +134,24 @@ def test_scarf_levels_stay_below_none_and_grow():
     spec = bound_spectrum(case, m_max=5)
     assert np.all(np.diff(spec.energies) > 0)
     assert spec.energies[0] == pytest.approx(2.0)   # lam^2/2 (m + A/lam)^2
+
+
+# V is even in B (B -> -B with r -> pi/lam - r), and an end whose exponent
+# root u = (A -+ B)/lam is <= 0 takes 1 - u: the three level branches with
+# B < 0 or A <= 0
+@pytest.mark.parametrize("A, B", [
+    (1.0, -1.0), (0.0, 0.0), (-1.0, 0.0), (2.0, -0.5), (-2.0, 1.0),
+    (0.5, -2.0), (-0.5, -2.0)])
+def test_scarf_levels_for_negative_B_or_nonpositive_A(A, B):
+    case = ScarfCase(A=A, B=B, lam=1.0)
+    levels = [case.level_energy(m) for m in range(3)]
+    assert levels == [ScarfCase(A=A, B=-B, lam=1.0).level_energy(m)
+                      for m in range(3)]
+    oracle = fd_oracle(case, n_levels=3)
+    assert np.all(np.abs(np.array(levels) - oracle) <= 1e-5 * np.abs(oracle))
+    for m in range(3):
+        params, sol = physics.bound_series(case, m)
+        assert solve.ode_residual(params, sol, np.linspace(-0.9, 0.9, 19)) <= 1e-10
 
 
 def test_fd_oracle_hydrogen_reference_mesh():
