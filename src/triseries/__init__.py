@@ -8,14 +8,14 @@ bound-state spectra and scattering phase shifts from the family data.
 
 from .errors import TriseriesError
 from .recurrence import RecursionCoeffs, christoffel_darboux_check, run_recursion
-from .tra import BasisSpec, OdeParams, SpectralMap, resolve_basis
-from .solve import MatchResult, SeriesSolution, assemble_solution, match_family, ode_residual
+from .tra import BasisSpec, MatchResult, OdeParams, Scenario, SpectralMap, resolve
+from .solve import SeriesSolution, assemble_solution, match_family, ode_residual
 from . import basis, families, physics, verify
 
 __all__ = [
     "TriseriesError", "RecursionCoeffs", "run_recursion",
     "christoffel_darboux_check", "OdeParams", "BasisSpec", "SpectralMap",
-    "resolve_basis", "MatchResult", "SeriesSolution", "match_family",
+    "Scenario", "resolve", "MatchResult", "SeriesSolution", "match_family",
     "assemble_solution", "ode_residual", "basis", "families", "physics",
     "verify",
 ]

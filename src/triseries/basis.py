@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DomainError
+from .errors import DegenerateDenominator, DomainError, NonFiniteValue
 from .gammafn import log_gamma
 
 
@@ -49,21 +49,25 @@ def jacobi_cd(mu: float, nu: float, n_terms: int):
                                    / ((2n+mu+nu+1)(2n+mu+nu+3))).
 
     D_n^2 is signed: negative in the formal finite cases, where D_n is nan.
-    DegenerateDenominator where a denominator vanishes.
+    DegenerateDenominator where a denominator vanishes, and NonFiniteValue
+    where a product overflows (|mu| or |nu| past ~1e150).
     """
     n = np.arange(n_terms, dtype=float)
     e = 2.0 * n + mu + nu
-    # the denominators: 2n+mu+nu (n > 0) and 2n+mu+nu+1, +2, +3
-    zero = np.nonzero(np.where(n > 0, e, 1.0) * (e + 1.0) * (e + 2.0) * (e + 3.0)
-                      == 0.0)[0]
+    # each denominator e + k on its own (their product can overflow): 0 iff e = -k
+    zero = np.nonzero((np.where(n > 0, e, 1.0) == 0.0) | (e == -1.0) | (e == -2.0)
+                      | (e == -3.0))[0]
     if zero.size:
         raise DegenerateDenominator(f"a Jacobi recursion denominator vanishes at "
                                     f"n = {zero[0]} (mu + nu = {mu + nu})")
     c = (nu * nu - mu * mu) / np.where(n > 0, e * (e + 2.0), 1.0)
     # (nu-mu)(nu+mu)/((mu+nu)(mu+nu+2)) -> (nu-mu)/(mu+nu+2), valid as mu+nu -> 0
     c[:1] = (nu - mu) / (mu + nu + 2.0)
-    arg = ((n + 1.0) * (n + mu + 1.0) * (n + nu + 1.0) * (n + mu + nu + 1.0)
-           / ((e + 1.0) * (e + 3.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = ((n + 1.0) * (n + mu + 1.0) * (n + nu + 1.0) * (n + mu + nu + 1.0)
+               / ((e + 1.0) * (e + 3.0)))
+    if not np.isfinite(arg).all():
+        raise NonFiniteValue(f"the Jacobi recursion overflows at mu = {mu}, nu = {nu}")
     g = 2.0 / (e + 2.0)
     d = np.where(arg >= 0, g * np.sqrt(np.abs(arg)), np.nan)
     # float_power squares through libm pow, as a float's g ** 2 does; g * g

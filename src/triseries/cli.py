@@ -219,9 +219,8 @@ def cmd_match(ns) -> int:
         "assignments": assignments,
         "spectral_map": {key: getattr(result.spectral_map, key) for key in (
             "combination", "raw_value", "scale", "offset", "family_value")},
-        "basis": {"alpha": result.spec.alpha, "beta": result.spec.beta,
-                  "nu": result.spec.nu, "mu": result.spec.mu,
-                  "scenario": result.spec.scenario},
+        "basis": {key: getattr(result.spec, key)
+                  for key in ("alpha", "beta", "nu", "mu", "scenario")},
     }
     # a match has no table, only diagnostics, so it is written as JSON
     # whatever --format says

@@ -34,7 +34,7 @@ class ScenarioRequiresA1Zero(TriseriesError):
 
 
 class ScenarioMismatch(TriseriesError):
-    """Basis spec and ODE parameters belong to different constraint scenarios."""
+    """ODE parameters outside the constraint scenario asked of them."""
 
 
 class DegenerateDenominator(TriseriesError):

@@ -685,12 +685,11 @@ def values_by_recursion(family, arg, n_max: int) -> np.ndarray:
     return run_recursion(co, z, n_max)
 
 
-def isolated_mass_from_recursion(coeffs: RecursionCoeffs, w: float,
-                                 n_sum: int = 400) -> float:
+def isolated_mass_from_recursion(coeffs: RecursionCoeffs, w: float) -> float:
     """Mass of an isolated spectral point of an infinite family:
-    1/sum_{n>=0} P_n(w)^2.  A vanishing t_n decouples the chain exactly and
-    the sum terminates there."""
-    n_top = min(n_sum, len(coeffs) - 1)
+    1/sum_n P_n(w)^2 over the n < len(coeffs) the streams hold.  A vanishing
+    t_n decouples the chain exactly and the sum terminates there."""
+    n_top = len(coeffs) - 1
     zeros = np.nonzero(coeffs.t[:n_top] == 0.0)[0]
     if zeros.size:
         n_top = int(zeros[0])

@@ -29,8 +29,7 @@ from .errors import (AmbiguousRegion, BelowThreshold, BoxTooSmall,
                      NoBoundStates, NoContinuum, NoTerminatingIndex,
                      NonFiniteValue, TriseriesError)
 from .gammafn import arg_gamma, wrap_angle
-from .tra import (JACOBI, LAGUERRE, OdeParams, resolve_basis,
-                  terminating_free_index)
+from .tra import JACOBI, LAGUERRE, OdeParams, resolve, terminating_free_index
 
 SQRT2 = math.sqrt(2.0)
 
@@ -876,10 +875,9 @@ def bound_series(case, m: int, truncation: int = None):
         # the scale sits exactly on the region boundary: the off-diagonal of
         # the coefficient recursion vanishes identically and the state is a
         # single basis element
-        spec = resolve_basis(params, "LA")
         f = np.zeros(m + 1)
         f[m] = 1.0
-        return params, solvemod.SeriesSolution(f, spec, 1.0)
+        return params, solvemod.SeriesSolution(f, resolve(params, "LA").spec, 1.0)
     return params, solvemod.assemble_solution(match, int(m), truncation)
 
 

@@ -4,40 +4,23 @@ and verify it against the ODE by residual evaluation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import families as fam
-from .basis import evaluate_series, negative_integer_index
-from .errors import (AmbiguousRegion, IndexOutOfSpectrum, NoFamilyApplies,
-                     NoPointwiseSolution, SingularPointTooClose,
-                     TruncationTooSmall, ZeroOffDiagonal, ZeroSolution)
+from .basis import evaluate_series
+from .errors import (IndexOutOfSpectrum, NoPointwiseSolution,
+                     SingularPointTooClose, TruncationTooSmall, ZeroSolution)
 from .recurrence import check_degree, minimal_solution, run_recursion
-from .tra import (BasisSpec, OdeParams, SpectralMap, apply_swap_symmetry,
-                  raw_spectral_map, resolve_basis)
-
-CONTINUOUS = "continuous"
-DISCRETE_INFINITE = "discrete_infinite"
-DISCRETE_FINITE = "discrete_finite"
-MIXED = "mixed"
+from .tra import (DISCRETE_FINITE, DISCRETE_INFINITE, MIXED, BasisSpec,
+                  MatchResult, OdeParams, resolve)
 
 DEFAULT_TRUNCATION = 60
 _BOUNDARY_TOL = 1e-9
 
 LAGUERRE_MARGIN = 0.05   # keep x >= margin away from the x = 0 singularity
 JACOBI_MARGIN = 0.95     # keep |x| <= margin away from x = +-1
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """A polynomial family matched to an ODE-parameter set."""
-    family: object
-    spec: BasisSpec
-    spectral_map: SpectralMap
-    spectrum_kind: str
-    n_finite: Optional[int] = None   # size-1 count N of a finite/mixed part
 
 
 @dataclass(frozen=True)
@@ -54,107 +37,8 @@ class SeriesSolution:
 
 def match_family(params: OdeParams, scenario: str, nu_sign: int = +1,
                  mu_sign: int = +1, free_value: float = None) -> MatchResult:
-    """Select the polynomial family whose constraint region contains params.
-
-    The returned ``spectral_map`` sends the ODE-parameter combination to the
-    family's recursion variable; ``spectrum_kind`` classifies the spectrum.
-    Parameters on a region boundary raise AmbiguousRegion; parameters in no
-    region (the generic finite-gap case) raise NoFamilyApplies.
-    """
-    spec = resolve_basis(params, scenario, nu_sign=nu_sign, mu_sign=mu_sign,
-                         free_value=free_value)
-    a, b = params.a, params.b
-    if scenario == "LA":
-        u = 4.0 * params.A_plus - b * b
-        c1 = params.A_plus - 0.25 * b * b - 0.25
-        c2 = c1 + 0.5
-        if abs(u) <= _BOUNDARY_TOL or abs(u + 1.0) <= _BOUNDARY_TOL:
-            raise AmbiguousRegion(
-                f"4 A_plus - b^2 = {u} sits on a family-region boundary")
-        raw = raw_spectral_map(params, scenario)
-        if u > 0:
-            theta = math.acos(c1 / c2)
-            family = fam.MeixnerPollaczek(0.5 * (spec.nu + 1.0), theta)
-            m = replace(raw, scale=-math.sqrt(u))
-            return MatchResult(family, spec, m, CONTINUOUS)
-        if u < -1.0:
-            ch = c1 / c2
-            sh = math.sqrt(ch * ch - 1.0)
-            exp_m = 1.0 / (ch + sh)   # e^{-theta}, cancellation-free
-            tau = exp_m * exp_m
-            family = fam.Meixner(0.5 * (spec.nu + 1.0), tau)
-            m = replace(raw, scale=-c2 / exp_m, offset=(spec.nu + 1.0) * c2 * sh)
-            return MatchResult(family, spec, m, DISCRETE_INFINITE)
-        # the finite gap -1 < u < 0: only the measure-zero set nu = -N-1 works
-        n_fin = negative_integer_index(spec.nu)
-        if n_fin is None:
-            raise NoFamilyApplies(
-                "b^2 - 1 < 4 A_plus < b^2 with non-integer sqrt((1-a)^2-4A_minus)-1: "
-                "no family applies")
-        sh = -c1 / c2
-        ch = math.sqrt(1.0 + sh * sh)
-        tau = 0.5 * (1.0 + sh / ch)
-        family = fam.Krawtchouk(n_fin, tau)
-        m = replace(raw, scale=c2, offset=-n_fin * c2 * ch, twist=-1)
-        return MatchResult(family, spec, m, DISCRETE_FINITE, n_finite=n_fin)
-    if scenario == "LB":
-        raw = raw_spectral_map(params, scenario)
-        n_fin = negative_integer_index(spec.nu)
-        if n_fin is not None:
-            two = 2.0 * params.A_zero + a * b
-            family = fam.DualHahn(n_fin, 0.5 * (two - n_fin - 1.0),
-                                  0.5 * (-two - n_fin - 1.0))
-            m = replace(raw, scale=-1.0, offset=0.25 * (a - 1.0) ** 2)
-            return MatchResult(family, spec, m, DISCRETE_FINITE,
-                               n_finite=n_fin)
-        m = replace(raw, offset=0.25 * (a - 1.0) ** 2)
-        tau = params.A_zero + 0.5 * (a * b + 1.0)
-        half = 0.5 * (spec.nu + 1.0)
-        family = fam.ContinuousDualHahn(tau, half, half)
-        if tau > 0:
-            return MatchResult(family, spec, m, CONTINUOUS)
-        n_fin = int(math.floor(-tau))
-        return MatchResult(family, spec, m, MIXED, n_finite=n_fin)
-    if scenario == "JA":
-        if params.A_one == 0.0:
-            raise ZeroOffDiagonal("this scenario has no recursion when A_one = 0")
-        raw = raw_spectral_map(params, scenario)
-        chi0 = raw.raw_value
-        family = fam.ExtendedJacobi(spec.mu, spec.nu, params.A_one)
-        k, level = family.nearest_level(chi0)
-        if abs(level - chi0) > _BOUNDARY_TOL * max(1.0, abs(chi0)):
-            raise NoFamilyApplies(
-                f"chi0 = {chi0!r} is no level of the extended Jacobi matrix: "
-                f"the nearest is level {k}, {level!r}")
-        return MatchResult(family, spec, raw, DISCRETE_INFINITE)
-    if scenario in ("JB", "JC"):
-        # JB is the swap-symmetric mirror of JC; match on JC coordinates.
-        use, use_spec = (apply_swap_symmetry(params, spec) if scenario == "JB"
-                         else (params, spec))
-        raw = raw_spectral_map(use, "JC")
-        chi = 4.0 * use.A_zero - (use.a + use.b - 1.0) ** 2
-        n_fin = negative_integer_index(use_spec.mu)
-        if n_fin is not None and chi < 0:
-            root = math.sqrt(-chi)
-            sg = 0.5 * (use_spec.mu + use_spec.nu + root)
-            gm = 0.5 * (use_spec.mu + use_spec.nu - root)
-            family = fam.Racah(n_fin, gm, sg)
-            m = replace(raw, scale=-2.0, offset=0.5 * (use.a - 1.0) ** 2)
-            return MatchResult(family, use_spec, m, DISCRETE_FINITE, n_finite=n_fin)
-        sg = 0.5 * (use_spec.nu + 1.0)
-        gm = 0.5 * (use_spec.mu + 1.0)
-        m = replace(raw, scale=2.0, offset=0.5 * (use.a - 1.0) ** 2)
-        if chi >= 0:
-            tw = 0.5 * math.sqrt(chi)
-            family = fam.Wilson(complex(sg, tw), complex(sg, -tw), gm, gm)
-            return MatchResult(family, use_spec, m, CONTINUOUS)
-        q = 0.5 * math.sqrt(-chi)
-        family = fam.MixedWilson(sg - q, sg + q, gm, gm)
-        if not family.mixed:
-            return MatchResult(family, use_spec, m, CONTINUOUS)
-        return MatchResult(family, use_spec, m, MIXED,
-                           n_finite=family.n_discrete() - 1)
-    raise ValueError(f"unknown scenario {scenario!r}")
+    """The family whose region holds params: ``tra.resolve(...).match()``."""
+    return resolve(params, scenario, nu_sign, mu_sign, free_value).match()
 
 
 # ---------------------------------------------------------------------------

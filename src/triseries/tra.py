@@ -1,39 +1,39 @@
-"""Constraint scenarios and coefficient streams for the expansion recursions.
+"""Constraint scenarios: basis, coefficient streams and family match.
 
 Requiring the ODE's action on the weighted-polynomial basis to be tridiagonal
-fixes the basis parameters in a handful of scenarios (two for the Laguerre
-equation, three for the Jacobi one) and yields, per scenario, a symmetric
-three-term recursion for the expansion coefficients f_n.  This module builds
-those streams in a canonical "raw" normalization, where the spectral variable
-is the bare ODE-parameter combination; the solver composes the per-family
-affine map on top.
-
-Scenario labels: "LA"/"LB" for the Laguerre equation, "JA"/"JB"/"JC" for the
-Jacobi one (ordered as the alternatives come out of the derivation).
+fixes the basis in a handful of scenarios, "LA"/"LB" for the Laguerre
+equation and "JA"/"JB"/"JC" for the Jacobi one (ordered as they come out of
+the derivation).  Each yields a symmetric three-term recursion for the
+expansion coefficients f_n that an Askey-scheme family solves.  ``resolve``
+derives one scenario on one parameter set and returns a ``Scenario`` record:
+the basis, the "raw" spectral map (the bare ODE-parameter combination the
+streams are written in), the raw streams and the family match.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import jacobi_cd
-from .errors import (DegenerateDenominator, NoTerminatingIndex, RealityViolation,
-                     ScenarioMismatch, ScenarioRequiresA1Zero, TriseriesError,
-                     ZeroOffDiagonal)
-from .families import ExtendedJacobi
+from . import families as fam
+from .basis import jacobi_cd, negative_integer_index
+from .errors import (AmbiguousRegion, DegenerateDenominator, InvalidFamilyParams,
+                     NoFamilyApplies, NoTerminatingIndex, RealityViolation,
+                     ScenarioMismatch, ScenarioRequiresA1Zero, ZeroOffDiagonal)
 from .recurrence import RecursionCoeffs
 
 LAGUERRE = "laguerre"
 JACOBI = "jacobi"
 
-SCENARIOS_LAGUERRE = ("LA", "LB")
-SCENARIOS_JACOBI = ("JA", "JB", "JC")
+CONTINUOUS = "continuous"
+DISCRETE_INFINITE = "discrete_infinite"
+DISCRETE_FINITE = "discrete_finite"
+MIXED = "mixed"
 
-_REL_TOL = 1e-9
+_TOL = 1e-9   # a constraint surface or a region boundary, relative past 1
 
 
 @dataclass(frozen=True)
@@ -94,51 +94,142 @@ class SpectralMap:
         return (self.raw_value - self.offset) / self.scale
 
 
-def _close(x: float, y: float) -> bool:
-    return abs(x - y) <= _REL_TOL * max(1.0, abs(x), abs(y))
+@dataclass(frozen=True)
+class MatchResult:
+    """A polynomial family matched to an ODE-parameter set.  A family field
+    or map value that is not finite (an overflowed b^2) is refused by name."""
+    family: object
+    spec: BasisSpec
+    spectral_map: SpectralMap
+    spectrum_kind: str
+    n_finite: Optional[int] = None   # size-1 count N of a finite/mixed part
+
+    def __post_init__(self):
+        fam._require_finite(self.family)
+        for key in ("raw_value", "scale", "offset", "family_value"):
+            value = getattr(self.spectral_map, key)
+            if not math.isfinite(value):
+                raise InvalidFamilyParams(f"spectral map {key} = {value} is not finite")
 
 
-def resolve_basis(params: OdeParams, scenario: str, nu_sign: int = +1,
-                  mu_sign: int = +1, free_value: float = None) -> BasisSpec:
-    """Fix the basis parameters for a constraint scenario.
+@dataclass(frozen=True)
+class Scenario:
+    """One constraint scenario resolved on one parameter set: its basis
+    ``spec``, its raw spectral map ``raw``, ``streams(n)`` (the first n raw
+    recursion coefficients) and ``match()`` (the family whose region holds
+    the parameters, with the map from ``raw`` to the family's variable;
+    AmbiguousRegion on a region boundary, NoFamilyApplies in no region)."""
+    spec: BasisSpec
+    raw: SpectralMap
+    streams: Callable[[int], RecursionCoeffs]
+    match: Callable[[], MatchResult]
 
-    Sign arguments pick the square-root branch of the constrained indices;
-    the physically acceptable branch is the positive one (the negative root
-    makes the solution blow up at the boundary).  Scenarios "LB", "JB" and
-    "JC" leave one index free; it must be supplied in ``free_value``.
-    """
+
+def _la(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
     a, b = params.a, params.b
-    if scenario in SCENARIOS_LAGUERRE:
-        if params.equation != LAGUERRE:
-            raise ScenarioMismatch(f"scenario {scenario} is for the Laguerre equation")
-        if scenario == "LA":
-            disc = (1.0 - a) ** 2 - 4.0 * params.A_minus
-            if disc < 0:
-                raise RealityViolation(
-                    f"(1-a)^2 - 4 A_minus = {disc} < 0: no real index nu")
-            nu = nu_sign * math.sqrt(disc)
-            return BasisSpec(LAGUERRE, alpha=0.5 * (nu + 1.0 - a),
-                             beta=0.5 * (b + 1.0), nu=nu, scenario="LA")
-        # "LB": the slope constraint defines an effective first-order slope
-        # sqrt(1 + 4 A_plus); beta = (1 + that)/2, and nu stays free.
-        disc = 1.0 + 4.0 * params.A_plus
-        if disc < 0:
-            raise RealityViolation(f"1 + 4 A_plus = {disc} < 0: no real beta")
-        if free_value is None:
-            raise ValueError("scenario LB leaves nu free; pass free_value")
-        nu = float(free_value)
-        return BasisSpec(LAGUERRE, alpha=0.5 * (nu + 2.0 - a),
-                         beta=0.5 * (1.0 + math.sqrt(disc)), nu=nu, scenario="LB")
-    if scenario not in SCENARIOS_JACOBI:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if params.equation != JACOBI:
-        raise ScenarioMismatch(f"scenario {scenario} is for the Jacobi equation")
-    if scenario in ("JB", "JC") and params.A_one != 0.0:
-        raise ScenarioRequiresA1Zero(
-            f"scenario {scenario} requires A_one = 0, got {params.A_one}")
-    # JA roots both indices; JB leaves nu free and JC mu, and the free index
-    # enters its exponent with +2 where a rooted one enters with +1
-    free = {"JB": "nu", "JC": "mu"}.get(scenario)
+    disc = (1.0 - a) ** 2 - 4.0 * params.A_minus
+    if disc < 0:
+        raise RealityViolation(f"(1-a)^2 - 4 A_minus = {disc} < 0: no real index nu")
+    nu = nu_sign * math.sqrt(disc)
+    spec = BasisSpec(LAGUERRE, alpha=0.5 * (nu + 1.0 - a), beta=0.5 * (b + 1.0),
+                     nu=nu, scenario=scenario)
+    raw = SpectralMap("A_zero + a b / 2", params.A_zero + 0.5 * a * b)
+    c1 = params.A_plus - 0.25 * b * b - 0.25
+    c2 = c1 + 0.5
+
+    def streams(n_terms):
+        if abs(c2) < 1e-300:
+            raise ZeroOffDiagonal("off-diagonal coefficient A_plus - b^2/4 + 1/4 = 0")
+        ns = np.arange(n_terms, dtype=float)
+        inner = (ns + 1.0) * (ns + nu + 1.0)
+        return RecursionCoeffs((2.0 * ns + nu + 1.0) * c1,
+                               -c2 * np.sqrt(np.abs(inner)), t_squared=c2 * c2 * inner)
+
+    def match():
+        u = 4.0 * params.A_plus - b * b
+        if abs(u) <= _TOL or abs(u + 1.0) <= _TOL:
+            raise AmbiguousRegion(
+                f"4 A_plus - b^2 = {u} sits on a family-region boundary")
+        if u > 0:
+            family = fam.MeixnerPollaczek(0.5 * (nu + 1.0), math.acos(c1 / c2))
+            return MatchResult(family, spec, replace(raw, scale=-math.sqrt(u)),
+                               CONTINUOUS)
+        if u < -1.0:
+            ch = c1 / c2
+            sh = math.sqrt(ch * ch - 1.0)
+            exp_m = 1.0 / (ch + sh)   # e^{-theta}, cancellation-free
+            family = fam.Meixner(0.5 * (nu + 1.0), exp_m * exp_m)
+            m = replace(raw, scale=-c2 / exp_m, offset=(nu + 1.0) * c2 * sh)
+            return MatchResult(family, spec, m, DISCRETE_INFINITE)
+        # the finite gap -1 < u < 0: only the measure-zero set nu = -N-1 works
+        n_fin = negative_integer_index(nu)
+        if n_fin is None:
+            raise NoFamilyApplies(
+                "b^2 - 1 < 4 A_plus < b^2 with non-integer sqrt((1-a)^2-4A_minus)-1: "
+                "no family applies")
+        sh = -c1 / c2
+        ch = math.sqrt(1.0 + sh * sh)
+        family = fam.Krawtchouk(n_fin, 0.5 * (1.0 + sh / ch))
+        m = replace(raw, scale=c2, offset=-n_fin * c2 * ch, twist=-1)
+        return MatchResult(family, spec, m, DISCRETE_FINITE, n_finite=n_fin)
+
+    return Scenario(spec, raw, streams, match)
+
+
+def _lb(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
+    # the effective first-order slope sqrt(1 + 4 A_plus) fixes beta; nu is free
+    a, b = params.a, params.b
+    disc = 1.0 + 4.0 * params.A_plus
+    if disc < 0:
+        raise RealityViolation(f"1 + 4 A_plus = {disc} < 0: no real beta")
+    if free_value is None:
+        raise ValueError("scenario LB leaves nu free; pass free_value")
+    nu = float(free_value)
+    spec = BasisSpec(LAGUERRE, alpha=0.5 * (nu + 2.0 - a),
+                     beta=0.5 * (1.0 + math.sqrt(disc)), nu=nu, scenario=scenario)
+    raw = SpectralMap("A_minus", params.A_minus)
+    omega = params.A_zero + 0.5 * (nu + a * b + 1.0)
+
+    def on_surface():
+        # the second scenario exists only on the slope-constrained surface
+        if not abs(b ** 2 - disc) <= _TOL * max(1.0, b ** 2, abs(disc)):
+            raise ScenarioMismatch(
+                f"scenario LB needs b^2 = 1 + 4 A_plus; got b^2 = {b ** 2}, "
+                f"1 + 4 A_plus = {disc}")
+
+    def streams(n_terms):
+        on_surface()
+        ns = np.arange(n_terms, dtype=float)
+        inner = (ns + 1.0) * (ns + nu + 1.0)
+        s = ((2.0 * ns + nu + 1.0) * (ns + omega)
+             - 0.25 * (nu * nu - 1.0) + 0.25 * (a - 1.0) ** 2)
+        coef = ns + omega + 0.5
+        return RecursionCoeffs(s, -coef * np.sqrt(np.abs(inner)),
+                               t_squared=coef * coef * inner)
+
+    def match():
+        on_surface()
+        n_fin = negative_integer_index(nu)
+        if n_fin is not None:
+            two = 2.0 * params.A_zero + a * b
+            family = fam.DualHahn(n_fin, 0.5 * (two - n_fin - 1.0),
+                                  0.5 * (-two - n_fin - 1.0))
+            m = replace(raw, scale=-1.0, offset=0.25 * (a - 1.0) ** 2)
+            return MatchResult(family, spec, m, DISCRETE_FINITE, n_finite=n_fin)
+        m = replace(raw, offset=0.25 * (a - 1.0) ** 2)
+        tau = params.A_zero + 0.5 * (a * b + 1.0)
+        family = fam.ContinuousDualHahn(tau, 0.5 * (nu + 1.0), 0.5 * (nu + 1.0))
+        if tau > 0:
+            return MatchResult(family, spec, m, CONTINUOUS)
+        return MatchResult(family, spec, m, MIXED, n_finite=int(math.floor(-tau)))
+
+    return Scenario(spec, raw, streams, match)
+
+
+def _jacobi_spec(params, scenario, free, nu_sign, mu_sign, free_value) -> BasisSpec:
+    """JA roots both indices; JB leaves nu free and JC mu (``free``), and the
+    free index enters its exponent with +2 where a rooted one enters with +1."""
+    a, b = params.a, params.b
     disc_mu = (1.0 - a) ** 2 - 2.0 * params.A_minus
     disc_nu = (1.0 - b) ** 2 - 2.0 * params.A_plus
     if (free != "mu" and disc_mu < 0) or (free != "nu" and disc_nu < 0):
@@ -153,111 +244,118 @@ def resolve_basis(params: OdeParams, scenario: str, nu_sign: int = +1,
                      nu=nu, mu=mu, scenario=scenario)
 
 
-def raw_spectral_map(params: OdeParams, scenario: str) -> SpectralMap:
-    """The scenario's raw spectral variable: the bare ODE-parameter
-    combination in which its coefficient streams are written.  It depends on
-    the parameters alone; ScenarioMismatch for LB off b^2 = 1 + 4 A_plus."""
-    if scenario == "LA":
-        return SpectralMap("A_zero + a b / 2", params.A_zero + 0.5 * params.a * params.b)
-    if scenario == "LB":
-        if not _close(params.b ** 2, 1.0 + 4.0 * params.A_plus):
-            # the second scenario exists only on the slope-constrained surface
-            raise ScenarioMismatch(
-                f"scenario LB needs b^2 = 1 + 4 A_plus; got b^2 = {params.b ** 2}, "
-                f"1 + 4 A_plus = {1.0 + 4.0 * params.A_plus}")
-        return SpectralMap("A_minus", params.A_minus)
-    if scenario == "JA":
-        return SpectralMap("A_zero - (a+b-1)^2/4",
-                           params.A_zero - 0.25 * (params.a + params.b - 1.0) ** 2)
-    if scenario == "JB":
-        return SpectralMap("A_plus", params.A_plus)
-    return SpectralMap("A_minus", params.A_minus)
+def _ja(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
+    spec = _jacobi_spec(params, scenario, None, nu_sign, mu_sign, free_value)
+    raw = SpectralMap("A_zero - (a+b-1)^2/4",
+                      params.A_zero - 0.25 * (params.a + params.b - 1.0) ** 2)
+    family = fam.ExtendedJacobi(spec.mu, spec.nu, params.A_one)
 
-
-def _check_spec(params: OdeParams, spec: BasisSpec) -> None:
-    """ScenarioMismatch unless ``spec`` is, field by field, what
-    ``resolve_basis`` gives on the spec's own root signs and free index."""
-    nu_sign, mu_sign = (-1 if v is not None and v < 0 else +1
-                        for v in (spec.nu, spec.mu))
-    try:
-        ref = resolve_basis(params, spec.scenario, nu_sign=nu_sign, mu_sign=mu_sign,
-                            free_value=spec.mu if spec.scenario == "JC" else spec.nu)
-    except TriseriesError as exc:
-        raise ScenarioMismatch(f"basis spec does not satisfy the {spec.scenario} "
-                               f"relations: {exc}") from exc
-    pairs = [(spec.alpha, ref.alpha), (spec.beta, ref.beta), (spec.nu, ref.nu)]
-    if ref.mu is not None:
-        pairs.append((spec.mu, ref.mu))
-    if not all(_close(x, y) for x, y in pairs):
-        raise ScenarioMismatch(
-            f"basis spec does not satisfy the {spec.scenario} relations")
-
-
-def laguerre_st2r2(params: OdeParams, spec: BasisSpec, n_terms: int):
-    """Raw coefficient streams of the Laguerre-equation recursion.
-
-    Returns (RecursionCoeffs, SpectralMap) in the normalization where the
-    spectral variable is the bare combination of ``raw_spectral_map``.
-    """
-    if params.equation != LAGUERRE or spec.scenario not in SCENARIOS_LAGUERRE:
-        raise ScenarioMismatch("laguerre_st2r2 needs a Laguerre params/spec pair")
-    _check_spec(params, spec)
-    zmap = raw_spectral_map(params, spec.scenario)
-    a, b, nu = params.a, params.b, spec.nu
-    ns = np.arange(n_terms, dtype=float)
-    inner = (ns + 1.0) * (ns + nu + 1.0)
-    if spec.scenario == "LA":
-        c1 = params.A_plus - 0.25 * b * b - 0.25
-        c2 = c1 + 0.5
-        if abs(c2) < 1e-300:
-            raise ZeroOffDiagonal("off-diagonal coefficient A_plus - b^2/4 + 1/4 = 0")
-        s = (2.0 * ns + nu + 1.0) * c1
-        t = -c2 * np.sqrt(np.abs(inner))
-        t2 = c2 * c2 * inner
-        return RecursionCoeffs(s, t, t_squared=t2), zmap
-    omega = params.A_zero + 0.5 * (nu + a * b + 1.0)
-    s = ((2.0 * ns + nu + 1.0) * (ns + omega)
-         - 0.25 * (nu * nu - 1.0) + 0.25 * (a - 1.0) ** 2)
-    coef = ns + omega + 0.5
-    t = -coef * np.sqrt(np.abs(inner))
-    t2 = coef * coef * inner
-    return RecursionCoeffs(s, t, t_squared=t2), zmap
-
-
-def jacobi_st2r2(params: OdeParams, spec: BasisSpec, n_terms: int):
-    """Raw coefficient streams of the Jacobi-equation recursion, as
-    (RecursionCoeffs, SpectralMap) like ``laguerre_st2r2``."""
-    if params.equation != JACOBI or spec.scenario not in SCENARIOS_JACOBI:
-        raise ScenarioMismatch("jacobi_st2r2 needs a Jacobi params/spec pair")
-    _check_spec(params, spec)
-    zmap = raw_spectral_map(params, spec.scenario)
-    a, b = params.a, params.b
-    mu, nu = spec.mu, spec.nu
-    sc = spec.scenario
-    if sc == "JA":
+    def streams(n_terms):
         if params.A_one == 0.0:
             raise ZeroOffDiagonal("with A_one = 0 this scenario has no recursion")
-        return ExtendedJacobi(mu, nu, params.A_one).streams(n_terms), zmap
+        return family.streams(n_terms)
+
+    def match():
+        if params.A_one == 0.0:
+            raise ZeroOffDiagonal("this scenario has no recursion when A_one = 0")
+        chi0 = raw.raw_value
+        k, level = family.nearest_level(chi0)
+        if abs(level - chi0) > _TOL * max(1.0, abs(chi0)):
+            raise NoFamilyApplies(
+                f"chi0 = {chi0!r} is no level of the extended Jacobi matrix: "
+                f"the nearest is level {k}, {level!r}")
+        return MatchResult(family, spec, raw, DISCRETE_INFINITE)
+
+    return Scenario(spec, raw, streams, match)
+
+
+def _jbc(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
+    if params.A_one != 0.0:
+        raise ScenarioRequiresA1Zero(
+            f"scenario {scenario} requires A_one = 0, got {params.A_one}")
+    jb = scenario == "JB"
+    spec = _jacobi_spec(params, scenario, "nu" if jb else "mu", nu_sign, mu_sign,
+                        free_value)
+    a, b, mu, nu = params.a, params.b, spec.mu, spec.nu
+    raw = (SpectralMap("A_plus", params.A_plus) if jb
+           else SpectralMap("A_minus", params.A_minus))
     chi = 4.0 * params.A_zero - (a + b - 1.0) ** 2
-    ns = np.arange(n_terms, dtype=float)
-    e = 2.0 * ns + mu + nu
-    c, _, d2 = jacobi_cd(mu, nu, n_terms)
-    q_up = 0.25 * ((e + 2.0) ** 2 + chi)
-    ratio = np.zeros(n_terms)
-    if sc == "JB":
-        ratio[1:] = 2.0 * ns[1:] * (ns[1:] + mu) / e[1:]
-        s = (-ratio + (c + 1.0) * q_up
-             - 0.5 * (nu + 1.0) ** 2 + 0.5 * (b - 1.0) ** 2)
-        t = np.sqrt(np.abs(d2)) * q_up
-        t2 = d2 * q_up * q_up
-        return RecursionCoeffs(s, t, t_squared=t2), zmap
-    # "JC"
-    ratio[1:] = 2.0 * ns[1:] * (ns[1:] + nu) / e[1:]
-    s = (-ratio - (c - 1.0) * q_up
-         - 0.5 * (mu + 1.0) ** 2 + 0.5 * (a - 1.0) ** 2)
-    t = -np.sqrt(np.abs(d2)) * q_up
-    t2 = d2 * q_up * q_up
-    return RecursionCoeffs(s, t, t_squared=t2), zmap
+
+    def streams(n_terms):
+        ns = np.arange(n_terms, dtype=float)
+        e = 2.0 * ns + mu + nu
+        c, _, d2 = jacobi_cd(mu, nu, n_terms)
+        q_up = 0.25 * ((e + 2.0) ** 2 + chi)
+        ratio = np.zeros(n_terms)
+        if jb:
+            ratio[1:] = 2.0 * ns[1:] * (ns[1:] + mu) / e[1:]
+            s = (-ratio + (c + 1.0) * q_up
+                 - 0.5 * (nu + 1.0) ** 2 + 0.5 * (b - 1.0) ** 2)
+            t = np.sqrt(np.abs(d2)) * q_up
+        else:
+            ratio[1:] = 2.0 * ns[1:] * (ns[1:] + nu) / e[1:]
+            s = (-ratio - (c - 1.0) * q_up
+                 - 0.5 * (mu + 1.0) ** 2 + 0.5 * (a - 1.0) ** 2)
+            t = -np.sqrt(np.abs(d2)) * q_up
+        return RecursionCoeffs(s, t, t_squared=d2 * q_up * q_up)
+
+    def match():
+        if jb:   # JB is the swap-symmetric mirror of JC
+            return _jbc(swap(params), "JC", mu_sign, nu_sign, free_value).match()
+        n_fin = negative_integer_index(mu)
+        if n_fin is not None and chi < 0:
+            root = math.sqrt(-chi)
+            family = fam.Racah(n_fin, 0.5 * (mu + nu - root), 0.5 * (mu + nu + root))
+            m = replace(raw, scale=-2.0, offset=0.5 * (a - 1.0) ** 2)
+            return MatchResult(family, spec, m, DISCRETE_FINITE, n_finite=n_fin)
+        sg, gm = 0.5 * (nu + 1.0), 0.5 * (mu + 1.0)
+        m = replace(raw, scale=2.0, offset=0.5 * (a - 1.0) ** 2)
+        if chi >= 0:
+            tw = 0.5 * math.sqrt(chi)
+            family = fam.Wilson(complex(sg, tw), complex(sg, -tw), gm, gm)
+            return MatchResult(family, spec, m, CONTINUOUS)
+        q = 0.5 * math.sqrt(-chi)
+        family = fam.MixedWilson(sg - q, sg + q, gm, gm)
+        if not family.mixed:
+            return MatchResult(family, spec, m, CONTINUOUS)
+        return MatchResult(family, spec, m, MIXED, n_finite=family.n_discrete() - 1)
+
+    return Scenario(spec, raw, streams, match)
+
+
+_SCENARIOS = {"LA": (LAGUERRE, _la), "LB": (LAGUERRE, _lb), "JA": (JACOBI, _ja),
+              "JB": (JACOBI, _jbc), "JC": (JACOBI, _jbc)}
+
+
+def resolve(params: OdeParams, scenario: str, nu_sign: int = +1,
+            mu_sign: int = +1, free_value: float = None) -> Scenario:
+    """Resolve a constraint scenario on ``params``.
+
+    Sign arguments pick the square-root branch of the constrained indices;
+    the physically acceptable branch is the positive one (the negative root
+    makes the solution blow up at the boundary).  Scenarios "LB", "JB" and
+    "JC" leave one index free; it must be supplied in ``free_value``.  LB
+    exists only on the surface b^2 = 1 + 4 A_plus: off it, its streams and
+    match raise ScenarioMismatch.
+    """
+    if scenario not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    equation, build = _SCENARIOS[scenario]
+    if params.equation != equation:
+        raise ScenarioMismatch(
+            f"scenario {scenario} is for the {equation.capitalize()} equation")
+    return build(params, scenario, nu_sign, mu_sign, free_value)
+
+
+def swap(params: OdeParams) -> OdeParams:
+    """The Jacobi-equation parameter-exchange symmetry a <-> b, A_plus <->
+    A_minus.  It sends scenario JB's basis to JC's with mu <-> nu and alpha
+    <-> beta, and their streams agree up to the gauge f_n -> (-1)^n f_n,
+    i.e. t_n -> -t_n with s_n unchanged."""
+    if params.equation != JACOBI:
+        raise ScenarioMismatch("the swap symmetry belongs to the Jacobi equation")
+    return replace(params, a=params.b, b=params.a,
+                   A_plus=params.A_minus, A_minus=params.A_plus)
 
 
 def terminating_free_index(params: OdeParams, scenario: str, N: int,
@@ -270,7 +368,7 @@ def terminating_free_index(params: OdeParams, scenario: str, N: int,
         free = -2.0 * (N + params.A_zero + 1.0) - params.a * params.b
     elif scenario == "JC":
         chi = 4.0 * params.A_zero - (params.a + params.b - 1.0) ** 2
-        nu = resolve_basis(params, "JC", nu_sign=nu_sign, free_value=0.0).nu
+        nu = resolve(params, "JC", nu_sign=nu_sign, free_value=0.0).spec.nu
         free = math.sqrt(-chi) - nu - 2.0 - 2.0 * N if chi < 0 else math.nan
     else:
         raise ScenarioMismatch(f"scenario {scenario} has no terminating index")
@@ -324,20 +422,3 @@ def jacobi_ratio_identity_residuals(mu: float, nu: float, n: int):
     lhs_c = 2.0 * n * (n + mu + nu + 1.0) * (nu - mu) / (d0 * d2)
     rhs_c = 2.0 * n * (n + nu) / d0 + n * (cn - 1.0)
     return abs(lhs_b - rhs_b), abs(lhs_c - rhs_c)
-
-
-def apply_swap_symmetry(params: OdeParams, spec: BasisSpec):
-    """The Jacobi-equation parameter-exchange symmetry.
-
-    Swaps a <-> b, A_plus <-> A_minus, mu <-> nu, alpha <-> beta and the two
-    single-index scenarios; the matching coefficient streams pick up the
-    gauge f_n -> (-1)^n f_n, i.e. t_n -> -t_n with s_n unchanged.
-    """
-    if params.equation != JACOBI:
-        raise ScenarioMismatch("the swap symmetry belongs to the Jacobi equation")
-    new_params = replace(params, a=params.b, b=params.a,
-                         A_plus=params.A_minus, A_minus=params.A_plus)
-    new_scenario = {"JA": "JA", "JB": "JC", "JC": "JB"}[spec.scenario]
-    new_spec = BasisSpec(JACOBI, alpha=spec.beta, beta=spec.alpha,
-                         nu=spec.mu, mu=spec.nu, scenario=new_scenario)
-    return new_params, new_spec

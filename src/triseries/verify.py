@@ -26,9 +26,8 @@ from . import families as fam
 from .basis import jacobi_cd
 from .errors import InvalidFamilyParams, PrecisionExhausted
 from .recurrence import run_recursion
-from .tra import (OdeParams, SpectralMap, jacobi_st2r2, laguerre_st2r2,
-                  resolve_basis, wilson_match_identity_residual,
-                  jacobi_ratio_identity_residuals, apply_swap_symmetry)
+from .tra import (OdeParams, SpectralMap, jacobi_ratio_identity_residuals,
+                  resolve, swap, wilson_match_identity_residual)
 
 
 @dataclass(frozen=True)
@@ -494,7 +493,7 @@ def weight_suite():
                      abs(cont + float(np.sum(w.masses)) - 1.0), 1e-6))
     # printed masses vs the dual-orthogonality oracle
     co = fam.family_coeffs(f, 8001)
-    oracle = fam.isolated_mass_from_recursion(co, f.mass_point(0), 8000)
+    oracle = fam.isolated_mass_from_recursion(co, f.mass_point(0))
     out.append(Check("cdh_mass_vs_dual_orthogonality",
                      abs(oracle - f.discrete_mass(0)), 1e-8))
     return out
@@ -516,7 +515,6 @@ def _stream_match(raw, zmap: SpectralMap, coeffs, twist: int = 1):
 def stream_match_suite():
     """All eight coefficient-stream matches, term by term over 16 terms; a
     finite family's streams end at n = N."""
-    from . import solve as sv
     lb = ("laguerre", 1.3, 0.6, (0.6 * 0.6 - 1.0) / 4.0, 0.7, 0.9)
     jc = ("jacobi", 0.8, 0.5, -0.9, 1.2)
     # (match, equation parameters, scenario, match keywords, whether the
@@ -541,11 +539,10 @@ def stream_match_suite():
     )
     out = []
     for label, args, scenario, keywords, validated in table:
-        p = OdeParams(*args)
-        m = sv.match_family(p, scenario, **keywords)
+        resolved = resolve(OdeParams(*args), scenario, **keywords)
+        m = resolved.match()
         n = min(16, getattr(m.family, "N", 16) + 1)
-        raw, _ = (laguerre_st2r2 if p.equation == "laguerre"
-                  else jacobi_st2r2)(p, m.spec, n)
+        raw = resolved.streams(n)
         coeffs = (fam.family_coeffs(m.family, n) if validated
                   else m.family.streams(n))
         out.append(Check(f"match[{label}]", _stream_match(
@@ -578,16 +575,16 @@ def identity_suite(n_draws: int = 1000, seed: int = 20240819):
         rb, rc = jacobi_ratio_identity_residuals(mu, nu, n)
         worst = max(worst, rb, rc)
     out.append(Check("ratio_identities", worst, 1e-11))
-    # swap symmetry: involution and the JB <-> JC stream relation
+    # swap symmetry: an involution that sends the JB basis to the JC one,
+    # and the JB <-> JC stream relation
     p = OdeParams("jacobi", 0.8, 0.5, -0.9, -0.7, 1.1, A_one=0.0)
-    spec = resolve_basis(p, "JB", free_value=0.9)
-    p2, spec2 = apply_swap_symmetry(p, spec)
-    p3, spec3 = apply_swap_symmetry(p2, spec2)
+    jb = resolve(p, "JB", free_value=0.9)
+    jc = resolve(swap(p), "JC", free_value=0.9)
+    p3 = swap(swap(p))
     invol = max(abs(p3.a - p.a), abs(p3.b - p.b), abs(p3.A_plus - p.A_plus),
-                abs(spec3.alpha - spec.alpha), abs(spec3.nu - spec.nu))
+                abs(jc.spec.beta - jb.spec.alpha), abs(jc.spec.mu - jb.spec.nu))
     out.append(Check("swap_symmetry_involution", invol, 0.0))
-    rawb, _ = jacobi_st2r2(p, spec, 11)
-    rawc, _ = jacobi_st2r2(p2, spec2, 11)
+    rawb, rawc = jb.streams(11), jc.streams(11)
     ds = float(np.max(np.abs(rawb.s - rawc.s)))
     dt = float(np.max(np.abs(rawb.t + rawc.t)))
     out.append(Check("swap_symmetry_streams", max(ds, dt), 1e-10))

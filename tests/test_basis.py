@@ -12,11 +12,11 @@ from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, eval_jacobi
 
 from triseries.basis import evaluate_series, jacobi_cd, negative_integer_index
-from triseries.errors import DegenerateDenominator, DomainError
+from triseries.errors import DegenerateDenominator, DomainError, NonFiniteValue
 from triseries.gammafn import log_gamma_real
 from triseries.physics import (CoulombCase, EckartCase, MorseCase, ScarfCase,
                                bound_series)
-from triseries.tra import BasisSpec, OdeParams, jacobi_st2r2, resolve_basis
+from triseries.tra import BasisSpec, OdeParams, resolve
 
 
 def basis_element(spec, n, x):
@@ -171,12 +171,22 @@ def test_jacobi_cd_raises_where_a_denominator_vanishes(shift):
     # mu + nu = -2 divides by zero in C_0, C_1 and D_0; mu + nu = -1 makes
     # D_0^2 0/0
     p = OdeParams("jacobi", 0.8, 0.5, -0.9, 1.2, 1.1)
-    nu = resolve_basis(p, "JC", free_value=0.0).nu
-    spec = resolve_basis(p, "JC", free_value=shift - nu)
+    nu = resolve(p, "JC", free_value=0.0).spec.nu
+    scenario = resolve(p, "JC", free_value=shift - nu)
     with pytest.raises(DegenerateDenominator, match="vanishes at n = 0"):
-        jacobi_st2r2(p, spec, 8)
+        scenario.streams(8)
     with pytest.raises(DegenerateDenominator, match="vanishes at n = 1"):
         jacobi_cd(0.5, shift - 3.5, 4)
+
+
+def test_jacobi_cd_takes_huge_indices_without_a_warning():
+    # the denominators are tested one by one, so nu ~ 1e150, whose four
+    # denominators multiply past the float range, still has coefficients;
+    # past ~1e152 the numerator of D_n^2 overflows and is refused
+    c, d, d2 = jacobi_cd(0.4, 1.4e150, 8)
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(d2))
+    with pytest.raises(NonFiniteValue, match="overflows at mu = 0.4, nu = 4.5e"):
+        jacobi_cd(0.4, 4.5e152, 60)
 
 
 def test_basis_element_vanishes_at_origin_with_positive_power():

@@ -786,6 +786,47 @@ def test_field_grid_call_ends_cleanly(command, case, field, value, capsys):
         assert code in (0, 2) and out and err == "", (code, err)
 
 
+# the CI match replay of each scenario, with each of its numeric fields set
+# to each of nine values: 279 calls
+_MATCH_SETS = {
+    "LA": ("laguerre", {"a": "0.3", "b": "0.4", "A-plus": "-0.9",
+                        "A-minus": "-0.6", "A-zero": "1.7"}),
+    "LB": ("laguerre", {"a": "1.3", "b": "0.6", "A-plus": "-0.16",
+                        "A-minus": "0.7", "A-zero": "0.9", "free-value": "1.4"}),
+    "JA": ("jacobi", {"a": "0.4", "b": "0.7", "A-plus": "-1.1", "A-minus": "-0.8",
+                      "A-zero": "-3.595113879324", "A-one": "2.3"}),
+    "JB": ("jacobi", {"a": "0.5", "b": "0.8", "A-plus": "1.2", "A-minus": "-0.9",
+                      "A-zero": "1.1", "A-one": "0", "free-value": "0.9"}),
+    "JC": ("jacobi", {"a": "0.8", "b": "0.5", "A-plus": "-0.9", "A-minus": "1.2",
+                      "A-zero": "1.1", "A-one": "0", "free-value": "0.9"}),
+}
+_MATCH_GRID = [(scenario, field, value)
+               for scenario, (_, fields) in _MATCH_SETS.items()
+               for field in fields
+               for value in ("0", "-1", "1e300", "-1e300", "1e-300", "1e305",
+                             "-1e305", "nan", "inf")]
+
+
+@pytest.mark.parametrize("scenario, field, value", _MATCH_GRID,
+                         ids=["-".join(call) for call in _MATCH_GRID])
+def test_match_field_grid_call_ends_cleanly(scenario, field, value, capsys):
+    # a match prints finite JSON (exit 0) or ends in one error line (exit 1),
+    # with no traceback and no warning
+    equation, fields = _MATCH_SETS[scenario]
+    args = [token for key, text in {**fields, field: value}.items()
+            for token in (f"--{key}", text)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "match", "--equation", equation,
+                                 "--scenario", scenario, *args)
+    assert caught == [], [str(w.message) for w in caught]
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert code == 0 and err == "", (code, err)
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+
+
 @pytest.mark.parametrize("args, line", [
     (("spectrum", "--case", "coulomb", "--Z", "1e300"),
      "error: coulomb: Z = 1e+300 is out of range: the level energies "

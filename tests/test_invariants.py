@@ -18,7 +18,7 @@ from triseries.physics import (CASE_TYPES, Case, CoulombCase, EckartCase,
                                bound_series, fd_oracle)
 from triseries.recurrence import run_recursion
 from triseries.solve import assemble_solution, match_family, ode_residual
-from triseries.tra import OdeParams, jacobi_st2r2, resolve_basis
+from triseries.tra import OdeParams, resolve
 
 
 def test_scenario_relations_hold_exactly():
@@ -27,17 +27,17 @@ def test_scenario_relations_hold_exactly():
         a, b = rng.uniform(-1.0, 2.0, size=2)
         am = rng.uniform(-3.0, (1 - a) ** 2 / 4.0)
         p = OdeParams("laguerre", a, b, rng.uniform(-2, 2), am, rng.uniform(-2, 2))
-        spec = resolve_basis(p, "LA")
+        spec = resolve(p, "LA").spec
         assert 2 * spec.alpha == spec.nu + 1.0 - a
         assert 2 * spec.beta == b + 1.0
         assert spec.nu ** 2 == pytest.approx((1 - a) ** 2 - 4 * am, rel=1e-12)
         pj = OdeParams("jacobi", a, b, rng.uniform(-3.0, (1 - b) ** 2 / 2.0),
                        rng.uniform(-3.0, (1 - a) ** 2 / 2.0),
                        rng.uniform(-2, 2), A_one=0.0)
-        spec = resolve_basis(pj, "JA")
+        spec = resolve(pj, "JA").spec
         assert 2 * spec.alpha == spec.mu + 1.0 - a
         assert 2 * spec.beta == spec.nu + 1.0 - b
-        spec = resolve_basis(pj, "JC", free_value=0.7)
+        spec = resolve(pj, "JC", free_value=0.7).spec
         assert 2 * spec.alpha == pytest.approx(0.7 + 2.0 - a, rel=1e-14)
         assert 2 * spec.beta == spec.nu + 1.0 - b
 
@@ -47,7 +47,7 @@ def test_discrete_extended_family_match_and_input_point():
     # record's streams are the raw JA streams, with the identity spectral map
     a, b, lam1 = 0.4, 0.7, 0.8
     p0 = OdeParams("jacobi", a, b, -1.1, -0.8, 0.0, A_one=lam1)
-    spec = resolve_basis(p0, "JA")
+    spec = resolve(p0, "JA").spec
     chi0 = fam.ExtendedJacobi(spec.mu, spec.nu, lam1).mass_point(1)
     p = OdeParams("jacobi", a, b, -1.1, -0.8,
                   chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=lam1)
@@ -55,7 +55,7 @@ def test_discrete_extended_family_match_and_input_point():
     f = m.family
     assert f == fam.ExtendedJacobi(spec.mu, spec.nu, lam1)
     assert m.spectral_map.family_value == pytest.approx(chi0, rel=1e-12)
-    raw, _ = jacobi_st2r2(p, m.spec, 12)
+    raw = resolve(p, "JA").streams(12)
     fc = fam.family_coeffs(f, 12)
     assert (raw.s.tobytes(), raw.t.tobytes()) == (fc.s.tobytes(), fc.t.tobytes())
     # level 1 is the input point; levels 0 and 2 are not, and raise
@@ -71,8 +71,8 @@ def test_discrete_extended_family_wrong_side_has_no_match():
     # levels 1 (-8.736) and 2 (-15.654), nearer level 2: no family applies,
     # and the error names the nearest level
     a, b, lam1 = 0.4, 0.7, 0.8
-    spec = resolve_basis(OdeParams("jacobi", a, b, -1.1, -0.8, 0.0, A_one=lam1),
-                         "JA")
+    spec = resolve(OdeParams("jacobi", a, b, -1.1, -0.8, 0.0, A_one=lam1),
+                         "JA").spec
     levels = fam.ExtendedJacobi(spec.mu, spec.nu, lam1).levels(2)[1]
     for chi0, k in ((-1.9, 0), (-13.0, 2)):
         p = OdeParams("jacobi", a, b, -1.1, -0.8,

@@ -18,11 +18,11 @@ from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase,
                                bound_energy, bound_series, spectrum_size,
                                wavefunction)
-from triseries.solve import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE,
-                             MIXED, SeriesSolution, assemble_solution,
-                             match_family, ode_residual)
+from triseries.solve import (SeriesSolution, assemble_solution, match_family,
+                             ode_residual)
 from triseries.recurrence import minimal_solution, run_recursion
-from triseries.tra import OdeParams, resolve_basis
+from triseries.tra import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE, MIXED,
+                           OdeParams, resolve)
 from triseries.verify import closed_form_hp
 
 
@@ -80,8 +80,8 @@ def test_boundary_is_ambiguous():
 def _ja_levels(a, b, a_plus, a_minus, a_one):
     """The JA parameter sets whose chi0 = A_zero - (a+b-1)^2/4 are the top
     three levels of their extended Jacobi matrix."""
-    spec = resolve_basis(OdeParams("jacobi", a, b, a_plus, a_minus, 0.0,
-                                   A_one=a_one), "JA")
+    spec = resolve(OdeParams("jacobi", a, b, a_plus, a_minus, 0.0,
+                                   A_one=a_one), "JA").spec
     levels = fam.ExtendedJacobi(spec.mu, spec.nu, a_one).levels(2)[1]
     return [OdeParams("jacobi", a, b, a_plus, a_minus,
                       chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=a_one)
@@ -489,8 +489,7 @@ def test_deep_wells_have_finite_masses_and_roundoff_residuals():
 
 def test_zero_solution_residual_raises():
     p = OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0)
-    from triseries.tra import resolve_basis
-    spec = resolve_basis(p, "LA")
+    spec = resolve(p, "LA").spec
     sol = SeriesSolution(np.zeros(5), spec, 1.0)
     with pytest.raises(ZeroSolution):
         ode_residual(p, sol, [0.5, 1.0])
@@ -498,13 +497,12 @@ def test_zero_solution_residual_raises():
 
 def test_singular_margins_enforced():
     p = OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0)
-    from triseries.tra import resolve_basis
-    spec = resolve_basis(p, "LA")
+    spec = resolve(p, "LA").spec
     sol = SeriesSolution(np.ones(3), spec, 1.0)
     with pytest.raises(SingularPointTooClose):
         ode_residual(p, sol, [0.01])
     pj = OdeParams("jacobi", 0.5, 0.5, 0.1, 0.1, 5.0, A_one=2.0)
-    specj = resolve_basis(pj, "JA")
+    specj = resolve(pj, "JA").spec
     solj = SeriesSolution(np.ones(3), specj, 1.0)
     with pytest.raises(SingularPointTooClose):
         ode_residual(pj, solj, [0.99])
@@ -534,7 +532,6 @@ def test_mixed_assembly_produces_both_components():
 def test_mixed_components_satisfy_the_raw_recursion():
     # both pieces of a mixed solution solve the coefficient recursion at
     # machine precision, each at its own spectral value
-    from triseries.tra import laguerre_st2r2
     case = MorseCase(lam=1.0, V1=1.0)
     e0 = bound_energy(case, 0)
     p = case.ode_params(e0, bound=True)
@@ -542,7 +539,7 @@ def test_mixed_components_satisfy_the_raw_recursion():
     assert m.spectrum_kind == MIXED
     cont = assemble_solution(m, 1.7, 40, enforce_tail=False)
     disc = assemble_solution(m, 0, 40)
-    raw, _ = laguerre_st2r2(p, m.spec, 42)
+    raw = resolve(p, "LB", free_value=0.35).streams(42)
 
     def raw_residual(f, z_raw):
         worst = 0.0
@@ -574,14 +571,14 @@ def test_coefficients_satisfy_raw_recursion_mixed_regime():
     # continued quadratic family: the chain cut at N = m, with f_n = 0 past
     # it, must solve the raw stream (t_N is round-off at the cut)
     from triseries.physics import ScarfCase
-    from triseries.tra import jacobi_st2r2, terminating_free_index
+    from triseries.tra import terminating_free_index
     case = ScarfCase(A=2.0, B=0.5, lam=1.0)
     for level in (0, 1, 2):
         p, sol = bound_series(case, level)
-        m = match_family(p, "JC",
-                         free_value=terminating_free_index(p, "JC", level))
+        scenario = resolve(p, "JC", free_value=terminating_free_index(p, "JC", level))
+        m = scenario.match()
         assert m.spec == sol.spec and len(sol.f) == level + 1
-        raw, _ = jacobi_st2r2(p, m.spec, 13)
+        raw = scenario.streams(13)
         f = np.zeros(13)
         f[:level + 1] = np.real(sol.f)
         zr = m.spectral_map.raw_value
