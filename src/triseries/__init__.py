@@ -8,16 +8,16 @@ bound-state spectra and scattering phase shifts from the family data.
 
 from .errors import TriseriesError
 from .recurrence import RecursionCoeffs, christoffel_darboux_check, run_recursion
-from .tra import BasisSpec, MatchResult, OdeParams, Scenario, SpectralMap, resolve
-from .solve import SeriesSolution, assemble_solution, match_family, ode_residual
+from .tra import (BasisSpec, MatchResult, OdeParams, Scenario, SeriesSolution,
+                  SpectralMap, resolve)
+from .solve import ode_residual
 from . import basis, families, physics, verify
 
 __all__ = [
     "TriseriesError", "RecursionCoeffs", "run_recursion",
     "christoffel_darboux_check", "OdeParams", "BasisSpec", "SpectralMap",
-    "Scenario", "resolve", "MatchResult", "SeriesSolution", "match_family",
-    "assemble_solution", "ode_residual", "basis", "families", "physics",
-    "verify",
+    "Scenario", "resolve", "MatchResult", "SeriesSolution", "ode_residual",
+    "basis", "families", "physics", "verify",
 ]
 
 __version__ = "0.1.0"

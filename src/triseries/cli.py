@@ -29,10 +29,10 @@ import sys
 import numpy as np
 
 from . import families as fam
-from . import physics, solve, verify
+from . import physics, verify
 from .errors import TriseriesError
 from .recurrence import run_recursion
-from .tra import OdeParams
+from .tra import DEFAULT_TRUNCATION, OdeParams, resolve
 
 
 def _cell(x):
@@ -207,8 +207,8 @@ def cmd_verify(ns) -> int:
 def cmd_match(ns) -> int:
     params = OdeParams(ns.equation, ns.a, ns.b, ns.A_plus, ns.A_minus,
                        ns.A_zero, A_one=ns.A_one)
-    result = solve.match_family(params, ns.scenario, nu_sign=ns.nu_sign,
-                                mu_sign=ns.mu_sign, free_value=ns.free_value)
+    result = resolve(params, ns.scenario, nu_sign=ns.nu_sign, mu_sign=ns.mu_sign,
+                     free_value=ns.free_value).match()
     f = result.family
     assignments = {key: repr(val) if isinstance(val, complex) else val
                    for key, val in vars(f).items()}
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wavefunction", help="bound-state wavefunction samples")
     _add_case_flags(p)
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--truncation", type=int, default=solve.DEFAULT_TRUNCATION)
+    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p.add_argument("--r-min", dest="r_min", type=float, default=0.1)
     p.add_argument("--r-max", dest="r_max", type=float, default=10.0)
     p.add_argument("--n-r", dest="n_r", type=int, default=50)

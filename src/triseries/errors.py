@@ -60,7 +60,7 @@ class IndexOutOfSpectrum(TriseriesError):
 
 class NoPointwiseSolution(TriseriesError):
     """A family match whose series solves the coefficient recursion but not
-    the equation pointwise (the finite negative-index families)."""
+    the equation pointwise (the finite negative-index families, a continuum)."""
 
 
 class TruncationTooSmall(TriseriesError):

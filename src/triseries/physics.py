@@ -22,14 +22,12 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
-from . import families as fam
-from . import solve as solvemod
-from .errors import (AmbiguousRegion, BelowThreshold, BoxTooSmall,
-                     IndexOutOfSpectrum, InvalidFamilyParams, MeshTooCoarse,
-                     NoBoundStates, NoContinuum, NoTerminatingIndex,
-                     NonFiniteValue, TriseriesError)
+from .errors import (BelowThreshold, BoxTooSmall, IndexOutOfSpectrum,
+                     InvalidFamilyParams, MeshTooCoarse, NoBoundStates,
+                     NoContinuum, NoTerminatingIndex, NonFiniteValue,
+                     TriseriesError)
 from .gammafn import arg_gamma, wrap_angle
-from .tra import JACOBI, LAGUERRE, OdeParams, resolve, terminating_free_index
+from .tra import JACOBI, LAGUERRE, OdeParams, SeriesSolution, resolve
 
 SQRT2 = math.sqrt(2.0)
 
@@ -405,8 +403,9 @@ class PoschlTellerCase:
     def bound_scenario(self):
         # the free index the top level's series ends on (nu with no bound states)
         top = spectrum_size(self) - 1
-        return "JC", self.nu if top < 0 else terminating_free_index(
-            self.ode_params(0.0), "JC", top, nu_sign=1 if self.nu >= 0 else -1)
+        return "JC", self.nu if top < 0 else resolve(
+            self.ode_params(0.0), "JC", nu_sign=1 if self.nu >= 0 else -1,
+            free_value=0.0).ending(top)
 
 
 # a Scarf |A| + |B| above this times min(1, lam)^2 overflows the FD polish:
@@ -829,15 +828,12 @@ def fd_oracle(case, n_levels: int = 3, mesh: RadialMesh = None) -> np.ndarray:
 # series solutions for the physics cases
 # ---------------------------------------------------------------------------
 
-_CUT_ROUNDOFF = 1e-11   # |t_N| next to its neighbours where a chain ends
-
-
 def bound_series(case, m: int, truncation: int = None):
-    """(OdeParams, SeriesSolution) of the m-th bound state.  A JC/LB level
-    is the N = m chain on its own free index, taken at mass point m (no
-    truncation); an LA level is the Meixner series cut at ``truncation``.
-    A level the spectrum does not hold is refused before any level formula
-    runs."""
+    """(OdeParams, SeriesSolution) of the m-th bound state: level m of the
+    case's scenario record (``tra.Scenario.state``).  A JC/LB level is the
+    N = m chain on its own free index (no truncation); an LA level is the
+    Meixner series cut at ``truncation``.  A level the spectrum does not
+    hold is refused before any level formula runs."""
     if m < 0:
         raise IndexOutOfSpectrum(f"{case.name}: level index m={m} < 0")
     size = _bound_size(case)
@@ -853,35 +849,17 @@ def bound_series(case, m: int, truncation: int = None):
             f"{case.name}: level m={m} at E={e} lies above E={cap}, where the "
             f"discrete family of basis scale lam = {case.lam} ends")
     params = case.ode_params(e, bound=True)
-    scenario, _ = case.bound_scenario()
-    if scenario == "JC" and case.nu < 0:
+    scenario, free_value = case.bound_scenario()
+    nu = getattr(case, "nu", 0.0)   # the Jacobi cases' level-formula index
+    if nu < 0:
         raise NoTerminatingIndex(
-            f"{case.name}: the level formula takes nu = {case.nu} < 0 but the "
+            f"{case.name}: the level formula takes nu = {nu} < 0 but the "
             f"basis the positive root; level m={m} has no terminating series")
-    if scenario != "LA":
-        match = solvemod.match_family(params, scenario, free_value=(
-            terminating_free_index(params, scenario, m)))
-        coeffs = fam.family_coeffs(match.family, m + 2)
-        t = np.abs(coeffs.t)
-        near = max(t[m + 1], t[m - 1] if m else 0.0)
-        if not t[m] <= _CUT_ROUNDOFF * near:
-            raise NoTerminatingIndex(f"{case.name}: |t_{m}| = {t[m]:.2e} is not "
-                                     f"round-off next to {near:.2e}")
-        return params, solvemod.assemble_solution(match, m, truncation=m,
-                                                  coeffs=coeffs)
-    try:
-        match = solvemod.match_family(params, scenario)
-    except AmbiguousRegion:
-        # the scale sits exactly on the region boundary: the off-diagonal of
-        # the coefficient recursion vanishes identically and the state is a
-        # single basis element
-        f = np.zeros(m + 1)
-        f[m] = 1.0
-        return params, solvemod.SeriesSolution(f, resolve(params, "LA").spec, 1.0)
-    return params, solvemod.assemble_solution(match, int(m), truncation)
+    return params, resolve(params, scenario, free_value=free_value).state(
+        m, truncation)
 
 
-def wavefunction(case, sol: solvemod.SeriesSolution, r):
+def wavefunction(case, sol: SeriesSolution, r):
     """psi(r) = y(x(r)) for an assembled series solution.  A psi that is
     not finite (an overflowed weight) raises NonFiniteValue at its first r."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -907,8 +885,8 @@ def tra_bound_energy(case, m: int) -> float:
 
     def index_mismatch(e):
         try:
-            match = solvemod.match_family(case.ode_params(e, bound=True),
-                                          scenario, free_value=free_value)
+            match = resolve(case.ode_params(e, bound=True), scenario,
+                            free_value=free_value).match()
             return (match.spectral_map.family_value
                     - match.family.mass_point(m))
         except (TriseriesError, ValueError, ArithmeticError):

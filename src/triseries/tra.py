@@ -7,7 +7,8 @@ the derivation).  Each yields a symmetric three-term recursion for the
 expansion coefficients f_n that an Askey-scheme family solves.  ``resolve``
 derives one scenario on one parameter set and returns a ``Scenario`` record:
 the basis, the "raw" spectral map (the bare ODE-parameter combination the
-streams are written in), the raw streams and the family match.
+streams are written in), the raw streams, the family match, and the series of
+a bound level (a discrete level of the matched family).
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import families as fam
-from .basis import jacobi_cd, negative_integer_index
-from .errors import (AmbiguousRegion, DegenerateDenominator, InvalidFamilyParams,
-                     NoFamilyApplies, NoTerminatingIndex, RealityViolation,
-                     ScenarioMismatch, ScenarioRequiresA1Zero, ZeroOffDiagonal)
-from .recurrence import RecursionCoeffs
+from .basis import evaluate_series, jacobi_cd, negative_integer_index
+from .errors import (AmbiguousRegion, DegenerateDenominator, IndexOutOfSpectrum,
+                     InvalidFamilyParams, NoFamilyApplies, NoPointwiseSolution,
+                     NoTerminatingIndex, RealityViolation, ScenarioMismatch,
+                     ScenarioRequiresA1Zero, TruncationTooSmall, ZeroOffDiagonal)
+from .recurrence import (RecursionCoeffs, check_degree, minimal_solution,
+                         run_recursion)
 
 LAGUERRE = "laguerre"
 JACOBI = "jacobi"
@@ -33,7 +36,11 @@ DISCRETE_INFINITE = "discrete_infinite"
 DISCRETE_FINITE = "discrete_finite"
 MIXED = "mixed"
 
-_TOL = 1e-9   # a constraint surface or a region boundary, relative past 1
+_TOL = 1e-9   # a constraint surface, a region boundary or a level, relative past 1
+DEFAULT_TRUNCATION = 60   # an LA level's top degree T unless one is given
+_L2_CUT = 1e-9   # LA terms with a smaller l2 tail share are zeroed
+_ROW_MISS = 1e-10   # a JA eigenvector's miss of the row past its matrix
+_CUT_ROUNDOFF = 1e-11   # |t_k| next to its neighbours where a chain ends
 
 
 @dataclass(frozen=True)
@@ -113,16 +120,69 @@ class MatchResult:
 
 
 @dataclass(frozen=True)
+class SeriesSolution:
+    """Expansion coefficients f_n = p * P_n and the basis they multiply."""
+    f: np.ndarray
+    spec: BasisSpec
+    norm_factor: float
+
+    def __call__(self, x):
+        """y(x) on an array (or scalar) x."""
+        return evaluate_series(self.spec, self.f, x, derivatives=False)
+
+
+def _no_level(k, truncation=None):
+    raise ScenarioMismatch("this scenario has no bound level")
+
+
+def _no_ending(N):
+    raise ScenarioMismatch("this scenario has no terminating index")
+
+
+@dataclass(frozen=True)
 class Scenario:
     """One constraint scenario resolved on one parameter set: its basis
     ``spec``, its raw spectral map ``raw``, ``streams(n)`` (the first n raw
-    recursion coefficients) and ``match()`` (the family whose region holds
+    recursion coefficients), ``match()`` (the family whose region holds
     the parameters, with the map from ``raw`` to the family's variable;
-    AmbiguousRegion on a region boundary, NoFamilyApplies in no region)."""
+    AmbiguousRegion on a region boundary, NoFamilyApplies in no region),
+    ``state(k, truncation=None)`` (the SeriesSolution of bound level k) and
+    ``ending(N)`` (the free index on which LB's or JC's recursion ends after
+    N + 1 terms; NoTerminatingIndex if no index > -1 does).  LB's and JC's
+    level k sits on ending(k), whatever free value the record has."""
     spec: BasisSpec
     raw: SpectralMap
     streams: Callable[[int], RecursionCoeffs]
     match: Callable[[], MatchResult]
+    state: Callable[..., SeriesSolution] = _no_level
+    ending: Callable[[int], float] = _no_ending
+
+
+def _chain(build, params, scenario, nu_sign, mu_sign, free_at):
+    """``state`` and ``ending`` of LB or JC, whose free index free_at(N)
+    ends the recursion after N + 1 terms.  Level k is P_0..P_k at mass point
+    k, times the square root of its mass, of the match on ending(k)."""
+    def ending(N):
+        free = free_at(N)
+        if not free > -1.0:
+            raise NoTerminatingIndex(f"no index > -1 ends the {scenario} chain at "
+                                     f"N = {N} (it would be {free})")
+        return free
+
+    def state(k, truncation=None):
+        match = build(params, scenario, nu_sign, mu_sign, ending(k)).match()
+        family = match.family
+        coeffs = fam.family_coeffs(family, k + 2)
+        t = np.abs(coeffs.t)
+        near = max(t[k + 1], t[k - 1] if k else 0.0)
+        if not t[k] <= _CUT_ROUNDOFF * near:
+            raise NoTerminatingIndex(f"|t_{k}| = {t[k]:.2e} is not round-off "
+                                     f"next to {near:.2e}")
+        vals = run_recursion(coeffs, family.mass_point(k), k)
+        p = math.sqrt(family.discrete_mass(k))
+        return SeriesSolution(p * vals, match.spec, p)
+
+    return state, ending
 
 
 def _la(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
@@ -173,7 +233,35 @@ def _la(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
         m = replace(raw, scale=c2, offset=-n_fin * c2 * ch, twist=-1)
         return MatchResult(family, spec, m, DISCRETE_FINITE, n_finite=n_fin)
 
-    return Scenario(spec, raw, streams, match)
+    def state(k, truncation=None):
+        try:
+            m = match()
+        except AmbiguousRegion:
+            # on the region boundary the off-diagonal vanishes identically:
+            # level k is basis element k
+            f = np.zeros(k + 1)
+            f[k] = 1.0
+            return SeriesSolution(f, spec, 1.0)
+        if m.spectrum_kind != DISCRETE_INFINITE:
+            raise NoPointwiseSolution(
+                f"the {m.spectrum_kind} {m.family.kind} match gives no series "
+                "that solves the equation pointwise")
+        truncation = DEFAULT_TRUNCATION if truncation is None else truncation
+        check_degree(truncation)
+        # P_n(k) is the Meixner minimal solution; 2T + 2 terms settle T + 1
+        family, z = m.family, m.spectral_map.family_value
+        point = family.mass_point(k)
+        if abs(point - z) > _TOL * max(1.0, abs(z)):
+            raise IndexOutOfSpectrum(f"mass point {k} of {family.kind} is "
+                                     f"{point!r}, not the matched {z!r}")
+        p = math.sqrt(family.discrete_mass(k))
+        vals = p * minimal_solution(fam.family_coeffs(family, 2 * truncation + 2),
+                                    point)[:truncation + 1]
+        tail = np.sqrt(np.cumsum(vals[::-1] ** 2)[::-1])
+        vals[tail < _L2_CUT * tail[0]] = 0.0
+        return SeriesSolution(vals, spec, p)
+
+    return Scenario(spec, raw, streams, match, state)
 
 
 def _lb(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
@@ -223,7 +311,10 @@ def _lb(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
             return MatchResult(family, spec, m, CONTINUOUS)
         return MatchResult(family, spec, m, MIXED, n_finite=int(math.floor(-tau)))
 
-    return Scenario(spec, raw, streams, match)
+    # the chain ends where N + omega + 1/2 = 0
+    return Scenario(spec, raw, streams, match, *_chain(
+        _lb, params, scenario, nu_sign, mu_sign,
+        lambda N: -2.0 * (N + params.A_zero + 1.0) - a * b))
 
 
 def _jacobi_spec(params, scenario, free, nu_sign, mu_sign, free_value) -> BasisSpec:
@@ -266,7 +357,22 @@ def _ja(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
                 f"the nearest is level {k}, {level!r}")
         return MatchResult(family, spec, raw, DISCRETE_INFINITE)
 
-    return Scenario(spec, raw, streams, match)
+    def state(k, truncation=None):
+        # level k: the k-th unit eigenvector of the settled or the given matrix
+        chi0 = match().spectral_map.family_value
+        n, levels, vecs = family.levels(k, None if truncation is None
+                                        else truncation + 1)
+        if abs(levels[k] - chi0) > _TOL * max(1.0, abs(chi0)):
+            raise IndexOutOfSpectrum(f"level {k} of the {n}-term Jacobi matrix is "
+                                     f"{float(levels[k])!r}, not the matched {chi0!r}")
+        # the vector solves each recursion row but row n, which it misses by
+        # t_{n-1} v_{n-1}; the ODE residual measured up to ~20 times that
+        miss = abs(family.streams(n).t[-1] * vecs[-1, k])
+        if miss > _ROW_MISS:
+            raise TruncationTooSmall(f"row {n} of the recursion misses by {miss:.2e}")
+        return SeriesSolution(vecs[:, k], spec, float(vecs[0, k]))
+
+    return Scenario(spec, raw, streams, match, state)
 
 
 def _jbc(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
@@ -320,11 +426,21 @@ def _jbc(params, scenario, nu_sign, mu_sign, free_value) -> Scenario:
             return MatchResult(family, spec, m, CONTINUOUS)
         return MatchResult(family, spec, m, MIXED, n_finite=family.n_discrete() - 1)
 
-    return Scenario(spec, raw, streams, match)
+    if jb:   # its levels are JC's on swap(params)
+        return Scenario(spec, raw, streams, match)
+
+    # the chain ends where q_N = ((2N+mu+nu+2)^2 + chi)/4 = 0
+    return Scenario(spec, raw, streams, match, *_chain(
+        _jbc, params, scenario, nu_sign, mu_sign,
+        lambda N: math.sqrt(-chi) - nu - 2.0 - 2.0 * N if chi < 0 else math.nan))
 
 
-_SCENARIOS = {"LA": (LAGUERRE, _la), "LB": (LAGUERRE, _lb), "JA": (JACOBI, _ja),
-              "JB": (JACOBI, _jbc), "JC": (JACOBI, _jbc)}
+# each scenario's equation, builder and the fields its formulas square; the
+# largest square is (a + b - 1)^2, so a field is refused once (2 field)^2
+# overflows (LA takes b only in b*b, whose overflow its family refuses)
+_SCENARIOS = {"LA": (LAGUERRE, _la, ("a",)), "LB": (LAGUERRE, _lb, ("a", "b")),
+              "JA": (JACOBI, _ja, ("a", "b", "A_one")),
+              "JB": (JACOBI, _jbc, ("a", "b")), "JC": (JACOBI, _jbc, ("a", "b"))}
 
 
 def resolve(params: OdeParams, scenario: str, nu_sign: int = +1,
@@ -336,14 +452,22 @@ def resolve(params: OdeParams, scenario: str, nu_sign: int = +1,
     makes the solution blow up at the boundary).  Scenarios "LB", "JB" and
     "JC" leave one index free; it must be supplied in ``free_value``.  LB
     exists only on the surface b^2 = 1 + 4 A_plus: off it, its streams and
-    match raise ScenarioMismatch.
+    match raise ScenarioMismatch.  A field whose square overflows, or a
+    free value that is not finite, is refused by name.
     """
     if scenario not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    equation, build = _SCENARIOS[scenario]
+    equation, build, squared = _SCENARIOS[scenario]
     if params.equation != equation:
         raise ScenarioMismatch(
             f"scenario {scenario} is for the {equation.capitalize()} equation")
+    for name in squared:
+        value = getattr(params, name)
+        if math.isfinite(value) and not math.isfinite(4.0 * value * value):
+            raise ValueError(f"{name} = {value!r} is out of range: (2 {name})^2 "
+                             "overflows")
+    if free_value is not None and not math.isfinite(free_value):
+        raise ValueError(f"free_value = {free_value!r} is not finite")
     return build(params, scenario, nu_sign, mu_sign, free_value)
 
 
@@ -356,26 +480,6 @@ def swap(params: OdeParams) -> OdeParams:
         raise ScenarioMismatch("the swap symmetry belongs to the Jacobi equation")
     return replace(params, a=params.b, b=params.a,
                    A_plus=params.A_minus, A_minus=params.A_plus)
-
-
-def terminating_free_index(params: OdeParams, scenario: str, N: int,
-                           nu_sign: int = +1) -> float:
-    """The free index on which the recursion ends after N + 1 terms (t_N = 0):
-    JC's q_N = ((2N+mu+nu+2)^2 + chi)/4 at mu = sqrt(-chi) - nu - 2 - 2N (nu
-    on the ``nu_sign`` root), LB's N + omega + 1/2 at nu = -2(N+A_zero+1) - ab.
-    NoTerminatingIndex if no index > -1 (a basis) does it."""
-    if scenario == "LB":
-        free = -2.0 * (N + params.A_zero + 1.0) - params.a * params.b
-    elif scenario == "JC":
-        chi = 4.0 * params.A_zero - (params.a + params.b - 1.0) ** 2
-        nu = resolve(params, "JC", nu_sign=nu_sign, free_value=0.0).spec.nu
-        free = math.sqrt(-chi) - nu - 2.0 - 2.0 * N if chi < 0 else math.nan
-    else:
-        raise ScenarioMismatch(f"scenario {scenario} has no terminating index")
-    if not free > -1.0:
-        raise NoTerminatingIndex(f"no index > -1 ends the {scenario} chain at "
-                                 f"N = {N} (it would be {free})")
-    return free
 
 
 def wilson_match_identity_residual(mu: float, nu: float, chi: float, n: int) -> float:

@@ -17,7 +17,7 @@ from triseries.physics import (CASE_TYPES, Case, CoulombCase, EckartCase,
                                RadialMesh, ScarfCase, bound_energy,
                                bound_series, fd_oracle)
 from triseries.recurrence import run_recursion
-from triseries.solve import assemble_solution, match_family, ode_residual
+from triseries.solve import ode_residual
 from triseries.tra import OdeParams, resolve
 
 
@@ -51,19 +51,20 @@ def test_discrete_extended_family_match_and_input_point():
     chi0 = fam.ExtendedJacobi(spec.mu, spec.nu, lam1).mass_point(1)
     p = OdeParams("jacobi", a, b, -1.1, -0.8,
                   chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=lam1)
-    m = match_family(p, "JA")
+    record = resolve(p, "JA")
+    m = record.match()
     f = m.family
     assert f == fam.ExtendedJacobi(spec.mu, spec.nu, lam1)
     assert m.spectral_map.family_value == pytest.approx(chi0, rel=1e-12)
-    raw = resolve(p, "JA").streams(12)
+    raw = record.streams(12)
     fc = fam.family_coeffs(f, 12)
     assert (raw.s.tobytes(), raw.t.tobytes()) == (fc.s.tobytes(), fc.t.tobytes())
     # level 1 is the input point; levels 0 and 2 are not, and raise
-    sol = assemble_solution(m, 1)
+    sol = record.state(1)
     assert ode_residual(p, sol, np.linspace(-0.9, 0.9, 20)) <= 1e-8
     for k in (0, 2):
         with pytest.raises(IndexOutOfSpectrum, match=f"level {k} "):
-            assemble_solution(m, k)
+            record.state(k)
 
 
 def test_discrete_extended_family_wrong_side_has_no_match():
@@ -79,7 +80,7 @@ def test_discrete_extended_family_wrong_side_has_no_match():
                       chi0 + 0.25 * (a + b - 1.0) ** 2, A_one=lam1)
         with pytest.raises(NoFamilyApplies, match=(
                 f"nearest is level {k}, {re.escape(repr(float(levels[k])))}$")):
-            match_family(p, "JA")
+            resolve(p, "JA").match()
 
 
 def test_mesh_too_coarse_detected():
@@ -180,8 +181,8 @@ def test_extended_family_refusal_past_the_settled_levels_is_quick():
         start = time.perf_counter()
         with pytest.raises(TruncationTooSmall, match=(
                 f"^extended Jacobi level {k} does not settle within 960 terms$")):
-            match_family(p, "JA")
+            resolve(p, "JA").match()
         assert time.perf_counter() - start < 0.1
     p = OdeParams("jacobi", a, b, -1.1, -0.8, -2e5 + shift, A_one=lam1)
     with pytest.raises(NoFamilyApplies, match="nearest is level 445, "):
-        match_family(p, "JA")
+        resolve(p, "JA").match()

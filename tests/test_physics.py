@@ -610,6 +610,6 @@ def test_tra_bound_energy_lets_programming_errors_through(monkeypatch):
     # only the errors a match can raise count as "no value here"
     def broken(*args, **kwargs):
         raise TypeError("a bug, not a domain error")
-    monkeypatch.setattr("triseries.solve.match_family", broken)
+    monkeypatch.setattr("triseries.physics.resolve", broken)
     with pytest.raises(TypeError, match="a bug"):
         tra_bound_energy(MorseCase(lam=1.0, V1=1.0), 0)

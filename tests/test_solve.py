@@ -1,5 +1,6 @@
-"""Family matching, series assembly and the ODE residual."""
+"""Family matching, bound-level series and the ODE residual."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -18,18 +19,18 @@ from triseries.physics import (CoulombCase, EckartCase, MorseCase,
                                OscillatorCase, PoschlTellerCase, ScarfCase,
                                bound_energy, bound_series, spectrum_size,
                                wavefunction)
-from triseries.solve import (SeriesSolution, assemble_solution, match_family,
-                             ode_residual)
+from triseries.solve import ode_residual
 from triseries.recurrence import minimal_solution, run_recursion
+from triseries import tra
 from triseries.tra import (CONTINUOUS, DISCRETE_FINITE, DISCRETE_INFINITE, MIXED,
-                           OdeParams, resolve)
+                           OdeParams, SeriesSolution, resolve)
 from triseries.verify import closed_form_hp
 
 
 def test_match_coulomb_scattering_is_oscillatory_family():
     case = CoulombCase(Z=1.0, ell=0, lam=1.0)
     p = case.ode_params(0.5)   # kappa = 1
-    m = match_family(p, "LA")
+    m = resolve(p, "LA").match()
     assert isinstance(m.family, fam.MeixnerPollaczek)
     assert m.spectrum_kind == CONTINUOUS
     assert m.spectral_map.family_value == pytest.approx(-1.0, rel=1e-12)  # -Z/kappa
@@ -40,7 +41,7 @@ def test_match_oscillator_bound_recovers_spectrum():
     case = OscillatorCase(omega=1.0, ell=0, lam=0.8)
     e0 = bound_energy(case, 0)   # omega (2m + l + 3/2)
     p = case.ode_params(e0)
-    m = match_family(p, "LA")
+    m = resolve(p, "LA").match()
     assert isinstance(m.family, fam.Meixner)
     assert m.spectrum_kind == DISCRETE_INFINITE
     k = m.spectral_map.family_value / (m.family.tau - 1.0)
@@ -50,7 +51,7 @@ def test_match_oscillator_bound_recovers_spectrum():
 def test_match_morse_shallow_is_purely_continuous():
     case = MorseCase(lam=1.0, V1=0.2)   # V1 <= lam^2/4
     p = case.ode_params(0.3)
-    m = match_family(p, "LB", free_value=0.0)
+    m = resolve(p, "LB", free_value=0.0).match()
     assert isinstance(m.family, fam.ContinuousDualHahn)
     assert m.family.tau > 0
     assert m.spectrum_kind == CONTINUOUS
@@ -59,7 +60,7 @@ def test_match_morse_shallow_is_purely_continuous():
 def test_match_morse_deep_is_mixed():
     case = MorseCase(lam=1.0, V1=1.0)
     p = case.ode_params(-1.0)
-    m = match_family(p, "LB", free_value=0.0)
+    m = resolve(p, "LB", free_value=0.0).match()
     assert m.spectrum_kind == MIXED
     assert m.n_finite == 1
 
@@ -68,13 +69,13 @@ def test_no_family_in_the_gap():
     # b^2 - 1 < 4 A_plus < b^2 with non-integer index combination
     p = OdeParams("laguerre", 0.3, 0.0, -0.1, -0.6, 1.0)
     with pytest.raises(NoFamilyApplies):
-        match_family(p, "LA")
+        resolve(p, "LA").match()
 
 
 def test_boundary_is_ambiguous():
     p = OdeParams("laguerre", 0.3, 0.0, 0.0, -0.6, 1.0)   # 4 A_plus - b^2 = 0
     with pytest.raises(AmbiguousRegion):
-        match_family(p, "LA")
+        resolve(p, "LA").match()
 
 
 def _ja_levels(a, b, a_plus, a_minus, a_one):
@@ -96,9 +97,10 @@ def test_extended_family_assembly_is_a_unit_eigenvector():
     # its norm factor is f_0 = sqrt(discrete_mass(k)) and f_n = f_0 P_n(chi0)
     for a_one in (2.3, -2.3):
         for k, p in enumerate(_ja_levels(0.4, 0.7, -1.1, -0.8, a_one)):
-            m = match_family(p, "JA")
+            record = resolve(p, "JA")
+            m = record.match()
             assert m.spectrum_kind == DISCRETE_INFINITE
-            sol = assemble_solution(m, k)
+            sol = record.state(k)
             assert sol.f[0] > 0.0
             assert np.sum(sol.f ** 2) == pytest.approx(1.0, rel=1e-13)
             assert sol.norm_factor == sol.f[0] == math.sqrt(m.family.discrete_mass(k))
@@ -119,7 +121,7 @@ def test_extended_family_levels_that_were_mislabelled_now_solve(
     # these three sets once gave a residual of 3.8e3, NoFamilyApplies and
     # TruncationTooSmall at their top three levels
     for k, p in enumerate(_ja_levels(a, b, a_plus, a_minus, a_one)):
-        sol = assemble_solution(match_family(p, "JA"), k)
+        sol = resolve(p, "JA").state(k)
         assert ode_residual(p, sol, _JA_X) <= 1e-8
 
 
@@ -141,7 +143,7 @@ def test_extended_family_seeded_draws_solve_or_raise_typed():
             continue
         for k, p in enumerate(params):
             try:
-                sol = assemble_solution(match_family(p, "JA"), k)
+                sol = resolve(p, "JA").state(k)
             except TriseriesError:
                 continue
             assert ode_residual(p, sol, _JA_X) <= 1e-8, (a, b, a_plus, a_minus,
@@ -156,10 +158,10 @@ def test_extended_family_given_truncation_solves_or_raises_typed():
     raised = 0
     for a_one in (-2.0, 5.0, 1000.0):
         for k, p in enumerate(_ja_levels(1.0, 0.5, -0.3, -0.8, a_one)):
-            m = match_family(p, "JA")
+            record = resolve(p, "JA")
             for truncation in range(2, 61):
                 try:
-                    sol = assemble_solution(m, k, truncation=truncation)
+                    sol = record.state(k, truncation=truncation)
                 except (IndexOutOfSpectrum, TruncationTooSmall):
                     raised += 1
                     continue
@@ -180,34 +182,30 @@ def _krawtchouk_params(nu):
     # index 1e-10 off nu = -4 is the same finite match
     pytest.param(_krawtchouk_params(-4.0 + 1e-10), "LA", {"nu_sign": -1},
                  fam.Krawtchouk, 3, id="LA-krawtchouk-near-integer"),
-    pytest.param(OdeParams("laguerre", 1.3, 0.6, -0.16, 0.7, 0.9), "LB",
-                 {"free_value": -18.0}, fam.DualHahn, 17, id="LB-dual_hahn"),
-    pytest.param(OdeParams("jacobi", 0.8, 0.5, -0.9, 1.2, -2.0, A_one=0.0), "JC",
-                 {"free_value": -7.0}, fam.Racah, 6, id="JC-racah"),
 ])
 def test_finite_family_match_refuses_assembly(params, scenario, keywords,
                                               family, n_fin):
     # a finite (negative basis-index) match solves the coefficient recursion
     # only: no series of it solves the equation pointwise
-    m = match_family(params, scenario, **keywords)
+    record = resolve(params, scenario, **keywords)
+    m = record.match()
     assert isinstance(m.family, family)
     assert m.spectrum_kind == DISCRETE_FINITE and m.n_finite == n_fin
     for k in (0, n_fin):
-        with pytest.raises(NoPointwiseSolution):
-            assemble_solution(m, k)
+        with pytest.raises(NoPointwiseSolution, match="discrete_finite krawtchouk"):
+            record.state(k)
 
 
-def test_jc_wilson_match_with_parameter_sum_two_assembles():
+def test_jc_wilson_match_with_parameter_sum_two_recurs_to_the_closed_form():
     # mu + nu = 0 gives a Wilson record with a+b+c+d = 2, whose printed A_0
     # and C_0 are 0/0
     p = OdeParams("jacobi", 0.8, 0.5, 0.08, 1.2, 1.1)
-    m = match_family(p, "JC", free_value=-0.3)
+    m = resolve(p, "JC", free_value=-0.3).match()
     f = m.family
     assert (f.a + f.b + f.c + f.d).real == pytest.approx(2.0, abs=1e-14)
-    sol = assemble_solution(m, 1.3, enforce_tail=False)
+    vals = run_recursion(fam.family_coeffs(f, 11), f.spectral_point(1.3), 10)
     ref = closed_form_hp(f, 1.3, 10)
-    assert np.allclose(sol.f[:11] / sol.norm_factor, ref, rtol=1e-12,
-                       atol=1e-12)
+    assert np.allclose(vals, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_level_the_spectrum_does_not_hold_is_refused_first(monkeypatch):
@@ -239,12 +237,12 @@ def test_la_index_off_the_matched_mass_point_is_refused():
     # matched mass point; indices 0 and 2 gave series with residuals 2.4
     # and 3.2
     params, level = bound_series(CoulombCase(Z=1.0, ell=0, lam=0.3), 1)
-    match = match_family(params, "LA")
-    assert match.spectrum_kind == DISCRETE_INFINITE
-    assert np.array_equal(assemble_solution(match, 1).f, level.f)
+    record = resolve(params, "LA")
+    assert record.match().spectrum_kind == DISCRETE_INFINITE
+    assert np.array_equal(record.state(1).f, level.f)
     for k in (0, 2):
         with pytest.raises(IndexOutOfSpectrum, match=f"mass point {k} of meixner"):
-            assemble_solution(match, k)
+            record.state(k)
 
 
 def test_coulomb_basis_scale_caps_the_levels():
@@ -308,7 +306,7 @@ def test_meixner_state_zeroes_exactly_the_terms_of_its_small_l2_tail():
     # the kept terms are p times the minimal solution; the zeroed ones are
     # the longest tail whose l2 norm is below 1e-9 of the whole
     params, sol = bound_series(CoulombCase(Z=1.0, ell=0, lam=0.3), 1)
-    family = match_family(params, "LA").family
+    family = resolve(params, "LA").match().family
     full = sol.norm_factor * minimal_solution(
         fam.family_coeffs(family, 122), family.mass_point(1))[:61]
     kept = np.count_nonzero(sol.f)
@@ -327,7 +325,7 @@ def test_excited_meixner_states_keep_their_coefficients(case, m):
     # P_n(m) grows and oscillates in n before it decays: forward steps up
     # to the decay keep it where backward recursion alone would lose it
     params, sol = bound_series(case, m)
-    family = match_family(params, "LA").family
+    family = resolve(params, "LA").match().family
     ref = math.sqrt(family.discrete_mass(m)) * np.array(
         closed_form_hp(family, m, len(sol.f) - 1), dtype=float)
     assert np.abs(sol.f - ref).max() <= 1e-8 * np.abs(ref).max()
@@ -459,9 +457,9 @@ def test_level_formula_with_negative_nu_raises(case):
 
 def test_chain_that_does_not_end_at_the_level_raises(monkeypatch):
     # a free index off the level's own leaves t_N well above round-off
-    from triseries import tra
-    shifted = lambda p, sc, N: tra.terminating_free_index(p, sc, N) + 0.1
-    monkeypatch.setattr("triseries.physics.terminating_free_index", shifted)
+    chain = tra._chain
+    monkeypatch.setattr(tra, "_chain", lambda *args: chain(
+        *args[:-1], lambda N: args[-1](N) + 0.1))
     for case in (EckartCase(lam=1.0, A=2.0, B=-20.0), MorseCase(lam=1.0, V1=1.1)):
         with pytest.raises(NoTerminatingIndex, match="not round-off"):
             bound_series(case, 1)
@@ -508,38 +506,19 @@ def test_singular_margins_enforced():
         ode_residual(pj, solj, [0.99])
 
 
-def test_truncation_check_fires_for_nondecaying_series():
-    case = CoulombCase(Z=1.0, ell=0, lam=1.0)
-    p = case.ode_params(0.5)
-    m = match_family(p, "LA")
-    with pytest.raises(TruncationTooSmall):
-        assemble_solution(m, m.spectral_map.family_value, truncation=30)
-
-
-def test_mixed_assembly_produces_both_components():
-    case = MorseCase(lam=1.0, V1=1.0)
-    e0 = bound_energy(case, 0)
-    p = case.ode_params(e0, bound=True)
-    m = match_family(p, "LB", free_value=0.35)
-    assert m.spectrum_kind == MIXED
-    cont = assemble_solution(m, 1.2, 50, enforce_tail=False)
-    disc = assemble_solution(m, 0, 50)
-    assert len(cont.f) == 51
-    assert len(disc.f) == 51
-    assert disc.norm_factor > 0
-
-
 def test_mixed_components_satisfy_the_raw_recursion():
     # both pieces of a mixed solution solve the coefficient recursion at
     # machine precision, each at its own spectral value
     case = MorseCase(lam=1.0, V1=1.0)
     e0 = bound_energy(case, 0)
     p = case.ode_params(e0, bound=True)
-    m = match_family(p, "LB", free_value=0.35)
+    record = resolve(p, "LB", free_value=0.35)
+    m = record.match()
     assert m.spectrum_kind == MIXED
-    cont = assemble_solution(m, 1.7, 40, enforce_tail=False)
-    disc = assemble_solution(m, 0, 40)
-    raw = resolve(p, "LB", free_value=0.35).streams(42)
+    co = fam.family_coeffs(m.family, 41)
+    cont = run_recursion(co, m.family.spectral_point(1.7), 40)
+    disc = run_recursion(co, m.family.mass_point(0), 40)
+    raw = record.streams(42)
 
     def raw_residual(f, z_raw):
         worst = 0.0
@@ -552,8 +531,8 @@ def test_mixed_components_satisfy_the_raw_recursion():
     sm = m.spectral_map   # the raw value of a family value v is v scale + offset
     z_cont = 1.7 * sm.scale + sm.offset     # continuous component at w = 1.7
     z_disc = m.family.mass_point(0) * sm.scale + sm.offset
-    assert raw_residual(np.real(cont.f), z_cont) < 1e-10
-    assert raw_residual(np.real(disc.f), z_disc) < 1e-10
+    assert raw_residual(cont, z_cont) < 1e-10
+    assert raw_residual(disc, z_disc) < 1e-10
 
 
 def test_norm_stabilization_for_bound_states():
@@ -570,12 +549,11 @@ def test_norm_stabilization_for_bound_states():
 def test_coefficients_satisfy_raw_recursion_mixed_regime():
     # continued quadratic family: the chain cut at N = m, with f_n = 0 past
     # it, must solve the raw stream (t_N is round-off at the cut)
-    from triseries.physics import ScarfCase
-    from triseries.tra import terminating_free_index
     case = ScarfCase(A=2.0, B=0.5, lam=1.0)
     for level in (0, 1, 2):
         p, sol = bound_series(case, level)
-        scenario = resolve(p, "JC", free_value=terminating_free_index(p, "JC", level))
+        free = resolve(p, "JC", free_value=0.0).ending(level)
+        scenario = resolve(p, "JC", free_value=free)
         m = scenario.match()
         assert m.spec == sol.spec and len(sol.f) == level + 1
         raw = scenario.streams(13)
@@ -602,3 +580,62 @@ def test_wavefunction_equals_the_full_evaluator_bit_for_bit(case, m):
                                                case.x_of_r(rs))[0])
     assert np.array_equal(sol(case.x_of_r(rs[7])), psi[7:8].reshape(()))
 
+
+
+# every bound_series call below contributes the f bytes, spec and norm factor
+# of its state, or the type and message of its refusal, so the digests pin
+# each state bit for bit and each refusal's type and message
+_PIN_CASES = (
+    [CoulombCase(Z=z, ell=ell, lam=lam) for z in (0.5, 1.0, 4.03)
+     for ell in (0, 1, 3) for lam in (0.05, 0.3, 0.99, 2.0)]
+    + [OscillatorCase(omega=w, ell=ell, lam=lam) for w in (0.5, 1.0)
+       for ell in (0, 2) for lam in (0.4, 0.6)]
+    + [MorseCase(lam=1.0, V1=v) for v in (0.8, 1.0, 1.1, 2.5, 10.0, 30.0)]
+    + [PoschlTellerCase(lam=1.0, A=a, B=b) for a, b in
+       ((1, -36), (2, -20), (1, -400), (2, -42.5), (0.3, -8), (1.3, -10))]
+    + [ScarfCase(A=a, B=b, lam=1.0) for a, b in
+       ((2, 0.5), (0.5, 2), (2.2, 0.6), (20, 5), (2, -0.5), (3, 1))]
+    + [EckartCase(lam=1.0, A=a, B=b) for a, b in
+       ((2, -20), (1, -16.15), (2, -300), (0.8, -5))])
+
+
+def _digest(calls):
+    """(SHA-256 of the states and refusals, states, refusals)."""
+    h, counts = hashlib.sha256(), [0, 0]
+    for call in calls:
+        try:
+            sol = call()
+        except (TriseriesError, ValueError, ArithmeticError) as exc:
+            h.update(f"{type(exc).__name__}: {exc}\n".encode())
+            counts[1] += 1
+            continue
+        h.update(np.asarray(sol.f).tobytes())
+        h.update(f"{sol.spec!r} {sol.norm_factor!r}\n".encode())
+        counts[0] += 1
+    return h.hexdigest(), *counts
+
+
+def test_bound_series_states_and_refusals_are_pinned():
+    calls = [lambda case=case, m=m, t=t: bound_series(case, m, t)[1]
+             for case in _PIN_CASES for m in range(6) for t in (None, 40, 60, 100)]
+    assert _digest(calls) == (
+        "5ce5a888af4a972e873c4e0b4ea8b5e4366660af02ea876c0f7541b8c5e62b0b",
+        1028, 556)
+
+
+def test_ja_states_are_pinned():
+    # the top three levels of 60 seeded extended-Jacobi draws, each at the
+    # settled truncation and at 4 and 12 terms past degree 0
+    rng = np.random.default_rng(39)
+    calls = []
+    for _ in range(60):
+        a, b = rng.uniform(0.0, 2.0, size=2)
+        a_plus = rng.uniform(-3.0, (1.0 - b) ** 2 / 2.0)
+        a_minus = rng.uniform(-3.0, (1.0 - a) ** 2 / 2.0)
+        a_one = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 10.0)
+        for k, p in enumerate(_ja_levels(a, b, a_plus, a_minus, a_one)):
+            calls += [lambda p=p, k=k, t=t: resolve(p, "JA").state(k, t)
+                      for t in (None, 4, 12)]
+    assert _digest(calls) == (
+        "1deeb65adee56c850987f1bff935d946a2db9913151ec533f8e4681ccc629787",
+        360, 180)

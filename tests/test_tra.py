@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from triseries.basis import jacobi_cd
-from triseries.errors import (DegenerateDenominator, InvalidFamilyParams,
+from triseries.errors import (AmbiguousRegion, DegenerateDenominator,
+                              InvalidFamilyParams, NoPointwiseSolution,
                               NoTerminatingIndex, RealityViolation,
                               ScenarioMismatch, ScenarioRequiresA1Zero,
                               ZeroOffDiagonal)
-from triseries.solve import match_family
 from triseries.tra import (OdeParams, jacobi_ratio_identity_residuals, resolve,
-                           swap, terminating_free_index,
-                           wilson_match_identity_residual)
+                           swap, wilson_match_identity_residual)
 from triseries.verify import identity_suite, stream_match_suite
 
 
@@ -122,40 +121,42 @@ _SQRT_NEG = OdeParams("jacobi", 0.0, 0.0, 5.0, 5.0, 1.1)   # both roots negative
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: match_family(OdeParams("laguerre", 1.3, 0.6, -0.16, 0.7, 0.9), "LB"),
+    (lambda: resolve(OdeParams("laguerre", 1.3, 0.6, -0.16, 0.7, 0.9),
+                     "LB").match(),
      ValueError, "scenario LB leaves nu free; pass free_value"),
-    (lambda: match_family(_JB, "JB"), ValueError,
+    (lambda: resolve(_JB, "JB").match(), ValueError,
      "scenario JB leaves nu free; pass free_value"),
-    (lambda: match_family(_JC, "JC"), ValueError,
+    (lambda: resolve(_JC, "JC").match(), ValueError,
      "scenario JC leaves mu free; pass free_value"),
-    (lambda: match_family(_JC, "LA"), ScenarioMismatch,
+    (lambda: resolve(_JC, "LA").match(), ScenarioMismatch,
      "scenario LA is for the Laguerre equation"),
-    (lambda: match_family(_LB_OFF, "JC", free_value=1.0), ScenarioMismatch,
+    (lambda: resolve(_LB_OFF, "JC", free_value=1.0).match(), ScenarioMismatch,
      "scenario JC is for the Jacobi equation"),
-    (lambda: match_family(_JC, "JD"), ValueError, "unknown scenario 'JD'"),
-    (lambda: match_family(_LB_OFF, "XX"), ValueError, "unknown scenario 'XX'"),
-    (lambda: match_family(replace(_JB, A_one=0.5), "JB", free_value=0.9),
+    (lambda: resolve(_JC, "JD").match(), ValueError, "unknown scenario 'JD'"),
+    (lambda: resolve(_LB_OFF, "XX").match(), ValueError, "unknown scenario 'XX'"),
+    (lambda: resolve(replace(_JB, A_one=0.5), "JB", free_value=0.9).match(),
      ScenarioRequiresA1Zero, "scenario JB requires A_one = 0, got 0.5"),
-    (lambda: match_family(replace(_JB, A_one=0.5), "JC", free_value=0.9),
+    (lambda: resolve(replace(_JB, A_one=0.5), "JC", free_value=0.9).match(),
      ScenarioRequiresA1Zero, "scenario JC requires A_one = 0, got 0.5"),
     (lambda: resolve(_LB_OFF, "LB", free_value=1.4).streams(4), ScenarioMismatch,
      "scenario LB needs b^2 = 1 + 4 A_plus; got b^2 = 0.36, 1 + 4 A_plus = 2.2"),
-    (lambda: match_family(_LB_OFF, "LB", free_value=1.4), ScenarioMismatch,
+    (lambda: resolve(_LB_OFF, "LB", free_value=1.4).match(), ScenarioMismatch,
      "scenario LB needs b^2 = 1 + 4 A_plus; got b^2 = 0.36, 1 + 4 A_plus = 2.2"),
     (lambda: resolve(_JA_FLAT, "JA").streams(5), ZeroOffDiagonal,
      "with A_one = 0 this scenario has no recursion"),
-    (lambda: match_family(_JA_FLAT, "JA"), ZeroOffDiagonal,
+    (lambda: resolve(_JA_FLAT, "JA").match(), ZeroOffDiagonal,
      "this scenario has no recursion when A_one = 0"),
-    (lambda: match_family(OdeParams("laguerre", 0.0, 0.0, 1.0, 5.0, 0.5), "LA"),
+    (lambda: resolve(OdeParams("laguerre", 0.0, 0.0, 1.0, 5.0, 0.5),
+                     "LA").match(),
      RealityViolation, "(1-a)^2 - 4 A_minus = -19.0 < 0: no real index nu"),
-    (lambda: match_family(OdeParams("laguerre", 0.0, 0.0, -1.0, 5.0, 0.5), "LB",
-                          free_value=1.0),
+    (lambda: resolve(OdeParams("laguerre", 0.0, 0.0, -1.0, 5.0, 0.5), "LB",
+                     free_value=1.0).match(),
      RealityViolation, "1 + 4 A_plus = -3.0 < 0: no real beta"),
-    (lambda: match_family(_SQRT_NEG, "JA"), RealityViolation,
+    (lambda: resolve(_SQRT_NEG, "JA").match(), RealityViolation,
      "negative square-root argument for mu or nu"),
-    (lambda: match_family(_SQRT_NEG, "JB", free_value=0.9), RealityViolation,
+    (lambda: resolve(_SQRT_NEG, "JB", free_value=0.9).match(), RealityViolation,
      "negative square-root argument for mu"),
-    (lambda: match_family(_SQRT_NEG, "JC", free_value=0.9), RealityViolation,
+    (lambda: resolve(_SQRT_NEG, "JC", free_value=0.9).match(), RealityViolation,
      "negative square-root argument for nu"),
 ], ids=["LB-free", "JB-free", "JC-free", "LA-on-jacobi", "JC-on-laguerre",
         "unknown-jacobi", "unknown-laguerre", "JB-A_one", "JC-A_one",
@@ -173,8 +174,8 @@ def test_jb_match_is_the_jc_match_of_the_swapped_parameters(signs):
     # on swap(params), with the rooted index's sign carried across
     nu_sign, mu_sign = signs
     p = _JB
-    jb = match_family(p, "JB", nu_sign=nu_sign, mu_sign=mu_sign, free_value=0.9)
-    jc = match_family(swap(p), "JC", nu_sign=mu_sign, free_value=0.9)
+    jb = resolve(p, "JB", nu_sign=nu_sign, mu_sign=mu_sign, free_value=0.9).match()
+    jc = resolve(swap(p), "JC", nu_sign=mu_sign, free_value=0.9).match()
     assert jb == jc and jb.spec.scenario == "JC"
     assert jb.spec.nu == resolve(p, "JB", mu_sign=mu_sign, free_value=0.9).spec.mu
 
@@ -189,7 +190,7 @@ def test_jb_match_is_the_jc_match_of_the_swapped_parameters(signs):
 ])
 def test_match_refuses_a_value_that_is_not_finite(params, message):
     with pytest.raises(InvalidFamilyParams) as info:
-        match_family(params, "LA")
+        resolve(params, "LA").match()
     assert str(info.value) == message
 
 
@@ -258,6 +259,14 @@ def test_identity_suite_passes():
         assert check.passed, f"{check.name}: {check.value} > {check.tolerance}"
 
 
+def _chain_case(name, *args):
+    """A Morse (LB) or Eckart/Scarf (JC) case from (name, lam, fields...)."""
+    from triseries import physics
+    return {"eckart": lambda lam, A, B: physics.EckartCase(lam=lam, A=A, B=B),
+            "scarf": lambda lam, A, B: physics.ScarfCase(A=A, B=B, lam=lam),
+            "morse": lambda lam, V1: physics.MorseCase(lam=lam, V1=V1)}[name](*args)
+
+
 @pytest.mark.parametrize("case_args, m, expect", [
     (("eckart", 1.0, 2.0, -20.0), 1, 8.0 / 3.0),
     (("eckart", 1.0, 2.0, -20.0), 2, 0.0),
@@ -267,14 +276,11 @@ def test_identity_suite_passes():
 ])
 def test_terminating_free_index_zeroes_the_off_diagonal(case_args, m, expect):
     # the index of level m makes the raw t_m vanish, and only t_m
-    from triseries import physics
-    name, *args = case_args
-    case = {"eckart": lambda lam, A, B: physics.EckartCase(lam=lam, A=A, B=B),
-            "scarf": lambda lam, A, B: physics.ScarfCase(A=A, B=B, lam=lam),
-            "morse": lambda lam, V1: physics.MorseCase(lam=lam, V1=V1)}[name](*args)
+    name = case_args[0]
+    case = _chain_case(*case_args)
     params = case.ode_params(case.level_energy(m), bound=True)
     scenario = "LB" if name == "morse" else "JC"
-    free = terminating_free_index(params, scenario, m)
+    free = resolve(params, scenario, free_value=0.0).ending(m)
     assert free == pytest.approx(expect, abs=1e-13)
     t = np.abs(resolve(params, scenario, free_value=free).streams(m + 2).t)
     assert t[m] <= 1e-13 * t[m + 1]
@@ -285,14 +291,115 @@ def test_terminating_free_index_raises_where_none_exists():
     # chi >= 0: q_n = ((2n+mu+nu+2)^2 + chi)/4 has no real zero
     p = OdeParams("jacobi", 0.5, 0.5, -0.2, -0.4, 1.0)
     with pytest.raises(NoTerminatingIndex, match="it would be nan"):
-        terminating_free_index(p, "JC", 0)
+        resolve(p, "JC", free_value=0.0).ending(0)
     # the zero would need mu <= -1: sqrt(-chi) = 2 < nu + 2 + 2N
     p = OdeParams("jacobi", 0.5, 0.5, -0.2, -0.4, -1.0)
     with pytest.raises(NoTerminatingIndex, match="no index > -1"):
-        terminating_free_index(p, "JC", 1)
+        resolve(p, "JC", free_value=0.0).ending(1)
     with pytest.raises(NoTerminatingIndex, match="no index > -1"):
-        terminating_free_index(OdeParams("laguerre", 1.0, 0.0, 0.0, -0.3, 0.0),
-                               "LB", 0)
+        resolve(OdeParams("laguerre", 1.0, 0.0, 0.0, -0.3, 0.0), "LB",
+                free_value=0.0).ending(0)
     with pytest.raises(ScenarioMismatch):
-        terminating_free_index(OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0),
-                               "LA", 0)
+        resolve(OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0), "LA").ending(0)
+
+
+def test_scenarios_without_a_chain_refuse_an_ending():
+    for params, scenario, keywords in (
+            (OdeParams("laguerre", 0.0, 0.0, 1.0, 0.0, 2.0), "LA", {}),
+            (OdeParams("jacobi", 0.4, 0.7, -1.1, -0.8, 1.9, A_one=2.3), "JA", {}),
+            (_JB, "JB", {"free_value": 0.9})):
+        with pytest.raises(ScenarioMismatch,
+                           match="^this scenario has no terminating index$"):
+            resolve(params, scenario, **keywords).ending(0)
+
+
+def test_jb_refuses_a_bound_level():
+    # JB's levels are JC's on swap(params); the JB record assembles none
+    for k, truncation in ((0, None), (2, 40)):
+        with pytest.raises(ScenarioMismatch, match="^this scenario has no bound level$"):
+            resolve(_JB, "JB", free_value=0.9).state(k, truncation)
+
+
+@pytest.mark.parametrize("scenario, free_value, params", [
+    ("LB", 0.0, ("morse", 1.0, 2.5)),
+    ("LB", 7.5, ("morse", 1.0, 2.5)),
+    ("JC", 0.3, ("eckart", 1.0, 2.0, -20.0)),
+    ("JC", -0.5, ("scarf", 1.0, 2.0, 0.5)),
+])
+def test_chain_level_sits_on_its_ending_whatever_the_free_value(
+        scenario, free_value, params):
+    # level k of LB or JC is the k + 1 terms on the index ending(k), the same
+    # series whatever free value the record was resolved on
+    from triseries.physics import bound_series
+    case = _chain_case(*params)
+    for k in range(2):
+        p, level = bound_series(case, k)
+        record = resolve(p, scenario, free_value=free_value)
+        sol = record.state(k, truncation=7)
+        free = record.ending(k)
+        assert (sol.spec.nu if scenario == "LB" else sol.spec.mu) == free
+        assert len(sol.f) == k + 1 and np.array_equal(sol.f, level.f)
+        assert sol.spec == resolve(p, scenario, free_value=free).spec
+
+
+def test_la_level_on_the_region_boundary_is_one_basis_element():
+    # 4 A_plus = b^2: the off-diagonal vanishes identically
+    record = resolve(OdeParams("laguerre", 0.3, 0.0, 0.0, -0.6, 1.0), "LA")
+    with pytest.raises(AmbiguousRegion):
+        record.match()
+    sol = record.state(3)
+    assert np.array_equal(sol.f, [0.0, 0.0, 0.0, 1.0])
+    assert sol.spec == record.spec and sol.norm_factor == 1.0
+
+
+@pytest.mark.parametrize("params, keywords, kind", [
+    # Meixner-Pollaczek: 4 A_plus > b^2, a continuous spectrum
+    (OdeParams("laguerre", 0.0, 0.0, 0.25, 0.0, 1.0), {}, "continuous "
+     "meixner_pollaczek"),
+    # Krawtchouk: the gap -1 < 4 A_plus - b^2 < 0 at nu = -4
+    (OdeParams("laguerre", 0.25, 0.25, -0.12, ((1 - 0.25) ** 2 - 16.0) / 4.0,
+               1.7), {"nu_sign": -1}, "discrete_finite krawtchouk"),
+])
+def test_la_refuses_a_level_of_a_match_with_no_pointwise_series(params, keywords,
+                                                                kind):
+    with pytest.raises(NoPointwiseSolution) as info:
+        resolve(params, "LA", **keywords).state(0)
+    assert str(info.value) == (f"the {kind} match gives no series that solves "
+                               "the equation pointwise")
+
+
+@pytest.mark.parametrize("scenario, field, keywords", [
+    ("LA", "a", {}), ("LB", "a", {"free_value": 1.4}),
+    ("LB", "b", {"free_value": 1.4}), ("JA", "a", {}), ("JA", "b", {}),
+    ("JA", "A_one", {}), ("JB", "b", {"free_value": 0.9}),
+    ("JC", "a", {"free_value": 0.9}),
+])
+def test_field_whose_square_overflows_is_refused_by_name(scenario, field,
+                                                         keywords):
+    equation = "laguerre" if scenario[0] == "L" else "jacobi"
+    fields = {"a": 0.3, "b": 0.4, "A_plus": -0.9, "A_minus": -0.6, "A_zero": 1.7,
+              **({"A_one": 2.3} if scenario == "JA" else {}), field: -1e305}
+    with pytest.raises(ValueError) as info:
+        resolve(OdeParams(equation, **fields), scenario, **keywords).match()
+    assert str(info.value) == (f"{field} = -1e+305 is out of range: "
+                               f"(2 {field})^2 overflows")
+
+
+def test_fields_a_scenario_does_not_square_keep_their_refusals():
+    # LA squares b only as b*b, whose overflow its Meixner record refuses;
+    # JB and JC refuse any A_one but 0 before anything else
+    with pytest.raises(InvalidFamilyParams, match="tau must be finite"):
+        resolve(OdeParams("laguerre", 0.3, 1e305, -0.9, -0.6, 1.7), "LA").match()
+    for scenario in ("JB", "JC"):
+        with pytest.raises(ScenarioRequiresA1Zero, match=r"got 1e\+305$"):
+            resolve(replace(_JB, A_one=1e305), scenario, free_value=0.9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("scenario, params", [
+    ("LB", OdeParams("laguerre", 1.3, 0.6, -0.16, 0.7, 0.9)), ("JB", _JB),
+    ("JC", _JC)])
+def test_free_value_that_is_not_finite_is_refused_by_name(scenario, params, value):
+    with pytest.raises(ValueError) as info:
+        resolve(params, scenario, free_value=value)
+    assert str(info.value) == f"free_value = {value!r} is not finite"
